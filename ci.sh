@@ -35,12 +35,9 @@
 #                        with fewer than 4 cores, where a 4-way shard
 #                        run physically cannot beat single-threaded)
 #
-# Directory-federation knobs, forwarded to `perf_dir --check` (see the
+# Directory-federation knob, forwarded to `perf_dir --check` (see the
 # flag docs in crates/bench/src/bin/perf_dir.rs):
 #
-#   PERF_DIR_RATIO       E12 full-refresh/delta steady-state bytes
-#                        ratio floor (default 10; simulator-
-#                        deterministic, so no noise headroom needed)
 #   PERF_DIR_P99_US      federation lookup p99 budget in µs at 100k
 #                        advertised ports (default 200)
 #
@@ -56,7 +53,6 @@ STAGE="${1:-all}"
 : "${PERF_RECORDER_OVERHEAD:=1.03}"
 : "${PERF_ATTRIB_OVERHEAD:=1.03}"
 : "${PERF_SHARD_SPEEDUP:=1.5}"
-: "${PERF_DIR_RATIO:=10}"
 : "${PERF_DIR_P99_US:=200}"
 
 # --- gate bookkeeping -------------------------------------------------
@@ -193,14 +189,13 @@ stage_perf() {
         --recorder-overhead "$PERF_RECORDER_OVERHEAD" \
         --attrib-overhead "$PERF_ATTRIB_OVERHEAD" \
         --shard-speedup "$PERF_SHARD_SPEEDUP"
-    # Directory-federation gates: the E12 full-refresh vs delta-gossip
-    # A/B must keep its steady-state bytes ratio above the floor with
-    # post-churn convergence inside the anti-entropy bound, and the
-    # indexed federation lookup must hold its p99 budget with zero
-    # full-scan fallbacks at 100k advertised ports. Knobs come from
-    # PERF_DIR_RATIO / PERF_DIR_P99_US.
+    # Directory-federation gates: the E12 delta-gossip federation must
+    # send exactly its pinned steady-state bytes with post-churn
+    # convergence inside the anti-entropy bound, and the indexed
+    # federation lookup must hold its p99 budget with zero full-scan
+    # fallbacks at 100k advertised ports. The knob is PERF_DIR_P99_US.
     gate perf-dir cargo run --offline --release -p bench --bin perf_dir -- \
-        --check --ratio "$PERF_DIR_RATIO" --p99-budget-us "$PERF_DIR_P99_US"
+        --check --p99-budget-us "$PERF_DIR_P99_US"
 }
 
 case "$STAGE" in

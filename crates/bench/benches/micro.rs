@@ -9,8 +9,8 @@ use platform_bluetooth::{ObexPacket, SdpPdu, ServiceRecord};
 use platform_rmi::JavaValue;
 use platform_upnp::{DeviceDesc, DeviceLogic, LightLogic, SoapCall};
 use umiddle_core::{
-    Direction, PerceptionType, PortKind, Query, RuntimeId, Shape, TranslatorId, TranslatorProfile,
-    UMessage, WireMessage,
+    DeltaOp, Direction, PerceptionType, PortKind, Query, RuntimeId, Shape, TranslatorId,
+    TranslatorProfile, UMessage, WireMessage,
 };
 use umiddle_usdl::{Element, UsdlDocument, UsdlLibrary};
 
@@ -61,13 +61,15 @@ fn bench_wire() {
             .attr("room", "den")
             .build()
     };
-    let adv = WireMessage::Advertise {
-        profile,
+    let delta = WireMessage::Delta {
+        origin: RuntimeId(1),
         home: simnet::Addr::new(simnet::NodeId::from_index(1), 47_001),
+        first: 1,
+        ops: vec![DeltaOp::Add(profile)],
     };
-    let bytes = adv.encode();
-    bench_function("wire_advertise_encode", || adv.encode());
-    bench_function("wire_advertise_decode", || {
+    let bytes = delta.encode();
+    bench_function("wire_delta_add_encode", || delta.encode());
+    bench_function("wire_delta_add_decode", || {
         WireMessage::decode(black_box(&bytes)).unwrap()
     });
     let path = WireMessage::PathMessage {

@@ -1,34 +1,42 @@
-//! Directory-federation benchmarks: the E12 full-refresh vs
-//! delta-gossip A/B (steady-state directory-plane bytes, post-churn
-//! convergence) and the E12 federation-lookup microbenchmark at the
-//! ~1M-advertised-port scale point.
+//! Directory-federation benchmarks: the E12 delta-gossip federation
+//! (steady-state directory-plane bytes, post-churn convergence) and the
+//! E12 federation-lookup microbenchmark at the ~1M-advertised-port
+//! scale point.
 //!
-//! Run with `--check` for the CI gate — a floor on the
-//! full-refresh/delta steady-state bytes ratio, a post-churn
-//! convergence ceiling, a lookup p99 budget, and the scan-free
-//! invariant (no port query falls back to a full table scan at any
-//! table size) — or with `--json FILE` to write the sweep as
+//! Run with `--check` for the CI gate — a pin on the delta steady-state
+//! bytes, a post-churn convergence ceiling, a lookup p99 budget, and the
+//! scan-free invariant (no port query falls back to a full table scan at
+//! any table size) — or with `--json FILE` to write the sweep as
 //! deterministic-schema JSON (byte counts and convergence are
 //! simulator-deterministic; lookup timings are wall-clock and
 //! machine-dependent, the schema is what golden files assert on). The
-//! committed `BENCH_perf_dir.json` records one full run.
+//! committed `BENCH_perf_dir.json` records one full run; its `before`
+//! side is the retired full-refresh protocol's row, frozen.
 //!
-//! Tunable gate knobs (also settable from ci.sh):
+//! Tunable gate knob (also settable from ci.sh):
 //!
-//! * `--ratio X` — floor on the full-refresh/delta steady-state bytes
-//!   ratio at the check fixture (default 10; `PERF_DIR_RATIO` env).
 //! * `--p99-budget-us N` — lookup p99 budget in µs (default 200;
 //!   `PERF_DIR_P99_US` env).
 
 use bench::experiments::{e12_delta_gossip, e12_lookup_scale, DeltaGossipRow};
 
-/// Default `--ratio`: the full-refresh/delta steady-state bytes floor.
-/// ISSUE 9's acceptance line. The check fixture (40 runtimes x 5
-/// services) measures well above 100x — full refresh re-advertises
-/// every entry every interval while a quiescent delta federation only
-/// exchanges ~30-byte digests — so 10x is the regression line, not the
-/// measured value.
-const DEFAULT_BYTES_RATIO: f64 = 10.0;
+/// `--check` pin on the delta steady-state directory-plane bytes at the
+/// check fixture (40 runtimes x 5 services, 60 s). Simulator-
+/// deterministic, so any change is a protocol change, not noise. The
+/// retired full-refresh protocol sent 189,000 B on the same fixture.
+const CHECK_STEADY_BYTES: u64 = 14_880;
+
+/// The retired full-refresh protocol's E12 row at 100 x 10, measured at
+/// commit 7b03dcf (the last with that protocol) and written verbatim as
+/// the record's frozen `before` side.
+const FROZEN_FULL_REFRESH_ROW: &str = r#"{"mode": "full-refresh", "runtimes": 100, "per_runtime": 10, "bootstrap_bytes": 8128180, "steady_bytes": 946800, "steady_secs": 60, "join_convergence_ms": 0, "leave_convergence_ms": 192, "deltas_applied": 0, "antientropy_repairs": 0, "final_entries": 1000}"#;
+
+/// `steady_bytes` of [`FROZEN_FULL_REFRESH_ROW`].
+const FROZEN_FULL_REFRESH_STEADY_BYTES: u64 = 946_800;
+
+/// Where the frozen row came from, written next to it.
+const FROZEN_PROVENANCE: &str =
+    "measured at commit 7b03dcf, the last commit with the full-refresh protocol; not rerun";
 
 /// Default `--p99-budget-us`: ceiling on the p99 wall cost of one
 /// indexed federation lookup at the check fixture (100k ports).
@@ -65,31 +73,26 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
         .unwrap_or_else(|_| panic!("{flag}: cannot parse {raw:?}"))
 }
 
-fn render_ab(rows: &[DeltaGossipRow]) -> String {
-    let mut out = String::from(
-        "E12 directory federation A/B (directory-plane bytes, virtual time)\n\
-         mode          runtimes  ports  boot KiB  steady KiB  join-conv ms  leave-conv ms  deltas  repairs\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<13} {:>8} {:>6} {:>9.1} {:>11.1} {:>13} {:>14} {:>7} {:>8}\n",
-            r.mode,
-            r.runtimes,
-            r.final_entries,
-            r.bootstrap_bytes as f64 / 1024.0,
-            r.steady_bytes as f64 / 1024.0,
-            r.join_convergence_ms,
-            r.leave_convergence_ms,
-            r.deltas_applied,
-            r.antientropy_repairs,
-        ));
-    }
-    out
+fn render(r: &DeltaGossipRow) -> String {
+    format!(
+        "E12 delta-gossip directory federation (directory-plane bytes, virtual time)\n\
+         runtimes  ports  boot KiB  steady KiB  join-conv ms  leave-conv ms  deltas  repairs\n\
+         {:>8} {:>6} {:>9.1} {:>11.1} {:>13} {:>14} {:>7} {:>8}\n",
+        r.runtimes,
+        r.final_entries,
+        r.bootstrap_bytes as f64 / 1024.0,
+        r.steady_bytes as f64 / 1024.0,
+        r.join_convergence_ms,
+        r.leave_convergence_ms,
+        r.deltas_applied,
+        r.antientropy_repairs,
+    )
 }
 
-/// The full-refresh/delta steady-state bytes ratio — the A/B's headline.
-fn steady_ratio(rows: &[DeltaGossipRow]) -> f64 {
-    rows[0].steady_bytes as f64 / rows[1].steady_bytes.max(1) as f64
+/// The frozen full-refresh/delta steady-state bytes ratio — the
+/// record's headline.
+fn steady_ratio(row: &DeltaGossipRow) -> f64 {
+    FROZEN_FULL_REFRESH_STEADY_BYTES as f64 / row.steady_bytes.max(1) as f64
 }
 
 fn main() {
@@ -99,12 +102,8 @@ fn main() {
         .iter()
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1).cloned());
-    // Floor priority: --ratio flag, then PERF_DIR_RATIO env, then the
-    // default; same for the p99 budget.
-    let env_ratio = std::env::var("PERF_DIR_RATIO")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok());
-    let ratio_floor: f64 = flag_value(&args, "--ratio", env_ratio.unwrap_or(DEFAULT_BYTES_RATIO));
+    // Budget priority: --p99-budget-us flag, then PERF_DIR_P99_US env,
+    // then the default.
     let env_p99 = std::env::var("PERF_DIR_P99_US")
         .ok()
         .and_then(|v| v.parse::<u64>().ok());
@@ -116,30 +115,23 @@ fn main() {
     let p99_budget_ns = p99_budget_us * 1_000;
 
     if check {
-        // A/B: delta gossip must keep paying for itself on the
-        // steady-state directory plane, and churn must still converge
-        // everywhere within the anti-entropy bound.
-        let rows = e12_delta_gossip(CHECK_RUNTIMES, CHECK_PER_RUNTIME);
-        let ratio = steady_ratio(&rows);
-        assert!(
-            ratio >= ratio_floor,
-            "steady-state bytes ratio below floor: full-refresh/delta x{ratio:.1} < x{ratio_floor} \
-             (full {} B, delta {} B over {} s)",
-            rows[0].steady_bytes,
-            rows[1].steady_bytes,
-            rows[1].steady_secs
+        // The steady-state directory plane must stay exactly as cheap
+        // as pinned, and churn must still converge everywhere within
+        // the anti-entropy bound.
+        let row = e12_delta_gossip(CHECK_RUNTIMES, CHECK_PER_RUNTIME);
+        assert_eq!(
+            row.steady_bytes, CHECK_STEADY_BYTES,
+            "delta steady-state bytes over {} s moved from the pin",
+            row.steady_secs
         );
-        for r in &rows {
-            assert!(
-                r.join_convergence_ms <= CHECK_CONVERGENCE_MS
-                    && r.leave_convergence_ms <= CHECK_CONVERGENCE_MS,
-                "{} churn convergence over bound: join {} ms / leave {} ms > {} ms",
-                r.mode,
-                r.join_convergence_ms,
-                r.leave_convergence_ms,
-                CHECK_CONVERGENCE_MS
-            );
-        }
+        assert!(
+            row.join_convergence_ms <= CHECK_CONVERGENCE_MS
+                && row.leave_convergence_ms <= CHECK_CONVERGENCE_MS,
+            "churn convergence over bound: join {} ms / leave {} ms > {} ms",
+            row.join_convergence_ms,
+            row.leave_convergence_ms,
+            CHECK_CONVERGENCE_MS
+        );
 
         // Lookup plane: p99 within budget and zero scan fallbacks —
         // the index must answer every port query at any table size.
@@ -158,12 +150,13 @@ fn main() {
         );
 
         println!(
-            "perf_dir --check: ok (steady bytes ratio x{ratio:.1} >= x{ratio_floor} at {} runtimes, \
+            "perf_dir --check: ok (steady bytes {} B == pin at {} runtimes, \
              join conv {} ms / leave conv {} ms <= {} ms, lookup p99 {} ns <= {} ns at {} ports, \
              0 scan fallbacks)",
+            row.steady_bytes,
             CHECK_RUNTIMES,
-            rows[1].join_convergence_ms,
-            rows[1].leave_convergence_ms,
+            row.join_convergence_ms,
+            row.leave_convergence_ms,
             CHECK_CONVERGENCE_MS,
             lk.p99_ns,
             p99_budget_ns,
@@ -172,11 +165,11 @@ fn main() {
         return;
     }
 
-    let rows = e12_delta_gossip(100, 10);
-    println!("{}", render_ab(&rows));
+    let row = e12_delta_gossip(100, 10);
+    println!("{}", render(&row));
     println!(
-        "steady-state bytes ratio (full-refresh / delta): x{:.1}\n",
-        steady_ratio(&rows)
+        "steady-state bytes ratio (frozen full-refresh / delta): x{:.1}\n",
+        steady_ratio(&row)
     );
 
     let lk = e12_lookup_scale(10_000, 100);
@@ -193,8 +186,7 @@ fn main() {
     if let Some(file) = json_out {
         let gossip_row = |r: &DeltaGossipRow| {
             format!(
-                "{{\"mode\": \"{}\", \"runtimes\": {}, \"per_runtime\": {}, \"bootstrap_bytes\": {}, \"steady_bytes\": {}, \"steady_secs\": {}, \"join_convergence_ms\": {}, \"leave_convergence_ms\": {}, \"deltas_applied\": {}, \"antientropy_repairs\": {}, \"final_entries\": {}}}",
-                r.mode,
+                "{{\"mode\": \"delta\", \"runtimes\": {}, \"per_runtime\": {}, \"bootstrap_bytes\": {}, \"steady_bytes\": {}, \"steady_secs\": {}, \"join_convergence_ms\": {}, \"leave_convergence_ms\": {}, \"deltas_applied\": {}, \"antientropy_repairs\": {}, \"final_entries\": {}}}",
                 r.runtimes,
                 r.per_runtime,
                 r.bootstrap_bytes,
@@ -212,19 +204,18 @@ fn main() {
             "  \"units\": \"*_bytes: directory-plane bytes over the named window (virtual time, simulator-deterministic); steady_secs: virtual seconds; *_convergence_ms: milliseconds of virtual time, worst runtime; deltas_applied/antientropy_repairs/final_entries/total_ports/distinct_mimes/lookups/scan_fallbacks: counts; steady_bytes_ratio: dimensionless; build_ms: wall-clock milliseconds; avg_ns/p99_ns: wall-clock nanoseconds per lookup\",\n",
         );
         out.push_str(
-            "  \"description\": \"E12 directory-federation A/B (DESIGN.md delta-gossip plane, EXPERIMENTS.md E12): 100 runtimes x 10 services on the 10 Mbps hub, 60 virtual seconds of steady state, then one join/leave churn cycle. 'before' is the legacy full-refresh protocol (every entry re-advertised every interval, TTL liveness); 'after' is delta-gossip (version-vectored deltas, digest anti-entropy, origin-level liveness) plus the federation lookup microbenchmark at 1M advertised ports. Byte counts and convergence are simulator-deterministic; lookup timings are wall-clock and machine-dependent. Regenerate with: cargo run --offline --release -p bench --bin perf_dir -- --json BENCH_perf_dir.json\",\n",
+            "  \"description\": \"E12 directory-federation A/B (DESIGN.md delta-gossip plane, EXPERIMENTS.md E12): 100 runtimes x 10 services on the 10 Mbps hub, 60 virtual seconds of steady state, then one join/leave churn cycle. 'before' is the retired full-refresh protocol (every entry re-advertised every interval, TTL liveness), frozen: that protocol no longer exists, so the row is copied, not rerun; 'after' is delta-gossip (version-vectored deltas, digest anti-entropy, origin-level liveness) plus the federation lookup microbenchmark at 1M advertised ports. Byte counts and convergence are simulator-deterministic; steady_bytes_ratio divides the frozen full-refresh steady_bytes by the fresh delta one; lookup timings are wall-clock and machine-dependent. Regenerate with: cargo run --offline --release -p bench --bin perf_dir -- --json BENCH_perf_dir.json\",\n",
         );
         out.push_str(
             "  \"machine\": \"linux x86_64 container (shared); only e12_lookup_scale and build_ms depend on the host\",\n",
         );
         out.push_str(&format!(
-            "  \"before\": {{\n    \"e12_delta_gossip\": {}\n  }},\n",
-            gossip_row(&rows[0])
+            "  \"before\": {{\n    \"e12_delta_gossip\": {FROZEN_FULL_REFRESH_ROW},\n    \"provenance\": \"{FROZEN_PROVENANCE}\"\n  }},\n",
         ));
         out.push_str(&format!(
             "  \"after\": {{\n    \"e12_delta_gossip\": {},\n    \"steady_bytes_ratio\": {:.1},\n    \"e12_lookup_scale\": {{\"profiles\": {}, \"ports_per_profile\": {}, \"total_ports\": {}, \"distinct_mimes\": {}, \"build_ms\": {:.0}, \"lookups\": {}, \"avg_ns\": {}, \"p99_ns\": {}, \"scan_fallbacks\": {}}}\n  }}\n}}\n",
-            gossip_row(&rows[1]),
-            steady_ratio(&rows),
+            gossip_row(&row),
+            steady_ratio(&row),
             lk.profiles,
             lk.ports_per_profile,
             lk.total_ports,

@@ -24,8 +24,8 @@ pub fn runtime_node(
 }
 
 /// Like [`runtime_node`], but with an explicit runtime configuration
-/// (E12 uses this for the full-refresh vs delta-gossip A/B) and the
-/// runtime's stats handle, readable while the world runs.
+/// and the runtime's stats handle, readable while the world runs (E12
+/// reads convergence from it).
 pub fn runtime_node_cfg(
     world: &mut World,
     name: &str,

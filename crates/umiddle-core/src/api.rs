@@ -131,7 +131,8 @@ pub enum DirectoryEvent {
     /// A translator matching the subscription appeared (or was already
     /// present when the listener was added).
     Appeared(TranslatorProfile),
-    /// A translator disappeared (bye or TTL expiry).
+    /// A translator disappeared (unregistered, or its home runtime was
+    /// evicted by the liveness sweep).
     Disappeared(TranslatorId),
 }
 

@@ -3,9 +3,8 @@
 //! "The uMiddle directory module handles the exchange of device
 //! advertisements among hosts" (paper §3.2). Each runtime keeps a full
 //! replica of the federation's translator profiles, kept in sync by the
-//! delta-gossip plane (see [`crate::replica`]) or, in the legacy
-//! full-refresh mode, by periodic advertisements with a TTL. The replica
-//! serves `lookup(Query)` locally and feeds directory listeners.
+//! delta-gossip plane (see [`crate::replica`]). The replica serves
+//! `lookup(Query)` locally and feeds directory listeners.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -134,7 +133,7 @@ impl DirectoryTable {
         effect
     }
 
-    /// Removes an entry (explicit bye). Returns it if present.
+    /// Removes an entry (an unregistration). Returns it if present.
     pub fn remove(&mut self, id: TranslatorId) -> Option<DirectoryEntry> {
         let entry = self.entries.remove(&id);
         if let Some(e) = &entry {

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::id::{ConnectionId, PortRef, TranslatorId};
+use crate::id::{ConnectionId, PortRef, RuntimeId, TranslatorId};
 
 /// Errors produced by the uMiddle core library.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,6 +27,9 @@ pub enum CoreError {
     Decode(String),
     /// A USDL or shape validation failure.
     Invalid(String),
+    /// A forwarded request's target runtime stopped gossiping and was
+    /// evicted from the directory before it replied.
+    HomeUnreachable(RuntimeId),
 }
 
 impl fmt::Display for CoreError {
@@ -40,6 +43,7 @@ impl fmt::Display for CoreError {
             CoreError::Incompatible(why) => write!(f, "incompatible ports: {why}"),
             CoreError::Decode(why) => write!(f, "wire decode failed: {why}"),
             CoreError::Invalid(why) => write!(f, "invalid description: {why}"),
+            CoreError::HomeUnreachable(rt) => write!(f, "home runtime {rt} unreachable"),
         }
     }
 }

@@ -121,12 +121,6 @@ impl DirectoryReplica {
         &self.table
     }
 
-    /// Mutable table access for the legacy full-refresh mode, which
-    /// bypasses versioning entirely (TTL-based liveness).
-    pub fn table_mut(&mut self) -> &mut DirectoryTable {
-        &mut self.table
-    }
-
     /// This runtime's own version (number of local mutations recorded).
     pub fn own_version(&self) -> u64 {
         self.own_version
@@ -361,14 +355,15 @@ impl DirectoryReplica {
     /// Evicts every origin not heard from within `ttl`: all its entries
     /// leave the table (Disappeared events, ids appended to `removed` in
     /// origin-then-id order) and its version state is forgotten, so a
-    /// returning origin is re-synced from scratch.
+    /// returning origin is re-synced from scratch. Returns the evicted
+    /// origins in ascending id order.
     pub fn evict_stale_origins(
         &mut self,
         now: SimTime,
         ttl: SimDuration,
         events: &mut Vec<DirectoryEvent>,
         removed: &mut Vec<TranslatorId>,
-    ) {
+    ) -> Vec<RuntimeId> {
         removed.clear();
         let stale: Vec<RuntimeId> = self
             .origins
@@ -376,7 +371,7 @@ impl DirectoryReplica {
             .filter(|(_, st)| st.last_heard + ttl <= now)
             .map(|(rt, _)| *rt)
             .collect();
-        for origin in stale {
+        for &origin in &stale {
             self.origins.remove(&origin);
             let from = removed.len();
             self.table.remove_origin(origin, removed);
@@ -384,6 +379,7 @@ impl DirectoryReplica {
                 events.push(DirectoryEvent::Disappeared(*id));
             }
         }
+        stale
     }
 
     /// The full version vector: own watermark first, then every known

@@ -8,7 +8,7 @@
 //! datagrams) and the transport protocol (streams carrying path messages).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use simnet::{
@@ -16,7 +16,6 @@ use simnet::{
 };
 
 use crate::api::{ConnectTarget, DirectoryEvent, InputDelivery, RuntimeEvent, RuntimeRequest};
-use crate::directory::UpsertEffect;
 use crate::error::{CoreError, CoreResult};
 use crate::id::{ConnectionId, PortRef, RuntimeId, TranslatorId};
 use crate::intern::Symbol;
@@ -60,17 +59,13 @@ pub struct RuntimeConfig {
     pub multicast_group: u16,
     /// Stream listener port for path messages.
     pub transport_port: u16,
-    /// Interval between advertisement refreshes.
+    /// Interval between anti-entropy digests (and liveness sweeps).
     pub advertise_interval: SimDuration,
-    /// Remote entries expire after `advertise_interval * ttl_factor`.
+    /// A remote origin silent for `advertise_interval * ttl_factor` is
+    /// evicted with all its entries.
     pub ttl_factor: u32,
     /// Maximum unacknowledged local input deliveries per path.
     pub delivery_credit: u32,
-    /// Legacy advertisement mode: re-broadcast the full local profile
-    /// table every tick with per-entry TTL expiry, instead of the
-    /// delta-gossip protocol. Kept for A/B measurement (E12); the two
-    /// modes interoperate in one federation.
-    pub full_refresh: bool,
     /// How many of its own delta ops a runtime retains to serve
     /// anti-entropy requests before falling back to snapshots.
     pub delta_log_cap: usize,
@@ -87,7 +82,6 @@ impl RuntimeConfig {
             advertise_interval: SimDuration::from_secs(5),
             ttl_factor: 3,
             delivery_credit: 4,
-            full_refresh: false,
             delta_log_cap: 256,
         }
     }
@@ -232,8 +226,9 @@ pub struct UmiddleRuntime {
     event_scratch: Vec<DirectoryEvent>,
     listeners: Vec<(ProcId, Query)>,
     /// Forwarded connect requests awaiting a reply: wire token →
-    /// (local requester, its token).
-    pending_connects: HashMap<u64, (ProcId, u64)>,
+    /// (local requester, its token, the source's home runtime). Ordered
+    /// so a dead home's requests fail in a deterministic order.
+    pending_connects: BTreeMap<u64, (ProcId, u64, RuntimeId)>,
     /// Outgoing links keyed by peer transport address.
     peers: HashMap<Addr, PeerLink>,
     /// Reverse map from stream to peer address (outgoing links).
@@ -272,7 +267,7 @@ impl UmiddleRuntime {
             expire_scratch: Vec::new(),
             event_scratch: Vec::new(),
             listeners: Vec::new(),
-            pending_connects: HashMap::new(),
+            pending_connects: BTreeMap::new(),
             peers: HashMap::new(),
             peer_by_stream: HashMap::new(),
             incoming: HashMap::new(),
@@ -321,7 +316,7 @@ impl UmiddleRuntime {
 
     /// Multicasts a directory-plane message, charging its encoded length
     /// to the federation-wide `directory.bytes_gossiped` counter (the
-    /// measure E12's full-refresh vs delta A/B compares).
+    /// measure E12 reports and `perf_dir --check` pins).
     fn gossip_multicast(&mut self, ctx: &mut Ctx<'_>, msg: &WireMessage) {
         let bytes = msg.encode();
         ctx.bump("directory.bytes_gossiped", bytes.len() as u64);
@@ -352,12 +347,6 @@ impl UmiddleRuntime {
                 .wrapping_sub(self.cfg.transport_port)
                 .wrapping_add(self.cfg.directory_port),
         )
-    }
-
-    fn advertise(&mut self, ctx: &mut Ctx<'_>, profile: TranslatorProfile) {
-        let home = self.transport_addr(ctx);
-        ctx.bump(&self.metric("advertisements_sent"), 1);
-        self.gossip_multicast(ctx, &WireMessage::Advertise { profile, home });
     }
 
     /// This runtime's anti-entropy digest: just its own watermark. Peers
@@ -414,7 +403,7 @@ impl UmiddleRuntime {
 
     /// Dispatches directory events surfaced by delta/snapshot
     /// application: appearance metrics, listener notification, and
-    /// late-binding, exactly as the legacy advertise path.
+    /// late-binding.
     fn process_directory_events(&mut self, ctx: &mut Ctx<'_>, events: &mut Vec<DirectoryEvent>) {
         for event in events.drain(..) {
             match event {
@@ -556,51 +545,12 @@ impl UmiddleRuntime {
             }
         };
         match msg {
-            WireMessage::Advertise { profile, home } => {
-                // Legacy full-refresh gossip from a peer running in that
-                // mode: TTL-governed upsert, exactly as before.
-                if profile.id().runtime == self.cfg.id {
-                    return; // our own advertisement echoed back
-                }
-                let expires = ctx.now() + self.cfg.ttl();
-                let effect =
-                    self.directory
-                        .table_mut()
-                        .upsert(profile.clone(), home, expires, false);
-                if effect == UpsertEffect::Appeared {
-                    ctx.bump("umiddle.directory_appearances", 1);
-                    self.observe_discovery(ctx, &profile);
-                    self.handle_appearance(ctx, &profile);
-                }
-            }
-            WireMessage::Bye { translator } => {
-                if self.directory.table_mut().remove(translator).is_some() {
-                    self.handle_disappearance(ctx, translator);
-                }
-            }
             WireMessage::Probe { reply_to } => {
-                if self.cfg.full_refresh {
-                    let home = self.transport_addr(ctx);
-                    let locals: Vec<TranslatorProfile> = self
-                        .directory
-                        .table()
-                        .local_entries()
-                        .map(|e| e.profile.clone())
-                        .collect();
-                    for profile in locals {
-                        self.gossip_unicast(
-                            ctx,
-                            reply_to,
-                            &WireMessage::Advertise { profile, home },
-                        );
-                    }
-                } else {
-                    // Boot sync: the digest tells the prober our
-                    // watermark; it requests the range it is missing
-                    // (all of it) and we serve ops or a snapshot.
-                    let digest = self.own_digest(ctx);
-                    self.gossip_unicast(ctx, reply_to, &digest);
-                }
+                // Boot sync: the digest tells the prober our watermark;
+                // it requests the range it is missing (all of it) and we
+                // serve ops or a snapshot.
+                let digest = self.own_digest(ctx);
+                self.gossip_unicast(ctx, reply_to, &digest);
             }
             WireMessage::Delta {
                 origin,
@@ -735,7 +685,7 @@ impl UmiddleRuntime {
                 self.event_scratch = events;
             }
             WireMessage::ConnectReply { token, result } => {
-                if let Some((proc, local_token)) = self.pending_connects.remove(&token) {
+                if let Some((proc, local_token, _)) = self.pending_connects.remove(&token) {
                     let event = match result {
                         Ok(connection) => RuntimeEvent::Connected {
                             token: local_token,
@@ -803,26 +753,19 @@ impl UmiddleRuntime {
         );
         ctx.bump("umiddle.registrations", 1);
         ctx.bump(&self.metric("registrations"), 1);
-        if self.cfg.full_refresh {
-            self.directory
-                .table_mut()
-                .upsert(profile.clone(), home, simnet::SimTime::MAX, true);
-            self.advertise(ctx, profile.clone());
-        } else {
-            // Event-driven delta: the registration is gossiped once, as
-            // the next versioned op in our stream.
-            let first = self.directory.record_local_add(profile.clone(), home);
-            ctx.bump(&self.metric("advertisements_sent"), 1);
-            self.gossip_multicast(
-                ctx,
-                &WireMessage::Delta {
-                    origin: self.cfg.id,
-                    home,
-                    first,
-                    ops: vec![DeltaOp::Add(profile.clone())],
-                },
-            );
-        }
+        // Event-driven delta: the registration is gossiped once, as the
+        // next versioned op in our stream.
+        let first = self.directory.record_local_add(profile.clone(), home);
+        ctx.bump(&self.metric("advertisements_sent"), 1);
+        self.gossip_multicast(
+            ctx,
+            &WireMessage::Delta {
+                origin: self.cfg.id,
+                home,
+                first,
+                ops: vec![DeltaOp::Add(profile.clone())],
+            },
+        );
         self.handle_appearance(ctx, &profile);
     }
 
@@ -830,10 +773,7 @@ impl UmiddleRuntime {
         if self.local_translators.remove(&translator).is_none() {
             return;
         }
-        if self.cfg.full_refresh {
-            self.directory.table_mut().remove(translator);
-            self.gossip_multicast(ctx, &WireMessage::Bye { translator });
-        } else if let Some(first) = self.directory.record_local_remove(translator) {
+        if let Some(first) = self.directory.record_local_remove(translator) {
             let home = self.transport_addr(ctx);
             self.gossip_multicast(
                 ctx,
@@ -1109,7 +1049,8 @@ impl UmiddleRuntime {
         let home = entry.home;
         let wire_token = self.next_wire_token;
         self.next_wire_token += 1;
-        self.pending_connects.insert(wire_token, (from, token));
+        self.pending_connects
+            .insert(wire_token, (from, token, src.translator.runtime));
         let reply_to = self.directory_addr(ctx);
         let wire_target = match target {
             ConnectTarget::Port(p) => WireTarget::Port(p),
@@ -1129,6 +1070,29 @@ impl UmiddleRuntime {
                 qos,
             },
         );
+    }
+
+    /// Answers every connect forwarded to `home` with `ConnectFailed`:
+    /// the liveness sweep just evicted it, so no reply will come.
+    fn fail_pending_connects(&mut self, ctx: &mut Ctx<'_>, home: RuntimeId) {
+        let reason = CoreError::HomeUnreachable(home).to_string();
+        let mut failed = Vec::new();
+        self.pending_connects.retain(|_, &mut (proc, token, h)| {
+            let dead = h == home;
+            if dead {
+                failed.push((proc, token));
+            }
+            !dead
+        });
+        for (proc, token) in failed {
+            ctx.send_local(
+                proc,
+                RuntimeEvent::ConnectFailed {
+                    token,
+                    reason: reason.clone(),
+                },
+            );
+        }
     }
 
     fn handle_connect_request(
@@ -1754,30 +1718,17 @@ impl UmiddleRuntime {
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
-        if self.cfg.full_refresh {
-            // Legacy mode: re-broadcast every local profile each tick.
-            let locals: Vec<TranslatorProfile> = self
-                .directory
-                .table()
-                .local_entries()
-                .map(|e| e.profile.clone())
-                .collect();
-            for profile in locals {
-                self.advertise(ctx, profile);
-            }
-        } else {
-            // Delta mode: the periodic payload is just our watermark.
-            let digest = self.own_digest(ctx);
-            self.gossip_multicast(ctx, &digest);
-        }
-        // Origin-level liveness for delta-replicated entries: an origin
-        // that stopped gossiping (crash, partition) takes its whole
-        // slice of the directory with it.
+        // The periodic payload is just our watermark.
+        let digest = self.own_digest(ctx);
+        self.gossip_multicast(ctx, &digest);
+        // Origin-level liveness: an origin that stopped gossiping (crash,
+        // partition) takes its whole slice of the directory with it.
         let mut dead = std::mem::take(&mut self.expire_scratch);
         let mut events = std::mem::take(&mut self.event_scratch);
         events.clear();
-        self.directory
-            .evict_stale_origins(ctx.now(), self.cfg.ttl(), &mut events, &mut dead);
+        let evicted =
+            self.directory
+                .evict_stale_origins(ctx.now(), self.cfg.ttl(), &mut events, &mut dead);
         events.clear(); // handle_disappearance re-derives the notifications
         self.event_scratch = events;
         for &id in &dead {
@@ -1785,16 +1736,10 @@ impl UmiddleRuntime {
             ctx.bump(&self.metric("advertisements_expired"), 1);
             self.handle_disappearance(ctx, id);
         }
-        // Per-entry TTL expiry for full-refresh-advertised entries. Both
-        // sweeps reuse the same scratch buffer, so a steady-state tick
-        // allocates nothing.
-        self.directory.table_mut().expire_into(ctx.now(), &mut dead);
-        for &id in &dead {
-            ctx.bump("umiddle.directory_expiries", 1);
-            ctx.bump(&self.metric("advertisements_expired"), 1);
-            self.handle_disappearance(ctx, id);
-        }
         self.expire_scratch = dead;
+        for home in evicted {
+            self.fail_pending_connects(ctx, home);
+        }
         let interval = self.cfg.advertise_interval;
         ctx.set_timer(interval, TIMER_TICK);
     }
@@ -1936,12 +1881,6 @@ impl Process for UmiddleRuntime {
         // so the wire order is deterministic).
         let mut ids: Vec<TranslatorId> = self.local_translators.keys().copied().collect();
         ids.sort_unstable();
-        if self.cfg.full_refresh {
-            for translator in ids {
-                self.gossip_multicast(ctx, &WireMessage::Bye { translator });
-            }
-            return;
-        }
         // One batched delta retracts everything.
         let mut first = 0;
         let mut ops = Vec::with_capacity(ids.len());
@@ -1965,5 +1904,109 @@ impl Process for UmiddleRuntime {
                 },
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::RuntimeClient;
+    use crate::wire::retired_frames;
+    use simnet::{NodeId, SegmentConfig, SimTime, World};
+
+    /// Hosts a runtime the test can still inspect while the world runs.
+    struct Shared(Rc<RefCell<UmiddleRuntime>>);
+
+    impl Process for Shared {
+        fn name(&self) -> &str {
+            "umiddle-runtime"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.0.borrow_mut().on_start(ctx);
+        }
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+            self.0.borrow_mut().on_datagram(ctx, dgram);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.0.borrow_mut().on_timer(ctx, token);
+        }
+        fn on_stream(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, event: StreamEvent) {
+            self.0.borrow_mut().on_stream(ctx, stream, event);
+        }
+        fn on_local(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: LocalMessage) {
+            self.0.borrow_mut().on_local(ctx, from, msg);
+        }
+    }
+
+    /// Registers `profile` with its runtime at start, then at 3 s sends
+    /// `frames` as raw datagrams to `target`.
+    struct LegacyPeer {
+        runtime: ProcId,
+        profile: TranslatorProfile,
+        target: Addr,
+        frames: Vec<Vec<u8>>,
+    }
+
+    impl Process for LegacyPeer {
+        fn name(&self) -> &str {
+            "legacy-peer"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.bind(5_000).unwrap();
+            let me = ctx.me();
+            RuntimeClient::new(self.runtime).register(ctx, self.profile.clone(), me);
+            ctx.set_timer(SimDuration::from_secs(3), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            for frame in self.frames.drain(..) {
+                ctx.send_to(5_000, self.target, frame).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn retired_protocol_datagrams_leave_the_directory_alone() {
+        let mut world = World::new(3);
+        let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
+        let nodes: Vec<NodeId> = (0..2)
+            .map(|i| {
+                let node = world.add_node(format!("host{i}"));
+                world.attach(node, hub).unwrap();
+                node
+            })
+            .collect();
+        let observer = Rc::new(RefCell::new(UmiddleRuntime::new(RuntimeConfig::new(
+            RuntimeId(0),
+        ))));
+        world.add_process(nodes[0], Box::new(Shared(Rc::clone(&observer))));
+        let peer_rt = world.add_process(
+            nodes[1],
+            Box::new(UmiddleRuntime::new(RuntimeConfig::new(RuntimeId(1)))),
+        );
+        // The peer's first registration gets id rt1/1, so the retired
+        // bye names a live replicated entry.
+        let profile =
+            TranslatorProfile::builder(TranslatorId::new(RuntimeId(1), 1), "sensor").build();
+        let home = Addr::new(nodes[1], RuntimeConfig::new(RuntimeId(1)).transport_port);
+        let directory = Addr::new(nodes[0], RuntimeConfig::new(RuntimeId(0)).directory_port);
+        world.add_process(
+            nodes[1],
+            Box::new(LegacyPeer {
+                runtime: peer_rt,
+                profile: profile.clone(),
+                target: directory,
+                frames: retired_frames(&profile.with_attr("room", "attic"), home).to_vec(),
+            }),
+        );
+
+        world.run_until(SimTime::from_millis(2_500));
+        let before = observer.borrow().directory.fingerprint();
+        assert_eq!(observer.borrow().directory.table().len(), 1);
+        assert_eq!(world.trace().counter("umiddle.wire_decode_errors"), 0);
+
+        world.run_until(SimTime::from_millis(3_500));
+        assert_eq!(world.trace().counter("umiddle.wire_decode_errors"), 2);
+        assert_eq!(observer.borrow().directory.fingerprint(), before);
+        assert_eq!(observer.borrow().directory.table().len(), 1);
     }
 }

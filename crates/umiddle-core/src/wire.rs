@@ -1,7 +1,7 @@
 //! Wire codec for inter-runtime protocol messages.
 //!
 //! uMiddle runtimes exchange two kinds of traffic: *directory* messages
-//! (advertisements, byes, probes — multicast or unicast datagrams) and
+//! (probes, deltas, digests, snapshots — multicast or unicast datagrams) and
 //! *transport* messages (path payloads — over streams). Both use this
 //! compact little-endian binary encoding. The codec is total: any byte
 //! sequence either decodes to a message or yields a
@@ -23,21 +23,7 @@ use crate::shape::{Direction, PerceptionType, PortKind, PortSpec, Shape};
 /// Messages exchanged between uMiddle runtimes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireMessage {
-    /// A translator exists (sent on registration, on probe response, and
-    /// periodically as a refresh). `home` is the advertising runtime's
-    /// transport listener address.
-    Advertise {
-        /// The advertised profile.
-        profile: TranslatorProfile,
-        /// Transport address of the hosting runtime.
-        home: Addr,
-    },
-    /// A translator is gone.
-    Bye {
-        /// The departed translator.
-        translator: TranslatorId,
-    },
-    /// A runtime booted and asks peers to re-advertise; responses are
+    /// A runtime booted and asks peers for their digests; responses are
     /// unicast to `reply_to`.
     Probe {
         /// Directory address of the probing runtime.
@@ -153,8 +139,9 @@ pub enum WireTarget {
     Query(Query),
 }
 
-const TAG_ADVERTISE: u8 = 1;
-const TAG_BYE: u8 = 2;
+// Tags 1 and 2 are retired (the deleted full-refresh protocol's
+// advertisement and bye). Do not reuse them: frames from a runtime still
+// speaking that protocol must fail to decode, not decode as something else.
 const TAG_PROBE: u8 = 3;
 const TAG_PATH: u8 = 4;
 const TAG_CONNECT_REQ: u8 = 5;
@@ -189,15 +176,6 @@ impl WireMessage {
 
     fn encode_into(&self, w: &mut Writer) {
         match self {
-            WireMessage::Advertise { profile, home } => {
-                w.u8(TAG_ADVERTISE);
-                encode_profile(w, profile);
-                encode_addr(w, *home);
-            }
-            WireMessage::Bye { translator } => {
-                w.u8(TAG_BYE);
-                encode_translator_id(w, *translator);
-            }
             WireMessage::Probe { reply_to } => {
                 w.u8(TAG_PROBE);
                 encode_addr(w, *reply_to);
@@ -351,13 +329,6 @@ impl WireMessage {
     fn decode_reader(mut r: Reader<'_>) -> CoreResult<WireMessage> {
         let tag = r.u8()?;
         let msg = match tag {
-            TAG_ADVERTISE => WireMessage::Advertise {
-                profile: decode_profile(&mut r)?,
-                home: decode_addr(&mut r)?,
-            },
-            TAG_BYE => WireMessage::Bye {
-                translator: decode_translator_id(&mut r)?,
-            },
             TAG_PROBE => WireMessage::Probe {
                 reply_to: decode_addr(&mut r)?,
             },
@@ -1064,6 +1035,21 @@ fn decode_umessage(r: &mut Reader<'_>) -> CoreResult<UMessage> {
     Ok(m)
 }
 
+/// Frames of the retired full-refresh protocol, byte for byte as it
+/// encoded them: an advertisement of `profile` at `home` (tag 1) and a
+/// bye for it (tag 2). Tests use them to check both are rejected.
+#[cfg(test)]
+pub(crate) fn retired_frames(profile: &TranslatorProfile, home: Addr) -> [Vec<u8>; 2] {
+    let mut advertise = Writer::new();
+    advertise.u8(1);
+    encode_profile(&mut advertise, profile);
+    encode_addr(&mut advertise, home);
+    let mut bye = Writer::new();
+    bye.u8(2);
+    encode_translator_id(&mut bye, profile.id());
+    [advertise.out.into_vec(), bye.out.into_vec()]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1087,26 +1073,22 @@ mod tests {
     }
 
     #[test]
-    fn advertise_round_trip() {
-        let msg = WireMessage::Advertise {
-            profile: sample_profile(),
-            home: Addr::new(NodeId::from_index(2), 47_001),
+    fn probe_round_trip() {
+        let msg = WireMessage::Probe {
+            reply_to: Addr::new(NodeId::from_index(0), 47_000),
         };
-        let back = WireMessage::decode(&msg.encode()).unwrap();
-        assert_eq!(msg, back);
+        assert_eq!(WireMessage::decode(&msg.encode()).unwrap(), msg);
     }
 
     #[test]
-    fn bye_probe_round_trip() {
-        for msg in [
-            WireMessage::Bye {
-                translator: TranslatorId::new(RuntimeId(1), 9),
-            },
-            WireMessage::Probe {
-                reply_to: Addr::new(NodeId::from_index(0), 47_000),
-            },
-        ] {
-            assert_eq!(WireMessage::decode(&msg.encode()).unwrap(), msg);
+    fn retired_tags_are_rejected() {
+        let home = Addr::new(NodeId::from_index(2), 47_001);
+        for frame in retired_frames(&sample_profile(), home) {
+            assert!(WireMessage::decode(&frame).is_err(), "tag {}", frame[0]);
+            let mut dec = FrameDecoder::new();
+            dec.push(&(frame.len() as u32).to_le_bytes());
+            dec.push(&frame);
+            assert!(dec.next().is_err(), "framed tag {}", frame[0]);
         }
     }
 
@@ -1148,8 +1130,10 @@ mod tests {
 
     #[test]
     fn truncated_input_errors() {
-        let bytes = WireMessage::Bye {
-            translator: TranslatorId::new(RuntimeId(1), 1),
+        let bytes = WireMessage::DeltaRequest {
+            origin: RuntimeId(1),
+            from: 1,
+            reply_to: Addr::new(NodeId::from_index(0), 47_000),
         }
         .encode();
         for cut in 0..bytes.len() {
@@ -1170,12 +1154,16 @@ mod tests {
     #[test]
     fn frame_decoder_handles_arbitrary_chunking() {
         let msgs = vec![
-            WireMessage::Bye {
-                translator: TranslatorId::new(RuntimeId(0), 1),
+            WireMessage::DeltaRequest {
+                origin: RuntimeId(0),
+                from: 1,
+                reply_to: Addr::new(NodeId::from_index(1), 47_000),
             },
-            WireMessage::Advertise {
-                profile: sample_profile(),
+            WireMessage::Delta {
+                origin: RuntimeId(3),
                 home: Addr::new(NodeId::from_index(1), 47_001),
+                first: 1,
+                ops: vec![DeltaOp::Add(sample_profile())],
             },
             WireMessage::Probe {
                 reply_to: Addr::new(NodeId::from_index(2), 47_000),
@@ -1205,8 +1193,8 @@ mod tests {
                 dst: PortRef::new(TranslatorId::new(RuntimeId(0), 7), "in"),
                 msg: UMessage::new("text/plain".parse().unwrap(), vec![1, 2, 3]),
             },
-            WireMessage::Bye {
-                translator: TranslatorId::new(RuntimeId(0), 1),
+            WireMessage::Probe {
+                reply_to: Addr::new(NodeId::from_index(0), 47_000),
             },
             WireMessage::PathMessage {
                 connection: ConnectionId::new(RuntimeId(2), 5),
@@ -1244,8 +1232,10 @@ mod tests {
         // carrying N frames cost N+1 decoder invocations. `drain_frames`
         // must consume everything available in a single pass.
         let msgs: Vec<WireMessage> = (0..5)
-            .map(|i| WireMessage::Bye {
-                translator: TranslatorId::new(RuntimeId(0), i),
+            .map(|i| WireMessage::DeltaRequest {
+                origin: RuntimeId(0),
+                from: i,
+                reply_to: Addr::new(NodeId::from_index(1), 47_000),
             })
             .collect();
         let mut stream = Vec::new();

@@ -549,6 +549,40 @@ fn remote_requester_connect_is_forwarded() {
 }
 
 #[test]
+fn forwarded_connect_to_dead_home_fails() {
+    // The source lives on runtime 0, which dies silently after the
+    // directory converged. A connect issued from runtime 1 is forwarded
+    // to the dead home; once the liveness sweep evicts runtime 0, the
+    // requester must get a typed failure instead of waiting forever.
+    let mut tb = testbed(2);
+    let camera = TestService::new("camera", jpeg_source_shape(), tb.runtimes[0]);
+    tb.world.add_process(tb.nodes[0], Box::new(camera));
+    let tv = TestService::new("tv", jpeg_sink_shape(), tb.runtimes[1]);
+    tb.world.add_process(tb.nodes[1], Box::new(tv));
+    tb.world.run_until(SimTime::from_secs(3));
+
+    tb.world.detach(tb.nodes[0], tb.hub).unwrap();
+    tb.world.remove_process(tb.runtimes[0]).unwrap();
+    // Runtime 1 still lists the camera, so the connector forwards.
+    let connector = Connector::new(
+        tb.runtimes[1],
+        "camera",
+        "image-out",
+        ConnectorTarget::Named("tv".to_owned(), "media-in".to_owned()),
+    );
+    let outcome = Rc::clone(&connector.outcome);
+    tb.world.add_process(tb.nodes[1], Box::new(connector));
+    tb.world.run_until(SimTime::from_secs(10));
+    assert_eq!(*outcome.borrow(), None, "no answer before the TTL");
+
+    tb.world.run_until(SimTime::from_secs(25));
+    assert_eq!(
+        *outcome.borrow(),
+        Some(Err("home runtime rt0 unreachable".to_owned()))
+    );
+}
+
+#[test]
 fn lookup_and_listener_work_across_runtimes() {
     let mut tb = testbed(3);
     for (i, rt) in tb.runtimes.clone().iter().enumerate() {
@@ -595,8 +629,9 @@ fn runtime_death_expires_remote_entries() {
         Some(DirectoryEvent::Appeared(_))
     ));
 
-    // Partition the node first so the runtime's dying Bye multicast is
-    // lost, then kill it: the watcher must notice via TTL expiry.
+    // Partition the node first so the runtime's dying retraction delta
+    // is lost, then kill it: the watcher must notice via origin
+    // liveness expiry.
     tb.world.detach(tb.nodes[1], tb.hub).unwrap();
     tb.world.remove_process(tb.runtimes[1]).unwrap();
     tb.world.run_until(SimTime::from_secs(25));
