@@ -177,7 +177,8 @@ stage_perf() {
     gate perf-payload cargo run --offline --release -p bench --bin perf_payload -- --check
     # Scheduler gates: timer-wheel kernel vs reference heap, E9
     # events/sec floor and near-linearity, p99 dispatch budget, E9b
-    # batched-vs-unbatched speedup floor, telemetry sampler overhead
+    # scheduler pops per delivered datagram (flat from 100 to 1000
+    # devices, fewer with batching), telemetry sampler overhead
     # ceiling, flight-recorder and attribution overhead ceilings, the
     # differential perf doctor against the checked-in attribution
     # baseline, E9c shard-scaling floor (enforced only on >=4-core

@@ -8,9 +8,10 @@
 //! Run with `--check` for the CI scaling-regression gate — an
 //! events/sec floor at N = 1000, a near-linearity bound on the
 //! per-event wall cost from N = 100 to N = 1000, a p99 dispatch-latency
-//! budget, a batched-dispatch speedup floor, ceilings on the telemetry
-//! sampler's, the flight recorder's and the attribution plane's
-//! overhead at N = 1000, the differential perf doctor (the E13
+//! budget, two bounds on E9b scheduler pops per delivered datagram
+//! (flat in burst size, and fewer with the batch plane), ceilings on
+//! the telemetry sampler's, the flight recorder's and the attribution
+//! plane's overhead at N = 1000, the differential perf doctor (the E13
 //! attribution run diffed against its checked-in baseline), and a
 //! shard-scaling floor at 4 shards / N = 10 000 — or with `--json FILE` to write the sweep as
 //! deterministic-schema JSON (values are wall-clock and
@@ -69,10 +70,20 @@ const DEFAULT_P99_BUDGET_US: u64 = 200;
 /// effects and noise without letting a linear term back in.
 const CHECK_LINEARITY: f64 = 3.0;
 
-/// `--check` floor on the E9b batched-over-unbatched events/sec ratio
-/// at N = 1000. The adaptive batch plane measures well above this on
-/// the bursty fan-in fixture; 1.3x is the regression line.
-const CHECK_BATCH_SPEEDUP: f64 = 1.3;
+/// `--check` bound on E9b unbatched scheduler pops per delivered
+/// datagram at N = 1000 over N = 100. Ten times the devices means
+/// ten times deeper bursts behind the busy collector; the kernel
+/// carries a queued backlog as one entry per busy horizon, so the
+/// ratio stays near 1 (it grew ~3x when every queued delivery was
+/// re-pushed at every horizon). Deterministic: a pure function of the
+/// seeded fixture.
+const CHECK_DEFERRAL_GROWTH: f64 = 1.2;
+
+/// `--check` bound on E9b batched over unbatched scheduler pops per
+/// delivered datagram at N = 1000: the batch plane must keep folding
+/// same-tick datagrams into fewer pops. Deterministic, like
+/// [`CHECK_DEFERRAL_GROWTH`].
+const CHECK_BATCH_POPS: f64 = 0.8;
 
 /// `--check` ceiling on the telemetry sampler's wall-clock overhead at
 /// N = 1000 (ratio of best-of-passes measured windows, sampled vs
@@ -250,15 +261,27 @@ fn main() {
             p99_budget_ns
         );
 
-        // E9b: the batch plane must keep paying for itself on the
-        // bursty fan-in fixture, and batching must not blow the p99
-        // dispatch budget (one big batch is still one dispatch).
+        // E9b: busy deferral must stay O(k) in the burst depth k, the
+        // batch plane must keep folding same-tick datagrams into fewer
+        // scheduler pops, and batching must not blow the p99 dispatch
+        // budget (one big batch is still one dispatch). The pop counts
+        // are deterministic, so these gates do not depend on host load.
         let ab = e9b_batch_ab(&[100, 1000], SimDuration::from_millis(200));
-        let big = ab.last().expect("two A/B rows");
+        let (little, big) = (&ab[0], &ab[1]);
         assert!(
-            big.speedup >= CHECK_BATCH_SPEEDUP,
-            "batched dispatch speedup at N=1000 below floor: {:.2}x < {CHECK_BATCH_SPEEDUP}x",
-            big.speedup
+            big.unbatched_pops_per_delivered
+                <= little.unbatched_pops_per_delivered * CHECK_DEFERRAL_GROWTH,
+            "unbatched scheduler pops per delivered datagram grew from {:.3} at N=100 to \
+             {:.3} at N=1000 (bound x{CHECK_DEFERRAL_GROWTH}): busy deferral is no longer O(k)",
+            little.unbatched_pops_per_delivered,
+            big.unbatched_pops_per_delivered
+        );
+        assert!(
+            big.batched_pops_per_delivered <= big.unbatched_pops_per_delivered * CHECK_BATCH_POPS,
+            "batched scheduler pops per delivered datagram at N=1000 is {:.3}, above \
+             x{CHECK_BATCH_POPS} of unbatched {:.3}",
+            big.batched_pops_per_delivered,
+            big.unbatched_pops_per_delivered
         );
         assert!(
             big.batched_p99_dispatch_ns <= p99_budget_ns,
@@ -338,11 +361,14 @@ fn main() {
         }
 
         println!(
-            "perf_sched --check: ok (N=1000 {:.0} events/s, per-event cost x{:.2} over 10x devices, p99 {} ns <= {} ns, batch speedup x{:.2}, sampler overhead x{:.3}, recorder overhead x{:.3}, attribution overhead x{:.3}, shard speedup x{:.2} at 4 shards on {} core(s), wheel {:.0} ns/op vs heap {:.0} ns/op)",
+            "perf_sched --check: ok (N=1000 {:.0} events/s, per-event cost x{:.2} over 10x devices, p99 {} ns <= {} ns, E9b pops/datagram unbatched {:.3} at N=100 and {:.3} at N=1000, batched {:.3} (speedup x{:.2}), sampler overhead x{:.3}, recorder overhead x{:.3}, attribution overhead x{:.3}, shard speedup x{:.2} at 4 shards on {} core(s), wheel {:.0} ns/op vs heap {:.0} ns/op)",
             large.events_per_sec,
             cost_large / cost_small,
             large.p99_dispatch_ns,
             p99_budget_ns,
+            little.unbatched_pops_per_delivered,
+            big.unbatched_pops_per_delivered,
+            big.batched_pops_per_delivered,
             big.speedup,
             overhead,
             recorder,
@@ -410,13 +436,15 @@ fn main() {
         let n = ab.len();
         for (i, r) in ab.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"devices\": {}, \"unbatched_events_per_sec\": {:.0}, \"batched_events_per_sec\": {:.0}, \"speedup\": {:.3}, \"unbatched_p99_dispatch_ns\": {}, \"batched_p99_dispatch_ns\": {}}}{}\n",
+                "    {{\"devices\": {}, \"unbatched_events_per_sec\": {:.0}, \"batched_events_per_sec\": {:.0}, \"speedup\": {:.3}, \"unbatched_p99_dispatch_ns\": {}, \"batched_p99_dispatch_ns\": {}, \"unbatched_pops_per_delivered\": {:.3}, \"batched_pops_per_delivered\": {:.3}}}{}\n",
                 r.devices,
                 r.unbatched_events_per_sec,
                 r.batched_events_per_sec,
                 r.speedup,
                 r.unbatched_p99_dispatch_ns,
                 r.batched_p99_dispatch_ns,
+                r.unbatched_pops_per_delivered,
+                r.batched_pops_per_delivered,
                 if i + 1 < n { "," } else { "" }
             ));
         }

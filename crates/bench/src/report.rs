@@ -432,18 +432,27 @@ pub fn render_e9c(rows: &[ShardScaleRow]) -> String {
 pub fn render_e9b(rows: &[BatchAbRow]) -> String {
     let mut out = hr("E9b — dispatch batch plane A/B: unbatched vs adaptive");
     out.push_str(&format!(
-        "{:>10} {:>16} {:>16} {:>9} {:>14} {:>14}\n",
-        "devices", "unbatched ev/s", "batched ev/s", "speedup", "un p99 ns", "ba p99 ns"
+        "{:>10} {:>16} {:>16} {:>9} {:>14} {:>14} {:>12} {:>12}\n",
+        "devices",
+        "unbatched ev/s",
+        "batched ev/s",
+        "speedup",
+        "un p99 ns",
+        "ba p99 ns",
+        "un pops/dg",
+        "ba pops/dg"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:>10} {:>16.0} {:>16.0} {:>8.2}x {:>14} {:>14}\n",
+            "{:>10} {:>16.0} {:>16.0} {:>8.2}x {:>14} {:>14} {:>12.3} {:>12.3}\n",
             r.devices,
             r.unbatched_events_per_sec,
             r.batched_events_per_sec,
             r.speedup,
             r.unbatched_p99_dispatch_ns,
-            r.batched_p99_dispatch_ns
+            r.batched_p99_dispatch_ns,
+            r.unbatched_pops_per_delivered,
+            r.batched_pops_per_delivered
         ));
     }
     out

@@ -202,7 +202,9 @@ pub(crate) enum StreamFrameKind {
 
 impl World {
     fn stream_state(&mut self, id: StreamId) -> Option<&mut StreamState> {
-        self.streams.get_mut(id.index()).and_then(|s| s.as_mut())
+        self.streams
+            .get_mut(id.index())
+            .and_then(|s| s.as_deref_mut())
     }
 
     fn transmit_stream_frame(
@@ -237,7 +239,7 @@ impl World {
                 Side::new(None, dst.node, dst.port),
             ],
         };
-        self.streams.push(Some(state));
+        self.streams.push(Some(Box::new(state)));
         self.send_syn(id, 1);
         Ok(id)
     }

@@ -353,7 +353,12 @@ impl Metrics {
     /// `u64::MAX`; a clamped update also bumps the
     /// `trace.counter_saturated` marker counter.
     pub fn counter_add(&mut self, name: &str, n: u64) {
-        let slot = self.counters.entry(name.to_owned()).or_insert(0);
+        // Look up before inserting: `entry` would allocate the owned key
+        // on every update, not just the first.
+        let Some(slot) = self.counters.get_mut(name) else {
+            self.counters.insert(name.to_owned(), n);
+            return;
+        };
         if let Some(v) = slot.checked_add(n) {
             *slot = v;
         } else {
@@ -387,7 +392,10 @@ impl Metrics {
     /// saturates at the `i64` range; a clamped update also bumps the
     /// `trace.counter_saturated` marker counter.
     pub fn gauge_add(&mut self, name: &str, delta: i64) {
-        let slot = self.gauges.entry(name.to_owned()).or_insert(0);
+        let Some(slot) = self.gauges.get_mut(name) else {
+            self.gauges.insert(name.to_owned(), delta);
+            return;
+        };
         if let Some(v) = slot.checked_add(delta) {
             *slot = v;
         } else {
@@ -403,10 +411,20 @@ impl Metrics {
 
     /// Records a duration into the named histogram.
     pub fn observe(&mut self, name: &str, d: SimDuration) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(d);
+        self.update_histogram(name, |h| h.record(d));
+    }
+
+    /// Applies `f` to the named histogram, created empty on first use
+    /// (the owned key is allocated only then).
+    fn update_histogram(&mut self, name: &str, f: impl FnOnce(&mut Histogram)) {
+        match self.histograms.get_mut(name) {
+            Some(h) => f(h),
+            None => {
+                let mut h = Histogram::default();
+                f(&mut h);
+                self.histograms.insert(name.to_owned(), h);
+            }
+        }
     }
 
     /// Records a duration into the named histogram tagged with a trace
@@ -414,10 +432,7 @@ impl Metrics {
     /// and upper buckets back to trace journeys (see
     /// [`Histogram::record_corr`]).
     pub fn observe_corr(&mut self, name: &str, d: SimDuration, corr: u64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record_corr(d, corr);
+        self.update_histogram(name, |h| h.record_corr(d, corr));
     }
 
     /// Reads a histogram, if it has ever been observed.

@@ -55,6 +55,11 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 const LEVELS: usize = 6;
 /// First bit beyond the top level; times differing here go to overflow.
 const TOP_BITS: u32 = NEAR_BITS + LEVELS as u32 * LEVEL_BITS;
+/// Key capacity a drained bucket always keeps.
+const BUCKET_KEEP: usize = 64;
+/// A drained bucket whose capacity exceeds this multiple of what its
+/// epoch filed is shrunk to twice that.
+const BUCKET_SLACK: usize = 8;
 
 /// A scheduled entry's ordering key plus its slab slot. Heap sifts and
 /// cascade hops move these 24-byte keys, never the payload — event
@@ -141,7 +146,8 @@ pub struct TimerWheel<T> {
     free: Vec<u32>,
     near: BinaryHeap<Reverse<Key>>,
     /// `LEVELS × SLOTS` buckets, flattened; capacity is retained across
-    /// cascades so steady-state operation does not allocate.
+    /// cascades (bounded by recent use, see [`BUCKET_SLACK`]) so
+    /// steady-state operation does not allocate.
     levels: Vec<Vec<Key>>,
     /// Per-level bitmask of occupied slots (bit `s` = slot `s`).
     occupied: [u64; LEVELS],
@@ -251,9 +257,9 @@ impl<T> TimerWheel<T> {
     /// One cascade serves the whole run: same-time entries are always
     /// co-resident in the near heap (they share every bit, so they file
     /// identically), so no wheel level is touched between pops.
-    pub fn pop_run(&mut self, out: &mut Vec<T>) -> Option<SimTime> {
+    pub fn pop_run(&mut self, out: &mut impl Extend<T>) -> Option<SimTime> {
         let (time, item) = self.pop()?;
-        out.push(item);
+        out.extend(Some(item));
         while let Some(Reverse(k)) = self.near.peek() {
             if k.time != time.as_nanos() {
                 break;
@@ -261,7 +267,7 @@ impl<T> TimerWheel<T> {
             let Reverse(k) = self.near.pop().expect("peeked entry exists");
             self.len -= 1;
             let item = self.take(k);
-            out.push(item);
+            out.extend(Some(item));
         }
         Some(time)
     }
@@ -316,14 +322,21 @@ impl<T> TimerWheel<T> {
                 self.occupied[level] &= !(1u64 << slot);
                 let idx = level * SLOTS + slot;
                 let mut keys = std::mem::take(&mut self.levels[idx]);
+                let filed = keys.len();
                 // Against the advanced horizon every entry differs only
                 // below `base`, so it re-files strictly lower — at most
                 // LEVELS hops per entry over its lifetime.
                 for k in keys.drain(..) {
                     self.file(k);
                 }
-                // Hand the (empty) buffer back so its capacity is
-                // reused by later epochs.
+                // Hand the (empty) buffer back so later epochs reuse its
+                // capacity, but not capacity far above what this epoch
+                // filed: one burst must not pin a slot's peak for the
+                // rest of the run. The hysteresis keeps releases rare —
+                // each follows growth that already reallocated.
+                if keys.capacity() > BUCKET_KEEP.max(filed * BUCKET_SLACK) {
+                    keys.shrink_to(BUCKET_KEEP.max(filed * 2));
+                }
                 self.levels[idx] = keys;
             } else if let Some(Reverse(first)) = self.overflow.pop() {
                 debug_assert!(first.time >= self.horizon);
@@ -398,15 +411,15 @@ impl<T> ReferenceHeap<T> {
 
     /// Drains the run of entries sharing the earliest pending time into
     /// `out` (in sequence order) and returns that time.
-    pub fn pop_run(&mut self, out: &mut Vec<T>) -> Option<SimTime> {
+    pub fn pop_run(&mut self, out: &mut impl Extend<T>) -> Option<SimTime> {
         let (time, item) = self.pop()?;
-        out.push(item);
+        out.extend(Some(item));
         while let Some(Reverse(e)) = self.heap.peek() {
             if e.time != time.as_nanos() {
                 break;
             }
             let Reverse(e) = self.heap.pop().expect("peeked entry exists");
-            out.push(e.item);
+            out.extend(Some(e.item));
         }
         Some(time)
     }
@@ -466,6 +479,29 @@ mod tests {
         assert_eq!(wheel.pop_run(&mut run), Some(SimTime::from_millis(6)));
         assert_eq!(run, vec![99]);
         assert_eq!(wheel.pop_run(&mut run), None);
+    }
+
+    #[test]
+    fn drained_buckets_release_burst_capacity() {
+        let mut wheel = TimerWheel::new();
+        // A burst into one level-0 slot grows that bucket to its size.
+        let t = 1u64 << 17;
+        for i in 0..10_000u64 {
+            wheel.push(SimTime::from_nanos(t), i);
+        }
+        while wheel.pop().is_some() {}
+        let peak = wheel.levels.iter().map(Vec::capacity).max().unwrap_or(0);
+        assert!(peak >= 10_000);
+        // Light traffic through every slot afterwards: each bucket is
+        // drained again with one key and gives the burst capacity back.
+        let mut now = t;
+        for i in 0..200u64 {
+            now += 1 << NEAR_BITS;
+            wheel.push(SimTime::from_nanos(now), i);
+            assert_eq!(wheel.pop(), Some((SimTime::from_nanos(now), i)));
+        }
+        let kept = wheel.levels.iter().map(Vec::capacity).max().unwrap_or(0);
+        assert!(kept <= BUCKET_KEEP, "a bucket kept {kept} keys of capacity");
     }
 
     #[test]

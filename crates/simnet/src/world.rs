@@ -1,7 +1,7 @@
 //! The simulation world: nodes, segments, processes, and the deterministic
 //! event loop.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::ctx::Ctx;
 use crate::error::{SimError, SimResult};
@@ -198,6 +198,58 @@ pub(crate) enum Delivery {
     },
 }
 
+impl Delivery {
+    fn carries_datagrams(&self) -> bool {
+        matches!(self, Delivery::Datagram(_) | Delivery::DatagramBatch(_))
+    }
+}
+
+/// Deliveries to one process, in dispatch order, that ride the scheduler
+/// as one entry while the process is busy (see [`World::defer`]).
+pub(crate) struct DeliveryRun {
+    items: VecDeque<Delivery>,
+    /// How many of `items` carry datagrams: the adaptive batch window
+    /// counts a run holding any as datagram traffic.
+    datagrams: usize,
+}
+
+impl DeliveryRun {
+    fn push_back(&mut self, d: Delivery) {
+        self.datagrams += usize::from(d.carries_datagrams());
+        self.items.push_back(d);
+    }
+
+    fn push_front(&mut self, d: Delivery) {
+        self.datagrams += usize::from(d.carries_datagrams());
+        self.items.push_front(d);
+    }
+
+    fn pop_front(&mut self) -> Option<Delivery> {
+        let d = self.items.pop_front()?;
+        self.datagrams -= usize::from(d.carries_datagrams());
+        Some(d)
+    }
+
+    /// Appends `other`'s items, moving the shorter side so repeated
+    /// merges stay O(k log k) in the worst case, and returns the emptied
+    /// buffer for reuse.
+    fn append(&mut self, mut other: DeliveryRun) -> VecDeque<Delivery> {
+        self.datagrams += other.datagrams;
+        if other.items.len() > self.items.len() {
+            while let Some(d) = self.items.pop_back() {
+                other.items.push_front(d);
+            }
+            std::mem::swap(&mut self.items, &mut other.items);
+        } else {
+            self.items.append(&mut other.items);
+        }
+        other.items
+    }
+}
+
+/// Empty run buffers kept for reuse; more are dropped.
+const RUN_BUFFERS_KEPT: usize = 32;
+
 /// The latency-vs-throughput knob for the dispatch batch plane.
 ///
 /// Frames that arrive on one segment at the same virtual instant can be
@@ -259,6 +311,12 @@ pub(crate) enum EventKind {
     Deliver {
         proc: ProcId,
         delivery: Delivery,
+    },
+    /// Deliveries deferred together behind a busy process (see
+    /// [`World::defer`]).
+    DeliverRun {
+        proc: ProcId,
+        run: DeliveryRun,
     },
     FrameArrival {
         segment: SegmentId,
@@ -348,11 +406,18 @@ pub(crate) enum EmitAction {
 pub struct World {
     now: SimTime,
     queue: TimerWheel<EventKind>,
-    /// Reusable buffer for same-tick event batches (see `step_batch`).
-    batch: Vec<EventKind>,
+    /// The same-tick event batch `step_batch` is draining (empty
+    /// outside it); [`World::defer`] takes deliveries from its front.
+    batch: VecDeque<EventKind>,
     /// Events scheduled at the current tick while `step_batch` drains
     /// it; they extend the live batch instead of re-entering the wheel.
-    tick_overflow: Vec<EventKind>,
+    tick_overflow: VecDeque<EventKind>,
+    /// Datagram-carrying deliveries dispatched or deferred this tick
+    /// (see `step_batch`).
+    tick_dgrams: usize,
+    /// Emptied [`DeliveryRun`] buffers, reused so deferral does not
+    /// allocate in steady state.
+    run_buffers: Vec<VecDeque<Delivery>>,
     /// `true` while `step_batch` is dispatching a batch.
     in_tick_drain: bool,
     /// Total events dispatched since the world was created.
@@ -360,7 +425,9 @@ pub struct World {
     pub(crate) nodes: Vec<NodeState>,
     pub(crate) procs: Vec<ProcSlot>,
     pub(crate) segments: Vec<SegmentState>,
-    pub(crate) streams: Vec<Option<StreamState>>,
+    /// Every stream ever opened, indexed by [`StreamId`]; a closed
+    /// stream leaves a one-word `None` (ids are never reused).
+    pub(crate) streams: Vec<Option<Box<StreamState>>>,
     pub(crate) rng: crate::rng::SimRng,
     pub(crate) trace: Trace,
     started: bool,
@@ -441,8 +508,10 @@ impl World {
         World {
             now: SimTime::ZERO,
             queue: TimerWheel::new(),
-            batch: Vec::new(),
-            tick_overflow: Vec::new(),
+            batch: VecDeque::new(),
+            tick_overflow: VecDeque::new(),
+            tick_dgrams: 0,
+            run_buffers: Vec::new(),
             in_tick_drain: false,
             events_processed: 0,
             nodes: Vec::new(),
@@ -1301,7 +1370,7 @@ impl World {
         // `seq` order the wheel would have assigned, and every such event
         // would be popped as the immediately-next run anyway.
         if self.in_tick_drain && time <= self.now {
-            self.tick_overflow.push(kind);
+            self.tick_overflow.push_back(kind);
             return;
         }
         self.queue.push(time, kind);
@@ -1351,9 +1420,7 @@ impl World {
     /// observationally identical to popping one event at a time.
     fn step_batch(&mut self) -> bool {
         self.begin_run();
-        let mut batch = std::mem::take(&mut self.batch);
-        let Some(time) = self.queue.pop_run(&mut batch) else {
-            self.batch = batch;
+        let Some(time) = self.queue.pop_run(&mut self.batch) else {
             return false;
         };
         debug_assert!(time >= self.now, "time went backwards");
@@ -1363,24 +1430,24 @@ impl World {
         // Frames that arrived on one segment at this instant, this tick.
         // Drives the adaptive batch bound after the tick completes.
         let mut tick_frames: usize = 0;
-        // Datagram deliveries dispatched this tick. Busy handlers turn
-        // one burst into a train of deferred-delivery ticks with no
-        // frame arrivals; those ticks are dispatch-plane load, not
-        // idleness, and must not shrink the window mid-drain.
-        let mut tick_dgrams: usize = 0;
+        // Datagram deliveries dispatched this tick, deferred ones
+        // included. Busy handlers turn one burst into a train of
+        // deferred-delivery ticks with no frame arrivals; those ticks
+        // are dispatch-plane load, not idleness, and must not shrink the
+        // window mid-drain.
+        self.tick_dgrams = 0;
         loop {
-            self.events_processed += batch.len() as u64;
-            let mut it = batch.drain(..).peekable();
-            while let Some(kind) = it.next() {
+            self.events_processed += self.batch.len() as u64;
+            while let Some(kind) = self.batch.pop_front() {
                 let EventKind::FrameArrival { segment, frame } = kind else {
-                    if matches!(
-                        kind,
-                        EventKind::Deliver {
-                            delivery: Delivery::Datagram(_) | Delivery::DatagramBatch(_),
-                            ..
+                    match &kind {
+                        EventKind::Deliver { delivery, .. } if delivery.carries_datagrams() => {
+                            self.tick_dgrams += 1;
                         }
-                    ) {
-                        tick_dgrams += 1;
+                        EventKind::DeliverRun { run, .. } if run.datagrams > 0 => {
+                            self.tick_dgrams += 1;
+                        }
+                        _ => {}
                     }
                     self.dispatch(kind);
                     continue;
@@ -1399,9 +1466,11 @@ impl World {
                 let mut group = std::mem::take(&mut self.frame_batch);
                 group.push(frame);
                 while group.len() < self.batch_window {
-                    match it.peek() {
+                    match self.batch.front() {
                         Some(EventKind::FrameArrival { segment: s, .. }) if *s == segment => {
-                            let Some(EventKind::FrameArrival { frame, .. }) = it.next() else {
+                            let Some(EventKind::FrameArrival { frame, .. }) =
+                                self.batch.pop_front()
+                            else {
                                 unreachable!("peeked a frame arrival");
                             };
                             tick_frames += 1;
@@ -1414,17 +1483,15 @@ impl World {
                 group.clear();
                 self.frame_batch = group;
             }
-            drop(it);
             if self.tick_overflow.is_empty() {
                 break;
             }
             // Handlers scheduled more work at this same tick; it extends
             // the live batch in schedule-call order, which is exactly the
             // FIFO sequence order the wheel would have assigned.
-            std::mem::swap(&mut batch, &mut self.tick_overflow);
+            std::mem::swap(&mut self.batch, &mut self.tick_overflow);
         }
         self.in_tick_drain = false;
-        self.batch = batch;
         // Adapt the live bound: sustained same-instant frame load doubles
         // it toward the cap; a frame-free tick halves it back toward 1
         // (idle latency stays single-event). Purely a dispatch-plane
@@ -1433,7 +1500,7 @@ impl World {
             if tick_frames >= self.batch_window.max(2) {
                 self.batch_window = (self.batch_window * 2).min(self.batch_policy.max_batch);
                 self.idle_ticks = 0;
-            } else if tick_frames == 0 && tick_dgrams == 0 && self.batch_window > 1 {
+            } else if tick_frames == 0 && self.tick_dgrams == 0 && self.batch_window > 1 {
                 // Only a sustained stretch of ticks with no dispatch
                 // traffic at all shrinks the window; isolated timer
                 // ticks between bursts and deferred-delivery drains of
@@ -1443,7 +1510,7 @@ impl World {
                     self.batch_window /= 2;
                     self.idle_ticks = 0;
                 }
-            } else if tick_frames > 0 || tick_dgrams > 0 {
+            } else if tick_frames > 0 || self.tick_dgrams > 0 {
                 self.idle_ticks = 0;
             }
         }
@@ -1487,6 +1554,7 @@ impl World {
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Deliver { proc, delivery } => self.deliver(proc, delivery),
+            EventKind::DeliverRun { proc, run } => self.deliver_run(proc, run),
             EventKind::FrameArrival { segment, frame } => self.frame_arrival(segment, frame),
             EventKind::StreamRto {
                 stream,
@@ -1588,20 +1656,85 @@ impl World {
         if !slot.alive {
             return;
         }
-        // Defer delivery while the process is "computing".
-        if slot.busy_until > self.now {
-            let at = slot.busy_until;
-            self.schedule_delivery(at, proc, delivery);
-            return;
+        let rest = if slot.busy_until > self.now {
+            Some(delivery)
+        } else {
+            self.deliver_one(proc, delivery)
+        };
+        if let Some(rest) = rest {
+            let mut run = self.new_run();
+            run.push_back(rest);
+            self.deliver_run(proc, run);
         }
+    }
+
+    /// Delivers a run's items in order while the process is alive and
+    /// idle. The first item that leaves it busy sends the rest back to
+    /// the scheduler as one entry; a dead process drops the run.
+    fn deliver_run(&mut self, proc: ProcId, mut run: DeliveryRun) {
+        while !run.items.is_empty() {
+            let Some(slot) = self.procs.get(proc.index()).filter(|s| s.alive) else {
+                break;
+            };
+            if slot.busy_until > self.now {
+                self.defer(proc, run);
+                return;
+            }
+            let delivery = run.pop_front().expect("run is not empty");
+            if let Some(rest) = self.deliver_one(proc, delivery) {
+                run.push_front(rest);
+            }
+        }
+        self.recycle_run_buffer(run.items);
+    }
+
+    /// Puts `run` (deliveries to the busy `proc`) back on the scheduler
+    /// at the process's busy horizon as one entry, together with the
+    /// contiguous following entries of the live tick batch that are
+    /// deliveries to the same process.
+    ///
+    /// This is exact: deferral runs no handler and the entries it would
+    /// have re-pushed one by one draw consecutive sequence numbers, so
+    /// they stay contiguous in `(time, seq)` order at every later
+    /// horizon. Carrying them as one entry therefore changes no dispatch
+    /// order, and a k-deep backlog costs one scheduler entry per busy
+    /// horizon instead of k. Entries that are not contiguous are left
+    /// alone.
+    fn defer(&mut self, proc: ProcId, mut run: DeliveryRun) {
+        loop {
+            match self.batch.front() {
+                Some(
+                    EventKind::Deliver { proc: p, .. } | EventKind::DeliverRun { proc: p, .. },
+                ) if *p == proc => {}
+                _ => break,
+            }
+            match self.batch.pop_front() {
+                Some(EventKind::Deliver { delivery, .. }) => {
+                    self.tick_dgrams += usize::from(delivery.carries_datagrams());
+                    run.push_back(delivery);
+                }
+                Some(EventKind::DeliverRun { run: other, .. }) => {
+                    self.tick_dgrams += usize::from(other.datagrams > 0);
+                    let emptied = run.append(other);
+                    self.recycle_run_buffer(emptied);
+                }
+                _ => unreachable!("peeked a delivery"),
+            }
+        }
+        let at = self.procs[proc.index()].busy_until;
+        self.schedule(at, EventKind::DeliverRun { proc, run });
+    }
+
+    /// Runs one delivery on a live, idle process. Returns the unconsumed
+    /// tail of a datagram batch whose handler went busy part-way.
+    fn deliver_one(&mut self, proc: ProcId, delivery: Delivery) -> Option<Delivery> {
         if let Delivery::Timer { timer_id, .. } = delivery {
             if self.cancelled_timers.remove(&timer_id) {
-                return;
+                return None;
             }
         }
         if let Delivery::DatagramBatch(items) = delivery {
-            self.deliver_datagram_batch(proc, items);
-            return;
+            return self.deliver_datagram_batch(proc, items);
         }
         self.invoke(proc, move |p, ctx| match delivery {
             Delivery::Start => p.on_start(ctx),
@@ -1611,16 +1744,21 @@ impl World {
             Delivery::DatagramBatch(_) => unreachable!("handled above"),
             Delivery::Stream { stream, event } => p.on_stream(ctx, stream, event),
         });
+        None
     }
 
     /// Delivers a same-instant datagram run to one process inside a
     /// single handler invocation. Busy semantics match per-datagram
     /// delivery: if the handler models CPU time mid-batch, the unconsumed
-    /// tail is re-scheduled at the busy horizon (as its own batch),
-    /// exactly where individual deferred deliveries would land. Each
-    /// datagram counts as one processed event, so throughput accounting
-    /// is identical between batched and unbatched runs.
-    fn deliver_datagram_batch(&mut self, proc: ProcId, mut items: Vec<Datagram>) {
+    /// tail is returned for deferral, exactly where individual deferred
+    /// deliveries would land. Each datagram handled counts as one
+    /// processed event, so throughput accounting is identical between
+    /// batched and unbatched runs.
+    fn deliver_datagram_batch(
+        &mut self,
+        proc: ProcId,
+        mut items: Vec<Datagram>,
+    ) -> Option<Delivery> {
         let before = items.len() as u64;
         let mut leftover: Vec<Datagram> = Vec::new();
         {
@@ -1640,14 +1778,26 @@ impl World {
         // The batch popped as one scheduler entry; count the rest here so
         // `events_processed` matches an unbatched run delivery-for-delivery.
         self.events_processed += handled.saturating_sub(1);
-        if !leftover.is_empty() {
-            let at = self.emit_time(proc);
-            let delivery = if leftover.len() == 1 {
-                Delivery::Datagram(leftover.pop().expect("checked len"))
-            } else {
-                Delivery::DatagramBatch(leftover)
-            };
-            self.schedule_delivery(at, proc, delivery);
+        match leftover.len() {
+            0 => None,
+            1 => leftover.pop().map(Delivery::Datagram),
+            _ => Some(Delivery::DatagramBatch(leftover)),
+        }
+    }
+
+    fn new_run(&mut self) -> DeliveryRun {
+        DeliveryRun {
+            items: self.run_buffers.pop().unwrap_or_default(),
+            datagrams: 0,
+        }
+    }
+
+    /// Returns a run's buffer to the pool, dropping any items a dead
+    /// process left in it.
+    fn recycle_run_buffer(&mut self, mut items: VecDeque<Delivery>) {
+        if self.run_buffers.len() < RUN_BUFFERS_KEPT {
+            items.clear();
+            self.run_buffers.push(items);
         }
     }
 

@@ -656,10 +656,9 @@ fn batched_dispatch_is_observationally_identical_to_unbatched() {
             if sink_cost.is_zero() {
                 // Throughput accounting (events_processed) is itemized,
                 // so it matches too — except under busy deferral, where
-                // the unbatched side re-schedules each deferred datagram
-                // as its own scheduler event while the batched side
-                // re-schedules the whole tail as one (fewer scheduler
-                // events under load is the plane's purpose).
+                // a deferred backlog pops once per busy horizon and its
+                // shape (same-tick batch or separate datagrams) differs
+                // between the modes.
                 assert_eq!(unbatched.4, batched.4, "event accounting must match");
             }
         },

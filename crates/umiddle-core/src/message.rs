@@ -1,6 +1,5 @@
 //! Messages that flow along message paths in the common semantic space.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use simnet::Payload;
@@ -24,11 +23,35 @@ use crate::mime::MimeType;
 /// assert_eq!(msg.body(), b"21.5");
 /// # Ok::<(), umiddle_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct UMessage {
     mime: MimeType,
     body: Payload,
-    meta: BTreeMap<String, String>,
+    /// Metadata entries, sorted by key with no duplicate keys. Messages
+    /// carry a handful at most, so a sorted `Vec` is smaller and faster
+    /// than a map.
+    meta: Vec<(String, String)>,
+}
+
+impl fmt::Debug for UMessage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("UMessage")
+            .field("mime", &self.mime)
+            .field("body", &self.body)
+            .field("meta", &MetaDebug(&self.meta))
+            .finish()
+    }
+}
+
+/// Formats metadata as a map, as a `BTreeMap` would.
+struct MetaDebug<'a>(&'a [(String, String)]);
+
+impl fmt::Debug for MetaDebug<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|(k, v)| (k, v)))
+            .finish()
+    }
 }
 
 impl UMessage {
@@ -40,7 +63,7 @@ impl UMessage {
         UMessage {
             mime,
             body: body.into(),
-            meta: BTreeMap::new(),
+            meta: Vec::new(),
         }
     }
 
@@ -50,7 +73,7 @@ impl UMessage {
         UMessage {
             mime: MimeType::new("text", "plain").expect("static mime is valid"),
             body: Payload::from(body.into()),
-            meta: BTreeMap::new(),
+            meta: Vec::new(),
         }
     }
 
@@ -86,21 +109,33 @@ impl UMessage {
     }
 
     /// Adds a metadata entry (builder style).
+    /// Adding a key that is already present replaces its value.
     pub fn with_meta(mut self, key: impl Into<String>, value: impl Into<String>) -> UMessage {
-        self.meta.insert(key.into(), value.into());
+        let key = key.into();
+        let value = value.into();
+        match self.meta_index(&key) {
+            Ok(i) => self.meta[i].1 = value,
+            Err(i) => self.meta.insert(i, (key, value)),
+        }
         self
+    }
+
+    fn meta_index(&self, key: &str) -> Result<usize, usize> {
+        self.meta.binary_search_by(|(k, _)| k.as_str().cmp(key))
     }
 
     /// Looks up a metadata entry.
     pub fn meta(&self, key: &str) -> Option<&str> {
-        self.meta.get(key).map(String::as_str)
+        let i = self.meta_index(key).ok()?;
+        Some(self.meta[i].1.as_str())
     }
 
     /// Removes and returns a metadata entry. Used by the runtime to
     /// strip transport-internal keys (queue/transport span ids) before
     /// a message reaches application code.
     pub fn take_meta(&mut self, key: &str) -> Option<String> {
-        self.meta.remove(key)
+        let i = self.meta_index(key).ok()?;
+        Some(self.meta.remove(i).1)
     }
 
     /// All metadata entries, sorted by key.
@@ -135,6 +170,34 @@ mod tests {
     fn size_counts_meta() {
         let m = UMessage::text("ab").with_meta("k", "vv");
         assert_eq!(m.size(), 2 + 1 + 2);
+    }
+
+    #[test]
+    fn meta_is_a_sorted_map() {
+        let m = UMessage::text("x")
+            .with_meta("b", "2")
+            .with_meta("c", "3")
+            .with_meta("a", "1")
+            .with_meta("b", "two");
+        let entries: Vec<_> = m.metas().collect();
+        assert_eq!(entries, [("a", "1"), ("b", "two"), ("c", "3")]);
+        assert_eq!(m.size(), 1 + 1 + 1 + 1 + 3 + 1 + 1);
+        assert_eq!(
+            format!("{m:?}").split_once("meta: ").map(|(_, m)| m),
+            Some(r#"{"a": "1", "b": "two", "c": "3"} }"#)
+        );
+        // Equality ignores insertion order, as for a map.
+        let same = UMessage::text("x")
+            .with_meta("c", "3")
+            .with_meta("b", "two")
+            .with_meta("a", "1");
+        assert_eq!(m, same);
+        let mut m = m;
+        assert_eq!(m.take_meta("b").as_deref(), Some("two"));
+        assert_eq!(m.take_meta("b"), None);
+        assert_eq!(m.meta("a"), Some("1"));
+        assert_eq!(m.meta("b"), None);
+        assert_eq!(m.metas().count(), 2);
     }
 
     #[test]
