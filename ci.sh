@@ -7,7 +7,8 @@
 #   lint          rustfmt, clippy -D warnings, BENCH_*.json record lint
 #   build-test    release build + full workspace test suite
 #   determinism   double-run byte-diff gates (E8 trace, E10 doctor,
-#                 E11 incident bundle, E13 attribution)
+#                 E11 incident bundle, E13 attribution, paper fidelity
+#                 pin diffed against artifacts/paper_fidelity.json)
 #   perf          perf_payload + perf_sched regression checks
 #   all           every stage in order (the default; what `./ci.sh` runs)
 #
@@ -168,6 +169,19 @@ stage_determinism() {
         --attrib @OUT.attrib.json \
         --diff @OUT.attrib_diff.json \
         --baseline @OUT.attrib_baseline.json
+    # Paper fidelity pin: the simulated E1/E2/E3/E5 results must come
+    # out byte-identical across two runs *and* equal to the checked-in
+    # artifacts/paper_fidelity.json, so no change can drift the paper's
+    # numbers unnoticed. fidelity_export itself fails when E3 leaves
+    # ±10% of Figure 11 or E2's uMiddle share leaves 3%..7%.
+    gate paper-fidelity fidelity_gate
+}
+
+# fidelity_gate — double-run fidelity_export, then diff against the pin.
+fidelity_gate() {
+    run_determinism_gate fidelity fidelity_export --out @OUT.paper_fidelity.json
+    diff target/fidelity-gate/a.paper_fidelity.json artifacts/paper_fidelity.json
+    echo "    matches the pin: artifacts/paper_fidelity.json"
 }
 
 stage_perf() {

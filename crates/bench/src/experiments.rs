@@ -3285,6 +3285,9 @@ pub struct DirLookupRow {
     pub build_ms: f64,
     /// Lookups measured.
     pub lookups: usize,
+    /// Profiles returned, summed over the measured lookups (fixed by
+    /// the fixture, not by the host).
+    pub hits: usize,
     /// Mean lookup wall time (ns).
     pub avg_ns: u64,
     /// p99 lookup wall time (ns) — the number the CI budget gates.
@@ -3376,6 +3379,7 @@ pub fn e12_lookup_scale(profiles: usize, ports_per_profile: usize) -> DirLookupR
         distinct_mimes: DISTINCT_MIMES,
         build_ms,
         lookups,
+        hits: total_hits,
         avg_ns,
         p99_ns,
         scan_fallbacks: table.scan_fallbacks(),
@@ -3676,6 +3680,21 @@ mod tests {
         let lk = e12_lookup_scale(100, 4);
         assert_eq!(lk.total_ports, 400);
         assert_eq!(lk.scan_fallbacks, 0, "a port query fell back to a scan");
-        assert!(lk.p99_ns > 0 && lk.avg_ns <= lk.p99_ns);
+        // Lookup `i` asks for output MIME `i % distinct_mimes`; the
+        // fixture gives port `k` of profile `p` MIME
+        // `(p * ports_per_profile + k) % distinct_mimes` and makes the
+        // even-numbered ports outputs.
+        let implied: usize = (0..lk.lookups)
+            .map(|i| {
+                let mime = i % lk.distinct_mimes;
+                (0..lk.total_ports)
+                    .filter(|port| {
+                        port % lk.distinct_mimes == mime
+                            && (port % lk.ports_per_profile).is_multiple_of(2)
+                    })
+                    .count()
+            })
+            .sum();
+        assert_eq!(lk.hits, implied, "the index returned the wrong postings");
     }
 }

@@ -60,11 +60,16 @@ enum IndexPlan<'a> {
 /// Besides the id-ordered entry map, the table keeps secondary indexes so
 /// `lookup` never scans the whole federation for port-shaped queries:
 ///
-/// * `(direction, concrete port MIME type)` → translator ids, serving the
-///   hot [`Query::HasPort`] shape issued on every dynamic binding attempt;
+/// * per direction, concrete port MIME type → translator ids, serving
+///   the hot [`Query::HasPort`] shape issued on every dynamic binding
+///   attempt;
 /// * a per-direction side set of *all* entries with a digital port, so
 ///   even double-wildcard queries (`*/*`, `image/*`) visit only candidate
 ///   entries — O(candidates), not O(table).
+///
+/// Every per-direction structure is a two-slot array indexed by
+/// [`Direction`], so indexing, deindexing and lookup borrow the MIME key;
+/// it is cloned only when a posting is first created.
 ///
 /// Queries neither index can serve (name/attribute predicates, `Or`/`Not`
 /// roots) fall back to the full scan and bump [`Self::scan_fallbacks`];
@@ -74,13 +79,14 @@ enum IndexPlan<'a> {
 #[derive(Debug, Default)]
 pub struct DirectoryTable {
     entries: BTreeMap<TranslatorId, DirectoryEntry>,
-    /// `(direction, concrete mime)` → ids of profiles with such a port.
-    mime_index: HashMap<(Direction, MimeType), BTreeSet<TranslatorId>>,
+    /// Per direction, concrete mime → ids of profiles with such a port.
+    /// Postings are removed when they empty.
+    mime_index: [HashMap<MimeType, BTreeSet<TranslatorId>>; 2],
     /// Ids of profiles with a wildcard-typed digital port, per direction.
-    pattern_ports: HashMap<Direction, BTreeSet<TranslatorId>>,
+    pattern_ports: [BTreeSet<TranslatorId>; 2],
     /// Ids of profiles with *any* digital port, per direction: the
     /// candidate list for pattern-typed port queries.
-    digital_by_direction: HashMap<Direction, BTreeSet<TranslatorId>>,
+    digital_by_direction: [BTreeSet<TranslatorId>; 2],
     /// Expiry dirty-set: `(expires, id)` min-heap, pushed on every remote
     /// upsert that carries a finite TTL. Entries are checked lazily
     /// against the live table, so a refresh simply leaves a stale heap
@@ -171,20 +177,14 @@ impl DirectoryTable {
     fn index(&mut self, id: TranslatorId, profile: &TranslatorProfile) {
         for port in profile.shape().ports() {
             if let PortKind::Digital(mime) = &port.kind {
-                self.digital_by_direction
-                    .entry(port.direction)
-                    .or_default()
-                    .insert(id);
+                let d = slot(port.direction);
+                self.digital_by_direction[d].insert(id);
                 if mime.is_pattern() {
-                    self.pattern_ports
-                        .entry(port.direction)
-                        .or_default()
-                        .insert(id);
+                    self.pattern_ports[d].insert(id);
+                } else if let Some(ids) = self.mime_index[d].get_mut(mime) {
+                    ids.insert(id);
                 } else {
-                    self.mime_index
-                        .entry((port.direction, mime.clone()))
-                        .or_default()
-                        .insert(id);
+                    self.mime_index[d].insert(mime.clone(), BTreeSet::from([id]));
                 }
             }
         }
@@ -193,26 +193,14 @@ impl DirectoryTable {
     fn deindex(&mut self, id: TranslatorId, profile: &TranslatorProfile) {
         for port in profile.shape().ports() {
             if let PortKind::Digital(mime) = &port.kind {
-                if let Some(ids) = self.digital_by_direction.get_mut(&port.direction) {
+                let d = slot(port.direction);
+                self.digital_by_direction[d].remove(&id);
+                if mime.is_pattern() {
+                    self.pattern_ports[d].remove(&id);
+                } else if let Some(ids) = self.mime_index[d].get_mut(mime) {
                     ids.remove(&id);
                     if ids.is_empty() {
-                        self.digital_by_direction.remove(&port.direction);
-                    }
-                }
-                if mime.is_pattern() {
-                    if let Some(ids) = self.pattern_ports.get_mut(&port.direction) {
-                        ids.remove(&id);
-                        if ids.is_empty() {
-                            self.pattern_ports.remove(&port.direction);
-                        }
-                    }
-                } else {
-                    let key = (port.direction, mime.clone());
-                    if let Some(ids) = self.mime_index.get_mut(&key) {
-                        ids.remove(&id);
-                        if ids.is_empty() {
-                            self.mime_index.remove(&key);
-                        }
+                        self.mime_index[d].remove(mime);
                     }
                 }
             }
@@ -279,10 +267,10 @@ impl DirectoryTable {
                 // every port of the profile, turning O(results) into
                 // O(results * ports-per-profile).
                 let root_is_plan = matches!(query, Query::HasPort { .. });
-                let exact = self.mime_index.get(&(direction, mime.clone()));
+                let exact = self.mime_index[slot(direction)].get(mime);
                 // Wildcard-typed ports match any concrete query type.
-                let patterns = self.pattern_ports.get(&direction);
-                if root_is_plan && patterns.is_none() {
+                let patterns = &self.pattern_ports[slot(direction)];
+                if root_is_plan && patterns.is_empty() {
                     return exact
                         .into_iter()
                         .flatten()
@@ -292,7 +280,7 @@ impl DirectoryTable {
                 }
                 let mut ids: BTreeSet<TranslatorId> = BTreeSet::new();
                 ids.extend(exact.into_iter().flatten().copied());
-                ids.extend(patterns.into_iter().flatten().copied());
+                ids.extend(patterns.iter().copied());
                 ids.iter()
                     .filter_map(|id| self.entries.get(id).map(|e| (id, &e.profile)))
                     .filter(|(id, p)| {
@@ -301,11 +289,8 @@ impl DirectoryTable {
                     .map(|(_, p)| p)
                     .collect()
             }
-            Some(IndexPlan::AnyDigital(direction)) => self
-                .digital_by_direction
-                .get(&direction)
-                .into_iter()
-                .flatten()
+            Some(IndexPlan::AnyDigital(direction)) => self.digital_by_direction[slot(direction)]
+                .iter()
                 .filter_map(|id| self.entries.get(id))
                 .map(|e| &e.profile)
                 .filter(|p| query.matches(p))
@@ -414,6 +399,14 @@ impl DirectoryTable {
     /// Returns `true` if the table is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+/// The per-direction index slot of `direction`.
+fn slot(direction: Direction) -> usize {
+    match direction {
+        Direction::Input => 0,
+        Direction::Output => 1,
     }
 }
 
@@ -717,6 +710,71 @@ mod tests {
         // The wildcard side list follows as well.
         let any_in = Query::has_port(Direction::Input, PortKind::Digital(MimeType::any()));
         assert_eq!(t.lookup(&any_in), scan(&t, &any_in));
+    }
+
+    #[test]
+    fn random_churn_keeps_the_index_exact() {
+        const MIMES: [&str; 6] = [
+            "image/jpeg",
+            "image/png",
+            "audio/pcm",
+            "image/*",
+            "*/pcm",
+            "*/*",
+        ];
+        let concrete = |i: usize| MIMES[i % 3].parse::<MimeType>().expect("mime");
+        simnet::check_cases("directory_random_churn", 48, |_, rng| {
+            let mut t = DirectoryTable::new();
+            for _ in 0..64 {
+                let local = rng.gen_range(0u32..12);
+                if rng.gen_bool(0.35) {
+                    t.remove(TranslatorId::new(RuntimeId(0), local));
+                } else {
+                    let ports: Vec<(String, Direction, &str)> = (0..rng.gen_range(0usize..4))
+                        .map(|k| {
+                            let dir = if rng.gen_bool(0.5) {
+                                Direction::Input
+                            } else {
+                                Direction::Output
+                            };
+                            (format!("p{k}"), dir, MIMES[rng.gen_range(0..MIMES.len())])
+                        })
+                        .collect();
+                    let ports: Vec<(&str, Direction, &str)> =
+                        ports.iter().map(|(n, d, m)| (n.as_str(), *d, *m)).collect();
+                    let name = ["cam", "tv", "mic"][rng.gen_range(0usize..3)];
+                    t.upsert(
+                        shaped_profile(local, name, &ports),
+                        addr(),
+                        SimTime::MAX,
+                        false,
+                    );
+                }
+                let dir = if rng.gen_bool(0.5) {
+                    Direction::Input
+                } else {
+                    Direction::Output
+                };
+                let exact = Query::has_port(dir, PortKind::Digital(concrete(rng.gen_range(0..3))));
+                let queries = [
+                    exact.clone(),
+                    Query::has_port(dir, PortKind::Digital(MimeType::any())),
+                    Query::has_port(dir, PortKind::Digital("image/*".parse().expect("mime"))),
+                    exact.and(Query::NameContains("c".to_owned())),
+                ];
+                for q in &queries {
+                    assert_eq!(t.lookup(q), scan(&t, q), "index/scan disagree on {q:?}");
+                }
+                assert!(
+                    t.mime_index
+                        .iter()
+                        .flat_map(|m| m.values())
+                        .all(|ids| !ids.is_empty()),
+                    "empty posting left in the mime index"
+                );
+            }
+            assert_eq!(t.scan_fallbacks(), 0);
+        });
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Port-name interning: copyable [`Symbol`]s for the dispatch hot path.
+//! Hash-consing tables for the hot paths: port-name [`Symbol`]s and
+//! decoded directory profiles.
 //!
 //! Every message delivery used to clone the destination port name
 //! (`PortRef.port: String`) at least once — into the runtime request,
@@ -14,14 +15,25 @@
 //! worlds; distinct test threads get independent tables) and entries
 //! are leaked: the vocabulary is bounded by the set of distinct port
 //! names in the federation, a few dozen short strings.
+//!
+//! The profile table does the same for [`TranslatorProfile`]s decoded
+//! off the wire. Every runtime keeps a full directory replica, so one
+//! gossiped delta is decoded by every runtime on the host; keyed by the
+//! profile's exact encoded bytes, the table lets the decoder hand all of
+//! them one shared, immutable description (see
+//! [`crate::wire`]). Unlike symbols, profiles come and go with device
+//! churn, so this table is bounded by the live set instead of leaked.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Deref;
 
+use crate::profile::TranslatorProfile;
+
 thread_local! {
     static INTERNER: RefCell<HashSet<&'static str>> = RefCell::new(HashSet::new());
+    static PROFILES: RefCell<ProfileTable> = RefCell::new(ProfileTable::default());
 }
 
 /// An interned string: a `Copy` handle to a canonical, leaked `&str`.
@@ -151,6 +163,50 @@ impl PartialEq<Symbol> for String {
     fn eq(&self, other: &Symbol) -> bool {
         self.as_str() == other.0
     }
+}
+
+/// The smallest size the profile table purges at.
+const PROFILE_PURGE_MIN: usize = 1024;
+
+/// This thread's decoded profiles, keyed by their exact encoded bytes.
+///
+/// Bounded without a purge per insert: once the table holds more than
+/// `purge_at` entries, the entries no replica still holds (the table's
+/// reference is the only one) are dropped, and `purge_at` becomes twice
+/// the surviving count (at least [`PROFILE_PURGE_MIN`]). Each purge
+/// costs O(table) and follows at least as many inserts as entries
+/// survived it, so inserts stay amortised O(1), and the table never
+/// exceeds `max(PROFILE_PURGE_MIN, 2 × live)` entries, where `live` is
+/// the number of decoded profiles held elsewhere at the last purge.
+#[derive(Default)]
+struct ProfileTable {
+    by_bytes: HashMap<Box<[u8]>, TranslatorProfile>,
+    purge_at: usize,
+}
+
+/// The profile previously decoded from exactly `bytes` on this thread,
+/// if the table still holds it.
+pub(crate) fn cached_profile(bytes: &[u8]) -> Option<TranslatorProfile> {
+    PROFILES.with(|t| t.borrow().by_bytes.get(bytes).cloned())
+}
+
+/// Records that `bytes` decoded successfully to `profile`. The caller
+/// guarantees `bytes` is exactly the extent the decode consumed.
+pub(crate) fn store_profile(bytes: &[u8], profile: &TranslatorProfile) {
+    PROFILES.with(|t| {
+        let t = &mut *t.borrow_mut();
+        t.by_bytes.insert(bytes.into(), profile.clone());
+        if t.by_bytes.len() > t.purge_at.max(PROFILE_PURGE_MIN) {
+            t.by_bytes.retain(|_, p| p.is_shared());
+            t.purge_at = 2 * t.by_bytes.len();
+        }
+    })
+}
+
+/// Entries in this thread's profile table (for the bound tests).
+#[cfg(test)]
+pub(crate) fn profile_table_len() -> usize {
+    PROFILES.with(|t| t.borrow().by_bytes.len())
 }
 
 #[cfg(test)]

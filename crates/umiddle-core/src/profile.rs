@@ -128,6 +128,12 @@ impl TranslatorProfile {
     pub fn shares_storage(&self, other: &TranslatorProfile) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
+
+    /// `true` if another handle shares this description (the decoder's
+    /// profile table drops entries only it still holds).
+    pub(crate) fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.inner) > 1
+    }
 }
 
 impl PartialEq for TranslatorProfile {

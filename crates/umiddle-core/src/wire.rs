@@ -13,6 +13,7 @@ use simnet::{Addr, NodeId, Payload, PayloadBuilder};
 
 use crate::error::{CoreError, CoreResult};
 use crate::id::{ConnectionId, PortRef, RuntimeId, TranslatorId};
+use crate::intern;
 use crate::message::UMessage;
 use crate::mime::MimeType;
 use crate::profile::TranslatorProfile;
@@ -735,6 +736,10 @@ impl<'a> Reader<'a> {
         let b = self.take(len)?;
         String::from_utf8(b.to_vec()).map_err(|_| CoreError::Decode("invalid utf-8".to_owned()))
     }
+    fn skip_str(&mut self) -> CoreResult<()> {
+        let len = self.u16()? as usize;
+        self.take(len).map(drop)
+    }
     fn bytes(&mut self) -> CoreResult<Payload> {
         let len = self.u32()? as usize;
         let start = self.pos;
@@ -854,7 +859,60 @@ fn encode_profile(w: &mut Writer, p: &TranslatorProfile) {
     }
 }
 
+/// Decodes one profile, hash-consed per thread: every runtime in a host
+/// process decodes the same gossiped bytes, so a profile whose exact
+/// encoding decoded successfully before on this thread is returned as a
+/// clone of that result (an `Arc` bump; see [`crate::intern`]). Profiles
+/// are immutable and compare by value, so a hit is indistinguishable
+/// from a fresh decode; bytes never seen before — hostile ones included
+/// — go through the full validating decoder.
 fn decode_profile(r: &mut Reader<'_>) -> CoreResult<TranslatorProfile> {
+    let start = r.pos;
+    let Ok(len) = profile_extent(&r.buf[start..]) else {
+        // Truncated or malformed: the full decoder reports why.
+        return decode_profile_fields(r);
+    };
+    let key = &r.buf[start..start + len];
+    if let Some(profile) = intern::cached_profile(key) {
+        r.pos += len;
+        return Ok(profile);
+    }
+    let profile = decode_profile_fields(r)?;
+    if r.pos - start == len {
+        intern::store_profile(key, &profile);
+    }
+    Ok(profile)
+}
+
+/// Byte length of the profile encoded at the front of `buf`: walks the
+/// same fields as [`decode_profile_fields`], bounds-checked by
+/// [`Reader::take`], without decoding anything (and, on well-formed
+/// input, without allocating).
+fn profile_extent(buf: &[u8]) -> CoreResult<usize> {
+    let mut r = Reader::new(buf);
+    r.take(8)?; // translator id
+    r.skip_str()?; // name
+    r.skip_str()?; // platform
+    for _ in 0..r.u16()? {
+        r.skip_str()?; // port name
+        r.take(1)?; // direction
+        match r.u8()? {
+            KIND_DIGITAL => r.skip_str()?,
+            KIND_PHYSICAL => {
+                r.skip_str()?;
+                r.skip_str()?;
+            }
+            other => return Err(CoreError::Decode(format!("unknown port kind {other}"))),
+        }
+    }
+    for _ in 0..r.u16()? {
+        r.skip_str()?;
+        r.skip_str()?;
+    }
+    Ok(r.pos)
+}
+
+fn decode_profile_fields(r: &mut Reader<'_>) -> CoreResult<TranslatorProfile> {
     let id = decode_translator_id(r)?;
     let name = r.str()?;
     let platform = r.str()?;
@@ -1441,6 +1499,198 @@ mod tests {
             let bytes = rng.gen_bytes(len);
             let _ = WireMessage::decode(&bytes);
         });
+    }
+
+    /// A delta frame adding each of `profiles`, from origin 3.
+    fn add_frame(profiles: &[TranslatorProfile]) -> Vec<u8> {
+        WireMessage::Delta {
+            origin: RuntimeId(3),
+            home: Addr::new(NodeId::from_index(2), 47_001),
+            first: 1,
+            ops: profiles.iter().cloned().map(DeltaOp::Add).collect(),
+        }
+        .encode()
+    }
+
+    /// The profiles a decoded delta frame adds.
+    fn added(frame: &[u8]) -> Vec<TranslatorProfile> {
+        match WireMessage::decode(frame).expect("valid delta") {
+            WireMessage::Delta { ops, .. } => ops
+                .into_iter()
+                .filter_map(|op| match op {
+                    DeltaOp::Add(p) => Some(p),
+                    DeltaOp::Remove(_) => None,
+                })
+                .collect(),
+            other => panic!("not a delta: {other:?}"),
+        }
+    }
+
+    fn numbered_profile(i: u32) -> TranslatorProfile {
+        sample_profile()
+            .with_id(TranslatorId::new(RuntimeId(3), i))
+            .with_attr("n", i.to_string())
+    }
+
+    #[test]
+    fn repeated_decodes_share_one_profile() {
+        let frame = add_frame(&[sample_profile()]);
+        let a = added(&frame);
+        let b = added(&frame);
+        assert_eq!(a, b);
+        assert_eq!(a[0], sample_profile());
+        assert!(
+            a[0].shares_storage(&b[0]),
+            "the second decode of the same bytes must reuse the first"
+        );
+        // Equal content under a different encoding position still hits:
+        // the key is the profile's own bytes, not the frame's.
+        let snapshot = WireMessage::Snapshot {
+            origin: RuntimeId(3),
+            home: Addr::new(NodeId::from_index(2), 47_001),
+            version: 9,
+            profiles: vec![sample_profile()],
+        };
+        match WireMessage::decode(&snapshot.encode()).unwrap() {
+            WireMessage::Snapshot { profiles, .. } => {
+                assert!(profiles[0].shares_storage(&a[0]));
+            }
+            other => panic!("not a snapshot: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shared_profile_copies_on_write() {
+        let frame = add_frame(&[sample_profile()]);
+        let a = added(&frame).remove(0);
+        let b = added(&frame).remove(0);
+        assert!(a.shares_storage(&b));
+        let tagged = b.clone().with_attr("room", "den");
+        let moved = b.clone().with_id(TranslatorId::new(RuntimeId(9), 9));
+        assert_eq!(tagged.attr("room"), Some("den"));
+        assert_eq!(moved.id(), TranslatorId::new(RuntimeId(9), 9));
+        for handle in [&a, &b] {
+            assert_eq!(
+                *handle,
+                sample_profile(),
+                "a write leaked into a shared handle"
+            );
+        }
+        // Later decodes still see the original bytes' profile.
+        assert_eq!(added(&frame)[0], sample_profile());
+    }
+
+    /// Valid directory frames with several distinct profiles, for the
+    /// mutation battery.
+    fn directory_frames() -> Vec<Vec<u8>> {
+        let profiles: Vec<TranslatorProfile> = (0..3).map(numbered_profile).collect();
+        let mut ops: Vec<DeltaOp> = profiles.iter().cloned().map(DeltaOp::Add).collect();
+        ops.insert(1, DeltaOp::Remove(TranslatorId::new(RuntimeId(3), 40)));
+        vec![
+            WireMessage::Delta {
+                origin: RuntimeId(3),
+                home: Addr::new(NodeId::from_index(2), 47_001),
+                first: 1,
+                ops,
+            }
+            .encode(),
+            WireMessage::Snapshot {
+                origin: RuntimeId(3),
+                home: Addr::new(NodeId::from_index(2), 47_001),
+                version: 5,
+                profiles,
+            }
+            .encode(),
+        ]
+    }
+
+    /// Offsets of the `u16` length prefixes of every string field in
+    /// `frame` whose content is `needle`.
+    fn str_prefixes(frame: &[u8], needle: &str) -> Vec<usize> {
+        let n = needle.len();
+        (0..frame.len().saturating_sub(n + 1))
+            .filter(|&p| {
+                frame[p..p + 2] == (n as u16).to_le_bytes()
+                    && &frame[p + 2..p + 2 + n] == needle.as_bytes()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn mutated_frames_decode_alike_on_warm_and_cold_threads() {
+        let frames = directory_frames();
+        simnet::check_cases("wire_profile_table_mutations", 192, |case, rng| {
+            let frame = &frames[case as usize % frames.len()];
+            // Warm this thread's table with the valid frame first.
+            WireMessage::decode(frame).expect("valid frame");
+            let mut mutant = frame.clone();
+            match rng.gen_range(0u32..3) {
+                0 => {
+                    for _ in 0..rng.gen_range(1usize..=3) {
+                        let at = rng.gen_range(0..mutant.len());
+                        mutant[at] ^= rng.gen_range(1u8..=255);
+                    }
+                }
+                1 => mutant.truncate(rng.gen_range(0..frame.len())),
+                _ => {
+                    let needles = ["TV", "upnp", "in", "image/jpeg", "screen", "room", "n"];
+                    let needle = needles[rng.gen_range(0..needles.len())];
+                    let at = str_prefixes(frame, needle);
+                    let at = at[rng.gen_range(0..at.len())];
+                    let len = needle.len() as u16;
+                    let hostile = [
+                        0,
+                        len - 1,
+                        len + 1,
+                        u16::MAX,
+                        rng.gen_range(0u16..=u16::MAX),
+                    ];
+                    let v = hostile[rng.gen_range(0..hostile.len())];
+                    mutant[at..at + 2].copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            let warm = WireMessage::decode(&mutant);
+            let cold = {
+                let mutant = mutant.clone();
+                std::thread::spawn(move || WireMessage::decode(&mutant))
+                    .join()
+                    .expect("cold decode panicked")
+            };
+            assert_eq!(warm, cold, "warm and cold tables disagree on {mutant:?}");
+        });
+    }
+
+    #[test]
+    fn profile_table_stays_within_its_bound() {
+        // Profiles a replica keeps survive every purge...
+        let held: Vec<TranslatorProfile> = (0..1_500)
+            .flat_map(|i| added(&add_frame(&[numbered_profile(i)])))
+            .collect();
+        // ...while 10,000 decoded and dropped ones do not pile up.
+        // The bound is twice the live set at the last purge, which
+        // includes the profile whose insert triggered it.
+        for i in 10_000..20_000 {
+            drop(added(&add_frame(&[numbered_profile(i)])));
+            assert!(
+                intern::profile_table_len() <= 2 * (held.len() + 1),
+                "table at {} entries with {} live",
+                intern::profile_table_len(),
+                held.len()
+            );
+        }
+        for (i, p) in held.iter().enumerate() {
+            let again = added(&add_frame(&[numbered_profile(i as u32)]));
+            assert!(again[0].shares_storage(p), "live profile {i} was purged");
+        }
+        drop(held);
+        for i in 20_000..30_000 {
+            drop(added(&add_frame(&[numbered_profile(i)])));
+        }
+        assert!(
+            intern::profile_table_len() <= 1_024,
+            "table kept {} dead entries",
+            intern::profile_table_len()
+        );
     }
 
     /// UMessage round trip with arbitrary body and metadata.

@@ -1016,6 +1016,61 @@ fn lookup_correlates_tokens_and_filters() {
 }
 
 #[test]
+fn replicas_share_one_decoded_profile() {
+    // One host process runs every runtime, so each replica of a remote
+    // translator is the same decoded description, not a private copy.
+    struct Looker {
+        runtime: ProcId,
+        client: Option<RuntimeClient>,
+        found: Rc<RefCell<Vec<TranslatorProfile>>>,
+    }
+    impl Process for Looker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.client = Some(RuntimeClient::new(self.runtime));
+            ctx.set_timer(SimDuration::from_secs(2), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
+            let client = self.client.as_mut().expect("set");
+            client.lookup(ctx, Query::NameIs("shared-cam".to_owned()));
+        }
+        fn on_local(&mut self, _ctx: &mut Ctx<'_>, _from: ProcId, msg: LocalMessage) {
+            if let Ok(event) = msg.downcast::<RuntimeEvent>() {
+                if let RuntimeEvent::LookupResult { profiles, .. } = *event {
+                    self.found.borrow_mut().extend(profiles);
+                }
+            }
+        }
+    }
+
+    let mut tb = testbed(3);
+    let cam = TestService::new("shared-cam", jpeg_source_shape(), tb.runtimes[0]);
+    tb.world.add_process(tb.nodes[0], Box::new(cam));
+    let mut found = Vec::new();
+    for i in [1, 2] {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        tb.world.add_process(
+            tb.nodes[i],
+            Box::new(Looker {
+                runtime: tb.runtimes[i],
+                client: None,
+                found: Rc::clone(&seen),
+            }),
+        );
+        found.push(seen);
+    }
+    tb.world.run_until(SimTime::from_secs(3));
+    let on_rt1 = found[0].borrow();
+    let on_rt2 = found[1].borrow();
+    assert_eq!(on_rt1.len(), 1, "rt1 found {on_rt1:?}");
+    assert_eq!(on_rt2.len(), 1, "rt2 found {on_rt2:?}");
+    assert_eq!(on_rt1[0], on_rt2[0]);
+    assert!(
+        on_rt1[0].shares_storage(&on_rt2[0]),
+        "two replicas hold private copies of one remote profile"
+    );
+}
+
+#[test]
 fn partition_and_heal_recovers_the_directory() {
     let mut tb = testbed(2);
     let svc = TestService::new("islander", jpeg_source_shape(), tb.runtimes[1]);
