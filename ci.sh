@@ -31,8 +31,9 @@
 #                        E13 attribution run diffed against the
 #                        checked-in artifacts/E13_attrib_baseline.json,
 #                        so a regression is reported by component.
-#   PERF_SHARD_SPEEDUP   E9c 4-shard over 1-shard events/sec floor at
-#                        N=10000 (default 1.5; auto-skipped on hosts
+#   PERF_SHARD_SPEEDUP   E9c wall-time speedup floor, 1-shard over
+#                        4-shard wall seconds for the same virtual span
+#                        at N=10000 (default 1.5; auto-skipped on hosts
 #                        with fewer than 4 cores, where a 4-way shard
 #                        run physically cannot beat single-threaded)
 #
@@ -138,9 +139,7 @@ stage_build_test() {
 stage_determinism() {
     # E8 trace gate: the observability run must export byte-identical
     # artifacts — metrics snapshot, Perfetto trace, folded flamegraph
-    # stacks — across two fresh runs of the same seed. With the batch
-    # plane on by default, this doubles as the proof that batched
-    # dispatch changes no observable ordering or timing.
+    # stacks — across two fresh runs of the same seed.
     gate trace-determinism run_determinism_gate trace trace_export \
         --json @OUT.metrics.json \
         --perfetto @OUT.perfetto.json \
@@ -192,11 +191,10 @@ stage_perf() {
     # Scheduler gates: timer-wheel kernel vs reference heap, E9
     # events/sec floor and near-linearity, p99 dispatch budget, E9b
     # scheduler pops per delivered datagram (flat from 100 to 1000
-    # devices, fewer with batching), telemetry sampler overhead
-    # ceiling, flight-recorder and attribution overhead ceilings, the
-    # differential perf doctor against the checked-in attribution
-    # baseline, E9c shard-scaling floor (enforced only on >=4-core
-    # hosts). Knobs come from PERF_FLOOR_EVPS / PERF_P99_BUDGET_US /
+    # devices), telemetry sampler overhead ceiling, flight-recorder
+    # and attribution overhead ceilings, the differential perf doctor
+    # against the checked-in attribution baseline, E9c shard-scaling
+    # floor on wall time (enforced only on >=4-core hosts). Knobs come from PERF_FLOOR_EVPS / PERF_P99_BUDGET_US /
     # PERF_RECORDER_OVERHEAD / PERF_ATTRIB_OVERHEAD /
     # PERF_SHARD_SPEEDUP.
     gate perf-sched cargo run --offline --release -p bench --bin perf_sched -- \

@@ -1,23 +1,22 @@
 //! Scheduler benchmarks: the timer-wheel kernel A/B against the
 //! reference min-heap, the E9 six-bridge federation scaling sweep
 //! (events/sec, p99 dispatch latency, allocations/event), the E9b
-//! batched-vs-unbatched dispatch A/B over the adaptive batch plane,
-//! and the E9c sharded-execution scaling curve (events/sec, p99
-//! dispatch, barrier stall per shard count).
+//! busy-deferral sweep (scheduler pops per delivered datagram under
+//! bursty fan-in into a busy sink), and the E9c sharded-execution
+//! scaling curve (events/sec, p99 dispatch, barrier stall per shard
+//! count).
 //!
 //! Run with `--check` for the CI scaling-regression gate — an
 //! events/sec floor at N = 1000, a near-linearity bound on the
 //! per-event wall cost from N = 100 to N = 1000, a p99 dispatch-latency
-//! budget, two bounds on E9b scheduler pops per delivered datagram
-//! (flat in burst size, and fewer with the batch plane), ceilings on
-//! the telemetry sampler's, the flight recorder's and the attribution
-//! plane's overhead at N = 1000, the differential perf doctor (the E13
-//! attribution run diffed against its checked-in baseline), and a
-//! shard-scaling floor at 4 shards / N = 10 000 — or with `--json FILE` to write the sweep as
+//! budget, a bound on E9b scheduler pops per delivered datagram (flat
+//! in burst size), ceilings on the telemetry sampler's, the flight
+//! recorder's and the attribution plane's overhead at N = 1000, the
+//! differential perf doctor (the E13 attribution run diffed against
+//! its checked-in baseline), and a shard-scaling floor at 4 shards /
+//! N = 10 000 — or with `--json FILE` to write the sweep as
 //! deterministic-schema JSON (values are wall-clock and
-//! machine-dependent; the schema is what golden files assert on). The
-//! committed `BENCH_perf_sched.json` pairs one such run with the
-//! pre-batch-plane baseline numbers.
+//! machine-dependent; the schema is what golden files assert on).
 //!
 //! Tunable gate knobs (also settable from ci.sh):
 //!
@@ -35,8 +34,9 @@
 //!   file is absent). A positive delta fails the check *naming the
 //!   regressed component*; regenerate the baseline with the
 //!   `attrib_export` bin when the change is intentional.
-//! * `--shard-speedup X` — E9c 4-shard events/sec floor, as a ratio
-//!   over the 1-shard run (default 1.5; `PERF_SHARD_SPEEDUP` env).
+//! * `--shard-speedup X` — E9c 4-shard wall-time speedup floor: the
+//!   1-shard run's wall seconds over the 4-shard run's, for the same
+//!   virtual span (default 1.5; `PERF_SHARD_SPEEDUP` env).
 //!   Automatically *not enforced* when the host exposes fewer than 4
 //!   cores — a 4-way shard run cannot beat single-threaded execution
 //!   without 4 cores to run on (the sweep still runs as a smoke test
@@ -47,7 +47,7 @@
 
 use bench::experiments::{
     e10_sampler_overhead, e11_recorder_overhead, e13_attrib_overhead, e13_attribution,
-    e9_sched_scale, e9b_batch_ab, e9c_shard_scale,
+    e9_sched_scale, e9b_deferral_sweep, e9c_shard_scale,
 };
 use bench::report::{render_e9, render_e9b, render_e9c};
 use bench::timing::sched_kernel;
@@ -70,8 +70,8 @@ const DEFAULT_P99_BUDGET_US: u64 = 200;
 /// effects and noise without letting a linear term back in.
 const CHECK_LINEARITY: f64 = 3.0;
 
-/// `--check` bound on E9b unbatched scheduler pops per delivered
-/// datagram at N = 1000 over N = 100. Ten times the devices means
+/// `--check` bound on E9b scheduler pops per delivered datagram at
+/// N = 1000 over N = 100. Ten times the devices means
 /// ten times deeper bursts behind the busy collector; the kernel
 /// carries a queued backlog as one entry per busy horizon, so the
 /// ratio stays near 1 (it grew ~3x when every queued delivery was
@@ -79,22 +79,14 @@ const CHECK_LINEARITY: f64 = 3.0;
 /// seeded fixture.
 const CHECK_DEFERRAL_GROWTH: f64 = 1.2;
 
-/// `--check` bound on E9b batched over unbatched scheduler pops per
-/// delivered datagram at N = 1000: the batch plane must keep folding
-/// same-tick datagrams into fewer pops. Deterministic, like
-/// [`CHECK_DEFERRAL_GROWTH`].
-const CHECK_BATCH_POPS: f64 = 0.8;
-
 /// `--check` ceiling on the telemetry sampler's wall-clock overhead at
 /// N = 1000 (ratio of best-of-passes measured windows, sampled vs
 /// plain). The 250 ms sampler walks the whole metrics registry a few
 /// dozen times per window — per-event cost is amortized to near zero,
 /// so the ceiling is headroom for measurement noise, not for the
-/// sampler. It was 2% before the batch plane; batched dispatch shrank
-/// the base run's wall time, so the sampler's unchanged absolute cost
-/// reads as a larger ratio and quiet-host runs now land anywhere in
-/// 0.97–1.03. 5% still fails an order-of-magnitude sampler regression
-/// without flaking on a shared box.
+/// sampler: quiet-host runs land anywhere in 0.97–1.03. 5% still fails
+/// an order-of-magnitude sampler regression without flaking on a
+/// shared box.
 const CHECK_SAMPLER_OVERHEAD: f64 = 1.05;
 
 /// `--check` ceiling on the always-on flight recorder's wall-clock
@@ -118,8 +110,9 @@ const CHECK_ATTRIB_OVERHEAD: f64 = 1.03;
 /// snapshot the differential perf doctor diffs against.
 const DEFAULT_ATTRIB_BASELINE: &str = "artifacts/E13_attrib_baseline.json";
 
-/// Default `--shard-speedup`: E9c events/sec at 4 shards must be at
-/// least this multiple of the 1-shard run, at N = 10 000. Linear
+/// Default `--shard-speedup`: E9c at 4 shards must simulate the same
+/// virtual span in at most 1/this of the 1-shard run's wall time, at
+/// N = 10 000. Linear
 /// scaling would be 4x; 1.5x is the regression line with generous room
 /// for barrier overhead and noisy multi-tenant hosts. Only enforced on
 /// hosts with at least 4 cores.
@@ -261,40 +254,24 @@ fn main() {
             p99_budget_ns
         );
 
-        // E9b: busy deferral must stay O(k) in the burst depth k, the
-        // batch plane must keep folding same-tick datagrams into fewer
-        // scheduler pops, and batching must not blow the p99 dispatch
-        // budget (one big batch is still one dispatch). The pop counts
-        // are deterministic, so these gates do not depend on host load.
-        let ab = e9b_batch_ab(&[100, 1000], SimDuration::from_millis(200));
-        let (little, big) = (&ab[0], &ab[1]);
+        // E9b: busy deferral must stay O(k) in the burst depth k. The
+        // pop counts are deterministic, so this gate does not depend on
+        // host load.
+        let e9b = e9b_deferral_sweep(&[100, 1000], SimDuration::from_millis(200));
+        let (little, big) = (&e9b[0], &e9b[1]);
         assert!(
-            big.unbatched_pops_per_delivered
-                <= little.unbatched_pops_per_delivered * CHECK_DEFERRAL_GROWTH,
-            "unbatched scheduler pops per delivered datagram grew from {:.3} at N=100 to \
-             {:.3} at N=1000 (bound x{CHECK_DEFERRAL_GROWTH}): busy deferral is no longer O(k)",
-            little.unbatched_pops_per_delivered,
-            big.unbatched_pops_per_delivered
-        );
-        assert!(
-            big.batched_pops_per_delivered <= big.unbatched_pops_per_delivered * CHECK_BATCH_POPS,
-            "batched scheduler pops per delivered datagram at N=1000 is {:.3}, above \
-             x{CHECK_BATCH_POPS} of unbatched {:.3}",
-            big.batched_pops_per_delivered,
-            big.unbatched_pops_per_delivered
-        );
-        assert!(
-            big.batched_p99_dispatch_ns <= p99_budget_ns,
-            "batched p99 dispatch at N=1000 over budget: {} ns > {} ns",
-            big.batched_p99_dispatch_ns,
-            p99_budget_ns
+            big.pops_per_delivered <= little.pops_per_delivered * CHECK_DEFERRAL_GROWTH,
+            "scheduler pops per delivered datagram grew from {:.3} at N=100 to {:.3} at \
+             N=1000 (bound x{CHECK_DEFERRAL_GROWTH}): busy deferral is no longer O(k)",
+            little.pops_per_delivered,
+            big.pops_per_delivered
         );
 
         // Telemetry plane: the in-run sampler must stay within its
         // overhead budget on the same N = 1000 federation. Five
-        // alternating best-of passes: with the batch plane the timed
-        // window is short enough that one bad scheduling quantum can
-        // swing a single pass by >10% on a shared host.
+        // alternating best-of passes: the timed window is short enough
+        // that one bad scheduling quantum can swing a single pass by
+        // >10% on a shared host.
         let overhead = e10_sampler_overhead(1000, SimDuration::from_secs(5), 5);
         assert!(
             overhead <= CHECK_SAMPLER_OVERHEAD,
@@ -326,8 +303,10 @@ fn main() {
         );
 
         // E9c: sharded execution must keep paying for itself — the
-        // 4-shard run of the N = 10k wing federation must beat the
-        // 1-shard run by the configured floor. On a host with fewer
+        // 4-shard run of the N = 10k wing federation must finish the
+        // same virtual span faster than the 1-shard run by the
+        // configured floor. Wall time, not events/sec: the shard
+        // count changes how many scheduler pops the same work takes. On a host with fewer
         // than 4 cores the floor is physically unreachable (threads
         // time-slice one core and pay barrier cost on top), so the
         // sweep runs as a smoke test and the floor is reported, not
@@ -342,7 +321,7 @@ fn main() {
             four.windows > 0,
             "E9c 4-shard run executed no synchronized windows"
         );
-        let sharded_speedup = four.events_per_sec / one.events_per_sec.max(1.0);
+        let sharded_speedup = one.wall_secs / four.wall_secs.max(1e-9);
         if host_cores < 4 {
             println!(
                 "perf_sched --check: shard-scaling floor x{shard_speedup:.2} not enforced — \
@@ -361,15 +340,13 @@ fn main() {
         }
 
         println!(
-            "perf_sched --check: ok (N=1000 {:.0} events/s, per-event cost x{:.2} over 10x devices, p99 {} ns <= {} ns, E9b pops/datagram unbatched {:.3} at N=100 and {:.3} at N=1000, batched {:.3} (speedup x{:.2}), sampler overhead x{:.3}, recorder overhead x{:.3}, attribution overhead x{:.3}, shard speedup x{:.2} at 4 shards on {} core(s), wheel {:.0} ns/op vs heap {:.0} ns/op)",
+            "perf_sched --check: ok (N=1000 {:.0} events/s, per-event cost x{:.2} over 10x devices, p99 {} ns <= {} ns, E9b pops/datagram {:.3} at N=100 and {:.3} at N=1000, sampler overhead x{:.3}, recorder overhead x{:.3}, attribution overhead x{:.3}, shard speedup x{:.2} at 4 shards on {} core(s), wheel {:.0} ns/op vs heap {:.0} ns/op)",
             large.events_per_sec,
             cost_large / cost_small,
             large.p99_dispatch_ns,
             p99_budget_ns,
-            little.unbatched_pops_per_delivered,
-            big.unbatched_pops_per_delivered,
-            big.batched_pops_per_delivered,
-            big.speedup,
+            little.pops_per_delivered,
+            big.pops_per_delivered,
             overhead,
             recorder,
             attrib,
@@ -397,8 +374,8 @@ fn main() {
     let rows = e9_sched_scale(&[100, 250, 500, 1000], SimDuration::from_secs(15));
     println!("{}", render_e9(&rows));
 
-    let ab = e9b_batch_ab(&[100, 1000], SimDuration::from_millis(500));
-    println!("{}", render_e9b(&ab));
+    let e9b = e9b_deferral_sweep(&[100, 1000], SimDuration::from_millis(500));
+    println!("{}", render_e9b(&e9b));
 
     let e9c_devices: usize = flag_value(&args, "--e9c-devices", CHECK_SHARD_DEVICES);
     let e9c = e9c_shard_scale(e9c_devices, &[1, 2, 4, 8], SimDuration::from_secs(5));
@@ -432,19 +409,15 @@ fn main() {
                 if i + 1 < n { "," } else { "" }
             ));
         }
-        out.push_str("  ],\n  \"e9b_batch_ab\": [\n");
-        let n = ab.len();
-        for (i, r) in ab.iter().enumerate() {
+        out.push_str("  ],\n  \"e9b_deferral\": [\n");
+        let n = e9b.len();
+        for (i, r) in e9b.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"devices\": {}, \"unbatched_events_per_sec\": {:.0}, \"batched_events_per_sec\": {:.0}, \"speedup\": {:.3}, \"unbatched_p99_dispatch_ns\": {}, \"batched_p99_dispatch_ns\": {}, \"unbatched_pops_per_delivered\": {:.3}, \"batched_pops_per_delivered\": {:.3}}}{}\n",
+                "    {{\"devices\": {}, \"delivered\": {}, \"delivered_per_sec\": {:.0}, \"pops_per_delivered\": {:.3}}}{}\n",
                 r.devices,
-                r.unbatched_events_per_sec,
-                r.batched_events_per_sec,
-                r.speedup,
-                r.unbatched_p99_dispatch_ns,
-                r.batched_p99_dispatch_ns,
-                r.unbatched_pops_per_delivered,
-                r.batched_pops_per_delivered,
+                r.delivered,
+                r.delivered_per_sec,
+                r.pops_per_delivered,
                 if i + 1 < n { "," } else { "" }
             ));
         }

@@ -1306,7 +1306,7 @@ pub struct SchedScaleRow {
     pub devices: usize,
     /// Scheduler events dispatched inside the measurement window.
     pub events: u64,
-    /// Wall-clock seconds spent simulating the window (batched loop).
+    /// Wall-clock seconds spent simulating the window (`run_until` loop).
     pub wall_secs: f64,
     /// Events dispatched per wall-clock second.
     pub events_per_sec: f64,
@@ -1800,13 +1800,13 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
 /// n = 1000 (UPnP: ~167 lights × ~270 ms serialized instantiation).
 const E9_SETUP: u64 = 90;
 
-/// Runs one E9 federation size: a batched pass for events/sec and
+/// Runs one E9 federation size: a `run_until` pass for events/sec and
 /// allocations/event, then an identically seeded single-step pass for
 /// per-event dispatch latency.
 fn e9_one(n: usize, measure: SimDuration) -> SchedScaleRow {
     let setup = SimTime::from_secs(E9_SETUP);
 
-    // Pass A — batched event loop, wall-clock throughput.
+    // Pass A — `run_until` event loop, wall-clock throughput.
     let mut world = e9_world(n);
     world.run_until(setup);
     let ev0 = world.events_processed();
@@ -1978,251 +1978,148 @@ pub fn e9c_shard_scale(n: usize, shard_counts: &[u16], measure: SimDuration) -> 
 }
 
 // =====================================================================
-// E9b — batched vs unbatched dispatch: the adaptive batch plane A/B
+// E9b — busy deferral under bursty fan-in: scheduler pops per datagram
 // =====================================================================
 
-/// Port the A/B burst senders transmit from.
-const AB_SRC_PORT: u16 = 46_000;
-/// Port the A/B collector receives on.
-const AB_SINK_PORT: u16 = 46_001;
+/// Port the E9b burst senders transmit from.
+const E9B_SRC_PORT: u16 = 46_000;
+/// Port the E9b collector receives on.
+const E9B_SINK_PORT: u16 = 46_001;
 /// Datagrams per sender per burst instant.
-const AB_BURST: usize = 8;
+const E9B_BURST: usize = 8;
 /// Phase cohorts the senders are staggered across. Senders in one
-/// cohort share a timer phase, so their bursts *arrive* coincident and
-/// the batch plane gets full same-tick runs; spreading cohorts keeps
-/// each run a few dozen frames rather than tens of thousands (giant
-/// same-time runs thrash the near-heap and payload caches equally in
-/// both modes, drowning the per-frame dispatch savings the A/B is
-/// there to measure).
-const AB_PHASES: usize = 250;
+/// cohort share a timer phase, so their bursts *arrive* coincident;
+/// spreading cohorts keeps each same-tick run a few dozen frames rather
+/// than tens of thousands.
+const E9B_PHASES: usize = 250;
 /// Interval between burst instants.
-const AB_INTERVAL: SimDuration = SimDuration::from_millis(5);
-/// Virtual warm-up before the A/B measurement window opens (lets the
-/// adaptive window reach its cap).
-const AB_SETUP: u64 = 1;
+const E9B_INTERVAL: SimDuration = SimDuration::from_millis(5);
+/// Virtual warm-up before the measurement window opens.
+const E9B_SETUP: u64 = 1;
 
-/// Per-datagram handler CPU cost the A/B collector models. Real
+/// Per-datagram handler CPU cost the E9b collector models. Real
 /// pervasive handlers always cost CPU per message, so a burst of k
 /// coincident datagrams queues behind a busy handler. The kernel
 /// carries the queued deliveries as one scheduler entry per busy
-/// horizon in both modes, so scheduler pops per delivered datagram
-/// stay flat as bursts grow (the `--check` gates pin this); the batch
-/// plane additionally delivers same-tick datagrams in one handler
-/// wakeup. Sized so the collector sits near 50% utilization at
-/// N = 1000 (8N datagrams per 5 ms interval), keeping the fixture in
-/// steady state rather than overload.
-const AB_SINK_COST: SimDuration = SimDuration::from_nanos(300);
+/// horizon, so scheduler pops per delivered datagram stay flat as
+/// bursts grow (the `--check` gate pins this). Sized so the collector
+/// sits near 50% utilization at N = 1000 (8N datagrams per 5 ms
+/// interval), keeping the fixture in steady state rather than overload.
+const E9B_SINK_COST: SimDuration = SimDuration::from_nanos(300);
 
-/// One row of the batched-vs-unbatched dispatch A/B (per federation
-/// size): the same bursty fan-in world run under
-/// [`BatchPolicy::unbatched`] and under the adaptive default. Both
-/// sides deliver byte-identical work (the equivalence the E8/E10 gates
-/// and the simnet property suite pin down); what differs is the wall
-/// clock spent dispatching it, so the comparable rate is delivered
-/// datagrams per wall second. Scheduler pops differ by design: the
-/// batch plane delivers a same-tick run per pop.
+/// One row of the E9b busy-deferral sweep (per federation size): a
+/// bursty fan-in world whose collector is busy for every datagram.
 #[derive(Debug, Clone)]
-pub struct BatchAbRow {
+pub struct DeferralRow {
     /// Burst senders fanning into the collector.
     pub devices: usize,
-    /// Datagrams delivered inside the measurement window (identical in
-    /// both modes — asserted).
+    /// Datagrams delivered inside the measurement window.
     pub delivered: u64,
-    /// Delivered datagrams per wall second, batch plane disabled
-    /// (`max_batch = 1`).
-    pub unbatched_events_per_sec: f64,
-    /// Delivered datagrams per wall second, adaptive default policy.
-    pub batched_events_per_sec: f64,
-    /// `batched_events_per_sec / unbatched_events_per_sec`.
-    pub speedup: f64,
-    /// p99 per-event dispatch wall cost, batch plane disabled.
-    pub unbatched_p99_dispatch_ns: u64,
-    /// p99 per-event dispatch wall cost, adaptive default policy.
-    pub batched_p99_dispatch_ns: u64,
+    /// Delivered datagrams per wall second.
+    pub delivered_per_sec: f64,
     /// Scheduler pops ([`World::events_processed`]) per delivered
-    /// datagram inside the window, batch plane disabled. Deterministic.
-    pub unbatched_pops_per_delivered: f64,
-    /// Scheduler pops per delivered datagram, adaptive default policy.
-    pub batched_pops_per_delivered: f64,
+    /// datagram inside the window. Deterministic.
+    pub pops_per_delivered: f64,
 }
 
-/// Timer-driven source that emits `AB_BURST` same-size datagrams at
-/// every burst instant. All senders share the timer phase, so on the
-/// full-duplex switch every burst's frames *arrive* coincident — the
-/// same-tick runs the batch plane groups.
-struct AbBurstSender {
+/// Timer-driven source that emits `E9B_BURST` same-size datagrams at
+/// every burst instant. Senders in one phase cohort share the timer
+/// phase, so on the full-duplex switch their frames *arrive*
+/// coincident.
+struct BurstSender {
     target: Addr,
     phase: SimDuration,
 }
 
-impl Process for AbBurstSender {
+impl Process for BurstSender {
     fn name(&self) -> &str {
         "e9b-burst-sender"
     }
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.bind(AB_SRC_PORT).expect("sender port free");
-        let first = AB_INTERVAL + self.phase;
+        ctx.bind(E9B_SRC_PORT).expect("sender port free");
+        let first = E9B_INTERVAL + self.phase;
         ctx.set_timer(first, 0);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        for _ in 0..AB_BURST {
+        for _ in 0..E9B_BURST {
             // Zero-length payloads: `Vec::new()` never allocates, so
-            // the (mode-independent) send side stays as cheap as
-            // possible and the A/B ratio reflects dispatch overhead.
-            let _ = ctx.send_to(AB_SRC_PORT, self.target, Vec::new());
+            // the send side stays as cheap as possible.
+            let _ = ctx.send_to(E9B_SRC_PORT, self.target, Vec::new());
         }
-        ctx.set_timer(AB_INTERVAL, 0);
+        ctx.set_timer(E9B_INTERVAL, 0);
     }
 }
 
-/// Sink absorbing the fan-in, modelling [`AB_SINK_COST`] of CPU per
+/// Sink absorbing the fan-in, modelling [`E9B_SINK_COST`] of CPU per
 /// datagram and counting deliveries through a shared handle.
-struct AbCollector {
+struct BusyCollector {
     delivered: Rc<RefCell<u64>>,
 }
 
-impl Process for AbCollector {
+impl Process for BusyCollector {
     fn name(&self) -> &str {
         "e9b-collector"
     }
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.bind(AB_SINK_PORT).expect("collector port free");
+        ctx.bind(E9B_SINK_PORT).expect("collector port free");
     }
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, _d: simnet::Datagram) {
         *self.delivered.borrow_mut() += 1;
-        ctx.busy(AB_SINK_COST);
+        ctx.busy(E9B_SINK_COST);
     }
 }
 
-/// Builds the A/B world: `n` synchronized burst senders on a switched
+/// Builds the E9b world: `n` synchronized burst senders on a switched
 /// segment fanning into one collector. Full duplex matters — a
 /// half-duplex medium serializes the burst through its busy window and
 /// no same-tick runs ever form (see
 /// [`SegmentConfig::ethernet_100mbps_switch`]).
-fn e9b_world(n: usize, policy: simnet::BatchPolicy) -> (World, Rc<RefCell<u64>>) {
+fn e9b_world(n: usize) -> (World, Rc<RefCell<u64>>) {
     let delivered = Rc::new(RefCell::new(0u64));
     let mut world = World::new(0x9B + n as u64);
     world.trace_mut().set_log_enabled(false);
-    world.set_batch_policy(policy);
     let net = world.add_segment(SegmentConfig::ethernet_100mbps_switch());
     let sink_node = world.add_node("collector");
     world.attach(sink_node, net).expect("attach");
     world.add_process(
         sink_node,
-        Box::new(AbCollector {
+        Box::new(BusyCollector {
             delivered: Rc::clone(&delivered),
         }),
     );
-    let target = Addr::new(sink_node, AB_SINK_PORT);
-    let phase_step = SimDuration::from_nanos(AB_INTERVAL.as_nanos() / AB_PHASES as u64);
+    let target = Addr::new(sink_node, E9B_SINK_PORT);
+    let phase_step = SimDuration::from_nanos(E9B_INTERVAL.as_nanos() / E9B_PHASES as u64);
     for i in 0..n {
         let node = world.add_node(format!("burst{i}"));
         world.attach(node, net).expect("attach");
-        let phase = SimDuration::from_nanos(phase_step.as_nanos() * (i % AB_PHASES) as u64);
-        world.add_process(node, Box::new(AbBurstSender { target, phase }));
+        let phase = SimDuration::from_nanos(phase_step.as_nanos() * (i % E9B_PHASES) as u64);
+        world.add_process(node, Box::new(BurstSender { target, phase }));
     }
     (world, delivered)
 }
 
-/// Wall-clock passes per A/B cell; the best (fastest) pass is kept,
-/// the same noise discipline as [`e10_sampler_overhead`] — a shared CI
-/// host can only slow a pass down, so the minimum wall time is the
-/// least contaminated estimate of the engine's own cost.
-const AB_PASSES: usize = 3;
-
-/// One measured (size, policy) cell of the E9b A/B.
-struct AbCell {
-    delivered: u64,
-    /// Scheduler pops inside the window.
-    pops: u64,
-    delivered_per_sec: f64,
-    p99_dispatch_ns: u64,
-}
-
-/// Measures one (size, policy) cell: best-of-[`AB_PASSES`] batched
-/// `run_until` passes for delivered datagrams per wall second, then an
-/// identically seeded single-step pass for p99 dispatch latency — the
-/// same two-pass scheme as [`e9_one`].
-fn e9b_one(n: usize, policy: simnet::BatchPolicy, measure: SimDuration) -> AbCell {
-    let setup = SimTime::from_secs(AB_SETUP);
-
-    let mut best_wall = f64::INFINITY;
-    let mut delivered = 0u64;
-    let mut pops = 0u64;
-    for _ in 0..AB_PASSES {
-        let (mut world, count) = e9b_world(n, policy);
-        world.run_until(setup);
-        let d0 = *count.borrow();
-        let e0 = world.events_processed();
-        let t0 = std::time::Instant::now();
-        world.run_until(setup + measure);
-        let wall = t0.elapsed().as_secs_f64().max(1e-9);
-        if wall < best_wall {
-            best_wall = wall;
-        }
-        delivered = *count.borrow() - d0;
-        pops = world.events_processed() - e0;
-    }
-
-    let (mut world, _count) = e9b_world(n, policy);
-    world.run_until(setup);
-    let deadline = setup + measure;
-    let mut lat: Vec<u64> = Vec::with_capacity(delivered as usize + 1024);
-    loop {
-        let t = std::time::Instant::now();
-        if !world.step() {
-            break;
-        }
-        lat.push(t.elapsed().as_nanos() as u64);
-        if world.now() >= deadline {
-            break;
-        }
-    }
-    lat.sort_unstable();
-    let p99 = if lat.is_empty() {
-        0
-    } else {
-        lat[(lat.len() * 99 / 100).min(lat.len() - 1)]
-    };
-
-    AbCell {
-        delivered,
-        pops,
-        delivered_per_sec: delivered as f64 / best_wall,
-        p99_dispatch_ns: p99,
-    }
-}
-
-/// Runs the batched-vs-unbatched A/B at each federation size: the same
-/// seed and fixture under `BatchPolicy::unbatched()` and under the
-/// adaptive default, reporting delivered-datagram throughput and p99
-/// dispatch latency for both sides. Panics if the two modes deliver a
-/// different number of datagrams — they never may (determinism).
-pub fn e9b_batch_ab(sizes: &[usize], measure: SimDuration) -> Vec<BatchAbRow> {
+/// Runs the E9b busy-deferral sweep at each federation size: one
+/// measured window per size, reporting delivered datagrams per wall
+/// second and scheduler pops per delivered datagram.
+pub fn e9b_deferral_sweep(sizes: &[usize], measure: SimDuration) -> Vec<DeferralRow> {
+    let setup = SimTime::from_secs(E9B_SETUP);
     sizes
         .iter()
         .map(|&n| {
-            let un = e9b_one(n, simnet::BatchPolicy::unbatched(), measure);
-            let ba = e9b_one(n, simnet::BatchPolicy::default(), measure);
-            assert_eq!(
-                un.delivered, ba.delivered,
-                "batched and unbatched runs must deliver identical work"
-            );
-            let per_delivered = |c: &AbCell| c.pops as f64 / c.delivered.max(1) as f64;
-            BatchAbRow {
+            let (mut world, count) = e9b_world(n);
+            world.run_until(setup);
+            let d0 = *count.borrow();
+            let e0 = world.events_processed();
+            let t0 = std::time::Instant::now();
+            world.run_until(setup + measure);
+            let wall = t0.elapsed().as_secs_f64().max(1e-9);
+            let delivered = *count.borrow() - d0;
+            let pops = world.events_processed() - e0;
+            DeferralRow {
                 devices: n,
-                delivered: ba.delivered,
-                unbatched_events_per_sec: un.delivered_per_sec,
-                batched_events_per_sec: ba.delivered_per_sec,
-                speedup: if un.delivered_per_sec > 0.0 {
-                    ba.delivered_per_sec / un.delivered_per_sec
-                } else {
-                    0.0
-                },
-                unbatched_p99_dispatch_ns: un.p99_dispatch_ns,
-                batched_p99_dispatch_ns: ba.p99_dispatch_ns,
-                unbatched_pops_per_delivered: per_delivered(&un),
-                batched_pops_per_delivered: per_delivered(&ba),
+                delivered,
+                delivered_per_sec: delivered as f64 / wall,
+                pops_per_delivered: pops as f64 / delivered.max(1) as f64,
             }
         })
         .collect()
@@ -2926,15 +2823,15 @@ pub fn e11_trace_loss_ab() -> (TraceLossSide, TraceLossSide) {
     (run(false), run(true))
 }
 
-/// Measures the flight recorder's overhead on the E9b busy-sink A/B:
+/// Measures the flight recorder's overhead on the E9b busy-sink fixture:
 /// the same seeded world over the same virtual window with the recorder
 /// off and on, `passes` times, minimum *paired* ratio (same noise
 /// discipline as [`e10_sampler_overhead`]). `perf_sched --check` holds
 /// this under its 3% budget at n = 1000.
 pub fn e11_recorder_overhead(n: usize, measure: SimDuration, passes: usize) -> f64 {
-    let setup = SimTime::from_secs(AB_SETUP);
+    let setup = SimTime::from_secs(E9B_SETUP);
     let run = |recorder: bool| {
-        let (mut world, _count) = e9b_world(n, simnet::BatchPolicy::default());
+        let (mut world, _count) = e9b_world(n);
         if recorder {
             world.enable_flight_recorder(IncidentConfig::default());
         }
@@ -3060,16 +2957,16 @@ pub fn e13_attribution() -> AttributionResults {
     }
 }
 
-/// Measures the attribution plane's overhead on the E9b busy-sink A/B:
+/// Measures the attribution plane's overhead on the E9b busy-sink fixture:
 /// the same seeded world over the same virtual window with a 250 ms
 /// telemetry sampler on both sides and the attribution fold only on the
 /// measure side, `passes` times, minimum *paired* ratio (same noise
 /// discipline as [`e10_sampler_overhead`]). `perf_sched --check` holds
 /// this under its 3% budget at n = 1000.
 pub fn e13_attrib_overhead(n: usize, measure: SimDuration, passes: usize) -> f64 {
-    let setup = SimTime::from_secs(AB_SETUP);
+    let setup = SimTime::from_secs(E9B_SETUP);
     let run = |attrib: bool| {
-        let (mut world, _count) = e9b_world(n, simnet::BatchPolicy::default());
+        let (mut world, _count) = e9b_world(n);
         world.enable_telemetry(TelemetryConfig {
             sampler: SamplerConfig {
                 interval: SimDuration::from_millis(250),
@@ -3482,16 +3379,15 @@ mod tests {
         assert!(r.samples >= 110, "sampler starved: {} samples", r.samples);
     }
 
-    /// Every bridge must leave a *balanced* span record under batched
-    /// dispatch: one closed hop span per translated message, never one
-    /// span per batch. Since every hop bumps the platform's traffic
-    /// counter exactly once, `ingress + egress == traffic` closes the
-    /// audit — a bridge that batches its outputs but records fewer
-    /// egress spans than messages fails the equality. Platforms the
+    /// Every bridge must leave a *balanced* span record: one closed hop
+    /// span per translated message. Since every hop bumps the
+    /// platform's traffic counter exactly once, `ingress + egress ==
+    /// traffic` closes the audit — a bridge that records fewer egress
+    /// spans than messages fails the equality. Platforms the
     /// fixture drives both ways (fan-in *and* fan-out) must show hops
     /// in both directions.
     #[test]
-    fn e9_world_bridge_hops_are_balanced_under_batching() {
+    fn e9_world_bridge_hops_are_balanced() {
         let mut world = e9_world(12);
         world.run_until(SimTime::from_secs(120));
         let snapshot = world.trace().metrics().snapshot();

@@ -428,31 +428,17 @@ pub fn render_e9c(rows: &[ShardScaleRow]) -> String {
     out
 }
 
-/// Renders the E9b batched-vs-unbatched dispatch A/B table.
-pub fn render_e9b(rows: &[BatchAbRow]) -> String {
-    let mut out = hr("E9b — dispatch batch plane A/B: unbatched vs adaptive");
+/// Renders the E9b busy-deferral sweep table.
+pub fn render_e9b(rows: &[DeferralRow]) -> String {
+    let mut out = hr("E9b — busy deferral under bursty fan-in");
     out.push_str(&format!(
-        "{:>10} {:>16} {:>16} {:>9} {:>14} {:>14} {:>12} {:>12}\n",
-        "devices",
-        "unbatched ev/s",
-        "batched ev/s",
-        "speedup",
-        "un p99 ns",
-        "ba p99 ns",
-        "un pops/dg",
-        "ba pops/dg"
+        "{:>10} {:>12} {:>16} {:>12}\n",
+        "devices", "delivered", "delivered/s", "pops/dg"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:>10} {:>16.0} {:>16.0} {:>8.2}x {:>14} {:>14} {:>12.3} {:>12.3}\n",
-            r.devices,
-            r.unbatched_events_per_sec,
-            r.batched_events_per_sec,
-            r.speedup,
-            r.unbatched_p99_dispatch_ns,
-            r.batched_p99_dispatch_ns,
-            r.unbatched_pops_per_delivered,
-            r.batched_pops_per_delivered
+            "{:>10} {:>12} {:>16.0} {:>12.3}\n",
+            r.devices, r.delivered, r.delivered_per_sec, r.pops_per_delivered
         ));
     }
     out

@@ -162,21 +162,6 @@ impl<'w> Ctx<'w> {
         self.world.trace.span_end(id, t)
     }
 
-    /// The live dispatch batch bound (see
-    /// [`World::dispatch_batch_limit`]). Layered runtimes consult this so
-    /// the whole stack — frame delivery, translator invocation, wire
-    /// framing — follows the world's single [`crate::BatchPolicy`] knob.
-    pub fn dispatch_batch_limit(&self) -> usize {
-        self.world.dispatch_batch_limit()
-    }
-
-    /// `true` if this process has modeled CPU time still pending — used
-    /// by batched delivery to defer the rest of a batch exactly as
-    /// individual deliveries would defer.
-    pub(crate) fn proc_is_busy(&self) -> bool {
-        self.world.procs[self.me.index()].busy_until > self.world.now()
-    }
-
     /// Models CPU work: subsequent event deliveries to this process are
     /// deferred until the accumulated busy time elapses.
     pub fn busy(&mut self, duration: SimDuration) {

@@ -108,4 +108,4 @@ pub use trace::{
     Histogram, Metrics, MetricsSnapshot, SegmentStats, SpanId, SpanRecord, Trace, TraceEvent,
 };
 pub use wheel::{ReferenceHeap, TimerWheel};
-pub use world::{BatchPolicy, CrossMessage, ShardConfig, World};
+pub use world::{CrossMessage, ShardConfig, World};

@@ -65,10 +65,9 @@ impl SegmentConfig {
     ///
     /// Full-duplex segments never serialize transmissions through the
     /// medium's busy window, so frames emitted at the same instant also
-    /// *arrive* at the same instant — these coincident arrivals are what
-    /// the dispatch batch plane ([`BatchPolicy`](crate::BatchPolicy))
-    /// groups into single handler invocations. Half-duplex media (hubs,
-    /// piconets, mote radios) space arrivals out and rarely batch.
+    /// *arrive* at the same instant, as one same-tick run of the
+    /// scheduler. Half-duplex media (hubs, piconets, mote radios) space
+    /// arrivals out.
     pub fn ethernet_100mbps_switch() -> SegmentConfig {
         SegmentConfig {
             name: "ethernet-100mbps-switch".to_owned(),

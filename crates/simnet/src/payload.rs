@@ -489,29 +489,6 @@ impl PayloadBuilder {
         self.buf[at] = v;
     }
 
-    /// Back-patches a batch of length-prefixed records in one sweep —
-    /// the vectored-framing finish step. Each offset in `marks` must be
-    /// a slot from [`reserve_u32_le`](PayloadBuilder::reserve_u32_le),
-    /// and the records must be contiguous: record *i*'s body runs from
-    /// just after its slot to the next mark (or the end of the buffer),
-    /// so one pass over the marks finalizes the whole batch. The bytes
-    /// produced are identical to framing each record in its own builder
-    /// and concatenating the results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a mark is out of bounds or the marks are not in
-    /// ascending order.
-    pub fn patch_frame_lens(&mut self, marks: &[usize]) {
-        for (i, &at) in marks.iter().enumerate() {
-            let next = marks.get(i + 1).copied().unwrap_or(self.buf.len());
-            let body = next
-                .checked_sub(at + 4)
-                .expect("frame marks must ascend with 4-byte slots");
-            self.patch_u32_le(at, body as u32);
-        }
-    }
-
     /// The bytes written so far.
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
@@ -765,35 +742,6 @@ mod tests {
         assert_eq!(&p[0..2], &[0x02, 0x01]);
         assert_eq!(&p[14..18], &[3, 0, 0, 0]);
         assert_eq!(&p[18..], b"xyz");
-    }
-
-    #[test]
-    fn builder_patch_frame_lens_back_patches_every_slot() {
-        // Three length-prefixed frames built in one pass: each slot gets
-        // the byte count between it and the next mark (or the end).
-        let mut b = PayloadBuilder::new();
-        let mut marks = Vec::new();
-        for body in [&b"a"[..], &b"bcd"[..], &b""[..]] {
-            marks.push(b.reserve_u32_le());
-            b.extend_from_slice(body);
-        }
-        b.patch_frame_lens(&marks);
-        let p = b.freeze();
-        assert_eq!(&p[0..4], &[1, 0, 0, 0]);
-        assert_eq!(p[4], b'a');
-        assert_eq!(&p[5..9], &[3, 0, 0, 0]);
-        assert_eq!(&p[9..12], b"bcd");
-        assert_eq!(&p[12..16], &[0, 0, 0, 0]);
-        assert_eq!(p.len(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "frame marks must ascend")]
-    fn builder_patch_frame_lens_rejects_descending_marks() {
-        let mut b = PayloadBuilder::new();
-        let first = b.reserve_u32_le();
-        let second = b.reserve_u32_le();
-        b.patch_frame_lens(&[second, first]);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Sharded multi-core execution: conservative-lookahead synchronization
 //! across per-core `World` shards.
 //!
-//! Each shard is a full [`World`] — its own timer wheel, batch plane,
-//! RNG stream, and metrics registry — built and run on its own OS
-//! thread (a `World` is not `Send`, so worlds never migrate; closures
-//! do). Shards execute in lockstep windows of one *lookahead* `L`:
-//! within `[kL, (k+1)L)` every shard runs independently, then all meet
+//! Each shard is a full [`World`] — its own timer wheel, RNG stream
+//! and metrics registry — built and run on its own OS thread (a
+//! `World` is not `Send`, so worlds never migrate; closures do).
+//! Shards execute in lockstep windows of one *lookahead* `L`: within
+//! `[kL, (k+1)L)` every shard runs independently, then all meet
 //! at a barrier to exchange cross-shard messages. The protocol is safe
 //! because a message emitted at time `t` inside window `k` arrives at
 //! `t + link_latency ≥ kL + L = (k+1)L` — never inside a window any

@@ -249,10 +249,9 @@ impl<T> TimerWheel<T> {
     /// Drains the entire run of entries sharing the earliest pending
     /// time into `out` (in sequence order) and returns that time.
     ///
-    /// The run is the unit the dispatch batch plane works on: the world
-    /// walks it grouping consecutive same-segment frame arrivals into
-    /// single handler invocations, so sequence order here is what makes
-    /// batched dispatch a pure re-grouping of the (time, seq) order.
+    /// The run is the unit of the world's per-tick drain: it dispatches
+    /// the run's entries in sequence order, so draining a whole run is
+    /// observationally identical to popping one entry at a time.
     ///
     /// One cascade serves the whole run: same-time entries are always
     /// co-resident in the near heap (they share every bit, so they file

@@ -186,115 +186,33 @@ pub(crate) enum Delivery {
         msg: LocalMessage,
     },
     Datagram(Datagram),
-    /// A run of datagrams that arrived for the same process at the same
-    /// instant, delivered through one scheduler event (the batch plane).
-    /// Items are stored last-first so delivery pops them in arrival
-    /// order; a handler that models CPU time defers the unconsumed tail
-    /// exactly as per-datagram delivery would have.
-    DatagramBatch(Vec<Datagram>),
     Stream {
         stream: StreamId,
         event: crate::process::StreamEvent,
     },
 }
 
-impl Delivery {
-    fn carries_datagrams(&self) -> bool {
-        matches!(self, Delivery::Datagram(_) | Delivery::DatagramBatch(_))
-    }
-}
-
 /// Deliveries to one process, in dispatch order, that ride the scheduler
 /// as one entry while the process is busy (see [`World::defer`]).
-pub(crate) struct DeliveryRun {
-    items: VecDeque<Delivery>,
-    /// How many of `items` carry datagrams: the adaptive batch window
-    /// counts a run holding any as datagram traffic.
-    datagrams: usize,
-}
+pub(crate) type DeliveryRun = VecDeque<Delivery>;
 
-impl DeliveryRun {
-    fn push_back(&mut self, d: Delivery) {
-        self.datagrams += usize::from(d.carries_datagrams());
-        self.items.push_back(d);
-    }
-
-    fn push_front(&mut self, d: Delivery) {
-        self.datagrams += usize::from(d.carries_datagrams());
-        self.items.push_front(d);
-    }
-
-    fn pop_front(&mut self) -> Option<Delivery> {
-        let d = self.items.pop_front()?;
-        self.datagrams -= usize::from(d.carries_datagrams());
-        Some(d)
-    }
-
-    /// Appends `other`'s items, moving the shorter side so repeated
-    /// merges stay O(k log k) in the worst case, and returns the emptied
-    /// buffer for reuse.
-    fn append(&mut self, mut other: DeliveryRun) -> VecDeque<Delivery> {
-        self.datagrams += other.datagrams;
-        if other.items.len() > self.items.len() {
-            while let Some(d) = self.items.pop_back() {
-                other.items.push_front(d);
-            }
-            std::mem::swap(&mut self.items, &mut other.items);
-        } else {
-            self.items.append(&mut other.items);
+/// Appends `other`'s items to `run`, moving the shorter side so repeated
+/// merges stay O(k log k) in the worst case, and returns the emptied
+/// buffer for reuse.
+fn append_run(run: &mut DeliveryRun, mut other: DeliveryRun) -> DeliveryRun {
+    if other.len() > run.len() {
+        while let Some(d) = run.pop_back() {
+            other.push_front(d);
         }
-        other.items
+        std::mem::swap(run, &mut other);
+    } else {
+        run.append(&mut other);
     }
+    other
 }
 
 /// Empty run buffers kept for reuse; more are dropped.
 const RUN_BUFFERS_KEPT: usize = 32;
-
-/// The latency-vs-throughput knob for the dispatch batch plane.
-///
-/// Frames that arrive on one segment at the same virtual instant can be
-/// drained into a single dispatch batch instead of one handler call per
-/// event. Batching never reorders work — a batch is exactly a
-/// consecutive run of the (time, seq) event order — so a batched run is
-/// observationally identical to an unbatched one; the knob only trades
-/// per-event dispatch overhead against the size of the work quantum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Upper bound on events grouped into one dispatch batch. `1`
-    /// disables the batch plane entirely.
-    pub max_batch: usize,
-    /// When `true`, the live batch bound starts at 1, doubles toward
-    /// `max_batch` under sustained same-tick frame load, and halves back
-    /// toward 1 after a sustained frame-free stretch. When `false`, the
-    /// bound is pinned at `max_batch`.
-    pub adapt: bool,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy {
-            max_batch: 32,
-            adapt: true,
-        }
-    }
-}
-
-impl BatchPolicy {
-    /// A policy that disables the batch plane (every event dispatched
-    /// individually, the pre-batching behavior).
-    pub fn unbatched() -> BatchPolicy {
-        BatchPolicy {
-            max_batch: 1,
-            adapt: false,
-        }
-    }
-}
-
-/// Consecutive frame-free ticks before an adaptive batch window halves.
-/// Large enough that the timer ticks interleaved between traffic bursts
-/// don't collapse the window, small enough that a genuinely idle
-/// federation returns to single-event (lowest-latency) dispatch quickly.
-const IDLE_TICKS_TO_SHRINK: u32 = 16;
 
 impl std::fmt::Debug for ProcSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -412,12 +330,9 @@ pub struct World {
     /// Events scheduled at the current tick while `step_batch` drains
     /// it; they extend the live batch instead of re-entering the wheel.
     tick_overflow: VecDeque<EventKind>,
-    /// Datagram-carrying deliveries dispatched or deferred this tick
-    /// (see `step_batch`).
-    tick_dgrams: usize,
     /// Emptied [`DeliveryRun`] buffers, reused so deferral does not
     /// allocate in steady state.
-    run_buffers: Vec<VecDeque<Delivery>>,
+    run_buffers: Vec<DeliveryRun>,
     /// `true` while `step_batch` is dispatching a batch.
     in_tick_drain: bool,
     /// Total events dispatched since the world was created.
@@ -446,22 +361,6 @@ pub struct World {
     /// Scheduler lag (pop time minus due time), recorded allocation-free
     /// per queue advance and folded into the registry as `sched.lag_ns`.
     sched_lag: Histogram,
-    /// The configured batch-plane knob (see [`BatchPolicy`]).
-    batch_policy: BatchPolicy,
-    /// Live adaptive batch bound: 1..=`batch_policy.max_batch`.
-    batch_window: usize,
-    /// Consecutive frame-free ticks; the window shrinks only after
-    /// [`IDLE_TICKS_TO_SHRINK`] of them, so timer ticks interleaved
-    /// between bursts don't collapse a window the load still needs.
-    idle_ticks: u32,
-    /// Sizes of dispatched frame batches, folded as `sched.batch_size`
-    /// (bucket bounds are nanosecond-labelled but the recorded values
-    /// are counts; min/mean/max are the meaningful fields).
-    batch_sizes: Histogram,
-    /// Reusable scratch for grouping same-segment frame runs.
-    frame_batch: Vec<Frame>,
-    /// Reusable scratch for grouping same-process datagram runs.
-    dgram_batch: Vec<Datagram>,
     /// Shard identity when this world is one shard of a sharded run.
     shard: Option<Box<ShardMembership>>,
     /// The incident trigger plane, when the flight recorder is on.
@@ -510,7 +409,6 @@ impl World {
             queue: TimerWheel::new(),
             batch: VecDeque::new(),
             tick_overflow: VecDeque::new(),
-            tick_dgrams: 0,
             run_buffers: Vec::new(),
             in_tick_drain: false,
             events_processed: 0,
@@ -529,42 +427,10 @@ impl World {
             telemetry: None,
             sampler_armed: false,
             sched_lag: Histogram::default(),
-            batch_policy: BatchPolicy::default(),
-            batch_window: 1,
-            idle_ticks: 0,
-            batch_sizes: Histogram::default(),
-            frame_batch: Vec::new(),
-            dgram_batch: Vec::new(),
             shard: None,
             incident: None,
             attrib: None,
         }
-    }
-
-    /// Sets the dispatch batch-plane knob. The live adaptive bound
-    /// resets: to 1 for an adapting policy, to `max_batch` for a pinned
-    /// one. A `max_batch` of 0 is treated as 1 (batching off).
-    pub fn set_batch_policy(&mut self, policy: BatchPolicy) {
-        let max = policy.max_batch.max(1);
-        self.batch_policy = BatchPolicy {
-            max_batch: max,
-            adapt: policy.adapt,
-        };
-        self.batch_window = if policy.adapt { 1 } else { max };
-        self.idle_ticks = 0;
-    }
-
-    /// The configured batch-plane knob.
-    pub fn batch_policy(&self) -> BatchPolicy {
-        self.batch_policy
-    }
-
-    /// The live batch bound: how many same-instant events the dispatch
-    /// plane currently groups per handler invocation. Adapts between 1
-    /// and [`BatchPolicy::max_batch`] when the policy adapts; layered
-    /// runtimes use the same bound so the whole stack follows one knob.
-    pub fn dispatch_batch_limit(&self) -> usize {
-        self.batch_window
     }
 
     /// Current virtual time.
@@ -1097,9 +963,6 @@ impl World {
         let metrics = self.trace.metrics_mut();
         metrics.gauge_set("sched.events_pending", pending as i64);
         metrics.histogram_set("sched.lag_ns", self.sched_lag.clone());
-        if self.batch_sizes.count() > 0 {
-            metrics.histogram_set("sched.batch_size", self.batch_sizes.clone());
-        }
         // `shard.barrier_stall_ns` is registered unconditionally — empty
         // when unsharded, or sharded with wall-health folding off — so
         // sharded and single-process exports carry the same metric set
@@ -1427,61 +1290,10 @@ impl World {
         self.sched_lag.record(self.now.saturating_since(time));
         self.now = self.now.max(time);
         self.in_tick_drain = true;
-        // Frames that arrived on one segment at this instant, this tick.
-        // Drives the adaptive batch bound after the tick completes.
-        let mut tick_frames: usize = 0;
-        // Datagram deliveries dispatched this tick, deferred ones
-        // included. Busy handlers turn one burst into a train of
-        // deferred-delivery ticks with no frame arrivals; those ticks
-        // are dispatch-plane load, not idleness, and must not shrink the
-        // window mid-drain.
-        self.tick_dgrams = 0;
         loop {
             self.events_processed += self.batch.len() as u64;
             while let Some(kind) = self.batch.pop_front() {
-                let EventKind::FrameArrival { segment, frame } = kind else {
-                    match &kind {
-                        EventKind::Deliver { delivery, .. } if delivery.carries_datagrams() => {
-                            self.tick_dgrams += 1;
-                        }
-                        EventKind::DeliverRun { run, .. } if run.datagrams > 0 => {
-                            self.tick_dgrams += 1;
-                        }
-                        _ => {}
-                    }
-                    self.dispatch(kind);
-                    continue;
-                };
-                tick_frames += 1;
-                if self.batch_window <= 1 {
-                    // Batch plane off (or fully shrunk): the exact
-                    // pre-batching dispatch, with no bookkeeping.
-                    self.frame_arrival(segment, frame);
-                    continue;
-                }
-                // Group the consecutive run of same-segment arrivals —
-                // a contiguous slice of the (time, seq) order, so the
-                // batch dispatches in exactly the order per-event
-                // dispatch would have.
-                let mut group = std::mem::take(&mut self.frame_batch);
-                group.push(frame);
-                while group.len() < self.batch_window {
-                    match self.batch.front() {
-                        Some(EventKind::FrameArrival { segment: s, .. }) if *s == segment => {
-                            let Some(EventKind::FrameArrival { frame, .. }) =
-                                self.batch.pop_front()
-                            else {
-                                unreachable!("peeked a frame arrival");
-                            };
-                            tick_frames += 1;
-                            group.push(frame);
-                        }
-                        _ => break,
-                    }
-                }
-                self.frame_arrival_batch(segment, &mut group);
-                group.clear();
-                self.frame_batch = group;
+                self.dispatch(kind);
             }
             if self.tick_overflow.is_empty() {
                 break;
@@ -1492,28 +1304,6 @@ impl World {
             std::mem::swap(&mut self.batch, &mut self.tick_overflow);
         }
         self.in_tick_drain = false;
-        // Adapt the live bound: sustained same-instant frame load doubles
-        // it toward the cap; a frame-free tick halves it back toward 1
-        // (idle latency stays single-event). Purely a dispatch-plane
-        // state — it changes how work is grouped, never what runs when.
-        if self.batch_policy.adapt {
-            if tick_frames >= self.batch_window.max(2) {
-                self.batch_window = (self.batch_window * 2).min(self.batch_policy.max_batch);
-                self.idle_ticks = 0;
-            } else if tick_frames == 0 && self.tick_dgrams == 0 && self.batch_window > 1 {
-                // Only a sustained stretch of ticks with no dispatch
-                // traffic at all shrinks the window; isolated timer
-                // ticks between bursts and deferred-delivery drains of
-                // a busy handler don't.
-                self.idle_ticks += 1;
-                if self.idle_ticks >= IDLE_TICKS_TO_SHRINK {
-                    self.batch_window /= 2;
-                    self.idle_ticks = 0;
-                }
-            } else if tick_frames > 0 || self.tick_dgrams > 0 {
-                self.idle_ticks = 0;
-            }
-        }
         true
     }
 
@@ -1656,15 +1446,12 @@ impl World {
         if !slot.alive {
             return;
         }
-        let rest = if slot.busy_until > self.now {
-            Some(delivery)
-        } else {
-            self.deliver_one(proc, delivery)
-        };
-        if let Some(rest) = rest {
+        if slot.busy_until > self.now {
             let mut run = self.new_run();
-            run.push_back(rest);
-            self.deliver_run(proc, run);
+            run.push_back(delivery);
+            self.defer(proc, run);
+        } else {
+            self.deliver_one(proc, delivery);
         }
     }
 
@@ -1672,7 +1459,7 @@ impl World {
     /// idle. The first item that leaves it busy sends the rest back to
     /// the scheduler as one entry; a dead process drops the run.
     fn deliver_run(&mut self, proc: ProcId, mut run: DeliveryRun) {
-        while !run.items.is_empty() {
+        while !run.is_empty() {
             let Some(slot) = self.procs.get(proc.index()).filter(|s| s.alive) else {
                 break;
             };
@@ -1681,11 +1468,9 @@ impl World {
                 return;
             }
             let delivery = run.pop_front().expect("run is not empty");
-            if let Some(rest) = self.deliver_one(proc, delivery) {
-                run.push_front(rest);
-            }
+            self.deliver_one(proc, delivery);
         }
-        self.recycle_run_buffer(run.items);
+        self.recycle_run_buffer(run);
     }
 
     /// Puts `run` (deliveries to the busy `proc`) back on the scheduler
@@ -1709,13 +1494,9 @@ impl World {
                 _ => break,
             }
             match self.batch.pop_front() {
-                Some(EventKind::Deliver { delivery, .. }) => {
-                    self.tick_dgrams += usize::from(delivery.carries_datagrams());
-                    run.push_back(delivery);
-                }
+                Some(EventKind::Deliver { delivery, .. }) => run.push_back(delivery),
                 Some(EventKind::DeliverRun { run: other, .. }) => {
-                    self.tick_dgrams += usize::from(other.datagrams > 0);
-                    let emptied = run.append(other);
+                    let emptied = append_run(&mut run, other);
                     self.recycle_run_buffer(emptied);
                 }
                 _ => unreachable!("peeked a delivery"),
@@ -1725,76 +1506,29 @@ impl World {
         self.schedule(at, EventKind::DeliverRun { proc, run });
     }
 
-    /// Runs one delivery on a live, idle process. Returns the unconsumed
-    /// tail of a datagram batch whose handler went busy part-way.
-    fn deliver_one(&mut self, proc: ProcId, delivery: Delivery) -> Option<Delivery> {
+    /// Runs one delivery on a live, idle process.
+    fn deliver_one(&mut self, proc: ProcId, delivery: Delivery) {
         if let Delivery::Timer { timer_id, .. } = delivery {
             if self.cancelled_timers.remove(&timer_id) {
-                return None;
+                return;
             }
-        }
-        if let Delivery::DatagramBatch(items) = delivery {
-            return self.deliver_datagram_batch(proc, items);
         }
         self.invoke(proc, move |p, ctx| match delivery {
             Delivery::Start => p.on_start(ctx),
             Delivery::Timer { token, .. } => p.on_timer(ctx, token),
             Delivery::Local { from, msg } => p.on_local(ctx, from, msg),
             Delivery::Datagram(d) => p.on_datagram(ctx, d),
-            Delivery::DatagramBatch(_) => unreachable!("handled above"),
             Delivery::Stream { stream, event } => p.on_stream(ctx, stream, event),
         });
-        None
-    }
-
-    /// Delivers a same-instant datagram run to one process inside a
-    /// single handler invocation. Busy semantics match per-datagram
-    /// delivery: if the handler models CPU time mid-batch, the unconsumed
-    /// tail is returned for deferral, exactly where individual deferred
-    /// deliveries would land. Each datagram handled counts as one
-    /// processed event, so throughput accounting is identical between
-    /// batched and unbatched runs.
-    fn deliver_datagram_batch(
-        &mut self,
-        proc: ProcId,
-        mut items: Vec<Datagram>,
-    ) -> Option<Delivery> {
-        let before = items.len() as u64;
-        let mut leftover: Vec<Datagram> = Vec::new();
-        {
-            let stash = &mut leftover;
-            let queue = &mut items;
-            self.invoke(proc, move |p, ctx| {
-                while let Some(d) = queue.pop() {
-                    p.on_datagram(ctx, d);
-                    if !queue.is_empty() && ctx.proc_is_busy() {
-                        std::mem::swap(stash, queue);
-                        break;
-                    }
-                }
-            });
-        }
-        let handled = before - leftover.len() as u64;
-        // The batch popped as one scheduler entry; count the rest here so
-        // `events_processed` matches an unbatched run delivery-for-delivery.
-        self.events_processed += handled.saturating_sub(1);
-        match leftover.len() {
-            0 => None,
-            1 => leftover.pop().map(Delivery::Datagram),
-            _ => Some(Delivery::DatagramBatch(leftover)),
-        }
     }
 
     fn new_run(&mut self) -> DeliveryRun {
-        DeliveryRun {
-            items: self.run_buffers.pop().unwrap_or_default(),
-            datagrams: 0,
-        }
+        self.run_buffers.pop().unwrap_or_default()
     }
 
     /// Returns a run's buffer to the pool, dropping any items a dead
     /// process left in it.
-    fn recycle_run_buffer(&mut self, mut items: VecDeque<Delivery>) {
+    fn recycle_run_buffer(&mut self, mut items: DeliveryRun) {
         if self.run_buffers.len() < RUN_BUFFERS_KEPT {
             items.clear();
             self.run_buffers.push(items);
@@ -2049,107 +1783,8 @@ impl World {
         Ok(())
     }
 
-    /// Dispatches a batch of frames that arrived on one segment at the
-    /// same instant (a consecutive run of the (time, seq) event order).
-    /// Within the batch, consecutive unicast datagrams bound for the same
-    /// process collapse into one [`Delivery::DatagramBatch`] — one
-    /// scheduler event and one handler wakeup for the whole run. Only
-    /// *consecutive* same-destination runs are grouped, so the relative
-    /// order of every delivery is exactly what per-frame dispatch
-    /// produces.
-    fn frame_arrival_batch(&mut self, segment: SegmentId, frames: &mut Vec<Frame>) {
-        self.batch_sizes
-            .record(SimDuration::from_nanos(frames.len() as u64));
-        if frames.len() > 1 {
-            self.trace
-                .bump("dispatch.batched_frames", frames.len() as u64);
-        }
-        let mut pending = std::mem::take(&mut self.dgram_batch);
-        let mut pending_proc: Option<ProcId> = None;
-        // Consecutive frames of one burst share a destination, so the
-        // port-binding hash lookup is memoized across the run. Safe
-        // because grouping a plain-unicast run only *schedules* work —
-        // no handler code runs, so bindings cannot change mid-run; any
-        // other frame kind may run protocol code inline and drops the
-        // memo. Negative lookups are never memoized: each undeliverable
-        // datagram must bump its drop counter exactly as per-frame
-        // arrival does.
-        let mut memo: Option<(Addr, ProcId)> = None;
-        for frame in frames.drain(..) {
-            // Only plain unicast datagrams group; everything else keeps
-            // its per-frame handling (after flushing any open group so
-            // order is preserved).
-            let is_plain_unicast = matches!(
-                (&frame.dst, &frame.payload),
-                (
-                    FrameDst::Unicast(_),
-                    FramePayload::Datagram {
-                        multicast: false,
-                        ..
-                    }
-                )
-            );
-            if !is_plain_unicast {
-                memo = None;
-                self.flush_dgram_batch(&mut pending, &mut pending_proc);
-                self.frame_arrival(segment, frame);
-                continue;
-            }
-            let FramePayload::Datagram { src, dst, data, .. } = frame.payload else {
-                unreachable!("matched a datagram above");
-            };
-            // An undeliverable datagram schedules nothing, so it is
-            // counted and dropped without disturbing the open group.
-            let proc = match memo {
-                Some((a, p)) if a == dst => p,
-                _ => {
-                    let Some(p) = self.unicast_binding(dst) else {
-                        continue;
-                    };
-                    memo = Some((dst, p));
-                    p
-                }
-            };
-            if pending_proc.is_some() && pending_proc != Some(proc) {
-                self.flush_dgram_batch(&mut pending, &mut pending_proc);
-            }
-            pending_proc = Some(proc);
-            pending.push(Datagram {
-                src,
-                dst,
-                data,
-                multicast: false,
-            });
-        }
-        self.flush_dgram_batch(&mut pending, &mut pending_proc);
-        self.dgram_batch = pending;
-    }
-
-    /// Schedules the accumulated same-process datagram run: a singleton
-    /// goes out as a plain [`Delivery::Datagram`] (byte-for-byte the
-    /// unbatched path), a longer run as one [`Delivery::DatagramBatch`].
-    fn flush_dgram_batch(&mut self, pending: &mut Vec<Datagram>, proc: &mut Option<ProcId>) {
-        let Some(p) = proc.take() else {
-            debug_assert!(pending.is_empty());
-            return;
-        };
-        match pending.len() {
-            0 => {}
-            1 => {
-                let d = pending.pop().expect("checked len");
-                self.schedule_delivery(self.now, p, Delivery::Datagram(d));
-            }
-            _ => {
-                // Stored last-first so delivery pops in arrival order.
-                let mut items: Vec<Datagram> = std::mem::take(pending);
-                items.reverse();
-                self.schedule_delivery(self.now, p, Delivery::DatagramBatch(items));
-            }
-        }
-    }
-
     /// Resolves the receiving process for a unicast datagram, counting
-    /// undeliverable ones exactly as per-frame arrival does.
+    /// undeliverable ones under `datagrams.no_listener`.
     fn unicast_binding(&mut self, dst: Addr) -> Option<ProcId> {
         let node = self.nodes.get(dst.node.index())?;
         if !node.alive {
@@ -2549,160 +2184,5 @@ mod tests {
         );
         w.run_until(SimTime::from_secs(2));
         assert_eq!(got.borrow().as_slice(), b"ping");
-    }
-
-    /// Sends `per_burst` equal-sized datagrams to `target` every 10 ms.
-    /// On a full-duplex switch they all arrive at the same instant, so
-    /// each burst is one same-tick frame run for the batch plane.
-    struct BurstSender {
-        target: Addr,
-        per_burst: u32,
-        bursts: u32,
-        sent: u32,
-    }
-    impl Process for BurstSender {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.bind(7).unwrap();
-            ctx.set_timer(SimDuration::from_millis(10), 0);
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-            for i in 0..self.per_burst {
-                ctx.send_to(7, self.target, vec![(self.sent + i) as u8; 8])
-                    .unwrap();
-            }
-            self.sent += self.per_burst;
-            self.bursts -= 1;
-            if self.bursts > 0 {
-                ctx.set_timer(SimDuration::from_millis(10), 0);
-            }
-        }
-    }
-
-    struct RecordingSink {
-        got: Rc<RefCell<Vec<(SimTime, u8)>>>,
-        cost: SimDuration,
-    }
-    impl Process for RecordingSink {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.bind(9).unwrap();
-        }
-        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, d: Datagram) {
-            self.got.borrow_mut().push((ctx.now(), d.data[0]));
-            if !self.cost.is_zero() {
-                ctx.busy(self.cost);
-            }
-        }
-    }
-
-    type Recorded = Rc<RefCell<Vec<(SimTime, u8)>>>;
-
-    fn burst_world(policy: BatchPolicy, cost: SimDuration) -> (World, Recorded) {
-        let mut w = World::new(7);
-        w.set_batch_policy(policy);
-        let seg = w.add_segment(SegmentConfig::ethernet_100mbps_switch());
-        let a = w.add_node("sender");
-        let b = w.add_node("sink");
-        w.attach(a, seg).unwrap();
-        w.attach(b, seg).unwrap();
-        let got = Rc::new(RefCell::new(Vec::new()));
-        w.add_process(
-            b,
-            Box::new(RecordingSink {
-                got: Rc::clone(&got),
-                cost,
-            }),
-        );
-        w.add_process(
-            a,
-            Box::new(BurstSender {
-                target: Addr::new(b, 9),
-                per_burst: 8,
-                bursts: 6,
-                sent: 0,
-            }),
-        );
-        (w, got)
-    }
-
-    #[test]
-    fn batched_delivery_preserves_arrival_times_and_order() {
-        let (mut w_off, got_off) = burst_world(BatchPolicy::unbatched(), SimDuration::ZERO);
-        let (mut w_on, got_on) = burst_world(BatchPolicy::default(), SimDuration::ZERO);
-        w_off.run_until(SimTime::from_secs(1));
-        w_on.run_until(SimTime::from_secs(1));
-        assert_eq!(got_off.borrow().len(), 48);
-        assert_eq!(got_off.borrow().as_slice(), got_on.borrow().as_slice());
-        // The batched run actually exercised the batch plane.
-        assert!(w_on.trace().metrics().counter("dispatch.batched_frames") > 0);
-        assert_eq!(
-            w_off.trace().metrics().counter("dispatch.batched_frames"),
-            0
-        );
-        // Both runs account the same number of processed events.
-        assert_eq!(w_off.events_processed(), w_on.events_processed());
-    }
-
-    #[test]
-    fn batched_delivery_defers_tail_exactly_like_busy_per_item() {
-        // A sink that burns CPU per datagram: the batch plane must land
-        // every item at the same instant per-item delivery would have.
-        let cost = SimDuration::from_micros(300);
-        let (mut w_off, got_off) = burst_world(BatchPolicy::unbatched(), cost);
-        let (mut w_on, got_on) = burst_world(BatchPolicy::default(), cost);
-        w_off.run_until(SimTime::from_secs(1));
-        w_on.run_until(SimTime::from_secs(1));
-        assert_eq!(got_off.borrow().len(), 48);
-        assert_eq!(got_off.borrow().as_slice(), got_on.borrow().as_slice());
-    }
-
-    #[test]
-    fn adaptive_window_grows_under_load_and_shrinks_when_idle() {
-        let (mut w, _got) = burst_world(BatchPolicy::default(), SimDuration::ZERO);
-        assert_eq!(w.dispatch_batch_limit(), 1, "starts single-event");
-        // Run through the bursts: the window must have grown past 1 and
-        // batches must have been recorded.
-        w.run_until(SimTime::from_millis(65));
-        assert!(
-            w.dispatch_batch_limit() > 1,
-            "sustained 8-frame bursts must widen the window (got {})",
-            w.dispatch_batch_limit()
-        );
-        // A long idle stretch (driven by timer-only ticks) shrinks back
-        // to single-event dispatch.
-        struct IdleTicker;
-        impl Process for IdleTicker {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.set_timer(SimDuration::from_millis(1), 0);
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-                ctx.set_timer(SimDuration::from_millis(1), 0);
-            }
-        }
-        let n = w.add_node("ticker");
-        w.add_process(n, Box::new(IdleTicker));
-        w.run_until(SimTime::from_secs(2));
-        assert_eq!(w.dispatch_batch_limit(), 1, "idle shrinks back to 1");
-    }
-
-    #[test]
-    fn pinned_policy_skips_adaptation() {
-        let (mut w, got) = burst_world(
-            BatchPolicy {
-                max_batch: 4,
-                adapt: false,
-            },
-            SimDuration::ZERO,
-        );
-        assert_eq!(w.dispatch_batch_limit(), 4, "pinned at max from the start");
-        w.run_until(SimTime::from_secs(1));
-        assert_eq!(w.dispatch_batch_limit(), 4);
-        assert_eq!(got.borrow().len(), 48);
-        // Groups are capped at max_batch: 8-frame bursts become 4+4.
-        let h = w
-            .trace()
-            .metrics()
-            .histogram("sched.batch_size")
-            .expect("batches recorded");
-        assert_eq!(h.max(), SimDuration::from_nanos(4));
     }
 }

@@ -7,8 +7,8 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use simnet::{
-    check_cases, Addr, BatchPolicy, Ctx, Datagram, LocalMessage, ProcId, Process, SegmentConfig,
-    SimDuration, SimRng, SimTime, TimerHandle, World,
+    check_cases, Addr, Ctx, Datagram, LocalMessage, ProcId, Process, SegmentConfig, SimDuration,
+    SimRng, SimTime, TimerHandle, World,
 };
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,9 +171,8 @@ impl Load {
     }
 
     /// Runs the load against a server with `costs` and returns its log.
-    fn run(&self, policy: BatchPolicy, costs: Vec<SimDuration>) -> Vec<(Kind, u32, SimTime)> {
+    fn run(&self, costs: Vec<SimDuration>) -> Vec<(Kind, u32, SimTime)> {
         let mut w = World::new(11);
-        w.set_batch_policy(policy);
         let seg = w.add_segment(SegmentConfig::ethernet_100mbps_switch());
         let host = w.add_node("server");
         w.attach(host, seg).unwrap();
@@ -215,29 +214,26 @@ fn busy_server_matches_fifo_recurrence() {
     static QUEUED: AtomicUsize = AtomicUsize::new(0);
     check_cases("busy_server_matches_fifo_recurrence", 48, |_, rng| {
         let load = Load::random(rng);
-        let arrivals = load.run(BatchPolicy::unbatched(), vec![SimDuration::ZERO]);
+        let arrivals = load.run(vec![SimDuration::ZERO]);
         assert_eq!(arrivals.len(), load.messages(), "every message arrives");
-        for policy in [BatchPolicy::unbatched(), BatchPolicy::default()] {
-            let served = load.run(policy, load.costs.clone());
-            let order = |log: &[(Kind, u32, SimTime)]| -> Vec<(Kind, u32)> {
-                log.iter().map(|&(k, id, _)| (k, id)).collect()
-            };
-            assert_eq!(order(&served), order(&arrivals), "FIFO service order");
-            let mut end = SimTime::ZERO;
-            for (i, (&(_, _, start), &(_, _, arrival))) in served.iter().zip(&arrivals).enumerate()
-            {
-                assert_eq!(start, arrival.max(end), "call {i} under {policy:?}");
-                if start > arrival {
-                    QUEUED.fetch_add(1, Ordering::Relaxed);
-                }
-                let cost = load.costs[i % load.costs.len()];
-                if !cost.is_zero() {
-                    end = start + cost;
-                    assert!(
-                        arrivals.iter().all(|&(_, _, a)| a != end),
-                        "a busy end coincides with an arrival"
-                    );
-                }
+        let served = load.run(load.costs.clone());
+        let order = |log: &[(Kind, u32, SimTime)]| -> Vec<(Kind, u32)> {
+            log.iter().map(|&(k, id, _)| (k, id)).collect()
+        };
+        assert_eq!(order(&served), order(&arrivals), "FIFO service order");
+        let mut end = SimTime::ZERO;
+        for (i, (&(_, _, start), &(_, _, arrival))) in served.iter().zip(&arrivals).enumerate() {
+            assert_eq!(start, arrival.max(end), "call {i}");
+            if start > arrival {
+                QUEUED.fetch_add(1, Ordering::Relaxed);
+            }
+            let cost = load.costs[i % load.costs.len()];
+            if !cost.is_zero() {
+                end = start + cost;
+                assert!(
+                    arrivals.iter().all(|&(_, _, a)| a != end),
+                    "a busy end coincides with an arrival"
+                );
             }
         }
     });

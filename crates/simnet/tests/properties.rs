@@ -5,8 +5,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use simnet::{
-    check_cases, Addr, Ctx, Datagram, Process, SegmentConfig, SimDuration, SimError, SimTime,
-    StreamEvent, StreamId, World,
+    check_cases, Addr, Ctx, Process, SegmentConfig, SimDuration, SimError, SimTime, StreamEvent,
+    StreamId, World,
 };
 
 /// A sink that records received bytes and close events.
@@ -496,171 +496,6 @@ fn shared_payload_stream_reassembles_under_loss() {
             world.run_until(SimTime::from_secs(300));
             assert_eq!(*received.borrow(), payload);
             assert!(*closed.borrow(), "FIN delivered");
-        },
-    );
-}
-
-/// One randomly-drawn sender in the batch-plane equivalence scenario.
-struct BurstSpec {
-    target_port: u16,
-    target_idx: usize,
-    per_burst: u32,
-    bursts: u32,
-    size: usize,
-    interval: SimDuration,
-}
-
-/// Sends `per_burst` datagrams per timer firing, `bursts` times.
-struct SpecSender {
-    target: Addr,
-    per_burst: u32,
-    bursts: u32,
-    size: usize,
-    interval: SimDuration,
-    seq: u8,
-}
-
-impl Process for SpecSender {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.bind(7).unwrap();
-        let interval = self.interval;
-        ctx.set_timer(interval, 0);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        for _ in 0..self.per_burst {
-            ctx.send_to(7, self.target, vec![self.seq; self.size])
-                .unwrap();
-            self.seq = self.seq.wrapping_add(1);
-        }
-        self.bursts -= 1;
-        if self.bursts > 0 {
-            let interval = self.interval;
-            ctx.set_timer(interval, 0);
-        }
-    }
-}
-
-/// Records arrival instants and payload markers; optionally models
-/// per-datagram CPU so the batch plane's busy-deferral path is hit too.
-struct BatchSink {
-    port: u16,
-    got: Rc<RefCell<Vec<(SimTime, u8, usize)>>>,
-    cost: SimDuration,
-}
-
-impl Process for BatchSink {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.bind(self.port).unwrap();
-    }
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, d: Datagram) {
-        self.got
-            .borrow_mut()
-            .push((ctx.now(), d.data[0], d.data.len()));
-        if !self.cost.is_zero() {
-            ctx.busy(self.cost);
-        }
-    }
-}
-
-/// Batched and unbatched dispatch are observationally identical: for any
-/// random topology and load, a run under an adaptive `BatchPolicy`
-/// produces the same deliveries (times included), the same trace events
-/// and spans, and the same metrics — except the batch plane's own two
-/// instruments (`sched.batch_size`, `dispatch.batched_frames`), which
-/// only exist on the batched side.
-#[test]
-fn batched_dispatch_is_observationally_identical_to_unbatched() {
-    check_cases(
-        "batched_dispatch_is_observationally_identical_to_unbatched",
-        16,
-        |_, rng| {
-            let seed = rng.gen_range(0u64..1000);
-            let full_duplex = rng.gen_bool(0.6);
-            let n_sinks = rng.gen_range(1usize..3);
-            let sink_cost = if rng.gen_bool(0.5) {
-                SimDuration::from_micros(rng.gen_range(10u64..500))
-            } else {
-                SimDuration::ZERO
-            };
-            let specs: Vec<BurstSpec> = (0..rng.gen_range(1usize..5))
-                .map(|_| BurstSpec {
-                    target_port: 9,
-                    target_idx: rng.gen_range(0..n_sinks),
-                    per_burst: rng.gen_range(1u32..13),
-                    bursts: rng.gen_range(1u32..6),
-                    size: rng.gen_range(1usize..256),
-                    interval: SimDuration::from_micros(rng.gen_range(500u64..20_000)),
-                })
-                .collect();
-            let policy = simnet::BatchPolicy {
-                max_batch: rng.gen_range(2usize..33),
-                adapt: rng.gen_bool(0.5),
-            };
-
-            let run = |policy: simnet::BatchPolicy| {
-                let mut w = World::new(seed);
-                w.set_batch_policy(policy);
-                let seg = w.add_segment(if full_duplex {
-                    SegmentConfig::ethernet_100mbps_switch()
-                } else {
-                    SegmentConfig::ethernet_10mbps_hub()
-                });
-                let sinks: Vec<_> = (0..n_sinks)
-                    .map(|i| {
-                        let n = w.add_node(format!("sink{i}"));
-                        w.attach(n, seg).unwrap();
-                        let got = Rc::new(RefCell::new(Vec::new()));
-                        w.add_process(
-                            n,
-                            Box::new(BatchSink {
-                                port: 9,
-                                got: Rc::clone(&got),
-                                cost: sink_cost,
-                            }),
-                        );
-                        (n, got)
-                    })
-                    .collect();
-                for (i, s) in specs.iter().enumerate() {
-                    let n = w.add_node(format!("sender{i}"));
-                    w.attach(n, seg).unwrap();
-                    w.add_process(
-                        n,
-                        Box::new(SpecSender {
-                            target: Addr::new(sinks[s.target_idx].0, s.target_port),
-                            per_burst: s.per_burst,
-                            bursts: s.bursts,
-                            size: s.size,
-                            interval: s.interval,
-                            seq: 0,
-                        }),
-                    );
-                }
-                w.run_until(SimTime::from_secs(2));
-                let deliveries: Vec<Vec<(SimTime, u8, usize)>> =
-                    sinks.iter().map(|(_, got)| got.borrow().clone()).collect();
-                let events = w.trace().events().to_vec();
-                let spans = w.trace().spans().to_vec();
-                let mut metrics = w.trace().metrics().snapshot();
-                metrics.counters.remove("dispatch.batched_frames");
-                metrics.histograms.remove("sched.batch_size");
-                (deliveries, events, spans, metrics, w.events_processed())
-            };
-
-            let unbatched = run(simnet::BatchPolicy::unbatched());
-            let batched = run(policy);
-            assert_eq!(unbatched.0, batched.0, "deliveries must match");
-            assert_eq!(unbatched.1, batched.1, "trace events must match");
-            assert_eq!(unbatched.2, batched.2, "spans must match");
-            assert_eq!(unbatched.3, batched.3, "metrics must match");
-            if sink_cost.is_zero() {
-                // Throughput accounting (events_processed) is itemized,
-                // so it matches too — except under busy deferral, where
-                // a deferred backlog pops once per busy horizon and its
-                // shape (same-tick batch or separate datagrams) differs
-                // between the modes.
-                assert_eq!(unbatched.4, batched.4, "event accounting must match");
-            }
         },
     );
 }

@@ -1,10 +1,9 @@
 //! Sharded-kernel equivalence and safety battery.
 //!
-//! The core property mirrors PR 6's batched-vs-unbatched battery: for a
-//! random multi-wing topology, running the federation on 1, 2 or 4
-//! shards produces byte-identical per-wing observations — every
-//! delivery (times included), every wing-scoped trace line, every
-//! wing-scoped span record, every wing-scoped counter. The partitioning
+//! The core property: for a random multi-wing topology, running the
+//! federation on 1, 2 or 4 shards produces byte-identical per-wing
+//! observations — every delivery (times included), every wing-scoped
+//! trace line, every wing-scoped span record, every wing-scoped counter. The partitioning
 //! is allowed to change *where* work runs, never *what* happens or
 //! *when*. The incident plane rides the same property: bundles the
 //! trigger plane snapshots must be byte-identical across runs at any

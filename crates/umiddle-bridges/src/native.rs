@@ -290,11 +290,6 @@ impl Process for NativeService {
                 msg,
                 connection,
             } => self.handle_input(ctx, translator, port, msg, connection),
-            RuntimeEvent::InputBatch { inputs } => {
-                for d in inputs {
-                    self.handle_input(ctx, d.translator, d.port, d.msg, d.connection);
-                }
-            }
             _ => {}
         }
     }
@@ -302,8 +297,7 @@ impl Process for NativeService {
 
 impl NativeService {
     /// Runs the behaviour callback for one delivered input — called
-    /// once per [`RuntimeEvent::Input`] and once per element of an
-    /// [`RuntimeEvent::InputBatch`].
+    /// once per [`RuntimeEvent::Input`].
     fn handle_input(
         &mut self,
         ctx: &mut Ctx<'_>,

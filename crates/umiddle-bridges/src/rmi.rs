@@ -205,18 +205,12 @@ impl RmiMapper {
                 msg,
                 connection,
             } => self.handle_input(ctx, translator, port, msg, connection),
-            RuntimeEvent::InputBatch { inputs } => {
-                for d in inputs {
-                    self.handle_input(ctx, d.translator, d.port, d.msg, d.connection);
-                }
-            }
             _ => {}
         }
     }
 
     /// Translates one delivered input into a remote `echo` invocation —
-    /// called once per [`RuntimeEvent::Input`] and once per element of
-    /// an [`RuntimeEvent::InputBatch`].
+    /// called once per [`RuntimeEvent::Input`].
     fn handle_input(
         &mut self,
         ctx: &mut Ctx<'_>,

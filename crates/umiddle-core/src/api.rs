@@ -182,16 +182,6 @@ pub enum RuntimeEvent {
         /// The connection it arrived on.
         connection: ConnectionId,
     },
-    /// A run of messages that became deliverable at the same instant for
-    /// translators delegated to the receiver, handed over in one wakeup
-    /// (the batch plane; see [`simnet::BatchPolicy`]). Handle each item
-    /// exactly as an [`RuntimeEvent::Input`] — including one
-    /// [`ack_input_done`] per item; delivery credit is accounted per
-    /// message, not per batch.
-    InputBatch {
-        /// The deliveries, in the order they were polled.
-        inputs: Vec<InputDelivery>,
-    },
     /// A dynamic (query) connection bound to a concrete destination port.
     PathBound {
         /// The dynamic connection.
@@ -223,20 +213,6 @@ pub enum RuntimeEvent {
         /// not enabled telemetry.
         window: Option<simnet::TelemetryWindow>,
     },
-}
-
-/// One element of an [`RuntimeEvent::InputBatch`]: the same payload an
-/// individual [`RuntimeEvent::Input`] carries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InputDelivery {
-    /// The destination translator.
-    pub translator: TranslatorId,
-    /// The input port name.
-    pub port: Symbol,
-    /// The message.
-    pub msg: UMessage,
-    /// The connection it arrived on.
-    pub connection: ConnectionId,
 }
 
 /// Internal self-echo used by [`ack_input_done`] to defer the

@@ -74,8 +74,8 @@ pub mod shardlink;
 mod wire;
 
 pub use api::{
-    ack_input_done, handle_input_done_echo, ConnectTarget, DirectoryEvent, InputDelivery,
-    InputDoneEcho, RuntimeClient, RuntimeEvent, RuntimeRequest,
+    ack_input_done, handle_input_done_echo, ConnectTarget, DirectoryEvent, InputDoneEcho,
+    RuntimeClient, RuntimeEvent, RuntimeRequest,
 };
 pub use directory::{DirectoryEntry, DirectoryTable, UpsertEffect};
 pub use error::{CoreError, CoreResult};
@@ -89,4 +89,4 @@ pub use query::Query;
 pub use replica::{DeltaOutcome, DirectoryReplica, ServeReply};
 pub use runtime::{RuntimeConfig, RuntimeStats, UmiddleRuntime};
 pub use shape::{Direction, PerceptionType, PortKind, PortSpec, Shape, ShapeBuilder};
-pub use wire::{DeltaOp, FrameDecoder, FramedBatch, WireMessage, WireTarget};
+pub use wire::{DeltaOp, FrameDecoder, WireMessage, WireTarget};

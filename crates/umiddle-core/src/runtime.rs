@@ -15,7 +15,7 @@ use simnet::{
     Addr, Ctx, Datagram, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId,
 };
 
-use crate::api::{ConnectTarget, DirectoryEvent, InputDelivery, RuntimeEvent, RuntimeRequest};
+use crate::api::{ConnectTarget, DirectoryEvent, RuntimeEvent, RuntimeRequest};
 use crate::error::{CoreError, CoreResult};
 use crate::id::{ConnectionId, PortRef, RuntimeId, TranslatorId};
 use crate::intern::Symbol;
@@ -25,7 +25,7 @@ use crate::qos::{QosPolicy, TranslationBuffer};
 use crate::query::Query;
 use crate::replica::{DeltaOutcome, DirectoryReplica, ServeReply};
 use crate::shape::{Direction, PortKind};
-use crate::wire::{DeltaOp, FrameDecoder, FramedBatch, WireMessage, WireTarget};
+use crate::wire::{DeltaOp, FrameDecoder, WireMessage, WireTarget};
 
 /// Timer token for the periodic advertise/expire tick.
 const TIMER_TICK: u64 = 0;
@@ -212,10 +212,6 @@ pub struct UmiddleRuntime {
     /// Reusable fan-out scratch so steady-state dispatch does not
     /// allocate.
     scratch: Vec<ConnectionId>,
-    /// Reusable scratch for grouping same-wakeup input deliveries (the
-    /// batch plane); taken and restored around each use so the single-
-    /// message path never allocates.
-    input_scratch: Vec<InputDelivery>,
     /// Reusable scratch for one-pass wire-frame decoding.
     decode_scratch: Vec<CoreResult<WireMessage>>,
     /// Reusable scratch for directory expiry/eviction sweeps, so the
@@ -262,7 +258,6 @@ impl UmiddleRuntime {
             buffered_total: 0,
             dropped_total: 0,
             scratch: Vec::new(),
-            input_scratch: Vec::new(),
             decode_scratch: Vec::new(),
             expire_scratch: Vec::new(),
             event_scratch: Vec::new(),
@@ -300,6 +295,142 @@ impl UmiddleRuntime {
     /// A snapshot of the accumulated statistics.
     pub fn stats(&self) -> RuntimeStats {
         *self.stats.borrow()
+    }
+
+    /// Checks the runtime's indexes against each other: every entry of
+    /// the source, destination, home, query and path-uid indexes names a
+    /// live connection that belongs there, every live connection and
+    /// path is in each index it belongs to, the peer maps are mutual
+    /// inverses, and the running buffer totals equal the sums over live
+    /// paths. Returns the first violation found.
+    ///
+    /// Debug builds run it after every [`Process`] callback.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let live = |cid: &ConnectionId, index: &str| match self.connections.get(cid) {
+            Some(conn) => Ok(conn),
+            None => Err(format!("{index} names dead connection {cid}")),
+        };
+        let mut src_entries = 0;
+        for (translator, by_port) in &self.src_index {
+            for (port, cids) in by_port {
+                for cid in cids {
+                    let conn = live(cid, "src_index")?;
+                    if conn.src.translator != *translator || conn.src.port != *port {
+                        return Err(format!("src_index files {cid} under {translator}/{port}"));
+                    }
+                }
+                src_entries += cids.len();
+            }
+        }
+        if src_entries != self.connections.len() {
+            return Err(format!(
+                "src_index holds {src_entries} entries for {} connections",
+                self.connections.len()
+            ));
+        }
+        for cid in &self.query_conns {
+            if !matches!(live(cid, "query_conns")?.target, ConnectTarget::Query(_)) {
+                return Err(format!("query_conns names port connection {cid}"));
+            }
+        }
+        for (translator, cids) in &self.dst_index {
+            for cid in cids {
+                if !live(cid, "dst_index")?
+                    .paths
+                    .iter()
+                    .any(|p| p.dst.translator == *translator)
+                {
+                    return Err(format!("dst_index files {cid} under {translator}"));
+                }
+            }
+        }
+        for (home, cids) in &self.home_index {
+            for cid in cids {
+                if !live(cid, "home_index")?
+                    .paths
+                    .iter()
+                    .any(|p| p.home == Some(*home))
+                {
+                    return Err(format!("home_index files {cid} under {home}"));
+                }
+            }
+        }
+        let mut paths = 0;
+        let mut buffered = 0;
+        let mut dropped = 0;
+        for (cid, conn) in &self.connections {
+            let by_src = self
+                .src_index
+                .get(&conn.src.translator)
+                .and_then(|m| m.get(&conn.src.port));
+            if !by_src.is_some_and(|v| v.contains(cid)) {
+                return Err(format!("{cid} missing from src_index"));
+            }
+            let is_query = matches!(conn.target, ConnectTarget::Query(_));
+            if is_query != self.query_conns.contains(cid) {
+                return Err(format!("{cid} query_conns membership is wrong"));
+            }
+            for p in &conn.paths {
+                if self.path_by_uid.get(&p.uid) != Some(cid) {
+                    return Err(format!("path {} of {cid} missing from path_by_uid", p.uid));
+                }
+                if !self
+                    .dst_index
+                    .get(&p.dst.translator)
+                    .is_some_and(|v| v.contains(cid))
+                {
+                    return Err(format!("path to {} of {cid} missing from dst_index", p.dst));
+                }
+                if let Some(home) = p.home {
+                    if !self.home_index.get(&home).is_some_and(|v| v.contains(cid)) {
+                        return Err(format!("path via {home} of {cid} missing from home_index"));
+                    }
+                }
+                buffered += p.buffer.occupancy_bytes();
+                dropped += p.buffer.stats().dropped();
+            }
+            paths += conn.paths.len();
+        }
+        for (uid, cid) in &self.path_by_uid {
+            if !live(cid, "path_by_uid")?
+                .paths
+                .iter()
+                .any(|p| p.uid == *uid)
+            {
+                return Err(format!("path_by_uid maps {uid} to {cid}, which lacks it"));
+            }
+        }
+        if self.path_by_uid.len() != paths {
+            return Err(format!(
+                "path_by_uid holds {} uids for {paths} paths",
+                self.path_by_uid.len()
+            ));
+        }
+        for (home, link) in &self.peers {
+            if self.peer_by_stream.get(&link.stream) != Some(home) {
+                return Err(format!("peer {home} missing from peer_by_stream"));
+            }
+        }
+        for (stream, home) in &self.peer_by_stream {
+            if self.peers.get(home).map(|l| l.stream) != Some(*stream) {
+                return Err(format!(
+                    "peer_by_stream maps {stream:?} to {home}, which lacks it"
+                ));
+            }
+        }
+        if self.buffered_total != buffered {
+            return Err(format!(
+                "buffered_total is {} but paths buffer {buffered} bytes",
+                self.buffered_total
+            ));
+        }
+        if self.dropped_total != dropped {
+            return Err(format!(
+                "dropped_total is {} but paths dropped {dropped}",
+                self.dropped_total
+            ));
+        }
+        Ok(())
     }
 
     fn directory_addr(&self, ctx: &Ctx<'_>) -> Addr {
@@ -1261,14 +1392,9 @@ impl UmiddleRuntime {
 
     /// Pushes buffered messages down one path, respecting delivery credit
     /// (local destinations), stream capacity (remote destinations) and the
-    /// QoS rate limiter.
-    ///
-    /// Messages that are deliverable at the same instant group up to the
-    /// world's live [`simnet::BatchPolicy`] bound: a local run becomes one
-    /// [`RuntimeEvent::InputBatch`] wakeup for the mapper, a remote run is
-    /// framed in one vectored [`FramedBatch`] pass and sent as a single
-    /// wire payload. With the bound at 1 (batching off or fully shrunk)
-    /// every step below reduces to the pre-batching per-message path.
+    /// QoS rate limiter. Each message goes on its own: a local one as one
+    /// [`RuntimeEvent::Input`] to the destination's delegate, a remote one
+    /// as one framed [`WireMessage::PathMessage`] on the peer stream.
     fn drain_path(&mut self, ctx: &mut Ctx<'_>, cid: ConnectionId, idx: usize) {
         loop {
             let now = ctx.now();
@@ -1279,97 +1405,50 @@ impl UmiddleRuntime {
             let Some(path) = conn.paths.get(idx) else {
                 return;
             };
-            if path.buffer.is_empty() {
+            let Some(front) = path.buffer.front_size() else {
                 return;
-            }
-            let credit = self.cfg.delivery_credit;
+            };
+            let dst = path.dst;
             match path.home {
                 None => {
-                    if path.inflight >= credit {
+                    if path.inflight >= self.cfg.delivery_credit {
                         return; // wait for InputDone
                     }
-                    let dst = path.dst;
                     let Some(delegate) = self
                         .local_translators
                         .get(&dst.translator)
                         .map(|t| t.delegate)
                     else {
                         // Destination vanished; drop the backlog.
-                        if let Some(conn) = self.connections.get_mut(&cid) {
-                            if let Some(path) = conn.paths.get_mut(idx) {
-                                let occ_before = path.buffer.occupancy_bytes();
-                                let drop_before = path.buffer.stats().dropped();
-                                while path.buffer.poll(now).unwrap_or(None).is_some() {}
-                                self.buffered_total = self.buffered_total - occ_before
-                                    + path.buffer.occupancy_bytes();
-                                self.dropped_total = self.dropped_total - drop_before
-                                    + path.buffer.stats().dropped();
-                            }
-                        }
+                        while let Ok(Some(_)) = self.poll_path(cid, idx, now) {}
                         return;
                     };
-                    let uid = path.uid;
-                    let limit = ctx
-                        .dispatch_batch_limit()
-                        .min((credit - path.inflight) as usize)
-                        .max(1);
-                    let mut batch = std::mem::take(&mut self.input_scratch);
-                    debug_assert!(batch.is_empty());
-                    let mut blocked = false;
-                    while batch.len() < limit {
-                        let polled = {
-                            let conn = self.connections.get_mut(&cid).expect("checked");
-                            let path = conn.paths.get_mut(idx).expect("checked");
-                            let occ_before = path.buffer.occupancy_bytes();
-                            let drop_before = path.buffer.stats().dropped();
-                            let polled = path.buffer.poll(now);
-                            self.buffered_total =
-                                self.buffered_total - occ_before + path.buffer.occupancy_bytes();
-                            self.dropped_total =
-                                self.dropped_total - drop_before + path.buffer.stats().dropped();
-                            if let Ok(Some(_)) = &polled {
-                                path.inflight += 1;
-                            }
-                            polled
-                        };
-                        match polled {
-                            Ok(Some(mut msg)) => {
-                                self.finish_queue_span(ctx, cid, &mut msg);
-                                self.stats.borrow_mut().local_deliveries += 1;
-                                self.observe_delivery(ctx, cid, &dst, &msg);
-                                batch.push(InputDelivery {
-                                    translator: dst.translator,
-                                    port: dst.port,
-                                    msg,
-                                    connection: cid,
-                                });
-                            }
-                            Ok(None) => {
-                                blocked = true;
-                                break;
-                            }
-                            Err(wait) => {
-                                blocked = true;
-                                let conn = self.connections.get_mut(&cid).expect("checked");
-                                let path = conn.paths.get_mut(idx).expect("checked");
-                                if !path.timer_pending {
-                                    path.timer_pending = true;
-                                    ctx.span(cid.corr(), "qos.drain-wait", format!("{wait}"));
-                                    ctx.set_timer(wait, TIMER_DRAIN_BASE + uid);
-                                }
-                                break;
-                            }
-                        }
+                    let mut msg = match self.poll_path(cid, idx, now) {
+                        Ok(Some(msg)) => msg,
+                        Ok(None) => return,
+                        Err(wait) => return self.arm_drain_timer(ctx, cid, idx, wait),
+                    };
+                    if let Some(path) = self
+                        .connections
+                        .get_mut(&cid)
+                        .and_then(|c| c.paths.get_mut(idx))
+                    {
+                        path.inflight += 1;
                     }
-                    self.deliver_inputs(ctx, delegate, &mut batch);
-                    self.input_scratch = batch;
-                    if blocked {
-                        return;
-                    }
+                    self.finish_queue_span(ctx, cid, &mut msg);
+                    self.stats.borrow_mut().local_deliveries += 1;
+                    self.observe_delivery(ctx, cid, &dst, &msg);
+                    ctx.send_local(
+                        delegate,
+                        RuntimeEvent::Input {
+                            translator: dst.translator,
+                            port: dst.port,
+                            msg,
+                            connection: cid,
+                        },
+                    );
                 }
                 Some(home) => {
-                    let uid = path.uid;
-                    let dst = path.dst;
                     // Ensure a link exists.
                     let stream = match self.peers.get(&home) {
                         Some(link) if link.up => link.stream,
@@ -1383,97 +1462,34 @@ impl UmiddleRuntime {
                             return;
                         }
                     };
-                    let limit = ctx.dispatch_batch_limit().max(1);
-                    let mut batch = FramedBatch::new();
-                    let mut spans: Vec<simnet::SpanId> = Vec::new();
-                    let mut blocked = false;
-                    while batch.count() < limit {
-                        let front = self
-                            .connections
-                            .get(&cid)
-                            .and_then(|c| c.paths.get(idx))
-                            .and_then(|p| p.buffer.front_size());
-                        let Some(front) = front else {
-                            blocked = true;
-                            break; // buffer drained
-                        };
-                        // Leave room for framing overhead, on top of
-                        // what this flush has already accumulated.
-                        if ctx.stream_sendable(stream) < batch.wire_len() + front + 512 {
-                            blocked = true;
-                            break; // resumed by Writable
-                        }
-                        let polled = {
-                            let conn = self.connections.get_mut(&cid).expect("checked");
-                            let path = conn.paths.get_mut(idx).expect("checked");
-                            let occ_before = path.buffer.occupancy_bytes();
-                            let drop_before = path.buffer.stats().dropped();
-                            let polled = path.buffer.poll(now);
-                            self.buffered_total =
-                                self.buffered_total - occ_before + path.buffer.occupancy_bytes();
-                            self.dropped_total =
-                                self.dropped_total - drop_before + path.buffer.stats().dropped();
-                            polled
-                        };
-                        match polled {
-                            Ok(Some(mut msg)) => {
-                                self.finish_queue_span(ctx, cid, &mut msg);
-                                // The transport.send span stays open
-                                // across the wire; the receiving runtime
-                                // closes it, so its duration is the full
-                                // serialize→transmit→decode leg of the
-                                // hop.
-                                let sent = ctx.span_begin(
-                                    cid.corr(),
-                                    "transport.send",
-                                    format!("dst={dst}"),
-                                );
-                                let msg = msg.with_meta(TRANSPORT_SPAN_META, sent.0.to_string());
-                                batch.push(&WireMessage::PathMessage {
-                                    connection: cid,
-                                    dst,
-                                    msg,
-                                });
-                                spans.push(sent);
-                                self.stats.borrow_mut().remote_sends += 1;
-                            }
-                            Ok(None) => {
-                                blocked = true;
-                                break;
-                            }
-                            Err(wait) => {
-                                blocked = true;
-                                let conn = self.connections.get_mut(&cid).expect("checked");
-                                let path = conn.paths.get_mut(idx).expect("checked");
-                                if !path.timer_pending {
-                                    path.timer_pending = true;
-                                    ctx.span(cid.corr(), "qos.drain-wait", format!("{wait}"));
-                                    ctx.set_timer(wait, TIMER_DRAIN_BASE + uid);
-                                }
-                                break;
-                            }
-                        }
+                    // Leave room for framing overhead.
+                    if ctx.stream_sendable(stream) < front + 512 {
+                        return; // resumed by Writable
                     }
-                    if !batch.is_empty() {
-                        let n = batch.count() as u64;
-                        if n > 1 {
-                            ctx.bump(&self.metric("wire_batches"), 1);
-                            ctx.bump("dispatch.batched_wire_frames", n);
-                        }
-                        let wire = batch.finish();
-                        if ctx.stream_send(stream, wire).is_err() {
-                            // Stream filled up or died between checks;
-                            // the flush is lost (counted, not silently)
-                            // and its transport spans close at the
-                            // failure.
-                            for sent in spans.drain(..) {
-                                ctx.span_end(sent);
-                            }
-                            ctx.bump("umiddle.remote_send_failed", n);
-                            return;
-                        }
+                    let mut msg = match self.poll_path(cid, idx, now) {
+                        Ok(Some(msg)) => msg,
+                        Ok(None) => return,
+                        Err(wait) => return self.arm_drain_timer(ctx, cid, idx, wait),
+                    };
+                    self.finish_queue_span(ctx, cid, &mut msg);
+                    // The transport.send span stays open across the wire;
+                    // the receiving runtime closes it, so its duration is
+                    // the full serialize→transmit→decode leg of the hop.
+                    let sent = ctx.span_begin(cid.corr(), "transport.send", format!("dst={dst}"));
+                    let msg = msg.with_meta(TRANSPORT_SPAN_META, sent.0.to_string());
+                    self.stats.borrow_mut().remote_sends += 1;
+                    let wire = WireMessage::PathMessage {
+                        connection: cid,
+                        dst,
+                        msg,
                     }
-                    if blocked {
+                    .encode_framed();
+                    if ctx.stream_send(stream, wire).is_err() {
+                        // Stream filled up or died between checks; the
+                        // message is lost (counted, not silently) and its
+                        // transport span closes at the failure.
+                        ctx.span_end(sent);
+                        ctx.bump("umiddle.remote_send_failed", 1);
                         return;
                     }
                 }
@@ -1481,35 +1497,49 @@ impl UmiddleRuntime {
         }
     }
 
-    /// Hands a run of polled messages to one delegate: a single message
-    /// as a plain [`RuntimeEvent::Input`] (byte-for-byte the unbatched
-    /// local path), a longer run as one [`RuntimeEvent::InputBatch`]
-    /// wakeup so the mapper translates the whole run per invocation.
-    fn deliver_inputs(&self, ctx: &mut Ctx<'_>, delegate: ProcId, batch: &mut Vec<InputDelivery>) {
-        match batch.len() {
-            0 => {}
-            1 => {
-                let d = batch.pop().expect("checked len");
-                ctx.send_local(
-                    delegate,
-                    RuntimeEvent::Input {
-                        translator: d.translator,
-                        port: d.port,
-                        msg: d.msg,
-                        connection: d.connection,
-                    },
-                );
-            }
-            n => {
-                ctx.bump(&self.metric("input_batches"), 1);
-                ctx.bump("dispatch.batched_inputs", n as u64);
-                ctx.send_local(
-                    delegate,
-                    RuntimeEvent::InputBatch {
-                        inputs: std::mem::take(batch),
-                    },
-                );
-            }
+    /// Polls one message off a path buffer, keeping the runtime-wide
+    /// buffered and dropped totals in step with it.
+    fn poll_path(
+        &mut self,
+        cid: ConnectionId,
+        idx: usize,
+        now: simnet::SimTime,
+    ) -> Result<Option<UMessage>, SimDuration> {
+        let Some(path) = self
+            .connections
+            .get_mut(&cid)
+            .and_then(|c| c.paths.get_mut(idx))
+        else {
+            return Ok(None);
+        };
+        let occ_before = path.buffer.occupancy_bytes();
+        let drop_before = path.buffer.stats().dropped();
+        let polled = path.buffer.poll(now);
+        self.buffered_total = self.buffered_total - occ_before + path.buffer.occupancy_bytes();
+        self.dropped_total = self.dropped_total - drop_before + path.buffer.stats().dropped();
+        polled
+    }
+
+    /// Schedules a drain retry for a rate-limited path, unless one is
+    /// already pending.
+    fn arm_drain_timer(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        cid: ConnectionId,
+        idx: usize,
+        wait: SimDuration,
+    ) {
+        let Some(path) = self
+            .connections
+            .get_mut(&cid)
+            .and_then(|c| c.paths.get_mut(idx))
+        else {
+            return;
+        };
+        if !path.timer_pending {
+            path.timer_pending = true;
+            ctx.span(cid.corr(), "qos.drain-wait", format!("{wait}"));
+            ctx.set_timer(wait, TIMER_DRAIN_BASE + path.uid);
         }
     }
 
@@ -1552,16 +1582,16 @@ impl UmiddleRuntime {
 
     /// Runs the receive-side bookkeeping for one path message off the
     /// wire — closing its `transport.send` span, validating the
-    /// destination, recording the delivery — and returns the delegate
-    /// plus the input ready to hand over, or `None` if the message was
-    /// dropped (unknown destination; counted, not silent).
-    fn admit_path_message(
+    /// destination, recording the delivery — and hands it to the
+    /// destination's delegate as one [`RuntimeEvent::Input`]. A message
+    /// for an unknown destination is dropped (counted, not silent).
+    fn receive_path_message(
         &mut self,
         ctx: &mut Ctx<'_>,
         connection: ConnectionId,
         dst: PortRef,
         mut msg: UMessage,
-    ) -> Option<(ProcId, InputDelivery)> {
+    ) {
         self.stats.borrow_mut().remote_receives += 1;
         if let Some(id) = msg
             .take_meta(TRANSPORT_SPAN_META)
@@ -1574,23 +1604,23 @@ impl UmiddleRuntime {
         ctx.span(connection.corr(), "transport.receive", format!("dst={dst}"));
         let Some(local) = self.local_translators.get(&dst.translator) else {
             ctx.bump("umiddle.path_unknown_dst", 1);
-            return None;
+            return;
         };
         if local.profile.shape().port(&dst.port).is_none() {
             ctx.bump("umiddle.path_unknown_port", 1);
-            return None;
+            return;
         }
         let delegate = local.delegate;
         self.observe_delivery(ctx, connection, &dst, &msg);
-        Some((
+        ctx.send_local(
             delegate,
-            InputDelivery {
+            RuntimeEvent::Input {
                 translator: dst.translator,
                 port: dst.port,
                 msg,
                 connection,
             },
-        ))
+        );
     }
 
     /// Closes the `queue.wait` span begun when this message copy entered
@@ -1627,7 +1657,7 @@ impl UmiddleRuntime {
         };
         decoder.push_payload(data);
         // One decoder pass surfaces every frame the payload completed,
-        // so a vectored send on the far side costs one poll here, not
+        // so a payload carrying several frames costs one poll here, not
         // one per frame.
         let mut frames = std::mem::take(&mut self.decode_scratch);
         debug_assert!(frames.is_empty());
@@ -1636,59 +1666,30 @@ impl UmiddleRuntime {
         if decoded > 0 {
             ctx.bump(&self.metric("frames_decoded"), decoded);
         }
-        // Consecutive path messages bound for the same mapper group into
-        // one InputBatch wakeup; control frames and delegate changes
-        // flush the run so arrival order is preserved exactly.
-        let mut run = std::mem::take(&mut self.input_scratch);
-        debug_assert!(run.is_empty());
-        let mut run_delegate: Option<ProcId> = None;
         for frame in frames.drain(..) {
             match frame {
                 Ok(WireMessage::PathMessage {
                     connection,
                     dst,
                     msg,
-                }) => {
-                    if let Some((delegate, delivery)) =
-                        self.admit_path_message(ctx, connection, dst, msg)
-                    {
-                        if run_delegate != Some(delegate) {
-                            if let Some(prev) = run_delegate {
-                                self.deliver_inputs(ctx, prev, &mut run);
-                            }
-                            run_delegate = Some(delegate);
-                        }
-                        run.push(delivery);
-                    }
+                }) => self.receive_path_message(ctx, connection, dst, msg),
+                Ok(WireMessage::ConnectRequest {
+                    token,
+                    reply_to,
+                    src,
+                    target,
+                    qos,
+                }) => self.handle_connect_request(ctx, token, reply_to, src, target, qos),
+                Ok(WireMessage::DisconnectRequest { connection }) => {
+                    self.remove_connection(ctx, connection)
                 }
-                Ok(msg) => {
-                    if let Some(prev) = run_delegate.take() {
-                        self.deliver_inputs(ctx, prev, &mut run);
-                    }
-                    match msg {
-                        WireMessage::ConnectRequest {
-                            token,
-                            reply_to,
-                            src,
-                            target,
-                            qos,
-                        } => self.handle_connect_request(ctx, token, reply_to, src, target, qos),
-                        WireMessage::DisconnectRequest { connection } => {
-                            self.remove_connection(ctx, connection)
-                        }
-                        _ => ctx.bump("umiddle.unexpected_stream_msg", 1),
-                    }
-                }
+                Ok(_) => ctx.bump("umiddle.unexpected_stream_msg", 1),
                 Err(e) => {
                     ctx.bump("umiddle.wire_decode_errors", 1);
                     ctx.trace(format!("bad stream frame: {e}"));
                 }
             }
         }
-        if let Some(prev) = run_delegate {
-            self.deliver_inputs(ctx, prev, &mut run);
-        }
-        self.input_scratch = run;
         self.decode_scratch = frames;
     }
 
@@ -1760,10 +1761,12 @@ impl Process for UmiddleRuntime {
         self.gossip_multicast(ctx, &WireMessage::Probe { reply_to });
         let interval = self.cfg.advertise_interval;
         ctx.set_timer(interval, TIMER_TICK);
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
         self.on_wire_datagram(ctx, dgram);
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -1772,6 +1775,7 @@ impl Process for UmiddleRuntime {
         } else {
             self.handle_drain_timer(ctx, token - TIMER_DRAIN_BASE);
         }
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, event: StreamEvent) {
@@ -1805,6 +1809,7 @@ impl Process for UmiddleRuntime {
                 self.incoming.remove(&stream);
             }
         }
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     fn on_local(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: LocalMessage) {
@@ -1874,6 +1879,7 @@ impl Process for UmiddleRuntime {
                 ctx.send_local(from, RuntimeEvent::Telemetry { token, window });
             }
         }
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     fn on_stop(&mut self, ctx: &mut Ctx<'_>) {
@@ -1904,6 +1910,7 @@ impl Process for UmiddleRuntime {
                 },
             );
         }
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 }
 

@@ -595,60 +595,11 @@ impl FrameDecoder {
     }
 }
 
-/// Vectored framing for a batch of [`WireMessage`]s: every message is
-/// encoded into one [`PayloadBuilder`] pass with its length slot
-/// reserved up front, and [`finish`](FramedBatch::finish) back-patches
-/// all slots in a single sweep. The produced bytes are identical to
-/// concatenating each message's [`WireMessage::encode_framed`] output,
-/// so the receiving [`FrameDecoder`] cannot tell the difference — the
-/// batch saves one allocation and one patch pass per message, not wire
-/// format.
-#[derive(Debug, Default)]
-pub struct FramedBatch {
-    w: Writer,
-    marks: Vec<usize>,
-}
-
-impl FramedBatch {
-    /// Creates an empty batch.
-    pub fn new() -> FramedBatch {
-        FramedBatch::default()
-    }
-
-    /// Appends one message to the batch.
-    pub fn push(&mut self, msg: &WireMessage) {
-        self.marks.push(self.w.out.reserve_u32_le());
-        msg.encode_into(&mut self.w);
-    }
-
-    /// Messages appended so far.
-    pub fn count(&self) -> usize {
-        self.marks.len()
-    }
-
-    /// Wire bytes accumulated so far (including length prefixes).
-    pub fn wire_len(&self) -> usize {
-        self.w.out.len()
-    }
-
-    /// Returns `true` if no messages were appended.
-    pub fn is_empty(&self) -> bool {
-        self.marks.is_empty()
-    }
-
-    /// Back-patches every length prefix in one sweep and freezes the
-    /// batch into a single wire payload.
-    pub fn finish(mut self) -> Payload {
-        self.w.out.patch_frame_lens(&self.marks);
-        self.w.out.freeze()
-    }
-}
-
 // ---------------------------------------------------------------------
 // Primitives
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Writer {
     out: PayloadBuilder,
 }
@@ -1244,47 +1195,6 @@ mod tests {
     }
 
     #[test]
-    fn framed_batch_bytes_match_concatenated_frames() {
-        let msgs = vec![
-            WireMessage::PathMessage {
-                connection: ConnectionId::new(RuntimeId(2), 5),
-                dst: PortRef::new(TranslatorId::new(RuntimeId(0), 7), "in"),
-                msg: UMessage::new("text/plain".parse().unwrap(), vec![1, 2, 3]),
-            },
-            WireMessage::Probe {
-                reply_to: Addr::new(NodeId::from_index(0), 47_000),
-            },
-            WireMessage::PathMessage {
-                connection: ConnectionId::new(RuntimeId(2), 5),
-                dst: PortRef::new(TranslatorId::new(RuntimeId(0), 7), "in"),
-                msg: UMessage::new("image/jpeg".parse().unwrap(), vec![9u8; 300])
-                    .with_meta("seq", "2"),
-            },
-        ];
-        let mut batch = FramedBatch::new();
-        let mut expected: Vec<u8> = Vec::new();
-        for m in &msgs {
-            batch.push(m);
-            expected.extend(m.encode_framed());
-        }
-        assert_eq!(batch.count(), msgs.len());
-        assert_eq!(batch.wire_len(), expected.len());
-        let wire = batch.finish();
-        assert_eq!(
-            &wire[..],
-            &expected[..],
-            "one vectored pass must produce exactly the per-frame bytes"
-        );
-        // And the decoder agrees: the batch is N ordinary frames.
-        let mut dec = FrameDecoder::new();
-        dec.push_payload(wire);
-        let mut out = Vec::new();
-        dec.drain_frames(&mut out);
-        let decoded: Vec<WireMessage> = out.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(decoded, msgs);
-    }
-
-    #[test]
     fn drain_frames_decodes_all_buffered_frames_in_one_poll() {
         // Regression: `next()` surfaced one frame per poll, so a payload
         // carrying N frames cost N+1 decoder invocations. `drain_frames`
@@ -1311,7 +1221,7 @@ mod tests {
         assert_eq!(out, msgs);
         assert_eq!(dec.polls(), msgs.len() as u64 + 1);
 
-        // The batched pattern: every frame in one invocation.
+        // The drained pattern: every frame in one invocation.
         let mut dec = FrameDecoder::new();
         dec.push(&stream);
         let mut drained = Vec::new();

@@ -23,6 +23,8 @@ struct TestService {
     client: Option<RuntimeClient>,
     id: Rc<RefCell<Option<TranslatorId>>>,
     received: Rc<RefCell<Vec<(String, UMessage)>>>,
+    /// Virtual time at each recorded input.
+    received_at: Rc<RefCell<Vec<SimTime>>>,
     directory_events: Rc<RefCell<Vec<DirectoryEvent>>>,
     /// `(delay, port, message)` emissions scheduled at start.
     emit_at: Vec<(SimDuration, String, UMessage)>,
@@ -40,6 +42,7 @@ impl TestService {
             client: None,
             id: Rc::new(RefCell::new(None)),
             received: Rc::new(RefCell::new(Vec::new())),
+            received_at: Rc::new(RefCell::new(Vec::new())),
             directory_events: Rc::new(RefCell::new(Vec::new())),
             emit_at: Vec::new(),
             input_cost: SimDuration::ZERO,
@@ -99,19 +102,11 @@ impl Process for TestService {
                 connection,
             } => {
                 self.received.borrow_mut().push((port.to_string(), msg));
+                self.received_at.borrow_mut().push(ctx.now());
                 if !self.input_cost.is_zero() {
                     ctx.busy(self.input_cost);
                 }
                 ack_input_done(ctx, self.runtime, connection, translator);
-            }
-            RuntimeEvent::InputBatch { inputs } => {
-                for d in inputs {
-                    self.received.borrow_mut().push((d.port.to_string(), d.msg));
-                    if !self.input_cost.is_zero() {
-                        ctx.busy(self.input_cost);
-                    }
-                    ack_input_done(ctx, self.runtime, d.connection, d.translator);
-                }
             }
             RuntimeEvent::Directory(ev) => {
                 self.directory_events.borrow_mut().push(ev);
@@ -307,6 +302,69 @@ fn cross_runtime_static_path_delivers_messages() {
 }
 
 #[test]
+fn cross_runtime_burst_into_busy_sink_is_delivered_one_input_at_a_time() {
+    const BURST: usize = 16;
+    let text_shape = |dir| {
+        Shape::builder()
+            .digital("p", dir, "text/plain".parse().unwrap())
+            .build()
+            .unwrap()
+    };
+    let mut tb = testbed(2);
+    // Sixteen outputs at one instant, then a seventeenth well after the
+    // burst has drained.
+    let mut source = TestService::new("source", text_shape(Direction::Output), tb.runtimes[0]);
+    for i in 0..BURST {
+        source.emit_at.push((
+            SimDuration::from_secs(3),
+            "p".to_owned(),
+            UMessage::text(format!("m{i}")),
+        ));
+    }
+    source.emit_at.push((
+        SimDuration::from_secs(4),
+        "p".to_owned(),
+        UMessage::text(format!("m{BURST}")),
+    ));
+    let mut sink = TestService::new("sink", text_shape(Direction::Input), tb.runtimes[1]);
+    let cost = SimDuration::from_millis(5);
+    sink.input_cost = cost;
+    let received = Rc::clone(&sink.received);
+    let received_at = Rc::clone(&sink.received_at);
+    tb.world.add_process(tb.nodes[0], Box::new(source));
+    tb.world.add_process(tb.nodes[1], Box::new(sink));
+    let connector = Connector::new(
+        tb.runtimes[0],
+        "source",
+        "p",
+        ConnectorTarget::Named("sink".to_owned(), "p".to_owned()),
+    );
+    let outcome = Rc::clone(&connector.outcome);
+    tb.world.add_process(tb.nodes[0], Box::new(connector));
+
+    tb.world.run_until(SimTime::from_secs(6));
+    assert_eq!(*outcome.borrow(), Some(Ok(())));
+    let bodies: Vec<String> = received
+        .borrow()
+        .iter()
+        .map(|(_, m)| m.body_text().expect("text body").to_owned())
+        .collect();
+    let sent: Vec<String> = (0..=BURST).map(|i| format!("m{i}")).collect();
+    assert_eq!(bodies, sent, "every input, in send order");
+    // Each input is its own delivery: the busy sink sees them at least
+    // one input cost apart, never several in one invocation.
+    let at = received_at.borrow();
+    for (i, pair) in at[..BURST].windows(2).enumerate() {
+        assert!(
+            pair[1] - pair[0] >= cost,
+            "inputs {i} and {} are {:?} apart",
+            i + 1,
+            pair[1] - pair[0]
+        );
+    }
+}
+
+#[test]
 fn dynamic_binding_adapts_to_late_arrivals() {
     // Template connection created before any matching target exists; the
     // TV appears later, the path binds, and subsequent frames flow.
@@ -448,19 +506,6 @@ fn chained_paths_button_camera_tv() {
                         );
                     }
                     ack_input_done(ctx, self.runtime, connection, translator);
-                }
-                RuntimeEvent::InputBatch { inputs } => {
-                    for d in inputs {
-                        if d.port == "shutter" {
-                            self.client.as_ref().expect("set").output(
-                                ctx,
-                                d.translator,
-                                "image-out",
-                                jpeg(4096),
-                            );
-                        }
-                        ack_input_done(ctx, self.runtime, d.connection, d.translator);
-                    }
                 }
                 _ => {}
             }
