@@ -7,8 +7,9 @@
 #   lint          rustfmt, clippy -D warnings, BENCH_*.json record lint
 #   build-test    release build + full workspace test suite
 #   determinism   double-run byte-diff gates (E8 trace, E10 doctor,
-#                 E11 incident bundle, E13 attribution, paper fidelity
-#                 pin diffed against artifacts/paper_fidelity.json)
+#                 E11 incident bundle, E13 attribution, paper fidelity);
+#                 the E10, E11, E13 and fidelity outputs are also diffed
+#                 against their checked-in pins under artifacts/
 #   perf          perf_payload + perf_sched regression checks
 #   all           every stage in order (the default; what `./ci.sh` runs)
 #
@@ -121,6 +122,24 @@ run_determinism_gate() {
     done
 }
 
+# pinned_gate <name> <pin-prefix> <bin> <args...> — run_determinism_gate,
+# then diff every @OUT.<suffix> artifact of run a against its checked-in
+# pin artifacts/<pin-prefix><suffix>, so no change can drift a recorded
+# artifact unnoticed.
+pinned_gate() {
+    local name="$1" prefix="$2"
+    shift 2
+    run_determinism_gate "$name" "$@"
+    local arg suffix
+    for arg in "$@"; do
+        if [[ "$arg" == @OUT.* ]]; then
+            suffix="${arg#@OUT.}"
+            diff "target/${name}-gate/a.$suffix" "artifacts/$prefix$suffix"
+            echo "    matches the pin: artifacts/$prefix$suffix"
+        fi
+    done
+}
+
 # --- stages -----------------------------------------------------------
 
 stage_lint() {
@@ -147,24 +166,27 @@ stage_determinism() {
     # E10 doctor gate: the fault-injection run must export a
     # byte-identical doctor health report (JSON) and OpenMetrics
     # exposition — the windowed sampler, the SLO burn-rate engine and
-    # the doctor are all on the deterministic path.
-    gate doctor-determinism run_determinism_gate doctor doctor_export \
+    # the doctor are all on the deterministic path — equal to the
+    # checked-in artifacts/E10_*.
+    gate doctor-determinism pinned_gate doctor E10_ doctor_export \
         --doctor @OUT.doctor.json \
         --openmetrics @OUT.metrics.om
     # E11 incident gate: the sharded fault run must snapshot a
     # byte-identical incident bundle (and doctor report) across two
     # runs — the trigger plane, the flight-recorder ring and the
     # cross-shard trace hand-off all sit on the deterministic path,
-    # even with shards on real threads.
-    gate incident-determinism run_determinism_gate incident incident_export \
+    # even with shards on real threads. Both must equal the checked-in
+    # artifacts/E11_*, so a moved topology digest fails here.
+    gate incident-determinism pinned_gate incident E11_ incident_export \
         --bundle @OUT.incident.json \
         --doctor @OUT.doctor.json
     # E13 attribution gate: the continuous profiler's snapshot, the
     # differential doctor's diff and the checked-in baseline must all
     # come out byte-identical across two runs — the incremental span
     # fold, the exemplar capture and the diff ranking are pure
-    # functions of the deterministic span journal.
-    gate attrib-determinism run_determinism_gate attrib attrib_export \
+    # functions of the deterministic span journal — and equal to the
+    # checked-in artifacts/E13_*.
+    gate attrib-determinism pinned_gate attrib E13_ attrib_export \
         --attrib @OUT.attrib.json \
         --diff @OUT.attrib_diff.json \
         --baseline @OUT.attrib_baseline.json
@@ -173,14 +195,7 @@ stage_determinism() {
     # artifacts/paper_fidelity.json, so no change can drift the paper's
     # numbers unnoticed. fidelity_export itself fails when E3 leaves
     # ±10% of Figure 11 or E2's uMiddle share leaves 3%..7%.
-    gate paper-fidelity fidelity_gate
-}
-
-# fidelity_gate — double-run fidelity_export, then diff against the pin.
-fidelity_gate() {
-    run_determinism_gate fidelity fidelity_export --out @OUT.paper_fidelity.json
-    diff target/fidelity-gate/a.paper_fidelity.json artifacts/paper_fidelity.json
-    echo "    matches the pin: artifacts/paper_fidelity.json"
+    gate paper-fidelity pinned_gate fidelity "" fidelity_export --out @OUT.paper_fidelity.json
 }
 
 stage_perf() {

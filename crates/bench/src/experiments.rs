@@ -9,13 +9,14 @@ use simnet::{
     Objective, ProcId, Process, SamplerConfig, SegmentConfig, SimDuration, SimTime, SloKind,
     SpanRecord, StreamEvent, StreamId, TelemetryConfig, World,
 };
+use umiddle_apps::{WireRule, Wirer};
 use umiddle_bridges::{
     behaviors, direct, BluetoothMapper, MediaBrokerMapper, NativeService, RmiMapper, UpnpMapper,
 };
 use umiddle_core::{Direction, QosPolicy, Shape, UMessage};
 use umiddle_usdl::UsdlLibrary;
 
-use crate::fixtures::{hub_world, runtime_node, ByteMeter, MbSaturatingProducer, WireRule, Wirer};
+use crate::fixtures::{hub_world, runtime_node, ByteMeter, MbSaturatingProducer};
 
 fn mean(durations: &[SimDuration]) -> SimDuration {
     if durations.is_empty() {
@@ -1021,7 +1022,7 @@ pub fn e7_ablation_scatter() -> ScatterResults {
         );
         world.run_until(SimTime::from_secs(130));
         let latencies = stats.borrow().action_latencies.clone();
-        (mean_of(&latencies), latencies.len())
+        (mean(&latencies), latencies.len())
     };
 
     // --- scattered: a native UPnP control point via the exporter ---
@@ -1129,7 +1130,7 @@ pub fn e7_ablation_scatter() -> ScatterResults {
         world.run_until(SimTime::from_secs(180));
         let soap_rts = latencies.borrow().clone();
         let captures = mapper_stats.borrow().action_latencies.clone();
-        (mean_of(&captures), mean_of(&soap_rts), captures.len())
+        (mean(&captures), mean(&soap_rts), captures.len())
     };
 
     ScatterResults {
@@ -1138,14 +1139,6 @@ pub fn e7_ablation_scatter() -> ScatterResults {
         scattered_command_rt: scattered.1,
         samples: (aggregated.1, scattered.2),
     }
-}
-
-fn mean_of(durations: &[SimDuration]) -> SimDuration {
-    if durations.is_empty() {
-        return SimDuration::ZERO;
-    }
-    let total: u64 = durations.iter().map(|d| d.as_nanos()).sum();
-    SimDuration::from_nanos(total / durations.len() as u64)
 }
 
 // =====================================================================
@@ -1314,89 +1307,6 @@ pub struct SchedScaleRow {
     pub p99_dispatch_ns: u64,
     /// Payload-buffer allocations per dispatched event in the window.
     pub allocs_per_event: f64,
-}
-
-/// One E9 wiring rule: connect the cross product of every translator
-/// whose name contains `src_tag` to every translator containing
-/// `dst_tag` — prefix groups instead of per-device rules, so one rule
-/// covers a whole device population.
-struct FanRule {
-    src_tag: &'static str,
-    src_port: &'static str,
-    dst_tag: &'static str,
-    dst_port: &'static str,
-}
-
-struct FanWirer {
-    runtime: simnet::ProcId,
-    client: Option<umiddle_core::RuntimeClient>,
-    rules: Vec<FanRule>,
-    srcs: Vec<Vec<umiddle_core::TranslatorId>>,
-    dsts: Vec<Vec<umiddle_core::TranslatorId>>,
-}
-
-impl FanWirer {
-    fn new(runtime: simnet::ProcId, rules: Vec<FanRule>) -> FanWirer {
-        let n = rules.len();
-        FanWirer {
-            runtime,
-            client: None,
-            rules,
-            srcs: vec![Vec::new(); n],
-            dsts: vec![Vec::new(); n],
-        }
-    }
-}
-
-impl Process for FanWirer {
-    fn name(&self) -> &str {
-        "e9-fan-wirer"
-    }
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let client = umiddle_core::RuntimeClient::new(self.runtime);
-        client.add_listener(ctx, umiddle_core::Query::All);
-        self.client = Some(client);
-    }
-    fn on_local(&mut self, ctx: &mut Ctx<'_>, _from: simnet::ProcId, msg: simnet::LocalMessage) {
-        use umiddle_core::{DirectoryEvent, PortRef, RuntimeEvent, TranslatorId};
-        let Ok(event) = msg.downcast::<RuntimeEvent>() else {
-            return;
-        };
-        match *event {
-            RuntimeEvent::Directory(DirectoryEvent::Appeared(profile)) => {
-                let id = profile.id();
-                let name = profile.name().to_owned();
-                let mut to_wire: Vec<(TranslatorId, &str, TranslatorId, &str)> = Vec::new();
-                for (i, rule) in self.rules.iter().enumerate() {
-                    if name.contains(rule.src_tag) {
-                        self.srcs[i].push(id);
-                        for &dst in &self.dsts[i] {
-                            to_wire.push((id, rule.src_port, dst, rule.dst_port));
-                        }
-                    }
-                    if name.contains(rule.dst_tag) {
-                        self.dsts[i].push(id);
-                        for &src in &self.srcs[i] {
-                            to_wire.push((src, rule.src_port, id, rule.dst_port));
-                        }
-                    }
-                }
-                let client = self.client.as_mut().expect("client set");
-                for (src, src_port, dst, dst_port) in to_wire {
-                    client.connect_ports(
-                        ctx,
-                        PortRef::new(src, src_port),
-                        PortRef::new(dst, dst_port),
-                        QosPolicy::unbounded(),
-                    );
-                }
-            }
-            RuntimeEvent::ConnectFailed { reason, .. } => {
-                panic!("E9 wiring failed: {reason}");
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Builds the E9 federation: `n` native devices split near-evenly
@@ -1697,55 +1607,18 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
         );
     }
 
+    // Prefix groups instead of per-device rules: each rule fans out
+    // over a whole device population (the wirer connects the cross
+    // product of its matches).
     let mut rules = vec![
-        FanRule {
-            src_tag: "Toggle Driver",
-            src_port: "out",
-            dst_tag: "E9 Light",
-            dst_port: "switch-on",
-        },
-        FanRule {
-            src_tag: "HIDP Mouse",
-            src_port: "clicks",
-            dst_tag: "Click Sink",
-            dst_port: "in",
-        },
-        FanRule {
-            src_tag: "Mote ",
-            src_port: "temperature",
-            dst_tag: "Temp Sink",
-            dst_port: "in",
-        },
-        FanRule {
-            src_tag: "Call Driver",
-            src_port: "out",
-            dst_tag: "EchoSvc",
-            dst_port: "request",
-        },
-        FanRule {
-            src_tag: "EchoSvc",
-            src_port: "response",
-            dst_tag: "Echo Sink",
-            dst_port: "in",
-        },
-        FanRule {
-            src_tag: "MB channel e9chan",
-            src_port: "media-out",
-            dst_tag: "Media Sink",
-            dst_port: "in",
-        },
-        FanRule {
-            src_tag: "Log Driver",
-            src_port: "out",
-            dst_tag: "E9 Log",
-            dst_port: "log-in",
-        },
-        FanRule {
-            src_tag: "E9 Log",
-            src_port: "entries",
-            dst_tag: "Log Sink",
-            dst_port: "in",
-        },
+        WireRule::new("Toggle Driver", "out", "E9 Light", "switch-on"),
+        WireRule::new("HIDP Mouse", "clicks", "Click Sink", "in"),
+        WireRule::new("Mote ", "temperature", "Temp Sink", "in"),
+        WireRule::new("Call Driver", "out", "EchoSvc", "request"),
+        WireRule::new("EchoSvc", "response", "Echo Sink", "in"),
+        WireRule::new("MB channel e9chan", "media-out", "Media Sink", "in"),
+        WireRule::new("Log Driver", "out", "E9 Log", "log-in"),
+        WireRule::new("E9 Log", "entries", "Log Sink", "in"),
     ];
 
     // The cross-shard temperature ring. Only built when the world is a
@@ -1779,20 +1652,10 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
                 .with_shard_inlet(wing as u16, E9C_INLET_PORT),
             ),
         );
-        rules.push(FanRule {
-            src_tag: "Mote ",
-            src_port: "temperature",
-            dst_tag: "Shard Uplink",
-            dst_port: "in",
-        });
-        rules.push(FanRule {
-            src_tag: "Shard Ingress",
-            src_port: "out",
-            dst_tag: "Temp Sink",
-            dst_port: "in",
-        });
+        rules.push(WireRule::new("Mote ", "temperature", "Shard Uplink", "in"));
+        rules.push(WireRule::new("Shard Ingress", "out", "Temp Sink", "in"));
     }
-    world.add_process(h1, Box::new(FanWirer::new(rt, rules)));
+    world.add_process(h1, Box::new(Wirer::new(rt, rules)));
 }
 
 /// Virtual time allowed for discovery, mapping, and wiring before the

@@ -3,13 +3,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use simnet::{
-    Addr, Ctx, LocalMessage, NodeId, ProcId, Process, SegmentConfig, StreamEvent, StreamId, World,
-};
-use umiddle_core::{
-    DirectoryEvent, PortRef, QosPolicy, Query, RuntimeClient, RuntimeConfig, RuntimeEvent,
-    RuntimeId, RuntimeStats, UmiddleRuntime,
-};
+use simnet::{Addr, Ctx, NodeId, ProcId, Process, SegmentConfig, StreamEvent, StreamId, World};
+use umiddle_core::{RuntimeConfig, RuntimeId, RuntimeStats, UmiddleRuntime};
 
 /// Adds a node attached to the given segments, with its own runtime.
 pub fn runtime_node(
@@ -40,123 +35,6 @@ pub fn runtime_node_cfg(
     let stats = runtime.stats_handle();
     let rt = world.add_process(node, Box::new(runtime));
     (node, rt, stats)
-}
-
-/// A wiring rule: connect `src` to `dst` (by name substring + port) when
-/// both appear in the directory.
-#[derive(Debug, Clone)]
-pub struct WireRule {
-    /// Source translator name substring.
-    pub src_name: String,
-    /// Source port name.
-    pub src_port: String,
-    /// Destination translator name substring.
-    pub dst_name: String,
-    /// Destination port name.
-    pub dst_port: String,
-    /// The path's QoS policy.
-    pub qos: QosPolicy,
-}
-
-impl WireRule {
-    /// A rule with unbounded QoS.
-    pub fn new(src_name: &str, src_port: &str, dst_name: &str, dst_port: &str) -> WireRule {
-        WireRule {
-            src_name: src_name.to_owned(),
-            src_port: src_port.to_owned(),
-            dst_name: dst_name.to_owned(),
-            dst_port: dst_port.to_owned(),
-            qos: QosPolicy::unbounded(),
-        }
-    }
-
-    /// Overrides the QoS policy.
-    pub fn with_qos(mut self, qos: QosPolicy) -> WireRule {
-        self.qos = qos;
-        self
-    }
-}
-
-/// An application that watches the directory and wires translators
-/// together according to rules.
-pub struct Wirer {
-    runtime: ProcId,
-    client: Option<RuntimeClient>,
-    rules: Vec<WireRule>,
-    srcs: Vec<Option<PortRef>>,
-    dsts: Vec<Option<PortRef>>,
-    wired: Vec<bool>,
-    /// Connections established (shared).
-    pub connected: Rc<RefCell<u32>>,
-}
-
-impl Wirer {
-    /// Creates a wirer.
-    pub fn new(runtime: ProcId, rules: Vec<WireRule>) -> Wirer {
-        let n = rules.len();
-        Wirer {
-            runtime,
-            client: None,
-            rules,
-            srcs: vec![None; n],
-            dsts: vec![None; n],
-            wired: vec![false; n],
-            connected: Rc::new(RefCell::new(0)),
-        }
-    }
-
-    fn try_wire(&mut self, ctx: &mut Ctx<'_>) {
-        for i in 0..self.rules.len() {
-            if self.wired[i] {
-                continue;
-            }
-            if let (Some(src), Some(dst)) = (self.srcs[i], self.dsts[i]) {
-                self.wired[i] = true;
-                self.client.as_mut().expect("client set").connect_ports(
-                    ctx,
-                    src,
-                    dst,
-                    self.rules[i].qos.clone(),
-                );
-            }
-        }
-    }
-}
-
-impl Process for Wirer {
-    fn name(&self) -> &str {
-        "wirer"
-    }
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let client = RuntimeClient::new(self.runtime);
-        client.add_listener(ctx, Query::All);
-        self.client = Some(client);
-    }
-    fn on_local(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: LocalMessage) {
-        let Ok(event) = msg.downcast::<RuntimeEvent>() else {
-            return;
-        };
-        match *event {
-            RuntimeEvent::Directory(DirectoryEvent::Appeared(profile)) => {
-                for (i, rule) in self.rules.iter().enumerate() {
-                    if profile.name().contains(&rule.src_name) {
-                        self.srcs[i] = Some(PortRef::new(profile.id(), rule.src_port.clone()));
-                    }
-                    if profile.name().contains(&rule.dst_name) {
-                        self.dsts[i] = Some(PortRef::new(profile.id(), rule.dst_port.clone()));
-                    }
-                }
-                self.try_wire(ctx);
-            }
-            RuntimeEvent::Connected { .. } => {
-                *self.connected.borrow_mut() += 1;
-            }
-            RuntimeEvent::ConnectFailed { reason, .. } => {
-                panic!("bench wiring failed: {reason}");
-            }
-            _ => {}
-        }
-    }
 }
 
 /// A MediaBroker producer for benchmarks: registers a channel and emits

@@ -8,6 +8,8 @@
 //! the CPU-bound codecs, not statistical rigor.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::hint::black_box;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -364,6 +366,31 @@ pub fn stream_bulk_transfer(total: usize, loss: f64) -> f64 {
 // Scheduler micro-benches (timer wheel vs reference heap)
 // =====================================================================
 
+/// The plain `(time, seq)` min-heap scheduler the timer wheel replaced,
+/// kept as an oracle: [`sched_kernel`] A/Bs the wheel against it, and
+/// the wheel's property tests require the identical pop order.
+#[derive(Default)]
+struct ReferenceHeap {
+    /// `(time, seq, item)`; `seq` is unique, so the item never decides.
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    seq: u64,
+}
+
+impl ReferenceHeap {
+    /// Schedules `item` at `time`, assigning the next sequence number.
+    fn push(&mut self, time: SimTime, item: u32) {
+        self.heap.push(Reverse((time.as_nanos(), self.seq, item)));
+        self.seq += 1;
+    }
+
+    /// Removes and returns the earliest entry (FIFO among ties).
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        self.heap
+            .pop()
+            .map(|Reverse((time, _, item))| (SimTime::from_nanos(time), item))
+    }
+}
+
 /// Result of one [`sched_kernel`] run.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedKernelRun {
@@ -378,8 +405,8 @@ pub struct SchedKernelRun {
 }
 
 /// Replays an identical synthetic simulator schedule through the
-/// [`simnet::TimerWheel`] and the [`simnet::ReferenceHeap`] it
-/// replaced, and reports the mean cost of one pop+push cycle.
+/// [`simnet::TimerWheel`] and the `ReferenceHeap` it replaced, and
+/// reports the mean cost of one pop+push cycle.
 ///
 /// The schedule mimics a busy federation: mostly near-future events
 /// (frame arrivals, drain timers within ~65 µs), a slice of mid-range
@@ -387,7 +414,7 @@ pub struct SchedKernelRun {
 /// same-tick bursts. Offsets are drawn once from a seeded RNG so both
 /// structures see byte-identical input.
 pub fn sched_kernel(pending: usize, ops: usize) -> SchedKernelRun {
-    use simnet::{ReferenceHeap, SimRng, TimerWheel};
+    use simnet::{SimRng, TimerWheel};
 
     let offsets: Vec<u64> = {
         let mut rng = SimRng::seed_from_u64(0x5eed_5c4e_d01e);
@@ -432,7 +459,7 @@ pub fn sched_kernel(pending: usize, ops: usize) -> SchedKernelRun {
         |q| q.pop(),
         &mut wheel,
     );
-    let mut heap: ReferenceHeap<u32> = ReferenceHeap::new();
+    let mut heap = ReferenceHeap::default();
     let heap_ns = run(
         &offsets,
         pending,
@@ -451,6 +478,9 @@ pub fn sched_kernel(pending: usize, ops: usize) -> SchedKernelRun {
 
 #[cfg(test)]
 mod tests {
+    use super::ReferenceHeap;
+    use simnet::{check_cases, SimRng, SimTime, TimerWheel};
+
     #[test]
     fn bench_function_runs() {
         // Smoke: the harness terminates and doesn't panic on a fast fn.
@@ -473,5 +503,96 @@ mod tests {
             (super::PAYLOAD_BODY * 7 * 4) as u64,
             "fan-out must share, not copy, the multicast buffer"
         );
+    }
+
+    /// Draws a schedule offset exercising every tier of the wheel:
+    /// same-tick ties, the 2^16 ns near window, each level, and the
+    /// overflow epoch.
+    fn random_offset(rng: &mut SimRng) -> u64 {
+        match rng.gen_range(0..6u32) {
+            0 => 0,                            // same tick as `now`
+            1 => rng.gen_range(0..1u64 << 16), // near window
+            2 => rng.gen_range(0..1u64 << 30), // low levels
+            3 => rng.gen_range(0..1u64 << 45), // high levels
+            4 => rng.gen_range(0..1u64 << 55), // top level / overflow edge
+            _ => rng.gen_range(0..1u64 << 60), // deep overflow
+        }
+    }
+
+    #[test]
+    fn wheel_matches_reference_heap() {
+        check_cases("wheel_matches_reference_heap", 64, |_case, rng| {
+            let mut wheel = TimerWheel::new();
+            let mut reference = ReferenceHeap::default();
+            let mut now = 0u64;
+            let mut next_id = 0u32;
+            // Cancellation is modeled the way the World models it: a
+            // set of dead ids filtered at delivery, identically on
+            // both structures.
+            let mut cancelled = std::collections::HashSet::new();
+            let ops = rng.gen_range(50..400usize);
+            for _ in 0..ops {
+                if rng.gen_bool(0.55) || wheel.is_empty() {
+                    // Push a burst (bursts create same-tick ties).
+                    let burst = rng.gen_range(1..4u32);
+                    let t = now + random_offset(rng);
+                    for _ in 0..burst {
+                        let id = next_id;
+                        next_id += 1;
+                        wheel.push(SimTime::from_nanos(t), id);
+                        reference.push(SimTime::from_nanos(t), id);
+                        if rng.gen_bool(0.1) {
+                            cancelled.insert(id);
+                        }
+                    }
+                } else {
+                    let got = wheel.pop().map(|(t, id)| (t.as_nanos(), id));
+                    let want = reference.pop().map(|(t, id)| (t.as_nanos(), id));
+                    assert_eq!(got, want, "pop order diverged");
+                    if let Some((t, id)) = got {
+                        assert!(t >= now, "time went backwards");
+                        now = t;
+                        // Delivery-time cancellation check, as in World.
+                        let _ = cancelled.remove(&id);
+                    }
+                }
+            }
+            // Drain both completely; tails must agree too.
+            loop {
+                let got = wheel.pop().map(|(t, id)| (t.as_nanos(), id));
+                let want = reference.pop().map(|(t, id)| (t.as_nanos(), id));
+                assert_eq!(got, want, "drain order diverged");
+                if got.is_none() {
+                    break;
+                }
+            }
+            assert!(wheel.is_empty());
+        });
+    }
+
+    #[test]
+    fn pop_run_matches_reference_heap_batching() {
+        check_cases("pop_run_matches_reference_heap", 32, |_case, rng| {
+            let mut wheel = TimerWheel::new();
+            let mut reference = ReferenceHeap::default();
+            let mut now = 0u64;
+            for id in 0..200u32 {
+                let t = now.max(rng.gen_range(0..1u64 << 40));
+                // Cluster times so runs form.
+                let t = t & !0xFFF;
+                wheel.push(SimTime::from_nanos(t), id);
+                reference.push(SimTime::from_nanos(t), id);
+                if id % 16 == 0 {
+                    now = t;
+                }
+            }
+            let mut run = Vec::new();
+            while let Some(t) = wheel.pop_run(&mut run) {
+                for id in run.drain(..) {
+                    assert_eq!(reference.pop(), Some((t, id)));
+                }
+            }
+            assert_eq!(reference.pop(), None);
+        });
     }
 }

@@ -107,5 +107,5 @@ pub use timeseries::{SamplerConfig, Telemetry, TelemetryWindow};
 pub use trace::{
     Histogram, Metrics, MetricsSnapshot, SegmentStats, SpanId, SpanRecord, Trace, TraceEvent,
 };
-pub use wheel::{ReferenceHeap, TimerWheel};
+pub use wheel::TimerWheel;
 pub use world::{CrossMessage, ShardConfig, World};

@@ -25,8 +25,8 @@
 //!
 //! Pop order is **exactly** ascending `(time, seq)` — byte-identical to
 //! the `BinaryHeap<Reverse<(time, seq)>>` it replaces (the
-//! `wheel_matches_reference_heap` property test enforces this). The
-//! argument:
+//! `wheel_matches_reference_heap` property test in `bench::timing`
+//! enforces this). The argument:
 //!
 //! 1. Entries at level `l` share all bits above `base(l) + 6` with the
 //!    horizon, so their slot index is strictly ahead of the horizon's
@@ -85,31 +85,6 @@ impl PartialOrd for Key {
 }
 impl Ord for Key {
     fn cmp(&self, other: &Key) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// One scheduled entry. Ordering ignores the payload: `(time, seq)`
-/// only, which is the simulator's total event order.
-struct Entry<T> {
-    time: u64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Entry<T>) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Entry<T>) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Entry<T>) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
@@ -359,82 +334,9 @@ impl<T> TimerWheel<T> {
     }
 }
 
-/// The plain `(time, seq)` min-heap scheduler the wheel replaced.
-///
-/// Kept as a public type for two consumers: the wheel's property tests
-/// (pop order must match this structure exactly) and the scheduler
-/// micro-benchmarks, which A/B the wheel against it on identical
-/// schedules. It intentionally mirrors [`TimerWheel`]'s API.
-#[derive(Default)]
-pub struct ReferenceHeap<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
-    seq: u64,
-}
-
-impl<T> ReferenceHeap<T> {
-    /// Creates an empty heap.
-    pub fn new() -> ReferenceHeap<T> {
-        ReferenceHeap {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Number of pending entries.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no entries are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `item` at `time`, assigning the next sequence number.
-    pub fn push(&mut self, time: SimTime, item: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Entry {
-            time: time.as_nanos(),
-            seq,
-            item,
-        }));
-    }
-
-    /// Removes and returns the earliest entry (FIFO among ties).
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap
-            .pop()
-            .map(|Reverse(e)| (SimTime::from_nanos(e.time), e.item))
-    }
-
-    /// Drains the run of entries sharing the earliest pending time into
-    /// `out` (in sequence order) and returns that time.
-    pub fn pop_run(&mut self, out: &mut impl Extend<T>) -> Option<SimTime> {
-        let (time, item) = self.pop()?;
-        out.extend(Some(item));
-        while let Some(Reverse(e)) = self.heap.peek() {
-            if e.time != time.as_nanos() {
-                break;
-            }
-            let Reverse(e) = self.heap.pop().expect("peeked entry exists");
-            out.extend(Some(e.item));
-        }
-        Some(time)
-    }
-
-    /// Time of the earliest pending entry.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap
-            .peek()
-            .map(|Reverse(e)| SimTime::from_nanos(e.time))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::{check_cases, SimRng};
 
     #[test]
     fn pops_in_time_then_seq_order_across_levels() {
@@ -525,95 +427,5 @@ mod tests {
         wheel.push(SimTime::from_secs(3), "b");
         assert_eq!(wheel.pop(), Some((SimTime::from_secs(1), "late")));
         assert_eq!(wheel.pop(), Some((SimTime::from_secs(3), "b")));
-    }
-
-    /// Draws a schedule offset exercising every tier: same-tick ties,
-    /// the near window, each wheel level, and the overflow epoch.
-    fn random_offset(rng: &mut SimRng) -> u64 {
-        match rng.gen_range(0..6u32) {
-            0 => 0,                                   // same tick as `now`
-            1 => rng.gen_range(0..1u64 << NEAR_BITS), // near window
-            2 => rng.gen_range(0..1u64 << 30),        // low levels
-            3 => rng.gen_range(0..1u64 << 45),        // high levels
-            4 => rng.gen_range(0..1u64 << 55),        // top level / overflow edge
-            _ => rng.gen_range(0..1u64 << 60),        // deep overflow
-        }
-    }
-
-    #[test]
-    fn wheel_matches_reference_heap() {
-        check_cases("wheel_matches_reference_heap", 64, |_case, rng| {
-            let mut wheel = TimerWheel::new();
-            let mut reference = ReferenceHeap::new();
-            let mut now = 0u64;
-            let mut next_id = 0u32;
-            // Cancellation is modeled the way the World models it: a
-            // set of dead ids filtered at delivery, identically on
-            // both structures.
-            let mut cancelled = std::collections::HashSet::new();
-            let ops = rng.gen_range(50..400usize);
-            for _ in 0..ops {
-                if rng.gen_bool(0.55) || wheel.is_empty() {
-                    // Push a burst (bursts create same-tick ties).
-                    let burst = rng.gen_range(1..4u32);
-                    let t = now + random_offset(rng);
-                    for _ in 0..burst {
-                        let id = next_id;
-                        next_id += 1;
-                        wheel.push(SimTime::from_nanos(t), id);
-                        reference.push(SimTime::from_nanos(t), id);
-                        if rng.gen_bool(0.1) {
-                            cancelled.insert(id);
-                        }
-                    }
-                } else {
-                    let got = wheel.pop().map(|(t, id)| (t.as_nanos(), id));
-                    let want = reference.pop().map(|(t, id)| (t.as_nanos(), id));
-                    assert_eq!(got, want, "pop order diverged");
-                    if let Some((t, id)) = got {
-                        assert!(t >= now, "time went backwards");
-                        now = t;
-                        // Delivery-time cancellation check, as in World.
-                        let _ = cancelled.remove(&id);
-                    }
-                }
-            }
-            // Drain both completely; tails must agree too.
-            loop {
-                let got = wheel.pop().map(|(t, id)| (t.as_nanos(), id));
-                let want = reference.pop().map(|(t, id)| (t.as_nanos(), id));
-                assert_eq!(got, want, "drain order diverged");
-                if got.is_none() {
-                    break;
-                }
-            }
-            assert!(wheel.is_empty());
-        });
-    }
-
-    #[test]
-    fn pop_run_matches_reference_heap_batching() {
-        check_cases("pop_run_matches_reference_heap", 32, |_case, rng| {
-            let mut wheel = TimerWheel::new();
-            let mut reference = ReferenceHeap::new();
-            let mut now = 0u64;
-            for id in 0..200u32 {
-                let t = now.max(rng.gen_range(0..1u64 << 40));
-                // Cluster times so runs form.
-                let t = t & !0xFFF;
-                wheel.push(SimTime::from_nanos(t), id);
-                reference.push(SimTime::from_nanos(t), id);
-                if id % 16 == 0 {
-                    now = t;
-                }
-            }
-            let mut run = Vec::new();
-            while let Some(t) = wheel.pop_run(&mut run) {
-                for id in run.drain(..) {
-                    assert_eq!(reference.pop(), Some((t, id)));
-                }
-            }
-            assert_eq!(reference.pop(), None);
-        });
     }
 }

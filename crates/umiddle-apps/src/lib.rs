@@ -10,12 +10,19 @@
 //! * [`G2Ui`] — the Geographical User Interface: gadgets are placed at
 //!   coordinates, and co-location triggers [`GeoKind::Geoplay`] or
 //!   [`GeoKind::Geostore`] compositions across platforms.
+//!
+//! Beside them sits the one wiring helper the examples, tests and
+//! experiments share: [`Wirer`], a headless rule engine that connects
+//! ports as their translators appear, configured by [`WireRule`]s, and
+//! [`At`], which scripts a command at a virtual time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod g2ui;
 mod pads;
+mod wiring;
 
 pub use g2ui::{infer_role, Atlas, G2Command, G2Ui, GadgetRole, GeoComposition, GeoKind, Position};
 pub use pads::{canvas_translators, Canvas, Icon, Pads, PadsCommand, Wire};
+pub use wiring::{At, WireRule, Wirer};

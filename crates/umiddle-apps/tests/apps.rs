@@ -7,29 +7,11 @@ use std::rc::Rc;
 
 use platform_bluetooth::BipCamera;
 use platform_upnp::{AirconLogic, ClockLogic, LightLogic, MediaRendererLogic, UpnpDevice};
-use simnet::{Ctx, ProcId, Process, SegmentConfig, SimDuration, SimTime, World};
-use umiddle_apps::{Atlas, Canvas, G2Command, G2Ui, GeoKind, Pads, PadsCommand, Position};
+use simnet::{SegmentConfig, SimDuration, SimTime, World};
+use umiddle_apps::{At, Atlas, Canvas, G2Command, G2Ui, GeoKind, Pads, PadsCommand, Position};
 use umiddle_bridges::{behaviors, BluetoothMapper, NativeService, UpnpMapper};
 use umiddle_core::{Direction, RuntimeConfig, RuntimeId, Shape, UMessage, UmiddleRuntime};
 use umiddle_usdl::UsdlLibrary;
-
-/// A one-shot process that sends a command to another process at a
-/// given virtual time.
-struct At<T: Clone + 'static> {
-    when: SimDuration,
-    to: ProcId,
-    what: T,
-}
-
-impl<T: Clone + 'static> Process for At<T> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let when = self.when;
-        ctx.set_timer(when, 0);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        ctx.send_local(self.to, self.what.clone());
-    }
-}
 
 fn native_shape_out(mime: &str) -> Shape {
     Shape::builder()

@@ -10,108 +10,14 @@ use platform_motes::{BaseStation, Mote};
 use platform_rmi::{RmiObjectServer, RmiRegistry, REGISTRY_PORT};
 use platform_upnp::{LightLogic, MediaRendererLogic, UpnpDevice};
 use platform_webservices::WsServer;
-use simnet::{
-    Addr, Ctx, LocalMessage, NodeId, ProcId, Process, SegmentConfig, SimDuration, SimTime, World,
-};
+use simnet::{Addr, Ctx, NodeId, ProcId, Process, SegmentConfig, SimDuration, SimTime, World};
+use umiddle_apps::{WireRule, Wirer};
 use umiddle_bridges::{
     behaviors, BluetoothMapper, MediaBrokerMapper, MotesMapper, NativeService, RmiMapper,
     UpnpMapper, WsMapper,
 };
-use umiddle_core::{
-    Direction, DirectoryEvent, PortRef, QosPolicy, Query, RuntimeClient, RuntimeConfig,
-    RuntimeEvent, RuntimeId, Shape, UMessage, UmiddleRuntime,
-};
+use umiddle_core::{Direction, Query, RuntimeConfig, RuntimeId, Shape, UMessage, UmiddleRuntime};
 use umiddle_usdl::UsdlLibrary;
-
-/// A wiring rule: connect `src` to `dst` when both appear.
-#[derive(Debug, Clone)]
-struct WireRule {
-    src_name: String,
-    src_port: String,
-    dst_name: String,
-    dst_port: String,
-}
-
-/// An application that watches the directory and wires translators
-/// together by (substring of) name.
-struct Wirer {
-    runtime: ProcId,
-    client: Option<RuntimeClient>,
-    rules: Vec<WireRule>,
-    /// Resolved ports: (rule idx, src, dst).
-    srcs: Vec<Option<PortRef>>,
-    dsts: Vec<Option<PortRef>>,
-    wired: Vec<bool>,
-    connected: Rc<RefCell<u32>>,
-}
-
-impl Wirer {
-    fn new(runtime: ProcId, rules: Vec<WireRule>) -> Wirer {
-        let n = rules.len();
-        Wirer {
-            runtime,
-            client: None,
-            rules,
-            srcs: vec![None; n],
-            dsts: vec![None; n],
-            wired: vec![false; n],
-            connected: Rc::new(RefCell::new(0)),
-        }
-    }
-
-    fn try_wire(&mut self, ctx: &mut Ctx<'_>) {
-        for i in 0..self.rules.len() {
-            if self.wired[i] {
-                continue;
-            }
-            if let (Some(src), Some(dst)) = (self.srcs[i], self.dsts[i]) {
-                self.wired[i] = true;
-                self.client.as_mut().expect("client set").connect_ports(
-                    ctx,
-                    src,
-                    dst,
-                    QosPolicy::unbounded(),
-                );
-            }
-        }
-    }
-}
-
-impl Process for Wirer {
-    fn name(&self) -> &str {
-        "wirer"
-    }
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let client = RuntimeClient::new(self.runtime);
-        client.add_listener(ctx, Query::All);
-        self.client = Some(client);
-    }
-    fn on_local(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: LocalMessage) {
-        let Ok(event) = msg.downcast::<RuntimeEvent>() else {
-            return;
-        };
-        match *event {
-            RuntimeEvent::Directory(DirectoryEvent::Appeared(profile)) => {
-                for (i, rule) in self.rules.iter().enumerate() {
-                    if profile.name().contains(&rule.src_name) {
-                        self.srcs[i] = Some(PortRef::new(profile.id(), rule.src_port.clone()));
-                    }
-                    if profile.name().contains(&rule.dst_name) {
-                        self.dsts[i] = Some(PortRef::new(profile.id(), rule.dst_port.clone()));
-                    }
-                }
-                self.try_wire(ctx);
-            }
-            RuntimeEvent::Connected { .. } => {
-                *self.connected.borrow_mut() += 1;
-            }
-            RuntimeEvent::ConnectFailed { reason, .. } => {
-                panic!("wiring failed: {reason}");
-            }
-            _ => {}
-        }
-    }
-}
 
 fn add_runtime(world: &mut World, node: NodeId, id: u32) -> ProcId {
     world.add_process(
@@ -199,18 +105,8 @@ fn camera_to_tv_across_platforms() {
         Box::new(Wirer::new(
             rt1,
             vec![
-                WireRule {
-                    src_name: "Shutter Button".to_owned(),
-                    src_port: "press".to_owned(),
-                    dst_name: "Pocket Camera".to_owned(),
-                    dst_port: "capture".to_owned(),
-                },
-                WireRule {
-                    src_name: "Pocket Camera".to_owned(),
-                    src_port: "image-out".to_owned(),
-                    dst_name: "Living Room TV".to_owned(),
-                    dst_port: "media-in".to_owned(),
-                },
+                WireRule::new("Shutter Button", "press", "Pocket Camera", "capture"),
+                WireRule::new("Pocket Camera", "image-out", "Living Room TV", "media-in"),
             ],
         )),
     );
@@ -280,12 +176,12 @@ fn mouse_clicks_reach_a_native_recorder() {
         h1,
         Box::new(Wirer::new(
             rt,
-            vec![WireRule {
-                src_name: "HIDP Mouse".to_owned(),
-                src_port: "clicks".to_owned(),
-                dst_name: "Click Recorder".to_owned(),
-                dst_port: "in".to_owned(),
-            }],
+            vec![WireRule::new(
+                "HIDP Mouse",
+                "clicks",
+                "Click Recorder",
+                "in",
+            )],
         )),
     );
 
@@ -373,18 +269,8 @@ fn rmi_echo_bridged() {
         Box::new(Wirer::new(
             rt,
             vec![
-                WireRule {
-                    src_name: "Payload Source".to_owned(),
-                    src_port: "out".to_owned(),
-                    dst_name: "EchoService".to_owned(),
-                    dst_port: "request".to_owned(),
-                },
-                WireRule {
-                    src_name: "EchoService".to_owned(),
-                    src_port: "response".to_owned(),
-                    dst_name: "Echo Recorder".to_owned(),
-                    dst_port: "in".to_owned(),
-                },
+                WireRule::new("Payload Source", "out", "EchoService", "request"),
+                WireRule::new("EchoService", "response", "Echo Recorder", "in"),
             ],
         )),
     );
@@ -439,12 +325,12 @@ fn mote_readings_bridged() {
         h1,
         Box::new(Wirer::new(
             rt,
-            vec![WireRule {
-                src_name: "Mote 1".to_owned(),
-                src_port: "temperature".to_owned(),
-                dst_name: "Temp Recorder".to_owned(),
-                dst_port: "in".to_owned(),
-            }],
+            vec![WireRule::new(
+                "Mote 1",
+                "temperature",
+                "Temp Recorder",
+                "in",
+            )],
         )),
     );
 
@@ -594,18 +480,8 @@ fn upnp_light_switch_through_umiddle() {
         Box::new(Wirer::new(
             rt,
             vec![
-                WireRule {
-                    src_name: "Wall Switch".to_owned(),
-                    src_port: "toggle".to_owned(),
-                    dst_name: "Hall Light".to_owned(),
-                    dst_port: "switch-on".to_owned(),
-                },
-                WireRule {
-                    src_name: "Hall Light".to_owned(),
-                    src_port: "power-state".to_owned(),
-                    dst_name: "State Recorder".to_owned(),
-                    dst_port: "in".to_owned(),
-                },
+                WireRule::new("Wall Switch", "toggle", "Hall Light", "switch-on"),
+                WireRule::new("Hall Light", "power-state", "State Recorder", "in"),
             ],
         )),
     );

@@ -20,10 +20,10 @@
 use umiddle::platform_bluetooth::BipCamera;
 use umiddle::platform_upnp::{MediaRendererLogic, UpnpDevice};
 use umiddle::simnet::{SegmentConfig, SimDuration, SimTime, World};
+use umiddle::umiddle_apps::{WireRule, Wirer};
 use umiddle::umiddle_bridges::{behaviors, BluetoothMapper, NativeService, UpnpMapper};
 use umiddle::umiddle_core::{Direction, RuntimeConfig, RuntimeId, Shape, UMessage, UmiddleRuntime};
 use umiddle::umiddle_usdl::UsdlLibrary;
-use umiddle::util::{WireRule, Wirer};
 
 fn main() {
     let mut world = World::new(7);

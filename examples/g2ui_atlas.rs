@@ -11,27 +11,11 @@ use std::rc::Rc;
 
 use umiddle::platform_bluetooth::BipCamera;
 use umiddle::platform_upnp::{MediaRendererLogic, UpnpDevice};
-use umiddle::simnet::{Ctx, ProcId, Process, SegmentConfig, SimDuration, SimTime, World};
-use umiddle::umiddle_apps::{G2Command, G2Ui, Position};
+use umiddle::simnet::{SegmentConfig, SimDuration, SimTime, World};
+use umiddle::umiddle_apps::{At, G2Command, G2Ui, Position};
 use umiddle::umiddle_bridges::{behaviors, BluetoothMapper, NativeService, UpnpMapper};
 use umiddle::umiddle_core::{Direction, RuntimeConfig, RuntimeId, Shape, UmiddleRuntime};
 use umiddle::umiddle_usdl::UsdlLibrary;
-
-struct At<T: Clone + 'static> {
-    when: SimDuration,
-    to: ProcId,
-    what: T,
-}
-
-impl<T: Clone + 'static> Process for At<T> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let when = self.when;
-        ctx.set_timer(when, 0);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        ctx.send_local(self.to, self.what.clone());
-    }
-}
 
 fn main() {
     let mut world = World::new(13);

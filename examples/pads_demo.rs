@@ -13,29 +13,13 @@ use std::rc::Rc;
 
 use umiddle::platform_bluetooth::BipCamera;
 use umiddle::platform_upnp::{AirconLogic, ClockLogic, LightLogic, UpnpDevice};
-use umiddle::simnet::{Ctx, ProcId, Process, SegmentConfig, SimDuration, SimTime, World};
-use umiddle::umiddle_apps::{Canvas, Pads, PadsCommand};
+use umiddle::simnet::{SegmentConfig, SimDuration, SimTime, World};
+use umiddle::umiddle_apps::{At, Canvas, Pads, PadsCommand};
 use umiddle::umiddle_bridges::{behaviors, BluetoothMapper, NativeService, UpnpMapper};
 use umiddle::umiddle_core::{Direction, RuntimeConfig, RuntimeId, Shape, UMessage, UmiddleRuntime};
 use umiddle::umiddle_usdl::UsdlLibrary;
 
 /// Sends a command to a process at a fixed virtual time.
-struct At<T: Clone + 'static> {
-    when: SimDuration,
-    to: ProcId,
-    what: T,
-}
-
-impl<T: Clone + 'static> Process for At<T> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let when = self.when;
-        ctx.set_timer(when, 0);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        ctx.send_local(self.to, self.what.clone());
-    }
-}
-
 fn out_shape(mime: &str) -> Shape {
     Shape::builder()
         .digital("out", Direction::Output, mime.parse().unwrap())

@@ -12,12 +12,12 @@ use std::rc::Rc;
 
 use umiddle::platform_upnp::{LightLogic, UpnpDevice};
 use umiddle::simnet::{SegmentConfig, SimDuration, SimTime, World};
+use umiddle::umiddle_apps::{WireRule, Wirer};
 use umiddle::umiddle_bridges::{behaviors, NativeService, UpnpMapper};
 use umiddle::umiddle_core::{
     Direction, QosPolicy, RuntimeConfig, RuntimeId, Shape, UMessage, UmiddleRuntime,
 };
 use umiddle::umiddle_usdl::UsdlLibrary;
-use umiddle::util::Wirer;
 
 fn main() {
     // 1. A simulated network: one Ethernet hub.
@@ -90,14 +90,9 @@ fn main() {
         Box::new(Wirer::new(
             runtime,
             vec![
-                umiddle::util::WireRule::new("Wall Switch", "toggle", "Hallway Light", "switch-on")
+                WireRule::new("Wall Switch", "toggle", "Hallway Light", "switch-on")
                     .with_qos(QosPolicy::unbounded()),
-                umiddle::util::WireRule::new(
-                    "Hallway Light",
-                    "power-state",
-                    "State Recorder",
-                    "in",
-                ),
+                WireRule::new("Hallway Light", "power-state", "State Recorder", "in"),
             ],
         )),
     );

@@ -12,10 +12,10 @@
 use umiddle::platform_motes::{BaseStation, Mote};
 use umiddle::platform_webservices::WsServer;
 use umiddle::simnet::{Addr, Ctx, ProcId, Process, SegmentConfig, SimDuration, SimTime, World};
+use umiddle::umiddle_apps::{WireRule, Wirer};
 use umiddle::umiddle_bridges::{behaviors, MotesMapper, NativeService, WsMapper};
 use umiddle::umiddle_core::{Direction, RuntimeConfig, RuntimeId, Shape, UmiddleRuntime};
 use umiddle::umiddle_usdl::UsdlLibrary;
-use umiddle::util::{WireRule, Wirer};
 
 fn main() {
     let mut world = World::new(17);

@@ -8,10 +8,11 @@
 //! USDL-parameterized generic translators, a federated directory, and
 //! dynamic device binding.
 //!
-//! This crate re-exports the whole workspace under one roof and adds
-//! [`util`] helpers used by the examples. Start with the `quickstart`
-//! example, then read [`umiddle_core`] for the model and
-//! [`umiddle_bridges`] for the platform mappers.
+//! This crate re-exports the whole workspace under one roof. Start with
+//! the `quickstart` example, then read [`umiddle_core`] for the model,
+//! [`umiddle_bridges`] for the platform mappers, and [`umiddle_apps`]
+//! for the applications and the one wiring helper
+//! ([`umiddle_apps::Wirer`]) the examples use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,5 +28,3 @@ pub use umiddle_apps;
 pub use umiddle_bridges;
 pub use umiddle_core;
 pub use umiddle_usdl;
-
-pub mod util;

@@ -7,12 +7,12 @@ use std::rc::Rc;
 use umiddle::platform_bluetooth::{BipCamera, BipPrinter};
 use umiddle::platform_upnp::{LightLogic, MediaRendererLogic, UpnpDevice};
 use umiddle::simnet::{SegmentConfig, SimDuration, SimTime, TraceAssert, World};
+use umiddle::umiddle_apps::{WireRule, Wirer};
 use umiddle::umiddle_bridges::{behaviors, BluetoothMapper, NativeService, UpnpMapper};
 use umiddle::umiddle_core::{
     Direction, QosPolicy, RuntimeConfig, RuntimeId, Shape, UMessage, UmiddleRuntime,
 };
 use umiddle::umiddle_usdl::UsdlLibrary;
-use umiddle::util::{WireRule, Wirer};
 
 fn recorder_shape(mime: &str) -> Shape {
     Shape::builder()

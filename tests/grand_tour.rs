@@ -10,14 +10,13 @@ use umiddle::platform_rmi::{RmiObjectServer, RmiRegistry, REGISTRY_PORT};
 use umiddle::platform_upnp::{ClockLogic, LightLogic, MediaRendererLogic, UpnpDevice};
 use umiddle::platform_webservices::WsServer;
 use umiddle::simnet::{Addr, Ctx, Process, SegmentConfig, SimDuration, SimTime, World};
-use umiddle::umiddle_apps::Pads;
+use umiddle::umiddle_apps::{Pads, WireRule, Wirer};
 use umiddle::umiddle_bridges::{
     behaviors, BluetoothMapper, MediaBrokerMapper, MotesMapper, NativeService, RmiMapper,
     UpnpMapper, WsMapper,
 };
 use umiddle::umiddle_core::{Direction, RuntimeConfig, RuntimeId, Shape, UmiddleRuntime};
 use umiddle::umiddle_usdl::UsdlLibrary;
-use umiddle::util::{WireRule, Wirer};
 
 /// Builds one smart space containing all six platforms plus native
 /// services, lets it converge, and verifies the unified view.

@@ -6,13 +6,13 @@ use umiddle::platform_upnp::{LightLogic, UpnpDevice};
 use umiddle::simnet::{
     Ctx, LocalMessage, ProcId, Process, SegmentConfig, SimDuration, SimTime, TraceAssert, World,
 };
+use umiddle::umiddle_apps::{WireRule, Wirer};
 use umiddle::umiddle_bridges::{behaviors, BluetoothMapper, NativeService, UpnpMapper};
 use umiddle::umiddle_core::{
     Direction, RuntimeClient, RuntimeConfig, RuntimeEvent, RuntimeId, Shape, UMessage,
     UmiddleRuntime,
 };
 use umiddle::umiddle_usdl::UsdlLibrary;
-use umiddle::util::{WireRule, Wirer};
 
 use std::cell::RefCell;
 use std::rc::Rc;
