@@ -5,9 +5,9 @@ use std::rc::Rc;
 
 use simnet::{
     diff_attribution, merge_shard_spans, Addr, AlertState, AlertTransition, AttributionReport,
-    BurnRateRule, CriticalPath, Ctx, HealthReport, IncidentBundle, IncidentConfig, MetricsSnapshot,
-    Objective, ProcId, Process, SamplerConfig, SegmentConfig, SimDuration, SimTime, SloKind,
-    SpanRecord, StreamEvent, StreamId, TelemetryConfig, World,
+    BurnRateRule, CriticalPath, Ctx, HealthReport, IncidentBundle, MetricsSnapshot, Objective,
+    ProcId, Process, SamplerConfig, SegmentConfig, SimDuration, SimTime, SloKind, SpanRecord,
+    StreamEvent, StreamId, TelemetryConfig, World,
 };
 use umiddle_apps::{WireRule, Wirer};
 use umiddle_bridges::{
@@ -2513,7 +2513,7 @@ pub fn e11_sharded_incident() -> ShardedIncidentResults {
         SimTime::from_secs(60),
         |world, info| {
             world.trace_mut().set_log_enabled(false);
-            world.enable_flight_recorder(IncidentConfig::default());
+            world.enable_flight_recorder();
             if info.shard == 0 {
                 e11_mouse_shard(world);
             } else {
@@ -2696,7 +2696,7 @@ pub fn e11_recorder_overhead(n: usize, measure: SimDuration, passes: usize) -> f
     let run = |recorder: bool| {
         let (mut world, _count) = e9b_world(n);
         if recorder {
-            world.enable_flight_recorder(IncidentConfig::default());
+            world.enable_flight_recorder();
         }
         world.run_until(setup);
         let t0 = std::time::Instant::now();
@@ -2770,7 +2770,7 @@ pub struct AttributionResults {
 ///    including the `queue.wait` span that explains the latency.
 pub fn e13_attribution() -> AttributionResults {
     let (mut world, upnp_mapper, fault_at) = e10_world();
-    world.enable_flight_recorder(IncidentConfig::default());
+    world.enable_flight_recorder();
     world.enable_attribution();
 
     // Healthy half → baseline snapshot → fault injection → degraded

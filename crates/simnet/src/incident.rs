@@ -46,29 +46,17 @@ impl TriggerKind {
     }
 }
 
-/// Configuration of the per-world incident recorder.
-#[derive(Debug, Clone, Copy)]
-pub struct IncidentConfig {
-    /// Capacity of the flight-recorder ring journals (events and spans).
-    pub ring_capacity: usize,
-    /// How far back from the trigger instant the bundled trace window
-    /// reaches: spans whose effective end is within this window are
-    /// included.
-    pub trace_window: SimDuration,
-    /// Maximum bundles kept per world; later triggers are counted
-    /// (`incident.triggers` keeps growing) but not snapshotted.
-    pub max_bundles: usize,
-}
+/// Capacity of the flight-recorder ring journals (events and spans).
+pub(crate) const RING_CAPACITY: usize = 50_000;
 
-impl Default for IncidentConfig {
-    fn default() -> IncidentConfig {
-        IncidentConfig {
-            ring_capacity: 50_000,
-            trace_window: SimDuration::from_secs(5),
-            max_bundles: 4,
-        }
-    }
-}
+/// How far back from the trigger instant the bundled trace window
+/// reaches: spans whose effective end is within this window are
+/// included.
+pub(crate) const TRACE_WINDOW: SimDuration = SimDuration::from_secs(5);
+
+/// Maximum bundles kept per world; later triggers are counted
+/// (`incident.triggers` keeps growing) but not snapshotted.
+pub(crate) const MAX_BUNDLES: usize = 4;
 
 /// A deterministic summary of the world's static structure, so a bundle
 /// records *what* was running, not just what it measured.
@@ -138,7 +126,7 @@ pub struct IncidentBundle {
     /// The shard that captured the bundle, in a sharded run.
     pub shard: Option<u16>,
     /// The trace window around the trigger (spans whose effective end
-    /// falls within [`IncidentConfig::trace_window`] of the trigger).
+    /// falls within the 5 s trace window before the trigger).
     pub spans: Vec<SpanRecord>,
     /// Cumulative flight-recorder span overwrites at capture time —
     /// how much history had already been recycled.

@@ -91,7 +91,7 @@ pub use health::{
     AlertState, AlertStatus, AlertTransition, BurnRateRule, HealthReport, Objective, SloEngine,
     SloKind, TelemetryConfig,
 };
-pub use incident::{IncidentBundle, IncidentConfig, TopologyDigest, TriggerKind};
+pub use incident::{IncidentBundle, TopologyDigest, TriggerKind};
 pub use medium::{schedule_tx, SegmentConfig, TxTiming};
 pub use payload::{ChunkQueue, Payload, PayloadBuilder, PayloadStats};
 pub use process::{

@@ -6,7 +6,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use crate::ctx::Ctx;
 use crate::error::{SimError, SimResult};
 use crate::health::{AlertState, HealthReport, SegmentSample, SloEngine, TelemetryConfig};
-use crate::incident::{IncidentBundle, IncidentConfig, TopologyDigest, TriggerKind};
+use crate::incident::{
+    IncidentBundle, TopologyDigest, TriggerKind, MAX_BUNDLES, RING_CAPACITY, TRACE_WINDOW,
+};
 use crate::medium::{schedule_tx, SegmentConfig};
 use crate::payload::Payload;
 use crate::process::{Addr, Datagram, LocalMessage, NodeId, ProcId, Process, SegmentId, StreamId};
@@ -381,7 +383,6 @@ struct TelemetryPlane {
 /// [`crate::incident`]): captured bundles plus the watermarks that
 /// detect *new* trigger conditions at each telemetry sample.
 struct IncidentPlane {
-    config: IncidentConfig,
     bundles: Vec<IncidentBundle>,
     /// SLO transitions already examined (index into the engine's log).
     seen_transitions: usize,
@@ -713,10 +714,9 @@ impl World {
     /// SLO/doctor triggers need [`World::enable_telemetry`] as well;
     /// without it the recorder still bounds trace loss and captures
     /// shard-panic bundles, but nothing else trips.
-    pub fn enable_flight_recorder(&mut self, config: IncidentConfig) {
-        self.trace.enable_flight_recorder(config.ring_capacity);
+    pub fn enable_flight_recorder(&mut self) {
+        self.trace.enable_flight_recorder(RING_CAPACITY);
         self.incident = Some(Box::new(IncidentPlane {
-            config,
             bundles: Vec::new(),
             seen_transitions: 0,
             last_rank: Vec::new(),
@@ -786,23 +786,20 @@ impl World {
     /// report, and the topology digest. Called by the trigger plane;
     /// also public so tests and tools can cut a bundle on demand.
     ///
-    /// Every trigger bumps the `incident.triggers` counter; bundles past
-    /// [`IncidentConfig::max_bundles`] are counted but not stored. A
-    /// no-op when the flight recorder is off.
+    /// Every trigger bumps the `incident.triggers` counter; triggers
+    /// after the fourth bundle are counted but not stored. A no-op when
+    /// the flight recorder is off.
     pub fn capture_incident(&mut self, kind: TriggerKind, detail: String) {
         let Some(plane) = self.incident.as_ref() else {
             return;
         };
-        let config = plane.config;
+        let full = plane.bundles.len() >= MAX_BUNDLES;
         self.trace.metrics_mut().counter_add("incident.triggers", 1);
-        if self.incident.as_ref().expect("checked above").bundles.len() >= config.max_bundles {
+        if full {
             return;
         }
-        let since = SimTime::from_nanos(
-            self.now
-                .as_nanos()
-                .saturating_sub(config.trace_window.as_nanos()),
-        );
+        let since =
+            SimTime::from_nanos(self.now.as_nanos().saturating_sub(TRACE_WINDOW.as_nanos()));
         let spans: Vec<crate::SpanRecord> = self
             .trace
             .spans()

@@ -11,9 +11,8 @@
 
 use simnet::shard::{run_sharded, ShardPlan};
 use simnet::{
-    check_cases, Addr, BurnRateRule, Ctx, Datagram, IncidentConfig, Objective, Process,
-    SamplerConfig, SegmentConfig, ShardConfig, SimDuration, SimError, SimTime, SloKind,
-    TelemetryConfig, World,
+    check_cases, Addr, BurnRateRule, Ctx, Datagram, Objective, Process, SamplerConfig,
+    SegmentConfig, ShardConfig, SimDuration, SimError, SimTime, SloKind, TelemetryConfig, World,
 };
 
 /// Port the local sink listens on inside each wing.
@@ -459,7 +458,7 @@ fn sharded_incident_bundles_are_deterministic_across_interleavings() {
             11,
             SimTime::from_secs(2),
             |world, info| {
-                world.enable_flight_recorder(IncidentConfig::default());
+                world.enable_flight_recorder();
                 world.enable_telemetry(wing_telemetry());
                 let beat = world.add_node(format!("s{}.beat-host", info.shard));
                 world.add_process(

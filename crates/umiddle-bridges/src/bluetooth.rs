@@ -21,13 +21,13 @@ use simnet::{
     StreamEvent, StreamId,
 };
 use umiddle_core::{
-    ack_input_done, handle_input_done_echo, ConnectionId, MimeType, RuntimeClient, RuntimeEvent,
-    Symbol, TranslatorId, UMessage,
+    ack_input_done, handle_input_done_echo, ConnectionId, MimeType, RuntimeEvent, Symbol,
+    TranslatorId, UMessage,
 };
-use umiddle_usdl::{UsdlDocument, UsdlLibrary};
+use umiddle_usdl::UsdlLibrary;
 
 use crate::calib;
-use crate::upnp::MapperStats;
+use crate::mapper::{Entity, MapperCore, MapperStats};
 
 const TIMER_INQUIRY: u64 = 1;
 
@@ -46,7 +46,6 @@ struct PendingEmit {
 struct BtService {
     profile: String,
     psm: u16,
-    doc: UsdlDocument,
     translator: Option<TranslatorId>,
 }
 
@@ -96,20 +95,15 @@ impl std::fmt::Debug for ObexOp {
 
 /// The Bluetooth mapper process.
 pub struct BluetoothMapper {
-    runtime: ProcId,
+    /// Translators keyed by (node, profile).
+    core: MapperCore<(NodeId, String)>,
     usdl: UsdlLibrary,
     inquiry_port: u16,
     inquiry_interval: SimDuration,
-    client: Option<RuntimeClient>,
     devices: HashMap<NodeId, BtDevice>,
-    /// Registration token → (node, profile).
-    pending_regs: HashMap<u64, (NodeId, String)>,
-    /// Translator → (node, profile).
-    by_translator: HashMap<TranslatorId, (NodeId, String)>,
     sdp_streams: HashMap<StreamId, NodeId>,
     hid_streams: HashMap<StreamId, (TranslatorId, ReportAccumulator)>,
     obex_ops: HashMap<StreamId, ObexOp>,
-    stats: Rc<RefCell<MapperStats>>,
 }
 
 impl std::fmt::Debug for BluetoothMapper {
@@ -124,18 +118,14 @@ impl BluetoothMapper {
     /// Creates a mapper. `inquiry_port` must be free on the node.
     pub fn new(runtime: ProcId, usdl: UsdlLibrary, inquiry_port: u16) -> BluetoothMapper {
         BluetoothMapper {
-            runtime,
+            core: MapperCore::new(runtime, "bluetooth", "bt"),
             usdl,
             inquiry_port,
             inquiry_interval: SimDuration::from_secs(10),
-            client: None,
             devices: HashMap::new(),
-            pending_regs: HashMap::new(),
-            by_translator: HashMap::new(),
             sdp_streams: HashMap::new(),
             hid_streams: HashMap::new(),
             obex_ops: HashMap::new(),
-            stats: Rc::new(RefCell::new(MapperStats::default())),
         }
     }
 
@@ -146,7 +136,7 @@ impl BluetoothMapper {
 
     /// Shared statistics handle.
     pub fn stats_handle(&self) -> Rc<RefCell<MapperStats>> {
-        Rc::clone(&self.stats)
+        Rc::clone(&self.core.stats)
     }
 
     fn send_inquiry(&mut self, ctx: &mut Ctx<'_>) {
@@ -169,12 +159,7 @@ impl BluetoothMapper {
         for node in dead {
             if let Some(dev) = self.devices.remove(&node) {
                 for svc in dev.services {
-                    if let Some(t) = svc.translator {
-                        self.by_translator.remove(&t);
-                        if let Some(client) = self.client.as_ref() {
-                            client.unregister(ctx, t);
-                        }
-                    }
+                    self.core.depart(ctx, &(node, svc.profile), svc.translator);
                 }
                 ctx.bump("mapper.bt.expired", 1);
             }
@@ -197,19 +182,16 @@ impl BluetoothMapper {
                 ctx.bump("mapper.bt.unknown_profile", 1);
                 continue;
             };
-            let doc = doc.clone();
             // Figure 10: per-port translator instantiation cost.
-            ctx.busy(calib::instantiation_cost(doc.ports().len(), 0));
-            let profile = doc.profile(Some(&record.name));
-            let client = self.client.as_mut().expect("client set in on_start");
-            let me = ctx.me();
-            let token = client.register(ctx, profile, me);
-            self.pending_regs
-                .insert(token, (node, record.profile.clone()));
+            let entity = Entity {
+                key: (node, record.profile.clone()),
+                name: dev.name.clone(),
+                seen_at: dev.seen_at,
+            };
+            self.core.instantiate(ctx, doc, 0, &record.name, entity);
             dev.services.push(BtService {
-                profile: record.profile.clone(),
+                profile: record.profile,
                 psm: record.psm,
-                doc,
                 translator: None,
             });
         }
@@ -226,39 +208,26 @@ impl BluetoothMapper {
     fn emit_image(&mut self, ctx: &mut Ctx<'_>, translator: TranslatorId, data: Vec<u8>) {
         let mime: MimeType = "image/jpeg".parse().expect("static mime");
         ctx.busy(calib::EVENT_TRANSLATION);
-        crate::obs::record_egress(ctx, "bluetooth", calib::EVENT_TRANSLATION);
-        self.stats.borrow_mut().events += 1;
-        let client = self.client.as_ref().expect("client set");
-        client.output(ctx, translator, "image-out", UMessage::new(mime, data));
+        self.core.record_egress(ctx, calib::EVENT_TRANSLATION);
+        self.core.stats.borrow_mut().events += 1;
+        self.core
+            .client
+            .output(ctx, translator, "image-out", UMessage::new(mime, data));
     }
 
     fn handle_runtime_event(&mut self, ctx: &mut Ctx<'_>, event: RuntimeEvent) {
         match event {
             RuntimeEvent::Registered { token, translator } => {
-                let Some((node, profile)) = self.pending_regs.remove(&token) else {
+                let Some((node, profile)) = self.core.registered(ctx, token, translator) else {
                     return;
                 };
-                let (seen_at, device_name) = match self.devices.get(&node) {
-                    Some(d) => (Some(d.seen_at), d.name.clone()),
-                    None => (None, String::new()),
-                };
-                let (device_type, psm) = {
+                let psm = {
                     let Some(svc) = self.service_mut(node, &profile) else {
                         return;
                     };
                     svc.translator = Some(translator);
-                    (svc.doc.device_type().to_owned(), svc.psm)
+                    svc.psm
                 };
-                self.by_translator
-                    .insert(translator, (node, profile.clone()));
-                if let Some(seen_at) = seen_at {
-                    let elapsed = ctx.now().saturating_since(seen_at);
-                    self.stats
-                        .borrow_mut()
-                        .mappings
-                        .push((device_type, device_name, elapsed));
-                    ctx.bump("mapper.bt.mapped", 1);
-                }
                 // The mouse pushes reports: open the interrupt channel.
                 if profile == "hidp-mouse" {
                     if let Ok(stream) = ctx.connect(Addr::new(node, PSM_HID.max(psm))) {
@@ -301,7 +270,7 @@ impl BluetoothMapper {
         msg: UMessage,
         connection: ConnectionId,
     ) {
-        let Some((node, profile)) = self.by_translator.get(&translator).cloned() else {
+        let Some((node, profile)) = self.core.key(translator).cloned() else {
             return;
         };
         let Some(svc) = self
@@ -312,13 +281,8 @@ impl BluetoothMapper {
             return;
         };
         ctx.busy(calib::CONTROL_TRANSLATION);
-        crate::obs::record_hop(
-            ctx,
-            "bluetooth",
-            connection,
-            &port,
-            calib::CONTROL_TRANSLATION,
-        );
+        self.core
+            .record_hop(ctx, connection, &port, calib::CONTROL_TRANSLATION);
         match (profile.as_str(), port.as_str()) {
             ("bip-camera", "capture") => {
                 if let Ok(stream) = ctx.connect(Addr::new(node, svc.psm)) {
@@ -352,7 +316,7 @@ impl BluetoothMapper {
                 }
             }
             _ => {
-                ack_input_done(ctx, self.runtime, connection, translator);
+                ack_input_done(ctx, self.core.runtime(), connection, translator);
             }
         }
     }
@@ -372,7 +336,7 @@ impl BluetoothMapper {
             // document costs ~23 ms; the emission is deferred through a
             // self-echo so that time actually elapses first.
             ctx.busy(calib::HID_TRANSLATION);
-            crate::obs::record_egress(ctx, "bluetooth", calib::HID_TRANSLATION);
+            self.core.record_egress(ctx, calib::HID_TRANSLATION);
             let (port, msg) = match report {
                 HidReport::Buttons(mask) => {
                     let state = if mask != 0 { "press" } else { "release" };
@@ -418,19 +382,19 @@ impl BluetoothMapper {
                             self.obex_ops.remove(&stream);
                             ctx.stream_close(stream);
                             self.emit_image(ctx, translator, image);
-                            let mut stats = self.stats.borrow_mut();
+                            let mut stats = self.core.stats.borrow_mut();
                             stats.actions += 1;
                             stats
                                 .action_latencies
                                 .push(ctx.now().saturating_since(started));
                             drop(stats);
-                            ack_input_done(ctx, self.runtime, connection, translator);
+                            ack_input_done(ctx, self.core.runtime(), connection, translator);
                         }
                         Ok(None) => {}
                         Err(_) => {
                             self.obex_ops.remove(&stream);
                             ctx.stream_close(stream);
-                            ack_input_done(ctx, self.runtime, connection, translator);
+                            ack_input_done(ctx, self.core.runtime(), connection, translator);
                         }
                     }
                     return;
@@ -449,7 +413,7 @@ impl BluetoothMapper {
                     Err(_) => {
                         self.obex_ops.remove(&stream);
                         ctx.stream_close(stream);
-                        ack_input_done(ctx, self.runtime, connection, translator);
+                        ack_input_done(ctx, self.core.runtime(), connection, translator);
                     }
                 }
             }
@@ -483,15 +447,15 @@ impl BluetoothMapper {
                             Opcode::Success => {
                                 self.obex_ops.remove(&stream);
                                 ctx.stream_close(stream);
-                                self.stats.borrow_mut().actions += 1;
-                                ack_input_done(ctx, self.runtime, connection, translator);
+                                self.core.stats.borrow_mut().actions += 1;
+                                ack_input_done(ctx, self.core.runtime(), connection, translator);
                                 return;
                             }
                             Opcode::Continue => {}
                             _ => {
                                 self.obex_ops.remove(&stream);
                                 ctx.stream_close(stream);
-                                ack_input_done(ctx, self.runtime, connection, translator);
+                                ack_input_done(ctx, self.core.runtime(), connection, translator);
                                 return;
                             }
                         },
@@ -499,7 +463,7 @@ impl BluetoothMapper {
                         Err(_) => {
                             self.obex_ops.remove(&stream);
                             ctx.stream_close(stream);
-                            ack_input_done(ctx, self.runtime, connection, translator);
+                            ack_input_done(ctx, self.core.runtime(), connection, translator);
                             return;
                         }
                     }
@@ -515,10 +479,9 @@ impl Process for BluetoothMapper {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        crate::obs::announce(ctx, "bluetooth");
+        self.core.announce(ctx);
         ctx.bind(self.inquiry_port).expect("inquiry port free");
         let _ = ctx.join_group(INQUIRY_GROUP);
-        self.client = Some(RuntimeClient::new(self.runtime));
         self.send_inquiry(ctx);
         let interval = self.inquiry_interval;
         ctx.set_timer(interval, TIMER_INQUIRY);
@@ -630,7 +593,7 @@ impl Process for BluetoothMapper {
                                 connection,
                                 ..
                             } => {
-                                ack_input_done(ctx, self.runtime, connection, translator);
+                                ack_input_done(ctx, self.core.runtime(), connection, translator);
                             }
                             ObexOp::Pull { .. } => {}
                         }
@@ -647,15 +610,16 @@ impl Process for BluetoothMapper {
         }
         let msg = match msg.downcast::<PendingEmit>() {
             Ok(pending) => {
-                let mut stats = self.stats.borrow_mut();
+                let mut stats = self.core.stats.borrow_mut();
                 stats.events += 1;
                 stats
                     .translation_latencies
                     .push(ctx.now().saturating_since(pending.started));
                 drop(stats);
                 ctx.bump("mapper.bt.hid_translated", 1);
-                let client = self.client.as_ref().expect("client set");
-                client.output(ctx, pending.translator, pending.port, pending.msg);
+                self.core
+                    .client
+                    .output(ctx, pending.translator, pending.port, pending.msg);
                 return;
             }
             Err(original) => original,

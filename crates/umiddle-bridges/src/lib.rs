@@ -29,10 +29,10 @@
 mod bluetooth;
 pub mod calib;
 pub mod direct;
+mod mapper;
 mod mediabroker;
 mod motes;
 mod native;
-mod obs;
 mod rmi;
 pub mod scatter;
 pub mod shard;
@@ -40,11 +40,12 @@ mod upnp;
 mod webservices;
 
 pub use bluetooth::BluetoothMapper;
+pub use mapper::MapperStats;
 pub use mediabroker::MediaBrokerMapper;
 pub use motes::MotesMapper;
 pub use native::{behaviors, NativeBehavior, NativeEnv, NativeService};
 pub use rmi::RmiMapper;
 pub use scatter::UpnpExporter;
 pub use shard::{ShardIngress, ShardUplink};
-pub use upnp::{MapperStats, UpnpMapper};
+pub use upnp::UpnpMapper;
 pub use webservices::WsMapper;

@@ -13,17 +13,15 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use platform_mediabroker::{MbAccumulator, MbFrame};
-use simnet::{
-    Addr, Ctx, LocalMessage, ProcId, Process, SimDuration, SimTime, StreamEvent, StreamId,
-};
+use simnet::{Addr, Ctx, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId};
 use umiddle_core::{
-    ack_input_done, handle_input_done_echo, ConnectionId, MimeType, RuntimeClient, RuntimeEvent,
-    Symbol, TranslatorId, UMessage,
+    ack_input_done, handle_input_done_echo, ConnectionId, MimeType, RuntimeEvent, Symbol,
+    TranslatorId, UMessage,
 };
 use umiddle_usdl::UsdlLibrary;
 
 use crate::calib;
-use crate::upnp::MapperStats;
+use crate::mapper::{Entity, MapperCore, MapperStats};
 
 const TIMER_POLL: u64 = 1;
 
@@ -42,27 +40,23 @@ struct Bridged {
     translator: Option<TranslatorId>,
     stream: Option<StreamId>,
     attached: bool,
-    seen_at: SimTime,
 }
 
 /// The MediaBroker mapper process.
 pub struct MediaBrokerMapper {
-    runtime: ProcId,
+    /// Translators keyed by bridged index.
+    core: MapperCore<usize>,
     usdl: UsdlLibrary,
     broker: Addr,
     /// Channels to produce into (sink translators), fixed at config time.
     sink_channels: Vec<String>,
     poll_interval: SimDuration,
-    client: Option<RuntimeClient>,
     control: Option<StreamId>,
     control_acc: MbAccumulator,
     bridged: Vec<Bridged>,
     /// Data streams: stream → bridged index.
     data_streams: HashMap<StreamId, usize>,
     data_accs: HashMap<StreamId, MbAccumulator>,
-    pending_regs: HashMap<u64, usize>,
-    by_translator: HashMap<TranslatorId, usize>,
-    stats: Rc<RefCell<MapperStats>>,
 }
 
 impl std::fmt::Debug for MediaBrokerMapper {
@@ -83,26 +77,22 @@ impl MediaBrokerMapper {
         sink_channels: Vec<String>,
     ) -> MediaBrokerMapper {
         MediaBrokerMapper {
-            runtime,
+            core: MapperCore::new(runtime, "mediabroker", "mb"),
             usdl,
             broker,
             sink_channels,
             poll_interval: SimDuration::from_secs(5),
-            client: None,
             control: None,
             control_acc: MbAccumulator::new(),
             bridged: Vec::new(),
             data_streams: HashMap::new(),
             data_accs: HashMap::new(),
-            pending_regs: HashMap::new(),
-            by_translator: HashMap::new(),
-            stats: Rc::new(RefCell::new(MapperStats::default())),
         }
     }
 
     /// Shared statistics handle.
     pub fn stats_handle(&self) -> Rc<RefCell<MapperStats>> {
-        Rc::clone(&self.stats)
+        Rc::clone(&self.core.stats)
     }
 
     fn register_bridged(&mut self, ctx: &mut Ctx<'_>, channel: &str, role: Role) {
@@ -121,26 +111,23 @@ impl MediaBrokerMapper {
             ctx.bump("mapper.mb.missing_usdl", 1);
             return;
         };
-        let doc = doc.clone();
-        ctx.busy(calib::instantiation_cost(doc.ports().len(), 0));
         let name = match role {
             Role::Source => format!("MB channel {channel}"),
             Role::Sink => format!("MB sink {channel}"),
         };
-        let profile = doc.profile(Some(&name));
-        let client = self.client.as_mut().expect("client set");
-        let me = ctx.me();
-        let token = client.register(ctx, profile, me);
-        let idx = self.bridged.len();
+        let entity = Entity {
+            key: self.bridged.len(),
+            name: channel.to_owned(),
+            seen_at: ctx.now(),
+        };
+        self.core.instantiate(ctx, doc, 0, &name, entity);
         self.bridged.push(Bridged {
             channel: channel.to_owned(),
             role,
             translator: None,
             stream: None,
             attached: false,
-            seen_at: ctx.now(),
         });
-        self.pending_regs.insert(token, idx);
     }
 
     /// Opens the data stream for a bridged channel once its translator
@@ -192,11 +179,12 @@ impl MediaBrokerMapper {
                     return;
                 };
                 ctx.busy(calib::MB_FRAME_TRANSLATION);
-                crate::obs::record_egress(ctx, "mediabroker", calib::MB_FRAME_TRANSLATION);
-                self.stats.borrow_mut().events += 1;
+                self.core.record_egress(ctx, calib::MB_FRAME_TRANSLATION);
+                self.core.stats.borrow_mut().events += 1;
                 let mime: MimeType = "application/octet-stream".parse().expect("static");
-                let client = self.client.as_ref().expect("client set");
-                client.output(ctx, translator, "media-out", UMessage::new(mime, payload));
+                self.core
+                    .client
+                    .output(ctx, translator, "media-out", UMessage::new(mime, payload));
             }
             _ => {}
         }
@@ -205,27 +193,12 @@ impl MediaBrokerMapper {
     fn handle_runtime_event(&mut self, ctx: &mut Ctx<'_>, event: RuntimeEvent) {
         match event {
             RuntimeEvent::Registered { token, translator } => {
-                let Some(idx) = self.pending_regs.remove(&token) else {
+                let Some(idx) = self.core.registered(ctx, token, translator) else {
                     return;
                 };
-                let (channel, role, seen_at) = {
-                    let Some(b) = self.bridged.get_mut(idx) else {
-                        return;
-                    };
+                if let Some(b) = self.bridged.get_mut(idx) {
                     b.translator = Some(translator);
-                    (b.channel.clone(), b.role, b.seen_at)
-                };
-                self.by_translator.insert(translator, idx);
-                let elapsed = ctx.now().saturating_since(seen_at);
-                self.stats.borrow_mut().mappings.push((
-                    match role {
-                        Role::Source => "mb-source".to_owned(),
-                        Role::Sink => "mb-sink".to_owned(),
-                    },
-                    channel,
-                    elapsed,
-                ));
-                ctx.bump("mapper.mb.mapped", 1);
+                }
                 self.open_data_stream(ctx, idx);
             }
             RuntimeEvent::Input {
@@ -248,32 +221,27 @@ impl MediaBrokerMapper {
         msg: UMessage,
         connection: ConnectionId,
     ) {
-        let Some(&idx) = self.by_translator.get(&translator) else {
+        let Some(&idx) = self.core.key(translator) else {
             return;
         };
         let Some(b) = self.bridged.get(idx) else {
             return;
         };
         if b.role != Role::Sink || port != "media-in" {
-            ack_input_done(ctx, self.runtime, connection, translator);
+            ack_input_done(ctx, self.core.runtime(), connection, translator);
             return;
         }
         ctx.busy(calib::MB_FRAME_TRANSLATION);
-        crate::obs::record_hop(
-            ctx,
-            "mediabroker",
-            connection,
-            &port,
-            calib::MB_FRAME_TRANSLATION,
-        );
+        self.core
+            .record_hop(ctx, connection, &port, calib::MB_FRAME_TRANSLATION);
         if let (Some(stream), true) = (b.stream, b.attached) {
             let frame = MbFrame::Data {
                 payload: msg.into_body(),
             };
             let _ = ctx.stream_send(stream, frame.encode_framed());
-            self.stats.borrow_mut().actions += 1;
+            self.core.stats.borrow_mut().actions += 1;
         }
-        ack_input_done(ctx, self.runtime, connection, translator);
+        ack_input_done(ctx, self.core.runtime(), connection, translator);
     }
 }
 
@@ -283,8 +251,7 @@ impl Process for MediaBrokerMapper {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        crate::obs::announce(ctx, "mediabroker");
-        self.client = Some(RuntimeClient::new(self.runtime));
+        self.core.announce(ctx);
         if let Ok(stream) = ctx.connect(self.broker) {
             self.control = Some(stream);
         }

@@ -14,13 +14,13 @@ use std::rc::Rc;
 use platform_motes::{BaseStationCommand, BaseStationEvent};
 use simnet::{Ctx, LocalMessage, ProcId, Process, SimDuration, SimTime};
 use umiddle_core::{
-    ack_input_done, handle_input_done_echo, ConnectionId, RuntimeClient, RuntimeEvent, Symbol,
-    TranslatorId, UMessage,
+    ack_input_done, handle_input_done_echo, ConnectionId, RuntimeEvent, Symbol, TranslatorId,
+    UMessage,
 };
 use umiddle_usdl::UsdlLibrary;
 
 use crate::calib;
-use crate::upnp::MapperStats;
+use crate::mapper::{Entity, MapperCore, MapperStats};
 
 const TIMER_EXPIRE: u64 = 1;
 
@@ -28,22 +28,18 @@ const TIMER_EXPIRE: u64 = 1;
 struct MappedMote {
     translator: Option<TranslatorId>,
     last_seen: SimTime,
-    seen_at: SimTime,
 }
 
 /// The motes mapper process. Wire the base station's sink to this
 /// process's id.
 pub struct MotesMapper {
-    runtime: ProcId,
+    /// Translators keyed by mote id.
+    core: MapperCore<u16>,
     usdl: UsdlLibrary,
     /// The base-station process (for sampling reconfiguration).
     base_station: Option<ProcId>,
-    client: Option<RuntimeClient>,
     motes: HashMap<u16, MappedMote>,
-    pending_regs: HashMap<u64, u16>,
-    by_translator: HashMap<TranslatorId, u16>,
     expiry: SimDuration,
-    stats: Rc<RefCell<MapperStats>>,
 }
 
 impl std::fmt::Debug for MotesMapper {
@@ -59,21 +55,17 @@ impl MotesMapper {
     /// process (set after spawning it, or `None` for receive-only).
     pub fn new(runtime: ProcId, usdl: UsdlLibrary, base_station: Option<ProcId>) -> MotesMapper {
         MotesMapper {
-            runtime,
+            core: MapperCore::new(runtime, "motes", "motes"),
             usdl,
             base_station,
-            client: None,
             motes: HashMap::new(),
-            pending_regs: HashMap::new(),
-            by_translator: HashMap::new(),
             expiry: SimDuration::from_secs(30),
-            stats: Rc::new(RefCell::new(MapperStats::default())),
         }
     }
 
     /// Shared statistics handle.
     pub fn stats_handle(&self) -> Rc<RefCell<MapperStats>> {
-        Rc::clone(&self.stats)
+        Rc::clone(&self.core.stats)
     }
 
     fn handle_reading(&mut self, ctx: &mut Ctx<'_>, mote: u16, reading: platform_motes::Reading) {
@@ -82,7 +74,6 @@ impl MotesMapper {
         let entry = self.motes.entry(mote).or_insert_with(|| MappedMote {
             translator: None,
             last_seen: now,
-            seen_at: now,
         });
         entry.last_seen = now;
         if !known {
@@ -90,25 +81,26 @@ impl MotesMapper {
                 ctx.bump("mapper.motes.missing_usdl", 1);
                 return;
             };
-            let doc = doc.clone();
-            ctx.busy(calib::instantiation_cost(doc.ports().len(), 0));
-            let profile = doc.profile(Some(&format!("Mote {mote}")));
-            let client = self.client.as_mut().expect("client set");
-            let me = ctx.me();
-            let token = client.register(ctx, profile, me);
-            self.pending_regs.insert(token, mote);
+            let name = format!("Mote {mote}");
+            let entity = Entity {
+                key: mote,
+                name: name.clone(),
+                seen_at: now,
+            };
+            self.core.instantiate(ctx, doc, 0, &name, entity);
             return; // this first reading is consumed by discovery
         }
         let Some(translator) = entry.translator else {
             return;
         };
         ctx.busy(calib::EVENT_TRANSLATION);
-        crate::obs::record_egress(ctx, "motes", calib::EVENT_TRANSLATION);
-        self.stats.borrow_mut().events += 1;
-        let client = self.client.as_ref().expect("client set");
+        self.core.record_egress(ctx, calib::EVENT_TRANSLATION);
+        self.core.stats.borrow_mut().events += 1;
         let temperature = format!("{:.1}", reading.temperature_decicelsius as f64 / 10.0);
-        client.output(ctx, translator, "temperature", UMessage::text(temperature));
-        client.output(
+        self.core
+            .client
+            .output(ctx, translator, "temperature", UMessage::text(temperature));
+        self.core.client.output(
             ctx,
             translator,
             "light-level",
@@ -119,21 +111,12 @@ impl MotesMapper {
     fn handle_runtime_event(&mut self, ctx: &mut Ctx<'_>, event: RuntimeEvent) {
         match event {
             RuntimeEvent::Registered { token, translator } => {
-                let Some(mote) = self.pending_regs.remove(&token) else {
+                let Some(mote) = self.core.registered(ctx, token, translator) else {
                     return;
                 };
-                let Some(entry) = self.motes.get_mut(&mote) else {
-                    return;
-                };
-                entry.translator = Some(translator);
-                self.by_translator.insert(translator, mote);
-                let elapsed = ctx.now().saturating_since(entry.seen_at);
-                self.stats.borrow_mut().mappings.push((
-                    "sensor-mote".to_owned(),
-                    format!("Mote {mote}"),
-                    elapsed,
-                ));
-                ctx.bump("mapper.motes.mapped", 1);
+                if let Some(entry) = self.motes.get_mut(&mote) {
+                    entry.translator = Some(translator);
+                }
             }
             RuntimeEvent::Input {
                 translator,
@@ -161,12 +144,13 @@ impl MotesMapper {
                 msg.body_text().and_then(|t| t.parse::<u16>().ok()),
             ) {
                 ctx.busy(calib::CONTROL_TRANSLATION);
-                crate::obs::record_hop(ctx, "motes", connection, &port, calib::CONTROL_TRANSLATION);
+                self.core
+                    .record_hop(ctx, connection, &port, calib::CONTROL_TRANSLATION);
                 ctx.send_local(bs, BaseStationCommand::SetSamplingInterval { millis });
-                self.stats.borrow_mut().actions += 1;
+                self.core.stats.borrow_mut().actions += 1;
             }
         }
-        ack_input_done(ctx, self.runtime, connection, translator);
+        ack_input_done(ctx, self.core.runtime(), connection, translator);
     }
 }
 
@@ -176,8 +160,7 @@ impl Process for MotesMapper {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        crate::obs::announce(ctx, "motes");
-        self.client = Some(RuntimeClient::new(self.runtime));
+        self.core.announce(ctx);
         let expiry = self.expiry;
         ctx.set_timer(expiry, TIMER_EXPIRE);
     }
@@ -194,11 +177,8 @@ impl Process for MotesMapper {
                 .collect();
             for id in dead {
                 if let Some(m) = self.motes.remove(&id) {
-                    if let Some(t) = m.translator {
-                        self.by_translator.remove(&t);
-                        if let Some(client) = self.client.as_ref() {
-                            client.unregister(ctx, t);
-                        }
+                    self.core.depart(ctx, &id, m.translator);
+                    if m.translator.is_some() {
                         ctx.bump("mapper.motes.expired", 1);
                     }
                 }

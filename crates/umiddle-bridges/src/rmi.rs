@@ -12,17 +12,15 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use platform_rmi::{JavaValue, RmiClient, RmiClientEvent};
-use simnet::{
-    Addr, Ctx, LocalMessage, ProcId, Process, SimDuration, SimTime, StreamEvent, StreamId,
-};
+use simnet::{Addr, Ctx, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId};
 use umiddle_core::{
-    ack_input_done, handle_input_done_echo, ConnectionId, MimeType, RuntimeClient, RuntimeEvent,
-    Symbol, TranslatorId, UMessage,
+    ack_input_done, handle_input_done_echo, ConnectionId, MimeType, RuntimeEvent, Symbol,
+    TranslatorId, UMessage,
 };
 use umiddle_usdl::UsdlLibrary;
 
 use crate::calib;
-use crate::upnp::MapperStats;
+use crate::mapper::{Entity, MapperCore, MapperStats};
 
 const TIMER_POLL: u64 = 1;
 
@@ -30,26 +28,21 @@ const TIMER_POLL: u64 = 1;
 struct RmiObject {
     name: String,
     addr: Option<Addr>,
-    translator: Option<TranslatorId>,
-    seen_at: SimTime,
 }
 
 /// The RMI mapper process.
 pub struct RmiMapper {
-    runtime: ProcId,
+    /// Translators keyed by object index.
+    core: MapperCore<usize>,
     usdl: UsdlLibrary,
     registry: Addr,
     object_names: Vec<String>,
     poll_interval: SimDuration,
     rmi: RmiClient,
-    client: Option<RuntimeClient>,
     objects: Vec<RmiObject>,
     /// rmi call id → purpose.
     calls: HashMap<u64, RmiCall>,
     next_call: u64,
-    pending_regs: HashMap<u64, usize>,
-    by_translator: HashMap<TranslatorId, usize>,
-    stats: Rc<RefCell<MapperStats>>,
 }
 
 #[derive(Debug)]
@@ -80,25 +73,21 @@ impl RmiMapper {
         object_names: Vec<String>,
     ) -> RmiMapper {
         RmiMapper {
-            runtime,
+            core: MapperCore::new(runtime, "rmi", "rmi"),
             usdl,
             registry,
             object_names,
             poll_interval: SimDuration::from_secs(5),
             rmi: RmiClient::new(),
-            client: None,
             objects: Vec::new(),
             calls: HashMap::new(),
             next_call: 1,
-            pending_regs: HashMap::new(),
-            by_translator: HashMap::new(),
-            stats: Rc::new(RefCell::new(MapperStats::default())),
         }
     }
 
     /// Shared statistics handle.
     pub fn stats_handle(&self) -> Rc<RefCell<MapperStats>> {
-        Rc::clone(&self.stats)
+        Rc::clone(&self.core.stats)
     }
 
     fn poll(&mut self, ctx: &mut Ctx<'_>) {
@@ -126,18 +115,17 @@ impl RmiMapper {
                     return;
                 }
                 obj.addr = Some(addr);
-                obj.seen_at = ctx.now();
                 let Some(doc) = self.usdl.get("rmi", &obj.name) else {
                     ctx.bump("mapper.rmi.unknown_object", 1);
                     return;
                 };
-                let doc = doc.clone();
-                ctx.busy(calib::instantiation_cost(doc.ports().len(), 0));
-                let profile = doc.profile(Some(&format!("{} (RMI)", obj.name)));
-                let client = self.client.as_mut().expect("client set");
-                let me = ctx.me();
-                let token = client.register(ctx, profile, me);
-                self.pending_regs.insert(token, object_idx);
+                let name = format!("{} (RMI)", obj.name);
+                let entity = Entity {
+                    key: object_idx,
+                    name: name.clone(),
+                    seen_at: ctx.now(),
+                };
+                self.core.instantiate(ctx, doc, 0, &name, entity);
             }
             RmiClientEvent::Returned { call_id, result } => {
                 let Some(RmiCall::Invoke {
@@ -154,11 +142,12 @@ impl RmiMapper {
                 };
                 let mime: MimeType = "application/octet-stream".parse().expect("static");
                 ctx.busy(calib::STREAM_TRANSLATION);
-                crate::obs::record_egress(ctx, "rmi", calib::STREAM_TRANSLATION);
-                self.stats.borrow_mut().actions += 1;
-                let client = self.client.as_ref().expect("client set");
-                client.output(ctx, translator, "response", UMessage::new(mime, body));
-                ack_input_done(ctx, self.runtime, connection, translator);
+                self.core.record_egress(ctx, calib::STREAM_TRANSLATION);
+                self.core.stats.borrow_mut().actions += 1;
+                self.core
+                    .client
+                    .output(ctx, translator, "response", UMessage::new(mime, body));
+                ack_input_done(ctx, self.core.runtime(), connection, translator);
             }
             RmiClientEvent::Raised { call_id, message } => {
                 ctx.trace(format!("rmi exception: {message}"));
@@ -167,14 +156,14 @@ impl RmiMapper {
                     connection,
                 }) = self.calls.remove(&call_id)
                 {
-                    ack_input_done(ctx, self.runtime, connection, translator);
+                    ack_input_done(ctx, self.core.runtime(), connection, translator);
                 }
             }
             RmiClientEvent::Failed { call_id } => match self.calls.remove(&call_id) {
                 Some(RmiCall::Invoke {
                     translator,
                     connection,
-                }) => ack_input_done(ctx, self.runtime, connection, translator),
+                }) => ack_input_done(ctx, self.core.runtime(), connection, translator),
                 Some(RmiCall::Lookup { .. }) | None => {}
             },
         }
@@ -183,21 +172,7 @@ impl RmiMapper {
     fn handle_runtime_event(&mut self, ctx: &mut Ctx<'_>, event: RuntimeEvent) {
         match event {
             RuntimeEvent::Registered { token, translator } => {
-                let Some(idx) = self.pending_regs.remove(&token) else {
-                    return;
-                };
-                let Some(obj) = self.objects.get_mut(idx) else {
-                    return;
-                };
-                obj.translator = Some(translator);
-                self.by_translator.insert(translator, idx);
-                let elapsed = ctx.now().saturating_since(obj.seen_at);
-                self.stats.borrow_mut().mappings.push((
-                    obj.name.clone(),
-                    format!("{} (RMI)", obj.name),
-                    elapsed,
-                ));
-                ctx.bump("mapper.rmi.mapped", 1);
+                self.core.registered(ctx, token, translator);
             }
             RuntimeEvent::Input {
                 translator,
@@ -220,21 +195,22 @@ impl RmiMapper {
         connection: ConnectionId,
     ) {
         if port != "request" {
-            ack_input_done(ctx, self.runtime, connection, translator);
+            ack_input_done(ctx, self.core.runtime(), connection, translator);
             return;
         }
-        let Some(&idx) = self.by_translator.get(&translator) else {
+        let Some(&idx) = self.core.key(translator) else {
             return;
         };
         let Some(obj) = self.objects.get(idx) else {
             return;
         };
         let Some(addr) = obj.addr else {
-            ack_input_done(ctx, self.runtime, connection, translator);
+            ack_input_done(ctx, self.core.runtime(), connection, translator);
             return;
         };
         ctx.busy(calib::STREAM_TRANSLATION);
-        crate::obs::record_hop(ctx, "rmi", connection, &port, calib::STREAM_TRANSLATION);
+        self.core
+            .record_hop(ctx, connection, &port, calib::STREAM_TRANSLATION);
         let call_id = self.next_call;
         self.next_call += 1;
         self.calls.insert(
@@ -262,16 +238,13 @@ impl Process for RmiMapper {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        crate::obs::announce(ctx, "rmi");
-        self.client = Some(RuntimeClient::new(self.runtime));
+        self.core.announce(ctx);
         self.objects = self
             .object_names
             .iter()
             .map(|name| RmiObject {
                 name: name.clone(),
                 addr: None,
-                translator: None,
-                seen_at: ctx.now(),
             })
             .collect();
         self.poll(ctx);

@@ -18,28 +18,13 @@ use simnet::{
     Addr, Ctx, Datagram, LocalMessage, ProcId, Process, SimDuration, SimTime, StreamEvent, StreamId,
 };
 use umiddle_core::{
-    ack_input_done, handle_input_done_echo, ConnectionId, RuntimeClient, RuntimeEvent, Symbol,
-    TranslatorId, UMessage,
+    ack_input_done, handle_input_done_echo, ConnectionId, RuntimeEvent, Symbol, TranslatorId,
+    UMessage,
 };
 use umiddle_usdl::{UsdlDocument, UsdlLibrary};
 
 use crate::calib;
-
-/// Per-mapper statistics shared with tests and benchmarks.
-#[derive(Debug, Clone, Default)]
-pub struct MapperStats {
-    /// `(device type, instance name, time from discovery to registration)`.
-    pub mappings: Vec<(String, String, SimDuration)>,
-    /// Actions invoked on native devices.
-    pub actions: u64,
-    /// Events translated to the common space.
-    pub events: u64,
-    /// Per-action latency: common-space input → native completion.
-    pub action_latencies: Vec<SimDuration>,
-    /// Per-signal translation latency: native event → common-space
-    /// emission.
-    pub translation_latencies: Vec<SimDuration>,
-}
+use crate::mapper::{Entity, MapperCore, MapperStats};
 
 const TIMER_SEARCH: u64 = 1;
 /// Periodic SSDP re-search interval.
@@ -59,22 +44,17 @@ struct MappedDevice {
 /// [`UmiddleRuntime`](umiddle_core::UmiddleRuntime) on a node attached to
 /// the UPnP segment.
 pub struct UpnpMapper {
-    runtime: ProcId,
+    /// Translators keyed by usn.
+    core: MapperCore<String>,
     usdl: UsdlLibrary,
     cp: ControlPoint,
     reply_port: u16,
     gena_port: u16,
-    client: Option<RuntimeClient>,
     /// usn → device state.
     devices: HashMap<String, MappedDevice>,
-    /// registration token → usn.
-    pending_regs: HashMap<u64, String>,
-    /// translator → usn.
-    by_translator: HashMap<TranslatorId, String>,
     /// SOAP call id → (connection, translator, input arrival time).
     pending_calls: HashMap<u64, (ConnectionId, TranslatorId, SimTime, simnet::SpanId)>,
     next_call: u64,
-    stats: Rc<RefCell<MapperStats>>,
 }
 
 impl std::fmt::Debug for UpnpMapper {
@@ -90,18 +70,14 @@ impl UpnpMapper {
     /// from `usdl`. `reply_port`/`gena_port` must be free on the node.
     pub fn new(runtime: ProcId, usdl: UsdlLibrary, reply_port: u16, gena_port: u16) -> UpnpMapper {
         UpnpMapper {
-            runtime,
+            core: MapperCore::new(runtime, "upnp", "upnp"),
             usdl,
             cp: ControlPoint::new(),
             reply_port,
             gena_port,
-            client: None,
             devices: HashMap::new(),
-            pending_regs: HashMap::new(),
-            by_translator: HashMap::new(),
             pending_calls: HashMap::new(),
             next_call: 1,
-            stats: Rc::new(RefCell::new(MapperStats::default())),
         }
     }
 
@@ -112,7 +88,7 @@ impl UpnpMapper {
 
     /// Shared statistics handle; clone before adding to the world.
     pub fn stats_handle(&self) -> Rc<RefCell<MapperStats>> {
-        Rc::clone(&self.stats)
+        Rc::clone(&self.core.stats)
     }
 
     fn handle_cp_event(&mut self, ctx: &mut Ctx<'_>, event: CpEvent) {
@@ -144,43 +120,32 @@ impl UpnpMapper {
             }
             CpEvent::DeviceGone { usn } => {
                 if let Some(dev) = self.devices.remove(&usn) {
-                    if let Some(t) = dev.translator {
-                        self.by_translator.remove(&t);
-                        if let Some(client) = self.client.as_ref() {
-                            client.unregister(ctx, t);
-                        }
-                    }
+                    self.core.depart(ctx, &usn, dev.translator);
                 }
             }
             CpEvent::Description { location, desc, .. } => {
-                let Some((usn, doc, ports, entities)) = self
+                let Some(dev) = self
                     .devices
                     .values_mut()
                     .find(|d| d.location == location && d.translator.is_none())
-                    .map(|d| {
-                        d.friendly_name = desc.friendly_name.clone();
-                        (
-                            d.usn.clone(),
-                            d.doc.clone(),
-                            d.doc.ports().len(),
-                            desc.services.len().saturating_sub(1),
-                        )
-                    })
                 else {
                     return;
                 };
+                dev.friendly_name = desc.friendly_name.clone();
                 // The paper's dominant Figure-10 cost: instantiating the
                 // translator's ports and hierarchy entities.
-                ctx.busy(calib::instantiation_cost(ports, entities));
-                let client = self.client.as_mut().expect("client created in on_start");
-                let profile = doc.profile(Some(&desc.friendly_name));
-                let me = ctx.me();
-                let token = client.register(ctx, profile, me);
-                self.pending_regs.insert(token, usn);
+                let entity = Entity {
+                    key: dev.usn.clone(),
+                    name: desc.friendly_name.clone(),
+                    seen_at: dev.seen_at,
+                };
+                let entities = desc.services.len().saturating_sub(1);
+                self.core
+                    .instantiate(ctx, &dev.doc, entities, &desc.friendly_name, entity);
                 // Subscribe to GENA events for services with statevar
                 // bindings (output ports).
                 let mut services: Vec<String> = Vec::new();
-                for port in doc.ports() {
+                for port in dev.doc.ports() {
                     for binding in &port.bindings {
                         if binding.get("statevar").is_some() {
                             if let Some(service) = binding.get("service") {
@@ -204,14 +169,14 @@ impl UpnpMapper {
                         ctx.trace(format!("SOAP fault {code}: {description}"));
                         ctx.bump("mapper.upnp.soap_faults", 1);
                     }
-                    let mut stats = self.stats.borrow_mut();
+                    let mut stats = self.core.stats.borrow_mut();
                     stats.actions += 1;
                     stats
                         .action_latencies
                         .push(ctx.now().saturating_since(started));
                     drop(stats);
                     ctx.bump("mapper.upnp.actions_completed", 1);
-                    ack_input_done(ctx, self.runtime, connection, translator);
+                    ack_input_done(ctx, self.core.runtime(), connection, translator);
                 }
             }
             CpEvent::Event(notify) => {
@@ -232,10 +197,9 @@ impl UpnpMapper {
                     });
                     if let Some(port) = port {
                         ctx.busy(calib::EVENT_TRANSLATION);
-                        crate::obs::record_egress(ctx, "upnp", calib::EVENT_TRANSLATION);
-                        self.stats.borrow_mut().events += 1;
-                        let client = self.client.as_ref().expect("client set");
-                        client.output(
+                        self.core.record_egress(ctx, calib::EVENT_TRANSLATION);
+                        self.core.stats.borrow_mut().events += 1;
+                        self.core.client.output(
                             ctx,
                             translator,
                             port.spec.name.clone(),
@@ -255,21 +219,14 @@ impl UpnpMapper {
     fn handle_runtime_event(&mut self, ctx: &mut Ctx<'_>, event: RuntimeEvent) {
         match event {
             RuntimeEvent::Registered { token, translator } => {
-                let Some(usn) = self.pending_regs.remove(&token) else {
+                let Some(usn) = self.core.registered(ctx, token, translator) else {
                     return;
                 };
                 let Some(dev) = self.devices.get_mut(&usn) else {
                     return;
                 };
                 dev.translator = Some(translator);
-                self.by_translator.insert(translator, usn.clone());
                 let elapsed = ctx.now().saturating_since(dev.seen_at);
-                self.stats.borrow_mut().mappings.push((
-                    dev.doc.device_type().to_owned(),
-                    dev.friendly_name.clone(),
-                    elapsed,
-                ));
-                ctx.bump("mapper.upnp.mapped", 1);
                 ctx.trace(format!(
                     "mapped {} ({}) in {}",
                     dev.friendly_name,
@@ -297,7 +254,7 @@ impl UpnpMapper {
         msg: UMessage,
         connection: ConnectionId,
     ) {
-        let Some(usn) = self.by_translator.get(&translator) else {
+        let Some(usn) = self.core.key(translator) else {
             return;
         };
         let Some(dev) = self.devices.get(usn) else {
@@ -312,7 +269,7 @@ impl UpnpMapper {
             .find(|b| b.get("action").is_some())
         else {
             // No action binding: nothing to invoke.
-            ack_input_done(ctx, self.runtime, connection, translator);
+            ack_input_done(ctx, self.core.runtime(), connection, translator);
             return;
         };
         let service = binding.get("service").unwrap_or_default().to_owned();
@@ -332,7 +289,8 @@ impl UpnpMapper {
         // object. The invoke is deferred through a self-echo so
         // the translation time actually precedes the native call.
         ctx.busy(calib::CONTROL_TRANSLATION);
-        crate::obs::record_hop(ctx, "upnp", connection, &port, calib::CONTROL_TRANSLATION);
+        self.core
+            .record_hop(ctx, connection, &port, calib::CONTROL_TRANSLATION);
         let call_id = self.next_call;
         self.next_call += 1;
         let location = dev.location;
@@ -373,11 +331,10 @@ impl Process for UpnpMapper {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        crate::obs::announce(ctx, "upnp");
+        self.core.announce(ctx);
         ctx.bind(self.reply_port).expect("mapper reply port free");
         let _ = ctx.join_group(platform_upnp::SSDP_GROUP);
         self.cp.listen_events(ctx, self.gena_port);
-        self.client = Some(RuntimeClient::new(self.runtime));
         self.cp.search(ctx, "ssdp:all", self.reply_port);
         ctx.set_timer(SEARCH_INTERVAL, TIMER_SEARCH);
     }

@@ -11,17 +11,15 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use platform_webservices::{MethodCall, MethodResponse, WsClient, WsEvent};
-use simnet::{
-    Addr, Ctx, LocalMessage, ProcId, Process, SimDuration, SimTime, StreamEvent, StreamId,
-};
+use simnet::{Addr, Ctx, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId};
 use umiddle_core::{
-    ack_input_done, handle_input_done_echo, ConnectionId, RuntimeClient, RuntimeEvent, Symbol,
-    TranslatorId, UMessage,
+    ack_input_done, handle_input_done_echo, ConnectionId, RuntimeEvent, Symbol, TranslatorId,
+    UMessage,
 };
 use umiddle_usdl::{UsdlDocument, UsdlLibrary};
 
 use crate::calib;
-use crate::upnp::MapperStats;
+use crate::mapper::{Entity, MapperCore, MapperStats};
 
 const TIMER_POLL: u64 = 1;
 
@@ -30,7 +28,6 @@ struct WsService {
     location: Addr,
     doc: Option<UsdlDocument>,
     translator: Option<TranslatorId>,
-    seen_at: SimTime,
     /// Last emitted value per polled output port (dedup).
     last_values: HashMap<String, String>,
 }
@@ -49,18 +46,15 @@ enum WsCall {
 
 /// The web-services mapper process.
 pub struct WsMapper {
-    runtime: ProcId,
+    /// Translators keyed by service index.
+    core: MapperCore<usize>,
     usdl: UsdlLibrary,
     ws: WsClient,
     endpoints: Vec<Addr>,
     poll_interval: SimDuration,
-    client: Option<RuntimeClient>,
     services: Vec<WsService>,
     calls: HashMap<u64, WsCall>,
     next_call: u64,
-    pending_regs: HashMap<u64, usize>,
-    by_translator: HashMap<TranslatorId, usize>,
-    stats: Rc<RefCell<MapperStats>>,
 }
 
 impl std::fmt::Debug for WsMapper {
@@ -75,24 +69,20 @@ impl WsMapper {
     /// Creates a mapper probing the given endpoints.
     pub fn new(runtime: ProcId, usdl: UsdlLibrary, endpoints: Vec<Addr>) -> WsMapper {
         WsMapper {
-            runtime,
+            core: MapperCore::new(runtime, "webservices", "ws"),
             usdl,
             ws: WsClient::new(),
             endpoints,
             poll_interval: SimDuration::from_secs(10),
-            client: None,
             services: Vec::new(),
             calls: HashMap::new(),
             next_call: 1,
-            pending_regs: HashMap::new(),
-            by_translator: HashMap::new(),
-            stats: Rc::new(RefCell::new(MapperStats::default())),
         }
     }
 
     /// Shared statistics handle.
     pub fn stats_handle(&self) -> Rc<RefCell<MapperStats>> {
-        Rc::clone(&self.stats)
+        Rc::clone(&self.core.stats)
     }
 
     fn poll_outputs(&mut self, ctx: &mut Ctx<'_>) {
@@ -134,10 +124,10 @@ impl WsMapper {
     fn handle_ws_event(&mut self, ctx: &mut Ctx<'_>, event: WsEvent) {
         match event {
             WsEvent::Description { location, desc } => {
-                let Some(svc) = self
+                let Some(idx) = self
                     .services
-                    .iter_mut()
-                    .find(|s| s.location == location && s.doc.is_none())
+                    .iter()
+                    .position(|s| s.location == location && s.doc.is_none())
                 else {
                     return;
                 };
@@ -145,28 +135,21 @@ impl WsMapper {
                     ctx.bump("mapper.ws.unknown_kind", 1);
                     return;
                 };
-                let doc = doc.clone();
-                svc.doc = Some(doc.clone());
-                svc.seen_at = ctx.now();
-                ctx.busy(calib::instantiation_cost(doc.ports().len(), 0));
-                let profile = doc.profile(Some(&desc.name));
-                let client = self.client.as_mut().expect("client set");
-                let me = ctx.me();
-                let token = client.register(ctx, profile, me);
-                let idx = self
-                    .services
-                    .iter()
-                    .position(|s| s.location == location)
-                    .expect("found above");
-                self.pending_regs.insert(token, idx);
+                self.services[idx].doc = Some(doc.clone());
+                let entity = Entity {
+                    key: idx,
+                    name: format!("ws@{location}"),
+                    seen_at: ctx.now(),
+                };
+                self.core.instantiate(ctx, doc, 0, &desc.name, entity);
             }
             WsEvent::CallResult { call_id, response } => match self.calls.remove(&call_id) {
                 Some(WsCall::Input {
                     translator,
                     connection,
                 }) => {
-                    self.stats.borrow_mut().actions += 1;
-                    ack_input_done(ctx, self.runtime, connection, translator);
+                    self.core.stats.borrow_mut().actions += 1;
+                    ack_input_done(ctx, self.core.runtime(), connection, translator);
                 }
                 Some(WsCall::Poll { service_idx, port }) => {
                     let MethodResponse::Value(value) = response else {
@@ -183,10 +166,11 @@ impl WsMapper {
                     }
                     svc.last_values.insert(port.clone(), value.clone());
                     ctx.busy(calib::EVENT_TRANSLATION);
-                    crate::obs::record_egress(ctx, "webservices", calib::EVENT_TRANSLATION);
-                    self.stats.borrow_mut().events += 1;
-                    let client = self.client.as_ref().expect("client set");
-                    client.output(ctx, translator, port, UMessage::text(value));
+                    self.core.record_egress(ctx, calib::EVENT_TRANSLATION);
+                    self.core.stats.borrow_mut().events += 1;
+                    self.core
+                        .client
+                        .output(ctx, translator, port, UMessage::text(value));
                 }
                 None => {}
             },
@@ -196,7 +180,7 @@ impl WsMapper {
                     connection,
                 }) = self.calls.remove(&call_id)
                 {
-                    ack_input_done(ctx, self.runtime, connection, translator);
+                    ack_input_done(ctx, self.core.runtime(), connection, translator);
                 }
             }
         }
@@ -205,26 +189,12 @@ impl WsMapper {
     fn handle_runtime_event(&mut self, ctx: &mut Ctx<'_>, event: RuntimeEvent) {
         match event {
             RuntimeEvent::Registered { token, translator } => {
-                let Some(idx) = self.pending_regs.remove(&token) else {
+                let Some(idx) = self.core.registered(ctx, token, translator) else {
                     return;
                 };
-                let Some(svc) = self.services.get_mut(idx) else {
-                    return;
-                };
-                svc.translator = Some(translator);
-                self.by_translator.insert(translator, idx);
-                let elapsed = ctx.now().saturating_since(svc.seen_at);
-                let kind = svc
-                    .doc
-                    .as_ref()
-                    .map(|d| d.device_type().to_owned())
-                    .unwrap_or_default();
-                self.stats.borrow_mut().mappings.push((
-                    kind,
-                    format!("ws@{}", svc.location),
-                    elapsed,
-                ));
-                ctx.bump("mapper.ws.mapped", 1);
+                if let Some(svc) = self.services.get_mut(idx) {
+                    svc.translator = Some(translator);
+                }
             }
             RuntimeEvent::Input {
                 translator,
@@ -246,7 +216,7 @@ impl WsMapper {
         msg: UMessage,
         connection: ConnectionId,
     ) {
-        let Some(&idx) = self.by_translator.get(&translator) else {
+        let Some(&idx) = self.core.key(translator) else {
             return;
         };
         let Some(svc) = self.services.get(idx) else {
@@ -254,7 +224,7 @@ impl WsMapper {
         };
         let Some(doc) = svc.doc.as_ref() else { return };
         let Some(usdl_port) = doc.port(&port) else {
-            ack_input_done(ctx, self.runtime, connection, translator);
+            ack_input_done(ctx, self.core.runtime(), connection, translator);
             return;
         };
         let Some(operation) = usdl_port
@@ -263,17 +233,12 @@ impl WsMapper {
             .find_map(|b| b.get("operation"))
             .map(str::to_owned)
         else {
-            ack_input_done(ctx, self.runtime, connection, translator);
+            ack_input_done(ctx, self.core.runtime(), connection, translator);
             return;
         };
         ctx.busy(calib::CONTROL_TRANSLATION);
-        crate::obs::record_hop(
-            ctx,
-            "webservices",
-            connection,
-            &port,
-            calib::CONTROL_TRANSLATION,
-        );
+        self.core
+            .record_hop(ctx, connection, &port, calib::CONTROL_TRANSLATION);
         let call_id = self.next_call;
         self.next_call += 1;
         self.calls.insert(
@@ -300,8 +265,7 @@ impl Process for WsMapper {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        crate::obs::announce(ctx, "webservices");
-        self.client = Some(RuntimeClient::new(self.runtime));
+        self.core.announce(ctx);
         self.services = self
             .endpoints
             .iter()
@@ -309,7 +273,6 @@ impl Process for WsMapper {
                 location,
                 doc: None,
                 translator: None,
-                seen_at: ctx.now(),
                 last_values: HashMap::new(),
             })
             .collect();

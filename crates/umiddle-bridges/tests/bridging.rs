@@ -13,10 +13,12 @@ use platform_webservices::WsServer;
 use simnet::{Addr, Ctx, NodeId, ProcId, Process, SegmentConfig, SimDuration, SimTime, World};
 use umiddle_apps::{WireRule, Wirer};
 use umiddle_bridges::{
-    behaviors, BluetoothMapper, MediaBrokerMapper, MotesMapper, NativeService, RmiMapper,
-    UpnpMapper, WsMapper,
+    behaviors, BluetoothMapper, MapperStats, MediaBrokerMapper, MotesMapper, NativeService,
+    RmiMapper, UpnpMapper, WsMapper,
 };
-use umiddle_core::{Direction, Query, RuntimeConfig, RuntimeId, Shape, UMessage, UmiddleRuntime};
+use umiddle_core::{
+    Direction, Query, RuntimeConfig, RuntimeId, RuntimeStats, Shape, UMessage, UmiddleRuntime,
+};
 use umiddle_usdl::UsdlLibrary;
 
 fn add_runtime(world: &mut World, node: NodeId, id: u32) -> ProcId {
@@ -24,6 +26,16 @@ fn add_runtime(world: &mut World, node: NodeId, id: u32) -> ProcId {
         node,
         Box::new(UmiddleRuntime::new(RuntimeConfig::new(RuntimeId(id)))),
     )
+}
+
+/// Asserts that a mapper's `mapper.{prefix}.mapped` counter agrees with
+/// the mapping rows in its stats.
+fn assert_mapped_counter(world: &World, prefix: &str, stats: &Rc<RefCell<MapperStats>>) {
+    assert_eq!(
+        world.trace().counter(&format!("mapper.{prefix}.mapped")),
+        stats.borrow().mappings.len() as u64,
+        "mapper.{prefix}.mapped vs mapping rows"
+    );
 }
 
 fn recorder_shape(mime: &str) -> Shape {
@@ -123,6 +135,8 @@ fn camera_to_tv_across_platforms() {
         "tv mapped: {:?}",
         up_stats.borrow()
     );
+    assert_mapped_counter(&world, "bt", &bt_stats);
+    assert_mapped_counter(&world, "upnp", &up_stats);
     // The TV's RenderMedia action actually executed on the native device.
     let renders = world.trace().counter("upnp.actions");
     assert!(renders >= 1, "TV rendered {renders} frames");
@@ -215,15 +229,14 @@ fn rmi_echo_bridged() {
     world.add_process(reg_node, Box::new(RmiRegistry::new()));
     let registry = Addr::new(reg_node, REGISTRY_PORT);
     world.add_process(srv_node, Box::new(RmiObjectServer::echo(2099, registry)));
-    world.add_process(
-        h1,
-        Box::new(RmiMapper::new(
-            rt,
-            UsdlLibrary::bundled(),
-            registry,
-            vec!["EchoService".to_owned()],
-        )),
+    let rmi_mapper = RmiMapper::new(
+        rt,
+        UsdlLibrary::bundled(),
+        registry,
+        vec!["EchoService".to_owned()],
     );
+    let rmi_stats = rmi_mapper.stats_handle();
+    world.add_process(h1, Box::new(rmi_mapper));
 
     // Source: 1400-byte messages, like the paper's transport benchmark.
     let src_shape = Shape::builder()
@@ -283,6 +296,8 @@ fn rmi_echo_bridged() {
         received.len()
     );
     assert!(received.iter().all(|(_, m)| m.body().len() == 1400));
+    assert_eq!(rmi_stats.borrow().mappings.len(), 1, "echo object mapped");
+    assert_mapped_counter(&world, "rmi", &rmi_stats);
 }
 
 /// Motes readings flow to a recorder via per-mote translators.
@@ -336,6 +351,7 @@ fn mote_readings_bridged() {
 
     world.run_until(SimTime::from_secs(60));
     assert_eq!(mapper_stats.borrow().mappings.len(), 2, "both motes mapped");
+    assert_mapped_counter(&world, "motes", &mapper_stats);
     let received = received.borrow();
     assert!(
         received.len() >= 5,
@@ -420,6 +436,8 @@ fn mediabroker_and_webservice_mapped() {
         "ws mapped: {:?}",
         ws_stats.borrow().mappings
     );
+    assert_mapped_counter(&world, "mb", &mb_stats);
+    assert_mapped_counter(&world, "ws", &ws_stats);
 }
 
 /// The UPnP light switch controlled through uMiddle — §5.2's scenario.
@@ -495,6 +513,90 @@ fn upnp_light_switch_through_umiddle() {
         received.iter().any(|(_, m)| m.body_text() == Some("1")),
         "power-state=1 observed: {received:?}"
     );
+}
+
+/// A UPnP light that says `ssdp:byebye` while the mapper is still
+/// instantiating its translator leaves no orphan translator behind: the
+/// late registration is withdrawn as soon as it completes.
+#[test]
+fn upnp_byebye_during_instantiation_leaves_no_orphan() {
+    struct TwoLights {
+        world: World,
+        lights: Vec<(ProcId, &'static str)>,
+        runtime: Rc<RefCell<RuntimeStats>>,
+        mapper: Rc<RefCell<MapperStats>>,
+    }
+    fn two_lights() -> TwoLights {
+        let mut world = World::new(108);
+        let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
+        let h1 = world.add_node("h1");
+        world.attach(h1, hub).unwrap();
+        let runtime = UmiddleRuntime::new(RuntimeConfig::new(RuntimeId(0)));
+        let runtime_stats = runtime.stats_handle();
+        let rt = world.add_process(h1, Box::new(runtime));
+        let mut lights = Vec::new();
+        for (name, udn) in [("Hall Light", "uuid:hall"), ("Desk Light", "uuid:desk")] {
+            let node = world.add_node(name);
+            world.attach(node, hub).unwrap();
+            let logic = Box::new(LightLogic::new(name, udn));
+            let device = world.add_process(node, Box::new(UpnpDevice::new(logic, 5000)));
+            lights.push((device, name));
+        }
+        let mapper = UpnpMapper::with_defaults(rt, UsdlLibrary::bundled());
+        let mapper_stats = mapper.stats_handle();
+        world.add_process(h1, Box::new(mapper));
+        TwoLights {
+            world,
+            lights,
+            runtime: runtime_stats,
+            mapper: mapper_stats,
+        }
+    }
+    let entries = |t: &TwoLights| t.runtime.borrow().directory_entries;
+
+    // Probe run. Both descriptions arrive together, so the mapper
+    // instantiates one light while the other's description waits in its
+    // queue. The busy window opens when the first registration reaches
+    // the runtime and closes when the mapper hears it completed; the
+    // probe's second mapping row names the light that waited.
+    let mut probe = two_lights();
+    let mapped = |t: &TwoLights| t.world.trace().counter("mapper.upnp.mapped");
+    while entries(&probe) == 0 {
+        assert!(probe.world.step(), "no light is ever registered");
+    }
+    let opens = probe.world.now();
+    while mapped(&probe) == 0 {
+        assert!(probe.world.step(), "no light is ever mapped");
+    }
+    let closes = probe.world.now();
+    let settled = closes + SimDuration::from_secs(10);
+    probe.world.run_until(settled);
+    assert_eq!(entries(&probe), 2, "both lights mapped");
+    let waiting = probe.mapper.borrow().mappings[1].1.clone();
+
+    // Same world, but the waiting light leaves halfway through the
+    // window: its byebye queues behind its description, so the mapper
+    // forgets the light before the registration it then sends completes.
+    let mut run = two_lights();
+    let half = SimDuration::from_nanos((closes - opens).as_nanos() / 2);
+    run.world.run_until(opens + half);
+    assert_eq!(entries(&run), 1, "only the first light registered yet");
+    assert_eq!(mapped(&run), 0, "the mapper is still instantiating");
+    let (device, _) = *run.lights.iter().find(|(_, n)| *n == waiting).unwrap();
+    run.world.remove_process(device).unwrap(); // on_stop multicasts byebye
+    let mut peak = 0;
+    while run.world.now() < settled {
+        assert!(run.world.step());
+        peak = peak.max(entries(&run));
+    }
+    assert_eq!(peak, 2, "the departed light's registration completed");
+    assert_eq!(
+        entries(&run),
+        1,
+        "the departed light's translator is withdrawn"
+    );
+    assert_eq!(mapped(&run), 1);
+    assert_mapped_counter(&run.world, "upnp", &run.mapper);
 }
 
 /// The scattered-visibility extension (design 2-a): a *native* UPnP

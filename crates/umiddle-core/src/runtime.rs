@@ -48,7 +48,19 @@ const QUEUE_SPAN_META: &str = "umiddle.queue-span";
 /// trace), so the span covers serialization, transmission and decode.
 const TRANSPORT_SPAN_META: &str = "umiddle.transport-span";
 
-/// Configuration of a uMiddle runtime.
+/// Interval between anti-entropy digests (and liveness sweeps).
+const ADVERTISE_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// A remote origin silent for three advertise intervals is evicted with
+/// all its entries.
+const ORIGIN_TTL: SimDuration = SimDuration::from_nanos(ADVERTISE_INTERVAL.as_nanos() * 3);
+/// Maximum unacknowledged local input deliveries per path.
+const DELIVERY_CREDIT: u32 = 4;
+/// How many of its own delta ops a runtime retains to serve
+/// anti-entropy requests before falling back to snapshots.
+const DELTA_LOG_CAP: usize = 256;
+
+/// Configuration of a uMiddle runtime: its id and its deployment
+/// addresses.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
     /// This runtime's federation-unique id.
@@ -59,16 +71,6 @@ pub struct RuntimeConfig {
     pub multicast_group: u16,
     /// Stream listener port for path messages.
     pub transport_port: u16,
-    /// Interval between anti-entropy digests (and liveness sweeps).
-    pub advertise_interval: SimDuration,
-    /// A remote origin silent for `advertise_interval * ttl_factor` is
-    /// evicted with all its entries.
-    pub ttl_factor: u32,
-    /// Maximum unacknowledged local input deliveries per path.
-    pub delivery_credit: u32,
-    /// How many of its own delta ops a runtime retains to serve
-    /// anti-entropy requests before falling back to snapshots.
-    pub delta_log_cap: usize,
 }
 
 impl RuntimeConfig {
@@ -79,15 +81,7 @@ impl RuntimeConfig {
             directory_port: 47_000,
             multicast_group: 47_010,
             transport_port: 47_001,
-            advertise_interval: SimDuration::from_secs(5),
-            ttl_factor: 3,
-            delivery_credit: 4,
-            delta_log_cap: 256,
         }
-    }
-
-    fn ttl(&self) -> SimDuration {
-        self.advertise_interval * u64::from(self.ttl_factor)
     }
 }
 
@@ -240,7 +234,7 @@ impl UmiddleRuntime {
     /// Creates a runtime with the given configuration.
     pub fn new(cfg: RuntimeConfig) -> UmiddleRuntime {
         let scope = format!("rt{}", cfg.id.0);
-        let directory = DirectoryReplica::new(cfg.id, cfg.delta_log_cap);
+        let directory = DirectoryReplica::new(cfg.id, DELTA_LOG_CAP);
         UmiddleRuntime {
             cfg,
             directory,
@@ -706,8 +700,10 @@ impl UmiddleRuntime {
                     DeltaOutcome::Gap { from } => {
                         // Missed earlier deltas: drop this one and pull
                         // exactly the missing range from the origin.
-                        let backoff = self.cfg.advertise_interval;
-                        if self.directory.note_request(origin, ctx.now(), backoff) {
+                        if self
+                            .directory
+                            .note_request(origin, ctx.now(), ADVERTISE_INTERVAL)
+                        {
                             ctx.bump("directory.antientropy_repairs", 1);
                             let reply_to = self.directory_addr(ctx);
                             let to = self.peer_directory(home);
@@ -736,10 +732,9 @@ impl UmiddleRuntime {
                 if origin == self.cfg.id {
                     return; // our own digest echoed back
                 }
-                let backoff = self.cfg.advertise_interval;
                 if let Some(from) =
                     self.directory
-                        .observe_digest(origin, &vector, ctx.now(), backoff)
+                        .observe_digest(origin, &vector, ctx.now(), ADVERTISE_INTERVAL)
                 {
                     ctx.bump("directory.antientropy_repairs", 1);
                     let my_reply = self.directory_addr(ctx);
@@ -1411,7 +1406,7 @@ impl UmiddleRuntime {
             let dst = path.dst;
             match path.home {
                 None => {
-                    if path.inflight >= self.cfg.delivery_credit {
+                    if path.inflight >= DELIVERY_CREDIT {
                         return; // wait for InputDone
                     }
                     let Some(delegate) = self
@@ -1729,7 +1724,7 @@ impl UmiddleRuntime {
         events.clear();
         let evicted =
             self.directory
-                .evict_stale_origins(ctx.now(), self.cfg.ttl(), &mut events, &mut dead);
+                .evict_stale_origins(ctx.now(), ORIGIN_TTL, &mut events, &mut dead);
         events.clear(); // handle_disappearance re-derives the notifications
         self.event_scratch = events;
         for &id in &dead {
@@ -1741,8 +1736,7 @@ impl UmiddleRuntime {
         for home in evicted {
             self.fail_pending_connects(ctx, home);
         }
-        let interval = self.cfg.advertise_interval;
-        ctx.set_timer(interval, TIMER_TICK);
+        ctx.set_timer(ADVERTISE_INTERVAL, TIMER_TICK);
     }
 }
 
@@ -1759,8 +1753,7 @@ impl Process for UmiddleRuntime {
         let _ = ctx.join_group(self.cfg.multicast_group);
         let reply_to = self.directory_addr(ctx);
         self.gossip_multicast(ctx, &WireMessage::Probe { reply_to });
-        let interval = self.cfg.advertise_interval;
-        ctx.set_timer(interval, TIMER_TICK);
+        ctx.set_timer(ADVERTISE_INTERVAL, TIMER_TICK);
         debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
