@@ -8,7 +8,7 @@
 #   build-test    release build + full workspace test suite
 #   determinism   double-run byte-diff gates (E8 trace, E10 doctor,
 #                 E11 incident bundle, E13 attribution, paper fidelity);
-#                 the E10, E11, E13 and fidelity outputs are also diffed
+#                 the E8, E10, E11, E13 and fidelity outputs are also diffed
 #                 against their checked-in pins under artifacts/
 #   perf          perf_payload + perf_sched regression checks
 #   all           every stage in order (the default; what `./ci.sh` runs)
@@ -158,8 +158,10 @@ stage_build_test() {
 stage_determinism() {
     # E8 trace gate: the observability run must export byte-identical
     # artifacts — metrics snapshot, Perfetto trace, folded flamegraph
-    # stacks — across two fresh runs of the same seed.
-    gate trace-determinism run_determinism_gate trace trace_export \
+    # stacks — across two fresh runs of the same seed, equal to the
+    # checked-in artifacts/E8_*, so the exact metric names and span
+    # source/stage/detail text cannot drift unnoticed.
+    gate trace-determinism pinned_gate trace E8_ trace_export \
         --json @OUT.metrics.json \
         --perfetto @OUT.perfetto.json \
         --folded @OUT.folded

@@ -3382,7 +3382,7 @@ mod tests {
             "exemplar journey has no queue.wait span: {:?}",
             r.exemplar_journey
                 .iter()
-                .map(|s| s.stage.as_str())
+                .map(|s| s.stage)
                 .collect::<Vec<_>>()
         );
 

@@ -162,7 +162,7 @@ impl HidpMouse {
         if ctx.stream_send(stream, report.encode()).is_err() {
             self.host = None;
         } else {
-            ctx.bump("bt.hid_reports", 1);
+            ctx.bump(simnet::metric_id!("bt.hid_reports"), 1);
         }
     }
 }

@@ -381,7 +381,7 @@ impl MediaBroker {
                             payload: payload.clone(),
                         };
                         let _ = ctx.stream_send(consumer, frame.encode_framed());
-                        ctx.bump("mb.frames_forwarded", 1);
+                        ctx.bump(simnet::metric_id!("mb.frames_forwarded"), 1);
                     }
                 }
             }

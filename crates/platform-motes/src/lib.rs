@@ -175,7 +175,7 @@ impl Process for Mote {
         };
         let msg = ActiveMessage::new(AM_READING, self.id, reading.encode());
         let _ = ctx.multicast(RADIO_GROUP, RADIO_GROUP, msg.encode());
-        ctx.bump("motes.readings_sent", 1);
+        ctx.bump(simnet::metric_id!("motes.readings_sent"), 1);
         ctx.set_timer(self.interval, 0);
     }
 
@@ -262,7 +262,7 @@ impl Process for BaseStation {
             return;
         }
         self.last_seq.insert(am.src, reading.seq);
-        ctx.bump("motes.readings_received", 1);
+        ctx.bump(simnet::metric_id!("motes.readings_received"), 1);
         if let Some(sink) = self.sink {
             ctx.send_local(
                 sink,

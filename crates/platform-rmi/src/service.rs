@@ -248,7 +248,7 @@ impl Process for RmiObjectServer {
                                     Err(message) => RmiFrame::Exception { call_id, message },
                                 }
                             };
-                            ctx.bump("rmi.calls", 1);
+                            ctx.bump(simnet::metric_id!("rmi.calls"), 1);
                             let _ = ctx.stream_send(stream, reply.encode_framed());
                         }
                         _ => {}

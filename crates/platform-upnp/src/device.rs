@@ -211,7 +211,7 @@ impl UpnpDevice {
         };
         let xml = result.to_xml();
         ctx.busy(calib::xml_codec_cost(xml.len()));
-        ctx.bump("upnp.actions", 1);
+        ctx.bump(simnet::metric_id!("upnp.actions"), 1);
         HttpResponse::xml(xml)
     }
 
@@ -306,7 +306,7 @@ impl UpnpDevice {
         ctx.busy(calib::xml_codec_cost(bytes.len()));
         if let Ok(stream) = ctx.connect(callback) {
             self.notify_out.insert(stream, bytes);
-            ctx.bump("upnp.notifies", 1);
+            ctx.bump(simnet::metric_id!("upnp.notifies"), 1);
         }
     }
 }

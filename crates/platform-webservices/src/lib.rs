@@ -305,7 +305,7 @@ impl Process for WsServer {
                                 message: "malformed call".to_owned(),
                             },
                         };
-                        ctx.bump("ws.calls", 1);
+                        ctx.bump(simnet::metric_id!("ws.calls"), 1);
                         HttpResponse::xml(resp.to_xml())
                     }
                     _ => HttpResponse::new(404),

@@ -317,7 +317,7 @@ impl AttributionPlane {
                 .duration()
                 .map_or(0, |d| d.as_nanos())
                 .saturating_sub(self.child_ns.remove(&s.id.0).unwrap_or(0));
-            let (key, kind) = component_of(&s.stage, &s.source);
+            let (key, kind) = component_of(s.stage, &s.source);
             let c = self.components.entry(key).or_default();
             match kind {
                 TimeKind::SelfTime => c.self_ns = c.self_ns.saturating_add(own),
@@ -363,14 +363,14 @@ impl AttributionPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::SpanId;
+    use crate::trace::{SpanDetail, SpanId};
 
     fn span(
         id: u64,
         parent: Option<u64>,
         corr: u64,
         source: &str,
-        stage: &str,
+        stage: &'static str,
         start_ns: u64,
         end_ns: Option<u64>,
     ) -> SpanRecord {
@@ -378,9 +378,9 @@ mod tests {
             id: SpanId(id),
             parent: parent.map(SpanId),
             corr,
-            source: source.to_owned(),
-            stage: stage.to_owned(),
-            detail: String::new(),
+            source: source.into(),
+            stage,
+            detail: SpanDetail::EMPTY,
             start: SimTime::from_nanos(start_ns),
             end: end_ns.map(SimTime::from_nanos),
         }

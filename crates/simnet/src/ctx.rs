@@ -1,10 +1,12 @@
 //! The per-event context handed to [`Process`](crate::Process) handlers.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use crate::error::SimResult;
 use crate::process::{Addr, LocalMessage, NodeId, ProcId, Process, StreamId};
 use crate::time::{SimDuration, SimTime};
+use crate::trace::{MetricRef, SpanDetail};
 use crate::world::{Delivery, World};
 
 /// A handle to a running timer, usable with [`Ctx::cancel_timer`].
@@ -71,36 +73,44 @@ impl<'w> Ctx<'w> {
 
     /// Logs a trace event attributed to this process.
     pub fn trace(&mut self, message: impl Into<String>) {
-        let name = self.world.procs[self.me.index()].name.clone();
+        let name = self.world.procs[self.me.index()].name.to_string();
         let now = self.world.now();
         self.world.trace.log(now, name, message);
     }
 
-    /// Adds `n` to a named world counter.
-    pub fn bump(&mut self, counter: &str, n: u64) {
+    /// Adds `n` to a world counter, by name or by a [`MetricId`]
+    /// resolved beforehand.
+    ///
+    /// [`MetricId`]: crate::MetricId
+    pub fn bump<'a>(&mut self, counter: impl Into<MetricRef<'a>>, n: u64) {
         self.world.trace.bump(counter, n);
     }
 
-    /// Sets a named gauge to an absolute value.
-    pub fn gauge_set(&mut self, gauge: &str, v: i64) {
+    /// Sets a gauge to an absolute value.
+    pub fn gauge_set<'a>(&mut self, gauge: impl Into<MetricRef<'a>>, v: i64) {
         self.world.trace.metrics_mut().gauge_set(gauge, v);
     }
 
-    /// Adds a (possibly negative) delta to a named gauge.
-    pub fn gauge_add(&mut self, gauge: &str, delta: i64) {
+    /// Adds a (possibly negative) delta to a gauge.
+    pub fn gauge_add<'a>(&mut self, gauge: impl Into<MetricRef<'a>>, delta: i64) {
         self.world.trace.metrics_mut().gauge_add(gauge, delta);
     }
 
-    /// Records a virtual-time duration into the named latency histogram.
-    pub fn observe(&mut self, histogram: &str, d: SimDuration) {
+    /// Records a virtual-time duration into a latency histogram.
+    pub fn observe<'a>(&mut self, histogram: impl Into<MetricRef<'a>>, d: SimDuration) {
         self.world.trace.metrics_mut().observe(histogram, d);
     }
 
-    /// Records a virtual-time duration into the named latency histogram
-    /// tagged with the trace correlation id of the journey it measures,
-    /// so the histogram keeps exemplars linking its slow buckets back to
+    /// Records a virtual-time duration into a latency histogram tagged
+    /// with the trace correlation id of the journey it measures, so the
+    /// histogram keeps exemplars linking its slow buckets back to
     /// traces (see [`crate::Histogram::record_corr`]).
-    pub fn observe_corr(&mut self, histogram: &str, d: SimDuration, corr: u64) {
+    pub fn observe_corr<'a>(
+        &mut self,
+        histogram: impl Into<MetricRef<'a>>,
+        d: SimDuration,
+        corr: u64,
+    ) {
         self.world
             .trace
             .metrics_mut()
@@ -126,13 +136,15 @@ impl<'w> Ctx<'w> {
     /// Records an instant (zero-duration) span on a correlated path,
     /// attributed to this process at the current virtual time. `corr` is
     /// the correlation id minted when the connection was established.
+    /// The span shares the process name; building a typed detail
+    /// allocates nothing, so a span the log drops costs no allocation.
     pub fn span(
         &mut self,
         corr: u64,
-        stage: impl Into<String>,
-        detail: impl Into<String>,
+        stage: &'static str,
+        detail: impl Into<SpanDetail>,
     ) -> crate::SpanId {
-        let name = self.world.procs[self.me.index()].name.clone();
+        let name = Arc::clone(&self.world.procs[self.me.index()].name);
         let now = self.world.now();
         self.world.trace.span(corr, now, name, stage, detail)
     }
@@ -144,10 +156,10 @@ impl<'w> Ctx<'w> {
     pub fn span_begin(
         &mut self,
         corr: u64,
-        stage: impl Into<String>,
-        detail: impl Into<String>,
+        stage: &'static str,
+        detail: impl Into<SpanDetail>,
     ) -> crate::SpanId {
-        let name = self.world.procs[self.me.index()].name.clone();
+        let name = Arc::clone(&self.world.procs[self.me.index()].name);
         let now = self.world.now();
         self.world.trace.span_begin(corr, now, name, stage, detail)
     }

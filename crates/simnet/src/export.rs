@@ -59,7 +59,7 @@ fn shard_pid(source: &str) -> (u64, &str) {
 /// `"unclosed": true` in `args`, so they remain visible rather than
 /// stretching to infinity.
 pub fn perfetto_trace_json(spans: &[SpanRecord]) -> String {
-    let mut sources: Vec<&str> = spans.iter().map(|s| s.source.as_str()).collect();
+    let mut sources: Vec<&str> = spans.iter().map(|s| &*s.source).collect();
     sources.sort_unstable();
     sources.dedup();
     let tids: BTreeMap<&str, usize> = sources
@@ -114,12 +114,12 @@ pub fn perfetto_trace_json(spans: &[SpanRecord]) -> String {
     }
 
     for span in spans {
-        let tid = tids[span.source.as_str()];
+        let tid = tids[&*span.source];
         let (pid, _) = shard_pid(&span.source);
         let start_ns = span.start.as_nanos();
         let dur_ns = span.duration().map(|d| d.as_nanos()).unwrap_or(0);
         let mut ev = String::from("{\"ph\": \"X\", \"name\": ");
-        push_json_string(&mut ev, &span.stage);
+        push_json_string(&mut ev, span.stage);
         ev.push_str(", \"cat\": ");
         let cat = span.stage.split('.').next().unwrap_or("span");
         push_json_string(&mut ev, cat);
@@ -133,9 +133,10 @@ pub fn perfetto_trace_json(spans: &[SpanRecord]) -> String {
         if let Some(parent) = span.parent {
             ev.push_str(&format!(", \"parent\": {}", parent.0));
         }
-        if !span.detail.is_empty() {
+        let detail = span.detail.to_string();
+        if !detail.is_empty() {
             ev.push_str(", \"detail\": ");
-            push_json_string(&mut ev, &span.detail);
+            push_json_string(&mut ev, &detail);
         }
         if span.end.is_none() {
             ev.push_str(", \"unclosed\": true");

@@ -159,6 +159,15 @@ impl AlertState {
         }
     }
 
+    /// Stage of the span recording a transition into this state.
+    fn stage(self) -> &'static str {
+        match self {
+            AlertState::Ok => "alert.ok",
+            AlertState::Warning => "alert.warning",
+            AlertState::Firing => "alert.firing",
+        }
+    }
+
     fn as_gauge(self) -> i64 {
         match self {
             AlertState::Ok => 0,
@@ -271,7 +280,7 @@ impl SloEngine {
                     0,
                     now,
                     "slo-engine",
-                    format!("alert.{}", next.as_str()),
+                    next.stage(),
                     format!(
                         "{}: {} -> {} (burn {}m/{}m, subject {})",
                         obj.name,
@@ -848,7 +857,7 @@ mod tests {
         assert!(trace
             .spans()
             .iter()
-            .any(|s| s.source == "slo-engine" && s.stage == "alert.firing"));
+            .any(|s| &*s.source == "slo-engine" && s.stage == "alert.firing"));
     }
 
     #[test]

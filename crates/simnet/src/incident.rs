@@ -197,9 +197,9 @@ impl IncidentBundle {
             ));
             push_json_string(&mut out, &s.source);
             out.push_str(", \"stage\": ");
-            push_json_string(&mut out, &s.stage);
+            push_json_string(&mut out, s.stage);
             out.push_str(", \"detail\": ");
-            push_json_string(&mut out, &s.detail);
+            push_json_string(&mut out, &s.detail.to_string());
             out.push_str(&format!(
                 ", \"start_ns\": {}, \"end_ns\": {}}}",
                 s.start.as_nanos(),
@@ -263,7 +263,7 @@ mod tests {
                 parent: None,
                 corr: 0x1_0000_0001,
                 source: "rt0".into(),
-                stage: "queue.wait".into(),
+                stage: "queue.wait",
                 detail: "port=\"clicks\"".into(),
                 start: SimTime::from_millis(30_000),
                 end: Some(SimTime::from_millis(30_001)),

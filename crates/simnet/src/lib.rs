@@ -105,7 +105,8 @@ pub use span::{
 pub use time::{SimDuration, SimTime};
 pub use timeseries::{SamplerConfig, Telemetry, TelemetryWindow};
 pub use trace::{
-    Histogram, Metrics, MetricsSnapshot, SegmentStats, SpanId, SpanRecord, Trace, TraceEvent,
+    DetailArg, Histogram, MetricId, MetricRef, Metrics, MetricsSnapshot, SegmentStats, SpanDetail,
+    SpanId, SpanRecord, Trace, TraceEvent,
 };
 pub use wheel::TimerWheel;
 pub use world::{CrossMessage, ShardConfig, World};

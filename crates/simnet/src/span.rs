@@ -19,6 +19,7 @@
 //!   [`unclosed`](SpanTree::unclosed) and analyzed as zero-length.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{SpanId, SpanRecord, Trace};
@@ -252,7 +253,7 @@ impl CriticalPath {
             total_ns += (end - start).as_nanos();
 
             let mut cursor = start;
-            let mut prev_stage = journey[0].stage.as_str();
+            let mut prev_stage = journey[0].stage;
             for span in journey {
                 if span.start > cursor {
                     let gap = (span.start - cursor).as_nanos();
@@ -265,12 +266,12 @@ impl CriticalPath {
                 let span_end = span.effective_end();
                 if span_end > cursor {
                     let covered = (span_end - cursor).as_nanos();
-                    let slot = costs.entry(span.stage.clone()).or_insert((0, 0));
+                    let slot = costs.entry(span.stage.to_owned()).or_insert((0, 0));
                     slot.0 += covered;
                     slot.1 += 1;
                     cursor = span_end;
                 }
-                prev_stage = span.stage.as_str();
+                prev_stage = span.stage;
             }
         }
 
@@ -396,7 +397,7 @@ pub fn merge_shard_spans(per_shard: &[(u16, &[SpanRecord])]) -> Vec<SpanRecord> 
                 .and_then(|p| remap.get(&(*shard, p.0)).copied())
                 .map(SpanId);
             if s.stage == "shard.xfer.ingress" {
-                if let Some((src, span)) = parse_xfer_link(&s.detail) {
+                if let Some((src, span)) = parse_xfer_link(&s.detail.to_string()) {
                     if let Some(&egress) = remap.get(&(src, span)) {
                         if egress < id.0 {
                             parent = Some(SpanId(egress));
@@ -408,8 +409,8 @@ pub fn merge_shard_spans(per_shard: &[(u16, &[SpanRecord])]) -> Vec<SpanRecord> 
                 id,
                 parent,
                 corr: s.corr,
-                source: format!("s{shard}/{}", s.source),
-                stage: s.stage.clone(),
+                source: Arc::from(format!("s{shard}/{}", s.source)),
+                stage: s.stage,
                 detail: s.detail.clone(),
                 start: s.start,
                 end: s.end,
@@ -548,7 +549,7 @@ impl PathExpectation<'_> {
             }
         }
         if next < stages.len() {
-            let recorded: Vec<&str> = self.path.iter().map(|s| s.stage.as_str()).collect();
+            let recorded: Vec<&str> = self.path.iter().map(|s| s.stage).collect();
             panic!(
                 "corr={:#x}: expected path through {:?}, but {:?} never occurred \
                  (after {} earlier matches); recorded stages: {:?}",
@@ -613,6 +614,7 @@ impl PathExpectation<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::SpanDetail;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -657,8 +659,8 @@ mod tests {
             parent: Some(SpanId(42)), // never recorded
             corr: 1,
             source: "x".into(),
-            stage: "lost-parent".into(),
-            detail: String::new(),
+            stage: "lost-parent",
+            detail: SpanDetail::EMPTY,
             start: ms(1),
             end: None,
         };
@@ -677,8 +679,8 @@ mod tests {
             parent: Some(SpanId(3)),
             corr: 1,
             source: "x".into(),
-            stage: "self-ref".into(),
-            detail: String::new(),
+            stage: "self-ref",
+            detail: SpanDetail::EMPTY,
             start: ms(0),
             end: Some(ms(1)),
         };

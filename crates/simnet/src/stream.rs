@@ -15,6 +15,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use crate::error::{SimError, SimResult};
+use crate::metric_id;
 use crate::payload::Payload;
 use crate::process::{Addr, NodeId, ProcId, SegmentId, StreamEvent, StreamId};
 use crate::time::SimDuration;
@@ -215,7 +216,7 @@ impl World {
         frame: StreamFrame,
         payload_len: usize,
     ) {
-        self.trace.bump("stream.frames", 1);
+        self.trace.bump(metric_id!("stream.frames"), 1);
         let f = Frame {
             src_node,
             dst: FrameDst::Unicast(dst_node),
@@ -727,7 +728,7 @@ impl World {
                     rx_proc = rx.proc;
                 } else {
                     rx.ooo.insert(seq, bytes);
-                    self.trace.bump("stream.out_of_order", 1);
+                    self.trace.bump(metric_id!("stream.out_of_order"), 1);
                 }
             }
         }
@@ -785,7 +786,7 @@ impl World {
             ack += 1;
         }
         let (src_node, dst_node) = (rx.node, st.side(!rx_initiator).node);
-        self.trace.bump("stream.acks", 1);
+        self.trace.bump(metric_id!("stream.acks"), 1);
         self.transmit_stream_frame(
             segment,
             src_node,

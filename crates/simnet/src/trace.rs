@@ -20,6 +20,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -64,6 +66,125 @@ impl fmt::Display for SpanId {
     }
 }
 
+/// One typed argument of a [`SpanDetail`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DetailArg {
+    /// An unsigned integer, rendered in decimal.
+    U64(u64),
+    /// A static string: a literal or an interned name.
+    Str(&'static str),
+    /// A virtual-time duration, rendered by its `Display`.
+    Dur(SimDuration),
+    /// Shared text built by the caller. Building it allocates, so it is
+    /// for rare, control-plane details only.
+    Text(Arc<str>),
+}
+
+impl fmt::Display for DetailArg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DetailArg::U64(n) => write!(f, "{n}"),
+            DetailArg::Str(s) => f.write_str(s),
+            DetailArg::Dur(d) => write!(f, "{d}"),
+            DetailArg::Text(s) => f.write_str(s),
+        }
+    }
+}
+
+/// Most arguments one [`SpanDetail`] holds.
+const DETAIL_ARGS: usize = 4;
+
+/// A span's free-form detail (port names, byte counts, retry numbers)
+/// as a small typed value: static text pieces interleaved with up to
+/// four [`DetailArg`]s, `pieces[0] args[0] pieces[1] … pieces[n]`.
+///
+/// Building one takes no heap allocation (unless it holds a
+/// [`DetailArg::Text`]); the text is rendered by `Display` only when a
+/// span is exported or printed.
+///
+/// ```
+/// use simnet::{DetailArg, SpanDetail};
+///
+/// let d = SpanDetail::new(&["port=", " path=", ""], [DetailArg::Str("in"), DetailArg::U64(3)]);
+/// assert_eq!(d.to_string(), "port=in path=3");
+/// assert_eq!(SpanDetail::EMPTY.to_string(), "");
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanDetail {
+    pieces: &'static [&'static str],
+    args: [DetailArg; DETAIL_ARGS],
+}
+
+impl SpanDetail {
+    /// The empty detail.
+    pub const EMPTY: SpanDetail = SpanDetail {
+        pieces: &[],
+        args: [
+            DetailArg::U64(0),
+            DetailArg::U64(0),
+            DetailArg::U64(0),
+            DetailArg::U64(0),
+        ],
+    };
+
+    /// A detail rendering `pieces` with `args` between them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one piece more than there are arguments,
+    /// and at most four arguments.
+    pub fn new<const N: usize>(
+        pieces: &'static [&'static str],
+        args: [DetailArg; N],
+    ) -> SpanDetail {
+        assert!(
+            N <= DETAIL_ARGS && pieces.len() == N + 1,
+            "a span detail takes n <= {DETAIL_ARGS} arguments and n + 1 pieces"
+        );
+        let mut detail = SpanDetail {
+            pieces,
+            ..SpanDetail::EMPTY
+        };
+        for (slot, arg) in detail.args.iter_mut().zip(args) {
+            *slot = arg;
+        }
+        detail
+    }
+}
+
+impl fmt::Display for SpanDetail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, piece) in self.pieces.iter().enumerate() {
+            f.write_str(piece)?;
+            if i + 1 < self.pieces.len() {
+                self.args[i].fmt(f)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl From<&'static str> for SpanDetail {
+    fn from(text: &'static str) -> SpanDetail {
+        if text.is_empty() {
+            SpanDetail::EMPTY
+        } else {
+            SpanDetail::new(&["", ""], [DetailArg::Str(text)])
+        }
+    }
+}
+
+/// Built text, for rare, control-plane details (see [`DetailArg::Text`]).
+impl From<String> for SpanDetail {
+    fn from(text: String) -> SpanDetail {
+        if text.is_empty() {
+            SpanDetail::EMPTY
+        } else {
+            SpanDetail::new(&["", ""], [DetailArg::Text(text.into())])
+        }
+    }
+}
+
 /// One structured span on a correlated path: a stage of a message's
 /// mapper→translator→port journey with an explicit begin and end, so
 /// every hop has a duration, not just a timestamp.
@@ -71,6 +192,10 @@ impl fmt::Display for SpanId {
 /// Spans carrying the same correlation id reconstruct one logical path
 /// end to end, across runtimes and platform bridges; parent links give
 /// the nesting within one path (see [`SpanTree`](crate::span::SpanTree)).
+///
+/// Recording one copies no string: the source is the process name,
+/// shared with the world's process table; the stage is static; the
+/// detail is typed and rendered only at export.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Unique id within the trace, in allocation order.
@@ -81,12 +206,12 @@ pub struct SpanRecord {
     /// (zero for uncorrelated platform-side work).
     pub corr: u64,
     /// Short source tag (usually the process name).
-    pub source: String,
+    pub source: Arc<str>,
     /// Stage name, dot-scoped (`connect`, `queue.wait`,
     /// `transport.send`, `bridge.upnp.input`, …).
-    pub stage: String,
+    pub stage: &'static str,
     /// Free-form detail (port names, byte counts, retry numbers).
-    pub detail: String,
+    pub detail: SpanDetail,
     /// Virtual time the stage began.
     pub start: SimTime,
     /// Virtual time the stage ended, or `None` if it never closed (a
@@ -331,16 +456,213 @@ impl Histogram {
     }
 }
 
+/// A dense handle to a metric name.
+///
+/// [`MetricId::new`] resolves a name once; every [`Metrics`] registry
+/// then updates the metric by indexing a `Vec` with the handle, where a
+/// name would walk a string-keyed map. A handle is valid in every
+/// registry of the process (sharded worlds on other threads included),
+/// so a process can resolve its handles when it is constructed, before
+/// it joins a world. Resolving the same name twice yields the same id.
+///
+/// Names live in one process-wide table for the life of the process:
+/// they are a small, stable vocabulary (`rt{N}.outputs`,
+/// `bridge.{platform}.traffic`, …), like the port-name symbols of the
+/// runtime. Ids are an internal detail; every read and export orders
+/// metrics by name, so output never depends on resolution order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MetricId(u32);
+
+/// The process-wide name table behind [`MetricId`].
+struct NameTable {
+    ids: BTreeMap<&'static str, MetricId>,
+    names: Vec<&'static str>,
+}
+
+static NAMES: Mutex<NameTable> = Mutex::new(NameTable {
+    ids: BTreeMap::new(),
+    names: Vec::new(),
+});
+
+impl MetricId {
+    /// The handle of `name`, minting it on first use.
+    pub fn new(name: &str) -> MetricId {
+        Self::intern(name).0
+    }
+
+    /// The handle of `name` and the table's copy of it.
+    fn intern(name: &str) -> (MetricId, &'static str) {
+        let mut table = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((&interned, &id)) = table.ids.get_key_value(name) {
+            return (id, interned);
+        }
+        let interned: &'static str = Box::leak(name.into());
+        let id = MetricId(u32::try_from(table.names.len()).expect("metric name table overflow"));
+        table.names.push(interned);
+        table.ids.insert(interned, id);
+        (id, interned)
+    }
+
+    /// The name this handle was resolved from.
+    pub fn name(self) -> &'static str {
+        NAMES.lock().unwrap_or_else(PoisonError::into_inner).names[self.0 as usize]
+    }
+}
+
+/// The [`MetricId`] of a literal metric name, resolved once per call
+/// site, for hot updates of fixed names:
+///
+/// ```
+/// let mut m = simnet::Metrics::default();
+/// m.counter_add(simnet::metric_id!("stream.frames"), 2);
+/// assert_eq!(m.counter("stream.frames"), 2);
+/// ```
+#[macro_export]
+macro_rules! metric_id {
+    ($name:literal) => {{
+        static ID: std::sync::LazyLock<$crate::MetricId> =
+            std::sync::LazyLock::new(|| $crate::MetricId::new($name));
+        *ID
+    }};
+}
+
+/// What a metric update is addressed by: a name, looked up (and minted
+/// on first use) per update, or a [`MetricId`] resolved beforehand.
+/// Both reach the same slot; hot paths hold ids.
+#[derive(Debug, Clone, Copy)]
+pub enum MetricRef<'a> {
+    /// A metric name.
+    Name(&'a str),
+    /// A resolved handle.
+    Id(MetricId),
+}
+
+impl<'a> From<&'a str> for MetricRef<'a> {
+    fn from(name: &'a str) -> MetricRef<'a> {
+        MetricRef::Name(name)
+    }
+}
+
+impl<'a> From<&'a String> for MetricRef<'a> {
+    fn from(name: &'a String) -> MetricRef<'a> {
+        MetricRef::Name(name)
+    }
+}
+
+impl From<MetricId> for MetricRef<'_> {
+    fn from(id: MetricId) -> MetricRef<'static> {
+        MetricRef::Id(id)
+    }
+}
+
+/// One kind of metric (counters, gauges or histograms): values stored
+/// densely, reachable by [`MetricId`] through `slots` and by name
+/// through `by_name`, the sorted side table every read goes through.
+#[derive(Debug)]
+struct Column<V> {
+    /// Written metrics by name → index into `values`.
+    by_name: BTreeMap<&'static str, usize>,
+    /// `MetricId` → index into `values` plus one; zero = never written.
+    slots: Vec<usize>,
+    values: Vec<V>,
+}
+
+impl<V> Default for Column<V> {
+    fn default() -> Column<V> {
+        Column {
+            by_name: BTreeMap::new(),
+            slots: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<V> Column<V> {
+    /// The slot of a metric written before, if any.
+    fn find(&self, key: MetricRef<'_>) -> Option<usize> {
+        match key {
+            MetricRef::Name(name) => self.by_name.get(name).copied(),
+            MetricRef::Id(id) => match self.slots.get(id.0 as usize) {
+                Some(&slot) if slot != 0 => Some(slot - 1),
+                _ => None,
+            },
+        }
+    }
+
+    /// The value of a metric, if it was ever written.
+    fn get(&self, key: MetricRef<'_>) -> Option<&V> {
+        self.find(key).map(|i| &self.values[i])
+    }
+
+    /// The value of a metric, created from `init` on first write. The
+    /// name is copied into the registry only then.
+    fn entry(&mut self, key: MetricRef<'_>, init: impl FnOnce() -> V) -> &mut V {
+        let i = match self.find(key) {
+            Some(i) => i,
+            None => self.insert(key, init()),
+        };
+        &mut self.values[i]
+    }
+
+    /// Files a first value under `key`.
+    fn insert(&mut self, key: MetricRef<'_>, v: V) -> usize {
+        let (id, name) = match key {
+            MetricRef::Name(name) => MetricId::intern(name),
+            MetricRef::Id(id) => (id, id.name()),
+        };
+        let i = self.values.len();
+        self.values.push(v);
+        self.by_name.insert(name, i);
+        let at = id.0 as usize;
+        if self.slots.len() <= at {
+            self.slots.resize(at + 1, 0);
+        }
+        self.slots[at] = i + 1;
+        i
+    }
+
+    /// Every written metric, sorted by name.
+    fn iter(&self) -> impl Iterator<Item = (&str, &V)> {
+        self.by_name.iter().map(|(&k, &i)| (k, &self.values[i]))
+    }
+
+    /// The written metrics named `{prefix}*`, sorted by name.
+    fn range<'c>(&'c self, prefix: &'c str) -> impl Iterator<Item = (&'c str, &'c V)> + 'c {
+        self.by_name
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(k, _)| k.starts_with(prefix))
+            .map(|(&k, &i)| (k, &self.values[i]))
+    }
+
+    /// An owned, name-keyed copy.
+    fn to_map(&self) -> BTreeMap<String, V>
+    where
+        V: Clone,
+    {
+        self.iter()
+            .map(|(k, v)| (k.to_owned(), v.clone()))
+            .collect()
+    }
+
+    fn clear(&mut self) {
+        self.by_name.clear();
+        self.slots.clear();
+        self.values.clear();
+    }
+}
+
 /// Registry of typed counters, gauges, and latency histograms.
 ///
 /// Names are flat, dot-scoped strings; per-runtime metrics use an
-/// `rt{N}.` prefix (e.g. `rt0.advertisements_sent`). All maps are
-/// ordered, so iteration and JSON output are deterministic.
+/// `rt{N}.` prefix (e.g. `rt0.advertisements_sent`). Updates take a
+/// [`MetricRef`]: a name, or a [`MetricId`] resolved once, which
+/// indexes a `Vec`. Every read orders metrics by name, so iteration and
+/// JSON output are deterministic.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Column<u64>,
+    gauges: Column<i64>,
+    histograms: Column<Histogram>,
 }
 
 /// Counter bumped whenever counter/gauge arithmetic clamps at the
@@ -352,13 +674,8 @@ impl Metrics {
     /// Adds `n` to a monotonic counter. The addition saturates at
     /// `u64::MAX`; a clamped update also bumps the
     /// `trace.counter_saturated` marker counter.
-    pub fn counter_add(&mut self, name: &str, n: u64) {
-        // Look up before inserting: `entry` would allocate the owned key
-        // on every update, not just the first.
-        let Some(slot) = self.counters.get_mut(name) else {
-            self.counters.insert(name.to_owned(), n);
-            return;
-        };
+    pub fn counter_add<'a>(&mut self, key: impl Into<MetricRef<'a>>, n: u64) {
+        let slot = self.counters.entry(key.into(), || 0);
         if let Some(v) = slot.checked_add(n) {
             *slot = v;
         } else {
@@ -367,35 +684,33 @@ impl Metrics {
         }
     }
 
-    /// Records one clamped counter/gauge update. Direct map access: the
-    /// marker itself must not recurse through [`Metrics::counter_add`],
-    /// and it too saturates rather than wrapping.
+    /// Records one clamped counter/gauge update. The marker itself
+    /// saturates rather than wrapping, and never recurses.
     fn note_saturation(&mut self) {
         let marker = self
             .counters
-            .entry(SATURATION_MARKER.to_owned())
-            .or_insert(0);
+            .entry(MetricRef::Name(SATURATION_MARKER), || 0);
         *marker = marker.saturating_add(1);
     }
 
     /// Reads a counter (zero if never written).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters
+            .get(MetricRef::Name(name))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Sets a gauge to an absolute value.
-    pub fn gauge_set(&mut self, name: &str, v: i64) {
-        self.gauges.insert(name.to_owned(), v);
+    pub fn gauge_set<'a>(&mut self, key: impl Into<MetricRef<'a>>, v: i64) {
+        *self.gauges.entry(key.into(), || 0) = v;
     }
 
     /// Adds a (possibly negative) delta to a gauge. The addition
     /// saturates at the `i64` range; a clamped update also bumps the
     /// `trace.counter_saturated` marker counter.
-    pub fn gauge_add(&mut self, name: &str, delta: i64) {
-        let Some(slot) = self.gauges.get_mut(name) else {
-            self.gauges.insert(name.to_owned(), delta);
-            return;
-        };
+    pub fn gauge_add<'a>(&mut self, key: impl Into<MetricRef<'a>>, delta: i64) {
+        let slot = self.gauges.entry(key.into(), || 0);
         if let Some(v) = slot.checked_add(delta) {
             *slot = v;
         } else {
@@ -406,38 +721,29 @@ impl Metrics {
 
     /// Reads a gauge (zero if never written).
     pub fn gauge(&self, name: &str) -> i64 {
-        self.gauges.get(name).copied().unwrap_or(0)
+        self.gauges.get(MetricRef::Name(name)).copied().unwrap_or(0)
     }
 
     /// Records a duration into the named histogram.
-    pub fn observe(&mut self, name: &str, d: SimDuration) {
-        self.update_histogram(name, |h| h.record(d));
+    pub fn observe<'a>(&mut self, key: impl Into<MetricRef<'a>>, d: SimDuration) {
+        self.histograms
+            .entry(key.into(), Histogram::default)
+            .record(d);
     }
 
-    /// Applies `f` to the named histogram, created empty on first use
-    /// (the owned key is allocated only then).
-    fn update_histogram(&mut self, name: &str, f: impl FnOnce(&mut Histogram)) {
-        match self.histograms.get_mut(name) {
-            Some(h) => f(h),
-            None => {
-                let mut h = Histogram::default();
-                f(&mut h);
-                self.histograms.insert(name.to_owned(), h);
-            }
-        }
-    }
-
-    /// Records a duration into the named histogram tagged with a trace
+    /// Records a duration into a histogram tagged with a trace
     /// correlation id, so the histogram keeps exemplars linking its max
     /// and upper buckets back to trace journeys (see
     /// [`Histogram::record_corr`]).
-    pub fn observe_corr(&mut self, name: &str, d: SimDuration, corr: u64) {
-        self.update_histogram(name, |h| h.record_corr(d, corr));
+    pub fn observe_corr<'a>(&mut self, key: impl Into<MetricRef<'a>>, d: SimDuration, corr: u64) {
+        self.histograms
+            .entry(key.into(), Histogram::default)
+            .record_corr(d, corr);
     }
 
     /// Reads a histogram, if it has ever been observed.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        self.histograms.get(MetricRef::Name(name))
     }
 
     /// Replaces the named histogram wholesale. Used by the world to fold
@@ -445,22 +751,24 @@ impl Metrics {
     /// sample and sync points; the replacement is cumulative, so the
     /// registry keeps Prometheus semantics.
     pub(crate) fn histogram_set(&mut self, name: &str, h: Histogram) {
-        self.histograms.insert(name.to_owned(), h);
+        *self
+            .histograms
+            .entry(MetricRef::Name(name), Histogram::default) = h;
     }
 
     /// All counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters.iter().map(|(k, v)| (k, *v))
     }
 
     /// All gauges, sorted by name.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
+        self.gauges.iter().map(|(k, v)| (k, *v))
     }
 
     /// All histograms, sorted by name.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+        self.histograms.iter()
     }
 
     /// Counters/gauges/histograms under a dot-scoped prefix, e.g.
@@ -475,9 +783,9 @@ impl Metrics {
     /// An owned, deterministic snapshot for export.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
+            counters: self.counters.to_map(),
+            gauges: self.gauges.to_map(),
+            histograms: self.histograms.to_map(),
         }
     }
 
@@ -514,29 +822,29 @@ impl ScopedMetrics<'_> {
 
     /// Every counter in this scope, with the prefix stripped.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+        let n = self.prefix.len();
         self.metrics
             .counters
-            .range(self.prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&self.prefix))
-            .map(|(k, v)| (&k[self.prefix.len()..], *v))
+            .range(&self.prefix)
+            .map(move |(k, v)| (&k[n..], *v))
     }
 
     /// Every gauge in this scope, with the prefix stripped.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
+        let n = self.prefix.len();
         self.metrics
             .gauges
-            .range(self.prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&self.prefix))
-            .map(|(k, v)| (&k[self.prefix.len()..], *v))
+            .range(&self.prefix)
+            .map(move |(k, v)| (&k[n..], *v))
     }
 
     /// Every histogram in this scope, with the prefix stripped.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+        let n = self.prefix.len();
         self.metrics
             .histograms
-            .range(self.prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&self.prefix))
-            .map(|(k, v)| (&k[self.prefix.len()..], v))
+            .range(&self.prefix)
+            .map(move |(k, v)| (&k[n..], v))
     }
 
     /// An owned snapshot of just this scope, prefix stripped.
@@ -838,9 +1146,9 @@ impl Trace {
         &mut self,
         corr: u64,
         time: SimTime,
-        source: impl Into<String>,
-        stage: impl Into<String>,
-        detail: impl Into<String>,
+        source: impl Into<Arc<str>>,
+        stage: &'static str,
+        detail: impl Into<SpanDetail>,
     ) -> SpanId {
         if self.spans.len() >= self.span_capacity {
             if self.recorder {
@@ -860,7 +1168,7 @@ impl Trace {
             parent,
             corr,
             source: source.into(),
-            stage: stage.into(),
+            stage,
             detail: detail.into(),
             start: time,
             end: None,
@@ -894,9 +1202,9 @@ impl Trace {
         &mut self,
         corr: u64,
         time: SimTime,
-        source: impl Into<String>,
-        stage: impl Into<String>,
-        detail: impl Into<String>,
+        source: impl Into<Arc<str>>,
+        stage: &'static str,
+        detail: impl Into<SpanDetail>,
     ) -> SpanId {
         let id = self.span_begin(corr, time, source, stage, detail);
         self.span_end(id, time);
@@ -975,8 +1283,8 @@ impl Trace {
         }
     }
 
-    /// Adds `n` to the named counter.
-    pub fn bump(&mut self, counter: &str, n: u64) {
+    /// Adds `n` to a counter.
+    pub fn bump<'a>(&mut self, counter: impl Into<MetricRef<'a>>, n: u64) {
         self.metrics.counter_add(counter, n);
     }
 
@@ -1084,8 +1392,8 @@ mod tests {
         assert_eq!(legacy.counter("trace.spans_dropped"), 6);
         assert_eq!(legacy.counter("trace.ring_overwrites"), 0);
         assert_eq!(legacy.spans().len(), 4);
-        assert!(legacy.spans().iter().any(|s| s.detail == "0"));
-        assert!(legacy.spans().iter().all(|s| s.detail != "9"));
+        assert!(legacy.spans().iter().any(|s| s.detail.to_string() == "0"));
+        assert!(legacy.spans().iter().all(|s| s.detail.to_string() != "9"));
 
         // Flight recorder: the OLDEST spans are overwritten and counted
         // as ring overwrites; drops stay at zero and the tail survives.
@@ -1101,8 +1409,8 @@ mod tests {
             ring.ring_overwrites()
         );
         assert!(ring.ring_overwrites() > 0);
-        assert!(ring.spans().iter().any(|s| s.detail == "9"));
-        assert!(ring.spans().iter().all(|s| s.detail != "0"));
+        assert!(ring.spans().iter().any(|s| s.detail.to_string() == "9"));
+        assert!(ring.spans().iter().all(|s| s.detail.to_string() != "0"));
         assert_eq!(
             ring.ring_overwrites() + ring.spans().len() as u64,
             10,
@@ -1263,6 +1571,85 @@ mod tests {
     }
 
     #[test]
+    fn metric_handles_agree_with_names() {
+        let mut m = Metrics::default();
+        let outputs = MetricId::new("rt7.outputs");
+        assert_eq!(
+            MetricId::new("rt7.outputs"),
+            outputs,
+            "resolved twice, one id"
+        );
+        assert_eq!(outputs.name(), "rt7.outputs");
+        let depth = MetricId::new("rt7.buffer_depth_bytes");
+        let wait = MetricId::new("rt7.queue_wait");
+        // Handles and names reach the same slots, in any order.
+        m.counter_add(outputs, 2);
+        m.counter_add("rt7.outputs", 3);
+        m.counter_add("rt7.advertisements_sent", 1);
+        m.gauge_set(depth, 40);
+        m.gauge_add("rt7.buffer_depth_bytes", 2);
+        m.observe_corr(wait, SimDuration::from_micros(5), 9);
+        m.observe("rt7.queue_wait", SimDuration::from_micros(7));
+        assert_eq!(m.counter("rt7.outputs"), 5);
+        assert_eq!(m.gauge("rt7.buffer_depth_bytes"), 42);
+        assert_eq!(m.histogram("rt7.queue_wait").unwrap().count(), 2);
+        // Reads come back by name, in name order, whatever the
+        // resolution order was.
+        let names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
+        assert_eq!(names, ["rt7.advertisements_sent", "rt7.outputs"]);
+        let rt7 = m.scoped("rt7");
+        let scoped: Vec<(&str, u64)> = rt7.counters().collect();
+        assert_eq!(scoped, [("advertisements_sent", 1), ("outputs", 5)]);
+        let snap = m.snapshot();
+        assert_eq!(
+            snap.counters.iter().collect::<Vec<_>>(),
+            [
+                (&"rt7.advertisements_sent".to_owned(), &1),
+                (&"rt7.outputs".to_owned(), &5)
+            ]
+        );
+        assert_eq!(snap.gauges["rt7.buffer_depth_bytes"], 42);
+        assert_eq!(snap.histograms["rt7.queue_wait"].max_corr(), 0);
+        // A resolved handle that was never written exports nothing.
+        let _unused = MetricId::new("rt7.never_written");
+        assert!(!m.snapshot().counters.contains_key("rt7.never_written"));
+        // The same handle addresses a second registry independently.
+        let mut other = Metrics::default();
+        other.counter_add(outputs, 1);
+        assert_eq!(other.counter("rt7.outputs"), 1);
+        assert_eq!(m.counter("rt7.outputs"), 5);
+        // Saturation through a handle still bumps the marker.
+        m.counter_add(outputs, u64::MAX);
+        assert_eq!(m.counter("rt7.outputs"), u64::MAX);
+        assert_eq!(m.counter("trace.counter_saturated"), 1);
+        m.gauge_add(depth, i64::MAX);
+        assert_eq!(m.gauge("rt7.buffer_depth_bytes"), i64::MAX);
+        assert_eq!(m.counter("trace.counter_saturated"), 2);
+    }
+
+    #[test]
+    fn span_details_render_at_export() {
+        let d = SpanDetail::new(
+            &["dst=rt", "/t", ".", " (late)"],
+            [DetailArg::U64(1), DetailArg::U64(4), DetailArg::Str("in")],
+        );
+        assert_eq!(d.to_string(), "dst=rt1/t4.in (late)");
+        let wait = SpanDetail::new(&["", ""], [DetailArg::Dur(SimDuration::from_millis(2))]);
+        assert_eq!(wait.to_string(), SimDuration::from_millis(2).to_string());
+        assert_eq!(SpanDetail::from(""), SpanDetail::EMPTY);
+        assert_eq!(SpanDetail::from(String::from("x=1")).to_string(), "x=1");
+        let mut t = Trace::default();
+        t.span(1, SimTime::ZERO, "rt0", "queue.wait", d);
+        assert_eq!(
+            t.spans()[0].to_string(),
+            format!(
+                "[{0}..{0}] corr=0x1 rt0 queue.wait: dst=rt1/t4.in (late)",
+                SimTime::ZERO
+            )
+        );
+    }
+
+    #[test]
     fn counter_add_saturates_and_marks() {
         let mut m = Metrics::default();
         m.counter_add("c", u64::MAX - 1);
@@ -1335,7 +1722,7 @@ mod tests {
             "bridge.upnp.input",
             "port=in",
         );
-        let path: Vec<&str> = t.spans_for(7).map(|s| s.stage.as_str()).collect();
+        let path: Vec<&str> = t.spans_for(7).map(|s| s.stage).collect();
         assert_eq!(path, vec!["connect", "bridge.upnp.input"]);
         assert_eq!(t.spans().len(), 3);
     }

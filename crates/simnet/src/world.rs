@@ -2,6 +2,7 @@
 //! event loop.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use crate::ctx::Ctx;
 use crate::error::{SimError, SimResult};
@@ -10,6 +11,7 @@ use crate::incident::{
     IncidentBundle, TopologyDigest, TriggerKind, MAX_BUNDLES, RING_CAPACITY, TRACE_WINDOW,
 };
 use crate::medium::{schedule_tx, SegmentConfig};
+use crate::metric_id;
 use crate::payload::Payload;
 use crate::process::{Addr, Datagram, LocalMessage, NodeId, ProcId, Process, SegmentId, StreamId};
 use crate::stream::{StreamFrame, StreamState};
@@ -135,7 +137,8 @@ pub(crate) struct PortBinding {
 
 pub(crate) struct ProcSlot {
     pub(crate) node: NodeId,
-    pub(crate) name: String,
+    /// The process name, shared by every span the process records.
+    pub(crate) name: Arc<str>,
     pub(crate) busy_until: SimTime,
     pub(crate) alive: bool,
     pub(crate) process: Option<Box<dyn Process>>,
@@ -522,7 +525,7 @@ impl World {
     /// current virtual time once the world is (or starts) running.
     pub fn add_process(&mut self, node: NodeId, process: Box<dyn Process>) -> ProcId {
         let id = ProcId(self.procs.len() as u32);
-        let name = process.name().to_owned();
+        let name = Arc::from(process.name());
         self.procs.push(ProcSlot {
             node,
             name,
@@ -815,7 +818,7 @@ impl World {
             .unwrap_or_default();
         let topology = TopologyDigest::new(
             self.nodes.iter().map(|n| n.name.as_str()),
-            self.procs.iter().map(|p| p.name.as_str()),
+            self.procs.iter().map(|p| &*p.name),
             self.segments
                 .iter()
                 .enumerate()
@@ -1118,7 +1121,7 @@ impl World {
             inlet,
             data,
         });
-        self.trace.bump("shard.cross_sent", 1);
+        self.trace.bump(metric_id!("shard.cross_sent"), 1);
         Ok(())
     }
 
@@ -1142,12 +1145,12 @@ impl World {
             return;
         };
         let Some(&dst) = m.inlets.get(&msg.inlet) else {
-            self.trace.bump("shard.cross_no_inlet", 1);
+            self.trace.bump(metric_id!("shard.cross_no_inlet"), 1);
             return;
         };
         let src = Addr::new(m.gateway, SHARD_GW_PORT_BASE.saturating_add(msg.src_shard));
         debug_assert!(msg.arrival >= self.now, "cross message in the past");
-        self.trace.bump("shard.cross_received", 1);
+        self.trace.bump(metric_id!("shard.cross_received"), 1);
         self.schedule(
             msg.arrival,
             EventKind::CrossArrival {
@@ -1642,7 +1645,7 @@ impl World {
         let lost = seg.config.loss > 0.0 && self.rng.gen_bool(seg.config.loss);
         if lost {
             self.segments[segment.index()].stats.dropped += 1;
-            self.trace.bump("frames.lost", 1);
+            self.trace.bump(metric_id!("frames.lost"), 1);
         } else {
             self.schedule(timing.arrival, EventKind::FrameArrival { segment, frame });
         }
@@ -1762,7 +1765,7 @@ impl World {
                 })
             });
             if !has_listener {
-                self.trace.bump("multicast.pruned", 1);
+                self.trace.bump(metric_id!("multicast.pruned"), 1);
                 continue;
             }
             let frame = Frame {
@@ -1788,11 +1791,11 @@ impl World {
             return None;
         }
         let Some(binding) = node.ports.get(&dst.port).copied() else {
-            self.trace.bump("datagrams.no_listener", 1);
+            self.trace.bump(metric_id!("datagrams.no_listener"), 1);
             return None;
         };
         if binding.listener {
-            self.trace.bump("datagrams.no_listener", 1);
+            self.trace.bump(metric_id!("datagrams.no_listener"), 1);
             return None;
         }
         Some(binding.proc)
@@ -1838,7 +1841,7 @@ impl World {
                     // buffer; `clone()` bumps a refcount, no bytes move.
                     if members.len() > 1 {
                         self.trace.bump(
-                            "payload.fanout_bytes_shared",
+                            metric_id!("payload.fanout_bytes_shared"),
                             (data.len() * (members.len() - 1)) as u64,
                         );
                     }

@@ -4,6 +4,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// Span stage names the span-log properties draw from.
+const STAGES: [&str; 7] = [
+    "stage0", "stage1", "stage2", "stage3", "stage4", "stage5", "stage6",
+];
 use simnet::{
     check_cases, Addr, Ctx, Process, SegmentConfig, SimDuration, SimError, SimTime, StreamEvent,
     StreamId, World,
@@ -337,7 +341,7 @@ fn span_trees_are_well_formed_under_any_interleaving() {
                 let roll = rng.gen_range(0u32..10);
                 if roll < 6 || open.is_empty() {
                     let corr = corrs[rng.gen_range(0usize..corrs.len())];
-                    let id = trace.span_begin(corr, t, "prop", format!("stage{}", i % 7), "");
+                    let id = trace.span_begin(corr, t, "prop", STAGES[i % 7], "");
                     open.push(id);
                 } else {
                     // End a random open span — not necessarily the
@@ -389,13 +393,7 @@ fn trace_exports_are_deterministic() {
                 now += dt;
                 let t = SimTime::from_nanos(now);
                 if *roll < 6 || open.is_empty() {
-                    open.push(trace.span_begin(
-                        *corr,
-                        t,
-                        format!("src{corr}"),
-                        format!("stage{}", i % 5),
-                        "d",
-                    ));
+                    open.push(trace.span_begin(*corr, t, format!("src{corr}"), STAGES[i % 5], "d"));
                 } else {
                     let id = open.remove(*roll as usize % open.len());
                     trace.span_end(id, t);

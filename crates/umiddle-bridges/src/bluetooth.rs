@@ -282,7 +282,7 @@ impl BluetoothMapper {
         };
         ctx.busy(calib::CONTROL_TRANSLATION);
         self.core
-            .record_hop(ctx, connection, &port, calib::CONTROL_TRANSLATION);
+            .record_hop(ctx, connection, port, calib::CONTROL_TRANSLATION);
         match (profile.as_str(), port.as_str()) {
             ("bip-camera", "capture") => {
                 if let Ok(stream) = ctx.connect(Addr::new(node, svc.psm)) {
@@ -616,7 +616,7 @@ impl Process for BluetoothMapper {
                     .translation_latencies
                     .push(ctx.now().saturating_since(pending.started));
                 drop(stats);
-                ctx.bump("mapper.bt.hid_translated", 1);
+                ctx.bump(simnet::metric_id!("mapper.bt.hid_translated"), 1);
                 self.core
                     .client
                     .output(ctx, pending.translator, pending.port, pending.msg);

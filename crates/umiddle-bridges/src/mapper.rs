@@ -32,14 +32,18 @@
 //! counter feeds liveness SLOs; [`MapperCore::announce`] plants the
 //! watermark at mapper start so a bridge that never translates anything
 //! is still visible.
+//!
+//! The core builds these names once, at [`MapperCore::new`]: metrics as
+//! [`MetricId`] handles and span stages as interned names, so a hop
+//! formats no string.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::rc::Rc;
 
-use simnet::{Ctx, ProcId, SimDuration, SimTime};
-use umiddle_core::{ConnectionId, RuntimeClient, TranslatorId};
+use simnet::{metric_id, Ctx, DetailArg, MetricId, ProcId, SimDuration, SimTime, SpanDetail};
+use umiddle_core::{ConnectionId, RuntimeClient, Symbol, TranslatorId};
 use umiddle_usdl::UsdlDocument;
 
 use crate::calib;
@@ -81,15 +85,45 @@ struct Pending<K> {
 #[derive(Debug)]
 pub(crate) struct MapperCore<K> {
     pub(crate) client: RuntimeClient,
-    /// Platform label of the `bridge.{platform}.*` metrics and spans.
-    platform: &'static str,
-    /// Metric prefix of the `mapper.{prefix}.*` counters.
-    prefix: &'static str,
+    names: Names,
     /// Registration token → the entity it instantiates; `None` once the
     /// entity departed before its translator registered.
     pending: HashMap<u64, Option<Pending<K>>>,
     by_translator: HashMap<TranslatorId, K>,
     pub(crate) stats: Rc<RefCell<MapperStats>>,
+}
+
+/// A mapper's metric handles and span stages, built once from its
+/// platform label and metric prefix.
+#[derive(Debug)]
+struct Names {
+    /// `bridge.{platform}.input`.
+    input_stage: &'static str,
+    /// `bridge.{platform}.output`.
+    output_stage: &'static str,
+    /// `bridge.{platform}.translation`.
+    translation: MetricId,
+    /// `bridge.{platform}.traffic`.
+    traffic: MetricId,
+    /// `bridge.{platform}.last_traffic_ns`.
+    last_traffic: MetricId,
+    /// `mapper.{prefix}.mapped`.
+    mapped: MetricId,
+}
+
+impl Names {
+    fn new(platform: &str, prefix: &str) -> Names {
+        let stage = |kind: &str| Symbol::new(&format!("bridge.{platform}.{kind}")).as_static();
+        let bridge = |name: &str| MetricId::new(&format!("bridge.{platform}.{name}"));
+        Names {
+            input_stage: stage("input"),
+            output_stage: stage("output"),
+            translation: bridge("translation"),
+            traffic: bridge("traffic"),
+            last_traffic: bridge("last_traffic_ns"),
+            mapped: MetricId::new(&format!("mapper.{prefix}.mapped")),
+        }
+    }
 }
 
 impl<K: Clone + Eq + Hash> MapperCore<K> {
@@ -98,8 +132,7 @@ impl<K: Clone + Eq + Hash> MapperCore<K> {
     pub(crate) fn new(runtime: ProcId, platform: &'static str, prefix: &'static str) -> Self {
         MapperCore {
             client: RuntimeClient::new(runtime),
-            platform,
-            prefix,
+            names: Names::new(platform, prefix),
             pending: HashMap::new(),
             by_translator: HashMap::new(),
             stats: Rc::new(RefCell::new(MapperStats::default())),
@@ -159,7 +192,7 @@ impl<K: Clone + Eq + Hash> MapperCore<K> {
             .borrow_mut()
             .mappings
             .push((pending.device_type, name, elapsed));
-        ctx.bump(&format!("mapper.{}.mapped", self.prefix), 1);
+        ctx.bump(self.names.mapped, 1);
         Some(key)
     }
 
@@ -194,13 +227,13 @@ impl<K: Clone + Eq + Hash> MapperCore<K> {
         &self,
         ctx: &mut Ctx<'_>,
         connection: ConnectionId,
-        port: &str,
+        port: Symbol,
         cost: SimDuration,
     ) {
         let span = ctx.span_begin(
             connection.corr(),
-            format!("bridge.{}.input", self.platform),
-            format!("port={port}"),
+            self.names.input_stage,
+            SpanDetail::new(&["port=", ""], [DetailArg::Str(port.as_static())]),
         );
         ctx.span_end(span);
         self.record_translation(ctx, cost, connection.corr());
@@ -212,7 +245,7 @@ impl<K: Clone + Eq + Hash> MapperCore<K> {
     /// is uncorrelated (corr 0); it still appears on the mapper's
     /// exporter thread with its full duration.
     pub(crate) fn record_egress(&self, ctx: &mut Ctx<'_>, cost: SimDuration) {
-        let span = ctx.span_begin(0, format!("bridge.{}.output", self.platform), String::new());
+        let span = ctx.span_begin(0, self.names.output_stage, SpanDetail::EMPTY);
         ctx.span_end(span);
         self.record_translation(ctx, cost, 0);
     }
@@ -222,16 +255,15 @@ impl<K: Clone + Eq + Hash> MapperCore<K> {
     /// hop serves no known path), and refreshes the platform's liveness
     /// traffic counter and last-traffic watermark.
     fn record_translation(&self, ctx: &mut Ctx<'_>, cost: SimDuration, corr: u64) {
-        let platform = self.platform;
-        ctx.observe_corr("umiddle.translation_latency", cost, corr);
-        ctx.observe_corr(&format!("bridge.{platform}.translation"), cost, corr);
-        ctx.bump(&format!("bridge.{platform}.traffic"), 1);
+        ctx.observe_corr(metric_id!("umiddle.translation_latency"), cost, corr);
+        ctx.observe_corr(self.names.translation, cost, corr);
+        ctx.bump(self.names.traffic, 1);
         self.touch(ctx);
     }
 
     /// Refreshes the platform's last-traffic watermark to now.
     fn touch(&self, ctx: &mut Ctx<'_>) {
         let now = ctx.now().as_nanos() as i64;
-        ctx.gauge_set(&format!("bridge.{}.last_traffic_ns", self.platform), now);
+        ctx.gauge_set(self.names.last_traffic, now);
     }
 }

@@ -233,7 +233,7 @@ impl MediaBrokerMapper {
         }
         ctx.busy(calib::MB_FRAME_TRANSLATION);
         self.core
-            .record_hop(ctx, connection, &port, calib::MB_FRAME_TRANSLATION);
+            .record_hop(ctx, connection, port, calib::MB_FRAME_TRANSLATION);
         if let (Some(stream), true) = (b.stream, b.attached) {
             let frame = MbFrame::Data {
                 payload: msg.into_body(),

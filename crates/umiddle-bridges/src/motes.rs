@@ -145,7 +145,7 @@ impl MotesMapper {
             ) {
                 ctx.busy(calib::CONTROL_TRANSLATION);
                 self.core
-                    .record_hop(ctx, connection, &port, calib::CONTROL_TRANSLATION);
+                    .record_hop(ctx, connection, port, calib::CONTROL_TRANSLATION);
                 ctx.send_local(bs, BaseStationCommand::SetSamplingInterval { millis });
                 self.core.stats.borrow_mut().actions += 1;
             }

@@ -8,7 +8,7 @@
 //! [`behaviors`] provides a toolbox of ready-made ones (buttons, loggers,
 //! transformers, periodic sources).
 
-use simnet::{Ctx, LocalMessage, ProcId, Process, SimDuration};
+use simnet::{Ctx, DetailArg, LocalMessage, ProcId, Process, SimDuration, SpanDetail};
 use umiddle_core::{
     ack_input_done, handle_input_done_echo, ConnectionId, RuntimeClient, RuntimeEvent, RuntimeId,
     Shape, Symbol, TranslatorId, TranslatorProfile, UMessage,
@@ -82,7 +82,13 @@ impl NativeEnv<'_, '_> {
                 let span = self.ctx.span(
                     corr,
                     "shard.xfer.egress",
-                    format!("dst=s{dst_shard} inlet={inlet}"),
+                    SpanDetail::new(
+                        &["dst=s", " inlet=", ""],
+                        [
+                            DetailArg::U64(dst_shard.into()),
+                            DetailArg::U64(inlet.into()),
+                        ],
+                    ),
                 );
                 self.ctx.bump("shard.xfer_egress", 1);
                 Some(umiddle_core::shardlink::HandoffTrace {
@@ -134,9 +140,8 @@ pub struct NativeService {
     name: String,
     shape: Shape,
     attrs: Vec<(String, String)>,
-    runtime: ProcId,
     behavior: Box<dyn NativeBehavior>,
-    client: Option<RuntimeClient>,
+    client: RuntimeClient,
     translator: Option<TranslatorId>,
     /// `(inlet, local port)` to register for cross-shard ingress.
     shard_inlet: Option<(u16, u16)>,
@@ -163,9 +168,8 @@ impl NativeService {
             name: name.to_owned(),
             shape,
             attrs: Vec::new(),
-            runtime,
             behavior,
-            client: None,
+            client: RuntimeClient::new(runtime),
             translator: None,
             shard_inlet: None,
         }
@@ -194,7 +198,6 @@ impl Process for NativeService {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let mut client = RuntimeClient::new(self.runtime);
         let mut builder = TranslatorProfile::builder(
             TranslatorId::new(RuntimeId(u32::MAX), 0),
             self.name.clone(),
@@ -204,8 +207,7 @@ impl Process for NativeService {
             builder = builder.attr(k.clone(), v.clone());
         }
         let me = ctx.me();
-        client.register(ctx, builder.build(), me);
-        self.client = Some(client);
+        self.client.register(ctx, builder.build(), me);
         if let Some((inlet, port)) = self.shard_inlet {
             if ctx.shard().is_some() {
                 ctx.register_shard_inlet(inlet, port)
@@ -231,17 +233,19 @@ impl Process for NativeService {
                         ctx.span(
                             t.corr,
                             "shard.xfer.ingress",
-                            format!("src=s{} span={}", t.src_shard, t.span.0),
+                            SpanDetail::new(
+                                &["src=s", " span=", ""],
+                                [DetailArg::U64(t.src_shard.into()), DetailArg::U64(t.span.0)],
+                            ),
                         );
                         ctx.bump("shard.xfer_ingress", 1);
                         t.corr
                     }
                     None => 0,
                 };
-                let client = self.client.as_ref().expect("client set in on_start");
                 let mut env = NativeEnv {
                     ctx,
-                    client,
+                    client: &self.client,
                     translator: self.translator,
                     corr,
                 };
@@ -255,10 +259,9 @@ impl Process for NativeService {
         if token == 0 {
             return;
         }
-        let client = self.client.as_ref().expect("client set in on_start");
         let mut env = NativeEnv {
             ctx,
-            client,
+            client: &self.client,
             translator: self.translator,
             corr: 0,
         };
@@ -275,10 +278,9 @@ impl Process for NativeService {
         match *event {
             RuntimeEvent::Registered { translator, .. } => {
                 self.translator = Some(translator);
-                let client = self.client.as_ref().expect("client set");
                 let mut env = NativeEnv {
                     ctx,
-                    client,
+                    client: &self.client,
                     translator: self.translator,
                     corr: 0,
                 };
@@ -312,18 +314,17 @@ impl NativeService {
         let span = ctx.span_begin(
             connection.corr(),
             "bridge.native.input",
-            format!("port={port}"),
+            SpanDetail::new(&["port=", ""], [DetailArg::Str(port.as_static())]),
         );
-        let client = self.client.as_ref().expect("client set");
         let mut env = NativeEnv {
             ctx,
-            client,
+            client: &self.client,
             translator: self.translator,
             corr: connection.corr(),
         };
         self.behavior.on_input(&mut env, &port, msg);
         ctx.span_end(span);
-        ack_input_done(ctx, self.runtime, connection, translator);
+        ack_input_done(ctx, self.client.runtime(), connection, translator);
     }
 }
 

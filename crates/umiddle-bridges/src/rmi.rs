@@ -210,7 +210,7 @@ impl RmiMapper {
         };
         ctx.busy(calib::STREAM_TRANSLATION);
         self.core
-            .record_hop(ctx, connection, &port, calib::STREAM_TRANSLATION);
+            .record_hop(ctx, connection, port, calib::STREAM_TRANSLATION);
         let call_id = self.next_call;
         self.next_call += 1;
         self.calls.insert(
@@ -220,11 +220,10 @@ impl RmiMapper {
                 connection,
             },
         );
-        let name = obj.name.clone();
         self.rmi.call(
             ctx,
             addr,
-            &name,
+            &obj.name,
             "echo",
             vec![JavaValue::Bytes(msg.into_body())],
             call_id,

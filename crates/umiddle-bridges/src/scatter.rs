@@ -66,10 +66,9 @@ struct Exported {
 /// Projects uMiddle translators out to the native UPnP platform
 /// (design 2-a). One process exports every translator matching `filter`.
 pub struct UpnpExporter {
-    runtime: ProcId,
     filter: Query,
     base_port: u16,
-    client: Option<RuntimeClient>,
+    client: RuntimeClient,
     exports: Vec<Exported>,
     pending_regs: HashMap<u64, usize>,
     conns: HashMap<StreamId, (usize, HttpAccumulator)>,
@@ -91,10 +90,9 @@ impl UpnpExporter {
     /// UPnP devices on ports `base_port..`.
     pub fn new(runtime: ProcId, filter: Query, base_port: u16) -> UpnpExporter {
         UpnpExporter {
-            runtime,
             filter,
             base_port,
-            client: None,
+            client: RuntimeClient::new(runtime),
             exports: Vec::new(),
             pending_regs: HashMap::new(),
             conns: HashMap::new(),
@@ -165,9 +163,8 @@ impl UpnpExporter {
         .attr("role", "export-shadow")
         .shape(shape.build().expect("unique port names from a valid shape"))
         .build();
-        let client = self.client.as_mut().expect("client set in on_start");
         let me = ctx.me();
-        let token = client.register(ctx, shadow_profile, me);
+        let token = self.client.register(ctx, shadow_profile, me);
         let desc_xml = desc.to_xml();
         self.exports.push(Exported {
             target: profile,
@@ -207,9 +204,8 @@ impl UpnpExporter {
             .values()
             .map(|port| (port.clone(), PortRef::new(e.target.id(), port.clone())))
             .collect();
-        let client = self.client.as_mut().expect("client set");
         for (port, dst) in pairs {
-            client.connect_ports(
+            self.client.connect_ports(
                 ctx,
                 PortRef::new(shadow, port),
                 dst,
@@ -245,8 +241,7 @@ impl UpnpExporter {
                                     .find(|(k, _)| k == "Value")
                                     .map(|(_, v)| v.clone())
                                     .unwrap_or_default();
-                                let client = self.client.as_ref().expect("set");
-                                client.output(ctx, shadow, port, UMessage::text(value));
+                                self.client.output(ctx, shadow, port, UMessage::text(value));
                                 ctx.bump("export.actions", 1);
                                 HttpResponse::xml(
                                     SoapResult::Ok {
@@ -282,9 +277,7 @@ impl Process for UpnpExporter {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let _ = ctx.join_group(SSDP_GROUP);
-        let client = RuntimeClient::new(self.runtime);
-        client.add_listener(ctx, self.filter.clone());
-        self.client = Some(client);
+        self.client.add_listener(ctx, self.filter.clone());
         ctx.set_timer(ANNOUNCE_INTERVAL, TIMER_ANNOUNCE);
     }
 

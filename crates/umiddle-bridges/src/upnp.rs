@@ -15,7 +15,8 @@ use std::rc::Rc;
 
 use platform_upnp::{ControlPoint, CpEvent, SoapCall, SoapResult};
 use simnet::{
-    Addr, Ctx, Datagram, LocalMessage, ProcId, Process, SimDuration, SimTime, StreamEvent, StreamId,
+    Addr, Ctx, Datagram, DetailArg, LocalMessage, ProcId, Process, SimDuration, SimTime,
+    SpanDetail, StreamEvent, StreamId,
 };
 use umiddle_core::{
     ack_input_done, handle_input_done_echo, ConnectionId, RuntimeEvent, Symbol, TranslatorId,
@@ -175,7 +176,7 @@ impl UpnpMapper {
                         .action_latencies
                         .push(ctx.now().saturating_since(started));
                     drop(stats);
-                    ctx.bump("mapper.upnp.actions_completed", 1);
+                    ctx.bump(simnet::metric_id!("mapper.upnp.actions_completed"), 1);
                     ack_input_done(ctx, self.core.runtime(), connection, translator);
                 }
             }
@@ -290,7 +291,7 @@ impl UpnpMapper {
         // the translation time actually precedes the native call.
         ctx.busy(calib::CONTROL_TRANSLATION);
         self.core
-            .record_hop(ctx, connection, &port, calib::CONTROL_TRANSLATION);
+            .record_hop(ctx, connection, port, calib::CONTROL_TRANSLATION);
         let call_id = self.next_call;
         self.next_call += 1;
         let location = dev.location;
@@ -300,7 +301,10 @@ impl UpnpMapper {
         let native_span = ctx.span_begin(
             connection.corr(),
             "bridge.upnp.native",
-            format!("action={action}"),
+            SpanDetail::new(
+                &["action=", ""],
+                [DetailArg::Str(Symbol::new(&action).as_static())],
+            ),
         );
         self.pending_calls
             .insert(call_id, (connection, translator, ctx.now(), native_span));

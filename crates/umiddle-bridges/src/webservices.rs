@@ -238,7 +238,7 @@ impl WsMapper {
         };
         ctx.busy(calib::CONTROL_TRANSLATION);
         self.core
-            .record_hop(ctx, connection, &port, calib::CONTROL_TRANSLATION);
+            .record_hop(ctx, connection, port, calib::CONTROL_TRANSLATION);
         let call_id = self.next_call;
         self.next_call += 1;
         self.calls.insert(

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use simnet::{DetailArg, SpanDetail};
+
 use crate::intern::Symbol;
 
 /// Identifies a uMiddle runtime instance.
@@ -87,6 +89,28 @@ impl fmt::Display for PortRef {
     }
 }
 
+/// Span detail pieces naming a port as `PortRef`'s `Display` does:
+/// `src=…`, `dst=…` and a late binding's `dst=… (late)`.
+pub(crate) const SRC_DETAIL: &[&str] = &["src=rt", "/t", ".", ""];
+pub(crate) const DST_DETAIL: &[&str] = &["dst=rt", "/t", ".", ""];
+pub(crate) const LATE_DST_DETAIL: &[&str] = &["dst=rt", "/t", ".", " (late)"];
+
+impl PortRef {
+    /// A span detail naming this port as its `Display` does, between
+    /// `pieces` `[prefix + "rt", "/t", ".", suffix]` (one of the
+    /// `*_DETAIL` constants) — built without allocating.
+    pub(crate) fn detail(&self, pieces: &'static [&'static str]) -> SpanDetail {
+        SpanDetail::new(
+            pieces,
+            [
+                DetailArg::U64(self.translator.runtime.0.into()),
+                DetailArg::U64(self.translator.local.into()),
+                DetailArg::Str(self.port.as_static()),
+            ],
+        )
+    }
+}
+
 /// Identifies one established message path (connection) between ports.
 ///
 /// Connection ids are allocated by the runtime that owns the source port.
@@ -130,6 +154,17 @@ mod tests {
         set.insert(TranslatorId::new(RuntimeId(0), 1));
         set.insert(TranslatorId::new(RuntimeId(1), 0));
         assert_eq!(set.len(), 3);
+    }
+
+    #[test]
+    fn port_detail_renders_as_display() {
+        let p = PortRef::new(TranslatorId::new(RuntimeId(12), 345), "image-out");
+        assert_eq!(p.detail(SRC_DETAIL).to_string(), format!("src={p}"));
+        assert_eq!(p.detail(DST_DETAIL).to_string(), format!("dst={p}"));
+        assert_eq!(
+            p.detail(LATE_DST_DETAIL).to_string(),
+            format!("dst={p} (late)")
+        );
     }
 
     #[test]

@@ -75,6 +75,11 @@ impl Symbol {
     pub fn as_str(&self) -> &str {
         self.0
     }
+
+    /// The interned string slice, which lives as long as the process.
+    pub fn as_static(self) -> &'static str {
+        self.0
+    }
 }
 
 impl Deref for Symbol {

@@ -2,15 +2,111 @@
 
 use std::fmt;
 
-use simnet::Payload;
+use simnet::{DetailArg, Payload, SimTime, SpanDetail, SpanId};
 
+use crate::intern::Symbol;
 use crate::mime::MimeType;
+
+/// Wire key of [`TraceContext::queue_span`].
+const QUEUE_SPAN_KEY: &str = "umiddle.queue-span";
+/// Wire key of [`TraceContext::sent_at`].
+const SENT_AT_KEY: &str = "umiddle.sent-ns";
+/// Wire key of [`TraceContext::transport_span`].
+const TRANSPORT_SPAN_KEY: &str = "umiddle.transport-span";
+
+/// The trace context a message carries through the runtimes, as typed
+/// fields. On the wire each field is one metadata entry — its key and
+/// the decimal value — in sorted-key position among the application's
+/// metadata, and [`UMessage::size`] counts it as those bytes, so frames
+/// and buffer accounting match a message that carries the context as
+/// text metadata.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct TraceContext {
+    /// The open `queue.wait` span while a message copy sits in a path
+    /// buffer (`umiddle.queue-span`); taken when the copy is polled.
+    pub(crate) queue_span: Option<SpanId>,
+    /// Emission time, stamped by the source runtime so the delivering
+    /// runtime can measure end-to-end path latency (`umiddle.sent-ns`).
+    pub(crate) sent_at: Option<SimTime>,
+    /// The open `transport.send` span across the wire
+    /// (`umiddle.transport-span`); the receiving runtime closes it.
+    pub(crate) transport_span: Option<SpanId>,
+}
+
+impl TraceContext {
+    /// The fields that are set, as wire entries in key order.
+    fn entries(&self) -> impl Iterator<Item = (&'static str, MetaValue<'static>)> {
+        [
+            (QUEUE_SPAN_KEY, self.queue_span.map(|s| s.0)),
+            (SENT_AT_KEY, self.sent_at.map(SimTime::as_nanos)),
+            (TRANSPORT_SPAN_KEY, self.transport_span.map(|s| s.0)),
+        ]
+        .into_iter()
+        .filter_map(|(k, v)| Some((k, MetaValue::Num(v?))))
+    }
+
+    /// Sets the field a wire key names from its decimal value; `false`
+    /// for any other key. A value that is not a decimal leaves the
+    /// field unset, as a receiver that cannot parse it ignores it.
+    fn set(&mut self, key: &str, value: &str) -> bool {
+        let n = value.parse::<u64>().ok();
+        match key {
+            QUEUE_SPAN_KEY => self.queue_span = n.map(SpanId),
+            SENT_AT_KEY => self.sent_at = n.map(SimTime::from_nanos),
+            TRANSPORT_SPAN_KEY => self.transport_span = n.map(SpanId),
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// One metadata value as it is encoded: application text, or a trace
+/// context number written in decimal.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum MetaValue<'a> {
+    Text(&'a str),
+    Num(u64),
+}
+
+impl MetaValue<'_> {
+    /// The encoded bytes; a number's decimal digits are written into
+    /// `buf`.
+    pub(crate) fn bytes<'b>(&'b self, buf: &'b mut [u8; 20]) -> &'b [u8] {
+        match self {
+            MetaValue::Text(s) => s.as_bytes(),
+            MetaValue::Num(n) => {
+                let mut n = *n;
+                let mut at = buf.len();
+                loop {
+                    at -= 1;
+                    buf[at] = b'0' + (n % 10) as u8;
+                    n /= 10;
+                    if n == 0 {
+                        break;
+                    }
+                }
+                &buf[at..]
+            }
+        }
+    }
+
+    /// The encoded length in bytes.
+    fn len(&self) -> usize {
+        match self {
+            MetaValue::Text(s) => s.len(),
+            MetaValue::Num(n) => n.checked_ilog10().map_or(1, |d| d as usize + 1),
+        }
+    }
+}
 
 /// A typed message traveling through the intermediary semantic space.
 ///
 /// A `UMessage` is what translators emit on output ports and receive on
 /// input ports: a MIME-typed byte payload plus optional string metadata
-/// (source device, timestamps, sequence numbers).
+/// (source device, timestamps, sequence numbers). The runtimes' trace
+/// context rides beside the metadata as typed fields; its wire keys
+/// (`umiddle.queue-span`, `umiddle.sent-ns`, `umiddle.transport-span`)
+/// are reserved and are not text metadata.
 ///
 /// # Examples
 ///
@@ -31,6 +127,7 @@ pub struct UMessage {
     /// carry a handful at most, so a sorted `Vec` is smaller and faster
     /// than a map.
     meta: Vec<(String, String)>,
+    pub(crate) trace: TraceContext,
 }
 
 impl fmt::Debug for UMessage {
@@ -38,6 +135,7 @@ impl fmt::Debug for UMessage {
         f.debug_struct("UMessage")
             .field("mime", &self.mime)
             .field("body", &self.body)
+            .field("trace", &self.trace)
             .field("meta", &MetaDebug(&self.meta))
             .finish()
     }
@@ -64,6 +162,7 @@ impl UMessage {
             mime,
             body: body.into(),
             meta: Vec::new(),
+            trace: TraceContext::default(),
         }
     }
 
@@ -74,6 +173,7 @@ impl UMessage {
             mime: MimeType::new("text", "plain").expect("static mime is valid"),
             body: Payload::from(body.into()),
             meta: Vec::new(),
+            trace: TraceContext::default(),
         }
     }
 
@@ -98,26 +198,49 @@ impl UMessage {
     }
 
     /// Total in-memory size used for buffer accounting: body plus
-    /// metadata bytes.
+    /// metadata bytes, each trace-context field counted as the key and
+    /// decimal value it is encoded as.
     pub fn size(&self) -> usize {
         self.body.len()
             + self
-                .meta
-                .iter()
+                .wire_metas()
                 .map(|(k, v)| k.len() + v.len())
                 .sum::<usize>()
     }
 
     /// Adds a metadata entry (builder style).
-    /// Adding a key that is already present replaces its value.
+    /// Adding a key that is already present replaces its value. A
+    /// reserved trace-context key sets its typed field instead.
     pub fn with_meta(mut self, key: impl Into<String>, value: impl Into<String>) -> UMessage {
-        let key = key.into();
-        let value = value.into();
-        match self.meta_index(&key) {
-            Ok(i) => self.meta[i].1 = value,
-            Err(i) => self.meta.insert(i, (key, value)),
-        }
+        self.push_wire_meta(&key.into(), &value.into());
         self
+    }
+
+    /// Adds a decoded metadata entry, copying it only if it is
+    /// application text (see [`UMessage::with_meta`]).
+    pub(crate) fn push_wire_meta(&mut self, key: &str, value: &str) {
+        if !self.trace.set(key, value) {
+            match self.meta_index(key) {
+                Ok(i) => value.clone_into(&mut self.meta[i].1),
+                Err(i) => self.meta.insert(i, (key.to_owned(), value.to_owned())),
+            }
+        }
+    }
+
+    /// Metadata as it is encoded: the application's entries and the
+    /// set trace-context fields, merged in key order.
+    pub(crate) fn wire_metas(&self) -> impl Iterator<Item = (&str, MetaValue<'_>)> {
+        let mut app = self
+            .meta
+            .iter()
+            .map(|(k, v)| (k.as_str(), MetaValue::Text(v)))
+            .peekable();
+        let mut trace = self.trace.entries().peekable();
+        std::iter::from_fn(move || match (app.peek(), trace.peek()) {
+            (Some(a), Some(t)) if t.0 < a.0 => trace.next(),
+            (Some(_), _) => app.next(),
+            (None, _) => trace.next(),
+        })
     }
 
     fn meta_index(&self, key: &str) -> Result<usize, usize> {
@@ -130,15 +253,8 @@ impl UMessage {
         Some(self.meta[i].1.as_str())
     }
 
-    /// Removes and returns a metadata entry. Used by the runtime to
-    /// strip transport-internal keys (queue/transport span ids) before
-    /// a message reaches application code.
-    pub fn take_meta(&mut self, key: &str) -> Option<String> {
-        let i = self.meta_index(key).ok()?;
-        Some(self.meta.remove(i).1)
-    }
-
-    /// All metadata entries, sorted by key.
+    /// All application metadata entries, sorted by key (the trace
+    /// context is not among them).
     pub fn metas(&self) -> impl Iterator<Item = (&str, &str)> {
         self.meta.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
@@ -155,6 +271,23 @@ impl fmt::Display for UMessage {
     }
 }
 
+impl UMessage {
+    /// The span detail of this message leaving output `port`,
+    /// `port={port} {self}`, built without allocating.
+    pub(crate) fn detail(&self, port: Symbol) -> SpanDetail {
+        let (ty, subtype) = self.mime.parts();
+        SpanDetail::new(
+            &["port=", " [", "/", " ", "B]"],
+            [
+                DetailArg::Str(port.as_static()),
+                DetailArg::Str(ty.as_static()),
+                DetailArg::Str(subtype.as_static()),
+                DetailArg::U64(self.body.len() as u64),
+            ],
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,6 +297,32 @@ mod tests {
         let m = UMessage::text("on");
         assert_eq!(m.mime().to_string(), "text/plain");
         assert_eq!(m.body_text(), Some("on"));
+    }
+
+    #[test]
+    fn span_detail_renders_as_display() {
+        let m = UMessage::new("Image/JPEG".parse().unwrap(), vec![0; 1400]);
+        let port = Symbol::new("image-out");
+        assert_eq!(m.detail(port).to_string(), format!("port={port} {m}"));
+    }
+
+    #[test]
+    fn trace_context_is_not_text_metadata() {
+        let mut m = UMessage::text("x").with_meta("a", "1");
+        m.trace.sent_at = Some(SimTime::from_nanos(10));
+        m.trace.queue_span = Some(SpanId(3));
+        assert_eq!(m.meta("umiddle.sent-ns"), None);
+        assert_eq!(m.metas().count(), 1);
+        // Counted as "umiddle.queue-span" + "3", "umiddle.sent-ns" + "10".
+        assert_eq!(m.size(), 1 + 2 + 18 + 1 + 15 + 2);
+
+        // The reserved keys set the typed fields; a non-decimal value
+        // leaves the field unset.
+        let n = UMessage::text("x").with_meta("umiddle.sent-ns", "10");
+        assert_eq!(n.trace.sent_at, Some(SimTime::from_nanos(10)));
+        let bad = UMessage::text("x").with_meta("umiddle.sent-ns", "soon");
+        assert_eq!(bad.trace.sent_at, None);
+        assert_eq!(bad.metas().count(), 0);
     }
 
     #[test]
@@ -192,12 +351,8 @@ mod tests {
             .with_meta("b", "two")
             .with_meta("a", "1");
         assert_eq!(m, same);
-        let mut m = m;
-        assert_eq!(m.take_meta("b").as_deref(), Some("two"));
-        assert_eq!(m.take_meta("b"), None);
         assert_eq!(m.meta("a"), Some("1"));
-        assert_eq!(m.meta("b"), None);
-        assert_eq!(m.metas().count(), 2);
+        assert_eq!(m.meta("d"), None);
     }
 
     #[test]

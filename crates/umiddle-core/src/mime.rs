@@ -9,9 +9,14 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::error::CoreError;
+use crate::intern::Symbol;
 
 /// A MIME type: a type and subtype, either of which may be the wildcard
 /// `*` in patterns used by queries.
+///
+/// Both components are interned [`Symbol`]s (MIME types are a small,
+/// stable vocabulary), so cloning a type or a message that carries one
+/// copies no string; order, equality and hashing are by content.
 ///
 /// Comparison via [`MimeType::matches`] is asymmetric-safe: wildcards on
 /// either side match, and matching is case-insensitive (types are
@@ -31,8 +36,8 @@ use crate::error::CoreError;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MimeType {
-    ty: String,
-    subtype: String,
+    ty: Symbol,
+    subtype: Symbol,
 }
 
 impl MimeType {
@@ -49,18 +54,30 @@ impl MimeType {
         if !ok(ty) || !ok(subtype) {
             return Err(CoreError::InvalidMime(format!("{ty}/{subtype}")));
         }
+        fn lower(part: &str) -> Symbol {
+            if part.bytes().any(|b| b.is_ascii_uppercase()) {
+                Symbol::new(&part.to_ascii_lowercase())
+            } else {
+                Symbol::new(part)
+            }
+        }
         Ok(MimeType {
-            ty: ty.to_ascii_lowercase(),
-            subtype: subtype.to_ascii_lowercase(),
+            ty: lower(ty),
+            subtype: lower(subtype),
         })
     }
 
     /// The full wildcard `*/*`, matching every type.
     pub fn any() -> MimeType {
         MimeType {
-            ty: "*".to_owned(),
-            subtype: "*".to_owned(),
+            ty: Symbol::new("*"),
+            subtype: Symbol::new("*"),
         }
+    }
+
+    /// The interned type and subtype.
+    pub(crate) fn parts(&self) -> (Symbol, Symbol) {
+        (self.ty, self.subtype)
     }
 
     /// The primary type component (`image` in `image/jpeg`).
@@ -75,7 +92,7 @@ impl MimeType {
 
     /// Returns `true` if either component is a wildcard.
     pub fn is_pattern(&self) -> bool {
-        self.ty == "*" || self.subtype == "*"
+        &*self.ty == "*" || &*self.subtype == "*"
     }
 
     /// Returns `true` if `self` and `other` match, treating `*` on either

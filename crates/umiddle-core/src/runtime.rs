@@ -12,12 +12,15 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use simnet::{
-    Addr, Ctx, Datagram, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId,
+    metric_id, Addr, Ctx, Datagram, DetailArg, LocalMessage, MetricId, ProcId, Process,
+    SimDuration, SpanDetail, StreamEvent, StreamId,
 };
 
 use crate::api::{ConnectTarget, DirectoryEvent, RuntimeEvent, RuntimeRequest};
 use crate::error::{CoreError, CoreResult};
-use crate::id::{ConnectionId, PortRef, RuntimeId, TranslatorId};
+use crate::id::{
+    ConnectionId, PortRef, RuntimeId, TranslatorId, DST_DETAIL, LATE_DST_DETAIL, SRC_DETAIL,
+};
 use crate::intern::Symbol;
 use crate::message::UMessage;
 use crate::profile::TranslatorProfile;
@@ -36,17 +39,6 @@ const TIMER_DRAIN_BASE: u64 = 1;
 /// Profile attribute carrying the registration time (virtual ns), used
 /// by remote runtimes to compute `umiddle.discovery_latency`.
 const REGISTERED_AT_ATTR: &str = "umiddle.registered-ns";
-/// Message metadata carrying the emission time (virtual ns), used by the
-/// delivering runtime to compute `umiddle.path_latency`.
-const SENT_AT_META: &str = "umiddle.sent-ns";
-/// Metadata key carrying the id of the open `queue.wait` span while a
-/// message sits in a path buffer; stripped when the message is polled.
-const QUEUE_SPAN_META: &str = "umiddle.queue-span";
-/// Metadata key carrying the id of the open `transport.send` span across
-/// the wire; the receiving runtime closes the span (virtual time is
-/// federation-global, and both runtimes record into the same world
-/// trace), so the span covers serialization, transmission and decode.
-const TRANSPORT_SPAN_META: &str = "umiddle.transport-span";
 
 /// Interval between anti-entropy digests (and liveness sweeps).
 const ADVERTISE_INTERVAL: SimDuration = SimDuration::from_secs(5);
@@ -228,12 +220,51 @@ pub struct UmiddleRuntime {
     stats: Rc<RefCell<RuntimeStats>>,
     /// Metric scope prefix, `rt{N}` (see [`simnet::Metrics::scoped`]).
     scope: String,
+    metrics: RtMetrics,
+}
+
+/// The runtime's `rt{N}.*` metric handles, resolved once at
+/// construction; the fixed federation-wide names it updates per message
+/// resolve through [`metric_id!`].
+#[derive(Debug)]
+struct RtMetrics {
+    registrations: MetricId,
+    advertisements_sent: MetricId,
+    advertisements_expired: MetricId,
+    connections_opened: MetricId,
+    outputs: MetricId,
+    qos_dropped: MetricId,
+    drain_retries: MetricId,
+    frames_decoded: MetricId,
+    buffer_depth_bytes: MetricId,
+    transport_latency: MetricId,
+    queue_wait: MetricId,
+}
+
+impl RtMetrics {
+    fn new(scope: &str) -> RtMetrics {
+        let scoped = |name: &str| MetricId::new(&format!("{scope}.{name}"));
+        RtMetrics {
+            registrations: scoped("registrations"),
+            advertisements_sent: scoped("advertisements_sent"),
+            advertisements_expired: scoped("advertisements_expired"),
+            connections_opened: scoped("connections_opened"),
+            outputs: scoped("outputs"),
+            qos_dropped: scoped("qos_dropped"),
+            drain_retries: scoped("drain_retries"),
+            frames_decoded: scoped("frames_decoded"),
+            buffer_depth_bytes: scoped("buffer_depth_bytes"),
+            transport_latency: scoped("transport_latency"),
+            queue_wait: scoped("queue_wait"),
+        }
+    }
 }
 
 impl UmiddleRuntime {
     /// Creates a runtime with the given configuration.
     pub fn new(cfg: RuntimeConfig) -> UmiddleRuntime {
         let scope = format!("rt{}", cfg.id.0);
+        let metrics = RtMetrics::new(&scope);
         let directory = DirectoryReplica::new(cfg.id, DELTA_LOG_CAP);
         UmiddleRuntime {
             cfg,
@@ -262,16 +293,13 @@ impl UmiddleRuntime {
             incoming: HashMap::new(),
             stats: Rc::new(RefCell::new(RuntimeStats::default())),
             scope,
+            metrics,
         }
     }
 
     /// The `rt{N}` metric scope this runtime records under.
     pub fn metric_scope(&self) -> &str {
         &self.scope
-    }
-
-    fn metric(&self, name: &str) -> String {
-        format!("{}.{name}", self.scope)
     }
 
     /// This runtime's id.
@@ -444,7 +472,7 @@ impl UmiddleRuntime {
     /// measure E12 reports and `perf_dir --check` pins).
     fn gossip_multicast(&mut self, ctx: &mut Ctx<'_>, msg: &WireMessage) {
         let bytes = msg.encode();
-        ctx.bump("directory.bytes_gossiped", bytes.len() as u64);
+        ctx.bump(metric_id!("directory.bytes_gossiped"), bytes.len() as u64);
         let _ = ctx.multicast(self.cfg.directory_port, self.cfg.multicast_group, bytes);
     }
 
@@ -452,7 +480,7 @@ impl UmiddleRuntime {
     /// as [`Self::gossip_multicast`].
     fn gossip_unicast(&mut self, ctx: &mut Ctx<'_>, to: Addr, msg: &WireMessage) {
         let bytes = msg.encode();
-        ctx.bump("directory.bytes_gossiped", bytes.len() as u64);
+        ctx.bump(metric_id!("directory.bytes_gossiped"), bytes.len() as u64);
         let _ = ctx.send_to(self.cfg.directory_port, to, bytes);
     }
 
@@ -522,7 +550,7 @@ impl UmiddleRuntime {
             .and_then(|v| v.parse().ok())
         {
             let d = ctx.now() - simnet::SimTime::from_nanos(reg_ns);
-            ctx.observe("umiddle.discovery_latency", d);
+            ctx.observe(metric_id!("umiddle.discovery_latency"), d);
         }
     }
 
@@ -533,7 +561,7 @@ impl UmiddleRuntime {
         for event in events.drain(..) {
             match event {
                 DirectoryEvent::Appeared(profile) => {
-                    ctx.bump("umiddle.directory_appearances", 1);
+                    ctx.bump(metric_id!("umiddle.directory_appearances"), 1);
                     self.observe_discovery(ctx, &profile);
                     self.handle_appearance(ctx, &profile);
                 }
@@ -694,7 +722,7 @@ impl UmiddleRuntime {
                 match outcome {
                     DeltaOutcome::Applied(n) => {
                         if n > 0 {
-                            ctx.bump("directory.deltas_applied", n);
+                            ctx.bump(metric_id!("directory.deltas_applied"), n);
                         }
                     }
                     DeltaOutcome::Gap { from } => {
@@ -704,7 +732,7 @@ impl UmiddleRuntime {
                             .directory
                             .note_request(origin, ctx.now(), ADVERTISE_INTERVAL)
                         {
-                            ctx.bump("directory.antientropy_repairs", 1);
+                            ctx.bump(metric_id!("directory.antientropy_repairs"), 1);
                             let reply_to = self.directory_addr(ctx);
                             let to = self.peer_directory(home);
                             self.gossip_unicast(
@@ -736,7 +764,7 @@ impl UmiddleRuntime {
                     self.directory
                         .observe_digest(origin, &vector, ctx.now(), ADVERTISE_INTERVAL)
                 {
-                    ctx.bump("directory.antientropy_repairs", 1);
+                    ctx.bump(metric_id!("directory.antientropy_repairs"), 1);
                     let my_reply = self.directory_addr(ctx);
                     self.gossip_unicast(
                         ctx,
@@ -805,7 +833,7 @@ impl UmiddleRuntime {
                     &mut events,
                 );
                 if changes > 0 {
-                    ctx.bump("directory.deltas_applied", changes);
+                    ctx.bump(metric_id!("directory.deltas_applied"), changes);
                 }
                 self.process_directory_events(ctx, &mut events);
                 self.event_scratch = events;
@@ -877,12 +905,12 @@ impl UmiddleRuntime {
                 translator: id,
             },
         );
-        ctx.bump("umiddle.registrations", 1);
-        ctx.bump(&self.metric("registrations"), 1);
+        ctx.bump(metric_id!("umiddle.registrations"), 1);
+        ctx.bump(self.metrics.registrations, 1);
         // Event-driven delta: the registration is gossiped once, as the
         // next versioned op in our stream.
         let first = self.directory.record_local_add(profile.clone(), home);
-        ctx.bump(&self.metric("advertisements_sent"), 1);
+        ctx.bump(self.metrics.advertisements_sent, 1);
         self.gossip_multicast(
             ctx,
             &WireMessage::Delta {
@@ -995,7 +1023,7 @@ impl UmiddleRuntime {
         let src_kind = self.validate_src(&src)?;
         let id = ConnectionId::new(self.cfg.id, self.next_connection);
         let corr = id.corr();
-        ctx.span(corr, "connect", format!("src={src}"));
+        ctx.span(corr, "connect", src.detail(SRC_DETAIL));
         let mut paths = Vec::new();
         match &target {
             ConnectTarget::Port(dst) => {
@@ -1040,10 +1068,10 @@ impl UmiddleRuntime {
                 paths,
             },
         );
-        ctx.bump("umiddle.connections", 1);
-        ctx.bump(&self.metric("connections_opened"), 1);
+        ctx.bump(metric_id!("umiddle.connections"), 1);
+        ctx.bump(self.metrics.connections_opened, 1);
         for dst in &bound {
-            ctx.span(corr, "path.bound", format!("dst={dst}"));
+            ctx.span(corr, "path.bound", dst.detail(DST_DETAIL));
         }
         if let Requester::Local(proc) = requester {
             for dst in bound {
@@ -1119,7 +1147,7 @@ impl UmiddleRuntime {
                 .map(|p| p.name.clone());
             let Some(port) = port else { continue };
             let dst = PortRef::new(profile.id(), port);
-            ctx.span(cid.corr(), "path.bound", format!("dst={dst} (late)"));
+            ctx.span(cid.corr(), "path.bound", dst.detail(LATE_DST_DETAIL));
             let qos = conn.qos.clone();
             let requester = conn.requester;
             let path = self.new_path(dst, home, &qos);
@@ -1278,7 +1306,7 @@ impl UmiddleRuntime {
         from: ProcId,
         translator: TranslatorId,
         port: Symbol,
-        msg: UMessage,
+        mut msg: UMessage,
     ) {
         let Some(local) = self.local_translators.get(&translator) else {
             ctx.bump("umiddle.output_unknown_translator", 1);
@@ -1290,8 +1318,8 @@ impl UmiddleRuntime {
         }
         // Stamp the emission time so the delivering runtime can measure
         // end-to-end path latency (virtual time is federation-global).
-        let msg = msg.with_meta(SENT_AT_META, ctx.now().as_nanos().to_string());
-        ctx.bump(&self.metric("outputs"), 1);
+        msg.trace.sent_at = Some(ctx.now());
+        ctx.bump(self.metrics.outputs, 1);
         // Fan-out targets come straight from the per-port index; the
         // scratch buffer is reused so steady-state dispatch does not
         // allocate for the target list.
@@ -1301,7 +1329,7 @@ impl UmiddleRuntime {
             targets.extend_from_slice(conns);
         }
         for &cid in &targets {
-            ctx.span(cid.corr(), "output.enqueue", format!("port={port} {msg}"));
+            ctx.span(cid.corr(), "output.enqueue", msg.detail(port));
             if let Some(conn) = self.connections.get_mut(&cid) {
                 let mut dropped = 0;
                 for p in &mut conn.paths {
@@ -1315,9 +1343,13 @@ impl UmiddleRuntime {
                     let q = ctx.span_begin(
                         cid.corr(),
                         "queue.wait",
-                        format!("port={port} path={}", p.uid),
+                        SpanDetail::new(
+                            &["port=", " path=", ""],
+                            [DetailArg::Str(port.as_static()), DetailArg::U64(p.uid)],
+                        ),
                     );
-                    let copy = msg.clone().with_meta(QUEUE_SPAN_META, q.0.to_string());
+                    let mut copy = msg.clone();
+                    copy.trace.queue_span = Some(q);
                     if !p.buffer.offer(copy) {
                         ctx.span_end(q);
                         dropped += 1;
@@ -1328,8 +1360,8 @@ impl UmiddleRuntime {
                         self.dropped_total - drop_before + p.buffer.stats().dropped();
                 }
                 if dropped > 0 {
-                    ctx.bump("umiddle.qos_dropped", dropped);
-                    ctx.bump(&self.metric("qos_dropped"), dropped);
+                    ctx.bump(metric_id!("umiddle.qos_dropped"), dropped);
+                    ctx.bump(self.metrics.qos_dropped, dropped);
                 }
             }
             self.drain_connection(ctx, cid);
@@ -1360,10 +1392,7 @@ impl UmiddleRuntime {
                 .sum::<u64>(),
             "qos-drop accounting drifted"
         );
-        ctx.gauge_set(
-            &self.metric("buffer_depth_bytes"),
-            self.buffered_total as i64,
-        );
+        ctx.gauge_set(self.metrics.buffer_depth_bytes, self.buffered_total as i64);
         let mut stats = self.stats.borrow_mut();
         stats.buffered_bytes = self.buffered_total;
         stats.qos_dropped = self.dropped_total;
@@ -1470,8 +1499,8 @@ impl UmiddleRuntime {
                     // The transport.send span stays open across the wire;
                     // the receiving runtime closes it, so its duration is
                     // the full serialize→transmit→decode leg of the hop.
-                    let sent = ctx.span_begin(cid.corr(), "transport.send", format!("dst={dst}"));
-                    let msg = msg.with_meta(TRANSPORT_SPAN_META, sent.0.to_string());
+                    let sent = ctx.span_begin(cid.corr(), "transport.send", dst.detail(DST_DETAIL));
+                    msg.trace.transport_span = Some(sent);
                     self.stats.borrow_mut().remote_sends += 1;
                     let wire = WireMessage::PathMessage {
                         connection: cid,
@@ -1533,7 +1562,11 @@ impl UmiddleRuntime {
         };
         if !path.timer_pending {
             path.timer_pending = true;
-            ctx.span(cid.corr(), "qos.drain-wait", format!("{wait}"));
+            ctx.span(
+                cid.corr(),
+                "qos.drain-wait",
+                SpanDetail::new(&["", ""], [DetailArg::Dur(wait)]),
+            );
             ctx.set_timer(wait, TIMER_DRAIN_BASE + path.uid);
         }
     }
@@ -1570,8 +1603,12 @@ impl UmiddleRuntime {
             return;
         };
         conn.paths[idx].timer_pending = false;
-        ctx.bump(&self.metric("drain_retries"), 1);
-        ctx.span(cid.corr(), "qos.drain-retry", format!("path={idx}"));
+        ctx.bump(self.metrics.drain_retries, 1);
+        ctx.span(
+            cid.corr(),
+            "qos.drain-retry",
+            SpanDetail::new(&["path=", ""], [DetailArg::U64(idx as u64)]),
+        );
         self.drain_path(ctx, cid, idx);
     }
 
@@ -1588,15 +1625,16 @@ impl UmiddleRuntime {
         mut msg: UMessage,
     ) {
         self.stats.borrow_mut().remote_receives += 1;
-        if let Some(id) = msg
-            .take_meta(TRANSPORT_SPAN_META)
-            .and_then(|v| v.parse().ok())
-        {
-            if let Some(d) = ctx.span_end(simnet::SpanId(id)) {
-                ctx.observe_corr(&self.metric("transport_latency"), d, connection.corr());
+        if let Some(id) = msg.trace.transport_span.take() {
+            if let Some(d) = ctx.span_end(id) {
+                ctx.observe_corr(self.metrics.transport_latency, d, connection.corr());
             }
         }
-        ctx.span(connection.corr(), "transport.receive", format!("dst={dst}"));
+        ctx.span(
+            connection.corr(),
+            "transport.receive",
+            dst.detail(DST_DETAIL),
+        );
         let Some(local) = self.local_translators.get(&dst.translator) else {
             ctx.bump("umiddle.path_unknown_dst", 1);
             return;
@@ -1619,13 +1657,13 @@ impl UmiddleRuntime {
     }
 
     /// Closes the `queue.wait` span begun when this message copy entered
-    /// its path buffer, stripping the id from the metadata, and records
+    /// its path buffer, taking the id off the message, and records
     /// the wait in the runtime's `queue_wait` histogram with the
     /// connection's correlation id as the exemplar.
     fn finish_queue_span(&self, ctx: &mut Ctx<'_>, cid: ConnectionId, msg: &mut UMessage) {
-        if let Some(id) = msg.take_meta(QUEUE_SPAN_META).and_then(|v| v.parse().ok()) {
-            if let Some(d) = ctx.span_end(simnet::SpanId(id)) {
-                ctx.observe_corr(&self.metric("queue_wait"), d, cid.corr());
+        if let Some(id) = msg.trace.queue_span.take() {
+            if let Some(d) = ctx.span_end(id) {
+                ctx.observe_corr(self.metrics.queue_wait, d, cid.corr());
             }
         }
     }
@@ -1639,10 +1677,13 @@ impl UmiddleRuntime {
         dst: &PortRef,
         msg: &UMessage,
     ) {
-        ctx.span(cid.corr(), "deliver.local", format!("dst={dst}"));
-        if let Some(sent_ns) = msg.meta(SENT_AT_META).and_then(|v| v.parse().ok()) {
-            let d = ctx.now() - simnet::SimTime::from_nanos(sent_ns);
-            ctx.observe_corr("umiddle.path_latency", d, cid.corr());
+        ctx.span(cid.corr(), "deliver.local", dst.detail(DST_DETAIL));
+        if let Some(sent) = msg.trace.sent_at {
+            ctx.observe_corr(
+                metric_id!("umiddle.path_latency"),
+                ctx.now() - sent,
+                cid.corr(),
+            );
         }
     }
 
@@ -1659,7 +1700,7 @@ impl UmiddleRuntime {
         decoder.drain_frames(&mut frames);
         let decoded = frames.iter().filter(|f| f.is_ok()).count() as u64;
         if decoded > 0 {
-            ctx.bump(&self.metric("frames_decoded"), decoded);
+            ctx.bump(self.metrics.frames_decoded, decoded);
         }
         for frame in frames.drain(..) {
             match frame {
@@ -1728,8 +1769,8 @@ impl UmiddleRuntime {
         events.clear(); // handle_disappearance re-derives the notifications
         self.event_scratch = events;
         for &id in &dead {
-            ctx.bump("umiddle.directory_expiries", 1);
-            ctx.bump(&self.metric("advertisements_expired"), 1);
+            ctx.bump(metric_id!("umiddle.directory_expiries"), 1);
+            ctx.bump(self.metrics.advertisements_expired, 1);
             self.handle_disappearance(ctx, id);
         }
         self.expire_scratch = dead;

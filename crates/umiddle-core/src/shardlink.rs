@@ -74,13 +74,14 @@ pub fn encode_handoff_traced(msg: &UMessage, trace: Option<HandoffTrace>) -> Pay
     }
     b.u16_le(mime.len() as u16);
     b.extend_from_slice(mime.as_bytes());
-    let metas: Vec<(&str, &str)> = msg.metas().collect();
-    b.u16_le(metas.len() as u16);
-    for (k, v) in metas {
+    b.u16_le(msg.wire_metas().count() as u16);
+    let mut digits = [0; 20];
+    for (k, v) in msg.wire_metas() {
         b.u16_le(k.len() as u16);
         b.extend_from_slice(k.as_bytes());
+        let v = v.bytes(&mut digits);
         b.u16_le(v.len() as u16);
-        b.extend_from_slice(v.as_bytes());
+        b.extend_from_slice(v);
     }
     let body = msg.body();
     b.u32_le(body.len() as u32);

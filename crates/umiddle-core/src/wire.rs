@@ -337,7 +337,7 @@ impl WireMessage {
                 connection: ConnectionId::new(RuntimeId(r.u32()?), r.u32()?),
                 dst: {
                     let t = decode_translator_id(&mut r)?;
-                    let port = r.str()?;
+                    let port = r.str_ref()?;
                     PortRef::new(t, port)
                 },
                 msg: decode_umessage(&mut r)?,
@@ -683,9 +683,13 @@ impl<'a> Reader<'a> {
         ]))
     }
     fn str(&mut self) -> CoreResult<String> {
+        self.str_ref().map(str::to_owned)
+    }
+    /// A string field, borrowed from the frame.
+    fn str_ref(&mut self) -> CoreResult<&'a str> {
         let len = self.u16()? as usize;
         let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| CoreError::Decode("invalid utf-8".to_owned()))
+        std::str::from_utf8(b).map_err(|_| CoreError::Decode("invalid utf-8".to_owned()))
     }
     fn skip_str(&mut self) -> CoreResult<()> {
         let len = self.u16()? as usize;
@@ -1020,26 +1024,35 @@ fn decode_qos(r: &mut Reader<'_>) -> CoreResult<QosPolicy> {
     })
 }
 
+/// Encodes a message: MIME type, body, then its metadata with the trace
+/// context merged in as decimal entries in key order (see
+/// [`UMessage::size`]).
 fn encode_umessage(w: &mut Writer, m: &UMessage) {
-    w.str(&m.mime().to_string());
+    let (ty, subtype) = m.mime().parts();
+    w.u16((ty.len() + 1 + subtype.len()) as u16);
+    w.out.extend_from_slice(ty.as_bytes());
+    w.out.push(b'/');
+    w.out.extend_from_slice(subtype.as_bytes());
     w.bytes(m.body());
-    let metas: Vec<_> = m.metas().collect();
-    w.u16(metas.len() as u16);
-    for (k, v) in metas {
+    w.u16(m.wire_metas().count() as u16);
+    let mut digits = [0; 20];
+    for (k, v) in m.wire_metas() {
         w.str(k);
-        w.str(v);
+        let v = v.bytes(&mut digits);
+        w.u16(v.len() as u16);
+        w.out.extend_from_slice(v);
     }
 }
 
 fn decode_umessage(r: &mut Reader<'_>) -> CoreResult<UMessage> {
-    let mime: MimeType = r.str()?.parse()?;
+    let mime: MimeType = r.str_ref()?.parse()?;
     let body = r.bytes()?;
     let mut m = UMessage::new(mime, body);
     let n = r.u16()? as usize;
     for _ in 0..n {
-        let k = r.str()?;
-        let v = r.str()?;
-        m = m.with_meta(k, v);
+        let k = r.str_ref()?;
+        let v = r.str_ref()?;
+        m.push_wire_meta(k, v);
     }
     Ok(m)
 }
@@ -1109,6 +1122,56 @@ mod tests {
             msg: UMessage::new("image/jpeg".parse().unwrap(), vec![1, 2, 3]).with_meta("seq", "42"),
         };
         assert_eq!(WireMessage::decode(&msg.encode()).unwrap(), msg);
+    }
+
+    #[test]
+    fn trace_context_encodes_as_the_metadata_it_replaced() {
+        // The typed trace context must put exactly the bytes on the wire
+        // that it did as metadata strings: each field as a key and a
+        // decimal value, in sorted-key position between application
+        // keys on either side, with `SpanId::NONE` written as "0".
+        // Golden bytes and size captured from the metadata-string codec.
+        let mut msg = UMessage::new("text/plain".parse().unwrap(), vec![0xAB])
+            .with_meta("app.seq", "7")
+            .with_meta("zz.tail", "ok");
+        msg.trace.sent_at = Some(simnet::SimTime::from_nanos(1_234_567));
+        msg.trace.transport_span = Some(simnet::SpanId::NONE);
+        let frame = WireMessage::PathMessage {
+            connection: ConnectionId::new(RuntimeId(1), 2),
+            dst: PortRef::new(TranslatorId::new(RuntimeId(0), 3), "in"),
+            msg: msg.clone(),
+        };
+        #[rustfmt::skip]
+        let expected: Vec<u8> = vec![
+            4, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 2, 0, b'i', b'n',
+            10, 0, b't', b'e', b'x', b't', b'/', b'p', b'l', b'a', b'i', b'n',
+            1, 0, 0, 0, 0xAB,
+            4, 0,                   // four metadata entries
+            7, 0, b'a', b'p', b'p', b'.', b's', b'e', b'q', 1, 0, b'7',
+            15, 0, b'u', b'm', b'i', b'd', b'd', b'l', b'e', b'.', b's', b'e', b'n', b't',
+            b'-', b'n', b's', 7, 0, b'1', b'2', b'3', b'4', b'5', b'6', b'7',
+            22, 0, b'u', b'm', b'i', b'd', b'd', b'l', b'e', b'.', b't', b'r', b'a', b'n',
+            b's', b'p', b'o', b'r', b't', b'-', b's', b'p', b'a', b'n', 1, 0, b'0',
+            7, 0, b'z', b'z', b'.', b't', b'a', b'i', b'l', 2, 0, b'o', b'k',
+        ];
+        assert_eq!(frame.encode(), expected);
+        // Buffer accounting counts each field as its key and digits.
+        assert_eq!(msg.size(), 63);
+        let mut wider = msg.clone();
+        wider.trace.transport_span = Some(simnet::SpanId(42));
+        assert_eq!(wider.size(), 64);
+        let Ok(WireMessage::PathMessage { msg: back, .. }) = WireMessage::decode(&expected) else {
+            panic!("golden frame decodes as a path message");
+        };
+        assert_eq!(back, msg);
+        assert_eq!(
+            back.trace.sent_at,
+            Some(simnet::SimTime::from_nanos(1_234_567))
+        );
+        assert_eq!(back.trace.transport_span, Some(simnet::SpanId::NONE));
+        assert_eq!(back.trace.queue_span, None);
+        let app: Vec<_> = back.metas().collect();
+        assert_eq!(app, [("app.seq", "7"), ("zz.tail", "ok")]);
     }
 
     #[test]
