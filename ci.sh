@@ -4,45 +4,57 @@
 # Stages (each is one named job in .github/workflows/ci.yml, so a red
 # X pinpoints the broken gate without re-running the others):
 #
-#   lint          rustfmt, clippy -D warnings, BENCH_*.json record lint
+#   lint          rustfmt, clippy -D warnings, BENCH_*.json record lint,
+#                 artifacts/*.json parse
 #   build-test    release build + full workspace test suite
 #   determinism   double-run byte-diff gates (E8 trace, E10 doctor,
 #                 E11 incident bundle, E13 attribution, paper fidelity);
 #                 the E8, E10, E11, E13 and fidelity outputs are also diffed
 #                 against their checked-in pins under artifacts/
-#   perf          perf_payload + perf_sched regression checks
+#   perf          `bench perf-payload`, `bench perf-sched` and
+#                 `bench perf-dir` regression checks
 #   all           every stage in order (the default; what `./ci.sh` runs)
 #
 # Every cargo invocation is --offline: the build is hermetic by policy
 # (no registry access; see README.md "Offline, hermetic builds"). If a
 # step fails here, it fails in CI, and vice versa.
 #
-# Perf-gate knobs, forwarded to `perf_sched --check` (see the flag docs
-# in crates/bench/src/bin/perf_sched.rs):
+# Every bench step runs one subcommand of the single `bench` binary
+# (`cargo run -p bench -- <subcommand>`; see crates/bench/src/bin/bench/).
 #
-#   PERF_FLOOR_EVPS      events/sec floor at N=1000   (default 50000)
-#   PERF_P99_BUDGET_US   p99 dispatch budget in µs    (default 200)
-#   PERF_RECORDER_OVERHEAD  ceiling on the always-on flight recorder's
-#                        wall-clock ratio at N=1000 (default 1.03 —
-#                        the <=3% budget for keeping it on everywhere)
-#   PERF_ATTRIB_OVERHEAD ceiling on the attribution plane's wall-clock
-#                        ratio at N=1000 (default 1.03 — same always-on
-#                        budget as the recorder). perf_sched --check
-#                        also runs the differential perf doctor: the
-#                        E13 attribution run diffed against the
-#                        checked-in artifacts/E13_attrib_baseline.json,
-#                        so a regression is reported by component.
-#   PERF_SHARD_SPEEDUP   E9c wall-time speedup floor, 1-shard over
-#                        4-shard wall seconds for the same virtual span
-#                        at N=10000 (default 1.5; auto-skipped on hosts
-#                        with fewer than 4 cores, where a 4-way shard
-#                        run physically cannot beat single-threaded)
+# Perf-gate knobs. ci.sh is their only environment route: each is read
+# here and forwarded as a flag to `bench perf-sched --check` (see the
+# flag docs in crates/bench/src/bin/bench/perf_sched.rs):
 #
-# Directory-federation knob, forwarded to `perf_dir --check` (see the
-# flag docs in crates/bench/src/bin/perf_dir.rs):
+#   PERF_FLOOR_EVPS      --floor-evps: events/sec floor at N=1000
+#                        (default 50000)
+#   PERF_P99_BUDGET_US   --p99-budget-us: p99 dispatch budget in µs
+#                        (default 200)
+#   PERF_RECORDER_OVERHEAD  --recorder-overhead: ceiling on the always-on
+#                        flight recorder's wall-clock ratio at N=1000
+#                        (default 1.03 — the <=3% budget for keeping it
+#                        on everywhere)
+#   PERF_ATTRIB_OVERHEAD --attrib-overhead: ceiling on the attribution
+#                        plane's wall-clock ratio at N=1000 (default
+#                        1.03 — same always-on budget as the recorder).
+#                        perf-sched --check also runs the differential
+#                        perf doctor: the E13 attribution run diffed
+#                        against the checked-in
+#                        artifacts/E13_attrib_baseline.json, so a
+#                        regression is reported by component; a
+#                        baseline that does not parse fails the gate.
+#   PERF_SHARD_SPEEDUP   --shard-speedup: E9c wall-time speedup floor,
+#                        1-shard over 4-shard wall seconds for the same
+#                        virtual span at N=10000 (default 1.5;
+#                        auto-skipped on hosts with fewer than 4 cores,
+#                        where a 4-way shard run physically cannot beat
+#                        single-threaded)
 #
-#   PERF_DIR_P99_US      federation lookup p99 budget in µs at 100k
-#                        advertised ports (default 200)
+# Directory-federation knob, forwarded the same way to `bench perf-dir
+# --check` (see the flag docs in crates/bench/src/bin/bench/perf_dir.rs):
+#
+#   PERF_DIR_P99_US      --p99-budget-us: federation lookup p99 budget in
+#                        µs at 100k advertised ports (default 200)
 #
 # e.g. `PERF_P99_BUDGET_US=500 ./ci.sh perf` on a heavily shared box.
 
@@ -91,13 +103,14 @@ gate() {
     GATE_SECS+=($((SECONDS - t0)))
 }
 
-# run_determinism_gate <name> <bin> <args...> — run a bench export
-# binary twice with identical arguments and byte-diff every artifact.
+# run_determinism_gate <name> <subcommand> <args...> — run a bench
+# export subcommand twice with identical arguments and byte-diff every
+# artifact.
 # Occurrences of @OUT in the args are substituted with the per-run
 # output prefix (target/<name>-gate/a, then .../b); each substituted
 # path is an artifact that must come out byte-identical.
 run_determinism_gate() {
-    local name="$1" bin="$2"
+    local name="$1" subcommand="$2"
     shift 2
     local dir="target/${name}-gate"
     mkdir -p "$dir"
@@ -113,8 +126,8 @@ run_determinism_gate() {
             b_args+=("$arg")
         fi
     done
-    cargo run --offline --release -p bench --bin "$bin" -- "${a_args[@]}"
-    cargo run --offline --release -p bench --bin "$bin" -- "${b_args[@]}"
+    cargo run --offline --release -p bench -- "$subcommand" "${a_args[@]}"
+    cargo run --offline --release -p bench -- "$subcommand" "${b_args[@]}"
     local i
     for i in "${!a_files[@]}"; do
         diff "${a_files[$i]}" "${b_files[$i]}"
@@ -122,7 +135,7 @@ run_determinism_gate() {
     done
 }
 
-# pinned_gate <name> <pin-prefix> <bin> <args...> — run_determinism_gate,
+# pinned_gate <name> <pin-prefix> <subcommand> <args...> — run_determinism_gate,
 # then diff every @OUT.<suffix> artifact of run a against its checked-in
 # pin artifacts/<pin-prefix><suffix>, so no change can drift a recorded
 # artifact unnoticed.
@@ -146,8 +159,9 @@ stage_lint() {
     gate fmt cargo fmt --all --check
     gate clippy cargo clippy --offline --workspace --all-targets -- -D warnings
     # Committed BENCH_*.json records must parse and carry the
-    # name/before/after/units convention.
-    gate bench-lint cargo run --offline --release -p bench --bin bench_lint -- .
+    # name/before/after/units convention, and every artifacts/*.json
+    # pin must parse, so a hand-edited or truncated pin fails here.
+    gate bench-lint cargo run --offline --release -p bench -- lint .
 }
 
 stage_build_test() {
@@ -161,7 +175,7 @@ stage_determinism() {
     # stacks — across two fresh runs of the same seed, equal to the
     # checked-in artifacts/E8_*, so the exact metric names and span
     # source/stage/detail text cannot drift unnoticed.
-    gate trace-determinism pinned_gate trace E8_ trace_export \
+    gate trace-determinism pinned_gate trace E8_ trace \
         --json @OUT.metrics.json \
         --perfetto @OUT.perfetto.json \
         --folded @OUT.folded
@@ -170,7 +184,7 @@ stage_determinism() {
     # exposition — the windowed sampler, the SLO burn-rate engine and
     # the doctor are all on the deterministic path — equal to the
     # checked-in artifacts/E10_*.
-    gate doctor-determinism pinned_gate doctor E10_ doctor_export \
+    gate doctor-determinism pinned_gate doctor E10_ doctor \
         --doctor @OUT.doctor.json \
         --openmetrics @OUT.metrics.om
     # E11 incident gate: the sharded fault run must snapshot a
@@ -179,7 +193,7 @@ stage_determinism() {
     # cross-shard trace hand-off all sit on the deterministic path,
     # even with shards on real threads. Both must equal the checked-in
     # artifacts/E11_*, so a moved topology digest fails here.
-    gate incident-determinism pinned_gate incident E11_ incident_export \
+    gate incident-determinism pinned_gate incident E11_ incident \
         --bundle @OUT.incident.json \
         --doctor @OUT.doctor.json
     # E13 attribution gate: the continuous profiler's snapshot, the
@@ -188,33 +202,33 @@ stage_determinism() {
     # fold, the exemplar capture and the diff ranking are pure
     # functions of the deterministic span journal — and equal to the
     # checked-in artifacts/E13_*.
-    gate attrib-determinism pinned_gate attrib E13_ attrib_export \
+    gate attrib-determinism pinned_gate attrib E13_ attrib \
         --attrib @OUT.attrib.json \
         --diff @OUT.attrib_diff.json \
         --baseline @OUT.attrib_baseline.json
     # Paper fidelity pin: the simulated E1/E2/E3/E5 results must come
     # out byte-identical across two runs *and* equal to the checked-in
     # artifacts/paper_fidelity.json, so no change can drift the paper's
-    # numbers unnoticed. fidelity_export itself fails when E3 leaves
+    # numbers unnoticed. `bench fidelity` itself fails when E3 leaves
     # ±10% of Figure 11 or E2's uMiddle share leaves 3%..7%.
-    gate paper-fidelity pinned_gate fidelity "" fidelity_export --out @OUT.paper_fidelity.json
+    gate paper-fidelity pinned_gate fidelity "" fidelity --out @OUT.paper_fidelity.json
 }
 
 stage_perf() {
     # Data-path micro-bench smoke: exercises the bench kernels once and
     # the deterministic decode-linearity regression, without timing
     # anything.
-    gate perf-payload cargo run --offline --release -p bench --bin perf_payload -- --check
+    gate perf-payload cargo run --offline --release -p bench -- perf-payload --check
     # Scheduler gates: timer-wheel kernel vs reference heap, E9
     # events/sec floor and near-linearity, p99 dispatch budget, E9b
     # scheduler pops per delivered datagram (flat from 100 to 1000
     # devices), telemetry sampler overhead ceiling, flight-recorder
     # and attribution overhead ceilings, the differential perf doctor
     # against the checked-in attribution baseline, E9c shard-scaling
-    # floor on wall time (enforced only on >=4-core hosts). Knobs come from PERF_FLOOR_EVPS / PERF_P99_BUDGET_US /
-    # PERF_RECORDER_OVERHEAD / PERF_ATTRIB_OVERHEAD /
-    # PERF_SHARD_SPEEDUP.
-    gate perf-sched cargo run --offline --release -p bench --bin perf_sched -- \
+    # floor on wall time (enforced only on >=4-core hosts). Knobs come
+    # from PERF_FLOOR_EVPS / PERF_P99_BUDGET_US / PERF_RECORDER_OVERHEAD /
+    # PERF_ATTRIB_OVERHEAD / PERF_SHARD_SPEEDUP.
+    gate perf-sched cargo run --offline --release -p bench -- perf-sched \
         --check --floor-evps "$PERF_FLOOR_EVPS" --p99-budget-us "$PERF_P99_BUDGET_US" \
         --recorder-overhead "$PERF_RECORDER_OVERHEAD" \
         --attrib-overhead "$PERF_ATTRIB_OVERHEAD" \
@@ -224,7 +238,7 @@ stage_perf() {
     # convergence inside the anti-entropy bound, and the indexed
     # federation lookup must hold its p99 budget with zero full-scan
     # fallbacks at 100k advertised ports. The knob is PERF_DIR_P99_US.
-    gate perf-dir cargo run --offline --release -p bench --bin perf_dir -- \
+    gate perf-dir cargo run --offline --release -p bench -- perf-dir \
         --check --p99-budget-us "$PERF_DIR_P99_US"
 }
 

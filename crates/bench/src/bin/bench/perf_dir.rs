@@ -1,24 +1,26 @@
-//! Directory-federation benchmarks: the E12 delta-gossip federation
-//! (steady-state directory-plane bytes, post-churn convergence) and the
-//! E12 federation-lookup microbenchmark at the ~1M-advertised-port
-//! scale point.
+//! `bench perf-dir`: directory-federation benchmarks — the E12
+//! delta-gossip federation (steady-state directory-plane bytes,
+//! post-churn convergence) and the E12 federation-lookup
+//! microbenchmark at the ~1M-advertised-port scale point.
 //!
-//! Run with `--check` for the CI gate — a pin on the delta steady-state
-//! bytes, a post-churn convergence ceiling, a lookup p99 budget, and the
-//! scan-free invariant (no port query falls back to a full table scan at
-//! any table size) — or with `--json FILE` to write the sweep as
+//! `--check` is the CI gate — a pin on the delta steady-state bytes, a
+//! post-churn convergence ceiling, a lookup p99 budget, and the
+//! scan-free invariant (no port query falls back to a full table scan
+//! at any table size). `--json FILE` writes the sweep as
 //! deterministic-schema JSON (byte counts and convergence are
 //! simulator-deterministic; lookup timings are wall-clock and
 //! machine-dependent, the schema is what golden files assert on). The
 //! committed `BENCH_perf_dir.json` records one full run; its `before`
 //! side is the retired full-refresh protocol's row, frozen.
 //!
-//! Tunable gate knob (also settable from ci.sh):
+//! Gate knob (`ci.sh` forwards it from `PERF_DIR_P99_US`):
 //!
-//! * `--p99-budget-us N` — lookup p99 budget in µs (default 200;
-//!   `PERF_DIR_P99_US` env).
+//! * `--p99-budget-us N` — lookup p99 budget in µs (default 200).
 
 use bench::experiments::{e12_delta_gossip, e12_lookup_scale, DeltaGossipRow};
+use simnet::Json;
+
+use crate::{Args, Command};
 
 /// `--check` pin on the delta steady-state directory-plane bytes at the
 /// check fixture (40 runtimes x 5 services, 60 s). Simulator-
@@ -30,6 +32,27 @@ const CHECK_STEADY_BYTES: u64 = 14_880;
 /// commit 7b03dcf (the last with that protocol) and written verbatim as
 /// the record's frozen `before` side.
 const FROZEN_FULL_REFRESH_ROW: &str = r#"{"mode": "full-refresh", "runtimes": 100, "per_runtime": 10, "bootstrap_bytes": 8128180, "steady_bytes": 946800, "steady_secs": 60, "join_convergence_ms": 0, "leave_convergence_ms": 192, "deltas_applied": 0, "antientropy_repairs": 0, "final_entries": 1000}"#;
+
+/// The record's `units` line.
+const UNITS: &str = "*_bytes: directory-plane bytes over the named window (virtual time, \
+    simulator-deterministic); steady_secs: virtual seconds; *_convergence_ms: milliseconds of \
+    virtual time, worst runtime; deltas_applied/antientropy_repairs/final_entries/total_ports/\
+    distinct_mimes/lookups/scan_fallbacks: counts; steady_bytes_ratio: dimensionless; build_ms: \
+    wall-clock milliseconds; avg_ns/p99_ns: wall-clock nanoseconds per lookup";
+
+/// The record's `description`, ending in the command that regenerates
+/// it.
+const DESCRIPTION: &str =
+    "E12 directory-federation A/B (DESIGN.md delta-gossip plane, EXPERIMENTS.md E12): 100 \
+    runtimes x 10 services on the 10 Mbps hub, 60 virtual seconds of steady state, then one \
+    join/leave churn cycle. 'before' is the retired full-refresh protocol (every entry \
+    re-advertised every interval, TTL liveness), frozen: that protocol no longer exists, so \
+    the row is copied, not rerun; 'after' is delta-gossip (version-vectored deltas, digest \
+    anti-entropy, origin-level liveness) plus the federation lookup microbenchmark at 1M \
+    advertised ports. Byte counts and convergence are simulator-deterministic; \
+    steady_bytes_ratio divides the frozen full-refresh steady_bytes by the fresh delta one; \
+    lookup timings are wall-clock and machine-dependent. Regenerate with: cargo run \
+    --offline --release -p bench -- perf-dir --json BENCH_perf_dir.json";
 
 /// `steady_bytes` of [`FROZEN_FULL_REFRESH_ROW`].
 const FROZEN_FULL_REFRESH_STEADY_BYTES: u64 = 946_800;
@@ -60,18 +83,14 @@ const CHECK_PER_RUNTIME: usize = 5;
 const CHECK_LOOKUP_PROFILES: usize = 2_000;
 const CHECK_LOOKUP_PORTS: usize = 50;
 
-/// Parses `--flag value` from the argument list, falling back to a
-/// default; panics with a usable message on a malformed value.
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return default;
-    };
-    let raw = args
-        .get(i + 1)
-        .unwrap_or_else(|| panic!("{flag} needs a value"));
-    raw.parse()
-        .unwrap_or_else(|_| panic!("{flag}: cannot parse {raw:?}"))
-}
+pub const COMMAND: Command = Command {
+    name: "perf-dir",
+    values: &["--json", "--p99-budget-us"],
+    switches: &["--check"],
+    takes_args: false,
+    usage: "perf-dir [--check] [--json FILE] [--p99-budget-us N]",
+    run,
+};
 
 fn render(r: &DeltaGossipRow) -> String {
     format!(
@@ -95,26 +114,10 @@ fn steady_ratio(row: &DeltaGossipRow) -> f64 {
     FROZEN_FULL_REFRESH_STEADY_BYTES as f64 / row.steady_bytes.max(1) as f64
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let json_out = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned());
-    // Budget priority: --p99-budget-us flag, then PERF_DIR_P99_US env,
-    // then the default.
-    let env_p99 = std::env::var("PERF_DIR_P99_US")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
-    let p99_budget_us: u64 = flag_value(
-        &args,
-        "--p99-budget-us",
-        env_p99.unwrap_or(DEFAULT_P99_BUDGET_US),
-    );
-    let p99_budget_ns = p99_budget_us * 1_000;
+fn run(args: &Args) {
+    let p99_budget_ns = args.get("--p99-budget-us", DEFAULT_P99_BUDGET_US) * 1_000;
 
-    if check {
+    if args.switch("--check") {
         // The steady-state directory plane must stay exactly as cheap
         // as pinned, and churn must still converge everywhere within
         // the anti-entropy bound.
@@ -150,7 +153,7 @@ fn main() {
         );
 
         println!(
-            "perf_dir --check: ok (steady bytes {} B == pin at {} runtimes, \
+            "bench perf-dir --check: ok (steady bytes {} B == pin at {} runtimes, \
              join conv {} ms / leave conv {} ms <= {} ms, lookup p99 {} ns <= {} ns at {} ports, \
              0 scan fallbacks)",
             row.steady_bytes,
@@ -183,50 +186,51 @@ fn main() {
         lk.lookups, lk.avg_ns, lk.p99_ns, lk.scan_fallbacks
     );
 
-    if let Some(file) = json_out {
-        let gossip_row = |r: &DeltaGossipRow| {
-            format!(
-                "{{\"mode\": \"delta\", \"runtimes\": {}, \"per_runtime\": {}, \"bootstrap_bytes\": {}, \"steady_bytes\": {}, \"steady_secs\": {}, \"join_convergence_ms\": {}, \"leave_convergence_ms\": {}, \"deltas_applied\": {}, \"antientropy_repairs\": {}, \"final_entries\": {}}}",
-                r.runtimes,
-                r.per_runtime,
-                r.bootstrap_bytes,
-                r.steady_bytes,
-                r.steady_secs,
-                r.join_convergence_ms,
-                r.leave_convergence_ms,
-                r.deltas_applied,
-                r.antientropy_repairs,
-                r.final_entries,
+    if let Some(file) = args.opt("--json") {
+        let frozen = Json::parse(FROZEN_FULL_REFRESH_ROW).expect("frozen row is JSON");
+        let gossip_row = Json::inline()
+            .with("mode", "delta")
+            .with("runtimes", row.runtimes)
+            .with("per_runtime", row.per_runtime)
+            .with("bootstrap_bytes", row.bootstrap_bytes)
+            .with("steady_bytes", row.steady_bytes)
+            .with("steady_secs", row.steady_secs)
+            .with("join_convergence_ms", row.join_convergence_ms)
+            .with("leave_convergence_ms", row.leave_convergence_ms)
+            .with("deltas_applied", row.deltas_applied)
+            .with("antientropy_repairs", row.antientropy_repairs)
+            .with("final_entries", row.final_entries);
+        let lookup = Json::inline()
+            .with("profiles", lk.profiles)
+            .with("ports_per_profile", lk.ports_per_profile)
+            .with("total_ports", lk.total_ports)
+            .with("distinct_mimes", lk.distinct_mimes)
+            .with("build_ms", Json::fixed(lk.build_ms, 0))
+            .with("lookups", lk.lookups)
+            .with("avg_ns", lk.avg_ns)
+            .with("p99_ns", lk.p99_ns)
+            .with("scan_fallbacks", lk.scan_fallbacks);
+        let record = Json::block()
+            .with("name", "perf_dir")
+            .with("units", UNITS)
+            .with("description", DESCRIPTION)
+            .with(
+                "machine",
+                "linux x86_64 container (shared); only e12_lookup_scale and build_ms depend on the host",
             )
-        };
-        let mut out = String::from("{\n  \"name\": \"perf_dir\",\n");
-        out.push_str(
-            "  \"units\": \"*_bytes: directory-plane bytes over the named window (virtual time, simulator-deterministic); steady_secs: virtual seconds; *_convergence_ms: milliseconds of virtual time, worst runtime; deltas_applied/antientropy_repairs/final_entries/total_ports/distinct_mimes/lookups/scan_fallbacks: counts; steady_bytes_ratio: dimensionless; build_ms: wall-clock milliseconds; avg_ns/p99_ns: wall-clock nanoseconds per lookup\",\n",
-        );
-        out.push_str(
-            "  \"description\": \"E12 directory-federation A/B (DESIGN.md delta-gossip plane, EXPERIMENTS.md E12): 100 runtimes x 10 services on the 10 Mbps hub, 60 virtual seconds of steady state, then one join/leave churn cycle. 'before' is the retired full-refresh protocol (every entry re-advertised every interval, TTL liveness), frozen: that protocol no longer exists, so the row is copied, not rerun; 'after' is delta-gossip (version-vectored deltas, digest anti-entropy, origin-level liveness) plus the federation lookup microbenchmark at 1M advertised ports. Byte counts and convergence are simulator-deterministic; steady_bytes_ratio divides the frozen full-refresh steady_bytes by the fresh delta one; lookup timings are wall-clock and machine-dependent. Regenerate with: cargo run --offline --release -p bench --bin perf_dir -- --json BENCH_perf_dir.json\",\n",
-        );
-        out.push_str(
-            "  \"machine\": \"linux x86_64 container (shared); only e12_lookup_scale and build_ms depend on the host\",\n",
-        );
-        out.push_str(&format!(
-            "  \"before\": {{\n    \"e12_delta_gossip\": {FROZEN_FULL_REFRESH_ROW},\n    \"provenance\": \"{FROZEN_PROVENANCE}\"\n  }},\n",
-        ));
-        out.push_str(&format!(
-            "  \"after\": {{\n    \"e12_delta_gossip\": {},\n    \"steady_bytes_ratio\": {:.1},\n    \"e12_lookup_scale\": {{\"profiles\": {}, \"ports_per_profile\": {}, \"total_ports\": {}, \"distinct_mimes\": {}, \"build_ms\": {:.0}, \"lookups\": {}, \"avg_ns\": {}, \"p99_ns\": {}, \"scan_fallbacks\": {}}}\n  }}\n}}\n",
-            gossip_row(&row),
-            steady_ratio(&row),
-            lk.profiles,
-            lk.ports_per_profile,
-            lk.total_ports,
-            lk.distinct_mimes,
-            lk.build_ms,
-            lk.lookups,
-            lk.avg_ns,
-            lk.p99_ns,
-            lk.scan_fallbacks
-        ));
-        std::fs::write(&file, out).expect("write perf_dir json");
-        println!("wrote {file}");
+            .with(
+                "before",
+                Json::block()
+                    .with("e12_delta_gossip", frozen)
+                    .with("provenance", FROZEN_PROVENANCE),
+            )
+            .with(
+                "after",
+                Json::block()
+                    .with("e12_delta_gossip", gossip_row)
+                    .with("steady_bytes_ratio", Json::fixed(steady_ratio(&row), 1))
+                    .with("e12_lookup_scale", lookup),
+            );
+        bench::report::write_artifact(&file, &record.document(), "directory-federation sweep");
     }
 }

@@ -1,46 +1,44 @@
-//! Scheduler benchmarks: the timer-wheel kernel A/B against the
-//! reference min-heap, the E9 six-bridge federation scaling sweep
-//! (events/sec, p99 dispatch latency, allocations/event), the E9b
-//! busy-deferral sweep (scheduler pops per delivered datagram under
-//! bursty fan-in into a busy sink), and the E9c sharded-execution
+//! `bench perf-sched`: scheduler benchmarks — the timer-wheel kernel
+//! A/B against the reference min-heap, the E9 six-bridge federation
+//! scaling sweep (events/sec, p99 dispatch latency, allocations/event),
+//! the E9b busy-deferral sweep (scheduler pops per delivered datagram
+//! under bursty fan-in into a busy sink), and the E9c sharded-execution
 //! scaling curve (events/sec, p99 dispatch, barrier stall per shard
 //! count).
 //!
-//! Run with `--check` for the CI scaling-regression gate — an
-//! events/sec floor at N = 1000, a near-linearity bound on the
-//! per-event wall cost from N = 100 to N = 1000, a p99 dispatch-latency
-//! budget, a bound on E9b scheduler pops per delivered datagram (flat
-//! in burst size), ceilings on the telemetry sampler's, the flight
-//! recorder's and the attribution plane's overhead at N = 1000, the
-//! differential perf doctor (the E13 attribution run diffed against
-//! its checked-in baseline), and a shard-scaling floor at 4 shards /
-//! N = 10 000 — or with `--json FILE` to write the sweep as
-//! deterministic-schema JSON (values are wall-clock and
-//! machine-dependent; the schema is what golden files assert on).
+//! `--check` is the CI scaling-regression gate: an events/sec floor at
+//! N = 1000, a near-linearity bound on the per-event wall cost from
+//! N = 100 to N = 1000, a p99 dispatch-latency budget, a bound on E9b
+//! scheduler pops per delivered datagram (flat in burst size), ceilings
+//! on the telemetry sampler's, the flight recorder's and the
+//! attribution plane's overhead at N = 1000, the differential perf
+//! doctor (the E13 attribution run diffed against its checked-in
+//! baseline), and a shard-scaling floor at 4 shards / N = 10 000.
+//! `--json FILE` writes the sweep as deterministic-schema JSON (values
+//! are wall-clock and machine-dependent; the schema is what golden
+//! files assert on).
 //!
-//! Tunable gate knobs (also settable from ci.sh):
+//! Gate knobs (`ci.sh` forwards each from its environment):
 //!
 //! * `--floor-evps N` — events/sec floor at N = 1000 (default 50000).
 //! * `--p99-budget-us N` — p99 dispatch budget in µs (default 200).
 //! * `--recorder-overhead X` — ceiling on the always-on flight
-//!   recorder's wall-clock ratio at N = 1000 (default 1.03;
-//!   `PERF_RECORDER_OVERHEAD` env).
+//!   recorder's wall-clock ratio at N = 1000 (default 1.03).
 //! * `--attrib-overhead X` — ceiling on the attribution plane's
-//!   wall-clock ratio at N = 1000 (default 1.03;
-//!   `PERF_ATTRIB_OVERHEAD` env).
+//!   wall-clock ratio at N = 1000 (default 1.03).
 //! * `--attrib-baseline FILE` — checked-in attribution baseline the
 //!   differential perf doctor diffs the current E13 run against
-//!   (default `artifacts/E13_attrib_baseline.json`; skipped when the
-//!   file is absent). A positive delta fails the check *naming the
-//!   regressed component*; regenerate the baseline with the
-//!   `attrib_export` bin when the change is intentional.
+//!   (default `artifacts/E13_attrib_baseline.json`). An absent file
+//!   skips the doctor; a file that does not parse fails the check. A
+//!   positive delta fails the check *naming the regressed component*;
+//!   regenerate the baseline with `bench attrib` when the change is
+//!   intentional.
 //! * `--shard-speedup X` — E9c 4-shard wall-time speedup floor: the
 //!   1-shard run's wall seconds over the 4-shard run's, for the same
-//!   virtual span (default 1.5; `PERF_SHARD_SPEEDUP` env).
-//!   Automatically *not enforced* when the host exposes fewer than 4
-//!   cores — a 4-way shard run cannot beat single-threaded execution
-//!   without 4 cores to run on (the sweep still runs as a smoke test
-//!   and its numbers are printed).
+//!   virtual span (default 1.5). Automatically *not enforced* when the
+//!   host exposes fewer than 4 cores — a 4-way shard run cannot beat
+//!   single-threaded execution without 4 cores to run on (the sweep
+//!   still runs as a smoke test and its numbers are printed).
 //! * `--e9c-devices N` — E9c federation size in full (non-check) runs
 //!   (default 10000; 100000 reproduces the large point, at ~10x the
 //!   wall time).
@@ -51,7 +49,9 @@ use bench::experiments::{
 };
 use bench::report::{render_e9, render_e9b, render_e9c};
 use bench::timing::sched_kernel;
-use simnet::SimDuration;
+use simnet::{Json, Layout, SimDuration};
+
+use crate::{Args, Command};
 
 /// Default `--floor-evps`: events/sec floor at N = 1000. The engine
 /// measures well above 10x this on a developer laptop and ~5x in CI
@@ -121,102 +121,75 @@ const DEFAULT_SHARD_SPEEDUP: f64 = 1.5;
 /// Federation size of the `--check` E9c shard gate.
 const CHECK_SHARD_DEVICES: usize = 10_000;
 
-/// Parses `--flag value` from the argument list, falling back to a
-/// default; panics with a usable message on a malformed value.
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return default;
-    };
-    let raw = args
-        .get(i + 1)
-        .unwrap_or_else(|| panic!("{flag} needs a value"));
-    raw.parse()
-        .unwrap_or_else(|_| panic!("{flag}: cannot parse {raw:?}"))
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let json_out = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned());
-    let floor_evps: f64 = flag_value(&args, "--floor-evps", DEFAULT_FLOOR_EVENTS_PER_SEC);
-    let p99_budget_us: u64 = flag_value(&args, "--p99-budget-us", DEFAULT_P99_BUDGET_US);
-    let p99_budget_ns = p99_budget_us * 1_000;
-    // Floor priority: --shard-speedup flag, then PERF_SHARD_SPEEDUP
-    // env, then the default.
-    let env_shard_speedup = std::env::var("PERF_SHARD_SPEEDUP")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok());
-    let shard_speedup: f64 = flag_value(
-        &args,
-        "--shard-speedup",
-        env_shard_speedup.unwrap_or(DEFAULT_SHARD_SPEEDUP),
-    );
-    // Ceiling priority: --recorder-overhead flag, then
-    // PERF_RECORDER_OVERHEAD env, then the default.
-    let env_recorder = std::env::var("PERF_RECORDER_OVERHEAD")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok());
-    let recorder_ceiling: f64 = flag_value(
-        &args,
+pub const COMMAND: Command = Command {
+    name: "perf-sched",
+    values: &[
+        "--json",
+        "--floor-evps",
+        "--p99-budget-us",
         "--recorder-overhead",
-        env_recorder.unwrap_or(CHECK_RECORDER_OVERHEAD),
-    );
-    // Ceiling priority: --attrib-overhead flag, then
-    // PERF_ATTRIB_OVERHEAD env, then the default.
-    let env_attrib = std::env::var("PERF_ATTRIB_OVERHEAD")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok());
-    let attrib_ceiling: f64 = flag_value(
-        &args,
         "--attrib-overhead",
-        env_attrib.unwrap_or(CHECK_ATTRIB_OVERHEAD),
-    );
-    let attrib_baseline: String = flag_value(
-        &args,
         "--attrib-baseline",
-        DEFAULT_ATTRIB_BASELINE.to_owned(),
-    );
+        "--shard-speedup",
+        "--e9c-devices",
+    ],
+    switches: &["--check"],
+    takes_args: false,
+    usage: "perf-sched [--check] [--json FILE] [--floor-evps N] [--p99-budget-us N] \
+            [--recorder-overhead X] [--attrib-overhead X] [--attrib-baseline FILE] \
+            [--shard-speedup X] [--e9c-devices N]",
+    run,
+};
+
+fn run(args: &Args) {
+    let floor_evps: f64 = args.get("--floor-evps", DEFAULT_FLOOR_EVENTS_PER_SEC);
+    let p99_budget_us: u64 = args.get("--p99-budget-us", DEFAULT_P99_BUDGET_US);
+    let p99_budget_ns = p99_budget_us * 1_000;
+    let shard_speedup: f64 = args.get("--shard-speedup", DEFAULT_SHARD_SPEEDUP);
+    let recorder_ceiling: f64 = args.get("--recorder-overhead", CHECK_RECORDER_OVERHEAD);
+    let attrib_ceiling: f64 = args.get("--attrib-overhead", CHECK_ATTRIB_OVERHEAD);
+    let attrib_baseline = args.get("--attrib-baseline", DEFAULT_ATTRIB_BASELINE.to_owned());
     let host_cores = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);
 
-    if check {
+    if args.switch("--check") {
         // Differential perf doctor, first so a behavioral regression is
         // reported by *component* rather than surfacing later as an
         // anonymous wall-clock floor failure. The E13 attribution run
         // is a pure function of the seed, so against a baseline from
         // the same code the diff is empty; any code change that moves
         // virtual time shows up as a ranked per-component delta.
-        let baseline = std::fs::read_to_string(&attrib_baseline)
-            .ok()
-            .and_then(|text| simnet::AttributionReport::from_json(&text));
-        match baseline {
-            Some(baseline) => {
+        // Only an absent baseline skips the doctor: one that exists but
+        // does not parse fails the gate instead of passing silently.
+        match std::fs::read_to_string(&attrib_baseline) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => println!(
+                "bench perf-sched --check: no attribution baseline at {attrib_baseline}; \
+                 differential doctor skipped"
+            ),
+            Err(e) => panic!("cannot read attribution baseline {attrib_baseline}: {e}"),
+            Ok(text) => {
+                let baseline = simnet::AttributionReport::from_json(&text).unwrap_or_else(|e| {
+                    panic!("attribution baseline {attrib_baseline} does not parse: {e}")
+                });
                 let current = e13_attribution();
                 let diff = simnet::diff_attribution(&baseline, &current.before);
                 if let Some(top) = diff.top_regression() {
                     eprint!("{}", diff.to_text(8));
                     panic!(
                         "attribution drifted from {attrib_baseline}: {}/{} grew by {} ns \
-                         (exemplar corr {:#x}) — regenerate the baseline with the \
-                         attrib_export bin if the change is intentional",
+                         (exemplar corr {:#x}) — regenerate the baseline with \
+                         `bench attrib` if the change is intentional",
                         top.component, top.kind, top.delta_ns, top.exemplar_corr
                     );
                 }
                 println!(
-                    "perf_sched --check: attribution matches {attrib_baseline} \
+                    "bench perf-sched --check: attribution matches {attrib_baseline} \
                      ({} components, {} cells moved, none regressed)",
                     current.before.components.len(),
                     diff.rows.len()
                 );
             }
-            None => println!(
-                "perf_sched --check: no attribution baseline at {attrib_baseline}; \
-                 differential doctor skipped"
-            ),
         }
 
         // Kernel smoke: both structures must run; the wheel must not be
@@ -287,7 +260,7 @@ fn main() {
         assert!(
             recorder <= recorder_ceiling,
             "flight recorder overhead x{recorder:.3} at N=1000 exceeds x{recorder_ceiling} \
-             (override with --recorder-overhead / PERF_RECORDER_OVERHEAD on a noisy host)"
+             (override with --recorder-overhead on a noisy host)"
         );
 
         // Attribution plane: the continuous time-decomposition fold
@@ -299,7 +272,7 @@ fn main() {
         assert!(
             attrib <= attrib_ceiling,
             "attribution overhead x{attrib:.3} at N=1000 exceeds x{attrib_ceiling} \
-             (override with --attrib-overhead / PERF_ATTRIB_OVERHEAD on a noisy host)"
+             (override with --attrib-overhead on a noisy host)"
         );
 
         // E9c: sharded execution must keep paying for itself — the
@@ -324,7 +297,7 @@ fn main() {
         let sharded_speedup = one.wall_secs / four.wall_secs.max(1e-9);
         if host_cores < 4 {
             println!(
-                "perf_sched --check: shard-scaling floor x{shard_speedup:.2} not enforced — \
+                "bench perf-sched --check: shard-scaling floor x{shard_speedup:.2} not enforced — \
                  host exposes {host_cores} core(s); measured x{sharded_speedup:.2} at 4 shards, \
                  N={CHECK_SHARD_DEVICES} (stall {:.1} ms over {} windows)",
                 four.barrier_stall_ns as f64 / 1e6,
@@ -335,12 +308,12 @@ fn main() {
                 sharded_speedup >= shard_speedup,
                 "E9c shard scaling below floor: 4 shards gave x{sharded_speedup:.2} over 1 shard \
                  at N={CHECK_SHARD_DEVICES} (floor x{shard_speedup:.2}; override with \
-                 --shard-speedup / PERF_SHARD_SPEEDUP on a noisy host)"
+                 --shard-speedup on a noisy host)"
             );
         }
 
         println!(
-            "perf_sched --check: ok (N=1000 {:.0} events/s, per-event cost x{:.2} over 10x devices, p99 {} ns <= {} ns, E9b pops/datagram {:.3} at N=100 and {:.3} at N=1000, sampler overhead x{:.3}, recorder overhead x{:.3}, attribution overhead x{:.3}, shard speedup x{:.2} at 4 shards on {} core(s), wheel {:.0} ns/op vs heap {:.0} ns/op)",
+            "bench perf-sched --check: ok (N=1000 {:.0} events/s, per-event cost x{:.2} over 10x devices, p99 {} ns <= {} ns, E9b pops/datagram {:.3} at N=100 and {:.3} at N=1000, sampler overhead x{:.3}, recorder overhead x{:.3}, attribution overhead x{:.3}, shard speedup x{:.2} at 4 shards on {} core(s), wheel {:.0} ns/op vs heap {:.0} ns/op)",
             large.events_per_sec,
             cost_large / cost_small,
             large.p99_dispatch_ns,
@@ -377,69 +350,54 @@ fn main() {
     let e9b = e9b_deferral_sweep(&[100, 1000], SimDuration::from_millis(500));
     println!("{}", render_e9b(&e9b));
 
-    let e9c_devices: usize = flag_value(&args, "--e9c-devices", CHECK_SHARD_DEVICES);
+    let e9c_devices: usize = args.get("--e9c-devices", CHECK_SHARD_DEVICES);
     let e9c = e9c_shard_scale(e9c_devices, &[1, 2, 4, 8], SimDuration::from_secs(5));
     println!("{}", render_e9c(&e9c));
     println!("(host exposes {host_cores} core(s); shard counts above that time-slice)");
 
-    if let Some(file) = json_out {
-        let mut out = String::from("{\n  \"name\": \"perf_sched\",\n  \"sched_kernel\": [\n");
-        let n = kernel_lines.len();
-        for (i, k) in kernel_lines.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"pending\": {}, \"ops\": {}, \"wheel_ns_per_op\": {:.1}, \"heap_ns_per_op\": {:.1}}}{}\n",
-                k.pending,
-                k.ops,
-                k.wheel_ns_per_op,
-                k.heap_ns_per_op,
-                if i + 1 < n { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"e9_sched_scale\": [\n");
-        let n = rows.len();
-        for (i, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"devices\": {}, \"events\": {}, \"wall_secs\": {:.3}, \"events_per_sec\": {:.0}, \"p99_dispatch_ns\": {}, \"allocs_per_event\": {:.4}}}{}\n",
-                r.devices,
-                r.events,
-                r.wall_secs,
-                r.events_per_sec,
-                r.p99_dispatch_ns,
-                r.allocs_per_event,
-                if i + 1 < n { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"e9b_deferral\": [\n");
-        let n = e9b.len();
-        for (i, r) in e9b.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"devices\": {}, \"delivered\": {}, \"delivered_per_sec\": {:.0}, \"pops_per_delivered\": {:.3}}}{}\n",
-                r.devices,
-                r.delivered,
-                r.delivered_per_sec,
-                r.pops_per_delivered,
-                if i + 1 < n { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"e9c_shard_scale\": [\n");
-        let n = e9c.len();
-        for (i, r) in e9c.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"shards\": {}, \"devices\": {}, \"wings\": {}, \"events\": {}, \"wall_secs\": {:.3}, \"events_per_sec\": {:.0}, \"p99_dispatch_ns\": {}, \"barrier_stall_ns\": {}, \"windows\": {}}}{}\n",
-                r.shards,
-                r.devices,
-                r.wings,
-                r.events,
-                r.wall_secs,
-                r.events_per_sec,
-                r.p99_dispatch_ns,
-                r.barrier_stall_ns,
-                r.windows,
-                if i + 1 < n { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!("  ],\n  \"host_cores\": {host_cores}\n}}\n"));
-        std::fs::write(&file, out).expect("write perf_sched json");
-        println!("wrote {file}");
+    if let Some(file) = args.opt("--json") {
+        let kernel = kernel_lines.iter().map(|k| {
+            Json::inline()
+                .with("pending", k.pending)
+                .with("ops", k.ops)
+                .with("wheel_ns_per_op", Json::fixed(k.wheel_ns_per_op, 1))
+                .with("heap_ns_per_op", Json::fixed(k.heap_ns_per_op, 1))
+        });
+        let e9 = rows.iter().map(|r| {
+            Json::inline()
+                .with("devices", r.devices)
+                .with("events", r.events)
+                .with("wall_secs", Json::fixed(r.wall_secs, 3))
+                .with("events_per_sec", Json::fixed(r.events_per_sec, 0))
+                .with("p99_dispatch_ns", r.p99_dispatch_ns)
+                .with("allocs_per_event", Json::fixed(r.allocs_per_event, 4))
+        });
+        let e9b = e9b.iter().map(|r| {
+            Json::inline()
+                .with("devices", r.devices)
+                .with("delivered", r.delivered)
+                .with("delivered_per_sec", Json::fixed(r.delivered_per_sec, 0))
+                .with("pops_per_delivered", Json::fixed(r.pops_per_delivered, 3))
+        });
+        let e9c = e9c.iter().map(|r| {
+            Json::inline()
+                .with("shards", r.shards)
+                .with("devices", r.devices)
+                .with("wings", r.wings)
+                .with("events", r.events)
+                .with("wall_secs", Json::fixed(r.wall_secs, 3))
+                .with("events_per_sec", Json::fixed(r.events_per_sec, 0))
+                .with("p99_dispatch_ns", r.p99_dispatch_ns)
+                .with("barrier_stall_ns", r.barrier_stall_ns)
+                .with("windows", r.windows)
+        });
+        let record = Json::block()
+            .with("name", "perf_sched")
+            .with("sched_kernel", Json::array(Layout::Block, kernel))
+            .with("e9_sched_scale", Json::array(Layout::Block, e9))
+            .with("e9b_deferral", Json::array(Layout::Block, e9b))
+            .with("e9c_shard_scale", Json::array(Layout::Block, e9c))
+            .with("host_cores", host_cores);
+        bench::report::write_artifact(&file, &record.document(), "scheduler sweep");
     }
 }

@@ -1283,7 +1283,7 @@ pub fn e8_observability() -> ObservabilityResults {
         bridged_corr: corr,
         sample_path,
         critical_path,
-        perfetto: simnet::perfetto_trace_json(trace.spans()),
+        perfetto: simnet::perfetto_trace_json(trace.spans()).document(),
         folded: simnet::folded_stacks(trace.spans()),
     }
 }
@@ -2178,7 +2178,7 @@ pub fn e10_telemetry_faults() -> TelemetryFaultResults {
     world.run_until(SimTime::from_secs(60));
 
     let report = world.doctor().expect("telemetry enabled");
-    let doctor_json = report.to_json();
+    let doctor_json = report.to_json().document();
     let open_metrics = simnet::open_metrics(&world.trace().metrics().snapshot());
     let engine = world.slo_engine().expect("telemetry enabled");
     let transitions = engine.transitions().to_vec();
@@ -2205,7 +2205,7 @@ pub fn e10_telemetry_faults() -> TelemetryFaultResults {
 /// seeded world is run over the same virtual window with telemetry off
 /// and on (250 ms sampler, no objectives), `passes` times each, and the
 /// ratio of the best wall-clock times is returned. Used by
-/// `perf_sched --check` to hold the telemetry plane under its 2%
+/// `bench perf-sched --check` to hold the telemetry plane under its 2%
 /// overhead budget at n = 1000.
 pub fn e10_sampler_overhead(n: usize, measure: SimDuration, passes: usize) -> f64 {
     let setup = SimTime::from_secs(E9_SETUP);
@@ -2561,7 +2561,7 @@ pub fn e11_sharded_incident() -> ShardedIncidentResults {
     let bundle_json = light
         .incidents
         .first()
-        .map(|b| b.to_json())
+        .map(|b| b.to_json().document())
         .unwrap_or_default();
 
     // Cross-check the span census against the bridge counters.
@@ -2579,7 +2579,7 @@ pub fn e11_sharded_incident() -> ShardedIncidentResults {
         orphan_xfer_hops: orphans,
         journey_coverage,
         bundle_json,
-        doctor_json: doctor.to_json(),
+        doctor_json: doctor.to_json().document(),
         top_offender: doctor.top_offenders.first().map(|o| o.subject.clone()),
         bundles: light.incidents.clone(),
         merged_spans: merged,
@@ -2689,7 +2689,7 @@ pub fn e11_trace_loss_ab() -> (TraceLossSide, TraceLossSide) {
 /// Measures the flight recorder's overhead on the E9b busy-sink fixture:
 /// the same seeded world over the same virtual window with the recorder
 /// off and on, `passes` times, minimum *paired* ratio (same noise
-/// discipline as [`e10_sampler_overhead`]). `perf_sched --check` holds
+/// discipline as [`e10_sampler_overhead`]). `bench perf-sched --check` holds
 /// this under its 3% budget at n = 1000.
 pub fn e11_recorder_overhead(n: usize, measure: SimDuration, passes: usize) -> f64 {
     let setup = SimTime::from_secs(E9B_SETUP);
@@ -2806,9 +2806,9 @@ pub fn e13_attribution() -> AttributionResults {
     let report = world.doctor().expect("telemetry enabled");
 
     AttributionResults {
-        before_json: before.to_json(),
-        attrib_json: after.to_json(),
-        diff_json: diff.to_json(),
+        before_json: before.to_json().document(),
+        attrib_json: after.to_json().document(),
+        diff_json: diff.to_json().document(),
         diff_text: diff.to_text(8),
         before,
         after,
@@ -2824,7 +2824,7 @@ pub fn e13_attribution() -> AttributionResults {
 /// the same seeded world over the same virtual window with a 250 ms
 /// telemetry sampler on both sides and the attribution fold only on the
 /// measure side, `passes` times, minimum *paired* ratio (same noise
-/// discipline as [`e10_sampler_overhead`]). `perf_sched --check` holds
+/// discipline as [`e10_sampler_overhead`]). `bench perf-sched --check` holds
 /// this under its 3% budget at n = 1000.
 pub fn e13_attrib_overhead(n: usize, measure: SimDuration, passes: usize) -> f64 {
     let setup = SimTime::from_secs(E9B_SETUP);
@@ -2869,7 +2869,7 @@ pub struct DeltaGossipRow {
     /// Directory-plane bytes during bootstrap (everyone joining at once).
     pub bootstrap_bytes: u64,
     /// Directory-plane bytes over the steady-state window — the number
-    /// `perf_dir --check` pins.
+    /// `bench perf-dir --check` pins.
     pub steady_bytes: u64,
     /// Length of the steady-state window in virtual seconds.
     pub steady_secs: u64,
@@ -3400,7 +3400,7 @@ mod tests {
         // Snapshots and diff export deterministically and round-trip.
         let parsed =
             AttributionReport::from_json(&r.before_json).expect("baseline JSON round-trips");
-        assert_eq!(parsed.to_json(), r.before_json);
+        assert_eq!(parsed.to_json().document(), r.before_json);
         assert!(r.attrib_json.contains("\"components\""));
         assert!(r.diff_json.contains("\"rows\""));
     }

@@ -16,15 +16,20 @@
 //! * [`experiments::e6_directory_scale`] — directory federation
 //!   scalability (§3.6).
 //! * [`experiments::e8_observability`] — metrics registry + path spans
-//!   (JSON snapshot via `--json`).
+//!   (exports via `bench trace`; the `BENCH_observability.json` record
+//!   via `bench experiments e8 --json`).
 //! * [`experiments::e9_sched_scale`] — scheduler scaling, 100 → 1000
-//!   devices across all six bridges (`perf_sched`).
+//!   devices across all six bridges (`bench perf-sched`).
 //! * [`experiments::e10_telemetry_faults`] — telemetry plane: SLO
 //!   burn-rate alerts + the federation health doctor under fault
-//!   injection (exports via `doctor_export`).
+//!   injection (exports via `bench doctor`).
 //!
 //! Run everything with `cargo bench -p bench` (the `figures` bench
-//! target) or `cargo run -p bench --bin experiments --release`.
+//! target) or `cargo run -p bench --release -- experiments`. The crate
+//! builds one binary, `bench`, whose subcommands (`experiments`,
+//! `trace`, `doctor`, `incident`, `attrib`, `fidelity`, `perf-payload`,
+//! `perf-sched`, `perf-dir`, `lint`) are every export and gate `ci.sh`
+//! runs; see `src/bin/bench/main.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

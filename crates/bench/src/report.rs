@@ -1,5 +1,5 @@
 //! Plain-text report rendering for the experiment harness, plus the
-//! shared artifact writer the exporter bins use.
+//! shared file writer of the `bench` subcommands.
 
 use crate::experiments::*;
 
@@ -9,10 +9,9 @@ fn hr(title: &str) -> String {
 
 /// Writes one deterministic artifact to `path`, creating parent
 /// directories as needed, and prints the canonical
-/// `wrote {path} ({len} B) — {what}` line. Every exporter bin
-/// (`doctor_export`, `incident_export`, `attrib_export`) funnels its
-/// writes through here so the CI determinism gates see one consistent
-/// write path and stdout shape.
+/// `wrote {path} ({len} B) — {what}` line. Every file a `bench`
+/// subcommand writes goes through here, so the CI determinism gates
+/// see one consistent write path and stdout shape.
 pub fn write_artifact(path: &str, body: &str, what: &str) {
     if let Some(dir) = std::path::Path::new(path).parent() {
         if !dir.as_os_str().is_empty() {
@@ -197,7 +196,7 @@ pub fn render_e8(r: &ObservabilityResults) -> String {
     }
     out.push_str(&format!(
         "\ntrace exports: perfetto {} B, folded stacks {} B \
-         (write them with the trace_export bin)\n",
+         (write them with `bench trace`)\n",
         r.perfetto.len(),
         r.folded.len()
     ));
@@ -277,7 +276,7 @@ pub fn render_e10(r: &TelemetryFaultResults) -> String {
     }
     out.push_str(&format!(
         "\nexports: doctor JSON {} B, OpenMetrics {} B \
-         (write them with the doctor_export bin)\n",
+         (write them with `bench doctor`)\n",
         r.doctor_json.len(),
         r.open_metrics.len()
     ));
@@ -316,7 +315,7 @@ pub fn render_e11(r: &ShardedIncidentResults) -> String {
     ));
     out.push_str(&format!(
         "exports: incident bundle JSON {} B, doctor JSON {} B \
-         (write them with the incident_export bin)\n",
+         (write them with `bench incident`)\n",
         r.bundle_json.len(),
         r.doctor_json.len()
     ));
@@ -368,7 +367,7 @@ pub fn render_e13(r: &AttributionResults) -> String {
     }
     out.push_str(&format!(
         "exports: attribution JSON {} B, diff JSON {} B \
-         (write them with the attrib_export bin)\n",
+         (write them with `bench attrib`)\n",
         r.attrib_json.len(),
         r.diff_json.len()
     ));

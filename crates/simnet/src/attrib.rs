@@ -34,6 +34,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::json::{Json, JsonError, Layout};
 use crate::time::SimTime;
 use crate::trace::SpanRecord;
 
@@ -85,7 +86,7 @@ impl ComponentTimes {
 
 /// One attribution snapshot: per-component time decomposition as of a
 /// fold instant. Renders to deterministic JSON ([`Self::to_json`]) and
-/// parses back ([`Self::from_json`]) so CI can diff a checked-in
+/// reads back ([`Self::from_json`]) so CI can diff a checked-in
 /// baseline against the current run (see
 /// [`crate::export::diff_attribution`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -113,83 +114,73 @@ impl AttributionReport {
             .map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Deterministic pretty JSON; byte-identical across identical runs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"at_ns\": {},\n", self.at_ns));
-        out.push_str(&format!("  \"samples\": {},\n", self.samples));
-        out.push_str(&format!("  \"spans_folded\": {},\n", self.spans_folded));
-        out.push_str(&format!("  \"spans_lost\": {},\n", self.spans_lost));
-        out.push_str("  \"components\": {");
-        let mut first = true;
-        for (name, c) in &self.components {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n    ");
-            crate::trace::push_json_string(&mut out, name);
-            out.push_str(&format!(
-                ": {{\"self_ns\": {}, \"queue_ns\": {}, \"barrier_ns\": {}, \"spans\": {}, \"max_span_ns\": {}, \"exemplar_corr\": {}}}",
-                c.self_ns, c.queue_ns, c.barrier_ns, c.spans, c.max_span_ns, c.exemplar_corr,
-            ));
-        }
-        if !first {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+    /// Deterministic JSON value; byte-identical across identical runs.
+    pub fn to_json(&self) -> Json {
+        let components = self.components.iter().map(|(name, c)| {
+            let c = Json::inline()
+                .with("self_ns", c.self_ns)
+                .with("queue_ns", c.queue_ns)
+                .with("barrier_ns", c.barrier_ns)
+                .with("spans", c.spans)
+                .with("max_span_ns", c.max_span_ns)
+                .with("exemplar_corr", c.exemplar_corr);
+            (name, c)
+        });
+        Json::block()
+            .with("at_ns", self.at_ns)
+            .with("samples", self.samples)
+            .with("spans_folded", self.spans_folded)
+            .with("spans_lost", self.spans_lost)
+            .with("components", Json::object(Layout::Block, components))
     }
 
-    /// Parses the exact shape [`Self::to_json`] emits (the perf doctor
-    /// reads checked-in baseline artifacts with this). Returns `None`
-    /// on anything malformed rather than guessing.
-    pub fn from_json(text: &str) -> Option<AttributionReport> {
-        fn field_u64(line: &str, key: &str) -> Option<u64> {
-            let needle = format!("\"{key}\": ");
-            let at = line.find(&needle)? + needle.len();
-            let rest = &line[at..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        }
-        let mut report = AttributionReport::default();
-        let mut seen_top = 0u32;
-        for line in text.lines() {
-            let trimmed = line.trim();
-            if let Some(v) = field_u64(trimmed, "at_ns") {
-                report.at_ns = v;
-                seen_top += 1;
-            } else if let Some(v) = field_u64(trimmed, "samples") {
-                report.samples = v;
-                seen_top += 1;
-            } else if let Some(v) = field_u64(trimmed, "spans_folded") {
-                report.spans_folded = v;
-                seen_top += 1;
-            } else if let Some(v) = field_u64(trimmed, "spans_lost") {
-                report.spans_lost = v;
-                seen_top += 1;
-            } else if trimmed.contains("{\"self_ns\": ") {
-                let name_end = trimmed[1..].find('"')? + 1;
-                if !trimmed.starts_with('"') {
-                    return None;
-                }
-                let name = trimmed[1..name_end].to_owned();
-                report.components.insert(
-                    name,
-                    ComponentTimes {
-                        self_ns: field_u64(trimmed, "self_ns")?,
-                        queue_ns: field_u64(trimmed, "queue_ns")?,
-                        barrier_ns: field_u64(trimmed, "barrier_ns")?,
-                        spans: field_u64(trimmed, "spans")?,
-                        max_span_ns: field_u64(trimmed, "max_span_ns")?,
-                        exemplar_corr: field_u64(trimmed, "exemplar_corr")?,
-                    },
-                );
+    /// Reads back exactly the shape [`Self::to_json`] writes (the perf
+    /// doctor reads checked-in baselines with this): every key present,
+    /// no other key, every number an unsigned integer. Anything else is
+    /// an error, never a partial report.
+    pub fn from_json(text: &str) -> Result<AttributionReport, JsonError> {
+        let doc = Json::parse(text)?;
+        let [at_ns, samples, spans_folded, spans_lost, components] = doc.fields([
+            "at_ns",
+            "samples",
+            "spans_folded",
+            "spans_lost",
+            "components",
+        ])?;
+        let entries = components
+            .as_object()
+            .ok_or_else(|| JsonError("components: expected an object".into()))?;
+        let mut report = AttributionReport {
+            at_ns: at_ns.u64_of("at_ns")?,
+            samples: samples.u64_of("samples")?,
+            spans_folded: spans_folded.u64_of("spans_folded")?,
+            spans_lost: spans_lost.u64_of("spans_lost")?,
+            components: BTreeMap::new(),
+        };
+        for (name, c) in entries {
+            let [self_ns, queue_ns, barrier_ns, spans, max_span_ns, exemplar_corr] = c
+                .fields([
+                    "self_ns",
+                    "queue_ns",
+                    "barrier_ns",
+                    "spans",
+                    "max_span_ns",
+                    "exemplar_corr",
+                ])
+                .map_err(|e| JsonError(format!("component {name:?}: {e}")))?;
+            let times = ComponentTimes {
+                self_ns: self_ns.u64_of(name)?,
+                queue_ns: queue_ns.u64_of(name)?,
+                barrier_ns: barrier_ns.u64_of(name)?,
+                spans: spans.u64_of(name)?,
+                max_span_ns: max_span_ns.u64_of(name)?,
+                exemplar_corr: exemplar_corr.u64_of(name)?,
+            };
+            if report.components.insert(name.clone(), times).is_some() {
+                return Err(JsonError(format!("component {name:?} repeated")));
             }
         }
-        (seen_top == 4).then_some(report)
+        Ok(report)
     }
 }
 
@@ -458,9 +449,36 @@ mod tests {
         ];
         plane.fold(&spans, Some((0, 123)));
         let report = plane.report(SimTime::from_nanos(99));
-        let parsed = AttributionReport::from_json(&report.to_json()).expect("parses");
+        let parsed = AttributionReport::from_json(&report.to_json().document()).expect("parses");
         assert_eq!(parsed, report);
-        assert!(AttributionReport::from_json("{}").is_none());
+        assert!(AttributionReport::from_json("{}").is_err());
+    }
+
+    const BASELINE: &str = include_str!("../../../artifacts/E13_attrib_baseline.json");
+
+    #[test]
+    fn from_json_reads_the_checked_in_baseline() {
+        let report = AttributionReport::from_json(BASELINE).expect("baseline parses");
+        assert_eq!(report.components.len(), 3);
+        assert_eq!(report.to_json().document(), BASELINE);
+    }
+
+    #[test]
+    fn from_json_rejects_a_truncated_baseline() {
+        // Cut right after the first component line: a line scraper
+        // would return a report with fewer components.
+        let first = BASELINE.find("{\"self_ns\"").expect("a component line");
+        let cut = first + BASELINE[first..].find('\n').expect("line end") + 1;
+        let err = AttributionReport::from_json(&BASELINE[..cut]).expect_err("truncated");
+        assert!(err.to_string().contains("byte"), "a parse error: {err}");
+    }
+
+    #[test]
+    fn from_json_rejects_a_renamed_top_level_key() {
+        let renamed = BASELINE.replacen("\"spans_lost\"", "\"spans_dropped\"", 1);
+        assert_ne!(renamed, BASELINE);
+        let err = AttributionReport::from_json(&renamed).expect_err("renamed key");
+        assert!(err.to_string().contains("spans_dropped"), "{err}");
     }
 
     #[test]

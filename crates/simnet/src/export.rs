@@ -20,8 +20,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{Json, Layout};
 use crate::span::{SpanNode, SpanTree};
-use crate::trace::{push_json_string, MetricsSnapshot, SpanRecord, LATENCY_BUCKET_BOUNDS_NS};
+use crate::trace::{MetricsSnapshot, SpanRecord, LATENCY_BUCKET_BOUNDS_NS};
 
 /// Renders nanoseconds as decimal microseconds (`123.456`) without
 /// going through floating point.
@@ -58,7 +59,7 @@ fn shard_pid(source: &str) -> (u64, &str) {
 /// share pid 1. Spans that never closed are exported zero-length with
 /// `"unclosed": true` in `args`, so they remain visible rather than
 /// stretching to infinity.
-pub fn perfetto_trace_json(spans: &[SpanRecord]) -> String {
+pub fn perfetto_trace_json(spans: &[SpanRecord]) -> Json {
     let mut sources: Vec<&str> = spans.iter().map(|s| &*s.source).collect();
     sources.sort_unstable();
     sources.dedup();
@@ -75,42 +76,21 @@ pub fn perfetto_trace_json(spans: &[SpanRecord]) -> String {
     shard_pids.sort_unstable();
     shard_pids.dedup();
 
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    let mut first = true;
-    let mut push_event = |out: &mut String, body: String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str("  ");
-        out.push_str(&body);
+    let meta = |name: &str, pid: u64, tid: usize, arg: &str| {
+        Json::inline()
+            .with("ph", "M")
+            .with("name", name)
+            .with("pid", pid)
+            .with("tid", tid)
+            .with("args", Json::inline().with("name", arg))
     };
-
-    push_event(
-        &mut out,
-        "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": 1, \"tid\": 0, \
-         \"args\": {\"name\": \"simnet federation\"}}"
-            .to_owned(),
-    );
+    let mut events = vec![meta("process_name", 1, 0, "simnet federation")];
     for pid in shard_pids {
-        push_event(
-            &mut out,
-            format!(
-                "{{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": {pid}, \"tid\": 0, \
-                 \"args\": {{\"name\": \"shard {}\"}}}}",
-                pid - 2
-            ),
-        );
+        events.push(meta("process_name", pid, 0, &format!("shard {}", pid - 2)));
     }
     for (&source, &tid) in &tids {
         let (pid, thread) = shard_pid(source);
-        let mut ev = format!(
-            "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {pid}, \"tid\": {tid}, \
-             \"args\": {{\"name\": "
-        );
-        push_json_string(&mut ev, thread);
-        ev.push_str("}}");
-        push_event(&mut out, ev);
+        events.push(meta("thread_name", pid, tid, thread));
     }
 
     for span in spans {
@@ -118,34 +98,34 @@ pub fn perfetto_trace_json(spans: &[SpanRecord]) -> String {
         let (pid, _) = shard_pid(&span.source);
         let start_ns = span.start.as_nanos();
         let dur_ns = span.duration().map(|d| d.as_nanos()).unwrap_or(0);
-        let mut ev = String::from("{\"ph\": \"X\", \"name\": ");
-        push_json_string(&mut ev, span.stage);
-        ev.push_str(", \"cat\": ");
-        let cat = span.stage.split('.').next().unwrap_or("span");
-        push_json_string(&mut ev, cat);
-        ev.push_str(&format!(
-            ", \"ts\": {}, \"dur\": {}, \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"corr\": ",
-            micros(start_ns),
-            micros(dur_ns),
-        ));
-        push_json_string(&mut ev, &format!("{:#x}", span.corr));
-        ev.push_str(&format!(", \"span\": {}", span.id.0));
+        let mut args = Json::inline()
+            .with("corr", format!("{:#x}", span.corr))
+            .with("span", span.id.0);
         if let Some(parent) = span.parent {
-            ev.push_str(&format!(", \"parent\": {}", parent.0));
+            args.push("parent", parent.0);
         }
         let detail = span.detail.to_string();
         if !detail.is_empty() {
-            ev.push_str(", \"detail\": ");
-            push_json_string(&mut ev, &detail);
+            args.push("detail", detail);
         }
         if span.end.is_none() {
-            ev.push_str(", \"unclosed\": true");
+            args.push("unclosed", true);
         }
-        ev.push_str("}}");
-        push_event(&mut out, ev);
+        events.push(
+            Json::inline()
+                .with("ph", "X")
+                .with("name", span.stage)
+                .with("cat", span.stage.split('.').next().unwrap_or("span"))
+                .with("ts", Json::Num(micros(start_ns)))
+                .with("dur", Json::Num(micros(dur_ns)))
+                .with("pid", pid)
+                .with("tid", tid)
+                .with("args", args),
+        );
     }
-    out.push_str("\n]}\n");
-    out
+    Json::inline()
+        .with("displayTimeUnit", "ms")
+        .with("traceEvents", Json::Array(Layout::Block, events))
 }
 
 /// Exports spans as folded-stack flamegraph lines, weighted by span
@@ -236,7 +216,7 @@ pub struct AttributionDelta {
 /// A ranked differential attribution report: every (component, kind)
 /// cell that moved between two snapshots, biggest regression first.
 /// This is the perf doctor's answer to "what regressed, where, by how
-/// much" — `perf_sched --check` renders it when a floor fails, so CI
+/// much" — `bench perf-sched --check` renders it when a floor fails, so CI
 /// names the offending component instead of an aggregate number.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttributionDiff {
@@ -256,28 +236,21 @@ impl AttributionDiff {
         self.rows.first().filter(|r| r.delta_ns > 0)
     }
 
-    /// Deterministic pretty JSON; byte-identical across identical runs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"before_at_ns\": {},\n", self.before_at_ns));
-        out.push_str(&format!("  \"after_at_ns\": {},\n", self.after_at_ns));
-        out.push_str("  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"component\": ");
-            push_json_string(&mut out, &r.component);
-            out.push_str(&format!(
-                ", \"kind\": \"{}\", \"before_ns\": {}, \"after_ns\": {}, \"delta_ns\": {}, \"exemplar_corr\": {}}}",
-                r.kind, r.before_ns, r.after_ns, r.delta_ns, r.exemplar_corr,
-            ));
-        }
-        if !self.rows.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+    /// Deterministic JSON value; byte-identical across identical runs.
+    pub fn to_json(&self) -> Json {
+        let rows = self.rows.iter().map(|r| {
+            Json::inline()
+                .with("component", &r.component)
+                .with("kind", r.kind)
+                .with("before_ns", r.before_ns)
+                .with("after_ns", r.after_ns)
+                .with("delta_ns", r.delta_ns)
+                .with("exemplar_corr", r.exemplar_corr)
+        });
+        Json::block()
+            .with("before_at_ns", self.before_at_ns)
+            .with("after_at_ns", self.after_at_ns)
+            .with("rows", Json::array(Layout::Block, rows))
     }
 
     /// Human-readable ranking for CI logs, at most `limit` rows.
@@ -400,8 +373,8 @@ mod tests {
     #[test]
     fn perfetto_export_is_wellformed_and_deterministic() {
         let t = demo_trace();
-        let a = perfetto_trace_json(t.spans());
-        let b = perfetto_trace_json(t.spans());
+        let a = perfetto_trace_json(t.spans()).to_string();
+        let b = perfetto_trace_json(t.spans()).to_string();
         assert_eq!(a, b);
         assert!(a.contains("\"traceEvents\""));
         assert!(a.contains("\"thread_name\""));
@@ -420,7 +393,7 @@ mod tests {
         t.span(7, ms(0), "uplink", "shard.xfer.egress", "dst=s1 inlet=0");
         t.span(7, ms(2), "ingress", "shard.xfer.ingress", "src=s0 span=1");
         let merged = crate::span::merge_shard_spans(&[(0, &t.spans()[..1]), (1, &t.spans()[1..])]);
-        let out = perfetto_trace_json(&merged);
+        let out = perfetto_trace_json(&merged).to_string();
         // One process per shard, plus the pid-1 federation meta.
         assert!(out.contains("\"pid\": 2, \"tid\": 0, \"args\": {\"name\": \"shard 0\"}"));
         assert!(out.contains("\"pid\": 3, \"tid\": 0, \"args\": {\"name\": \"shard 1\"}"));
@@ -430,7 +403,7 @@ mod tests {
         assert!(!out.contains("s0/uplink"), "prefix stripped from threads");
         // Events land on their shard's pid.
         assert!(out.contains("\"name\": \"shard.xfer.egress\", \"cat\": \"shard\""));
-        let a = perfetto_trace_json(&merged);
+        let a = perfetto_trace_json(&merged).to_string();
         assert_eq!(a, out, "deterministic");
     }
 

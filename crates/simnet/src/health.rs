@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{Json, Layout};
 use crate::time::{SimDuration, SimTime};
 use crate::timeseries::{SamplerConfig, Telemetry};
 use crate::trace::{Metrics, SegmentStats, Trace};
@@ -674,101 +675,61 @@ impl HealthReport {
         }
     }
 
-    /// Renders the report as deterministic JSON (stable field order,
+    /// The report as a deterministic JSON value (stable field order,
     /// integers only), byte-identical across identical runs.
-    pub fn to_json(&self) -> String {
-        use crate::trace::push_json_string;
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"generated_ns\": {},\n  \"interval_ns\": {},\n  \"samples\": {},\n",
-            self.generated_ns, self.interval_ns, self.samples
-        ));
-        out.push_str(&format!(
-            "  \"scheduler\": {{\"events_pending\": {}, \"lag_p99_ns\": {}, \"lag_max_ns\": {}, \"pending_trend\": [",
-            self.events_pending, self.sched_lag_p99_ns, self.sched_lag_max_ns
-        ));
-        for (i, v) in self.events_pending_trend.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&v.to_string());
-        }
-        out.push_str("]},\n  \"bridges\": [");
-        for (i, b) in self.bridges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"platform\": ");
-            push_json_string(&mut out, &b.platform);
-            out.push_str(&format!(
-                ", \"last_traffic_ns\": {}, \"idle_ns\": {}, \"silent\": {}}}",
-                b.last_traffic_ns, b.idle_ns, b.silent
-            ));
-        }
-        if !self.bridges.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"segments\": [");
-        for (i, s) in self.segments.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"label\": ");
-            push_json_string(&mut out, &s.label);
-            out.push_str(&format!(
-                ", \"utilization_milli\": {}, \"frames\": {}, \"dropped\": {}}}",
-                s.utilization_milli, s.frames, s.dropped
-            ));
-        }
-        if !self.segments.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"alerts\": [");
-        for (i, a) in self.alerts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            push_json_string(&mut out, &a.name);
-            out.push_str(", \"subject\": ");
-            push_json_string(&mut out, &a.subject);
-            out.push_str(&format!(
-                ", \"state\": \"{}\", \"since_ns\": {}, \"burn_long_milli\": {}, \"burn_short_milli\": {}}}",
-                a.state.as_str(),
-                a.since_ns,
-                a.burn_long_milli,
-                a.burn_short_milli
-            ));
-        }
-        if !self.alerts.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"top_offenders\": [");
-        for (i, o) in self.top_offenders.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"kind\": ");
-            push_json_string(&mut out, &o.kind);
-            out.push_str(", \"name\": ");
-            push_json_string(&mut out, &o.name);
-            out.push_str(", \"subject\": ");
-            push_json_string(&mut out, &o.subject);
-            out.push_str(&format!(", \"severity_milli\": {}", o.severity_milli));
-            out.push_str(", \"dominant\": ");
-            push_json_string(&mut out, &o.dominant);
-            out.push_str(&format!(", \"exemplar_corr\": {}}}", o.exemplar_corr));
-        }
-        if !self.top_offenders.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"top_segment\": ");
-        match &self.top_segment {
-            Some(label) => push_json_string(&mut out, label),
-            None => out.push_str("null"),
-        }
-        out.push_str("\n}\n");
-        out
+    pub fn to_json(&self) -> Json {
+        let bridges = self.bridges.iter().map(|b| {
+            Json::inline()
+                .with("platform", &b.platform)
+                .with("last_traffic_ns", b.last_traffic_ns)
+                .with("idle_ns", b.idle_ns)
+                .with("silent", b.silent)
+        });
+        let segments = self.segments.iter().map(|s| {
+            Json::inline()
+                .with("label", &s.label)
+                .with("utilization_milli", s.utilization_milli)
+                .with("frames", s.frames)
+                .with("dropped", s.dropped)
+        });
+        let alerts = self.alerts.iter().map(|a| {
+            Json::inline()
+                .with("name", &a.name)
+                .with("subject", &a.subject)
+                .with("state", a.state.as_str())
+                .with("since_ns", a.since_ns)
+                .with("burn_long_milli", a.burn_long_milli)
+                .with("burn_short_milli", a.burn_short_milli)
+        });
+        let top_offenders = self.top_offenders.iter().map(|o| {
+            Json::inline()
+                .with("kind", &o.kind)
+                .with("name", &o.name)
+                .with("subject", &o.subject)
+                .with("severity_milli", o.severity_milli)
+                .with("dominant", &o.dominant)
+                .with("exemplar_corr", o.exemplar_corr)
+        });
+        Json::block()
+            .with("generated_ns", self.generated_ns)
+            .with("interval_ns", self.interval_ns)
+            .with("samples", self.samples)
+            .with(
+                "scheduler",
+                Json::inline()
+                    .with("events_pending", self.events_pending)
+                    .with("lag_p99_ns", self.sched_lag_p99_ns)
+                    .with("lag_max_ns", self.sched_lag_max_ns)
+                    .with(
+                        "pending_trend",
+                        Json::array(Layout::Inline, self.events_pending_trend.iter().copied()),
+                    ),
+            )
+            .with("bridges", Json::array(Layout::Block, bridges))
+            .with("segments", Json::array(Layout::Block, segments))
+            .with("alerts", Json::array(Layout::Block, alerts))
+            .with("top_offenders", Json::array(Layout::Block, top_offenders))
+            .with("top_segment", self.top_segment.as_ref())
     }
 
     /// Summary map for quick assertions: objective name → state.
@@ -970,8 +931,8 @@ mod tests {
         assert_eq!(report.top_offenders.len(), 2);
         assert_eq!(report.top_offenders[0].kind, "bridge-silent");
         assert_eq!(report.top_offenders[1].kind, "segment-hot");
-        let json = report.to_json();
-        assert_eq!(json, report.to_json());
+        let json = report.to_json().document();
+        assert_eq!(json, report.to_json().document());
         assert!(json.contains("\"silent\": true"));
         assert!(json.ends_with("}\n"));
     }
@@ -1254,7 +1215,7 @@ mod tests {
         assert_eq!(silent.dominant, "bridge:upnp/self");
         assert_eq!(silent.exemplar_corr, 42);
         // The annotations survive the JSON render.
-        let json = report.to_json();
+        let json = report.to_json().document();
         assert!(json.contains("\"dominant\": \"process:umiddle-runtime/queue\""));
         assert!(json.contains(&format!("\"exemplar_corr\": {}", 0x77)));
     }

@@ -20,8 +20,9 @@
 //! is byte-deterministic: two runs of the same seeded world produce
 //! byte-identical bundles, which CI enforces with a double-run diff.
 
+use crate::json::{Json, Layout};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{push_json_string, SpanRecord};
+use crate::trace::SpanRecord;
 use crate::AlertTransition;
 
 /// What tripped the trigger plane.
@@ -131,117 +132,71 @@ pub struct IncidentBundle {
     /// Cumulative flight-recorder span overwrites at capture time —
     /// how much history had already been recycled.
     pub ring_overwrites: u64,
-    /// The live telemetry window, pre-rendered
-    /// ([`crate::TelemetryWindow::to_json`]); `None` if telemetry off.
-    pub telemetry_json: Option<String>,
+    /// The live telemetry window ([`crate::TelemetryWindow::to_json`]);
+    /// `None` if telemetry off.
+    pub telemetry: Option<Json>,
     /// Full SLO state-machine history up to the trigger.
     pub transitions: Vec<AlertTransition>,
-    /// The doctor report at capture time, pre-rendered
+    /// The doctor report at capture time
     /// ([`crate::HealthReport::to_json`]); `None` if telemetry off.
-    pub doctor_json: Option<String>,
+    pub doctor: Option<Json>,
     /// What was running.
     pub topology: TopologyDigest,
 }
 
 impl IncidentBundle {
-    /// Renders the bundle as one deterministic JSON artifact: stable key
-    /// order, integer-only numbers, pre-rendered sub-reports embedded
-    /// verbatim. Two runs of the same seeded world produce
+    /// The bundle as one deterministic JSON value: stable key order,
+    /// integer-only numbers, the telemetry and doctor sub-reports nested
+    /// in place. Two runs of the same seeded world produce
     /// byte-identical output.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"trigger\": {\n");
-        out.push_str(&format!(
-            "    \"kind\": \"{}\",\n    \"detail\": ",
-            self.kind.as_str()
-        ));
-        push_json_string(&mut out, &self.detail);
-        out.push_str(&format!(
-            ",\n    \"at_ns\": {},\n    \"seq\": {},\n    \"shard\": {}\n  }},\n",
-            self.at.as_nanos(),
-            self.seq,
-            match self.shard {
-                Some(s) => s.to_string(),
-                None => "null".to_owned(),
-            }
-        ));
-        out.push_str(&format!(
-            "  \"topology\": {{\n    \"nodes\": {},\n    \"processes\": {},\n    \"segments\": [",
-            self.topology.nodes, self.topology.processes
-        ));
-        for (i, s) in self.topology.segments.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            push_json_string(&mut out, s);
-        }
-        out.push_str(&format!(
-            "],\n    \"digest\": \"{:#018x}\"\n  }},\n",
-            self.topology.digest
-        ));
-        out.push_str(&format!(
-            "  \"flight_recorder\": {{\"spans\": {}, \"ring_overwrites\": {}}},\n",
-            self.spans.len(),
-            self.ring_overwrites
-        ));
-        out.push_str("  \"trace\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!(
-                "\"id\": {}, \"parent\": {}, \"corr\": \"{:#x}\", \"source\": ",
-                s.id.0,
-                s.parent.map(|p| p.0).unwrap_or(0),
-                s.corr
-            ));
-            push_json_string(&mut out, &s.source);
-            out.push_str(", \"stage\": ");
-            push_json_string(&mut out, s.stage);
-            out.push_str(", \"detail\": ");
-            push_json_string(&mut out, &s.detail.to_string());
-            out.push_str(&format!(
-                ", \"start_ns\": {}, \"end_ns\": {}}}",
-                s.start.as_nanos(),
-                match s.end {
-                    Some(e) => e.as_nanos().to_string(),
-                    None => "null".to_owned(),
-                }
-            ));
-        }
-        if !self.spans.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"slo_history\": [");
-        for (i, t) in self.transitions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"at_ns\": ");
-            out.push_str(&t.at.as_nanos().to_string());
-            out.push_str(", \"objective\": ");
-            push_json_string(&mut out, &t.objective);
-            out.push_str(&format!(
-                ", \"from\": \"{}\", \"to\": \"{}\"}}",
-                t.from.as_str(),
-                t.to.as_str()
-            ));
-        }
-        if !self.transitions.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"telemetry\": ");
-        match &self.telemetry_json {
-            Some(j) => out.push_str(j.trim_end()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\n  \"doctor\": ");
-        match &self.doctor_json {
-            Some(j) => out.push_str(j.trim_end()),
-            None => out.push_str("null"),
-        }
-        out.push_str("\n}\n");
-        out
+    pub fn to_json(&self) -> Json {
+        let topology = &self.topology;
+        let trace = self.spans.iter().map(|s| {
+            Json::inline()
+                .with("id", s.id.0)
+                .with("parent", s.parent.map_or(0, |p| p.0))
+                .with("corr", format!("{:#x}", s.corr))
+                .with("source", &*s.source)
+                .with("stage", s.stage)
+                .with("detail", s.detail.to_string())
+                .with("start_ns", s.start.as_nanos())
+                .with("end_ns", s.end.map(SimTime::as_nanos))
+        });
+        let slo_history = self.transitions.iter().map(|t| {
+            Json::inline()
+                .with("at_ns", t.at.as_nanos())
+                .with("objective", &t.objective)
+                .with("from", t.from.as_str())
+                .with("to", t.to.as_str())
+        });
+        Json::block()
+            .with(
+                "trigger",
+                Json::block()
+                    .with("kind", self.kind.as_str())
+                    .with("detail", &self.detail)
+                    .with("at_ns", self.at.as_nanos())
+                    .with("seq", self.seq)
+                    .with("shard", self.shard),
+            )
+            .with(
+                "topology",
+                Json::block()
+                    .with("nodes", topology.nodes)
+                    .with("processes", topology.processes)
+                    .with("segments", Json::array(Layout::Inline, &topology.segments))
+                    .with("digest", format!("{:#018x}", topology.digest)),
+            )
+            .with(
+                "flight_recorder",
+                Json::inline()
+                    .with("spans", self.spans.len())
+                    .with("ring_overwrites", self.ring_overwrites),
+            )
+            .with("trace", Json::array(Layout::Block, trace))
+            .with("slo_history", Json::array(Layout::Block, slo_history))
+            .with("telemetry", self.telemetry.clone())
+            .with("doctor", self.doctor.clone())
     }
 }
 
@@ -269,14 +224,14 @@ mod tests {
                 end: Some(SimTime::from_millis(30_001)),
             }],
             ring_overwrites: 7,
-            telemetry_json: None,
+            telemetry: None,
             transitions: vec![AlertTransition {
                 at: SimTime::from_millis(30_500),
                 objective: "hub-latency".into(),
                 from: AlertState::Ok,
                 to: AlertState::Firing,
             }],
-            doctor_json: None,
+            doctor: None,
             topology: TopologyDigest::new(
                 ["h1", "h2"].into_iter(),
                 ["rt0", "mapper"].into_iter(),
@@ -288,8 +243,8 @@ mod tests {
     #[test]
     fn bundle_json_is_deterministic_and_escaped() {
         let b = demo_bundle();
-        let j1 = b.to_json();
-        let j2 = b.clone().to_json();
+        let j1 = b.to_json().document();
+        let j2 = b.clone().to_json().document();
         assert_eq!(j1, j2);
         assert!(j1.contains("\"kind\": \"slo-firing\""));
         assert!(j1.contains("\"shard\": 1"));

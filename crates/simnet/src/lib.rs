@@ -70,6 +70,7 @@ mod error;
 pub mod export;
 pub mod health;
 pub mod incident;
+pub mod json;
 mod medium;
 pub mod payload;
 mod process;
@@ -92,6 +93,7 @@ pub use health::{
     SloKind, TelemetryConfig,
 };
 pub use incident::{IncidentBundle, TopologyDigest, TriggerKind};
+pub use json::{Json, JsonError, Layout};
 pub use medium::{schedule_tx, SegmentConfig, TxTiming};
 pub use payload::{ChunkQueue, Payload, PayloadBuilder, PayloadStats};
 pub use process::{

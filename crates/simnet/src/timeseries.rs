@@ -19,6 +19,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use crate::json::{Json, Layout};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Histogram, Metrics, LATENCY_BUCKET_BOUNDS_NS};
 
@@ -542,88 +543,46 @@ pub struct TelemetryWindow {
 }
 
 impl TelemetryWindow {
-    /// Renders the window as deterministic JSON (sorted keys, integers
+    /// The window as a deterministic JSON value (sorted keys, integers
     /// only), byte-identical across identical runs.
-    pub fn to_json(&self) -> String {
-        fn push_u64_array(out: &mut String, it: impl Iterator<Item = u64>) {
-            out.push('[');
-            for (i, v) in it.enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&v.to_string());
-            }
-            out.push(']');
-        }
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"interval_ns\": {},\n  \"samples\": {},\n  \"last_sample_ns\": {},\n",
-            self.interval_ns, self.samples, self.last_sample_ns
-        ));
-        out.push_str("  \"counters\": {");
-        let mut first = true;
-        for (name, w) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n    ");
-            crate::trace::push_json_string(&mut out, name);
-            out.push_str(&format!(
-                ": {{\"total\": {}, \"high_watermark\": {}, \"deltas\": ",
-                w.total, w.high_watermark
-            ));
-            push_u64_array(&mut out, w.deltas.iter().copied());
-            out.push('}');
-        }
-        if !first {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"gauges\": {");
-        first = true;
-        for (name, w) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n    ");
-            crate::trace::push_json_string(&mut out, name);
-            out.push_str(&format!(
-                ": {{\"high_watermark\": {}, \"low_watermark\": {}, \"values\": [",
-                w.high_watermark, w.low_watermark
-            ));
-            for (i, v) in w.values.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&v.to_string());
-            }
-            out.push_str("]}");
-        }
-        if !first {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"histograms\": {");
-        first = true;
-        for (name, w) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n    ");
-            crate::trace::push_json_string(&mut out, name);
-            out.push_str(&format!(
-                ": {{\"count\": {}, \"sum_ns\": {}, \"count_deltas\": ",
-                w.count, w.sum_ns
-            ));
-            push_u64_array(&mut out, w.count_deltas.iter().copied());
-            out.push('}');
-        }
-        if !first {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+    pub fn to_json(&self) -> Json {
+        let counters = self.counters.iter().map(|(name, w)| {
+            let w = Json::inline()
+                .with("total", w.total)
+                .with("high_watermark", w.high_watermark)
+                .with(
+                    "deltas",
+                    Json::array(Layout::Inline, w.deltas.iter().copied()),
+                );
+            (name, w)
+        });
+        let gauges = self.gauges.iter().map(|(name, w)| {
+            let w = Json::inline()
+                .with("high_watermark", w.high_watermark)
+                .with("low_watermark", w.low_watermark)
+                .with(
+                    "values",
+                    Json::array(Layout::Inline, w.values.iter().copied()),
+                );
+            (name, w)
+        });
+        let histograms = self.histograms.iter().map(|(name, w)| {
+            let w = Json::inline()
+                .with("count", w.count)
+                .with("sum_ns", w.sum_ns)
+                .with(
+                    "count_deltas",
+                    Json::array(Layout::Inline, w.count_deltas.iter().copied()),
+                );
+            (name, w)
+        });
+        Json::block()
+            .with("interval_ns", self.interval_ns)
+            .with("samples", self.samples)
+            .with("last_sample_ns", self.last_sample_ns)
+            .with("counters", Json::object(Layout::Block, counters))
+            .with("gauges", Json::object(Layout::Block, gauges))
+            .with("histograms", Json::object(Layout::Block, histograms))
     }
 }
 
@@ -756,8 +715,8 @@ mod tests {
         t.sample(SimTime::ZERO, &m);
         m.counter_add("a", 1);
         t.sample(SimTime::from_millis(100), &m);
-        let j1 = t.window(None).to_json();
-        let j2 = t.window(None).to_json();
+        let j1 = t.window(None).to_json().document();
+        let j2 = t.window(None).to_json().document();
         assert_eq!(j1, j2);
         assert!(j1.find("\"a\"").unwrap() < j1.find("\"b\"").unwrap());
         assert!(j1.contains("\"interval_ns\": 100000000"));

@@ -23,6 +23,7 @@ use std::fmt;
 use std::ops::Bound;
 use std::sync::{Arc, Mutex, PoisonError};
 
+use crate::json::{Json, Layout};
 use crate::time::{SimDuration, SimTime};
 
 /// One recorded trace event.
@@ -873,108 +874,48 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Renders the snapshot as pretty-printed JSON with fully
-    /// deterministic key order and integer-only numbers, so two
-    /// identical runs produce byte-identical output.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"counters\": {");
-        push_map(
-            &mut out,
-            self.counters.iter().map(|(k, v)| (k, v.to_string())),
-        );
-        out.push_str("},\n  \"gauges\": {");
-        push_map(
-            &mut out,
-            self.gauges.iter().map(|(k, v)| (k, v.to_string())),
-        );
-        out.push_str("},\n  \"bucket_bounds_ns\": [");
-        for (i, b) in LATENCY_BUCKET_BOUNDS_NS.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&b.to_string());
-        }
-        out.push_str("],\n  \"histograms\": {");
-        let mut first = true;
-        for (name, h) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(": {");
-            out.push_str(&format!(
-                "\"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"max_corr\": {}, \"buckets\": [",
-                h.count(),
-                h.sum_ns(),
-                h.min().as_nanos(),
-                h.max().as_nanos(),
-                h.max_corr(),
-            ));
-            for (i, c) in h.bucket_counts().iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&c.to_string());
-            }
+    /// The snapshot as a JSON value with fully deterministic key order
+    /// and integer-only numbers, so two identical runs write
+    /// byte-identical output.
+    pub fn to_json(&self) -> Json {
+        let histograms = self.histograms.iter().map(|(name, h)| {
             // Exemplars render sparse — [bucket index, corr] pairs —
             // but the key is always present, so sharded-vs-single and
             // exemplar-vs-none snapshots differ only in values.
-            out.push_str("], \"exemplars\": [");
-            let mut first_ex = true;
-            for (i, &corr) in h.bucket_exemplars().iter().enumerate() {
-                if corr == 0 {
-                    continue;
-                }
-                if !first_ex {
-                    out.push_str(", ");
-                }
-                first_ex = false;
-                out.push_str(&format!("[{i}, {corr}]"));
-            }
-            out.push_str("]}");
-        }
-        if !first {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+            let exemplars = h
+                .bucket_exemplars()
+                .iter()
+                .enumerate()
+                .filter(|&(_, &corr)| corr != 0)
+                .map(|(i, &corr)| Json::array(Layout::Inline, [i as u64, corr]));
+            let h = Json::inline()
+                .with("count", h.count())
+                .with("sum_ns", h.sum_ns())
+                .with("min_ns", h.min().as_nanos())
+                .with("max_ns", h.max().as_nanos())
+                .with("max_corr", h.max_corr())
+                .with(
+                    "buckets",
+                    Json::array(Layout::Inline, h.bucket_counts().iter().copied()),
+                )
+                .with("exemplars", Json::array(Layout::Inline, exemplars));
+            (name, h)
+        });
+        Json::block()
+            .with(
+                "counters",
+                Json::object(Layout::Block, self.counters.iter().map(|(k, &v)| (k, v))),
+            )
+            .with(
+                "gauges",
+                Json::object(Layout::Block, self.gauges.iter().map(|(k, &v)| (k, v))),
+            )
+            .with(
+                "bucket_bounds_ns",
+                Json::array(Layout::Inline, LATENCY_BUCKET_BOUNDS_NS),
+            )
+            .with("histograms", Json::object(Layout::Block, histograms))
     }
-}
-
-fn push_map<'a>(out: &mut String, entries: impl Iterator<Item = (&'a String, String)>) {
-    let mut first = true;
-    for (k, v) in entries {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n    ");
-        push_json_string(out, k);
-        out.push_str(": ");
-        out.push_str(&v);
-    }
-    if !first {
-        out.push_str("\n  ");
-    }
-}
-
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Bounded event log, structured span log, and metrics registry.
@@ -1699,8 +1640,8 @@ mod tests {
         m.counter_add("a", 1);
         m.gauge_set("g", -5);
         m.observe("lat", SimDuration::from_micros(3));
-        let j1 = m.snapshot().to_json();
-        let j2 = m.snapshot().to_json();
+        let j1 = m.snapshot().to_json().document();
+        let j2 = m.snapshot().to_json().document();
         assert_eq!(j1, j2);
         // Keys appear sorted regardless of insertion order.
         let a = j1.find("\"a\"").unwrap();

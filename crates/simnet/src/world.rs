@@ -810,8 +810,8 @@ impl World {
             .filter(|s| s.effective_end() >= since)
             .cloned()
             .collect();
-        let telemetry_json = self.telemetry_window(None).map(|w| w.to_json());
-        let doctor_json = self.doctor().map(|r| r.to_json());
+        let telemetry = self.telemetry_window(None).map(|w| w.to_json());
+        let doctor = self.doctor().map(|r| r.to_json());
         let transitions = self
             .slo_engine()
             .map(|e| e.transitions().to_vec())
@@ -836,9 +836,9 @@ impl World {
             shard,
             spans,
             ring_overwrites,
-            telemetry_json,
+            telemetry,
             transitions,
-            doctor_json,
+            doctor,
             topology,
         });
     }

@@ -400,7 +400,7 @@ fn trace_exports_are_deterministic() {
                 }
             }
             (
-                simnet::perfetto_trace_json(trace.spans()),
+                simnet::perfetto_trace_json(trace.spans()).to_string(),
                 simnet::folded_stacks(trace.spans()),
             )
         };

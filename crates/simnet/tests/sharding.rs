@@ -483,7 +483,11 @@ fn sharded_incident_bundles_are_deterministic_across_interleavings() {
                 Ok(())
             },
             |world, info| {
-                let bundles: Vec<String> = world.incidents().iter().map(|b| b.to_json()).collect();
+                let bundles: Vec<String> = world
+                    .incidents()
+                    .iter()
+                    .map(|b| b.to_json().document())
+                    .collect();
                 (info.shard, bundles)
             },
         )

@@ -469,7 +469,7 @@ impl UmiddleRuntime {
 
     /// Multicasts a directory-plane message, charging its encoded length
     /// to the federation-wide `directory.bytes_gossiped` counter (the
-    /// measure E12 reports and `perf_dir --check` pins).
+    /// measure E12 reports and `bench perf-dir --check` pins).
     fn gossip_multicast(&mut self, ctx: &mut Ctx<'_>, msg: &WireMessage) {
         let bytes = msg.encode();
         ctx.bump(metric_id!("directory.bytes_gossiped"), bytes.len() as u64);
