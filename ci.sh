@@ -30,13 +30,9 @@
 #                        (default 50000)
 #   PERF_P99_BUDGET_US   --p99-budget-us: p99 dispatch budget in µs
 #                        (default 200)
-#   PERF_RECORDER_OVERHEAD  --recorder-overhead: ceiling on the always-on
-#                        flight recorder's wall-clock ratio at N=1000
-#                        (default 1.03 — the <=3% budget for keeping it
-#                        on everywhere)
 #   PERF_ATTRIB_OVERHEAD --attrib-overhead: ceiling on the attribution
 #                        plane's wall-clock ratio at N=1000 (default
-#                        1.03 — same always-on budget as the recorder).
+#                        1.03 — the <=3% budget for keeping it on).
 #                        perf-sched --check also runs the differential
 #                        perf doctor: the E13 attribution run diffed
 #                        against the checked-in
@@ -65,7 +61,6 @@ STAGE="${1:-all}"
 
 : "${PERF_FLOOR_EVPS:=50000}"
 : "${PERF_P99_BUDGET_US:=200}"
-: "${PERF_RECORDER_OVERHEAD:=1.03}"
 : "${PERF_ATTRIB_OVERHEAD:=1.03}"
 : "${PERF_SHARD_SPEEDUP:=1.5}"
 : "${PERF_DIR_P99_US:=200}"
@@ -222,15 +217,13 @@ stage_perf() {
     # Scheduler gates: timer-wheel kernel vs reference heap, E9
     # events/sec floor and near-linearity, p99 dispatch budget, E9b
     # scheduler pops per delivered datagram (flat from 100 to 1000
-    # devices), telemetry sampler overhead ceiling, flight-recorder
-    # and attribution overhead ceilings, the differential perf doctor
-    # against the checked-in attribution baseline, E9c shard-scaling
-    # floor on wall time (enforced only on >=4-core hosts). Knobs come
-    # from PERF_FLOOR_EVPS / PERF_P99_BUDGET_US / PERF_RECORDER_OVERHEAD /
-    # PERF_ATTRIB_OVERHEAD / PERF_SHARD_SPEEDUP.
+    # devices), telemetry sampler and attribution overhead ceilings,
+    # the differential perf doctor against the checked-in attribution
+    # baseline, E9c shard-scaling floor on wall time (enforced only on
+    # >=4-core hosts). Knobs come from PERF_FLOOR_EVPS /
+    # PERF_P99_BUDGET_US / PERF_ATTRIB_OVERHEAD / PERF_SHARD_SPEEDUP.
     gate perf-sched cargo run --offline --release -p bench -- perf-sched \
         --check --floor-evps "$PERF_FLOOR_EVPS" --p99-budget-us "$PERF_P99_BUDGET_US" \
-        --recorder-overhead "$PERF_RECORDER_OVERHEAD" \
         --attrib-overhead "$PERF_ATTRIB_OVERHEAD" \
         --shard-speedup "$PERF_SHARD_SPEEDUP"
     # Directory-federation gates: the E12 delta-gossip federation must

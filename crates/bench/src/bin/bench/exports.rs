@@ -48,8 +48,8 @@ fn trace(args: &Args) {
     );
     let r = e8_observability();
     println!(
-        "E8 trace: {} spans recorded ({} dropped)",
-        r.span_count, r.spans_dropped
+        "E8 trace: {} spans recorded ({} overwritten)",
+        r.span_count, r.spans_overwritten
     );
     match &r.critical_path {
         Some(cp) => print!("{}", cp.render()),

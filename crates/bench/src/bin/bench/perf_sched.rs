@@ -10,10 +10,10 @@
 //! N = 1000, a near-linearity bound on the per-event wall cost from
 //! N = 100 to N = 1000, a p99 dispatch-latency budget, a bound on E9b
 //! scheduler pops per delivered datagram (flat in burst size), ceilings
-//! on the telemetry sampler's, the flight recorder's and the
-//! attribution plane's overhead at N = 1000, the differential perf
-//! doctor (the E13 attribution run diffed against its checked-in
-//! baseline), and a shard-scaling floor at 4 shards / N = 10 000.
+//! on the telemetry sampler's and the attribution plane's overhead at
+//! N = 1000, the differential perf doctor (the E13 attribution run
+//! diffed against its checked-in baseline), and a shard-scaling floor
+//! at 4 shards / N = 10 000.
 //! `--json FILE` writes the sweep as deterministic-schema JSON (values
 //! are wall-clock and machine-dependent; the schema is what golden
 //! files assert on).
@@ -22,8 +22,6 @@
 //!
 //! * `--floor-evps N` — events/sec floor at N = 1000 (default 50000).
 //! * `--p99-budget-us N` — p99 dispatch budget in µs (default 200).
-//! * `--recorder-overhead X` — ceiling on the always-on flight
-//!   recorder's wall-clock ratio at N = 1000 (default 1.03).
 //! * `--attrib-overhead X` — ceiling on the attribution plane's
 //!   wall-clock ratio at N = 1000 (default 1.03).
 //! * `--attrib-baseline FILE` — checked-in attribution baseline the
@@ -44,8 +42,8 @@
 //!   wall time).
 
 use bench::experiments::{
-    e10_sampler_overhead, e11_recorder_overhead, e13_attrib_overhead, e13_attribution,
-    e9_sched_scale, e9b_deferral_sweep, e9c_shard_scale,
+    e10_sampler_overhead, e13_attrib_overhead, e13_attribution, e9_sched_scale, e9b_deferral_sweep,
+    e9c_shard_scale,
 };
 use bench::report::{render_e9, render_e9b, render_e9c};
 use bench::timing::sched_kernel;
@@ -89,21 +87,13 @@ const CHECK_DEFERRAL_GROWTH: f64 = 1.2;
 /// shared box.
 const CHECK_SAMPLER_OVERHEAD: f64 = 1.05;
 
-/// `--check` ceiling on the always-on flight recorder's wall-clock
-/// overhead at N = 1000 (min paired ratio over alternating passes,
-/// recorder vs plain trace, on the E9b busy-sink fixture). The ring
-/// journal evicts in half-capacity chunks, so the amortized per-span
-/// cost is a few pointer moves; 3% is the issue's budget for keeping
-/// the recorder on in every run.
-const CHECK_RECORDER_OVERHEAD: f64 = 1.03;
-
 /// `--check` ceiling on the attribution plane's wall-clock overhead at
 /// N = 1000 (min paired ratio over alternating passes, telemetry +
 /// attribution fold vs telemetry alone, on the E9b busy-sink fixture).
 /// The fold is incremental — a cursor walk over spans begun or closed
 /// since the last sample — so its amortized cost is a few map updates
-/// per span; 3% matches the flight recorder's budget for keeping the
-/// profiler on continuously.
+/// per span; 3% is the budget for keeping the profiler on
+/// continuously.
 const CHECK_ATTRIB_OVERHEAD: f64 = 1.03;
 
 /// Default `--attrib-baseline`: the checked-in healthy-half attribution
@@ -127,7 +117,6 @@ pub const COMMAND: Command = Command {
         "--json",
         "--floor-evps",
         "--p99-budget-us",
-        "--recorder-overhead",
         "--attrib-overhead",
         "--attrib-baseline",
         "--shard-speedup",
@@ -136,7 +125,7 @@ pub const COMMAND: Command = Command {
     switches: &["--check"],
     takes_args: false,
     usage: "perf-sched [--check] [--json FILE] [--floor-evps N] [--p99-budget-us N] \
-            [--recorder-overhead X] [--attrib-overhead X] [--attrib-baseline FILE] \
+            [--attrib-overhead X] [--attrib-baseline FILE] \
             [--shard-speedup X] [--e9c-devices N]",
     run,
 };
@@ -146,7 +135,6 @@ fn run(args: &Args) {
     let p99_budget_us: u64 = args.get("--p99-budget-us", DEFAULT_P99_BUDGET_US);
     let p99_budget_ns = p99_budget_us * 1_000;
     let shard_speedup: f64 = args.get("--shard-speedup", DEFAULT_SHARD_SPEEDUP);
-    let recorder_ceiling: f64 = args.get("--recorder-overhead", CHECK_RECORDER_OVERHEAD);
     let attrib_ceiling: f64 = args.get("--attrib-overhead", CHECK_ATTRIB_OVERHEAD);
     let attrib_baseline = args.get("--attrib-baseline", DEFAULT_ATTRIB_BASELINE.to_owned());
     let host_cores = std::thread::available_parallelism()
@@ -251,23 +239,11 @@ fn run(args: &Args) {
             "telemetry sampler overhead x{overhead:.3} at N=1000 exceeds x{CHECK_SAMPLER_OVERHEAD}"
         );
 
-        // Flight recorder: always-on ring journaling must stay within
-        // its overhead budget on the busy-sink fixture — the whole
-        // point of the recorder is that nobody turns tracing off for
-        // performance. Min paired ratio over alternating passes, same
-        // rationale as the sampler gate.
-        let recorder = e11_recorder_overhead(1000, SimDuration::from_secs(5), 5);
-        assert!(
-            recorder <= recorder_ceiling,
-            "flight recorder overhead x{recorder:.3} at N=1000 exceeds x{recorder_ceiling} \
-             (override with --recorder-overhead on a noisy host)"
-        );
-
         // Attribution plane: the continuous time-decomposition fold
         // must stay within its overhead budget on the same fixture —
-        // like the recorder, the profiler only earns always-on status
-        // if nobody is tempted to turn it off. Min paired ratio over
-        // alternating passes, same rationale as the sampler gate.
+        // the profiler only earns always-on status if nobody is
+        // tempted to turn it off. Min paired ratio over alternating
+        // passes, same rationale as the sampler gate.
         let attrib = e13_attrib_overhead(1000, SimDuration::from_secs(5), 5);
         assert!(
             attrib <= attrib_ceiling,
@@ -313,7 +289,7 @@ fn run(args: &Args) {
         }
 
         println!(
-            "bench perf-sched --check: ok (N=1000 {:.0} events/s, per-event cost x{:.2} over 10x devices, p99 {} ns <= {} ns, E9b pops/datagram {:.3} at N=100 and {:.3} at N=1000, sampler overhead x{:.3}, recorder overhead x{:.3}, attribution overhead x{:.3}, shard speedup x{:.2} at 4 shards on {} core(s), wheel {:.0} ns/op vs heap {:.0} ns/op)",
+            "bench perf-sched --check: ok (N=1000 {:.0} events/s, per-event cost x{:.2} over 10x devices, p99 {} ns <= {} ns, E9b pops/datagram {:.3} at N=100 and {:.3} at N=1000, sampler overhead x{:.3}, attribution overhead x{:.3}, shard speedup x{:.2} at 4 shards on {} core(s), wheel {:.0} ns/op vs heap {:.0} ns/op)",
             large.events_per_sec,
             cost_large / cost_small,
             large.p99_dispatch_ns,
@@ -321,7 +297,6 @@ fn run(args: &Args) {
             little.pops_per_delivered,
             big.pops_per_delivered,
             overhead,
-            recorder,
             attrib,
             sharded_speedup,
             host_cores,

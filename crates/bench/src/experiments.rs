@@ -1154,8 +1154,8 @@ pub struct ObservabilityResults {
     pub snapshot: simnet::MetricsSnapshot,
     /// Total spans recorded across all paths.
     pub span_count: usize,
-    /// Spans lost to the bounded span log (should be 0).
-    pub spans_dropped: u64,
+    /// Spans the ring journal overwrote (0 for this run).
+    pub spans_overwritten: u64,
     /// Correlation id of the bridged Bluetooth→UPnP path.
     pub bridged_corr: Option<u64>,
     /// One Bluetooth→uMiddle→UPnP path, reconstructed from its spans.
@@ -1279,7 +1279,7 @@ pub fn e8_observability() -> ObservabilityResults {
     ObservabilityResults {
         snapshot: trace.metrics().snapshot(),
         span_count: trace.spans().len(),
-        spans_dropped: trace.spans_dropped(),
+        spans_overwritten: trace.ring_overwrites(),
         bridged_corr: corr,
         sample_path,
         critical_path,
@@ -2587,132 +2587,6 @@ pub fn e11_sharded_incident() -> ShardedIncidentResults {
 }
 
 // =====================================================================
-// E11b — trace-loss A/B and flight-recorder overhead
-// =====================================================================
-
-/// One side of the trace-loss A/B: what a tight span journal kept and
-/// lost under one overflow policy.
-#[derive(Debug, Clone)]
-pub struct TraceLossSide {
-    /// Overflow policy label.
-    pub mode: &'static str,
-    /// Spans still in the journal at the end of the run.
-    pub retained: u64,
-    /// Spans the journal lost (dropped or overwritten).
-    pub lost: u64,
-    /// Whether the final second of the run is still observable — the
-    /// window an incident trigger would need to snapshot.
-    pub tail_survives: bool,
-}
-
-/// Runs the two-hop mouse→light federation with a deliberately tight
-/// span journal (capacity 256 against ~thousands of spans) under both
-/// overflow policies: legacy drop-on-full keeps the *head* of the run
-/// and goes blind for the rest; the flight recorder keeps the *tail* —
-/// the window that matters when a trigger fires. Returns
-/// `(drop side, recorder side)`.
-pub fn e11_trace_loss_ab() -> (TraceLossSide, TraceLossSide) {
-    use platform_bluetooth::{HidpMouse, MouseConfig};
-    use platform_upnp::{LightLogic, UpnpDevice};
-
-    let horizon = SimTime::from_secs(20);
-    let run = |recorder: bool| {
-        let mut world = World::new(0xE11B);
-        world.trace_mut().set_log_enabled(false);
-        if recorder {
-            world.trace_mut().enable_flight_recorder(256);
-        } else {
-            world.trace_mut().set_capacity(256);
-        }
-        let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
-        let pico = world.add_segment(SegmentConfig::bluetooth_piconet());
-        let (h1, rt1) = runtime_node(&mut world, "h1", 0, &[hub, pico]);
-        let mouse_node = world.add_node("mouse");
-        world.attach(mouse_node, pico).unwrap();
-        world.add_process(
-            mouse_node,
-            Box::new(HidpMouse::new(MouseConfig {
-                name: "AB Mouse".to_owned(),
-                click_interval: Some(SimDuration::from_millis(100)),
-                motion_interval: None,
-                click_limit: 0,
-            })),
-        );
-        world.add_process(
-            h1,
-            Box::new(BluetoothMapper::with_defaults(rt1, UsdlLibrary::bundled())),
-        );
-        let (h2, rt2) = runtime_node(&mut world, "h2", 1, &[hub]);
-        let light_node = world.add_node("light");
-        world.attach(light_node, hub).unwrap();
-        world.add_process(
-            light_node,
-            Box::new(UpnpDevice::new(
-                Box::new(LightLogic::new("AB Light", "uuid:ab-l")),
-                5000,
-            )),
-        );
-        world.add_process(
-            h2,
-            Box::new(UpnpMapper::with_defaults(rt2, UsdlLibrary::bundled())),
-        );
-        world.add_process(
-            h1,
-            Box::new(Wirer::new(
-                rt1,
-                vec![WireRule::new("AB Mouse", "clicks", "AB Light", "switch-on")],
-            )),
-        );
-        world.run_until(horizon);
-
-        let trace = world.trace();
-        let tail_from = SimTime::from_nanos(horizon.as_nanos() - 1_000_000_000);
-        let tail_survives = trace.spans().iter().any(|s| s.start >= tail_from);
-        TraceLossSide {
-            mode: if recorder {
-                "flight-recorder"
-            } else {
-                "drop-on-full"
-            },
-            retained: trace.spans().len() as u64,
-            lost: if recorder {
-                trace.ring_overwrites()
-            } else {
-                trace.spans_dropped()
-            },
-            tail_survives,
-        }
-    };
-    (run(false), run(true))
-}
-
-/// Measures the flight recorder's overhead on the E9b busy-sink fixture:
-/// the same seeded world over the same virtual window with the recorder
-/// off and on, `passes` times, minimum *paired* ratio (same noise
-/// discipline as [`e10_sampler_overhead`]). `bench perf-sched --check` holds
-/// this under its 3% budget at n = 1000.
-pub fn e11_recorder_overhead(n: usize, measure: SimDuration, passes: usize) -> f64 {
-    let setup = SimTime::from_secs(E9B_SETUP);
-    let run = |recorder: bool| {
-        let (mut world, _count) = e9b_world(n);
-        if recorder {
-            world.enable_flight_recorder();
-        }
-        world.run_until(setup);
-        let t0 = std::time::Instant::now();
-        world.run_until(setup + measure);
-        t0.elapsed().as_secs_f64().max(1e-9)
-    };
-    let mut best = f64::INFINITY;
-    for _ in 0..passes.max(2) {
-        let plain = run(false);
-        let recorded = run(true);
-        best = best.min(recorded / plain);
-    }
-    best
-}
-
-// =====================================================================
 // E13 — latency attribution: time decomposition + differential doctor
 // =====================================================================
 
@@ -3403,24 +3277,6 @@ mod tests {
         assert_eq!(parsed.to_json().document(), r.before_json);
         assert!(r.attrib_json.contains("\"components\""));
         assert!(r.diff_json.contains("\"rows\""));
-    }
-
-    /// The trace-loss A/B behind `BENCH_observability.json`: at equal
-    /// (tight) capacity, drop-on-full loses the tail of the run — the
-    /// window an incident would need — while the flight recorder keeps
-    /// it, at the price of overwriting the head.
-    #[test]
-    fn e11_trace_loss_ab_distinguishes_policies() {
-        let (drop_side, ring_side) = e11_trace_loss_ab();
-        assert_eq!(drop_side.mode, "drop-on-full");
-        assert_eq!(ring_side.mode, "flight-recorder");
-        // Both sides overflowed the tight journal…
-        assert!(drop_side.lost > 0, "fixture too small to overflow");
-        assert!(ring_side.lost > 0, "fixture too small to overflow");
-        // …but only the recorder still holds the end of the run.
-        assert!(!drop_side.tail_survives, "drop mode kept the tail?");
-        assert!(ring_side.tail_survives, "recorder lost the tail");
-        assert!(ring_side.retained > 0);
     }
 
     #[test]

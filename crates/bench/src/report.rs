@@ -183,8 +183,8 @@ pub fn render_e8(r: &ObservabilityResults) -> String {
         out.push_str(&format!("  {name:44} {v:>8}\n"));
     }
     out.push_str(&format!(
-        "\nspans recorded: {} (dropped: {})\n",
-        r.span_count, r.spans_dropped
+        "\nspans recorded: {} (overwritten: {})\n",
+        r.span_count, r.spans_overwritten
     ));
     out.push_str("one click, Bluetooth \u{2192} uMiddle \u{2192} UPnP, by correlation id:\n");
     for line in &r.sample_path {

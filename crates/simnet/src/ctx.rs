@@ -136,8 +136,8 @@ impl<'w> Ctx<'w> {
     /// Records an instant (zero-duration) span on a correlated path,
     /// attributed to this process at the current virtual time. `corr` is
     /// the correlation id minted when the connection was established.
-    /// The span shares the process name; building a typed detail
-    /// allocates nothing, so a span the log drops costs no allocation.
+    /// The span shares the process name and building a typed detail
+    /// allocates nothing, so the record is the span's only cost.
     pub fn span(
         &mut self,
         corr: u64,

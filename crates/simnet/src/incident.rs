@@ -1,9 +1,9 @@
 //! Incident bundles: deterministic evidence snapshots cut by the
 //! trigger plane.
 //!
-//! The flight recorder ([`Trace::enable_flight_recorder`](crate::Trace))
-//! keeps the most recent trace window at full fidelity; this module is
-//! the *consumer* of that window. When
+//! The flight recorder (the [`Trace`](crate::Trace)'s ring journals,
+//! always on) keeps the most recent trace window at full fidelity; this
+//! module is the *consumer* of that window. When
 //! [`World::enable_flight_recorder`](crate::World) is on, a **trigger
 //! plane** watches every telemetry sample for:
 //!
@@ -46,9 +46,6 @@ impl TriggerKind {
         }
     }
 }
-
-/// Capacity of the flight-recorder ring journals (events and spans).
-pub(crate) const RING_CAPACITY: usize = 50_000;
 
 /// How far back from the trigger instant the bundled trace window
 /// reaches: spans whose effective end is within this window are

@@ -1,7 +1,8 @@
 //! Tracing and metrics for simulations.
 //!
-//! Every [`World`](crate::World) owns a [`Trace`]: a bounded event log, a
-//! structured span log for causal path reconstruction, and a [`Metrics`]
+//! Every [`World`](crate::World) owns a [`Trace`]: a ring-journal event
+//! log, a ring-journal span log for causal path reconstruction (both keep
+//! the newest window when full), and a [`Metrics`]
 //! registry of typed counters, gauges, and fixed-bucket latency
 //! histograms. Protocol code records through [`Ctx`](crate::Ctx); benches
 //! and tests read the registry back to assert on behaviour (frames on a
@@ -45,14 +46,16 @@ impl fmt::Display for TraceEvent {
 
 /// Identifier of a structured span, unique within one [`Trace`].
 ///
-/// Ids are minted by [`Trace::span_begin`] in allocation order starting
-/// at 1. The zero id is a sentinel returned when the span log is full;
-/// ending it is a no-op, so callers never need to branch on overflow.
+/// Ids are minted by [`Trace::span_begin`] and [`Trace::span`] in
+/// allocation order starting at 1; every call records a span. The zero
+/// id, [`SpanId::NONE`], is never minted: it stands for "no span" where
+/// an id is optional (a message that carries no transport span), and
+/// ending it is a no-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
-    /// The sentinel id returned when a span could not be recorded.
+    /// The sentinel id that names no span.
     pub const NONE: SpanId = SpanId(0);
 
     /// Whether this id refers to a recorded span.
@@ -920,136 +923,82 @@ impl MetricsSnapshot {
 
 /// Bounded event log, structured span log, and metrics registry.
 ///
-/// Two retention policies govern what happens when a log fills:
-///
-/// * **Legacy cap (default):** drop-on-full — the *newest* records are
-///   discarded and counted in `trace.events_dropped` /
-///   `trace.spans_dropped`. A long run loses exactly the tail that an
-///   incident investigation needs.
-/// * **Flight recorder** ([`Trace::enable_flight_recorder`]):
-///   overwrite-oldest ring journal — the log always holds the most
-///   recent window at full fidelity, and every evicted record is
-///   counted in the cumulative `trace.ring_overwrites` /
-///   `trace.events_overwritten` counters, so overwrite is always
-///   distinguishable from drop in any snapshot.
+/// Both logs are ring journals: a full log evicts its oldest half, so
+/// it always holds the most recent window at full fidelity. Every
+/// evicted record is counted in the cumulative `trace.ring_overwrites`
+/// (spans) and `trace.events_overwritten` (events) counters. Eviction
+/// happens in half-capacity chunks, so the amortized cost per record
+/// stays O(1).
 #[derive(Debug)]
 pub struct Trace {
     log_enabled: bool,
+    /// Capacity of each journal (events and spans).
     capacity: usize,
     events: Vec<TraceEvent>,
-    dropped: u64,
-    dropped_folded: u64,
+    /// The span journal. Ids are minted one per pushed record and
+    /// eviction removes only a prefix, so the record of id `i` sits at
+    /// index `i - spans[0].id`.
     spans: Vec<SpanRecord>,
-    span_capacity: usize,
-    spans_dropped: u64,
-    spans_dropped_folded: u64,
     next_span: u64,
-    /// Flight-recorder mode: overwrite-oldest instead of drop-newest.
-    recorder: bool,
-    /// Cumulative spans evicted by the flight-recorder ring.
+    /// Cumulative spans evicted by the ring.
     ring_overwrites: u64,
     ring_overwrites_folded: u64,
-    /// Cumulative events evicted by the flight-recorder ring.
+    /// Cumulative events evicted by the ring.
     events_overwritten: u64,
     events_overwritten_folded: u64,
-    /// Per-correlation-id stack of open spans (for parent links).
+    /// Per-correlation-id stack of open spans (for parent links). A
+    /// stack may be empty until the next eviction prunes it.
     open: BTreeMap<u64, Vec<SpanId>>,
-    /// Open span id → index into `spans`; removed when the span ends,
-    /// which makes ending a span twice a no-op.
-    open_index: BTreeMap<u64, usize>,
     metrics: Metrics,
 }
 
 impl Trace {
-    /// Creates a trace with logging enabled and the given event capacity
-    /// (spans get the same capacity).
+    /// Creates a trace with logging enabled whose event and span
+    /// journals each hold at most `capacity` records (at least 2). A
+    /// full journal keeps at least its newest `capacity / 2` records.
     pub fn new(capacity: usize) -> Trace {
         Trace {
             log_enabled: true,
-            capacity,
+            capacity: capacity.max(2),
             events: Vec::new(),
-            dropped: 0,
-            dropped_folded: 0,
             spans: Vec::new(),
-            span_capacity: capacity,
-            spans_dropped: 0,
-            spans_dropped_folded: 0,
             next_span: 1,
-            recorder: false,
             ring_overwrites: 0,
             ring_overwrites_folded: 0,
             events_overwritten: 0,
             events_overwritten_folded: 0,
             open: BTreeMap::new(),
-            open_index: BTreeMap::new(),
             metrics: Metrics::default(),
         }
     }
 
-    /// Switches both logs to flight-recorder (overwrite-oldest) mode
-    /// with the given capacity. The journal keeps at least the newest
-    /// `capacity / 2` records and never exceeds `capacity`; eviction
-    /// happens in half-capacity chunks so the amortized cost per record
-    /// stays O(1). Evictions are counted in the cumulative
-    /// [`Trace::ring_overwrites`] / [`Trace::events_overwritten`]
-    /// totals; the drop counters stay at zero in this mode.
-    pub fn enable_flight_recorder(&mut self, capacity: usize) {
-        self.recorder = true;
-        self.capacity = capacity.max(2);
-        self.span_capacity = capacity.max(2);
-    }
-
-    /// Resizes the event and span capacities without changing the
-    /// overflow policy (legacy drop-on-full unless
-    /// [`Trace::enable_flight_recorder`] was called). Loss A/Bs use
-    /// this to compare the two policies at an equally tight capacity.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(2);
-        self.span_capacity = capacity.max(2);
-    }
-
-    /// Whether flight-recorder (ring journal) mode is active.
-    pub fn recorder_enabled(&self) -> bool {
-        self.recorder
-    }
-
-    /// Cumulative spans evicted by the flight-recorder ring.
+    /// Cumulative spans evicted by the ring.
     pub fn ring_overwrites(&self) -> u64 {
         self.ring_overwrites
     }
 
-    /// Cumulative events evicted by the flight-recorder ring.
+    /// Cumulative events evicted by the ring.
     pub fn events_overwritten(&self) -> u64 {
         self.events_overwritten
     }
 
     /// Evicts the oldest half of the span journal. An evicted span that
     /// is still open can never be closed: its id is removed from the
-    /// open bookkeeping so later spans on the same correlation id do
-    /// not inherit a dead parent and `span_end` becomes a no-op for it.
+    /// open stacks so later spans on the same correlation id do not
+    /// inherit a dead parent, and `span_end` finds no record for it.
     fn evict_oldest_spans(&mut self) {
-        let evict = (self.span_capacity / 2).max(1).min(self.spans.len());
-        let evicted_open: Vec<(u64, SpanId)> = self.spans[..evict]
-            .iter()
-            .filter(|s| s.end.is_none())
-            .map(|s| (s.corr, s.id))
-            .collect();
-        for (corr, id) in evicted_open {
-            self.open_index.remove(&id.0);
-            if let Some(stack) = self.open.get_mut(&corr) {
-                stack.retain(|&open| open != id);
-                if stack.is_empty() {
-                    self.open.remove(&corr);
-                }
+        let evict = self.capacity / 2;
+        for s in self.spans[..evict].iter().filter(|s| s.end.is_none()) {
+            if let Some(stack) = self.open.get_mut(&s.corr) {
+                stack.retain(|&open| open != s.id);
             }
         }
+        // An emptied stack stays in place until here, so a path's
+        // begin/end pairs reuse one stack instead of allocating one
+        // each; pruning keeps the map to the paths that still have
+        // open spans.
+        self.open.retain(|_, stack| !stack.is_empty());
         self.spans.drain(..evict);
-        // Every surviving open span sat past the evicted prefix.
-        self.open_index = self
-            .open_index
-            .iter()
-            .map(|(&id, &idx)| (id, idx - evict))
-            .collect();
         self.ring_overwrites += evict as u64;
     }
 
@@ -1058,20 +1007,16 @@ impl Trace {
         self.log_enabled = enabled;
     }
 
-    /// Records an event if logging is enabled and capacity remains.
+    /// Records an event if logging is enabled, evicting the oldest half
+    /// of a full log first.
     pub fn log(&mut self, time: SimTime, source: impl Into<String>, message: impl Into<String>) {
         if !self.log_enabled {
             return;
         }
         if self.events.len() >= self.capacity {
-            if self.recorder {
-                let evict = (self.capacity / 2).max(1).min(self.events.len());
-                self.events.drain(..evict);
-                self.events_overwritten += evict as u64;
-            } else {
-                self.dropped += 1;
-                return;
-            }
+            let evict = self.capacity / 2;
+            self.events.drain(..evict);
+            self.events_overwritten += evict as u64;
         }
         self.events.push(TraceEvent {
             time,
@@ -1080,9 +1025,38 @@ impl Trace {
         });
     }
 
+    /// Pushes one span record, minting its id. Its parent is the
+    /// innermost span still open on the same correlation id.
+    fn push_span(
+        &mut self,
+        corr: u64,
+        time: SimTime,
+        source: Arc<str>,
+        stage: &'static str,
+        detail: SpanDetail,
+        end: Option<SimTime>,
+    ) -> SpanId {
+        if self.spans.len() >= self.capacity {
+            self.evict_oldest_spans();
+        }
+        let id = SpanId(self.next_span);
+        self.next_span += 1;
+        let parent = self.open.get(&corr).and_then(|stack| stack.last().copied());
+        self.spans.push(SpanRecord {
+            id,
+            parent,
+            corr,
+            source,
+            stage,
+            detail,
+            start: time,
+            end,
+        });
+        id
+    }
+
     /// Opens a structured span on a correlated path. The span's parent
     /// is the innermost span still open on the same correlation id.
-    /// Returns [`SpanId::NONE`] (a no-op to end) when the log is full.
     pub fn span_begin(
         &mut self,
         corr: u64,
@@ -1091,38 +1065,19 @@ impl Trace {
         stage: &'static str,
         detail: impl Into<SpanDetail>,
     ) -> SpanId {
-        if self.spans.len() >= self.span_capacity {
-            if self.recorder {
-                self.evict_oldest_spans();
-            } else {
-                self.spans_dropped += 1;
-                return SpanId::NONE;
-            }
-        }
-        let id = SpanId(self.next_span);
-        self.next_span += 1;
-        let parent = self.open.get(&corr).and_then(|stack| stack.last().copied());
-        self.open_index.insert(id.0, self.spans.len());
+        let id = self.push_span(corr, time, source.into(), stage, detail.into(), None);
         self.open.entry(corr).or_default().push(id);
-        self.spans.push(SpanRecord {
-            id,
-            parent,
-            corr,
-            source: source.into(),
-            stage,
-            detail: detail.into(),
-            start: time,
-            end: None,
-        });
         id
     }
 
     /// Closes a span, clamping the end to be no earlier than its start.
-    /// Returns the span's duration, or `None` if the id is unknown,
-    /// already closed, or the [`SpanId::NONE`] sentinel.
+    /// Returns the span's duration, or `None` if the id is
+    /// [`SpanId::NONE`], unknown, evicted or already closed.
     pub fn span_end(&mut self, id: SpanId, time: SimTime) -> Option<SimDuration> {
-        let idx = self.open_index.remove(&id.0)?;
-        let record = &mut self.spans[idx];
+        let first = self.spans.first()?.id.0;
+        let idx = usize::try_from(id.0.checked_sub(first)?).ok()?;
+        let record = self.spans.get_mut(idx).filter(|r| r.end.is_none())?;
+        debug_assert_eq!(record.id, id, "span ids are dense in the journal");
         let end = time.max(record.start);
         record.end = Some(end);
         let (corr, start) = (record.corr, record.start);
@@ -1130,15 +1085,13 @@ impl Trace {
             if let Some(pos) = stack.iter().rposition(|&open| open == id) {
                 stack.remove(pos);
             }
-            if stack.is_empty() {
-                self.open.remove(&corr);
-            }
         }
         Some(end - start)
     }
 
     /// Records an instant (zero-duration) span on a correlated path —
-    /// a point event like `connect` or `deliver.local`.
+    /// a point event like `connect` or `deliver.local` — as one closed
+    /// record.
     pub fn span(
         &mut self,
         corr: u64,
@@ -1147,9 +1100,7 @@ impl Trace {
         stage: &'static str,
         detail: impl Into<SpanDetail>,
     ) -> SpanId {
-        let id = self.span_begin(corr, time, source, stage, detail);
-        self.span_end(id, time);
-        id
+        self.push_span(corr, time, source.into(), stage, detail.into(), Some(time))
     }
 
     /// All recorded spans, in begin order.
@@ -1162,14 +1113,9 @@ impl Trace {
         self.spans.iter().filter(move |s| s.corr == corr)
     }
 
-    /// Number of spans still open (begun, never ended).
+    /// Number of spans still open (begun, never ended, not evicted).
     pub fn open_spans(&self) -> usize {
-        self.open_index.len()
-    }
-
-    /// Number of spans discarded because the span log was full.
-    pub fn spans_dropped(&self) -> u64 {
-        self.spans_dropped
+        self.open.values().map(Vec::len).sum()
     }
 
     /// The metrics registry.
@@ -1182,18 +1128,13 @@ impl Trace {
         &mut self.metrics
     }
 
-    /// Folds the event/span drop counts into the metrics registry as
-    /// `trace.events_dropped` and `trace.spans_dropped` counters (the
-    /// delta since the last fold, so repeated runs never double-count).
-    /// The keys are always written — every exported snapshot records
-    /// whether its trace was lossy, even when the answer is zero.
-    pub fn sync_drop_stats(&mut self) {
-        let events = self.dropped - self.dropped_folded;
-        self.metrics.counter_add("trace.events_dropped", events);
-        self.dropped_folded = self.dropped;
-        let spans = self.spans_dropped - self.spans_dropped_folded;
-        self.metrics.counter_add("trace.spans_dropped", spans);
-        self.spans_dropped_folded = self.spans_dropped;
+    /// Folds the ring evictions into the metrics registry as the
+    /// cumulative `trace.ring_overwrites` and `trace.events_overwritten`
+    /// counters (adding the delta since the last fold, so repeated runs
+    /// never double-count). The keys are always written — every
+    /// exported snapshot records whether its journals wrapped, even
+    /// when the answer is zero.
+    pub fn sync_ring_stats(&mut self) {
         let ring = self.ring_overwrites - self.ring_overwrites_folded;
         self.metrics.counter_add("trace.ring_overwrites", ring);
         self.ring_overwrites_folded = self.ring_overwrites;
@@ -1244,31 +1185,23 @@ impl Trace {
         &self.events
     }
 
-    /// Number of events discarded because the log was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Clears events, spans, and metrics.
     pub fn clear(&mut self) {
         self.events.clear();
-        self.dropped = 0;
-        self.dropped_folded = 0;
         self.spans.clear();
-        self.spans_dropped = 0;
-        self.spans_dropped_folded = 0;
         self.ring_overwrites = 0;
         self.ring_overwrites_folded = 0;
         self.events_overwritten = 0;
         self.events_overwritten_folded = 0;
         self.next_span = 1;
         self.open.clear();
-        self.open_index.clear();
         self.metrics.clear();
     }
 }
 
 impl Default for Trace {
+    /// Journals of 50,000 records each: the window incident bundles are
+    /// cut from.
     fn default() -> Trace {
         Trace::new(50_000)
     }
@@ -1318,33 +1251,20 @@ mod tests {
         for i in 0..4 {
             t.log(SimTime::ZERO, "src", format!("event {i}"));
         }
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.dropped(), 2);
+        let kept: Vec<&str> = t.events().iter().map(|e| e.message.as_str()).collect();
+        assert_eq!(kept, ["event 2", "event 3"]);
+        assert_eq!(t.events_overwritten(), 2);
     }
 
     #[test]
-    fn recorder_overwrite_is_distinguishable_from_legacy_drop() {
-        // Legacy cap: the NEWEST spans are lost and counted as drops.
-        let mut legacy = Trace::new(4);
-        for i in 0..10 {
-            legacy.span(0, SimTime::from_nanos(i), "src", "stage", format!("{i}"));
-        }
-        legacy.sync_drop_stats();
-        assert_eq!(legacy.counter("trace.spans_dropped"), 6);
-        assert_eq!(legacy.counter("trace.ring_overwrites"), 0);
-        assert_eq!(legacy.spans().len(), 4);
-        assert!(legacy.spans().iter().any(|s| s.detail.to_string() == "0"));
-        assert!(legacy.spans().iter().all(|s| s.detail.to_string() != "9"));
-
-        // Flight recorder: the OLDEST spans are overwritten and counted
-        // as ring overwrites; drops stay at zero and the tail survives.
+    fn span_ring_keeps_the_tail_and_counts_overwrites() {
+        // A full journal overwrites the OLDEST spans and counts them as
+        // ring overwrites; the tail survives.
         let mut ring = Trace::new(4);
-        ring.enable_flight_recorder(4);
         for i in 0..10 {
             ring.span(0, SimTime::from_nanos(i), "src", "stage", format!("{i}"));
         }
-        ring.sync_drop_stats();
-        assert_eq!(ring.counter("trace.spans_dropped"), 0);
+        ring.sync_ring_stats();
         assert_eq!(
             ring.counter("trace.ring_overwrites"),
             ring.ring_overwrites()
@@ -1358,7 +1278,7 @@ mod tests {
             "every span is either retained or counted as overwritten"
         );
         // The folded counter is cumulative, not per-fold delta.
-        ring.sync_drop_stats();
+        ring.sync_ring_stats();
         assert_eq!(
             ring.counter("trace.ring_overwrites"),
             ring.ring_overwrites()
@@ -1366,13 +1286,11 @@ mod tests {
     }
 
     #[test]
-    fn recorder_event_ring_keeps_tail() {
+    fn event_ring_keeps_tail() {
         let mut t = Trace::new(4);
-        t.enable_flight_recorder(4);
         for i in 0..10 {
             t.log(SimTime::from_nanos(i), "src", format!("event {i}"));
         }
-        assert_eq!(t.dropped(), 0);
         assert!(t.events_overwritten() > 0);
         assert!(t.events().iter().any(|e| e.message == "event 9"));
         assert!(t.events().iter().all(|e| e.message != "event 0"));
@@ -1380,15 +1298,15 @@ mod tests {
     }
 
     #[test]
-    fn recorder_evicts_open_spans_cleanly() {
+    fn ring_evicts_open_spans_cleanly() {
         let mut t = Trace::new(4);
-        t.enable_flight_recorder(4);
         // An open span on corr 7, then enough instant spans to evict it.
         let stale = t.span_begin(7, SimTime::ZERO, "src", "outer", "");
         for i in 0..8 {
             t.span(0, SimTime::from_nanos(i), "src", "filler", format!("{i}"));
         }
         assert!(t.spans().iter().all(|s| s.stage != "outer"));
+        assert_eq!(t.open_spans(), 0);
         // Ending the evicted span is a no-op, not a panic or corruption.
         assert_eq!(t.span_end(stale, SimTime::from_nanos(99)), None);
         // A new span on the same corr must not inherit the dead parent.
@@ -1396,6 +1314,24 @@ mod tests {
         let rec = t.spans().iter().find(|s| s.id == fresh).unwrap();
         assert_eq!(rec.parent, None);
         assert!(t.span_end(fresh, SimTime::from_nanos(101)).is_some());
+    }
+
+    #[test]
+    fn spans_keep_measuring_after_the_log_fills() {
+        // A drop-on-full log stopped minting ids here, and every
+        // duration read from `span_end` went blind for the rest of the
+        // run.
+        let mut t = Trace::new(4);
+        for i in 0..10 {
+            t.span(1, SimTime::from_nanos(i), "rt0", "deliver.local", "");
+        }
+        let id = t.span_begin(1, SimTime::from_millis(1), "rt0", "transport.send", "");
+        assert!(id.is_recorded());
+        assert_eq!(
+            t.span_end(id, SimTime::from_millis(3)),
+            Some(SimDuration::from_millis(2))
+        );
+        assert_eq!(t.spans().last().unwrap().id, id);
     }
 
     #[test]
@@ -1704,38 +1640,47 @@ mod tests {
     }
 
     #[test]
-    fn full_span_log_drops_and_sentinel_end_is_noop() {
+    fn full_span_log_keeps_minting_and_sentinel_end_is_noop() {
         let mut t = Trace::new(1);
-        let a = t.span_begin(1, SimTime::ZERO, "rt0", "kept", "");
-        let b = t.span_begin(1, SimTime::ZERO, "rt0", "lost", "");
-        assert!(a.is_recorded());
-        assert!(!b.is_recorded());
-        assert_eq!(t.span_end(b, SimTime::from_millis(1)), None);
-        assert_eq!(t.spans_dropped(), 1);
-        assert_eq!(t.spans().len(), 1);
+        let a = t.span_begin(1, SimTime::ZERO, "rt0", "evicted", "");
+        let b = t.span_begin(1, SimTime::ZERO, "rt0", "kept", "");
+        let c = t.span_begin(1, SimTime::ZERO, "rt0", "newest", "");
+        assert!(a.is_recorded() && b.is_recorded() && c.is_recorded());
+        assert_eq!(t.ring_overwrites(), 1);
+        assert_eq!(t.span_end(a, SimTime::from_millis(1)), None, "evicted");
+        assert_eq!(t.span_end(SpanId::NONE, SimTime::from_millis(1)), None);
+        assert_eq!(
+            t.span_end(c, SimTime::from_millis(1)),
+            Some(SimDuration::from_millis(1))
+        );
+        assert_eq!(t.span_end(c, SimTime::from_millis(2)), None, "double end");
+        // Ids past the newest record are unknown, not a panic.
+        assert_eq!(t.span_end(SpanId(c.0 + 1), SimTime::ZERO), None);
+        assert_eq!(t.spans().len(), 2);
+        assert_eq!(t.open_spans(), 1);
     }
 
     #[test]
-    fn drop_stats_fold_as_deltas_and_always_export() {
-        let mut t = Trace::new(1);
-        t.sync_drop_stats();
-        // Lossless traces still export the keys, at zero.
-        assert_eq!(t.counter("trace.events_dropped"), 0);
-        assert_eq!(t.counter("trace.spans_dropped"), 0);
+    fn ring_stats_fold_as_deltas_and_always_export() {
+        let mut t = Trace::new(2);
+        t.sync_ring_stats();
+        // Traces that never wrapped still export the keys, at zero.
+        assert_eq!(t.counter("trace.events_overwritten"), 0);
+        assert_eq!(t.counter("trace.ring_overwrites"), 0);
         assert!(t
             .metrics()
             .snapshot()
             .counters
-            .contains_key("trace.spans_dropped"));
+            .contains_key("trace.ring_overwrites"));
         for i in 0..3 {
             t.log(SimTime::ZERO, "src", format!("event {i}"));
             t.span(1, SimTime::ZERO, "src", "stage", "");
         }
-        t.sync_drop_stats();
-        assert_eq!(t.counter("trace.events_dropped"), 2);
-        assert_eq!(t.counter("trace.spans_dropped"), 2);
-        // A second fold with no new drops adds nothing.
-        t.sync_drop_stats();
-        assert_eq!(t.counter("trace.spans_dropped"), 2);
+        t.sync_ring_stats();
+        assert_eq!(t.counter("trace.events_overwritten"), 1);
+        assert_eq!(t.counter("trace.ring_overwrites"), 1);
+        // A second fold with no new overwrites adds nothing.
+        t.sync_ring_stats();
+        assert_eq!(t.counter("trace.ring_overwrites"), 1);
     }
 }

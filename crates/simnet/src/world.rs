@@ -7,9 +7,7 @@ use std::sync::Arc;
 use crate::ctx::Ctx;
 use crate::error::{SimError, SimResult};
 use crate::health::{AlertState, HealthReport, SegmentSample, SloEngine, TelemetryConfig};
-use crate::incident::{
-    IncidentBundle, TopologyDigest, TriggerKind, MAX_BUNDLES, RING_CAPACITY, TRACE_WINDOW,
-};
+use crate::incident::{IncidentBundle, TopologyDigest, TriggerKind, MAX_BUNDLES, TRACE_WINDOW};
 use crate::medium::{schedule_tx, SegmentConfig};
 use crate::metric_id;
 use crate::payload::Payload;
@@ -705,9 +703,8 @@ impl World {
         self.arm_sampler();
     }
 
-    /// Turns on the always-on flight recorder and its trigger plane:
-    /// the trace switches to overwrite-oldest ring journals
-    /// ([`Trace::enable_flight_recorder`]), and every telemetry sample
+    /// Turns on the incident trigger plane over the trace's ring
+    /// journals (the flight recorder, always on): every telemetry sample
     /// checks for incident triggers — a new ok→firing SLO transition or
     /// a change in the doctor's ranked offender list — snapshotting a
     /// deterministic [`IncidentBundle`] for each (see
@@ -715,10 +712,9 @@ impl World {
     /// conductor through the same plane.
     ///
     /// SLO/doctor triggers need [`World::enable_telemetry`] as well;
-    /// without it the recorder still bounds trace loss and captures
-    /// shard-panic bundles, but nothing else trips.
+    /// without it the plane still captures shard-panic bundles, but
+    /// nothing else trips.
     pub fn enable_flight_recorder(&mut self) {
-        self.trace.enable_flight_recorder(RING_CAPACITY);
         self.incident = Some(Box::new(IncidentPlane {
             bundles: Vec::new(),
             seen_transitions: 0,
@@ -1313,7 +1309,7 @@ impl World {
         while self.step_batch() {}
         self.fold_sched_metrics();
         self.trace.sync_payload_stats();
-        self.trace.sync_drop_stats();
+        self.trace.sync_ring_stats();
     }
 
     /// Runs until virtual time reaches `deadline` (events at exactly the
@@ -1332,7 +1328,7 @@ impl World {
         self.now = self.now.max(deadline);
         self.fold_sched_metrics();
         self.trace.sync_payload_stats();
-        self.trace.sync_drop_stats();
+        self.trace.sync_ring_stats();
     }
 
     /// Runs for `duration` of virtual time from now.

@@ -321,28 +321,37 @@ fn chunk_queue_matches_flat_model() {
 }
 
 /// Span trees reconstructed from arbitrary begin/end interleavings are
-/// always well-formed: every recorded span lands in exactly one tree,
-/// unclosed spans are reported, double-ends are no-ops, and
-/// reconstruction never panics.
+/// always well-formed, at any journal capacity: every retained span
+/// lands in exactly one tree, unclosed spans are reported, ending an
+/// evicted, already-ended or `NONE` id is a no-op, and reconstruction
+/// never panics.
 #[test]
 fn span_trees_are_well_formed_under_any_interleaving() {
     check_cases(
         "span_trees_are_well_formed_under_any_interleaving",
         48,
         |_, rng| {
-            let mut trace = simnet::Trace::new(4096);
+            // Small capacities make the ring evict, open spans included.
+            let mut trace = simnet::Trace::new(rng.gen_range(2usize..=64));
             let corrs = [0u64, 7, 7 << 32, 0xbeef];
             let mut open: Vec<simnet::SpanId> = Vec::new();
+            let mut ended = std::collections::BTreeSet::new();
+            let mut recorded = 0u64;
             let mut now = 0u64;
             let ops = rng.gen_range(1usize..200);
             for i in 0..ops {
                 now += rng.gen_range(0u64..1_000_000);
                 let t = SimTime::from_nanos(now);
                 let roll = rng.gen_range(0u32..10);
-                if roll < 6 || open.is_empty() {
-                    let corr = corrs[rng.gen_range(0usize..corrs.len())];
+                let corr = corrs[rng.gen_range(0usize..corrs.len())];
+                if roll < 5 || open.is_empty() {
                     let id = trace.span_begin(corr, t, "prop", STAGES[i % 7], "");
                     open.push(id);
+                    recorded += 1;
+                } else if roll == 5 {
+                    let id = trace.span(corr, t, "prop", STAGES[i % 7], "");
+                    assert_eq!(trace.span_end(id, t), None, "instant spans are closed");
+                    recorded += 1;
                 } else {
                     // End a random open span — not necessarily the
                     // innermost — and sometimes end it again.
@@ -352,17 +361,28 @@ fn span_trees_are_well_formed_under_any_interleaving() {
                     } else {
                         open.remove(idx)
                     };
-                    trace.span_end(id, t);
-                    trace.span_end(id, t);
+                    let retained = trace.spans().first().is_some_and(|s| id >= s.id);
+                    let live = retained && !ended.contains(&id);
+                    assert_eq!(trace.span_end(id, t).is_some(), live, "end of {id}");
+                    assert_eq!(trace.span_end(id, t), None, "double end of {id}");
+                    assert_eq!(trace.span_end(simnet::SpanId::NONE, t), None);
+                    ended.insert(id);
                 }
             }
 
             let spans = trace.spans();
+            assert_eq!(
+                trace.ring_overwrites() + spans.len() as u64,
+                recorded,
+                "every span is retained or counted as overwritten"
+            );
             let trees = simnet::SpanTree::build_all(spans);
             let total: usize = trees.iter().map(simnet::SpanTree::span_count).sum();
             assert_eq!(total, spans.len(), "every span lands in exactly one tree");
             let unclosed: u64 = trees.iter().map(|t| t.unclosed).sum();
             assert_eq!(unclosed as usize, trace.open_spans(), "unclosed reported");
+            let open_records = spans.iter().filter(|s| s.end.is_none()).count();
+            assert_eq!(trace.open_spans(), open_records, "open records");
             for tree in &trees {
                 assert!(spans.iter().any(|s| s.corr == tree.corr));
             }

@@ -99,7 +99,7 @@ impl NativeEnv<'_, '_> {
             }
             _ => None,
         };
-        let frame = umiddle_core::shardlink::encode_handoff_traced(msg, trace);
+        let frame = umiddle_core::shardlink::encode_handoff(msg, trace);
         match self.ctx.send_shard(dst_shard, inlet, frame) {
             Ok(()) => true,
             Err(_) => {
@@ -222,7 +222,7 @@ impl Process for NativeService {
         if self.shard_inlet.is_none() {
             return;
         }
-        match umiddle_core::shardlink::decode_handoff_traced(&d.data) {
+        match umiddle_core::shardlink::decode_handoff(&d.data) {
             Ok((msg, trace)) => {
                 ctx.bump("shard.handoff_in", 1);
                 let corr = match trace {

@@ -3,42 +3,45 @@
 //! In a sharded simulation ([`simnet::shard`]) each shard is a separate
 //! `World`: a message crossing a shard boundary travels as raw bytes
 //! over the conductor's inter-shard link, not as an in-process value.
-//! This module is the hand-off codec — a small self-describing frame
-//! that carries a `UMessage` (MIME type, metadata, body) across the
-//! boundary so the receiving shard's runtime can re-inject it into its
-//! own semantic space.
+//! This module is the hand-off codec — a small header followed by the
+//! `UMessage` in the wire codec's own layout ([`crate::wire`], the one
+//! a path message carries), so the receiving shard's runtime can
+//! re-inject it into its own semantic space.
 //!
-//! The layout is little-endian and length-prefixed throughout:
+//! The header is little-endian:
 //!
 //! ```text
-//! [u8 version=2]
+//! [u8 version=3]
 //! [u8 trace_flag] (1 → [u64 corr][u64 span][u16 src_shard])
-//! [u16 mime_len][mime bytes]
-//! [u16 meta_count] ([u16 key_len][key][u16 val_len][val])*
-//! [u32 body_len][body bytes]
+//! [UMessage, as the wire codec encodes it]
 //! ```
 //!
-//! Metadata keys are written in sorted order (the `UMessage` map is a
-//! `BTreeMap`), so encoding is deterministic: the same message always
-//! produces the same bytes, which keeps sharded runs byte-diffable.
+//! The wire codec writes metadata keys in sorted order, so encoding is
+//! deterministic: the same message always produces the same bytes,
+//! which keeps sharded runs byte-diffable.
 //!
-//! Version 2 added the optional **trace context** — the correlation id
-//! of the causal path the message is riding, the id of the
+//! The optional **trace context** carries the correlation id of the
+//! causal path the message is riding, the id of the
 //! `shard.xfer.egress` span opened on the sending shard, and the
 //! sending shard itself. The receiving shard replays it as a
 //! `shard.xfer.ingress` span, which
 //! [`simnet::merge_shard_spans`] uses to stitch per-shard traces into
 //! one federation-wide journey. The codec is internal to a single
 //! simulation binary, so no cross-version compatibility is kept:
-//! version 1 frames are rejected like any other unknown version.
+//! frames of other versions are rejected like any other unknown
+//! version. Version 3 moved the message itself onto the wire codec.
 
-use simnet::{Payload, PayloadBuilder, SpanId};
+use simnet::{Payload, SpanId};
 
 use crate::error::{CoreError, CoreResult};
 use crate::message::UMessage;
+use crate::wire::{decode_umessage_at, umessage_frame};
 
 /// Current hand-off frame version.
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
+
+/// Length of a header that carries trace context.
+const TRACED_HEADER: usize = 20;
 
 /// The causal trace context a hand-off frame can carry across the
 /// shard boundary.
@@ -53,98 +56,55 @@ pub struct HandoffTrace {
     pub src_shard: u16,
 }
 
-/// Encodes a message into one hand-off frame (single allocation).
-pub fn encode_handoff(msg: &UMessage) -> Payload {
-    encode_handoff_traced(msg, None)
-}
-
-/// Encodes a message plus optional cross-shard trace context.
-pub fn encode_handoff_traced(msg: &UMessage, trace: Option<HandoffTrace>) -> Payload {
-    let mime = msg.mime().to_string();
-    let mut b = PayloadBuilder::with_capacity(34 + mime.len() + msg.size());
-    b.push(VERSION);
-    match trace {
+/// Encodes a message plus optional cross-shard trace context into one
+/// hand-off frame (single allocation).
+pub fn encode_handoff(msg: &UMessage, trace: Option<HandoffTrace>) -> Payload {
+    let mut header = [0u8; TRACED_HEADER];
+    header[0] = VERSION;
+    let len = match trace {
         Some(t) => {
-            b.push(1);
-            b.extend_from_slice(&t.corr.to_le_bytes());
-            b.extend_from_slice(&t.span.0.to_le_bytes());
-            b.u16_le(t.src_shard);
+            header[1] = 1;
+            header[2..10].copy_from_slice(&t.corr.to_le_bytes());
+            header[10..18].copy_from_slice(&t.span.0.to_le_bytes());
+            header[18..20].copy_from_slice(&t.src_shard.to_le_bytes());
+            TRACED_HEADER
         }
-        None => b.push(0),
-    }
-    b.u16_le(mime.len() as u16);
-    b.extend_from_slice(mime.as_bytes());
-    b.u16_le(msg.wire_metas().count() as u16);
-    let mut digits = [0; 20];
-    for (k, v) in msg.wire_metas() {
-        b.u16_le(k.len() as u16);
-        b.extend_from_slice(k.as_bytes());
-        let v = v.bytes(&mut digits);
-        b.u16_le(v.len() as u16);
-        b.extend_from_slice(v);
-    }
-    let body = msg.body();
-    b.u32_le(body.len() as u32);
-    b.extend_from_slice(body);
-    b.freeze()
-}
-
-/// Decodes a hand-off frame back into a [`UMessage`], discarding any
-/// trace context.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Decode`] for a truncated frame, an unknown
-/// version, a malformed MIME type, or non-UTF-8 metadata.
-pub fn decode_handoff(frame: &Payload) -> CoreResult<UMessage> {
-    decode_handoff_traced(frame).map(|(msg, _)| msg)
-}
-
-/// Decodes a hand-off frame plus the trace context it carries, if any.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Decode`] for a truncated frame, an unknown
-/// version, a malformed trace flag, a malformed MIME type, or
-/// non-UTF-8 metadata.
-pub fn decode_handoff_traced(frame: &Payload) -> CoreResult<(UMessage, Option<HandoffTrace>)> {
-    let bytes: &[u8] = frame;
-    let mut at = 0usize;
-    let take = |at: &mut usize, n: usize| -> CoreResult<&[u8]> {
-        let end = at
-            .checked_add(n)
-            .filter(|&e| e <= bytes.len())
-            .ok_or_else(|| CoreError::Decode("truncated shard hand-off frame".into()))?;
-        let s = &bytes[*at..end];
-        *at = end;
-        Ok(s)
+        None => 2,
     };
-    let version = take(&mut at, 1)?[0];
+    umessage_frame(&header[..len], msg)
+}
+
+/// Decodes a hand-off frame into its [`UMessage`] and the trace context
+/// it carries, if any. The body is a zero-copy slice of `frame`.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Decode`] for a truncated frame, an unknown
+/// version, a malformed trace flag, a malformed MIME type, non-UTF-8
+/// metadata or trailing bytes.
+pub fn decode_handoff(frame: &Payload) -> CoreResult<(UMessage, Option<HandoffTrace>)> {
+    let bytes: &[u8] = frame;
+    let truncated = || CoreError::Decode("truncated shard hand-off frame".into());
+    let (&version, &flag) = match bytes {
+        [version, flag, ..] => (version, flag),
+        _ => return Err(truncated()),
+    };
     if version != VERSION {
         return Err(CoreError::Decode(format!(
             "unknown shard hand-off version {version}"
         )));
     }
-    let trace = match take(&mut at, 1)?[0] {
-        0 => None,
+    let (trace, at) = match flag {
+        0 => (None, 2),
         1 => {
-            let corr = {
-                let s = take(&mut at, 8)?;
-                u64::from_le_bytes(s.try_into().expect("8-byte slice"))
+            let h = bytes.get(..TRACED_HEADER).ok_or_else(truncated)?;
+            let u64_at = |i: usize| u64::from_le_bytes(h[i..i + 8].try_into().expect("8 bytes"));
+            let trace = HandoffTrace {
+                corr: u64_at(2),
+                span: SpanId(u64_at(10)),
+                src_shard: u16::from_le_bytes([h[18], h[19]]),
             };
-            let span = {
-                let s = take(&mut at, 8)?;
-                SpanId(u64::from_le_bytes(s.try_into().expect("8-byte slice")))
-            };
-            let src_shard = {
-                let s = take(&mut at, 2)?;
-                u16::from_le_bytes([s[0], s[1]])
-            };
-            Some(HandoffTrace {
-                corr,
-                span,
-                src_shard,
-            })
+            (Some(trace), TRACED_HEADER)
         }
         flag => {
             return Err(CoreError::Decode(format!(
@@ -152,42 +112,7 @@ pub fn decode_handoff_traced(frame: &Payload) -> CoreResult<(UMessage, Option<Ha
             )))
         }
     };
-    let take_u16 = |at: &mut usize| -> CoreResult<usize> {
-        let s = take(at, 2)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]) as usize)
-    };
-    let take_str = |at: &mut usize| -> CoreResult<String> {
-        let n = take_u16(at)?;
-        String::from_utf8(take(at, n)?.to_vec())
-            .map_err(|_| CoreError::Decode("non-UTF-8 string in shard hand-off".into()))
-    };
-
-    let mime = take_str(&mut at)?.parse()?;
-    let meta_count = take_u16(&mut at)?;
-    let mut metas = Vec::with_capacity(meta_count);
-    for _ in 0..meta_count {
-        let k = take_str(&mut at)?;
-        let v = take_str(&mut at)?;
-        metas.push((k, v));
-    }
-    let body_len = {
-        let s = take(&mut at, 4)?;
-        u32::from_le_bytes([s[0], s[1], s[2], s[3]]) as usize
-    };
-    if at + body_len != bytes.len() {
-        return Err(CoreError::Decode(format!(
-            "shard hand-off body length {body_len} does not match frame ({} bytes left)",
-            bytes.len() - at
-        )));
-    }
-    // O(1) slice of the arriving payload: the body crosses the shard
-    // boundary without a copy.
-    let body = frame.slice(at..at + body_len);
-    let mut msg = UMessage::new(mime, body);
-    for (k, v) in metas {
-        msg = msg.with_meta(k, v);
-    }
-    Ok((msg, trace))
+    Ok((decode_umessage_at(frame, at)?, trace))
 }
 
 #[cfg(test)]
@@ -203,20 +128,21 @@ mod tests {
         .with_meta("src", "mote-7")
         .with_meta("seq", "42")
         .with_meta("unit", "celsius");
-        let f1 = encode_handoff(&msg);
-        let f2 = encode_handoff(&msg);
+        let f1 = encode_handoff(&msg, None);
+        let f2 = encode_handoff(&msg, None);
         assert_eq!(&f1[..], &f2[..], "encoding must be deterministic");
-        let back = decode_handoff(&f1).unwrap();
+        let (back, trace) = decode_handoff(&f1).unwrap();
         assert_eq!(back, msg);
+        assert_eq!(trace, None);
     }
 
     #[test]
     fn handoff_body_is_zero_copy() {
         let body = vec![7u8; 4096];
         let msg = UMessage::new("application/octet-stream".parse().unwrap(), body);
-        let frame = encode_handoff(&msg);
+        let frame = encode_handoff(&msg, None);
         let _ = simnet::payload::take_stats();
-        let back = decode_handoff(&frame).unwrap();
+        let (back, _) = decode_handoff(&frame).unwrap();
         let during = simnet::payload::take_stats();
         assert_eq!(back.body().len(), 4096);
         assert_eq!(during.bytes_copied, 0, "decoding must not copy the body");
@@ -225,14 +151,24 @@ mod tests {
     #[test]
     fn handoff_rejects_garbage() {
         assert!(decode_handoff(&Payload::from_vec(vec![])).is_err());
+        assert!(decode_handoff(&Payload::from_vec(vec![VERSION])).is_err());
         assert!(decode_handoff(&Payload::from_vec(vec![9, 0, 0])).is_err());
+        // The previous version is rejected like any unknown one.
+        let mut old = encode_handoff(&UMessage::text("hi"), None).to_vec();
+        old[0] = 2;
+        assert!(decode_handoff(&Payload::from_vec(old)).is_err());
         // Unknown trace flag.
         assert!(decode_handoff(&Payload::from_vec(vec![VERSION, 7, 0, 0])).is_err());
         // Trace flag set but context truncated.
         assert!(decode_handoff(&Payload::from_vec(vec![VERSION, 1, 0xAA, 0xBB])).is_err());
-        let mut good = encode_handoff(&UMessage::text("hi")).to_vec();
-        good.push(0xFF); // trailing byte: length mismatch
-        assert!(decode_handoff(&Payload::from_vec(good)).is_err());
+        let good = encode_handoff(&UMessage::text("hi"), None).to_vec();
+        let mut long = good.clone();
+        long.push(0xFF); // trailing byte
+        assert!(decode_handoff(&Payload::from_vec(long)).is_err());
+        for cut in 0..good.len() {
+            let short = Payload::from_vec(good[..cut].to_vec());
+            assert!(decode_handoff(&short).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]
@@ -243,15 +179,15 @@ mod tests {
             span: SpanId(42),
             src_shard: 1,
         };
-        let frame = encode_handoff_traced(&msg, Some(trace));
-        let (back, got) = decode_handoff_traced(&frame).unwrap();
+        let frame = encode_handoff(&msg, Some(trace));
+        let (back, got) = decode_handoff(&frame).unwrap();
         assert_eq!(back, msg);
         assert_eq!(got, Some(trace));
 
         // Untraced frames decode with no context, and the traced frame
         // is strictly larger by the 18-byte context.
-        let plain = encode_handoff(&msg);
-        let (back2, none) = decode_handoff_traced(&plain).unwrap();
+        let plain = encode_handoff(&msg, None);
+        let (back2, none) = decode_handoff(&plain).unwrap();
         assert_eq!(back2, msg);
         assert_eq!(none, None);
         assert_eq!(frame.len(), plain.len() + 18);
@@ -260,7 +196,7 @@ mod tests {
     #[test]
     fn empty_message_round_trips() {
         let msg = UMessage::text("");
-        let back = decode_handoff(&encode_handoff(&msg)).unwrap();
+        let (back, _) = decode_handoff(&encode_handoff(&msg, None)).unwrap();
         assert_eq!(back, msg);
     }
 }

@@ -1044,6 +1044,36 @@ fn encode_umessage(w: &mut Writer, m: &UMessage) {
     }
 }
 
+/// Encodes `header` followed by `m` in the layout a path message
+/// carries it in, as one frame (one allocation). The shard hand-off
+/// codec ([`crate::shardlink`]) frames its messages with this.
+pub(crate) fn umessage_frame(header: &[u8], m: &UMessage) -> Payload {
+    // 64 bytes cover the MIME type and the length prefixes of a
+    // typical message; `size` counts the body and metadata text.
+    let mut w = Writer {
+        out: PayloadBuilder::with_capacity(header.len() + 64 + m.size()),
+    };
+    w.out.extend_from_slice(header);
+    encode_umessage(&mut w, m);
+    w.out.freeze()
+}
+
+/// Decodes the [`UMessage`] that fills `frame` from byte `at` to its
+/// end, as [`umessage_frame`] wrote it. The body is a zero-copy slice
+/// of `frame`.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Decode`] on truncated or malformed input or
+/// trailing bytes.
+pub(crate) fn decode_umessage_at(frame: &Payload, at: usize) -> CoreResult<UMessage> {
+    let mut r = Reader::with_backing(frame);
+    r.take(at)?;
+    let m = decode_umessage(&mut r)?;
+    r.finish()?;
+    Ok(m)
+}
+
 fn decode_umessage(r: &mut Reader<'_>) -> CoreResult<UMessage> {
     let mime: MimeType = r.str_ref()?.parse()?;
     let body = r.bytes()?;

@@ -120,7 +120,7 @@ fn correlation_id_reconstructs_two_hop_path() {
         ])
         .within(SimDuration::from_secs(5))
         .all_closed();
-    assert!(trace.spans_dropped() == 0, "span log overflowed");
+    assert_eq!(trace.ring_overwrites(), 0, "span ring wrapped");
 }
 
 /// Counters land in the owning runtime's scope and nowhere else, and the
@@ -192,10 +192,10 @@ fn critical_path_attributes_bridged_latency() {
         cp.stages.iter().map(|s| &s.name).collect::<Vec<_>>()
     );
 
-    // Lossless run: the drop counters exist in the snapshot and are 0.
+    // Lossless run: the ring counters exist in the snapshot and are 0.
     let snap = trace.metrics().snapshot();
-    assert_eq!(snap.counters.get("trace.events_dropped"), Some(&0));
-    assert_eq!(snap.counters.get("trace.spans_dropped"), Some(&0));
+    assert_eq!(snap.counters.get("trace.events_overwritten"), Some(&0));
+    assert_eq!(snap.counters.get("trace.ring_overwrites"), Some(&0));
 }
 
 /// Two identical runs produce byte-identical metric snapshots.
