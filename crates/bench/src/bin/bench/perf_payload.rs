@@ -3,7 +3,8 @@
 //! bulk transfer (see `bench::timing` for the measured kernels).
 //!
 //! `--check` runs a fast smoke pass plus the deterministic
-//! decode-linearity regression (CI). `--json FILE` writes the measured
+//! decode-linearity regression over the wire, JRMP and MediaBroker
+//! framers (CI). `--json FILE` writes the measured
 //! numbers as deterministic-schema JSON (time values are wall-clock and
 //! machine-dependent; the schema and the payload copy counters are what
 //! golden files assert on). The full run also replays the E8
@@ -12,7 +13,7 @@
 
 use bench::experiments::e8_observability;
 use bench::timing::{
-    assert_decode_copies_linear, multicast_fanout, stream_bulk_transfer, wire_decode_bulk,
+    assert_decode_copies_linear, decode_bulk, multicast_fanout, stream_bulk_transfer, Framer,
 };
 use simnet::{Json, Layout};
 
@@ -38,21 +39,21 @@ fn run(args: &Args) {
     if args.switch("--check") {
         // CI smoke: one small iteration of each case so the bench code
         // cannot rot, plus the deterministic linearity regression.
-        let run = wire_decode_bulk(16);
+        let run = decode_bulk(Framer::Wire, 16);
         assert!(run.ns_per_frame > 0.0);
-        let (small, large) = assert_decode_copies_linear(64);
+        let linear = assert_decode_copies_linear(64);
         let fanout = multicast_fanout(4, 4);
         assert!(fanout.ns_per_send > 0.0);
         assert!(fanout.shared_bytes > 0, "fan-out must share buffers");
         let per_kib = stream_bulk_transfer(64 * 1024, 0.0);
         assert!(per_kib > 0.0);
-        println!("bench perf-payload --check: ok (decode copies {small} -> {large} B, linear)");
+        println!("bench perf-payload --check: ok (decode copies {linear:?} B, linear)");
         return;
     }
 
     println!("zero-copy payload path benches (wall clock)");
-    let run_1k = wire_decode_bulk(1_000);
-    let run_2k = wire_decode_bulk(2_000);
+    let run_1k = decode_bulk(Framer::Wire, 1_000);
+    let run_2k = decode_bulk(Framer::Wire, 2_000);
     println!(
         "wire_decode_bulk   1k frames: {:>10} ns total, {:>9.1} ns/frame, {} B copied",
         run_1k.ns_total, run_1k.ns_per_frame, run_1k.payload.bytes_copied

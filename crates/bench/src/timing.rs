@@ -14,9 +14,11 @@ use std::hint::black_box;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
+use platform_mediabroker::{MbAccumulator, MbFrame};
+use platform_rmi::{FrameAccumulator, JavaValue, RmiFrame};
 use simnet::{
-    Addr, Ctx, PayloadStats, Process, SegmentConfig, SimDuration, SimTime, StreamEvent, StreamId,
-    World,
+    Addr, Ctx, Payload, PayloadStats, Process, SegmentConfig, SimDuration, SimTime, StreamEvent,
+    StreamId, World,
 };
 use umiddle_core::{ConnectionId, PortRef, RuntimeId, TranslatorId, UMessage, WireMessage};
 
@@ -114,9 +116,73 @@ fn path_message(body: usize) -> WireMessage {
     }
 }
 
-/// Result of one [`wire_decode_bulk`] run.
+/// The `u32`-length-prefixed stream codecs, whose decoders all pop
+/// frames through `ChunkQueue::pop_u32_frame`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Framer {
+    /// Runtime path messages through `FrameDecoder`.
+    Wire,
+    /// RMI calls through `FrameAccumulator`.
+    Jrmp,
+    /// MediaBroker data frames through `MbAccumulator`.
+    Mb,
+}
+
+impl Framer {
+    /// One framed message carrying a [`PAYLOAD_BODY`]-byte body, as the
+    /// bridged path sends it.
+    fn frame(self) -> Payload {
+        let body = vec![0xAB; PAYLOAD_BODY];
+        match self {
+            Framer::Wire => path_message(PAYLOAD_BODY).encode_framed(),
+            Framer::Jrmp => RmiFrame::Call {
+                call_id: 1,
+                object: "EchoService".to_owned(),
+                method: "echo".to_owned(),
+                args: vec![JavaValue::Bytes(body.into())],
+            }
+            .encode_framed(),
+            Framer::Mb => MbFrame::Data {
+                payload: body.into(),
+            }
+            .encode_framed(),
+        }
+    }
+
+    /// Pushes every chunk into a fresh decoder, then drains it; returns
+    /// the number of frames decoded.
+    fn decode_all<'a>(self, chunks: impl Iterator<Item = &'a [u8]>) -> usize {
+        fn drain<T, E: std::fmt::Debug>(mut next: impl FnMut() -> Result<Option<T>, E>) -> usize {
+            let mut decoded = 0;
+            while let Some(f) = next().expect("well-formed frames") {
+                black_box(f);
+                decoded += 1;
+            }
+            decoded
+        }
+        match self {
+            Framer::Wire => {
+                let mut dec = umiddle_core::FrameDecoder::new();
+                chunks.for_each(|c| dec.push(c));
+                drain(|| dec.next())
+            }
+            Framer::Jrmp => {
+                let mut dec = FrameAccumulator::new();
+                chunks.for_each(|c| dec.push(c));
+                drain(|| dec.next())
+            }
+            Framer::Mb => {
+                let mut dec = MbAccumulator::new();
+                chunks.for_each(|c| dec.push(c));
+                drain(|| dec.next())
+            }
+        }
+    }
+}
+
+/// Result of one [`decode_bulk`] run.
 #[derive(Debug, Clone, Copy)]
-pub struct WireDecodeRun {
+pub struct DecodeRun {
     /// Wall-clock nanoseconds for the whole drain.
     pub ns_total: u128,
     /// Wall-clock nanoseconds per decoded frame.
@@ -125,54 +191,50 @@ pub struct WireDecodeRun {
     pub payload: PayloadStats,
 }
 
-/// Buffers `frames` length-prefixed messages into the decoder (in 4 KiB
-/// chunks, as a stream would deliver them), then drains them all — the
-/// worst case for a decoder that shifts its buffer per extracted frame.
-pub fn wire_decode_bulk(frames: usize) -> WireDecodeRun {
-    let msg = path_message(PAYLOAD_BODY);
-    let one = msg.encode_framed();
+/// Buffers `frames` length-prefixed `framer` messages into its decoder
+/// (in 4 KiB chunks, as a stream would deliver them), then drains them
+/// all — the worst case for a decoder that shifts its buffer per
+/// extracted frame. The copy count covers the pushes and the frames
+/// the decoder assembles across chunk boundaries.
+pub fn decode_bulk(framer: Framer, frames: usize) -> DecodeRun {
+    let one = framer.frame();
     let mut stream = Vec::with_capacity(one.len() * frames);
     for _ in 0..frames {
         stream.extend_from_slice(&one);
     }
     simnet::payload::take_stats();
     let start = Instant::now();
-    let mut dec = umiddle_core::FrameDecoder::new();
-    for chunk in stream.chunks(4096) {
-        dec.push(chunk);
-    }
-    let mut decoded = 0usize;
-    while let Some(m) = dec.next().expect("well-formed frames") {
-        black_box(&m);
-        decoded += 1;
-    }
+    let decoded = framer.decode_all(stream.chunks(4096));
     let ns = start.elapsed().as_nanos();
     assert_eq!(decoded, frames);
-    WireDecodeRun {
+    DecodeRun {
         ns_total: ns,
         ns_per_frame: ns as f64 / frames as f64,
         payload: simnet::payload::take_stats(),
     }
 }
 
-/// Deterministic linearity regression: decoding `2 * frames` buffered
-/// frames must copy at most ~2x the bytes of decoding `frames` — a
-/// decoder that concatenates or shifts its buffer per frame copies
-/// quadratically and trips this. Returns the two byte counts.
+/// Deterministic linearity regression for every [`Framer`]: decoding
+/// `2 * frames` buffered frames must copy at most ~2x the bytes of
+/// decoding `frames` — a decoder that concatenates or shifts its buffer
+/// per frame copies quadratically and trips this. Returns each
+/// framer's two byte counts.
 ///
 /// # Panics
 ///
-/// Panics if the large run copies more than 2.5x the small run.
-pub fn assert_decode_copies_linear(frames: usize) -> (u64, u64) {
-    let small = wire_decode_bulk(frames).payload.bytes_copied;
-    let large = wire_decode_bulk(frames * 2).payload.bytes_copied;
-    assert!(
-        (large as f64) <= (small as f64) * 2.5,
-        "frame decode copies are superlinear: {frames} frames copy {small} B, \
-         {} frames copy {large} B",
-        frames * 2
-    );
-    (small, large)
+/// Panics if a large run copies more than 2.5x its small run.
+pub fn assert_decode_copies_linear(frames: usize) -> [(Framer, u64, u64); 3] {
+    [Framer::Wire, Framer::Jrmp, Framer::Mb].map(|framer| {
+        let small = decode_bulk(framer, frames).payload.bytes_copied;
+        let large = decode_bulk(framer, frames * 2).payload.bytes_copied;
+        assert!(
+            (large as f64) <= (small as f64) * 2.5,
+            "{framer:?} frame decode copies are superlinear: {frames} frames copy {small} B, \
+             {} frames copy {large} B",
+            frames * 2
+        );
+        (framer, small, large)
+    })
 }
 
 struct FanoutReceiver {
@@ -489,9 +551,13 @@ mod tests {
 
     #[test]
     fn decode_copies_stay_linear() {
-        let (small, large) = super::assert_decode_copies_linear(64);
-        assert!(small > 0, "instrumentation must observe the decode");
-        assert!(large > small);
+        for (framer, small, large) in super::assert_decode_copies_linear(64) {
+            assert!(
+                small > 0,
+                "instrumentation must observe the {framer:?} decode"
+            );
+            assert!(large > small);
+        }
     }
 
     #[test]

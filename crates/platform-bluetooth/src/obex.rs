@@ -6,7 +6,7 @@
 //! packet layer (connect / put / get with headers, chunked bodies,
 //! continue responses) as a binary codec plus accumulation over streams.
 
-use simnet::{ChunkQueue, Payload, PayloadBuilder};
+use simnet::{ByteReader, ChunkQueue, Payload, PayloadBuilder};
 
 /// OBEX opcodes (final-bit variants included where used).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,7 +163,7 @@ impl ObexPacket {
                 Header::Type(s) => put_bytes(&mut out, HI_TYPE, s.as_bytes()),
                 Header::Length(n) => {
                     out.push(HI_LENGTH);
-                    out.extend_from_slice(&n.to_be_bytes());
+                    out.u32_be(*n);
                 }
                 Header::Body(b) => put_bytes(&mut out, HI_BODY, b),
                 Header::EndOfBody(b) => put_bytes(&mut out, HI_END_OF_BODY, b),
@@ -171,9 +171,7 @@ impl ObexPacket {
             }
         }
         let total = out.len() as u16;
-        let be = total.to_be_bytes();
-        out.patch_u8(1, be[0]);
-        out.patch_u8(2, be[1]);
+        out.patch_u16_be(1, total);
         out.freeze()
     }
 
@@ -184,82 +182,51 @@ impl ObexPacket {
     ///
     /// Returns a description of the malformation on bad packets.
     pub fn decode_payload(buf: &Payload) -> Result<Option<(ObexPacket, usize)>, String> {
-        Self::decode_inner(buf, Some(buf))
+        Self::read(ByteReader::with_backing(buf))
     }
 
     /// Decodes one packet from the front of `buf`. Returns the packet and
     /// bytes consumed, `Ok(None)` if more bytes are needed, or `Err` on a
     /// malformed packet.
     pub fn decode(buf: &[u8]) -> Result<Option<(ObexPacket, usize)>, String> {
-        Self::decode_inner(buf, None)
+        Self::read(ByteReader::new(buf))
     }
 
-    fn decode_inner(
-        buf: &[u8],
-        backing: Option<&Payload>,
-    ) -> Result<Option<(ObexPacket, usize)>, String> {
-        if buf.len() < 3 {
+    fn read(mut r: ByteReader<'_>) -> Result<Option<(ObexPacket, usize)>, String> {
+        let (Ok(op), Ok(total)) = (r.u8(), r.u16_be()) else {
             return Ok(None);
-        }
-        let opcode =
-            Opcode::from_byte(buf[0]).ok_or_else(|| format!("unknown opcode {:#x}", buf[0]))?;
-        let total = u16::from_be_bytes([buf[1], buf[2]]) as usize;
-        if total < 3 {
-            return Err("packet length too small".to_owned());
-        }
-        if buf.len() < total {
+        };
+        let opcode = Opcode::from_byte(op).ok_or_else(|| format!("unknown opcode {op:#x}"))?;
+        let total = usize::from(total);
+        let headers_len = total.checked_sub(3).ok_or("packet length too small")?;
+        let Ok(mut r) = r.reader(headers_len) else {
             return Ok(None);
-        }
+        };
         let mut headers = Vec::new();
-        let mut pos = 3;
-        while pos < total {
-            let hi = buf[pos];
-            pos += 1;
-            match hi {
-                HI_LENGTH => {
-                    if pos + 4 > total {
-                        return Err("truncated length header".to_owned());
-                    }
-                    headers.push(Header::Length(u32::from_be_bytes([
-                        buf[pos],
-                        buf[pos + 1],
-                        buf[pos + 2],
-                        buf[pos + 3],
-                    ])));
-                    pos += 4;
-                }
+        while let Ok(hi) = r.u8() {
+            headers.push(match hi {
+                HI_LENGTH => Header::Length(r.u32_be().map_err(|_| "truncated length header")?),
                 HI_NAME | HI_TYPE | HI_BODY | HI_END_OF_BODY | HI_APP_PARAMS => {
-                    if pos + 2 > total {
-                        return Err("truncated header length".to_owned());
+                    let hlen = r.u16_be().map_err(|_| "truncated header length")?;
+                    let n = usize::from(hlen)
+                        .checked_sub(3)
+                        .filter(|&n| n <= r.remaining())
+                        .ok_or("bad header length")?;
+                    let mut bytes = || r.payload(n).map_err(|e| e.to_string());
+                    match hi {
+                        HI_NAME => {
+                            Header::Name(r.utf8(n).map_err(|_| "bad utf-8 name")?.to_owned())
+                        }
+                        HI_TYPE => {
+                            Header::Type(r.utf8(n).map_err(|_| "bad utf-8 type")?.to_owned())
+                        }
+                        HI_BODY => Header::Body(bytes()?),
+                        HI_END_OF_BODY => Header::EndOfBody(bytes()?),
+                        _ => Header::AppParams(bytes()?),
                     }
-                    let hlen = u16::from_be_bytes([buf[pos], buf[pos + 1]]) as usize;
-                    pos += 2;
-                    if hlen < 3 || pos + hlen - 3 > total {
-                        return Err("bad header length".to_owned());
-                    }
-                    let start = pos;
-                    let end = pos + hlen - 3;
-                    pos = end;
-                    let bytes_of = |range: &[u8]| match backing {
-                        Some(p) => p.slice(start..end),
-                        None => Payload::copy_from_slice(range),
-                    };
-                    headers.push(match hi {
-                        HI_NAME => Header::Name(
-                            String::from_utf8(buf[start..end].to_vec())
-                                .map_err(|_| "bad utf-8 name".to_owned())?,
-                        ),
-                        HI_TYPE => Header::Type(
-                            String::from_utf8(buf[start..end].to_vec())
-                                .map_err(|_| "bad utf-8 type".to_owned())?,
-                        ),
-                        HI_BODY => Header::Body(bytes_of(&buf[start..end])),
-                        HI_END_OF_BODY => Header::EndOfBody(bytes_of(&buf[start..end])),
-                        _ => Header::AppParams(bytes_of(&buf[start..end])),
-                    });
                 }
                 other => return Err(format!("unknown header id {other:#x}")),
-            }
+            });
         }
         Ok(Some((ObexPacket { opcode, headers }, total)))
     }
@@ -267,7 +234,7 @@ impl ObexPacket {
 
 fn put_bytes(out: &mut PayloadBuilder, hi: u8, data: &[u8]) {
     out.push(hi);
-    out.extend_from_slice(&((data.len() + 3) as u16).to_be_bytes());
+    out.u16_be((data.len() + 3) as u16);
     out.extend_from_slice(data);
 }
 
@@ -437,11 +404,18 @@ mod tests {
     }
 
     #[test]
-    fn decode_never_panics() {
-        simnet::check_cases("obex_decode_never_panics", 256, |_, rng| {
-            let len = rng.gen_range(0usize..128);
-            let bytes = rng.gen_bytes(len);
-            let _ = ObexPacket::decode(&bytes);
+    fn structured_mutations_never_panic_the_decoder() {
+        let mut corpus: Vec<Vec<u8>> = put_packets("img01.jpg", "image/jpeg", &[7u8; 40][..], 16)
+            .iter()
+            .map(|p| p.encode().to_vec())
+            .collect();
+        let app = ObexPacket::new(Opcode::Get).with_header(Header::AppParams(vec![1, 2].into()));
+        corpus.push(app.encode().to_vec());
+        simnet::check_mutations("obex_structured_mutations", &corpus, |m| {
+            let shared = ObexPacket::decode_payload(&Payload::copy_from_slice(m));
+            assert_eq!(shared, ObexPacket::decode(m));
+            let (packet, used) = shared.ok()??;
+            (used == m.len()).then(|| packet.encode().to_vec())
         });
     }
 

@@ -9,7 +9,8 @@
 use std::collections::HashMap;
 
 use simnet::{
-    Addr, ChunkQueue, Ctx, Payload, PayloadBuilder, Process, SimDuration, StreamEvent, StreamId,
+    Addr, ByteReader, ChunkQueue, Ctx, DecodeError, Payload, PayloadBuilder, Process, SimDuration,
+    StreamEvent, StreamId,
 };
 
 use crate::types::TypeLattice;
@@ -65,12 +66,6 @@ const TAG_DATA: u8 = 5;
 const TAG_LIST: u8 = 6;
 const TAG_CHANNELS: u8 = 7;
 
-fn put_str(out: &mut PayloadBuilder, s: &str) {
-    let b = s.as_bytes();
-    out.u16_le(b.len().min(u16::MAX as usize) as u16);
-    out.extend_from_slice(&b[..b.len().min(u16::MAX as usize)]);
-}
-
 impl MbFrame {
     fn encode_into(&self, out: &mut PayloadBuilder) {
         match self {
@@ -79,21 +74,21 @@ impl MbFrame {
                 media_type,
             } => {
                 out.push(TAG_PRODUCE);
-                put_str(out, channel);
-                put_str(out, media_type);
+                out.str16_le(channel);
+                out.str16_le(media_type);
             }
             MbFrame::Consume {
                 channel,
                 media_type,
             } => {
                 out.push(TAG_CONSUME);
-                put_str(out, channel);
-                put_str(out, media_type);
+                out.str16_le(channel);
+                out.str16_le(media_type);
             }
             MbFrame::Ack => out.push(TAG_ACK),
             MbFrame::Nack { reason } => {
                 out.push(TAG_NACK);
-                put_str(out, reason);
+                out.str16_le(reason);
             }
             MbFrame::Data { payload } => {
                 out.push(TAG_DATA);
@@ -105,8 +100,8 @@ impl MbFrame {
                 out.push(TAG_CHANNELS);
                 out.u16_le(entries.len() as u16);
                 for (name, ty, consumers) in entries {
-                    put_str(out, name);
-                    put_str(out, ty);
+                    out.str16_le(name);
+                    out.str16_le(ty);
                     out.u32_le(*consumers);
                 }
             }
@@ -121,96 +116,59 @@ impl MbFrame {
     }
 
     /// Encodes with a `u32` length prefix. Prefix and body go into one
-    /// buffer (the prefix slot is reserved up front and patched), so
-    /// framing costs no second allocation or copy.
+    /// buffer, so framing costs no second allocation or copy.
     pub fn encode_framed(&self) -> Payload {
-        let mut out = PayloadBuilder::new();
-        let slot = out.reserve_u32_le();
-        self.encode_into(&mut out);
-        let body_len = (out.len() - 4) as u32;
-        out.patch_u32_le(slot, body_len);
-        out.freeze()
+        PayloadBuilder::u32_framed(u32::to_le_bytes, |out| self.encode_into(out))
     }
 
     /// Decodes a frame body from a shared buffer. A `Data` frame's
     /// payload is returned as a zero-copy sub-slice of `frame`.
     pub fn decode_payload(frame: &Payload) -> Option<MbFrame> {
-        Self::decode_inner(frame, Some(frame))
+        Self::read(ByteReader::with_backing(frame)).ok()
     }
 
     /// Decodes a frame body.
     pub fn decode(bytes: &[u8]) -> Option<MbFrame> {
-        Self::decode_inner(bytes, None)
+        Self::read(ByteReader::new(bytes)).ok()
     }
 
-    fn decode_inner(bytes: &[u8], backing: Option<&Payload>) -> Option<MbFrame> {
-        struct C<'a> {
-            b: &'a [u8],
-            p: usize,
-        }
-        impl<'a> C<'a> {
-            fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-                if self.p + n > self.b.len() {
-                    return None;
-                }
-                let s = &self.b[self.p..self.p + n];
-                self.p += n;
-                Some(s)
-            }
-            fn u16(&mut self) -> Option<u16> {
-                let b = self.take(2)?;
-                Some(u16::from_le_bytes([b[0], b[1]]))
-            }
-            fn u32(&mut self) -> Option<u32> {
-                let b = self.take(4)?;
-                Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            }
-            fn str(&mut self) -> Option<String> {
-                let n = self.u16()? as usize;
-                String::from_utf8(self.take(n)?.to_vec()).ok()
-            }
-        }
-        let mut c = C { b: bytes, p: 1 };
-        let frame = match *bytes.first()? {
+    fn read(mut r: ByteReader<'_>) -> Result<MbFrame, DecodeError> {
+        let frame = match r.u8()? {
             TAG_PRODUCE => MbFrame::Produce {
-                channel: c.str()?,
-                media_type: c.str()?,
+                channel: r.str16_le()?.to_owned(),
+                media_type: r.str16_le()?.to_owned(),
             },
             TAG_CONSUME => MbFrame::Consume {
-                channel: c.str()?,
-                media_type: c.str()?,
+                channel: r.str16_le()?.to_owned(),
+                media_type: r.str16_le()?.to_owned(),
             },
             TAG_ACK => MbFrame::Ack,
-            TAG_NACK => MbFrame::Nack { reason: c.str()? },
+            TAG_NACK => MbFrame::Nack {
+                reason: r.str16_le()?.to_owned(),
+            },
             TAG_DATA => {
-                let n = c.u32()? as usize;
-                let start = c.p;
-                let s = c.take(n)?;
-                let payload = match backing {
-                    Some(p) => p.slice(start..start + n),
-                    None => Payload::copy_from_slice(s),
-                };
-                MbFrame::Data { payload }
+                let n = r.u32_le()? as usize;
+                MbFrame::Data {
+                    payload: r.payload(n)?,
+                }
             }
             TAG_LIST => MbFrame::ListChannels,
             TAG_CHANNELS => {
-                let n = c.u16()? as usize;
-                let mut entries = Vec::with_capacity(n.min(64));
+                let n = usize::from(r.u16_le()?);
+                let mut entries = Vec::with_capacity(r.capacity_for(n));
                 for _ in 0..n {
-                    let name = c.str()?;
-                    let ty = c.str()?;
-                    let consumers = c.u32()?;
-                    entries.push((name, ty, consumers));
+                    entries.push((
+                        r.str16_le()?.to_owned(),
+                        r.str16_le()?.to_owned(),
+                        r.u32_le()?,
+                    ));
                 }
                 MbFrame::Channels(entries)
             }
-            _ => return None,
+            _ => return Err(DecodeError::Malformed),
         };
-        if c.p == bytes.len() {
-            Some(frame)
-        } else {
-            None
-        }
+        r.finish()?;
+        Ok(frame)
     }
 }
 
@@ -249,17 +207,9 @@ impl MbAccumulator {
     /// Returns an error on malformed frames (buffer cleared).
     #[allow(clippy::should_implement_trait)] // framer convention, not an Iterator
     pub fn next(&mut self) -> Result<Option<MbFrame>, String> {
-        if self.buf.len() < 4 {
+        let Some(body) = self.buf.pop_u32_frame(u32::from_le_bytes) else {
             return Ok(None);
-        }
-        let mut hdr = [0u8; 4];
-        self.buf.peek_into(&mut hdr);
-        let len = u32::from_le_bytes(hdr) as usize;
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let _prefix = self.buf.take(4);
-        let body = self.buf.take(len);
+        };
         match MbFrame::decode_payload(&body) {
             Some(f) => Ok(Some(f)),
             None => {
@@ -462,9 +412,8 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    #[test]
-    fn frames_round_trip() {
-        for f in [
+    fn frames() -> Vec<MbFrame> {
+        vec![
             MbFrame::Produce {
                 channel: "cam1".to_owned(),
                 media_type: "video/raw".to_owned(),
@@ -482,9 +431,17 @@ mod tests {
             },
             MbFrame::ListChannels,
             MbFrame::Channels(vec![("a".to_owned(), "t".to_owned(), 2)]),
-        ] {
-            assert_eq!(MbFrame::decode(&f.encode()), Some(f));
-        }
+        ]
+    }
+
+    #[test]
+    fn structured_mutations_never_panic_the_decoder() {
+        let corpus: Vec<Vec<u8>> = frames().iter().map(MbFrame::encode).collect();
+        simnet::check_mutations("mb_structured_mutations", &corpus, |m| {
+            let shared = MbFrame::decode_payload(&Payload::copy_from_slice(m));
+            assert_eq!(shared, MbFrame::decode(m));
+            shared.map(|f| f.encode())
+        });
     }
 
     #[test]
@@ -495,15 +452,6 @@ mod tests {
             payload: vec![0; 1400].into(),
         };
         assert_eq!(f.encode_framed().len(), 1400 + 9);
-    }
-
-    #[test]
-    fn decode_never_panics() {
-        simnet::check_cases("mb_decode_never_panics", 256, |_, rng| {
-            let len = rng.gen_range(0usize..128);
-            let bytes = rng.gen_bytes(len);
-            let _ = MbFrame::decode(&bytes);
-        });
     }
 
     /// Producer registers a channel and sends frames.

@@ -10,7 +10,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use simnet::{Ctx, Datagram, LocalMessage, Payload, PayloadBuilder, ProcId, Process, SimDuration};
+use simnet::{
+    ByteReader, Ctx, Datagram, DecodeError, LocalMessage, Payload, PayloadBuilder, ProcId, Process,
+    SimDuration,
+};
 
 /// The radio broadcast group all motes share.
 pub const RADIO_GROUP: u16 = 100;
@@ -63,29 +66,25 @@ impl ActiveMessage {
     /// Decodes a message from a shared radio frame; the payload is a
     /// zero-copy sub-slice of `frame`.
     pub fn decode_payload(frame: &Payload) -> Option<ActiveMessage> {
-        Self::decode_inner(frame, Some(frame))
+        Self::read(ByteReader::with_backing(frame)).ok()
     }
 
     /// Decodes a message; `None` on garbage.
     pub fn decode(bytes: &[u8]) -> Option<ActiveMessage> {
-        Self::decode_inner(bytes, None)
+        Self::read(ByteReader::new(bytes)).ok()
     }
 
-    fn decode_inner(bytes: &[u8], backing: Option<&Payload>) -> Option<ActiveMessage> {
-        if bytes.len() < 4 {
-            return None;
+    fn read(mut r: ByteReader<'_>) -> Result<ActiveMessage, DecodeError> {
+        let am_type = r.u8()?;
+        let src = r.u16_le()?;
+        let len = usize::from(r.u8()?);
+        if len > AM_MAX_PAYLOAD || r.remaining() != len {
+            return Err(DecodeError::Malformed);
         }
-        let len = bytes[3] as usize;
-        if len > AM_MAX_PAYLOAD || bytes.len() != 4 + len {
-            return None;
-        }
-        Some(ActiveMessage {
-            am_type: bytes[0],
-            src: u16::from_le_bytes([bytes[1], bytes[2]]),
-            payload: match backing {
-                Some(p) => p.slice(4..4 + len),
-                None => Payload::copy_from_slice(&bytes[4..]),
-            },
+        Ok(ActiveMessage {
+            am_type,
+            src,
+            payload: r.payload(len)?,
         })
     }
 }
@@ -113,14 +112,14 @@ impl Reading {
 
     /// Decodes from an AM payload.
     pub fn decode(payload: &[u8]) -> Option<Reading> {
-        if payload.len() != 6 {
-            return None;
-        }
-        Some(Reading {
-            seq: u16::from_le_bytes([payload[0], payload[1]]),
-            temperature_decicelsius: i16::from_le_bytes([payload[2], payload[3]]),
-            light: u16::from_le_bytes([payload[4], payload[5]]),
-        })
+        let mut r = ByteReader::new(payload);
+        let reading = Reading {
+            seq: r.u16_le().ok()?,
+            temperature_decicelsius: r.u16_le().ok()? as i16,
+            light: r.u16_le().ok()?,
+        };
+        r.finish().ok()?;
+        Some(reading)
     }
 }
 
@@ -295,12 +294,6 @@ mod tests {
     use std::rc::Rc;
 
     #[test]
-    fn am_round_trip() {
-        let m = ActiveMessage::new(AM_READING, 7, vec![1, 2, 3]);
-        assert_eq!(ActiveMessage::decode(&m.encode()), Some(m));
-    }
-
-    #[test]
     fn oversized_payload_truncated() {
         let m = ActiveMessage::new(1, 1, vec![0; 100]);
         assert_eq!(m.payload.len(), AM_MAX_PAYLOAD);
@@ -308,9 +301,30 @@ mod tests {
 
     #[test]
     fn garbage_rejected() {
-        assert_eq!(ActiveMessage::decode(&[]), None);
-        assert_eq!(ActiveMessage::decode(&[1, 0, 0, 31]), None);
-        assert_eq!(ActiveMessage::decode(&[1, 0, 0, 2, 9]), None);
+        assert_eq!(
+            ActiveMessage::decode(&[1, 0, 0, 31]),
+            None,
+            "length past the maximum"
+        );
+    }
+
+    #[test]
+    fn structured_mutations_never_panic_the_decoder() {
+        let reading = Reading {
+            seq: 3,
+            temperature_decicelsius: -15,
+            light: 900,
+        };
+        let corpus: Vec<Vec<u8>> = [reading.encode(), vec![0xAB; AM_MAX_PAYLOAD], vec![]]
+            .map(|p| ActiveMessage::new(AM_READING, 7, p).encode().to_vec())
+            .into();
+        simnet::check_mutations("am_structured_mutations", &corpus, |m| {
+            let shared = ActiveMessage::decode_payload(&Payload::copy_from_slice(m));
+            assert_eq!(shared, ActiveMessage::decode(m));
+            let am = shared?;
+            Reading::decode(&am.payload);
+            Some(am.encode().to_vec())
+        });
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use simnet::Payload;
+use simnet::{ByteReader, DecodeError, Payload, PayloadBuilder};
 
 /// A marshaled Java-ish value.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,59 +66,53 @@ const MAGIC: u16 = 0xACED;
 /// Recursion bound for hostile input.
 const MAX_DEPTH: u32 = 64;
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let b = s.as_bytes();
-    out.extend_from_slice(&(b.len().min(u16::MAX as usize) as u16).to_be_bytes());
-    out.extend_from_slice(&b[..b.len().min(u16::MAX as usize)]);
-}
-
 impl JavaValue {
     /// Marshals the value, including the stream magic header.
     pub fn marshal(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC.to_be_bytes());
+        let mut out = PayloadBuilder::new();
+        out.u16_be(MAGIC);
         self.write(&mut out);
-        out
+        out.into_vec()
     }
 
-    fn write(&self, out: &mut Vec<u8>) {
+    fn write(&self, out: &mut PayloadBuilder) {
         match self {
             JavaValue::Null => out.push(TAG_NULL),
             JavaValue::Int(v) => {
                 out.push(TAG_INT);
                 // Self-describing: type name travels with the value.
-                put_str(out, "int");
-                out.extend_from_slice(&v.to_be_bytes());
+                out.str16_be("int");
+                out.u32_be(*v as u32);
             }
             JavaValue::Long(v) => {
                 out.push(TAG_LONG);
-                put_str(out, "long");
-                out.extend_from_slice(&v.to_be_bytes());
+                out.str16_be("long");
+                out.u64_be(*v as u64);
             }
             JavaValue::Str(s) => {
                 out.push(TAG_STR);
-                put_str(out, "java.lang.String");
-                put_str(out, s);
+                out.str16_be("java.lang.String");
+                out.str16_be(s);
             }
             JavaValue::Bytes(b) => {
                 out.push(TAG_BYTES);
-                put_str(out, "[B");
-                out.extend_from_slice(&(b.len() as u32).to_be_bytes());
+                out.str16_be("[B");
+                out.u32_be(b.len() as u32);
                 out.extend_from_slice(b);
             }
             JavaValue::Object { class, fields } => {
                 out.push(TAG_OBJECT);
-                put_str(out, class);
-                out.extend_from_slice(&(fields.len() as u16).to_be_bytes());
+                out.str16_be(class);
+                out.u16_be(fields.len() as u16);
                 for (name, value) in fields {
-                    put_str(out, name);
+                    out.str16_be(name);
                     value.write(out);
                 }
             }
             JavaValue::List(items) => {
                 out.push(TAG_LIST);
-                put_str(out, "java.util.ArrayList");
-                out.extend_from_slice(&(items.len() as u32).to_be_bytes());
+                out.str16_be("java.util.ArrayList");
+                out.u32_be(items.len() as u32);
                 for item in items {
                     item.write(out);
                 }
@@ -128,30 +122,13 @@ impl JavaValue {
 
     /// Unmarshals a value.
     pub fn unmarshal(bytes: &[u8]) -> Option<JavaValue> {
-        Self::unmarshal_inner(bytes, None)
+        read_stream(ByteReader::new(bytes)).ok()
     }
 
     /// Unmarshals from a shared buffer; `byte[]` values come back as
     /// zero-copy sub-slices of `payload`.
     pub fn unmarshal_payload(payload: &Payload) -> Option<JavaValue> {
-        Self::unmarshal_inner(payload, Some(payload))
-    }
-
-    fn unmarshal_inner(bytes: &[u8], backing: Option<&Payload>) -> Option<JavaValue> {
-        let mut c = Cursor {
-            buf: bytes,
-            pos: 0,
-            backing,
-        };
-        if c.u16()? != MAGIC {
-            return None;
-        }
-        let v = c.value(0)?;
-        if c.pos == bytes.len() {
-            Some(v)
-        } else {
-            None
-        }
+        read_stream(ByteReader::with_backing(payload)).ok()
     }
 
     /// Size in bytes when marshaled (used for CPU-cost accounting).
@@ -160,91 +137,60 @@ impl JavaValue {
     }
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    backing: Option<&'a Payload>,
+/// The magic header, one value, and nothing after it.
+fn read_stream(mut r: ByteReader<'_>) -> Result<JavaValue, DecodeError> {
+    if r.u16_be()? != MAGIC {
+        return Err(DecodeError::Malformed);
+    }
+    let v = read_value(&mut r, 0)?;
+    r.finish()?;
+    Ok(v)
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return None;
+fn read_value(r: &mut ByteReader<'_>, depth: u32) -> Result<JavaValue, DecodeError> {
+    if depth > MAX_DEPTH {
+        return Err(DecodeError::Malformed);
+    }
+    Ok(match r.u8()? {
+        TAG_NULL => JavaValue::Null,
+        TAG_INT => {
+            let _ty = r.str16_be()?;
+            JavaValue::Int(r.u32_be()? as i32)
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Option<u16> {
-        let b = self.take(2)?;
-        Some(u16::from_be_bytes([b[0], b[1]]))
-    }
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.take(4)?;
-        Some(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn str(&mut self) -> Option<String> {
-        let n = self.u16()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).ok()
-    }
-    fn value(&mut self, depth: u32) -> Option<JavaValue> {
-        if depth > MAX_DEPTH {
-            return None;
+        TAG_LONG => {
+            let _ty = r.str16_be()?;
+            JavaValue::Long(r.u64_be()? as i64)
         }
-        Some(match self.u8()? {
-            TAG_NULL => JavaValue::Null,
-            TAG_INT => {
-                let _ty = self.str()?;
-                let b = self.take(4)?;
-                JavaValue::Int(i32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        TAG_STR => {
+            let _ty = r.str16_be()?;
+            JavaValue::Str(r.str16_be()?.to_owned())
+        }
+        TAG_BYTES => {
+            let _ty = r.str16_be()?;
+            let n = r.u32_be()? as usize;
+            JavaValue::Bytes(r.payload(n)?)
+        }
+        TAG_OBJECT => {
+            let class = r.str16_be()?.to_owned();
+            let n = usize::from(r.u16_be()?);
+            let mut fields = Vec::with_capacity(r.capacity_for(n));
+            for _ in 0..n {
+                let name = r.str16_be()?.to_owned();
+                fields.push((name, read_value(r, depth + 1)?));
             }
-            TAG_LONG => {
-                let _ty = self.str()?;
-                let b = self.take(8)?;
-                JavaValue::Long(i64::from_be_bytes([
-                    b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-                ]))
+            JavaValue::Object { class, fields }
+        }
+        TAG_LIST => {
+            let _class = r.str16_be()?;
+            let n = r.u32_be()? as usize;
+            let mut items = Vec::with_capacity(r.capacity_for(n));
+            for _ in 0..n {
+                items.push(read_value(r, depth + 1)?);
             }
-            TAG_STR => {
-                let _ty = self.str()?;
-                JavaValue::Str(self.str()?)
-            }
-            TAG_BYTES => {
-                let _ty = self.str()?;
-                let n = self.u32()? as usize;
-                let start = self.pos;
-                let s = self.take(n)?;
-                JavaValue::Bytes(match self.backing {
-                    Some(p) => p.slice(start..start + n),
-                    None => Payload::copy_from_slice(s),
-                })
-            }
-            TAG_OBJECT => {
-                let class = self.str()?;
-                let n = self.u16()? as usize;
-                let mut fields = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    let name = self.str()?;
-                    let value = self.value(depth + 1)?;
-                    fields.push((name, value));
-                }
-                JavaValue::Object { class, fields }
-            }
-            TAG_LIST => {
-                let _class = self.str()?;
-                let n = self.u32()? as usize;
-                let mut items = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    items.push(self.value(depth + 1)?);
-                }
-                JavaValue::List(items)
-            }
-            _ => return None,
-        })
-    }
+            JavaValue::List(items)
+        }
+        _ => return Err(DecodeError::Malformed),
+    })
 }
 
 #[cfg(test)]
@@ -264,12 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip() {
-        let v = sample();
-        assert_eq!(JavaValue::unmarshal(&v.marshal()), Some(v));
-    }
-
-    #[test]
     fn verbosity_overhead_is_substantial() {
         // 1400 payload bytes marshal to noticeably more: the RMI cost.
         let v = sample();
@@ -282,14 +222,6 @@ mod tests {
         let mut bytes = sample().marshal();
         bytes[0] = 0;
         assert_eq!(JavaValue::unmarshal(&bytes), None);
-    }
-
-    #[test]
-    fn truncation_rejected() {
-        let bytes = sample().marshal();
-        for cut in 0..bytes.len().min(64) {
-            assert!(JavaValue::unmarshal(&bytes[..cut]).is_none());
-        }
     }
 
     fn arb_value(rng: &mut simnet::SimRng, depth: u32) -> JavaValue {
@@ -341,11 +273,14 @@ mod tests {
     }
 
     #[test]
-    fn unmarshal_never_panics() {
-        simnet::check_cases("rmi_unmarshal_never_panics", 256, |_, rng| {
-            let len = rng.gen_range(0usize..256);
-            let bytes = rng.gen_bytes(len);
-            let _ = JavaValue::unmarshal(&bytes);
+    fn structured_mutations_never_panic_the_decoder() {
+        let mut rng = simnet::SimRng::seed_from_u64(7);
+        let mut corpus: Vec<Vec<u8>> = (0..8).map(|_| arb_value(&mut rng, 3).marshal()).collect();
+        corpus.push(sample().marshal());
+        simnet::check_mutations("rmi_marshal_structured_mutations", &corpus, |m| {
+            let shared = JavaValue::unmarshal_payload(&Payload::copy_from_slice(m));
+            assert_eq!(shared, JavaValue::unmarshal(m));
+            shared.map(|v| v.marshal())
         });
     }
 }

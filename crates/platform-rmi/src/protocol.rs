@@ -5,7 +5,7 @@
 //! together with marshaling verbosity, keeps RMI throughput low in the
 //! paper's Figure 11).
 
-use simnet::{ChunkQueue, Payload};
+use simnet::{ByteReader, ChunkQueue, DecodeError, Payload, PayloadBuilder};
 
 use crate::marshal::JavaValue;
 
@@ -77,74 +77,28 @@ const TAG_BIND: u8 = 6;
 const TAG_LOOKUP: u8 = 7;
 const TAG_LOOKUP_RESULT: u8 = 8;
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let b = s.as_bytes();
-    out.extend_from_slice(&(b.len().min(u16::MAX as usize) as u16).to_be_bytes());
-    out.extend_from_slice(&b[..b.len().min(u16::MAX as usize)]);
-}
-
-fn put_value(out: &mut Vec<u8>, v: &JavaValue) {
+fn put_value(out: &mut PayloadBuilder, v: &JavaValue) {
     let m = v.marshal();
-    out.extend_from_slice(&(m.len() as u32).to_be_bytes());
+    out.u32_be(m.len() as u32);
     out.extend_from_slice(&m);
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    backing: Option<&'a Payload>,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Option<u16> {
-        let b = self.take(2)?;
-        Some(u16::from_be_bytes([b[0], b[1]]))
-    }
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.take(4)?;
-        Some(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        let b = self.take(8)?;
-        Some(u64::from_be_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-    fn str(&mut self) -> Option<String> {
-        let n = self.u16()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).ok()
-    }
-    fn value(&mut self) -> Option<JavaValue> {
-        let n = self.u32()? as usize;
-        let start = self.pos;
-        let s = self.take(n)?;
-        match self.backing {
-            Some(p) => JavaValue::unmarshal_payload(&p.slice(start..start + n)),
-            None => JavaValue::unmarshal(s),
-        }
-    }
+/// A length-prefixed marshaled value, unmarshaled from its own view of
+/// the frame.
+fn read_value(r: &mut ByteReader<'_>) -> Result<JavaValue, DecodeError> {
+    let n = r.u32_be()? as usize;
+    JavaValue::unmarshal_payload(&r.payload(n)?).ok_or(DecodeError::Malformed)
 }
 
 impl RmiFrame {
     /// Encodes the frame body (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = PayloadBuilder::new();
         self.encode_into(&mut out);
-        out
+        out.into_vec()
     }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into(&self, out: &mut PayloadBuilder) {
         match self {
             RmiFrame::Ping => out.push(TAG_PING),
             RmiFrame::PingAck => out.push(TAG_PING_ACK),
@@ -155,34 +109,34 @@ impl RmiFrame {
                 args,
             } => {
                 out.push(TAG_CALL);
-                out.extend_from_slice(&call_id.to_be_bytes());
-                put_str(out, object);
-                put_str(out, method);
-                out.extend_from_slice(&(args.len() as u16).to_be_bytes());
+                out.u64_be(*call_id);
+                out.str16_be(object);
+                out.str16_be(method);
+                out.u16_be(args.len() as u16);
                 for a in args {
                     put_value(out, a);
                 }
             }
             RmiFrame::Return { call_id, result } => {
                 out.push(TAG_RETURN);
-                out.extend_from_slice(&call_id.to_be_bytes());
+                out.u64_be(*call_id);
                 put_value(out, result);
             }
             RmiFrame::Exception { call_id, message } => {
                 out.push(TAG_EXCEPTION);
-                out.extend_from_slice(&call_id.to_be_bytes());
-                put_str(out, message);
+                out.u64_be(*call_id);
+                out.str16_be(message);
             }
             RmiFrame::Bind { name, node, port } => {
                 out.push(TAG_BIND);
-                put_str(out, name);
-                out.extend_from_slice(&node.to_be_bytes());
-                out.extend_from_slice(&port.to_be_bytes());
+                out.str16_be(name);
+                out.u32_be(*node);
+                out.u16_be(*port);
             }
             RmiFrame::Lookup { call_id, name } => {
                 out.push(TAG_LOOKUP);
-                out.extend_from_slice(&call_id.to_be_bytes());
-                put_str(out, name);
+                out.u64_be(*call_id);
+                out.str16_be(name);
             }
             RmiFrame::LookupResult {
                 call_id,
@@ -190,52 +144,42 @@ impl RmiFrame {
                 port,
             } => {
                 out.push(TAG_LOOKUP_RESULT);
-                out.extend_from_slice(&call_id.to_be_bytes());
-                out.extend_from_slice(&node.to_be_bytes());
-                out.extend_from_slice(&port.to_be_bytes());
+                out.u64_be(*call_id);
+                out.u32_be(*node);
+                out.u16_be(*port);
             }
         }
     }
 
-    /// Encodes with a `u32` length prefix for stream framing. Prefix and
-    /// body share one buffer: the prefix is reserved up front and patched
-    /// once the body length is known, so framing costs no extra copy.
+    /// Encodes with a `u32` length prefix for stream framing, prefix and
+    /// body in one buffer.
     pub fn encode_framed(&self) -> Payload {
-        let mut out = vec![0u8; 4];
-        self.encode_into(&mut out);
-        let body_len = (out.len() - 4) as u32;
-        out[..4].copy_from_slice(&body_len.to_be_bytes());
-        Payload::from_vec(out)
+        PayloadBuilder::u32_framed(u32::to_be_bytes, |out| self.encode_into(out))
     }
 
     /// Decodes a frame body from a shared buffer; marshaled `byte[]`
     /// arguments come back as zero-copy sub-slices of `frame`.
     pub fn decode_payload(frame: &Payload) -> Option<RmiFrame> {
-        Self::decode_inner(frame, Some(frame))
+        Self::read(ByteReader::with_backing(frame)).ok()
     }
 
     /// Decodes a frame body.
     pub fn decode(bytes: &[u8]) -> Option<RmiFrame> {
-        Self::decode_inner(bytes, None)
+        Self::read(ByteReader::new(bytes)).ok()
     }
 
-    fn decode_inner(bytes: &[u8], backing: Option<&Payload>) -> Option<RmiFrame> {
-        let mut c = Cursor {
-            buf: bytes,
-            pos: 0,
-            backing,
-        };
-        let frame = match c.u8()? {
+    fn read(mut r: ByteReader<'_>) -> Result<RmiFrame, DecodeError> {
+        let frame = match r.u8()? {
             TAG_PING => RmiFrame::Ping,
             TAG_PING_ACK => RmiFrame::PingAck,
             TAG_CALL => {
-                let call_id = c.u64()?;
-                let object = c.str()?;
-                let method = c.str()?;
-                let n = c.u16()? as usize;
-                let mut args = Vec::with_capacity(n.min(16));
+                let call_id = r.u64_be()?;
+                let object = r.str16_be()?.to_owned();
+                let method = r.str16_be()?.to_owned();
+                let n = usize::from(r.u16_be()?);
+                let mut args = Vec::with_capacity(r.capacity_for(n));
                 for _ in 0..n {
-                    args.push(c.value()?);
+                    args.push(read_value(&mut r)?);
                 }
                 RmiFrame::Call {
                     call_id,
@@ -245,34 +189,31 @@ impl RmiFrame {
                 }
             }
             TAG_RETURN => RmiFrame::Return {
-                call_id: c.u64()?,
-                result: c.value()?,
+                call_id: r.u64_be()?,
+                result: read_value(&mut r)?,
             },
             TAG_EXCEPTION => RmiFrame::Exception {
-                call_id: c.u64()?,
-                message: c.str()?,
+                call_id: r.u64_be()?,
+                message: r.str16_be()?.to_owned(),
             },
             TAG_BIND => RmiFrame::Bind {
-                name: c.str()?,
-                node: c.u32()?,
-                port: c.u16()?,
+                name: r.str16_be()?.to_owned(),
+                node: r.u32_be()?,
+                port: r.u16_be()?,
             },
             TAG_LOOKUP => RmiFrame::Lookup {
-                call_id: c.u64()?,
-                name: c.str()?,
+                call_id: r.u64_be()?,
+                name: r.str16_be()?.to_owned(),
             },
             TAG_LOOKUP_RESULT => RmiFrame::LookupResult {
-                call_id: c.u64()?,
-                node: c.u32()?,
-                port: c.u16()?,
+                call_id: r.u64_be()?,
+                node: r.u32_be()?,
+                port: r.u16_be()?,
             },
-            _ => return None,
+            _ => return Err(DecodeError::Malformed),
         };
-        if c.pos == bytes.len() {
-            Some(frame)
-        } else {
-            None
-        }
+        r.finish()?;
+        Ok(frame)
     }
 }
 
@@ -310,17 +251,9 @@ impl FrameAccumulator {
     /// Returns an error on malformed frames (buffer is cleared).
     #[allow(clippy::should_implement_trait)] // framer convention, not an Iterator
     pub fn next(&mut self) -> Result<Option<RmiFrame>, String> {
-        if self.buf.len() < 4 {
+        let Some(body) = self.buf.pop_u32_frame(u32::from_be_bytes) else {
             return Ok(None);
-        }
-        let mut hdr = [0u8; 4];
-        self.buf.peek_into(&mut hdr);
-        let len = u32::from_be_bytes(hdr) as usize;
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let _prefix = self.buf.take(4);
-        let body = self.buf.take(len);
+        };
         match RmiFrame::decode_payload(&body) {
             Some(f) => Ok(Some(f)),
             None => {
@@ -371,13 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn all_frames_round_trip() {
-        for f in frames() {
-            assert_eq!(RmiFrame::decode(&f.encode()), Some(f));
-        }
-    }
-
-    #[test]
     fn accumulator_reassembles_chunked_frames() {
         let mut wire = Vec::new();
         for f in frames() {
@@ -402,11 +328,12 @@ mod tests {
     }
 
     #[test]
-    fn decode_never_panics() {
-        simnet::check_cases("rmi_decode_never_panics", 256, |_, rng| {
-            let len = rng.gen_range(0usize..256);
-            let bytes = rng.gen_bytes(len);
-            let _ = RmiFrame::decode(&bytes);
+    fn structured_mutations_never_panic_the_decoder() {
+        let corpus: Vec<Vec<u8>> = frames().iter().map(RmiFrame::encode).collect();
+        simnet::check_mutations("rmi_structured_mutations", &corpus, |m| {
+            let shared = RmiFrame::decode_payload(&Payload::copy_from_slice(m));
+            assert_eq!(shared, RmiFrame::decode(m));
+            shared.map(|f| f.encode())
         });
     }
 }

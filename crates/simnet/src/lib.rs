@@ -95,11 +95,11 @@ pub use health::{
 pub use incident::{IncidentBundle, TopologyDigest, TriggerKind};
 pub use json::{Json, JsonError, Layout};
 pub use medium::{schedule_tx, SegmentConfig, TxTiming};
-pub use payload::{ChunkQueue, Payload, PayloadBuilder, PayloadStats};
+pub use payload::{ByteReader, ChunkQueue, DecodeError, Payload, PayloadBuilder, PayloadStats};
 pub use process::{
     Addr, Datagram, LocalMessage, NodeId, ProcId, Process, SegmentId, StreamEvent, StreamId,
 };
-pub use rng::{check_cases, SimRng};
+pub use rng::{check_cases, check_mutations, SimRng};
 pub use shard::{run_sharded, ShardInfo, ShardPanicIncident, ShardPlan, ShardReport, ShardRun};
 pub use span::{
     merge_shard_spans, CriticalPath, PathExpectation, SpanNode, SpanTree, StageCost, TraceAssert,

@@ -9,7 +9,11 @@
 //!
 //! [`PayloadBuilder`] covers the encode side: incremental appends into a
 //! private `Vec<u8>`, then a zero-copy [`PayloadBuilder::freeze`] that
-//! moves the vector behind the `Arc`.
+//! moves the vector behind the `Arc`. [`ByteReader`] is the decode side
+//! every binary codec shares: a bounds-checked cursor that fails with a
+//! [`DecodeError`] instead of panicking, and hands out byte-array fields
+//! as zero-copy views of a backing payload. [`ChunkQueue`] reassembles a
+//! stream and pops its `u32`-length-prefixed frames.
 //!
 //! The module keeps thread-local **copy accounting** so copy-elimination
 //! is observable rather than asserted: every fresh allocation, every byte
@@ -403,10 +407,12 @@ impl ExactSizeIterator for PayloadIter {}
 /// let mut b = PayloadBuilder::with_capacity(8);
 /// b.push(0x01);
 /// b.extend_from_slice(b"abc");
-/// let at = b.reserve_u32_le();
-/// b.patch_u32_le(at, 7);
+/// b.u32_le(7);
 /// let p = b.freeze();
 /// assert_eq!(&p[..], &[0x01, b'a', b'b', b'c', 7, 0, 0, 0]);
+///
+/// let framed = PayloadBuilder::u32_framed(u32::to_be_bytes, |b| b.str16_be("hi"));
+/// assert_eq!(&framed[..], &[0, 0, 0, 4, 0, 2, b'h', b'i']);
 /// ```
 #[derive(Debug, Default)]
 pub struct PayloadBuilder {
@@ -451,9 +457,19 @@ impl PayloadBuilder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends a big-endian `u16`.
+    pub fn u16_be(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_be_bytes());
+    }
+
     /// Appends a little-endian `u32`.
     pub fn u32_le(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends a big-endian `u32`.
+    pub fn u32_be(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends a little-endian `u64`.
@@ -461,32 +477,51 @@ impl PayloadBuilder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a zeroed 4-byte slot and returns its offset, for length
-    /// prefixes patched after the body is encoded (this is what lets
-    /// framing avoid a second buffer + copy).
-    pub fn reserve_u32_le(&mut self) -> usize {
-        let at = self.buf.len();
-        self.buf.extend_from_slice(&[0; 4]);
-        at
+    /// Appends a big-endian `u64`.
+    pub fn u64_be(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Overwrites a previously reserved 4-byte slot.
+    /// Appends a string with a little-endian `u16` byte-length prefix,
+    /// cut to the first `u16::MAX` bytes.
+    pub fn str16_le(&mut self, s: &str) {
+        let b = &s.as_bytes()[..s.len().min(usize::from(u16::MAX))];
+        self.u16_le(b.len() as u16);
+        self.buf.extend_from_slice(b);
+    }
+
+    /// Appends a string with a big-endian `u16` byte-length prefix, cut
+    /// to the first `u16::MAX` bytes.
+    pub fn str16_be(&mut self, s: &str) {
+        let b = &s.as_bytes()[..s.len().min(usize::from(u16::MAX))];
+        self.u16_be(b.len() as u16);
+        self.buf.extend_from_slice(b);
+    }
+
+    /// Encodes one frame of a `u32`-length-prefixed stream in a single
+    /// buffer: `body` writes after a 4-byte slot, which then gets the
+    /// body length from `prefix` (`u32::to_le_bytes` or
+    /// `u32::to_be_bytes`). [`ChunkQueue::pop_u32_frame`] decodes it.
+    pub fn u32_framed(
+        prefix: fn(u32) -> [u8; 4],
+        body: impl FnOnce(&mut PayloadBuilder),
+    ) -> Payload {
+        let mut b = PayloadBuilder::new();
+        b.extend_from_slice(&[0; 4]);
+        body(&mut b);
+        let len = prefix((b.len() - 4) as u32);
+        b.buf[..4].copy_from_slice(&len);
+        b.freeze()
+    }
+
+    /// Overwrites two already-written bytes with a big-endian `u16`
+    /// (OBEX's packet length, known only once its headers are written).
     ///
     /// # Panics
     ///
-    /// Panics if `at` is not a valid reserved offset.
-    pub fn patch_u32_le(&mut self, at: usize, v: u32) {
-        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Overwrites one already-written byte (for codecs whose length or
-    /// flag fields are not 4-byte LE).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is past the bytes written so far.
-    pub fn patch_u8(&mut self, at: usize, v: u8) {
-        self.buf[at] = v;
+    /// Panics if `at + 2` is past the bytes written so far.
+    pub fn patch_u16_be(&mut self, at: usize, v: u16) {
+        self.buf[at..at + 2].copy_from_slice(&v.to_be_bytes());
     }
 
     /// The bytes written so far.
@@ -504,6 +539,202 @@ impl PayloadBuilder {
     /// still need `Vec<u8>`).
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
+    }
+}
+
+/// Why a [`ByteReader`] read failed. Each codec converts it into its
+/// own error type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The input ended inside a field.
+    Truncated,
+    /// A string field is not UTF-8.
+    InvalidUtf8,
+    /// This many bytes remain after the last field.
+    Trailing(usize),
+    /// A tag, count or length the codec does not accept.
+    Malformed,
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::Truncated => f.write_str("truncated"),
+            DecodeError::InvalidUtf8 => f.write_str("invalid utf-8"),
+            DecodeError::Trailing(n) => write!(f, "{n} trailing bytes"),
+            DecodeError::Malformed => f.write_str("malformed"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// The decode side of [`PayloadBuilder`], shared by every binary codec:
+/// a cursor whose reads check the bytes left and fail with
+/// [`DecodeError::Truncated`] instead of panicking, so a codec built on
+/// it is total over hostile input.
+///
+/// A reader made by [`with_backing`](Self::with_backing) returns
+/// [`payload`](Self::payload) fields as zero-copy views of the backing
+/// [`Payload`]; one made by [`new`](Self::new) copies them (counted,
+/// like every copy into payload storage).
+#[derive(Debug, Clone, Copy)]
+pub struct ByteReader<'a> {
+    /// The whole input (the backing payload's bytes, when there is one,
+    /// so `pos` is also an offset into it).
+    buf: &'a [u8],
+    pos: usize,
+    /// Reads stop here: the end of `buf`, or of a [`reader`](Self::reader)
+    /// window.
+    end: usize,
+    backing: Option<&'a Payload>,
+}
+
+impl<'a> ByteReader<'a> {
+    /// A reader over `buf`; [`payload`](Self::payload) fields are copied.
+    pub fn new(buf: &'a [u8]) -> ByteReader<'a> {
+        ByteReader {
+            buf,
+            pos: 0,
+            end: buf.len(),
+            backing: None,
+        }
+    }
+
+    /// A reader over `payload`; [`payload`](Self::payload) fields are
+    /// zero-copy views of it.
+    pub fn with_backing(payload: &'a Payload) -> ByteReader<'a> {
+        ByteReader {
+            backing: Some(payload),
+            ..ByteReader::new(payload.as_slice())
+        }
+    }
+
+    /// Bytes left to read.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.end - self.pos
+    }
+
+    /// The bytes left to read, without consuming them.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..self.end]
+    }
+
+    /// Consumes and returns the next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if n > self.remaining() {
+            return Err(DecodeError::Truncated);
+        }
+        self.pos += n;
+        Ok(&self.buf[self.pos - n..self.pos])
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
+    }
+
+    /// Reads one byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// Reads a little-endian `u16`.
+    #[inline]
+    pub fn u16_le(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// Reads a big-endian `u16`.
+    #[inline]
+    pub fn u16_be(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(u16::from_be_bytes)
+    }
+
+    /// Reads a little-endian `u32`.
+    #[inline]
+    pub fn u32_le(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Reads a big-endian `u32`.
+    #[inline]
+    pub fn u32_be(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    /// Reads a little-endian `u64`.
+    #[inline]
+    pub fn u64_le(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads a big-endian `u64`.
+    #[inline]
+    pub fn u64_be(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    /// Reads a string as [`PayloadBuilder::str16_le`] writes it,
+    /// borrowed from the input.
+    #[inline]
+    pub fn str16_le(&mut self) -> Result<&'a str, DecodeError> {
+        let n = self.u16_le()?;
+        self.utf8(usize::from(n))
+    }
+
+    /// Reads a string as [`PayloadBuilder::str16_be`] writes it,
+    /// borrowed from the input.
+    #[inline]
+    pub fn str16_be(&mut self) -> Result<&'a str, DecodeError> {
+        let n = self.u16_be()?;
+        self.utf8(usize::from(n))
+    }
+
+    /// Reads `n` bytes of UTF-8 text, borrowed from the input.
+    #[inline]
+    pub fn utf8(&mut self, n: usize) -> Result<&'a str, DecodeError> {
+        std::str::from_utf8(self.take(n)?).map_err(|_| DecodeError::InvalidUtf8)
+    }
+
+    /// Consumes the next `n` bytes as a [`Payload`]: a zero-copy view of
+    /// the backing payload, or a counted copy when there is none.
+    pub fn payload(&mut self, n: usize) -> Result<Payload, DecodeError> {
+        let s = self.take(n)?;
+        Ok(match self.backing {
+            Some(p) => p.slice(self.pos - n..self.pos),
+            None => Payload::copy_from_slice(s),
+        })
+    }
+
+    /// Consumes the next `n` bytes and returns a reader over just them,
+    /// with the same backing.
+    pub fn reader(&mut self, n: usize) -> Result<ByteReader<'a>, DecodeError> {
+        self.take(n)?;
+        Ok(ByteReader {
+            pos: self.pos - n,
+            end: self.pos,
+            ..*self
+        })
+    }
+
+    /// How many of `count` elements to preallocate for when `count` is
+    /// a length prefix read from the input: at most the bytes left, as
+    /// every element takes at least one. A hostile prefix thus never
+    /// reserves more than the input could fill.
+    pub fn capacity_for(&self, count: usize) -> usize {
+        count.min(self.remaining())
+    }
+
+    /// Checks that every byte was read.
+    pub fn finish(&self) -> Result<(), DecodeError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(DecodeError::Trailing(n)),
+        }
     }
 }
 
@@ -628,6 +859,26 @@ impl ChunkQueue {
         Payload::from_vec(out)
     }
 
+    /// Pops the next frame of a stream of `u32`-length-prefixed frames,
+    /// the prefix read by `prefix` (`u32::from_le_bytes` or
+    /// `u32::from_be_bytes`): the frame body, or `None` until a whole
+    /// frame is buffered. This is the one framer under every such
+    /// stream codec. A body inside one chunk is a zero-copy view; one
+    /// spanning chunks is assembled once, and counted, as by
+    /// [`take`](Self::take).
+    pub fn pop_u32_frame(&mut self, prefix: fn([u8; 4]) -> u32) -> Option<Payload> {
+        let mut hdr = [0u8; 4];
+        if self.peek_into(&mut hdr) < 4 {
+            return None;
+        }
+        let len = prefix(hdr) as usize;
+        if self.total - 4 < len {
+            return None;
+        }
+        let _prefix = self.take(4);
+        Some(self.take(len))
+    }
+
     /// Discards all buffered bytes.
     pub fn clear(&mut self) {
         self.chunks.clear();
@@ -734,9 +985,8 @@ mod tests {
         b.u16_le(0x0102);
         b.u32_le(0x03040506);
         b.u64_le(0x0708090a0b0c0d0e);
-        let at = b.reserve_u32_le();
+        b.u32_le(3);
         b.extend_from_slice(b"xyz");
-        b.patch_u32_le(at, 3);
         let p = b.freeze();
         assert_eq!(p.len(), 2 + 4 + 8 + 4 + 3);
         assert_eq!(&p[0..2], &[0x02, 0x01]);
@@ -785,6 +1035,81 @@ mod tests {
         assert_eq!(q.len(), 5);
         let mut long = [0u8; 8];
         assert_eq!(q.peek_into(&mut long), 5);
+    }
+
+    #[test]
+    fn u32_frames_pop_whole_in_either_byte_order() {
+        for (put, pop) in [
+            (
+                u32::to_le_bytes as fn(u32) -> [u8; 4],
+                u32::from_le_bytes as fn([u8; 4]) -> u32,
+            ),
+            (u32::to_be_bytes, u32::from_be_bytes),
+        ] {
+            let framed = PayloadBuilder::u32_framed(put, |b| b.extend_from_slice(b"hello"));
+            let mut q = ChunkQueue::new();
+            q.push(framed.slice(0..3));
+            assert_eq!(q.pop_u32_frame(pop), None, "partial prefix");
+            q.push(framed.slice(3..6));
+            assert_eq!(q.pop_u32_frame(pop), None, "partial body");
+            q.push(framed.slice(6..9));
+            let _ = take_stats();
+            assert_eq!(q.pop_u32_frame(pop).unwrap(), b"hello");
+            assert_eq!(take_stats().bytes_copied, 4 + 5, "spanning prefix and body");
+            assert!(q.is_empty());
+        }
+    }
+
+    #[test]
+    fn byte_reader_reads_what_the_builder_writes_and_checks_bounds() {
+        let mut b = PayloadBuilder::new();
+        b.u16_le(0x0102);
+        b.u16_be(0x0102);
+        b.u32_le(3);
+        b.u32_be(3);
+        b.u64_le(7);
+        b.u64_be(7);
+        b.str16_le("é");
+        b.str16_be("x");
+        let bytes = b.into_vec();
+        let read = |r: &mut ByteReader<'_>| -> Result<(), DecodeError> {
+            assert_eq!(
+                (r.u16_le()?, r.u16_be()?, r.u32_le()?, r.u32_be()?),
+                (258, 258, 3, 3)
+            );
+            assert_eq!(
+                (r.u64_le()?, r.u64_be()?, r.str16_le()?, r.str16_be()?),
+                (7, 7, "é", "x")
+            );
+            r.finish()
+        };
+        assert_eq!(read(&mut ByteReader::new(&bytes)), Ok(()));
+        for cut in 0..bytes.len() {
+            let got = read(&mut ByteReader::new(&bytes[..cut]));
+            assert_eq!(got, Err(DecodeError::Truncated), "cut {cut}");
+        }
+        let bad_utf8 = ByteReader::new(&[0, 1, 0xFF]).str16_be();
+        assert_eq!(bad_utf8, Err(DecodeError::InvalidUtf8));
+        assert_eq!(
+            ByteReader::new(&[1, 2]).finish(),
+            Err(DecodeError::Trailing(2))
+        );
+        assert_eq!(ByteReader::new(&[0; 10]).capacity_for(usize::MAX), 10);
+    }
+
+    #[test]
+    fn byte_reader_payloads_share_the_backing_or_count_the_copy() {
+        let frame = Payload::from(vec![9u8, 1, 2, 3, 4, 5]);
+        let mut r = ByteReader::with_backing(&frame);
+        let mut window = r.reader(4).unwrap();
+        let _ = take_stats();
+        let body = window.payload(4).unwrap();
+        assert!(body == [9u8, 1, 2, 3] && body.shares_buffer(&frame));
+        assert_eq!(window.payload(1), Err(DecodeError::Truncated));
+        assert_eq!((r.remaining(), take_stats().bytes_copied), (2, 0));
+        let copy = ByteReader::new(&frame).payload(3).unwrap();
+        assert!(!copy.shares_buffer(&frame));
+        assert_eq!(take_stats().bytes_copied, 3);
     }
 
     #[test]

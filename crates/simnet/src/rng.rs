@@ -215,9 +215,119 @@ where
     }
 }
 
+/// The robustness battery for binary decoders. `codec` decodes a whole
+/// byte string and, when it decodes, re-encodes the value.
+///
+/// Each frame of `corpus` must come back byte for byte, and neither a
+/// truncation of it nor the frame with a byte appended may decode. Case
+/// `i` then feeds `codec` mutants of `corpus[i]`: each single-byte flip
+/// (XOR with a seeded non-zero mask), 64 random byte strings no longer
+/// than the frame, and, at every offset that could hold a `u16` or
+/// `u32` length prefix in either byte order (a value no larger than the
+/// bytes after it), that prefix set to its type's maximum, to the bytes
+/// after it plus one, and one above and below its value. A panic fails
+/// the case and prints the input.
+pub fn check_mutations<F>(name: &str, corpus: &[Vec<u8>], codec: F)
+where
+    F: Fn(&[u8]) -> Option<Vec<u8>> + std::panic::RefUnwindSafe,
+{
+    check_cases(name, corpus.len() as u64, |case, rng| {
+        let frame = &corpus[case as usize];
+        let run = |input: &[u8], what: &str| {
+            let out = std::panic::catch_unwind(|| codec(input));
+            assert!(
+                out.is_ok(),
+                "{what} of frame {case} panicked the decoder: {input:?}"
+            );
+            out.ok().flatten()
+        };
+        assert_eq!(
+            run(frame, "round trip").as_ref(),
+            Some(frame),
+            "frame {case}"
+        );
+        let longer = [&frame[..], &[0]].concat();
+        assert_eq!(
+            run(&longer, "trailing byte"),
+            None,
+            "frame {case} with a trailing byte"
+        );
+        for _ in 0..64 {
+            let len = rng.gen_range(0..=frame.len());
+            run(&rng.gen_bytes(len), "random input");
+        }
+        let mut mutant = frame.clone();
+        for at in 0..frame.len() {
+            mutant[at] ^= rng.gen_range(1u8..=255);
+            run(&mutant, "byte flip");
+            mutant[at] = frame[at];
+            let cut = run(&frame[..at], "truncation");
+            assert_eq!(cut, None, "frame {case} cut at {at} decoded");
+        }
+        for at in 0..frame.len() {
+            for width in [2, 4] {
+                let Some(field) = frame.get(at..at + width) else {
+                    continue;
+                };
+                let after = (frame.len() - at - width) as u64;
+                let max = (1u64 << (8 * width)) - 1;
+                for big_endian in [false, true] {
+                    // Big-endian bytes of a value, in this byte order.
+                    let ordered = |mut b: Vec<u8>| {
+                        if !big_endian {
+                            b.reverse();
+                        }
+                        b
+                    };
+                    let value = ordered(field.to_vec())
+                        .iter()
+                        .fold(0u64, |v, &b| (v << 8) | u64::from(b));
+                    if value > after {
+                        continue;
+                    }
+                    for hostile in [
+                        max,
+                        (after + 1).min(max),
+                        value + 1,
+                        value.saturating_sub(1),
+                    ] {
+                        let bytes = ordered(hostile.to_be_bytes()[8 - width..].to_vec());
+                        mutant[at..at + width].copy_from_slice(&bytes);
+                        run(&mutant, "length prefix");
+                    }
+                    mutant[at..at + width].copy_from_slice(field);
+                }
+            }
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_mutations_sets_each_length_prefix_to_hostile_values() {
+        // A tag byte, then a u16 LE length and a 3-byte body.
+        let frame = [9, 3, 0, 1, 2, 3];
+        let seen = std::sync::Mutex::new(Vec::new());
+        check_mutations("mutation_battery_self_test", &[frame.to_vec()], |m| {
+            seen.lock().unwrap().push(m.to_vec());
+            (m == frame).then(|| m.to_vec())
+        });
+        let seen = seen.into_inner().unwrap();
+        for prefix in [[0xFF, 0xFF], [4, 0], [2, 0]] {
+            assert!(seen.contains(&[&[9][..], &prefix, &[1, 2, 3]].concat()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "of frame 0 panicked the decoder")]
+    fn check_mutations_reports_a_panicking_decoder() {
+        check_mutations("mutation_battery_catches_panics", &[vec![1, 2]], |m| {
+            (m[..2] == [1, 2] && m.len() == 2).then(|| m.to_vec())
+        });
+    }
 
     #[test]
     fn splitmix_reference_vector() {

@@ -50,5 +50,12 @@ impl fmt::Display for CoreError {
 
 impl Error for CoreError {}
 
+impl From<simnet::DecodeError> for CoreError {
+    #[cold]
+    fn from(e: simnet::DecodeError) -> CoreError {
+        CoreError::Decode(e.to_string())
+    }
+}
+
 /// Convenience alias for core results.
 pub type CoreResult<T> = Result<T, CoreError>;
