@@ -1,6 +1,6 @@
-//! Micro-benchmarks for the CPU-bound codecs and matchers the system is
-//! built from (real wall-clock time, not simulated time), on the
-//! in-tree `bench::timing` harness.
+//! Micro-benchmarks for the CPU-bound codecs, matchers and span journal
+//! the system is built from (real wall-clock time, not simulated time),
+//! on the in-tree `bench::timing` harness.
 
 use std::hint::black_box;
 
@@ -8,6 +8,7 @@ use bench::timing::bench_function;
 use platform_bluetooth::{ObexPacket, SdpPdu, ServiceRecord};
 use platform_rmi::JavaValue;
 use platform_upnp::{DeviceDesc, DeviceLogic, LightLogic, SoapCall};
+use simnet::{DetailArg, SimTime, SpanDetail, Trace};
 use umiddle_core::{
     DeltaOp, Direction, PerceptionType, PortKind, Query, RuntimeId, Shape, TranslatorId,
     TranslatorProfile, UMessage, WireMessage,
@@ -150,6 +151,44 @@ fn bench_binary_codecs() {
     });
 }
 
+/// Capacity of the ring `trace_span_instant` records into: small enough
+/// to stay in cache, so it times the record itself.
+const SMALL_RING: usize = 4_096;
+
+fn bench_trace() {
+    let detail = || SpanDetail::new(&["bytes=", ""], [DetailArg::U64(1400)]);
+    let mut small = Trace::new(SMALL_RING);
+    let src = small.span_source("rt0");
+    let mut now = 0u64;
+    bench_function("trace_span_instant", || {
+        now += 1;
+        small.span_from(7, SimTime::from_nanos(now), src, "deliver.local", detail())
+    });
+    for corrs in [1u64, 1_000] {
+        let mut t = Trace::default();
+        let src = t.span_source("rt0");
+        let mut i = 0u64;
+        bench_function(&format!("trace_span_begin_end_{corrs}corr"), || {
+            i += 1;
+            let at = SimTime::from_nanos(i);
+            let id = t.span_begin_from(i % corrs + 1, at, src, "queue.wait", SpanDetail::EMPTY);
+            t.span_end(id, at)
+        });
+    }
+    // A default journal already full, so every span pays its share of
+    // the half-capacity evictions.
+    let mut full = Trace::default();
+    let src = full.span_source("rt0");
+    while full.ring_overwrites() == 0 {
+        now += 1;
+        full.span_from(7, SimTime::from_nanos(now), src, "deliver.local", detail());
+    }
+    bench_function("trace_span_full_ring", || {
+        now += 1;
+        full.span_from(7, SimTime::from_nanos(now), src, "deliver.local", detail())
+    });
+}
+
 fn main() {
     println!("uMiddle micro-benchmarks (wall clock, in-tree harness)");
     bench_usdl();
@@ -157,4 +196,5 @@ fn main() {
     bench_wire();
     bench_matching();
     bench_binary_codecs();
+    bench_trace();
 }

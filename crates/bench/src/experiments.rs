@@ -1240,8 +1240,8 @@ pub fn e8_observability() -> ObservabilityResults {
     world.run_until(SimTime::from_secs(60));
 
     let trace = world.trace();
-    let corr = trace
-        .spans()
+    let spans: Vec<SpanRecord> = trace.spans().collect();
+    let corr = spans
         .iter()
         .find(|s| s.stage == "bridge.upnp.input")
         .map(|s| s.corr);
@@ -1274,17 +1274,17 @@ pub fn e8_observability() -> ObservabilityResults {
                 .collect()
         })
         .unwrap_or_default();
-    let critical_path = corr.and_then(|c| simnet::CriticalPath::analyze(trace.spans(), c));
+    let critical_path = corr.and_then(|c| simnet::CriticalPath::analyze(&spans, c));
 
     ObservabilityResults {
         snapshot: trace.metrics().snapshot(),
-        span_count: trace.spans().len(),
+        span_count: spans.len(),
         spans_overwritten: trace.ring_overwrites(),
         bridged_corr: corr,
         sample_path,
         critical_path,
-        perfetto: simnet::perfetto_trace_json(trace.spans()).document(),
-        folded: simnet::folded_stacks(trace.spans()),
+        perfetto: simnet::perfetto_trace_json(&spans).document(),
+        folded: simnet::folded_stacks(&spans),
     }
 }
 
@@ -2523,7 +2523,7 @@ pub fn e11_sharded_incident() -> ShardedIncidentResults {
         },
         |world, info| E11ShardObs {
             shard: info.shard,
-            spans: world.trace().spans().to_vec(),
+            spans: world.trace().spans().collect(),
             snapshot: world.trace().metrics().snapshot(),
             incidents: world.incidents().to_vec(),
             report: world.doctor(),

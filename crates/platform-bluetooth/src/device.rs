@@ -5,7 +5,7 @@
 //! with their address, name and class. We model the channel as a
 //! multicast group on the piconet segment.
 
-use simnet::{Addr, Ctx, Datagram, SimDuration, StreamEvent, StreamId};
+use simnet::{Addr, ByteReader, Ctx, Datagram, SimDuration, StreamEvent, StreamId};
 
 use crate::calib;
 use crate::sdp::{SdpPdu, ServiceRecord, PSM_SDP};
@@ -44,14 +44,18 @@ impl InquiryMessage {
 
     /// Decodes a message; `None` on garbage.
     pub fn decode(bytes: &[u8]) -> Option<InquiryMessage> {
-        match bytes.first()? {
-            0x01 if bytes.len() == 1 => Some(InquiryMessage::Inquiry),
-            0x02 if bytes.len() >= 5 => Some(InquiryMessage::Response {
-                class: u32::from_be_bytes([bytes[1], bytes[2], bytes[3], bytes[4]]),
-                name: String::from_utf8(bytes[5..].to_vec()).ok()?,
-            }),
-            _ => None,
-        }
+        let mut r = ByteReader::new(bytes);
+        let msg = match r.u8().ok()? {
+            0x01 => InquiryMessage::Inquiry,
+            0x02 => InquiryMessage::Response {
+                class: r.u32_be().ok()?,
+                // The name runs to the end of the datagram.
+                name: r.utf8(r.remaining()).ok()?.to_owned(),
+            },
+            _ => return None,
+        };
+        r.finish().ok()?;
+        Some(msg)
     }
 }
 
@@ -189,6 +193,39 @@ mod tests {
         assert_eq!(InquiryMessage::decode(&[0x03]), None);
         assert_eq!(InquiryMessage::decode(&[0x02, 1]), None);
         assert_eq!(InquiryMessage::decode(&[0x01, 0x01]), None);
+    }
+
+    #[test]
+    fn structured_mutations_never_panic_the_decoder() {
+        // A response's name runs to the end of the datagram, so a cut or
+        // extended response still decodes; only the inquiry frame takes
+        // the whole battery. Responses are mutated below.
+        let corpus = vec![InquiryMessage::Inquiry.encode()];
+        simnet::check_mutations("inquiry_structured_mutations", &corpus, |m| {
+            InquiryMessage::decode(m).map(|msg| msg.encode())
+        });
+    }
+
+    #[test]
+    fn mutated_responses_decode_to_what_they_encode() {
+        let frame = InquiryMessage::Response {
+            name: "Pocket Camera".to_owned(),
+            class: 0x0680,
+        }
+        .encode();
+        simnet::check_cases("inquiry_mutated_responses", 256, |_, rng| {
+            let mut flipped = frame.clone();
+            let at = rng.gen_range(0..frame.len());
+            flipped[at] ^= rng.gen_range(1u8..=255);
+            let cut = rng.gen_range(0..=frame.len());
+            let random = rng.gen_bytes(cut);
+            for input in [&flipped[..], &frame[..cut], &random[..]] {
+                if let Some(msg) = InquiryMessage::decode(input) {
+                    assert_eq!(msg.encode(), input);
+                }
+            }
+            assert_eq!(InquiryMessage::decode(&frame[..cut.min(4)]), None);
+        });
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! reports. §5.2 benchmarks the uMiddle translator receiving "mouse click
 //! signals a hundred times from the mouse".
 
-use simnet::{Ctx, Datagram, Process, SimDuration, StreamEvent, StreamId};
+use simnet::{ByteReader, Ctx, Datagram, Process, SimDuration, StreamEvent, StreamId};
 
 use crate::calib;
 use crate::device::BtDeviceCore;
@@ -44,27 +44,29 @@ impl HidReport {
     /// Decodes one report from the front of a buffer; returns the report
     /// and bytes consumed, or `None` if more bytes are needed / invalid.
     pub fn decode(buf: &[u8]) -> Option<(HidReport, usize)> {
-        if buf.len() < 3 || buf[0] != 0xA1 {
-            return None;
-        }
-        match buf[1] {
-            0x01 => Some((HidReport::Buttons(buf[2]), 3)),
-            0x02 if buf.len() >= 4 => Some((
-                HidReport::Motion {
-                    dx: buf[2] as i8,
-                    dy: buf[3] as i8,
-                },
-                4,
-            )),
-            _ => None,
-        }
+        let mut r = ByteReader::new(buf);
+        let report = match (r.u8().ok()?, r.u8().ok()?) {
+            (0xA1, 0x01) => HidReport::Buttons(r.u8().ok()?),
+            (0xA1, 0x02) => HidReport::Motion {
+                dx: r.u8().ok()? as i8,
+                dy: r.u8().ok()? as i8,
+            },
+            _ => return None,
+        };
+        Some((report, buf.len() - r.remaining()))
     }
 }
 
 /// Accumulates stream bytes into reports.
+///
+/// Reports are read at a cursor; the consumed prefix is dropped only
+/// once it is at least half the buffer, so popping a backlog of n
+/// reports moves O(n) bytes, not O(n^2).
 #[derive(Debug, Default)]
 pub struct ReportAccumulator {
     buf: Vec<u8>,
+    /// Bytes of `buf` already consumed.
+    read: usize,
 }
 
 impl ReportAccumulator {
@@ -75,6 +77,10 @@ impl ReportAccumulator {
 
     /// Feeds bytes.
     pub fn push(&mut self, bytes: &[u8]) {
+        if self.read * 2 >= self.buf.len() {
+            self.buf.drain(..self.read);
+            self.read = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -82,15 +88,15 @@ impl ReportAccumulator {
     /// header aligns (robustness over a byte stream).
     #[allow(clippy::should_implement_trait)] // framer convention, not an Iterator
     pub fn next(&mut self) -> Option<HidReport> {
-        while !self.buf.is_empty() {
-            if let Some((report, used)) = HidReport::decode(&self.buf) {
-                self.buf.drain(..used);
+        while let Some(rest) = self.buf.get(self.read..).filter(|r| !r.is_empty()) {
+            if let Some((report, used)) = HidReport::decode(rest) {
+                self.read += used;
                 return Some(report);
             }
-            if self.buf.len() < 4 && self.buf[0] == 0xA1 {
+            if rest.len() < 4 && rest[0] == 0xA1 {
                 return None; // likely a partial report
             }
-            self.buf.remove(0);
+            self.read += 1;
         }
         None
     }
@@ -271,6 +277,50 @@ mod tests {
         assert_eq!(acc.next(), None);
         acc.push(&r2[2..]);
         assert_eq!(acc.next(), Some(HidReport::Motion { dx: 1, dy: -1 }));
+    }
+
+    #[test]
+    fn a_backlog_interleaved_with_garbage_pops_in_order() {
+        let mut rng = simnet::SimRng::seed_from_u64(11);
+        let mut wire = Vec::new();
+        let mut reports = Vec::new();
+        for i in 0..10_000u32 {
+            let r = if i % 2 == 0 {
+                HidReport::Buttons(rng.gen_range(0u8..=u8::MAX))
+            } else {
+                HidReport::Motion {
+                    dx: rng.gen_range(i8::MIN..=i8::MAX),
+                    dy: rng.gen_range(i8::MIN..=i8::MAX),
+                }
+            };
+            // Up to three garbage bytes, none of them a report header.
+            for _ in 0..rng.gen_range(0usize..4) {
+                wire.push(rng.gen_range(0u8..0xA1));
+            }
+            wire.extend(r.encode());
+            reports.push(r);
+        }
+        let mut acc = ReportAccumulator::new();
+        acc.push(&wire);
+        let got: Vec<HidReport> = std::iter::from_fn(|| acc.next()).collect();
+        assert_eq!(got, reports);
+    }
+
+    #[test]
+    fn structured_mutations_never_panic_the_decoder() {
+        let corpus: Vec<Vec<u8>> = [
+            HidReport::Buttons(0x01),
+            HidReport::Buttons(0xA1),
+            HidReport::Motion { dx: -3, dy: 7 },
+        ]
+        .iter()
+        .map(HidReport::encode)
+        .collect();
+        simnet::check_mutations("hidp_structured_mutations", &corpus, |m| {
+            HidReport::decode(m)
+                .filter(|&(_, used)| used == m.len())
+                .map(|(r, _)| r.encode())
+        });
     }
 
     #[test]

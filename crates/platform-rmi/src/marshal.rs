@@ -69,10 +69,16 @@ const MAX_DEPTH: u32 = 64;
 impl JavaValue {
     /// Marshals the value, including the stream magic header.
     pub fn marshal(&self) -> Vec<u8> {
-        let mut out = PayloadBuilder::new();
-        out.u16_be(MAGIC);
-        self.write(&mut out);
+        let mut out = PayloadBuilder::with_capacity(self.marshaled_len());
+        self.marshal_into(&mut out);
         out.into_vec()
+    }
+
+    /// Appends the marshaled value, magic header included, to `out`:
+    /// [`marshaled_len`](JavaValue::marshaled_len) bytes.
+    pub fn marshal_into(&self, out: &mut PayloadBuilder) {
+        out.u16_be(MAGIC);
+        self.write(out);
     }
 
     fn write(&self, out: &mut PayloadBuilder) {
@@ -131,9 +137,33 @@ impl JavaValue {
         read_stream(ByteReader::with_backing(payload)).ok()
     }
 
-    /// Size in bytes when marshaled (used for CPU-cost accounting).
+    /// Size in bytes when marshaled (used for CPU-cost accounting),
+    /// found by walking the value without encoding it.
     pub fn marshaled_len(&self) -> usize {
-        self.marshal().len()
+        2 + self.written_len()
+    }
+
+    /// Bytes [`write`](JavaValue::write) appends.
+    fn written_len(&self) -> usize {
+        let str16 = |s: &str| 2 + s.len().min(usize::from(u16::MAX));
+        1 + match self {
+            JavaValue::Null => 0,
+            JavaValue::Int(_) => str16("int") + 4,
+            JavaValue::Long(_) => str16("long") + 8,
+            JavaValue::Str(s) => str16("java.lang.String") + str16(s),
+            JavaValue::Bytes(b) => str16("[B") + 4 + b.len(),
+            JavaValue::Object { class, fields } => {
+                let fields: usize = fields
+                    .iter()
+                    .map(|(name, value)| str16(name) + value.written_len())
+                    .sum();
+                str16(class) + 2 + fields
+            }
+            JavaValue::List(items) => {
+                let items: usize = items.iter().map(JavaValue::written_len).sum();
+                str16("java.util.ArrayList") + 4 + items
+            }
+        }
     }
 }
 
@@ -262,6 +292,15 @@ mod tests {
                 .collect();
             JavaValue::Object { class, fields }
         }
+    }
+
+    #[test]
+    fn marshaled_len_is_the_marshaled_size() {
+        assert_eq!(sample().marshaled_len(), sample().marshal().len());
+        simnet::check_cases("rmi_marshaled_len_is_the_marshaled_size", 256, |_, rng| {
+            let v = arb_value(rng, 3);
+            assert_eq!(v.marshaled_len(), v.marshal().len(), "{v:?}");
+        });
     }
 
     #[test]

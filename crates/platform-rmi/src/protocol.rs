@@ -77,10 +77,10 @@ const TAG_BIND: u8 = 6;
 const TAG_LOOKUP: u8 = 7;
 const TAG_LOOKUP_RESULT: u8 = 8;
 
+/// A marshaled value after its `u32` length, written in place.
 fn put_value(out: &mut PayloadBuilder, v: &JavaValue) {
-    let m = v.marshal();
-    out.u32_be(m.len() as u32);
-    out.extend_from_slice(&m);
+    out.u32_be(v.marshaled_len() as u32);
+    v.marshal_into(out);
 }
 
 /// A length-prefixed marshaled value, unmarshaled from its own view of
@@ -318,6 +318,33 @@ mod tests {
             }
         }
         assert_eq!(got, frames());
+    }
+
+    #[test]
+    fn frames_encode_to_their_golden_bytes() {
+        let hex =
+            |f: &RmiFrame| -> String { f.encode().iter().map(|b| format!("{b:02x}")).collect() };
+        let golden = [
+            "01".to_owned(),
+            "02".to_owned(),
+            format!(
+                "030000000000000009000b4563686f5365727669636500046563686f0002\
+                 0000004baced4200025b4200000040{}\
+                 0000000caced490003696e7400000005",
+                "01".repeat(64)
+            ),
+            "04000000000000000900000019aced7400106a6176612e6c616e672e537472696e6700026f6b"
+                .to_owned(),
+            "050000000000000009001a6a6176612e726d692e4e6f74426f756e64457863657074696f6e".to_owned(),
+            "06000b4563686f53657276696365000000030833".to_owned(),
+            "070000000000000001000b4563686f53657276696365".to_owned(),
+            "080000000000000001000000030833".to_owned(),
+        ];
+        let frames = frames();
+        assert_eq!(frames.len(), golden.len());
+        for (frame, golden) in frames.iter().zip(golden) {
+            assert_eq!(hex(frame), golden, "{frame:?}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::json::{Json, JsonError, Layout};
 use crate::time::SimTime;
-use crate::trace::SpanRecord;
+use crate::trace::{SpanId, SpanRecord, Trace};
 
 /// Which time category a folded span lands in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,29 +238,27 @@ impl AttributionPlane {
     /// lost. `barrier` carries this shard's id and the cumulative
     /// barrier-stall total, attributed as a delta to `shard:s{id}`.
     ///
-    /// `spans` must be the world's span journal: ids strictly
-    /// increasing, evictions only ever removing a prefix — both are
-    /// [`crate::Trace`] invariants the incremental cursor relies on.
-    pub fn fold(&mut self, spans: &[SpanRecord], barrier: Option<(u16, u128)>) {
+    /// Only the spans after the cursor and the pending ids are read.
+    /// The cursor relies on two [`Trace`] invariants: ids strictly
+    /// increase, and eviction only ever removes the oldest spans.
+    pub fn fold(&mut self, trace: &Trace, barrier: Option<(u16, u128)>) {
         self.samples = self.samples.saturating_add(1);
 
         // Phase A: find what is newly ready. Pending opens from earlier
         // folds are re-checked first; then the cursor advances over the
-        // newly appended suffix.
-        let seen = spans.partition_point(|s| s.id.0 <= self.cursor);
-        let mut ready: Vec<&SpanRecord> = Vec::new();
+        // newly begun spans.
+        let mut ready: Vec<SpanRecord> = Vec::new();
         if !self.pending.is_empty() {
-            let prefix = &spans[..seen];
             let mut resolved: Vec<u64> = Vec::new();
             for &id in self.pending.iter() {
-                match prefix.binary_search_by_key(&id, |s| s.id.0) {
-                    Ok(at) => {
-                        if prefix[at].end.is_some() {
-                            ready.push(&prefix[at]);
+                match trace.span_record(SpanId(id)) {
+                    Some(s) => {
+                        if s.end.is_some() {
+                            ready.push(s);
                             resolved.push(id);
                         }
                     }
-                    Err(_) => {
+                    None => {
                         // Evicted by the ring while still open.
                         self.spans_lost = self.spans_lost.saturating_add(1);
                         self.child_ns.remove(&id);
@@ -272,15 +270,13 @@ impl AttributionPlane {
                 self.pending.remove(&id);
             }
         }
-        for s in &spans[seen..] {
+        for s in trace.spans_after(SpanId(self.cursor)) {
+            self.cursor = s.id.0;
             if s.end.is_some() {
                 ready.push(s);
             } else {
                 self.pending.insert(s.id.0);
             }
-        }
-        if let Some(last) = spans.last() {
-            self.cursor = self.cursor.max(last.id.0);
         }
         // Fold in id order so the "longest span wins the exemplar" tie
         // break is independent of how a span became ready.
@@ -354,38 +350,22 @@ impl AttributionPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{SpanDetail, SpanId};
 
-    fn span(
-        id: u64,
-        parent: Option<u64>,
-        corr: u64,
-        source: &str,
-        stage: &'static str,
-        start_ns: u64,
-        end_ns: Option<u64>,
-    ) -> SpanRecord {
-        SpanRecord {
-            id: SpanId(id),
-            parent: parent.map(SpanId),
-            corr,
-            source: source.into(),
-            stage,
-            detail: SpanDetail::EMPTY,
-            start: SimTime::from_nanos(start_ns),
-            end: end_ns.map(SimTime::from_nanos),
-        }
+    fn ns(n: u64) -> SimTime {
+        SimTime::from_nanos(n)
     }
 
     #[test]
     fn fold_decomposes_self_queue_and_barrier() {
         let mut plane = AttributionPlane::new();
-        let spans = vec![
-            span(1, None, 7, "umiddle-runtime", "deliver.local", 0, Some(100)),
-            span(2, Some(1), 7, "umiddle-runtime", "queue.wait", 10, Some(40)),
-            span(3, None, 7, "mapper", "bridge.upnp.input", 50, Some(80)),
-        ];
-        plane.fold(&spans, Some((1, 500)));
+        let mut t = Trace::default();
+        let outer = t.span_begin(7, ns(0), "umiddle-runtime", "deliver.local", "");
+        let queue = t.span_begin(7, ns(10), "umiddle-runtime", "queue.wait", "");
+        t.span_end(queue, ns(40));
+        t.span_end(outer, ns(100));
+        let hop = t.span_begin(7, ns(50), "mapper", "bridge.upnp.input", "");
+        t.span_end(hop, ns(80));
+        plane.fold(&t, Some((1, 500)));
         let r = plane.report(SimTime::from_nanos(100));
         let rt = &r.components["process:umiddle-runtime"];
         assert_eq!(rt.self_ns, 70); // 100 minus the 30 ns child
@@ -398,28 +378,29 @@ mod tests {
 
         // Barrier total is cumulative: refolding with the same total
         // attributes nothing new.
-        plane.fold(&spans[..0], Some((1, 500)));
+        plane.fold(&t, Some((1, 500)));
         assert_eq!(
             plane.report(SimTime::ZERO).components["shard:s1"].barrier_ns,
             500
         );
+        assert_eq!(plane.report(SimTime::ZERO).spans_folded, 3);
     }
 
     #[test]
     fn fold_is_incremental_and_handles_late_closes() {
         let mut plane = AttributionPlane::new();
+        let mut t = Trace::default();
         // First fold: parent still open, child closed.
-        let mut spans = vec![
-            span(1, None, 9, "umiddle-runtime", "deliver.local", 0, None),
-            span(2, Some(1), 9, "umiddle-runtime", "queue.wait", 0, Some(25)),
-        ];
-        plane.fold(&spans, None);
+        let outer = t.span_begin(9, ns(0), "umiddle-runtime", "deliver.local", "");
+        let queue = t.span_begin(9, ns(0), "umiddle-runtime", "queue.wait", "");
+        t.span_end(queue, ns(25));
+        plane.fold(&t, None);
         assert_eq!(plane.report(SimTime::ZERO).spans_folded, 1);
 
         // Second fold: the parent has closed; its self time excludes
         // the child folded a sample earlier.
-        spans[0].end = Some(SimTime::from_nanos(100));
-        plane.fold(&spans, None);
+        t.span_end(outer, ns(100));
+        plane.fold(&t, None);
         let r = plane.report(SimTime::ZERO);
         let rt = &r.components["process:umiddle-runtime"];
         assert_eq!(rt.self_ns, 75);
@@ -430,24 +411,28 @@ mod tests {
     #[test]
     fn evicted_open_spans_count_as_lost() {
         let mut plane = AttributionPlane::new();
-        let spans = vec![span(1, None, 3, "p", "stage", 0, None)];
-        plane.fold(&spans, None);
-        // The ring evicted span 1 before it ever closed.
-        let later = vec![span(2, None, 3, "p", "stage", 5, Some(9))];
-        plane.fold(&later, None);
+        let mut t = Trace::new(2);
+        t.span_begin(3, ns(0), "p", "stage", "");
+        plane.fold(&t, None);
+        // The ring evicts span 1 before it ever closed.
+        t.span(4, ns(5), "p", "stage", "");
+        t.span(4, ns(9), "p", "stage", "");
+        assert_eq!(t.ring_overwrites(), 1);
+        plane.fold(&t, None);
         let r = plane.report(SimTime::ZERO);
         assert_eq!(r.spans_lost, 1);
-        assert_eq!(r.spans_folded, 1);
+        assert_eq!(r.spans_folded, 2);
     }
 
     #[test]
     fn report_json_round_trips() {
         let mut plane = AttributionPlane::new();
-        let spans = vec![
-            span(1, None, 7, "umiddle-runtime", "queue.wait", 0, Some(40)),
-            span(2, None, 0, "mapper", "bridge.bt.output", 0, Some(10)),
-        ];
-        plane.fold(&spans, Some((0, 123)));
+        let mut t = Trace::default();
+        let queue = t.span_begin(7, ns(0), "umiddle-runtime", "queue.wait", "");
+        t.span_end(queue, ns(40));
+        let hop = t.span_begin(0, ns(0), "mapper", "bridge.bt.output", "");
+        t.span_end(hop, ns(10));
+        plane.fold(&t, Some((0, 123)));
         let report = plane.report(SimTime::from_nanos(99));
         let parsed = AttributionReport::from_json(&report.to_json().document()).expect("parses");
         assert_eq!(parsed, report);

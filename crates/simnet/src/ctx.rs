@@ -1,7 +1,6 @@
 //! The per-event context handed to [`Process`](crate::Process) handlers.
 
 use std::any::Any;
-use std::sync::Arc;
 
 use crate::error::SimResult;
 use crate::process::{Addr, LocalMessage, NodeId, ProcId, Process, StreamId};
@@ -73,7 +72,8 @@ impl<'w> Ctx<'w> {
 
     /// Logs a trace event attributed to this process.
     pub fn trace(&mut self, message: impl Into<String>) {
-        let name = self.world.procs[self.me.index()].name.to_string();
+        let source = self.world.procs[self.me.index()].source;
+        let name = self.world.trace.source_name(source).to_owned();
         let now = self.world.now();
         self.world.trace.log(now, name, message);
     }
@@ -136,17 +136,20 @@ impl<'w> Ctx<'w> {
     /// Records an instant (zero-duration) span on a correlated path,
     /// attributed to this process at the current virtual time. `corr` is
     /// the correlation id minted when the connection was established.
-    /// The span shares the process name and building a typed detail
-    /// allocates nothing, so the record is the span's only cost.
+    /// The process name was resolved when the process joined the world
+    /// and building a typed detail allocates nothing, so the record is
+    /// the span's only cost.
     pub fn span(
         &mut self,
         corr: u64,
         stage: &'static str,
         detail: impl Into<SpanDetail>,
     ) -> crate::SpanId {
-        let name = Arc::clone(&self.world.procs[self.me.index()].name);
+        let source = self.world.procs[self.me.index()].source;
         let now = self.world.now();
-        self.world.trace.span(corr, now, name, stage, detail)
+        self.world
+            .trace
+            .span_from(corr, now, source, stage, detail.into())
     }
 
     /// Opens a structured span on a correlated path, attributed to this
@@ -159,9 +162,11 @@ impl<'w> Ctx<'w> {
         stage: &'static str,
         detail: impl Into<SpanDetail>,
     ) -> crate::SpanId {
-        let name = Arc::clone(&self.world.procs[self.me.index()].name);
+        let source = self.world.procs[self.me.index()].source;
         let now = self.world.now();
-        self.world.trace.span_begin(corr, now, name, stage, detail)
+        self.world
+            .trace
+            .span_begin_from(corr, now, source, stage, detail.into())
     }
 
     /// Closes a span at this process's *emit time* — the current virtual

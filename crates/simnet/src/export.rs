@@ -373,8 +373,9 @@ mod tests {
     #[test]
     fn perfetto_export_is_wellformed_and_deterministic() {
         let t = demo_trace();
-        let a = perfetto_trace_json(t.spans()).to_string();
-        let b = perfetto_trace_json(t.spans()).to_string();
+        let spans: Vec<SpanRecord> = t.spans().collect();
+        let a = perfetto_trace_json(&spans).to_string();
+        let b = perfetto_trace_json(&spans).to_string();
         assert_eq!(a, b);
         assert!(a.contains("\"traceEvents\""));
         assert!(a.contains("\"thread_name\""));
@@ -392,7 +393,8 @@ mod tests {
         let mut t = Trace::default();
         t.span(7, ms(0), "uplink", "shard.xfer.egress", "dst=s1 inlet=0");
         t.span(7, ms(2), "ingress", "shard.xfer.ingress", "src=s0 span=1");
-        let merged = crate::span::merge_shard_spans(&[(0, &t.spans()[..1]), (1, &t.spans()[1..])]);
+        let spans: Vec<SpanRecord> = t.spans().collect();
+        let merged = crate::span::merge_shard_spans(&[(0, &spans[..1]), (1, &spans[1..])]);
         let out = perfetto_trace_json(&merged).to_string();
         // One process per shard, plus the pid-1 federation meta.
         assert!(out.contains("\"pid\": 2, \"tid\": 0, \"args\": {\"name\": \"shard 0\"}"));
@@ -410,7 +412,7 @@ mod tests {
     #[test]
     fn folded_stacks_follow_tree_paths() {
         let t = demo_trace();
-        let folded = folded_stacks(t.spans());
+        let folded = folded_stacks(&t.spans().collect::<Vec<_>>());
         let lines: Vec<&str> = folded.lines().collect();
         // queue.wait: 2 ms self. bridge.upnp.input: 3 ms minus the
         // zero-length child = 3 ms self. Instant + unclosed spans have

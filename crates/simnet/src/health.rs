@@ -817,7 +817,6 @@ mod tests {
         // The transition is visible as an instant slo-engine span.
         assert!(trace
             .spans()
-            .iter()
             .any(|s| &*s.source == "slo-engine" && s.stage == "alert.firing"));
     }
 

@@ -70,6 +70,7 @@ mod error;
 pub mod export;
 pub mod health;
 pub mod incident;
+mod journal;
 pub mod json;
 mod medium;
 pub mod payload;
@@ -93,6 +94,7 @@ pub use health::{
     SloKind, TelemetryConfig,
 };
 pub use incident::{IncidentBundle, TopologyDigest, TriggerKind};
+pub use journal::SpanSource;
 pub use json::{Json, JsonError, Layout};
 pub use medium::{schedule_tx, SegmentConfig, TxTiming};
 pub use payload::{ByteReader, ChunkQueue, DecodeError, Payload, PayloadBuilder, PayloadStats};

@@ -2,9 +2,10 @@
 //! critical-path latency attribution, and a fluent assertion API for
 //! integration tests.
 //!
-//! Input is always the flat `&[SpanRecord]` slice recorded by a
-//! [`Trace`](crate::Trace) — analysis never mutates the trace, so it can
-//! run repeatedly, mid-run, or over spans captured from another world.
+//! Input is always a flat `&[SpanRecord]` slice, read out of a
+//! [`Trace`](crate::Trace) with [`Trace::spans`] — analysis never
+//! mutates the trace, so it can run repeatedly, mid-run, or over spans
+//! captured from another world.
 //!
 //! Invariants upheld by [`SpanTree::build`] regardless of input:
 //! - every input span for the correlation id appears in exactly one tree
@@ -18,6 +19,7 @@
 //! - spans that never closed are counted in
 //!   [`unclosed`](SpanTree::unclosed) and analyzed as zero-length.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -437,20 +439,22 @@ pub fn merge_shard_spans(per_shard: &[(u16, &[SpanRecord])]) -> Vec<SpanRecord> 
 /// into analysis code.
 #[derive(Debug)]
 pub struct TraceAssert<'t> {
-    spans: &'t [SpanRecord],
+    spans: Cow<'t, [SpanRecord]>,
 }
 
 impl<'t> TraceAssert<'t> {
-    /// Wraps a trace for assertion.
-    pub fn new(trace: &'t Trace) -> TraceAssert<'t> {
+    /// Wraps a trace for assertion, reading its spans once.
+    pub fn new(trace: &Trace) -> TraceAssert<'t> {
         TraceAssert {
-            spans: trace.spans(),
+            spans: Cow::Owned(trace.spans().collect()),
         }
     }
 
     /// Wraps a raw span slice (e.g. spans copied out of a world).
     pub fn over(spans: &'t [SpanRecord]) -> TraceAssert<'t> {
-        TraceAssert { spans }
+        TraceAssert {
+            spans: Cow::Borrowed(spans),
+        }
     }
 
     /// Audits one platform bridge's hop instrumentation: counts the
@@ -472,7 +476,7 @@ impl<'t> TraceAssert<'t> {
         let egress = format!("bridge.{platform}.output");
         let mut counts = (0u64, 0u64);
         let mut unclosed: Vec<String> = Vec::new();
-        for s in self.spans {
+        for s in self.spans.iter() {
             let slot = if s.stage == ingress {
                 &mut counts.0
             } else if s.stage == egress {
@@ -503,7 +507,7 @@ impl<'t> TraceAssert<'t> {
     /// # Panics
     ///
     /// Panics if the trace has no spans for `corr`.
-    pub fn expect_path(&self, corr: u64) -> PathExpectation<'t> {
+    pub fn expect_path(&self, corr: u64) -> PathExpectation<'_> {
         let mut path: Vec<&SpanRecord> = self.spans.iter().filter(|s| s.corr == corr).collect();
         path.sort_by_key(|s| (s.start, s.id));
         assert!(
@@ -616,6 +620,10 @@ mod tests {
     use super::*;
     use crate::trace::SpanDetail;
 
+    fn records(t: &Trace) -> Vec<SpanRecord> {
+        t.spans().collect()
+    }
+
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
     }
@@ -640,7 +648,7 @@ mod tests {
         t.span_end(outer, ms(4));
         t.span(5, ms(5), "rt0", "after", "");
         t.span(6, ms(0), "rt1", "other-path", "");
-        let tree = SpanTree::build(t.spans(), 5);
+        let tree = SpanTree::build(&records(&t), 5);
         assert_eq!(tree.span_count(), 3);
         assert_eq!(tree.roots.len(), 2);
         assert_eq!(tree.roots[0].span.stage, "outer");
@@ -648,7 +656,7 @@ mod tests {
         assert_eq!(tree.roots[1].span.stage, "after");
         assert_eq!(tree.orphans, 0);
         assert_eq!(tree.unclosed, 0);
-        assert_eq!(SpanTree::build_all(t.spans()).len(), 2);
+        assert_eq!(SpanTree::build_all(&records(&t)).len(), 2);
     }
 
     #[test]
@@ -665,7 +673,7 @@ mod tests {
             end: None,
         };
         t.span(1, ms(0), "x", "root", "");
-        let spans: Vec<SpanRecord> = t.spans().iter().cloned().chain([orphan]).collect();
+        let spans: Vec<SpanRecord> = t.spans().chain([orphan]).collect();
         let tree = SpanTree::build(&spans, 1);
         assert_eq!(tree.span_count(), 2, "orphan is kept as a root");
         assert_eq!(tree.orphans, 1);
@@ -692,7 +700,7 @@ mod tests {
     #[test]
     fn critical_path_attributes_every_nanosecond() {
         let t = demo_trace();
-        let cp = CriticalPath::analyze(t.spans(), 7).unwrap();
+        let cp = CriticalPath::analyze(&records(&t), 7).unwrap();
         assert_eq!(cp.journeys, 1);
         assert_eq!(cp.total, SimDuration::from_millis(9)); // 1ms..10ms
         assert_eq!(cp.attributed, cp.total);
@@ -718,7 +726,7 @@ mod tests {
         t.span_end(q, ms(1));
         let b = t.span_begin(1, ms(4), "rt1", "bridge.rmi.input", "");
         t.span_end(b, ms(5));
-        let cp = CriticalPath::analyze(t.spans(), 1).unwrap();
+        let cp = CriticalPath::analyze(&records(&t), 1).unwrap();
         let edge = cp
             .stages
             .iter()
@@ -739,7 +747,7 @@ mod tests {
             let q = t.span_begin(1, ms(10 * i + 1), "rt0", "queue.wait", "");
             t.span_end(q, ms(10 * i + 2));
         }
-        let cp = CriticalPath::analyze(t.spans(), 1).unwrap();
+        let cp = CriticalPath::analyze(&records(&t), 1).unwrap();
         assert_eq!(cp.journeys, 3);
         assert_eq!(cp.total, SimDuration::from_millis(3));
     }
@@ -799,7 +807,7 @@ mod tests {
         let d = b.span_begin(0x10, ms(3), "sink", "deliver.local", "");
         b.span_end(d, ms(4));
 
-        let merged = merge_shard_spans(&[(0, a.spans()), (1, b.spans())]);
+        let merged = merge_shard_spans(&[(0, &records(&a)), (1, &records(&b))]);
         assert_eq!(merged.len(), 4);
         // Ids are re-minted sequentially in (start, shard, id) order.
         for (i, s) in merged.iter().enumerate() {
@@ -843,7 +851,7 @@ mod tests {
             "shard.xfer.ingress",
             "src=s0 span=999",
         );
-        let merged = merge_shard_spans(&[(1, b.spans())]);
+        let merged = merge_shard_spans(&[(1, &records(&b))]);
         assert_eq!(merged[0].parent, None);
         let tree = SpanTree::build(&merged, 0x11);
         assert_eq!(tree.roots.len(), 1);

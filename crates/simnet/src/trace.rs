@@ -24,6 +24,7 @@ use std::fmt;
 use std::ops::Bound;
 use std::sync::{Arc, Mutex, PoisonError};
 
+use crate::journal::{SpanJournal, SpanSource};
 use crate::json::{Json, Layout};
 use crate::time::{SimDuration, SimTime};
 
@@ -96,7 +97,7 @@ impl fmt::Display for DetailArg {
 }
 
 /// Most arguments one [`SpanDetail`] holds.
-const DETAIL_ARGS: usize = 4;
+pub(crate) const DETAIL_ARGS: usize = 4;
 
 /// A span's free-form detail (port names, byte counts, retry numbers)
 /// as a small typed value: static text pieces interleaved with up to
@@ -115,8 +116,8 @@ const DETAIL_ARGS: usize = 4;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanDetail {
-    pieces: &'static [&'static str],
-    args: [DetailArg; DETAIL_ARGS],
+    pub(crate) pieces: &'static [&'static str],
+    pub(crate) args: [DetailArg; DETAIL_ARGS],
 }
 
 impl SpanDetail {
@@ -197,9 +198,8 @@ impl From<String> for SpanDetail {
 /// end to end, across runtimes and platform bridges; parent links give
 /// the nesting within one path (see [`SpanTree`](crate::span::SpanTree)).
 ///
-/// Recording one copies no string: the source is the process name,
-/// shared with the world's process table; the stage is static; the
-/// detail is typed and rendered only at export.
+/// This is the materialized form: the journal stores each span as a
+/// compact slot (see [`Trace`]) and builds records when they are read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Unique id within the trace, in allocation order.
@@ -929,26 +929,24 @@ impl MetricsSnapshot {
 /// (spans) and `trace.events_overwritten` (events) counters. Eviction
 /// happens in half-capacity chunks, so the amortized cost per record
 /// stays O(1).
+///
+/// The span journal stores each span as an 88-byte `Copy` slot whose
+/// strings are indexes into per-trace tables, so recording a span
+/// allocates nothing once the journal has grown, and evicting drops
+/// nothing (a [`DetailArg::Text`] detail aside). Readers get [`SpanRecord`]s built from the slots:
+/// [`spans`](Trace::spans) iterates them in begin order and
+/// [`span_record`](Trace::span_record) looks one up by id.
 #[derive(Debug)]
 pub struct Trace {
     log_enabled: bool,
     /// Capacity of each journal (events and spans).
     capacity: usize,
     events: Vec<TraceEvent>,
-    /// The span journal. Ids are minted one per pushed record and
-    /// eviction removes only a prefix, so the record of id `i` sits at
-    /// index `i - spans[0].id`.
-    spans: Vec<SpanRecord>,
-    next_span: u64,
-    /// Cumulative spans evicted by the ring.
-    ring_overwrites: u64,
+    spans: SpanJournal,
     ring_overwrites_folded: u64,
     /// Cumulative events evicted by the ring.
     events_overwritten: u64,
     events_overwritten_folded: u64,
-    /// Per-correlation-id stack of open spans (for parent links). A
-    /// stack may be empty until the next eviction prunes it.
-    open: BTreeMap<u64, Vec<SpanId>>,
     metrics: Metrics,
 }
 
@@ -961,45 +959,22 @@ impl Trace {
             log_enabled: true,
             capacity: capacity.max(2),
             events: Vec::new(),
-            spans: Vec::new(),
-            next_span: 1,
-            ring_overwrites: 0,
+            spans: SpanJournal::new(capacity),
             ring_overwrites_folded: 0,
             events_overwritten: 0,
             events_overwritten_folded: 0,
-            open: BTreeMap::new(),
             metrics: Metrics::default(),
         }
     }
 
     /// Cumulative spans evicted by the ring.
     pub fn ring_overwrites(&self) -> u64 {
-        self.ring_overwrites
+        self.spans.overwrites()
     }
 
     /// Cumulative events evicted by the ring.
     pub fn events_overwritten(&self) -> u64 {
         self.events_overwritten
-    }
-
-    /// Evicts the oldest half of the span journal. An evicted span that
-    /// is still open can never be closed: its id is removed from the
-    /// open stacks so later spans on the same correlation id do not
-    /// inherit a dead parent, and `span_end` finds no record for it.
-    fn evict_oldest_spans(&mut self) {
-        let evict = self.capacity / 2;
-        for s in self.spans[..evict].iter().filter(|s| s.end.is_none()) {
-            if let Some(stack) = self.open.get_mut(&s.corr) {
-                stack.retain(|&open| open != s.id);
-            }
-        }
-        // An emptied stack stays in place until here, so a path's
-        // begin/end pairs reuse one stack instead of allocating one
-        // each; pruning keeps the map to the paths that still have
-        // open spans.
-        self.open.retain(|_, stack| !stack.is_empty());
-        self.spans.drain(..evict);
-        self.ring_overwrites += evict as u64;
     }
 
     /// Enables or disables event logging (counters always work).
@@ -1025,34 +1000,41 @@ impl Trace {
         });
     }
 
-    /// Pushes one span record, minting its id. Its parent is the
-    /// innermost span still open on the same correlation id.
-    fn push_span(
+    /// The span source of a process name, minted on first use. Spans
+    /// recorded through it ([`Trace::span_from`],
+    /// [`Trace::span_begin_from`]) skip the name lookup.
+    pub fn span_source(&mut self, name: &str) -> SpanSource {
+        self.spans.source(name)
+    }
+
+    /// The name a span source was resolved from.
+    pub(crate) fn source_name(&self, source: SpanSource) -> &str {
+        self.spans.source_name(source)
+    }
+
+    /// Opens a span for a resolved source (see [`Trace::span_begin`]).
+    pub fn span_begin_from(
         &mut self,
         corr: u64,
         time: SimTime,
-        source: Arc<str>,
+        source: SpanSource,
         stage: &'static str,
         detail: SpanDetail,
-        end: Option<SimTime>,
     ) -> SpanId {
-        if self.spans.len() >= self.capacity {
-            self.evict_oldest_spans();
-        }
-        let id = SpanId(self.next_span);
-        self.next_span += 1;
-        let parent = self.open.get(&corr).and_then(|stack| stack.last().copied());
-        self.spans.push(SpanRecord {
-            id,
-            parent,
-            corr,
-            source,
-            stage,
-            detail,
-            start: time,
-            end,
-        });
-        id
+        self.spans.record(corr, time, source, stage, detail, true)
+    }
+
+    /// Records an instant span for a resolved source (see
+    /// [`Trace::span`]).
+    pub fn span_from(
+        &mut self,
+        corr: u64,
+        time: SimTime,
+        source: SpanSource,
+        stage: &'static str,
+        detail: SpanDetail,
+    ) -> SpanId {
+        self.spans.record(corr, time, source, stage, detail, false)
     }
 
     /// Opens a structured span on a correlated path. The span's parent
@@ -1061,32 +1043,19 @@ impl Trace {
         &mut self,
         corr: u64,
         time: SimTime,
-        source: impl Into<Arc<str>>,
+        source: &str,
         stage: &'static str,
         detail: impl Into<SpanDetail>,
     ) -> SpanId {
-        let id = self.push_span(corr, time, source.into(), stage, detail.into(), None);
-        self.open.entry(corr).or_default().push(id);
-        id
+        let source = self.spans.source(source);
+        self.span_begin_from(corr, time, source, stage, detail.into())
     }
 
     /// Closes a span, clamping the end to be no earlier than its start.
     /// Returns the span's duration, or `None` if the id is
     /// [`SpanId::NONE`], unknown, evicted or already closed.
     pub fn span_end(&mut self, id: SpanId, time: SimTime) -> Option<SimDuration> {
-        let first = self.spans.first()?.id.0;
-        let idx = usize::try_from(id.0.checked_sub(first)?).ok()?;
-        let record = self.spans.get_mut(idx).filter(|r| r.end.is_none())?;
-        debug_assert_eq!(record.id, id, "span ids are dense in the journal");
-        let end = time.max(record.start);
-        record.end = Some(end);
-        let (corr, start) = (record.corr, record.start);
-        if let Some(stack) = self.open.get_mut(&corr) {
-            if let Some(pos) = stack.iter().rposition(|&open| open == id) {
-                stack.remove(pos);
-            }
-        }
-        Some(end - start)
+        self.spans.end(id, time)
     }
 
     /// Records an instant (zero-duration) span on a correlated path —
@@ -1096,26 +1065,41 @@ impl Trace {
         &mut self,
         corr: u64,
         time: SimTime,
-        source: impl Into<Arc<str>>,
+        source: &str,
         stage: &'static str,
         detail: impl Into<SpanDetail>,
     ) -> SpanId {
-        self.push_span(corr, time, source.into(), stage, detail.into(), Some(time))
+        let source = self.spans.source(source);
+        self.span_from(corr, time, source, stage, detail.into())
     }
 
-    /// All recorded spans, in begin order.
-    pub fn spans(&self) -> &[SpanRecord] {
-        &self.spans
+    /// All retained spans, in begin order.
+    pub fn spans(&self) -> impl DoubleEndedIterator<Item = SpanRecord> + ExactSizeIterator + '_ {
+        self.spans.iter_from(0)
+    }
+
+    /// The retained spans whose ids come after `id`, in begin order.
+    pub fn spans_after(
+        &self,
+        id: SpanId,
+    ) -> impl DoubleEndedIterator<Item = SpanRecord> + ExactSizeIterator + '_ {
+        self.spans.iter_from(id.0.saturating_add(1))
+    }
+
+    /// The span of id `id`, unless it is [`SpanId::NONE`], unknown or
+    /// evicted.
+    pub fn span_record(&self, id: SpanId) -> Option<SpanRecord> {
+        self.spans.get(id)
     }
 
     /// The spans of one correlated path, in begin order.
-    pub fn spans_for(&self, corr: u64) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter().filter(move |s| s.corr == corr)
+    pub fn spans_for(&self, corr: u64) -> impl Iterator<Item = SpanRecord> + '_ {
+        self.spans.iter_corr(corr)
     }
 
     /// Number of spans still open (begun, never ended, not evicted).
     pub fn open_spans(&self) -> usize {
-        self.open.values().map(Vec::len).sum()
+        self.spans.open_spans()
     }
 
     /// The metrics registry.
@@ -1135,9 +1119,9 @@ impl Trace {
     /// exported snapshot records whether its journals wrapped, even
     /// when the answer is zero.
     pub fn sync_ring_stats(&mut self) {
-        let ring = self.ring_overwrites - self.ring_overwrites_folded;
+        let ring = self.spans.overwrites() - self.ring_overwrites_folded;
         self.metrics.counter_add("trace.ring_overwrites", ring);
-        self.ring_overwrites_folded = self.ring_overwrites;
+        self.ring_overwrites_folded = self.spans.overwrites();
         let ev_ring = self.events_overwritten - self.events_overwritten_folded;
         self.metrics
             .counter_add("trace.events_overwritten", ev_ring);
@@ -1189,12 +1173,9 @@ impl Trace {
     pub fn clear(&mut self) {
         self.events.clear();
         self.spans.clear();
-        self.ring_overwrites = 0;
         self.ring_overwrites_folded = 0;
         self.events_overwritten = 0;
         self.events_overwritten_folded = 0;
-        self.next_span = 1;
-        self.open.clear();
         self.metrics.clear();
     }
 }
@@ -1270,8 +1251,8 @@ mod tests {
             ring.ring_overwrites()
         );
         assert!(ring.ring_overwrites() > 0);
-        assert!(ring.spans().iter().any(|s| s.detail.to_string() == "9"));
-        assert!(ring.spans().iter().all(|s| s.detail.to_string() != "0"));
+        assert!(ring.spans().any(|s| s.detail.to_string() == "9"));
+        assert!(ring.spans().all(|s| s.detail.to_string() != "0"));
         assert_eq!(
             ring.ring_overwrites() + ring.spans().len() as u64,
             10,
@@ -1305,13 +1286,13 @@ mod tests {
         for i in 0..8 {
             t.span(0, SimTime::from_nanos(i), "src", "filler", format!("{i}"));
         }
-        assert!(t.spans().iter().all(|s| s.stage != "outer"));
+        assert!(t.spans().all(|s| s.stage != "outer"));
         assert_eq!(t.open_spans(), 0);
         // Ending the evicted span is a no-op, not a panic or corruption.
         assert_eq!(t.span_end(stale, SimTime::from_nanos(99)), None);
         // A new span on the same corr must not inherit the dead parent.
         let fresh = t.span_begin(7, SimTime::from_nanos(100), "src", "inner", "");
-        let rec = t.spans().iter().find(|s| s.id == fresh).unwrap();
+        let rec = t.spans().find(|s| s.id == fresh).unwrap();
         assert_eq!(rec.parent, None);
         assert!(t.span_end(fresh, SimTime::from_nanos(101)).is_some());
     }
@@ -1518,7 +1499,7 @@ mod tests {
         let mut t = Trace::default();
         t.span(1, SimTime::ZERO, "rt0", "queue.wait", d);
         assert_eq!(
-            t.spans()[0].to_string(),
+            t.spans().next().unwrap().to_string(),
             format!(
                 "[{0}..{0}] corr=0x1 rt0 queue.wait: dst=rt1/t4.in (late)",
                 SimTime::ZERO
@@ -1619,7 +1600,7 @@ mod tests {
             t.span_end(outer, SimTime::from_millis(4)),
             Some(SimDuration::from_millis(4))
         );
-        let spans = t.spans();
+        let spans: Vec<SpanRecord> = t.spans().collect();
         assert_eq!(spans[0].parent, None);
         assert_eq!(spans[1].parent, Some(outer));
         assert_eq!(spans[2].parent, Some(inner));
@@ -1636,7 +1617,10 @@ mod tests {
         assert_eq!(t.span_end(id, SimTime::ZERO), Some(SimDuration::ZERO));
         assert_eq!(t.span_end(id, SimTime::from_secs(1)), None, "double end");
         assert_eq!(t.span_end(SpanId::NONE, SimTime::ZERO), None);
-        assert_eq!(t.spans()[0].end, Some(SimTime::from_millis(5)));
+        assert_eq!(
+            t.span_record(id).unwrap().end,
+            Some(SimTime::from_millis(5))
+        );
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! event loop.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 use crate::ctx::Ctx;
 use crate::error::{SimError, SimResult};
 use crate::health::{AlertState, HealthReport, SegmentSample, SloEngine, TelemetryConfig};
 use crate::incident::{IncidentBundle, TopologyDigest, TriggerKind, MAX_BUNDLES, TRACE_WINDOW};
+use crate::journal::SpanSource;
 use crate::medium::{schedule_tx, SegmentConfig};
 use crate::metric_id;
 use crate::payload::Payload;
@@ -135,8 +135,9 @@ pub(crate) struct PortBinding {
 
 pub(crate) struct ProcSlot {
     pub(crate) node: NodeId,
-    /// The process name, shared by every span the process records.
-    pub(crate) name: Arc<str>,
+    /// The process name, resolved once in the span journal's source
+    /// table.
+    pub(crate) source: SpanSource,
     pub(crate) busy_until: SimTime,
     pub(crate) alive: bool,
     pub(crate) process: Option<Box<dyn Process>>,
@@ -221,7 +222,7 @@ impl std::fmt::Debug for ProcSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProcSlot")
             .field("node", &self.node)
-            .field("name", &self.name)
+            .field("source", &self.source)
             .field("busy_until", &self.busy_until)
             .field("alive", &self.alive)
             .finish_non_exhaustive()
@@ -523,10 +524,10 @@ impl World {
     /// current virtual time once the world is (or starts) running.
     pub fn add_process(&mut self, node: NodeId, process: Box<dyn Process>) -> ProcId {
         let id = ProcId(self.procs.len() as u32);
-        let name = Arc::from(process.name());
+        let source = self.trace.span_source(process.name());
         self.procs.push(ProcSlot {
             node,
-            name,
+            source,
             busy_until: SimTime::ZERO,
             alive: true,
             process: Some(process),
@@ -755,7 +756,7 @@ impl World {
             .shard
             .as_ref()
             .map(|m| (m.config.shard, m.barrier_stall.sum_ns()));
-        plane.fold(self.trace.spans(), barrier);
+        plane.fold(&self.trace, barrier);
     }
 
     /// Catches the attribution fold up to right now and snapshots it.
@@ -802,9 +803,7 @@ impl World {
         let spans: Vec<crate::SpanRecord> = self
             .trace
             .spans()
-            .iter()
             .filter(|s| s.effective_end() >= since)
-            .cloned()
             .collect();
         let telemetry = self.telemetry_window(None).map(|w| w.to_json());
         let doctor = self.doctor().map(|r| r.to_json());
@@ -814,7 +813,7 @@ impl World {
             .unwrap_or_default();
         let topology = TopologyDigest::new(
             self.nodes.iter().map(|n| n.name.as_str()),
-            self.procs.iter().map(|p| &*p.name),
+            self.procs.iter().map(|p| self.trace.source_name(p.source)),
             self.segments
                 .iter()
                 .enumerate()

@@ -361,7 +361,7 @@ fn span_trees_are_well_formed_under_any_interleaving() {
                     } else {
                         open.remove(idx)
                     };
-                    let retained = trace.spans().first().is_some_and(|s| id >= s.id);
+                    let retained = trace.spans().next().is_some_and(|s| id >= s.id);
                     let live = retained && !ended.contains(&id);
                     assert_eq!(trace.span_end(id, t).is_some(), live, "end of {id}");
                     assert_eq!(trace.span_end(id, t), None, "double end of {id}");
@@ -370,13 +370,13 @@ fn span_trees_are_well_formed_under_any_interleaving() {
                 }
             }
 
-            let spans = trace.spans();
+            let spans: Vec<simnet::SpanRecord> = trace.spans().collect();
             assert_eq!(
                 trace.ring_overwrites() + spans.len() as u64,
                 recorded,
                 "every span is retained or counted as overwritten"
             );
-            let trees = simnet::SpanTree::build_all(spans);
+            let trees = simnet::SpanTree::build_all(&spans);
             let total: usize = trees.iter().map(simnet::SpanTree::span_count).sum();
             assert_eq!(total, spans.len(), "every span lands in exactly one tree");
             let unclosed: u64 = trees.iter().map(|t| t.unclosed).sum();
@@ -413,15 +413,22 @@ fn trace_exports_are_deterministic() {
                 now += dt;
                 let t = SimTime::from_nanos(now);
                 if *roll < 6 || open.is_empty() {
-                    open.push(trace.span_begin(*corr, t, format!("src{corr}"), STAGES[i % 5], "d"));
+                    open.push(trace.span_begin(
+                        *corr,
+                        t,
+                        &format!("src{corr}"),
+                        STAGES[i % 5],
+                        "d",
+                    ));
                 } else {
                     let id = open.remove(*roll as usize % open.len());
                     trace.span_end(id, t);
                 }
             }
+            let spans: Vec<simnet::SpanRecord> = trace.spans().collect();
             (
-                simnet::perfetto_trace_json(trace.spans()).to_string(),
-                simnet::folded_stacks(trace.spans()),
+                simnet::perfetto_trace_json(&spans).to_string(),
+                simnet::folded_stacks(&spans),
             )
         };
         let (p1, f1) = build(&ops);

@@ -213,7 +213,6 @@ fn run_wings(
                 let spans: Vec<String> = world
                     .trace()
                     .spans()
-                    .iter()
                     .filter(|s| s.source.starts_with(&tag))
                     .map(|s| {
                         format!(
@@ -355,12 +354,7 @@ fn fixed_shard_count_double_run_is_byte_identical() {
                     .iter()
                     .map(|e| e.to_string())
                     .collect();
-                let spans: Vec<String> = world
-                    .trace()
-                    .spans()
-                    .iter()
-                    .map(|s| format!("{s:?}"))
-                    .collect();
+                let spans: Vec<String> = world.trace().spans().map(|s| format!("{s:?}")).collect();
                 (events, spans, world.trace().metrics().snapshot().to_json())
             },
         )

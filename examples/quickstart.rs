@@ -121,7 +121,7 @@ fn main() {
     for (name, v) in world.trace().metrics().scoped("rt0").counters() {
         println!("  {name:22} {v}");
     }
-    if let Some(corr) = world.trace().spans().iter().map(|s| s.corr).next() {
+    if let Some(corr) = world.trace().spans().map(|s| s.corr).next() {
         println!("one path, reconstructed by correlation id {corr:#x}:");
         for span in world.trace().spans_for(corr).take(6) {
             println!(

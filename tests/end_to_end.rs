@@ -113,7 +113,6 @@ fn one_camera_many_sinks_polymorphism() {
     let trace = world.trace();
     let corr = trace
         .spans()
-        .iter()
         .find(|s| s.stage == "bridge.upnp.input")
         .expect("a frame reached the UPnP bridge")
         .corr;

@@ -96,7 +96,6 @@ fn correlation_id_reconstructs_two_hop_path() {
     // Find the cross-platform path by its terminal bridge hop.
     let corr = trace
         .spans()
-        .iter()
         .find(|s| s.stage == "bridge.upnp.input")
         .expect("a click reached the UPnP bridge")
         .corr;
@@ -172,12 +171,11 @@ fn critical_path_attributes_bridged_latency() {
     let trace = world.trace();
     let corr = trace
         .spans()
-        .iter()
         .find(|s| s.stage == "bridge.upnp.input")
         .expect("a click reached the UPnP bridge")
         .corr;
 
-    let cp = umiddle::simnet::CriticalPath::analyze(trace.spans(), corr)
+    let cp = umiddle::simnet::CriticalPath::analyze(&trace.spans().collect::<Vec<_>>(), corr)
         .expect("journeys on the bridged path");
     assert!(cp.journeys >= 1);
     assert!(
