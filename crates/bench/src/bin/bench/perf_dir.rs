@@ -1,23 +1,28 @@
 //! `bench perf-dir`: directory-federation benchmarks — the E12
 //! delta-gossip federation (steady-state directory-plane bytes,
-//! post-churn convergence) and the E12 federation-lookup
-//! microbenchmark at the ~1M-advertised-port scale point.
+//! post-churn convergence), the E12 replica-write split (one churn
+//! delta's decode and apply at each receiving replica) and the E12
+//! federation-lookup microbenchmark at the ~1M-advertised-port scale
+//! point.
 //!
 //! `--check` is the CI gate — a pin on the delta steady-state bytes, a
 //! post-churn convergence ceiling, a lookup p99 budget, and the
 //! scan-free invariant (no port query falls back to a full table scan
 //! at any table size). `--json FILE` writes the sweep as
 //! deterministic-schema JSON (byte counts and convergence are
-//! simulator-deterministic; lookup timings are wall-clock and
+//! simulator-deterministic; lookup and replica timings are wall-clock and
 //! machine-dependent, the schema is what golden files assert on). The
 //! committed `BENCH_perf_dir.json` records one full run; its `before`
-//! side is the retired full-refresh protocol's row, frozen.
+//! side holds frozen rows of retired implementations: the full-refresh
+//! protocol and the B-tree replica table.
 //!
 //! Gate knob (`ci.sh` forwards it from `PERF_DIR_P99_US`):
 //!
 //! * `--p99-budget-us N` — lookup p99 budget in µs (default 200).
 
-use bench::experiments::{e12_delta_gossip, e12_lookup_scale, DeltaGossipRow};
+use bench::experiments::{
+    e12_delta_gossip, e12_lookup_scale, e12_replica_apply, DeltaGossipRow, ReplicaApplyRow,
+};
 use simnet::Json;
 
 use crate::{Args, Command};
@@ -37,8 +42,10 @@ const FROZEN_FULL_REFRESH_ROW: &str = r#"{"mode": "full-refresh", "runtimes": 10
 const UNITS: &str = "*_bytes: directory-plane bytes over the named window (virtual time, \
     simulator-deterministic); steady_secs: virtual seconds; *_convergence_ms: milliseconds of \
     virtual time, worst runtime; deltas_applied/antientropy_repairs/final_entries/total_ports/\
-    distinct_mimes/lookups/scan_fallbacks: counts; steady_bytes_ratio: dimensionless; build_ms: \
-    wall-clock milliseconds; avg_ns/p99_ns: wall-clock nanoseconds per lookup";
+    distinct_mimes/lookups/scan_fallbacks/deltas/applies: counts; steady_bytes_ratio: \
+    dimensionless; build_ms: wall-clock milliseconds; avg_ns/p99_ns: wall-clock nanoseconds per \
+    lookup; apply_*_ns/decode_*_ns: wall-clock nanoseconds per apply_delta/WireMessage::decode \
+    at one receiving replica (p10, p50, p90)";
 
 /// The record's `description`, ending in the command that regenerates
 /// it.
@@ -49,17 +56,35 @@ const DESCRIPTION: &str =
     re-advertised every interval, TTL liveness), frozen: that protocol no longer exists, so \
     the row is copied, not rerun; 'after' is delta-gossip (version-vectored deltas, digest \
     anti-entropy, origin-level liveness) plus the federation lookup microbenchmark at 1M \
-    advertised ports. Byte counts and convergence are simulator-deterministic; \
-    steady_bytes_ratio divides the frozen full-refresh steady_bytes by the fresh delta one; \
-    lookup timings are wall-clock and machine-dependent. Regenerate with: cargo run \
-    --offline --release -p bench -- perf-dir --json BENCH_perf_dir.json";
+    advertised ports. e12_replica_apply replays 2000 seeded churn deltas into 100 replicas \
+    of the 100 x 10 federation and times each decode and apply at each of the 99 \
+    receivers; 'before' is the B-tree replica table (entries in a BTreeMap beside a list of \
+    every entry with a digital port), frozen, 'after' the hashed table. Byte counts and \
+    convergence are simulator-deterministic; steady_bytes_ratio divides the frozen \
+    full-refresh steady_bytes by the fresh delta one; lookup and replica timings are \
+    wall-clock and machine-dependent. Regenerate with: cargo run --offline --release -p \
+    bench -- perf-dir --json BENCH_perf_dir.json";
 
 /// `steady_bytes` of [`FROZEN_FULL_REFRESH_ROW`].
 const FROZEN_FULL_REFRESH_STEADY_BYTES: u64 = 946_800;
 
 /// Where the frozen row came from, written next to it.
-const FROZEN_PROVENANCE: &str =
-    "measured at commit 7b03dcf, the last commit with the full-refresh protocol; not rerun";
+const FROZEN_PROVENANCE: &str = "e12_delta_gossip measured at commit 7b03dcf, the last commit \
+    with the full-refresh protocol; e12_replica_apply measured at commit e903702, the last with \
+    the B-tree replica table, by this harness backported into a scratch copy of that commit (the \
+    harness is not in e903702 itself) on the host of the after row; neither rerun";
+
+/// Churn deltas the replica-write row replays (each applied at 99
+/// replicas).
+const REPLICA_DELTAS: usize = 2_000;
+
+/// The replica-write row of commit e903702, the last whose table kept
+/// entries in a B-tree beside a per-direction list of every entry with a
+/// digital port: the same `e12_replica_apply` harness, backported into a
+/// scratch copy of that commit (which predates it) and run on the host
+/// that recorded the `after` row, written verbatim as the record's frozen
+/// `before` side.
+const FROZEN_BTREE_REPLICA_ROW: &str = r#"{"mode": "btree-table", "runtimes": 100, "per_runtime": 10, "deltas": 2000, "applies": 198000, "apply_p10_ns": 614, "apply_p50_ns": 1009, "apply_p90_ns": 1487, "decode_p10_ns": 107, "decode_p50_ns": 173, "decode_p90_ns": 270}"#;
 
 /// Default `--p99-budget-us`: ceiling on the p99 wall cost of one
 /// indexed federation lookup at the check fixture (100k ports).
@@ -106,6 +131,22 @@ fn render(r: &DeltaGossipRow) -> String {
         r.deltas_applied,
         r.antientropy_repairs,
     )
+}
+
+/// The replica-write row as the record writes it.
+fn replica_row(r: &ReplicaApplyRow) -> Json {
+    Json::inline()
+        .with("mode", "hashed-table")
+        .with("runtimes", r.runtimes)
+        .with("per_runtime", r.per_runtime)
+        .with("deltas", r.deltas)
+        .with("applies", r.applies)
+        .with("apply_p10_ns", r.apply_ns[0])
+        .with("apply_p50_ns", r.apply_ns[1])
+        .with("apply_p90_ns", r.apply_ns[2])
+        .with("decode_p10_ns", r.decode_ns[0])
+        .with("decode_p50_ns", r.decode_ns[1])
+        .with("decode_p90_ns", r.decode_ns[2])
 }
 
 /// The frozen full-refresh/delta steady-state bytes ratio — the
@@ -175,6 +216,23 @@ fn run(args: &Args) {
         steady_ratio(&row)
     );
 
+    let ra = e12_replica_apply(100, 10, REPLICA_DELTAS);
+    println!("E12 replica writes: one delta at a receiving replica (wall clock)");
+    println!(
+        "{} replicas x {} services, {} churn deltas, {} decode + apply pairs\n\
+         apply_delta ns p10/p50/p90: {}/{}/{}   decode ns p10/p50/p90: {}/{}/{}\n",
+        ra.runtimes,
+        ra.per_runtime,
+        ra.deltas,
+        ra.applies,
+        ra.apply_ns[0],
+        ra.apply_ns[1],
+        ra.apply_ns[2],
+        ra.decode_ns[0],
+        ra.decode_ns[1],
+        ra.decode_ns[2],
+    );
+
     let lk = e12_lookup_scale(10_000, 100);
     println!("E12 federation lookup at scale (wall clock)");
     println!(
@@ -216,12 +274,16 @@ fn run(args: &Args) {
             .with("description", DESCRIPTION)
             .with(
                 "machine",
-                "linux x86_64 container (shared); only e12_lookup_scale and build_ms depend on the host",
+                "linux x86_64 container (shared); only e12_replica_apply, e12_lookup_scale and build_ms depend on the host",
             )
             .with(
                 "before",
                 Json::block()
                     .with("e12_delta_gossip", frozen)
+                    .with(
+                        "e12_replica_apply",
+                        Json::parse(FROZEN_BTREE_REPLICA_ROW).expect("frozen row is JSON"),
+                    )
                     .with("provenance", FROZEN_PROVENANCE),
             )
             .with(
@@ -229,6 +291,7 @@ fn run(args: &Args) {
                 Json::block()
                     .with("e12_delta_gossip", gossip_row)
                     .with("steady_bytes_ratio", Json::fixed(steady_ratio(&row), 1))
+                    .with("e12_replica_apply", replica_row(&ra))
                     .with("e12_lookup_scale", lookup),
             );
         bench::report::write_artifact(&file, &record.document(), "directory-federation sweep");

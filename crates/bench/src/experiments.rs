@@ -2997,7 +2997,7 @@ pub fn e12_lookup_scale(profiles: usize, ports_per_profile: usize) -> DirLookupR
     let p99_ns = samples_ns[(lookups * 99) / 100 - 1];
 
     // Wildcard paths: pattern MIME and the double wildcard both answer
-    // from indexes (the all-digital side list), never the full scan.
+    // from indexes (the union of the postings), never the full scan.
     let pattern = Query::has_port(
         Direction::Output,
         PortKind::Digital("app/*".parse().unwrap()),
@@ -3017,6 +3017,154 @@ pub fn e12_lookup_scale(profiles: usize, ports_per_profile: usize) -> DirLookupR
         avg_ns,
         p99_ns,
         scan_fallbacks: table.scan_fallbacks(),
+    }
+}
+
+/// The E12 replica-write split: the wall cost of one directory delta
+/// at a receiving replica, its decode apart from its apply.
+#[derive(Debug, Clone)]
+pub struct ReplicaApplyRow {
+    /// Replicas (one per runtime).
+    pub runtimes: usize,
+    /// Services each runtime registers at bootstrap.
+    pub per_runtime: usize,
+    /// Single-op deltas in the churn stream.
+    pub deltas: usize,
+    /// Timed decode + apply pairs: every delta at every receiver.
+    pub applies: usize,
+    /// p10, median and p90 wall ns of one `DirectoryReplica::apply_delta`.
+    pub apply_ns: [u64; 3],
+    /// p10, median and p90 wall ns of one `WireMessage::decode` of the
+    /// delta's frame.
+    pub decode_ns: [u64; 3],
+}
+
+/// Builds `runtimes` replicas holding the E12 churn federation
+/// (`per_runtime` two-port services per runtime over 7 MIME types),
+/// then replays a seeded stream of `deltas` single-op Add/Remove deltas
+/// from the churners on every tenth runtime. Each delta's frame is
+/// decoded and applied at every other replica in turn, as the multicast
+/// reaches every host, so one replica's cache lines are cold again by
+/// its next delta. Each decode and each apply is timed on its own.
+pub fn e12_replica_apply(runtimes: usize, per_runtime: usize, deltas: usize) -> ReplicaApplyRow {
+    use umiddle_core::{
+        DeltaOp, DeltaOutcome, DirectoryReplica, MimeType, RuntimeId, TranslatorId,
+        TranslatorProfile, WireMessage,
+    };
+
+    const CHURNER_STRIDE: usize = 10;
+    const SLOTS: usize = 4;
+    let mime = |k: usize| -> MimeType { format!("app/t{}", k % 7).parse().unwrap() };
+    let home = |i: usize| Addr::new(simnet::NodeId::from_index(i), 47_001);
+    let profile = |i: usize, local: u32, name: String, shape: Shape| {
+        TranslatorProfile::builder(TranslatorId::new(RuntimeId(i as u32), local), name)
+            .shape(shape)
+            .build()
+    };
+
+    let mut replicas: Vec<DirectoryReplica> = (0..runtimes)
+        .map(|i| DirectoryReplica::new(RuntimeId(i as u32), 256))
+        .collect();
+    let mut events = Vec::new();
+    for i in 0..runtimes {
+        let mut ops = Vec::with_capacity(per_runtime);
+        for j in 0..per_runtime {
+            let m = mime(i * per_runtime + j);
+            let shape = Shape::builder()
+                .digital("in", Direction::Input, m.clone())
+                .digital("out", Direction::Output, m)
+                .build()
+                .unwrap();
+            let p = profile(i, j as u32, format!("svc-{i}-{j}"), shape);
+            replicas[i].record_local_add(p.clone(), home(i));
+            ops.push(DeltaOp::Add(p));
+        }
+        for (r, replica) in replicas.iter_mut().enumerate() {
+            if r != i {
+                replica.apply_delta(
+                    RuntimeId(i as u32),
+                    home(i),
+                    1,
+                    &ops,
+                    SimTime::ZERO,
+                    &mut events,
+                );
+            }
+        }
+    }
+
+    let churners: Vec<usize> = (0..runtimes)
+        .filter(|i| i % CHURNER_STRIDE == CHURNER_STRIDE / 2)
+        .collect();
+    let mut live = vec![[None::<TranslatorId>; SLOTS]; churners.len()];
+    let mut next_local = vec![per_runtime as u32; churners.len()];
+    let mut rng = simnet::SimRng::seed_from_u64(12);
+    let mut apply_ns = Vec::with_capacity(deltas * (runtimes - 1));
+    let mut decode_ns = Vec::with_capacity(deltas * (runtimes - 1));
+    for _ in 0..deltas {
+        let c = rng.gen_range(0..churners.len());
+        let k = rng.gen_range(0..SLOTS);
+        let origin = churners[c];
+        let op = match live[c][k].take() {
+            Some(id) => {
+                replicas[origin].record_local_remove(id).expect("live");
+                DeltaOp::Remove(id)
+            }
+            None => {
+                let shape = Shape::builder()
+                    .digital("in", Direction::Input, mime(origin + k))
+                    .build()
+                    .unwrap();
+                let p = profile(origin, next_local[c], format!("churn-{origin}-{k}"), shape);
+                next_local[c] += 1;
+                live[c][k] = Some(p.id());
+                replicas[origin].record_local_add(p.clone(), home(origin));
+                DeltaOp::Add(p)
+            }
+        };
+        let frame = WireMessage::Delta {
+            origin: RuntimeId(origin as u32),
+            home: home(origin),
+            first: replicas[origin].own_version(),
+            ops: vec![op],
+        }
+        .encode();
+        for (r, replica) in replicas.iter_mut().enumerate() {
+            if r == origin {
+                continue;
+            }
+            let t0 = std::time::Instant::now();
+            let msg = std::hint::black_box(WireMessage::decode(&frame));
+            let t1 = std::time::Instant::now();
+            let Ok(WireMessage::Delta {
+                origin,
+                home,
+                first,
+                ops,
+            }) = msg
+            else {
+                panic!("a delta frame decodes to a delta");
+            };
+            events.clear();
+            let outcome =
+                replica.apply_delta(origin, home, first, &ops, SimTime::ZERO, &mut events);
+            let t2 = std::time::Instant::now();
+            assert_eq!(outcome, DeltaOutcome::Applied(1));
+            decode_ns.push((t1 - t0).as_nanos() as u64);
+            apply_ns.push((t2 - t1).as_nanos() as u64);
+        }
+    }
+    let quantiles = |mut v: Vec<u64>| -> [u64; 3] {
+        v.sort_unstable();
+        [v[v.len() / 10], v[v.len() / 2], v[v.len() * 9 / 10]]
+    };
+    ReplicaApplyRow {
+        runtimes,
+        per_runtime,
+        deltas,
+        applies: apply_ns.len(),
+        apply_ns: quantiles(apply_ns),
+        decode_ns: quantiles(decode_ns),
     }
 }
 
@@ -3311,5 +3459,15 @@ mod tests {
             })
             .sum();
         assert_eq!(lk.hits, implied, "the index returned the wrong postings");
+    }
+
+    #[test]
+    fn e12_replica_apply_times_every_delta_at_every_receiver() {
+        // The harness itself asserts that each frame decodes to a delta
+        // and applies as `DeltaOutcome::Applied(1)`.
+        let ra = e12_replica_apply(10, 3, 50);
+        assert_eq!(ra.applies, 50 * (10 - 1));
+        assert!(ra.apply_ns[0] <= ra.apply_ns[1] && ra.apply_ns[1] <= ra.apply_ns[2]);
+        assert!(ra.decode_ns[0] <= ra.decode_ns[1] && ra.decode_ns[1] <= ra.decode_ns[2]);
     }
 }

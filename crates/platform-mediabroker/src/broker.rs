@@ -116,9 +116,36 @@ impl MbFrame {
     }
 
     /// Encodes with a `u32` length prefix. Prefix and body go into one
-    /// buffer, so framing costs no second allocation or copy.
+    /// buffer allocated once, so framing costs no second allocation or
+    /// copy.
     pub fn encode_framed(&self) -> Payload {
-        PayloadBuilder::u32_framed(u32::to_le_bytes, |out| self.encode_into(out))
+        PayloadBuilder::u32_framed(u32::to_le_bytes, self.encoded_len(), |out| {
+            self.encode_into(out)
+        })
+    }
+
+    /// Bytes [`encode`](MbFrame::encode) writes.
+    fn encoded_len(&self) -> usize {
+        let str16 = |s: &str| 2 + s.len().min(usize::from(u16::MAX));
+        1 + match self {
+            MbFrame::Produce {
+                channel,
+                media_type,
+            }
+            | MbFrame::Consume {
+                channel,
+                media_type,
+            } => str16(channel) + str16(media_type),
+            MbFrame::Ack | MbFrame::ListChannels => 0,
+            MbFrame::Nack { reason } => str16(reason),
+            MbFrame::Data { payload } => 4 + payload.len(),
+            MbFrame::Channels(entries) => {
+                2 + entries
+                    .iter()
+                    .map(|(name, ty, _)| str16(name) + str16(ty) + 4)
+                    .sum::<usize>()
+            }
+        }
     }
 
     /// Decodes a frame body from a shared buffer. A `Data` frame's
@@ -452,6 +479,15 @@ mod tests {
             payload: vec![0; 1400].into(),
         };
         assert_eq!(f.encode_framed().len(), 1400 + 9);
+    }
+
+    #[test]
+    fn framed_encoding_allocates_once() {
+        for frame in frames() {
+            let framed = frame.encode_framed();
+            assert_eq!(framed.len(), 4 + frame.encode().len(), "{frame:?}");
+            assert_eq!(framed.capacity(), framed.len(), "{frame:?}");
+        }
     }
 
     /// Producer registers a channel and sends frames.

@@ -152,9 +152,31 @@ impl RmiFrame {
     }
 
     /// Encodes with a `u32` length prefix for stream framing, prefix and
-    /// body in one buffer.
+    /// body in one buffer allocated once.
     pub fn encode_framed(&self) -> Payload {
-        PayloadBuilder::u32_framed(u32::to_be_bytes, |out| self.encode_into(out))
+        PayloadBuilder::u32_framed(u32::to_be_bytes, self.encoded_len(), |out| {
+            self.encode_into(out)
+        })
+    }
+
+    /// Bytes [`encode`](RmiFrame::encode) writes.
+    fn encoded_len(&self) -> usize {
+        let str16 = |s: &str| 2 + s.len().min(usize::from(u16::MAX));
+        let value = |v: &JavaValue| 4 + v.marshaled_len();
+        1 + match self {
+            RmiFrame::Ping | RmiFrame::PingAck => 0,
+            RmiFrame::Call {
+                object,
+                method,
+                args,
+                ..
+            } => 8 + str16(object) + str16(method) + 2 + args.iter().map(value).sum::<usize>(),
+            RmiFrame::Return { result, .. } => 8 + value(result),
+            RmiFrame::Exception { message, .. } => 8 + str16(message),
+            RmiFrame::Bind { name, .. } => str16(name) + 4 + 2,
+            RmiFrame::Lookup { name, .. } => 8 + str16(name),
+            RmiFrame::LookupResult { .. } => 8 + 4 + 2,
+        }
     }
 
     /// Decodes a frame body from a shared buffer; marshaled `byte[]`
@@ -344,6 +366,21 @@ mod tests {
         assert_eq!(frames.len(), golden.len());
         for (frame, golden) in frames.iter().zip(golden) {
             assert_eq!(hex(frame), golden, "{frame:?}");
+        }
+    }
+
+    #[test]
+    fn framed_encoding_allocates_once() {
+        let echo = RmiFrame::Call {
+            call_id: 1,
+            object: "EchoService".to_owned(),
+            method: "echo_ack".to_owned(),
+            args: vec![JavaValue::Bytes(vec![7; 1400].into())],
+        };
+        for frame in frames().iter().chain([&echo]) {
+            let framed = frame.encode_framed();
+            assert_eq!(framed.len(), 4 + frame.encode().len(), "{frame:?}");
+            assert_eq!(framed.capacity(), framed.len(), "{frame:?}");
         }
     }
 

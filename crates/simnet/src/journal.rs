@@ -17,40 +17,11 @@
 //! Readers get [`SpanRecord`]s materialized from the slots on demand.
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
+use crate::hash::IntMap;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DetailArg, SpanDetail, SpanId, SpanRecord, DETAIL_ARGS};
-
-/// A multiplicative hash for integer keys (correlation ids, addresses):
-/// one multiply per word where the default hasher runs SipHash.
-#[derive(Default)]
-struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn finish(&self) -> u64 {
-        // The product's high bits mix every input bit; rotate them into
-        // the low bits the table indexes by.
-        self.0.rotate_left(26)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
-type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// Lines of an [`Interner`]'s direct-mapped address cache.
 const CACHE_LINES: usize = 64;

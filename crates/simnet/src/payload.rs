@@ -154,6 +154,12 @@ impl Payload {
         self.len == 0
     }
 
+    /// Capacity of the backing buffer, which every view of it shares:
+    /// `len()` for a whole buffer encoded into an exact reservation.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
     /// The viewed bytes.
     pub fn as_slice(&self) -> &[u8] {
         &self.buf[self.off..self.off + self.len]
@@ -411,8 +417,9 @@ impl ExactSizeIterator for PayloadIter {}
 /// let p = b.freeze();
 /// assert_eq!(&p[..], &[0x01, b'a', b'b', b'c', 7, 0, 0, 0]);
 ///
-/// let framed = PayloadBuilder::u32_framed(u32::to_be_bytes, |b| b.str16_be("hi"));
+/// let framed = PayloadBuilder::u32_framed(u32::to_be_bytes, 4, |b| b.str16_be("hi"));
 /// assert_eq!(&framed[..], &[0, 0, 0, 4, 0, 2, b'h', b'i']);
+/// assert_eq!(framed.capacity(), framed.len());
 /// ```
 #[derive(Debug, Default)]
 pub struct PayloadBuilder {
@@ -502,11 +509,15 @@ impl PayloadBuilder {
     /// buffer: `body` writes after a 4-byte slot, which then gets the
     /// body length from `prefix` (`u32::to_le_bytes` or
     /// `u32::to_be_bytes`). [`ChunkQueue::pop_u32_frame`] decodes it.
+    /// The buffer is reserved once for the prefix and `body_len` bytes,
+    /// the size the caller expects `body` to write; an exact size
+    /// leaves no spare capacity.
     pub fn u32_framed(
         prefix: fn(u32) -> [u8; 4],
+        body_len: usize,
         body: impl FnOnce(&mut PayloadBuilder),
     ) -> Payload {
-        let mut b = PayloadBuilder::new();
+        let mut b = PayloadBuilder::with_capacity(4 + body_len);
         b.extend_from_slice(&[0; 4]);
         body(&mut b);
         let len = prefix((b.len() - 4) as u32);
@@ -1046,7 +1057,8 @@ mod tests {
             ),
             (u32::to_be_bytes, u32::from_be_bytes),
         ] {
-            let framed = PayloadBuilder::u32_framed(put, |b| b.extend_from_slice(b"hello"));
+            let framed = PayloadBuilder::u32_framed(put, 5, |b| b.extend_from_slice(b"hello"));
+            assert_eq!(framed.capacity(), framed.len(), "reserved once, exactly");
             let mut q = ChunkQueue::new();
             q.push(framed.slice(0..3));
             assert_eq!(q.pop_u32_frame(pop), None, "partial prefix");

@@ -1755,7 +1755,7 @@ impl World {
                 members.iter().any(|p| {
                     self.procs
                         .get(p.index())
-                        .map(|s| s.alive && s.node != src_node && seg_state.nodes.contains(&s.node))
+                        .map(|s| s.alive && s.node != src_node && self.on_segment(s.node, segment))
                         .unwrap_or(false)
                 })
             });
@@ -1796,6 +1796,12 @@ impl World {
         Some(binding.proc)
     }
 
+    /// Whether `node` is attached to `segment`: a walk of the node's
+    /// own few segments, not of every node on the segment.
+    fn on_segment(&self, node: NodeId, segment: SegmentId) -> bool {
+        self.nodes[node.index()].segments.contains(&segment)
+    }
+
     fn frame_arrival(&mut self, segment: SegmentId, frame: Frame) {
         match frame.payload {
             FramePayload::Datagram {
@@ -1809,9 +1815,7 @@ impl World {
                         FrameDst::Group(g) => g,
                         FrameDst::Unicast(_) => return,
                     };
-                    let seg_state = &self.segments[segment.index()];
-                    let attached = &seg_state.nodes;
-                    let members: Vec<ProcId> = seg_state
+                    let members: Vec<ProcId> = self.segments[segment.index()]
                         .groups
                         .get(&group)
                         .map(|m| {
@@ -1825,7 +1829,7 @@ impl World {
                                         .map(|s| {
                                             s.alive
                                                 && s.node != frame.src_node
-                                                && attached.contains(&s.node)
+                                                && self.on_segment(s.node, segment)
                                         })
                                         .unwrap_or(false)
                                 })

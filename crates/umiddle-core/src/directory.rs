@@ -8,9 +8,11 @@
 
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
-use simnet::{Addr, SimTime};
+use simnet::{Addr, IntHasher, IntMap, SimTime};
 
 use crate::id::{RuntimeId, TranslatorId};
 use crate::mime::MimeType;
@@ -43,33 +45,59 @@ pub enum UpsertEffect {
     Refreshed,
 }
 
-/// How a lookup can use the secondary indexes.
-enum IndexPlan<'a> {
-    /// The query demands a port with a concrete digital type: candidates
-    /// are the exact `(direction, mime)` posting plus wildcard-typed ports
-    /// in that direction.
-    Concrete(Direction, &'a MimeType),
-    /// The query demands *some* digital port in a direction (its type is
-    /// a wildcard pattern): candidates are every entry with a digital port
-    /// in that direction — the double-wildcard side list.
-    AnyDigital(Direction),
+/// Per direction, the translators advertising each kind of digital port.
+#[derive(Debug, Default, PartialEq)]
+struct PortIndex {
+    /// Per direction, concrete mime → ids of profiles with such a port.
+    /// Postings are removed when they empty.
+    mime: [HashMap<MimeType, BTreeSet<TranslatorId>>; 2],
+    /// Ids of profiles with a wildcard-typed digital port, per direction.
+    patterns: [BTreeSet<TranslatorId>; 2],
+}
+
+impl PortIndex {
+    fn add(&mut self, id: TranslatorId, profile: &TranslatorProfile) {
+        for port in profile.shape().ports() {
+            if let PortKind::Digital(mime) = &port.kind {
+                let d = slot(port.direction);
+                if mime.is_pattern() {
+                    self.patterns[d].insert(id);
+                } else {
+                    self.mime[d].entry(mime.clone()).or_default().insert(id);
+                }
+            }
+        }
+    }
+
+    fn remove(&mut self, id: TranslatorId, profile: &TranslatorProfile) {
+        for port in profile.shape().ports() {
+            if let PortKind::Digital(mime) = &port.kind {
+                let d = slot(port.direction);
+                if mime.is_pattern() {
+                    self.patterns[d].remove(&id);
+                } else if let Some(ids) = self.mime[d].get_mut(mime) {
+                    ids.remove(&id);
+                    if ids.is_empty() {
+                        self.mime[d].remove(mime);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The in-memory directory replica.
 ///
-/// Besides the id-ordered entry map, the table keeps secondary indexes so
-/// `lookup` never scans the whole federation for port-shaped queries:
-///
-/// * per direction, concrete port MIME type → translator ids, serving
-///   the hot [`Query::HasPort`] shape issued on every dynamic binding
-///   attempt;
-/// * a per-direction side set of *all* entries with a digital port, so
-///   even double-wildcard queries (`*/*`, `image/*`) visit only candidate
-///   entries — O(candidates), not O(table).
-///
-/// Every per-direction structure is a two-slot array indexed by
-/// [`Direction`], so indexing, deindexing and lookup borrow the MIME key;
-/// it is cloned only when a posting is first created.
+/// Entries live in a hash map keyed by translator id, so a replica
+/// write is one probe. Per direction, secondary indexes map each
+/// concrete port MIME type to sorted translator ids (the hot
+/// [`Query::HasPort`] shape of every dynamic binding attempt) and hold
+/// the ids with a wildcard-typed port. Wildcard queries (`*/*`,
+/// `image/*`) answer from the union of one direction's postings — never
+/// the table, but O(p) in the p ids posted; origin walks filter the
+/// whole table. Results and walks are in ascending id order (postings
+/// are sorted, whole-table walks sort on demand), so the hash map's
+/// iteration order never leaks out.
 ///
 /// Queries neither index can serve (name/attribute predicates, `Or`/`Not`
 /// roots) fall back to the full scan and bump [`Self::scan_fallbacks`];
@@ -78,20 +106,11 @@ enum IndexPlan<'a> {
 /// index invariant — so every path agrees with the scan.
 #[derive(Debug, Default)]
 pub struct DirectoryTable {
-    entries: BTreeMap<TranslatorId, DirectoryEntry>,
-    /// Per direction, concrete mime → ids of profiles with such a port.
-    /// Postings are removed when they empty.
-    mime_index: [HashMap<MimeType, BTreeSet<TranslatorId>>; 2],
-    /// Ids of profiles with a wildcard-typed digital port, per direction.
-    pattern_ports: [BTreeSet<TranslatorId>; 2],
-    /// Ids of profiles with *any* digital port, per direction: the
-    /// candidate list for pattern-typed port queries.
-    digital_by_direction: [BTreeSet<TranslatorId>; 2],
-    /// Expiry dirty-set: `(expires, id)` min-heap, pushed on every remote
-    /// upsert that carries a finite TTL. Entries are checked lazily
-    /// against the live table, so a refresh simply leaves a stale heap
-    /// entry behind; [`Self::expire_into`] pops only what is due instead
-    /// of scanning the whole replica. Entries with `expires == MAX`
+    entries: IntMap<TranslatorId, DirectoryEntry>,
+    index: PortIndex,
+    /// Expiry dirty-set: `(expires, id)` min-heap of remote entries with
+    /// a finite TTL, checked lazily against the live table (a refresh
+    /// leaves a stale heap entry behind). Entries with `expires == MAX`
     /// (delta-gossip liveness) never enter the heap.
     expiry: BinaryHeap<Reverse<(SimTime, TranslatorId)>>,
     /// How many lookups fell back to the full scan (interior mutability:
@@ -114,38 +133,36 @@ impl DirectoryTable {
         local: bool,
     ) -> UpsertEffect {
         let id = profile.id();
-        let effect = if let Some(old) = self.entries.get(&id) {
-            // A refresh may carry a changed shape; drop the stale index
-            // entries before re-indexing.
-            let old_profile = old.profile.clone();
-            self.deindex(id, &old_profile);
-            UpsertEffect::Refreshed
-        } else {
-            UpsertEffect::Appeared
-        };
-        self.index(id, &profile);
         if !local && expires != SimTime::MAX {
             self.expiry.push(Reverse((expires, id)));
         }
-        self.entries.insert(
-            id,
-            DirectoryEntry {
-                profile,
-                home,
-                expires,
-                local,
-            },
-        );
-        effect
+        let entry = DirectoryEntry {
+            profile,
+            home,
+            expires,
+            local,
+        };
+        match self.entries.entry(id) {
+            Entry::Occupied(mut slot) => {
+                // A refresh may carry a changed shape; drop the stale
+                // index entries before re-indexing.
+                let old = slot.insert(entry);
+                self.index.remove(id, &old.profile);
+                self.index.add(id, &slot.get().profile);
+                UpsertEffect::Refreshed
+            }
+            Entry::Vacant(slot) => {
+                self.index.add(id, &slot.insert(entry).profile);
+                UpsertEffect::Appeared
+            }
+        }
     }
 
     /// Removes an entry (an unregistration). Returns it if present.
     pub fn remove(&mut self, id: TranslatorId) -> Option<DirectoryEntry> {
-        let entry = self.entries.remove(&id);
-        if let Some(e) = &entry {
-            self.deindex(id, &e.profile);
-        }
-        entry
+        let entry = self.entries.remove(&id)?;
+        self.index.remove(id, &entry.profile);
+        Some(entry)
     }
 
     /// Removes every entry originating at `origin`, appending the removed
@@ -153,68 +170,33 @@ impl DirectoryTable {
     /// in the delta-gossip plane).
     pub fn remove_origin(&mut self, origin: RuntimeId, removed: &mut Vec<TranslatorId>) {
         let from = removed.len();
-        removed.extend(
-            self.entries
-                .range(TranslatorId::new(origin, 0)..=TranslatorId::new(origin, u32::MAX))
-                .map(|(id, _)| *id),
-        );
-        // Indexed loop (not an iterator) because `self.remove` needs
-        // `&mut self` while `removed` stays borrowed by an iterator.
-        let mut i = from;
-        while i < removed.len() {
-            self.remove(removed[i]);
-            i += 1;
+        removed.extend(self.origin_entries(origin).map(|e| e.profile.id()));
+        for &id in &removed[from..] {
+            self.remove(id);
         }
     }
 
     /// Entries originating at `origin`, in ascending id order.
     pub fn origin_entries(&self, origin: RuntimeId) -> impl Iterator<Item = &DirectoryEntry> {
-        self.entries
-            .range(TranslatorId::new(origin, 0)..=TranslatorId::new(origin, u32::MAX))
-            .map(|(_, e)| e)
+        self.ordered(move |id, _| id.runtime == origin)
     }
 
-    fn index(&mut self, id: TranslatorId, profile: &TranslatorProfile) {
-        for port in profile.shape().ports() {
-            if let PortKind::Digital(mime) = &port.kind {
-                let d = slot(port.direction);
-                self.digital_by_direction[d].insert(id);
-                if mime.is_pattern() {
-                    self.pattern_ports[d].insert(id);
-                } else if let Some(ids) = self.mime_index[d].get_mut(mime) {
-                    ids.insert(id);
-                } else {
-                    self.mime_index[d].insert(mime.clone(), BTreeSet::from([id]));
-                }
-            }
-        }
-    }
-
-    fn deindex(&mut self, id: TranslatorId, profile: &TranslatorProfile) {
-        for port in profile.shape().ports() {
-            if let PortKind::Digital(mime) = &port.kind {
-                let d = slot(port.direction);
-                self.digital_by_direction[d].remove(&id);
-                if mime.is_pattern() {
-                    self.pattern_ports[d].remove(&id);
-                } else if let Some(ids) = self.mime_index[d].get_mut(mime) {
-                    ids.remove(&id);
-                    if ids.is_empty() {
-                        self.mime_index[d].remove(mime);
-                    }
-                }
-            }
-        }
+    /// The entries `keep` selects, in ascending id order.
+    fn ordered(
+        &self,
+        keep: impl Fn(&TranslatorId, &DirectoryEntry) -> bool,
+    ) -> impl Iterator<Item = &DirectoryEntry> {
+        let mut rows: Vec<(&TranslatorId, &DirectoryEntry)> =
+            self.entries.iter().filter(|(id, e)| keep(id, e)).collect();
+        rows.sort_unstable_by_key(|(id, _)| **id);
+        rows.into_iter().map(|(_, e)| e)
     }
 
     /// Drops remote entries whose TTL lapsed, appending the expired ids
-    /// to `dead` (cleared first) in ascending id order.
-    ///
-    /// Only heap entries that are due are examined — `O(due log n)`
-    /// rather than a full-table scan. A popped entry whose table row was
-    /// refreshed (later `expires`) or removed is simply discarded. The
-    /// caller-supplied buffer makes the steady state (nothing due)
-    /// allocation-free; see [`Self::expire`] for the allocating wrapper.
+    /// to `dead` (cleared first) in ascending id order. Only due heap
+    /// entries are examined — `O(due log n)`, not a table scan; one whose
+    /// row was refreshed or removed is discarded. The caller's buffer
+    /// keeps a quiet tick allocation-free.
     pub fn expire_into(&mut self, now: SimTime, dead: &mut Vec<TranslatorId>) {
         dead.clear();
         while let Some(Reverse((at, id))) = self.expiry.peek().copied() {
@@ -222,11 +204,11 @@ impl DirectoryTable {
                 break;
             }
             self.expiry.pop();
-            let due = self
+            if self
                 .entries
                 .get(&id)
-                .is_some_and(|e| !e.local && e.expires <= now);
-            if due {
+                .is_some_and(|e| !e.local && e.expires <= now)
+            {
                 self.remove(id);
                 dead.push(id);
             }
@@ -246,64 +228,60 @@ impl DirectoryTable {
         self.entries.get(&id)
     }
 
-    /// Serves the paper's `lookup(Query)`: profiles matching the query.
-    ///
-    /// When the query (or one conjunct of an `And` chain) demands a
-    /// digital port, only entries the indexes nominate are visited —
-    /// the `(direction, mime)` posting for concrete types, the
-    /// per-direction digital side list for wildcard patterns; candidates
-    /// are checked against the full query (skipped only where the index
-    /// invariant already guarantees a match), so the result is identical
-    /// to a table scan.
+    /// Serves the paper's `lookup(Query)`: profiles matching the query,
+    /// in ascending id order.
     pub fn lookup(&self, query: &Query) -> Vec<&TranslatorProfile> {
-        match Self::index_plan(query) {
-            Some(IndexPlan::Concrete(direction, mime)) => {
-                // When the whole query *is* the concrete port demand (the
-                // federation hot path — every dynamic binding attempt),
-                // exact postings satisfy it by the index invariant: the
-                // posting is keyed on precisely the queried
-                // `(direction, mime)`. Skipping the per-candidate
-                // re-check matters at scale — `Query::matches` walks
-                // every port of the profile, turning O(results) into
-                // O(results * ports-per-profile).
-                let root_is_plan = matches!(query, Query::HasPort { .. });
-                let exact = self.mime_index[slot(direction)].get(mime);
-                // Wildcard-typed ports match any concrete query type.
-                let patterns = &self.pattern_ports[slot(direction)];
-                if root_is_plan && patterns.is_empty() {
-                    return exact
-                        .into_iter()
-                        .flatten()
-                        .filter_map(|id| self.entries.get(id))
-                        .map(|e| &e.profile)
-                        .collect();
-                }
-                let mut ids: BTreeSet<TranslatorId> = BTreeSet::new();
-                ids.extend(exact.into_iter().flatten().copied());
-                ids.extend(patterns.iter().copied());
-                ids.iter()
-                    .filter_map(|id| self.entries.get(id).map(|e| (id, &e.profile)))
-                    .filter(|(id, p)| {
-                        (root_is_plan && exact.is_some_and(|s| s.contains(id))) || query.matches(p)
-                    })
-                    .map(|(_, p)| p)
-                    .collect()
-            }
-            Some(IndexPlan::AnyDigital(direction)) => self.digital_by_direction[slot(direction)]
-                .iter()
-                .filter_map(|id| self.entries.get(id))
-                .map(|e| &e.profile)
-                .filter(|p| query.matches(p))
-                .collect(),
-            None => {
-                self.scan_fallbacks.set(self.scan_fallbacks.get() + 1);
-                self.entries
-                    .values()
-                    .map(|e| &e.profile)
-                    .filter(|p| query.matches(p))
-                    .collect()
-            }
+        // Same element layout, so this collect reuses the vector.
+        self.lookup_entries(query)
+            .into_iter()
+            .map(|e| &e.profile)
+            .collect()
+    }
+
+    /// The entries whose profiles match `query`, in ascending id order.
+    /// When the query (or one conjunct of an `And` chain) demands a
+    /// digital port, only the index's candidates are visited — the
+    /// `(direction, mime)` posting plus wildcard-typed ports for concrete
+    /// types, every posting of the direction for patterns — and checked
+    /// against the full query, so the result equals a table scan.
+    pub(crate) fn lookup_entries(&self, query: &Query) -> Vec<&DirectoryEntry> {
+        let Some((direction, mime)) = Self::index_plan(query) else {
+            self.scan_fallbacks.set(self.scan_fallbacks.get() + 1);
+            return self.ordered(|_, e| query.matches(&e.profile)).collect();
+        };
+        let d = slot(direction);
+        // Wildcard-typed ports match any query type.
+        let patterns = &self.index.patterns[d];
+        let Some(mime) = mime else {
+            let mut found = self.entries_of(union(self.index.mime[d].values().chain([patterns])));
+            found.retain(|e| query.matches(&e.profile));
+            return found;
+        };
+        // When the whole query *is* the concrete port demand (the
+        // federation hot path — every dynamic binding attempt), exact
+        // postings satisfy it by the index invariant: the posting is
+        // keyed on precisely the queried `(direction, mime)`. Skipping
+        // the per-candidate re-check matters at scale — `Query::matches`
+        // walks every port of the profile, turning O(results) into
+        // O(results * ports-per-profile).
+        let bare = matches!(query, Query::HasPort { .. });
+        let exact = self.index.mime[d].get(mime);
+        if bare && patterns.is_empty() {
+            return self.entries_of(exact.into_iter().flatten().copied());
         }
+        let mut found = self.entries_of(union(exact.into_iter().chain([patterns])));
+        found.retain(|e| {
+            (bare && exact.is_some_and(|s| s.contains(&e.profile.id())))
+                || query.matches(&e.profile)
+        });
+        found
+    }
+
+    /// The entries of `ids`, in the order given.
+    fn entries_of(&self, ids: impl IntoIterator<Item = TranslatorId>) -> Vec<&DirectoryEntry> {
+        ids.into_iter()
+            .filter_map(|id| self.entries.get(&id))
+            .collect()
     }
 
     /// How many lookups have fallen back to the full table scan (queries
@@ -312,31 +290,40 @@ impl DirectoryTable {
         self.scan_fallbacks.get()
     }
 
-    /// Finds a digital-port demand the indexes can serve: the query
-    /// itself, or any conjunct of a top-level `And` chain (every match of
-    /// the conjunction also matches the conjunct, so its candidate set is
-    /// a safe superset). A concrete plan is preferred over a wildcard one
-    /// — its candidate list is narrower. `Or`/`Not` roots cannot narrow
-    /// the scan and fall through to `None`.
-    fn index_plan(query: &Query) -> Option<IndexPlan<'_>> {
+    /// Finds a digital-port demand the indexes can serve: its direction,
+    /// and its concrete type (`None` for a wildcard pattern). The demand
+    /// is the query itself, or any conjunct of a top-level `And` chain
+    /// (whose candidates are a safe superset), a concrete one preferred
+    /// as narrower. `Or`/`Not` roots cannot narrow the scan: `None`.
+    fn index_plan(query: &Query) -> Option<(Direction, Option<&MimeType>)> {
         match query {
             Query::HasPort {
                 direction,
                 kind: PortKind::Digital(mime),
-            } => {
-                if mime.is_pattern() {
-                    Some(IndexPlan::AnyDigital(*direction))
-                } else {
-                    Some(IndexPlan::Concrete(*direction, mime))
-                }
-            }
+            } => Some((*direction, (!mime.is_pattern()).then_some(mime))),
             Query::And(a, b) => match (Self::index_plan(a), Self::index_plan(b)) {
-                (Some(c @ IndexPlan::Concrete(..)), _) => Some(c),
-                (_, Some(c @ IndexPlan::Concrete(..))) => Some(c),
+                (Some(plan @ (_, Some(_))), _) | (_, Some(plan @ (_, Some(_)))) => Some(plan),
                 (a, b) => a.or(b),
             },
             _ => None,
         }
+    }
+
+    /// Checks that the secondary indexes are exactly what the entries
+    /// imply: every posting names a live entry with such a port, every
+    /// such port is posted, no posting is empty, and the wildcard sets
+    /// hold exactly the entries with a wildcard-typed port. Returns both
+    /// indexes otherwise.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut expected = PortIndex::default();
+        for (id, e) in &self.entries {
+            expected.add(*id, &e.profile);
+        }
+        if self.index != expected {
+            let index = &self.index;
+            return Err(format!("index {index:?}, entries imply {expected:?}"));
+        }
+        Ok(())
     }
 
     /// A canonical FNV-1a digest of the replicated content: entry ids,
@@ -347,7 +334,8 @@ impl DirectoryTable {
     /// convergence battery and anti-entropy tests compare these.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (id, e) in &self.entries {
+        for e in self.iter() {
+            let id = e.profile.id();
             fnv_u64(&mut h, ((id.runtime.0 as u64) << 32) | id.local as u64);
             fnv_str(&mut h, e.profile.name());
             fnv_str(&mut h, e.profile.platform());
@@ -383,12 +371,12 @@ impl DirectoryTable {
 
     /// All entries, ordered by translator id.
     pub fn iter(&self) -> impl Iterator<Item = &DirectoryEntry> {
-        self.entries.values()
+        self.ordered(|_, _| true)
     }
 
-    /// Entries hosted by this runtime.
+    /// Entries hosted by this runtime, ordered by translator id.
     pub fn local_entries(&self) -> impl Iterator<Item = &DirectoryEntry> {
-        self.entries.values().filter(|e| e.local)
+        self.ordered(|_, e| e.local)
     }
 
     /// Number of entries.
@@ -400,6 +388,17 @@ impl DirectoryTable {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
+
+/// The ascending, duplicate-free union of posting sets. A hash set
+/// drops the duplicates first (a profile is posted once per port type),
+/// so only the distinct ids are sorted.
+fn union<'a>(sets: impl Iterator<Item = &'a BTreeSet<TranslatorId>>) -> Vec<TranslatorId> {
+    let distinct: HashSet<TranslatorId, BuildHasherDefault<IntHasher>> =
+        sets.flatten().copied().collect();
+    let mut ids: Vec<TranslatorId> = distinct.into_iter().collect();
+    ids.sort_unstable();
+    ids
 }
 
 /// The per-direction index slot of `direction`.
@@ -602,7 +601,7 @@ mod tests {
                 Direction::Input,
                 PortKind::Digital("audio/pcm".parse().expect("mime")),
             ),
-            // Pattern queries: served from the per-direction side list.
+            // Pattern queries: served from the union of the postings.
             Query::has_port(
                 Direction::Input,
                 PortKind::Digital("image/*".parse().expect("mime")),
@@ -637,8 +636,8 @@ mod tests {
                 Direction::Input,
                 PortKind::Digital("image/jpeg".parse().expect("mime")),
             ),
-            // Double-wildcard and half-wildcard patterns: the side list
-            // serves them without touching non-digital entries.
+            // Double-wildcard and half-wildcard patterns: the postings
+            // serve them without touching non-digital entries.
             Query::has_port(Direction::Input, PortKind::Digital(MimeType::any())),
             Query::has_port(Direction::Output, PortKind::Digital(MimeType::any())),
             Query::has_port(
@@ -765,13 +764,7 @@ mod tests {
                 for q in &queries {
                     assert_eq!(t.lookup(q), scan(&t, q), "index/scan disagree on {q:?}");
                 }
-                assert!(
-                    t.mime_index
-                        .iter()
-                        .flat_map(|m| m.values())
-                        .all(|ids| !ids.is_empty()),
-                    "empty posting left in the mime index"
-                );
+                t.check_invariants().expect("index exact");
             }
             assert_eq!(t.scan_fallbacks(), 0);
         });

@@ -49,6 +49,38 @@ struct OriginState {
     requested_at: Option<SimTime>,
 }
 
+impl OriginState {
+    /// A just-heard origin with nothing applied yet.
+    fn heard_at(now: SimTime) -> OriginState {
+        OriginState {
+            applied: 0,
+            last_heard: now,
+            requested_at: None,
+        }
+    }
+}
+
+/// Applies one op to `table`, appending the visible change to `events`.
+fn apply_op(
+    table: &mut DirectoryTable,
+    op: &DeltaOp,
+    home: Addr,
+    events: &mut Vec<DirectoryEvent>,
+) {
+    match op {
+        DeltaOp::Add(profile) => {
+            if table.upsert(profile.clone(), home, SimTime::MAX, false) == UpsertEffect::Appeared {
+                events.push(DirectoryEvent::Appeared(profile.clone()));
+            }
+        }
+        DeltaOp::Remove(id) => {
+            if table.remove(*id).is_some() {
+                events.push(DirectoryEvent::Disappeared(*id));
+            }
+        }
+    }
+}
+
 /// Result of offering a delta to the replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaOutcome {
@@ -169,52 +201,35 @@ impl DirectoryReplica {
         if origin == self.me {
             return DeltaOutcome::Ignored;
         }
-        let applied0 = {
-            let st = self.origin_mut(origin, now);
-            st.last_heard = now;
-            st.applied
-        };
+        // One probe serves the whole delta: the table is a disjoint field,
+        // so ops apply while the origin's state stays borrowed.
+        let st = self
+            .origins
+            .entry(origin)
+            .or_insert(OriginState::heard_at(now));
+        st.last_heard = now;
         if ops.is_empty() {
             return DeltaOutcome::Ignored;
         }
-        if first > applied0 + 1 {
-            return DeltaOutcome::Gap { from: applied0 + 1 };
+        if first > st.applied + 1 {
+            return DeltaOutcome::Gap {
+                from: st.applied + 1,
+            };
         }
-        let mut applied = applied0;
         let mut fresh = 0u64;
         for (i, op) in ops.iter().enumerate() {
             let v = first + i as u64;
-            if v <= applied {
+            if v <= st.applied {
                 continue; // already have it (overlapping replay)
             }
-            self.apply_op(op, home, events);
-            applied = v;
+            apply_op(&mut self.table, op, home, events);
+            st.applied = v;
             fresh += 1;
         }
-        let st = self.origins.get_mut(&origin).expect("created above");
-        st.applied = applied;
         if fresh > 0 {
             st.requested_at = None;
         }
         DeltaOutcome::Applied(fresh)
-    }
-
-    fn apply_op(&mut self, op: &DeltaOp, home: Addr, events: &mut Vec<DirectoryEvent>) {
-        match op {
-            DeltaOp::Add(profile) => {
-                let effect = self
-                    .table
-                    .upsert(profile.clone(), home, SimTime::MAX, false);
-                if effect == UpsertEffect::Appeared {
-                    events.push(DirectoryEvent::Appeared(profile.clone()));
-                }
-            }
-            DeltaOp::Remove(id) => {
-                if self.table.remove(*id).is_some() {
-                    events.push(DirectoryEvent::Disappeared(*id));
-                }
-            }
-        }
     }
 
     /// Observes an anti-entropy digest from `origin`. Returns the first
@@ -262,11 +277,9 @@ impl DirectoryReplica {
     }
 
     fn origin_mut(&mut self, origin: RuntimeId, now: SimTime) -> &mut OriginState {
-        self.origins.entry(origin).or_insert(OriginState {
-            applied: 0,
-            last_heard: now,
-            requested_at: None,
-        })
+        self.origins
+            .entry(origin)
+            .or_insert(OriginState::heard_at(now))
     }
 
     /// Serves a repair request against the own log: replayed ops while
@@ -816,6 +829,9 @@ mod tests {
                 );
             }
 
+            for r in [&obs_a, &obs_b, &boot] {
+                r.table().check_invariants().expect("index exact");
+            }
             let expect = boot.fingerprint();
             assert_eq!(
                 obs_a.fingerprint(),

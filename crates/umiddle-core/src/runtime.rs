@@ -1097,9 +1097,9 @@ impl UmiddleRuntime {
         src_kind: &PortKind,
     ) -> Vec<(PortRef, Option<Addr>)> {
         let mut out = Vec::new();
-        for entry in self.directory.table().iter() {
+        for entry in self.directory.table().lookup_entries(query) {
             let profile = &entry.profile;
-            if profile.id() == src.translator || !query.matches(profile) {
+            if profile.id() == src.translator {
                 continue;
             }
             let port = profile
@@ -1283,8 +1283,8 @@ impl UmiddleRuntime {
         let home = self
             .directory
             .table()
-            .iter()
-            .find(|e| e.profile.id().runtime == connection.runtime && !e.local)
+            .origin_entries(connection.runtime)
+            .find(|e| !e.local)
             .map(|e| e.home);
         if let Some(home) = home {
             let peer_directory = self.peer_directory(home);

@@ -424,9 +424,26 @@ impl WireMessage {
     }
 
     /// Encodes with a `u32` length prefix, for framing on a byte stream,
-    /// in one allocation with no body copy.
+    /// with no body copy. A path frame is allocated once.
     pub fn encode_framed(&self) -> Payload {
-        PayloadBuilder::u32_framed(u32::to_le_bytes, |w| self.encode_into(w))
+        PayloadBuilder::u32_framed(u32::to_le_bytes, self.size_hint(), |w| self.encode_into(w))
+    }
+
+    /// The bytes a path frame's body encodes to; 0 for the control
+    /// frames, whose buffers grow as they are written.
+    fn size_hint(&self) -> usize {
+        match self {
+            WireMessage::PathMessage { dst, msg, .. } => {
+                // Tag, connection, translator and port name.
+                let header = 1 + 8 + 8 + 2 + dst.port.len();
+                // The mime, body and metadata, each behind its length;
+                // `size()` counts the body and every key and value.
+                let (ty, subtype) = msg.mime().parts();
+                let metas = msg.wire_metas().count();
+                header + 2 + ty.len() + 1 + subtype.len() + 4 + 2 + 4 * metas + msg.size()
+            }
+            _ => 0,
+        }
     }
 }
 
@@ -1005,6 +1022,21 @@ mod tests {
             0, 0,                   // metadata count
         ];
         assert_eq!(msg.encode(), expected);
+    }
+
+    #[test]
+    fn path_frames_are_allocated_once() {
+        let mut body =
+            UMessage::new("video/raw".parse().unwrap(), vec![7; 1400]).with_meta("source", "cam-1");
+        body.push_wire_meta("umiddle.sent-ns", "1234567");
+        let msg = WireMessage::PathMessage {
+            connection: ConnectionId::new(RuntimeId(2), 5),
+            dst: PortRef::new(TranslatorId::new(RuntimeId(0), 7), "media-in"),
+            msg: body,
+        };
+        let framed = msg.encode_framed();
+        assert_eq!(framed.len(), 4 + msg.encode().len());
+        assert_eq!(framed.capacity(), framed.len());
     }
 
     #[test]
