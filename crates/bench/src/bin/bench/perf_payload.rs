@@ -2,9 +2,10 @@
 //! payload work — bulk wire frame decoding, multicast fan-out and stream
 //! bulk transfer (see `bench::timing` for the measured kernels).
 //!
-//! `--check` runs a fast smoke pass plus the deterministic
-//! decode-linearity regression over the wire, JRMP and MediaBroker
-//! framers (CI). `--json FILE` writes the measured
+//! `--check` runs a fast smoke pass plus two deterministic regressions
+//! (CI): decode linearity over the wire, JRMP and MediaBroker framers,
+//! and zero payload bytes copied per delivered message on the bridged
+//! Figure-11 RMI-MB path. `--json FILE` writes the measured
 //! numbers as deterministic-schema JSON (time values are wall-clock and
 //! machine-dependent; the schema and the payload copy counters are what
 //! golden files assert on). The full run also replays the E8
@@ -13,7 +14,8 @@
 
 use bench::experiments::e8_observability;
 use bench::timing::{
-    assert_decode_copies_linear, decode_bulk, multicast_fanout, stream_bulk_transfer, Framer,
+    assert_decode_copies_linear, bridged_copies, decode_bulk, multicast_fanout,
+    stream_bulk_transfer, Framer,
 };
 use simnet::{Json, Layout};
 
@@ -47,7 +49,16 @@ fn run(args: &Args) {
         assert!(fanout.shared_bytes > 0, "fan-out must share buffers");
         let per_kib = stream_bulk_transfer(64 * 1024, 0.0);
         assert!(per_kib > 0.0);
-        println!("bench perf-payload --check: ok (decode copies {linear:?} B, linear)");
+        let (copied, delivered) = bridged_copies();
+        assert!(delivered > 0, "the bridged RMI-MB path delivered nothing");
+        assert_eq!(
+            copied, 0,
+            "the bridged RMI-MB path copied {copied} B over {delivered} delivered messages (bound 0)"
+        );
+        println!(
+            "bench perf-payload --check: ok (decode copies {linear:?} B, linear; \
+             bridged RMI-MB copies 0 B/message over {delivered} messages, bound 0)"
+        );
         return;
     }
 

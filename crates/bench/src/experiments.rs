@@ -524,81 +524,8 @@ pub fn e3_transport_level(measure_secs: u64) -> Vec<ThroughputRow> {
     // --- RMI-MB test: MB channel -> RMI echo -> uMiddle sink ---
     {
         eprintln!("e3: rmi-mb test...");
-        let (mut world, hub) = hub_world(34);
-        let n1 = world.add_node("n1");
-        world.attach(n1, hub).unwrap();
-        world.add_process(n1, Box::new(platform_mediabroker::MediaBroker::new()));
-        let broker = Addr::new(n1, platform_mediabroker::BROKER_PORT);
-        // Paced at ~4.7 Mbps: stands in for the TCP congestion control the
-        // simulated transport lacks (see MbSaturatingProducer docs).
-        world.add_process(
-            n1,
-            Box::new(MbSaturatingProducer::paced(
-                broker,
-                "bench",
-                1400,
-                SimDuration::from_micros(2_400),
-            )),
-        );
-        let (h2, rt) = runtime_node(&mut world, "n2", 0, &[hub]);
-        let n3 = world.add_node("n3");
-        world.attach(n3, hub).unwrap();
-        world.add_process(n3, Box::new(platform_rmi::RmiRegistry::new()));
-        let registry = Addr::new(n3, platform_rmi::REGISTRY_PORT);
-        // One-way delivery measurement: the RMI endpoint acknowledges
-        // instead of echoing the payload (paper §5.3: "sends the messages
-        // to the Java RMI service through uMiddle").
-        world.add_process(
-            n3,
-            Box::new(platform_rmi::RmiObjectServer::echo_ack(2099, registry)),
-        );
-        world.add_process(
-            h2,
-            Box::new(MediaBrokerMapper::new(
-                rt,
-                UsdlLibrary::bundled(),
-                broker,
-                vec![],
-            )),
-        );
-        world.add_process(
-            h2,
-            Box::new(RmiMapper::new(
-                rt,
-                UsdlLibrary::bundled(),
-                registry,
-                vec!["EchoService".to_owned()],
-            )),
-        );
-        let meter = ByteMeter::new();
+        let (mut world, meter) = rmi_mb_world(34);
         let samples = Rc::clone(&meter.samples);
-        world.add_process(
-            h2,
-            Box::new(NativeService::new(
-                "Bridge Meter",
-                Shape::builder()
-                    .digital(
-                        "in",
-                        Direction::Input,
-                        "application/octet-stream".parse().unwrap(),
-                    )
-                    .build()
-                    .unwrap(),
-                rt,
-                Box::new(meter),
-            )),
-        );
-        world.add_process(
-            h2,
-            Box::new(Wirer::new(
-                rt,
-                vec![
-                    WireRule::new("MB channel bench", "media-out", "EchoService", "request")
-                        .with_qos(QosPolicy::bounded_drop_newest(64 * 1024)),
-                    WireRule::new("EchoService", "response", "Bridge Meter", "in"),
-                ],
-            )),
-        );
         world.run_until(SimTime::from_secs(end));
         // Each sample is one acknowledged 1400-byte delivery; compute
         // goodput from the delivery count in the window.
@@ -617,6 +544,89 @@ pub fn e3_transport_level(measure_secs: u64) -> Vec<ThroughputRow> {
     }
 
     rows
+}
+
+/// The E3 RMI-MB world (Figure 11): a paced MediaBroker channel on
+/// `n1` feeds, through the runtime and both mappers on `n2`, the RMI
+/// `echo_ack` object on `n3`; its acknowledgements come back through
+/// uMiddle into the returned meter. Nothing runs until the caller runs
+/// the world.
+pub fn rmi_mb_world(seed: u64) -> (World, ByteMeter) {
+    let (mut world, hub) = hub_world(seed);
+    let n1 = world.add_node("n1");
+    world.attach(n1, hub).unwrap();
+    world.add_process(n1, Box::new(platform_mediabroker::MediaBroker::new()));
+    let broker = Addr::new(n1, platform_mediabroker::BROKER_PORT);
+    // Paced at ~4.7 Mbps: stands in for the TCP congestion control the
+    // simulated transport lacks (see MbSaturatingProducer docs).
+    world.add_process(
+        n1,
+        Box::new(MbSaturatingProducer::paced(
+            broker,
+            "bench",
+            1400,
+            SimDuration::from_micros(2_400),
+        )),
+    );
+    let (h2, rt) = runtime_node(&mut world, "n2", 0, &[hub]);
+    let n3 = world.add_node("n3");
+    world.attach(n3, hub).unwrap();
+    world.add_process(n3, Box::new(platform_rmi::RmiRegistry::new()));
+    let registry = Addr::new(n3, platform_rmi::REGISTRY_PORT);
+    // One-way delivery measurement: the RMI endpoint acknowledges
+    // instead of echoing the payload (paper §5.3: "sends the messages
+    // to the Java RMI service through uMiddle").
+    world.add_process(
+        n3,
+        Box::new(platform_rmi::RmiObjectServer::echo_ack(2099, registry)),
+    );
+    world.add_process(
+        h2,
+        Box::new(MediaBrokerMapper::new(
+            rt,
+            UsdlLibrary::bundled(),
+            broker,
+            vec![],
+        )),
+    );
+    world.add_process(
+        h2,
+        Box::new(RmiMapper::new(
+            rt,
+            UsdlLibrary::bundled(),
+            registry,
+            vec!["EchoService".to_owned()],
+        )),
+    );
+    let meter = ByteMeter::new();
+    world.add_process(
+        h2,
+        Box::new(NativeService::new(
+            "Bridge Meter",
+            Shape::builder()
+                .digital(
+                    "in",
+                    Direction::Input,
+                    "application/octet-stream".parse().unwrap(),
+                )
+                .build()
+                .unwrap(),
+            rt,
+            Box::new(meter.clone()),
+        )),
+    );
+    world.add_process(
+        h2,
+        Box::new(Wirer::new(
+            rt,
+            vec![
+                WireRule::new("MB channel bench", "media-out", "EchoService", "request")
+                    .with_qos(QosPolicy::bounded_drop_newest(64 * 1024)),
+                WireRule::new("EchoService", "response", "Bridge Meter", "in"),
+            ],
+        )),
+    );
+    (world, meter)
 }
 
 // =====================================================================

@@ -237,6 +237,21 @@ pub fn assert_decode_copies_linear(frames: usize) -> [(Framer, u64, u64); 3] {
     })
 }
 
+/// Payload bytes copied and messages delivered on the bridged Figure-11
+/// path (the E3 RMI-MB world, [`crate::experiments::rmi_mb_world`])
+/// over the 2 virtual seconds after a 30 s warm-up. Deterministic: the
+/// copy counter is the kernel's `payload.bytes_copied`, not a clock.
+pub fn bridged_copies() -> (u64, u64) {
+    let (mut world, meter) = crate::experiments::rmi_mb_world(34);
+    world.run_until(SimTime::from_secs(30));
+    let (copied, delivered) = (world.trace().counter("payload.bytes_copied"), meter.count());
+    world.run_until(SimTime::from_secs(32));
+    (
+        world.trace().counter("payload.bytes_copied") - copied,
+        (meter.count() - delivered) as u64,
+    )
+}
+
 struct FanoutReceiver {
     group: u16,
     bytes: Rc<RefCell<u64>>,

@@ -6,11 +6,11 @@
 //! to channels (possibly with a downgraded type); the broker forwards and
 //! transforms frames.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use simnet::{
-    Addr, ByteReader, ChunkQueue, Ctx, DecodeError, Payload, PayloadBuilder, Process, SimDuration,
-    StreamEvent, StreamId,
+    Addr, ByteReader, ChunkQueue, Ctx, DecodeError, IntMap, Payload, PayloadBuilder, Process,
+    SimDuration, StreamEvent, StreamId,
 };
 
 use crate::types::TypeLattice;
@@ -259,11 +259,11 @@ struct Channel {
 pub struct MediaBroker {
     port: u16,
     lattice: TypeLattice,
-    conns: HashMap<StreamId, MbAccumulator>,
-    /// Channel registry.
-    channels: HashMap<String, Channel>,
+    conns: IntMap<StreamId, MbAccumulator>,
+    /// Channel registry, in name order (the roster lists it so).
+    channels: BTreeMap<String, Channel>,
     /// Which channel a producer stream feeds.
-    producer_of: HashMap<StreamId, String>,
+    producer_of: IntMap<StreamId, String>,
 }
 
 impl std::fmt::Debug for MediaBroker {
@@ -286,9 +286,9 @@ impl MediaBroker {
         MediaBroker {
             port,
             lattice: TypeLattice::standard(),
-            conns: HashMap::new(),
-            channels: HashMap::new(),
-            producer_of: HashMap::new(),
+            conns: IntMap::default(),
+            channels: BTreeMap::new(),
+            producer_of: IntMap::default(),
         }
     }
 
@@ -334,21 +334,20 @@ impl MediaBroker {
                 let _ = ctx.stream_send(stream, reply.encode_framed());
             }
             MbFrame::Data { payload } => {
-                let Some(channel_name) = self.producer_of.get(&stream).cloned() else {
+                let Some(channel_name) = self.producer_of.get(&stream) else {
                     return;
                 };
-                let Some(ch) = self.channels.get(&channel_name) else {
+                let Some(ch) = self.channels.get(channel_name) else {
                     return;
                 };
                 if ch.producer != stream {
                     return; // stale registration
                 }
                 ctx.busy(FORWARD_COST);
-                let src_type = ch.media_type.clone();
-                let targets: Vec<(StreamId, String)> = ch.consumers.clone();
-                for (consumer, want_type) in targets {
+                for (consumer, want_type) in &ch.consumers {
                     // Transformation cost along the lattice.
-                    if let Some(cost_per_kib) = self.lattice.conversion_cost(&src_type, &want_type)
+                    if let Some(cost_per_kib) =
+                        self.lattice.conversion_cost(&ch.media_type, want_type)
                     {
                         if !cost_per_kib.is_zero() {
                             let kib = payload.len().div_ceil(1024) as u64;
@@ -357,7 +356,7 @@ impl MediaBroker {
                         let frame = MbFrame::Data {
                             payload: payload.clone(),
                         };
-                        let _ = ctx.stream_send(consumer, frame.encode_framed());
+                        let _ = ctx.stream_send(*consumer, frame.encode_framed());
                         ctx.bump(simnet::metric_id!("mb.frames_forwarded"), 1);
                     }
                 }

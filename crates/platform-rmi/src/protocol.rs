@@ -83,6 +83,39 @@ fn put_value(out: &mut PayloadBuilder, v: &JavaValue) {
     v.marshal_into(out);
 }
 
+/// A `u16`-length-prefixed string's encoded size.
+fn str16_len(s: &str) -> usize {
+    2 + s.len().min(usize::from(u16::MAX))
+}
+
+/// A length-prefixed marshaled value's encoded size.
+fn value_len(v: &JavaValue) -> usize {
+    4 + v.marshaled_len()
+}
+
+/// A whole `Call` frame body (tag included).
+fn put_call(
+    out: &mut PayloadBuilder,
+    call_id: u64,
+    object: &str,
+    method: &str,
+    args: &[JavaValue],
+) {
+    out.push(TAG_CALL);
+    out.u64_be(call_id);
+    out.str16_be(object);
+    out.str16_be(method);
+    out.u16_be(args.len() as u16);
+    for a in args {
+        put_value(out, a);
+    }
+}
+
+/// Bytes [`put_call`] writes.
+fn call_len(object: &str, method: &str, args: &[JavaValue]) -> usize {
+    1 + 8 + str16_len(object) + str16_len(method) + 2 + args.iter().map(value_len).sum::<usize>()
+}
+
 /// A length-prefixed marshaled value, unmarshaled from its own view of
 /// the frame.
 fn read_value(r: &mut ByteReader<'_>) -> Result<JavaValue, DecodeError> {
@@ -107,16 +140,7 @@ impl RmiFrame {
                 object,
                 method,
                 args,
-            } => {
-                out.push(TAG_CALL);
-                out.u64_be(*call_id);
-                out.str16_be(object);
-                out.str16_be(method);
-                out.u16_be(args.len() as u16);
-                for a in args {
-                    put_value(out, a);
-                }
-            }
+            } => put_call(out, *call_id, object, method, args),
             RmiFrame::Return { call_id, result } => {
                 out.push(TAG_RETURN);
                 out.u64_be(*call_id);
@@ -159,23 +183,35 @@ impl RmiFrame {
         })
     }
 
+    /// Encodes a [`RmiFrame::Call`] from borrowed parts, byte for byte
+    /// what `encode_framed` writes for the owned frame, so a caller on a
+    /// ready connection builds no frame.
+    pub fn encode_call_framed(
+        call_id: u64,
+        object: &str,
+        method: &str,
+        args: &[JavaValue],
+    ) -> Payload {
+        PayloadBuilder::u32_framed(u32::to_be_bytes, call_len(object, method, args), |out| {
+            put_call(out, call_id, object, method, args)
+        })
+    }
+
     /// Bytes [`encode`](RmiFrame::encode) writes.
     fn encoded_len(&self) -> usize {
-        let str16 = |s: &str| 2 + s.len().min(usize::from(u16::MAX));
-        let value = |v: &JavaValue| 4 + v.marshaled_len();
-        1 + match self {
-            RmiFrame::Ping | RmiFrame::PingAck => 0,
+        match self {
+            RmiFrame::Ping | RmiFrame::PingAck => 1,
             RmiFrame::Call {
                 object,
                 method,
                 args,
                 ..
-            } => 8 + str16(object) + str16(method) + 2 + args.iter().map(value).sum::<usize>(),
-            RmiFrame::Return { result, .. } => 8 + value(result),
-            RmiFrame::Exception { message, .. } => 8 + str16(message),
-            RmiFrame::Bind { name, .. } => str16(name) + 4 + 2,
-            RmiFrame::Lookup { name, .. } => 8 + str16(name),
-            RmiFrame::LookupResult { .. } => 8 + 4 + 2,
+            } => call_len(object, method, args),
+            RmiFrame::Return { result, .. } => 1 + 8 + value_len(result),
+            RmiFrame::Exception { message, .. } => 1 + 8 + str16_len(message),
+            RmiFrame::Bind { name, .. } => 1 + str16_len(name) + 4 + 2,
+            RmiFrame::Lookup { name, .. } => 1 + 8 + str16_len(name),
+            RmiFrame::LookupResult { .. } => 1 + 8 + 4 + 2,
         }
     }
 
@@ -340,6 +376,22 @@ mod tests {
             }
         }
         assert_eq!(got, frames());
+    }
+
+    #[test]
+    fn a_borrowed_call_encodes_like_the_owned_frame() {
+        for frame in frames() {
+            if let RmiFrame::Call {
+                call_id,
+                object,
+                method,
+                args,
+            } = &frame
+            {
+                let borrowed = RmiFrame::encode_call_framed(*call_id, object, method, args);
+                assert_eq!(borrowed, frame.encode_framed());
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use simnet::{Addr, Ctx, NodeId, Process, StreamEvent, StreamId};
+use simnet::{Addr, Ctx, IntMap, NodeId, Process, StreamEvent, StreamId};
 
 use crate::calib;
 use crate::marshal::JavaValue;
@@ -18,7 +18,7 @@ pub type MethodHandler = Box<dyn FnMut(&str, &[JavaValue]) -> Result<JavaValue, 
 #[derive(Default)]
 pub struct RmiRegistry {
     bindings: HashMap<String, (u32, u16)>,
-    conns: HashMap<StreamId, FrameAccumulator>,
+    conns: IntMap<StreamId, FrameAccumulator>,
 }
 
 impl std::fmt::Debug for RmiRegistry {
@@ -105,7 +105,7 @@ pub struct RmiObjectServer {
     port: u16,
     registry: Addr,
     handler: MethodHandler,
-    conns: HashMap<StreamId, FrameAccumulator>,
+    conns: IntMap<StreamId, FrameAccumulator>,
     registry_stream: Option<StreamId>,
 }
 
@@ -132,7 +132,7 @@ impl RmiObjectServer {
             port,
             registry,
             handler,
-            conns: HashMap::new(),
+            conns: IntMap::default(),
             registry_stream: None,
         }
     }
@@ -328,9 +328,9 @@ impl std::fmt::Debug for Conn {
 /// then calls multiplexed by id.
 #[derive(Debug, Default)]
 pub struct RmiClient {
-    conns: HashMap<Addr, Conn>,
-    by_stream: HashMap<StreamId, Addr>,
-    ops: HashMap<u64, ClientOp>,
+    conns: IntMap<Addr, Conn>,
+    by_stream: IntMap<StreamId, Addr>,
+    ops: IntMap<u64, ClientOp>,
 }
 
 impl RmiClient {
@@ -388,42 +388,53 @@ impl RmiClient {
         );
     }
 
-    /// Starts a remote call.
+    /// Starts a remote call. On a connection that is up and past its
+    /// DGC handshake the call is encoded straight from the borrowed
+    /// names and arguments; only a call that must wait for the
+    /// connection is copied into a queued frame.
     pub fn call(
         &mut self,
         ctx: &mut Ctx<'_>,
         addr: Addr,
         object: &str,
         method: &str,
-        args: Vec<JavaValue>,
+        args: &[JavaValue],
         call_id: u64,
     ) {
         // Marshal cost on the caller.
         let arg_bytes: usize = args.iter().map(JavaValue::marshaled_len).sum();
         ctx.busy(calib::marshal_cost(arg_bytes));
         self.ops.insert(call_id, ClientOp::Call);
-        self.send_or_queue(
-            ctx,
-            addr,
-            RmiFrame::Call {
-                call_id,
-                object: object.to_owned(),
-                method: method.to_owned(),
-                args,
-            },
-        );
+        match self.conns.get(&addr) {
+            Some(conn) if conn.up && conn.pinged => {
+                let frame = RmiFrame::encode_call_framed(call_id, object, method, args);
+                let _ = ctx.stream_send(conn.stream, frame);
+            }
+            _ => self.send_or_queue(
+                ctx,
+                addr,
+                RmiFrame::Call {
+                    call_id,
+                    object: object.to_owned(),
+                    method: method.to_owned(),
+                    args: args.to_vec(),
+                },
+            ),
+        }
     }
 
-    /// Feeds a stream event; returns completed operations.
+    /// Feeds a stream event, appending the operations it completes to
+    /// `out` (a buffer the caller reuses, so steady-state replies
+    /// allocate nothing).
     pub fn handle_stream(
         &mut self,
         ctx: &mut Ctx<'_>,
         stream: StreamId,
         event: StreamEvent,
-    ) -> Vec<RmiClientEvent> {
-        let mut out = Vec::new();
+        out: &mut Vec<RmiClientEvent>,
+    ) {
         let Some(&addr) = self.by_stream.get(&stream) else {
-            return out;
+            return;
         };
         match event {
             StreamEvent::Connected => {
@@ -435,7 +446,7 @@ impl RmiClient {
             }
             StreamEvent::Data(data) => {
                 let Some(conn) = self.conns.get_mut(&addr) else {
-                    return out;
+                    return;
                 };
                 conn.acc.push_payload(data);
                 loop {
@@ -443,7 +454,7 @@ impl RmiClient {
                         Some(Ok(Some(f))) => f,
                         Some(Ok(None)) | None => break,
                         Some(Err(_)) => {
-                            out.extend(self.fail_all(addr));
+                            self.fail_all(addr, out);
                             ctx.stream_close(stream);
                             break;
                         }
@@ -484,30 +495,28 @@ impl RmiClient {
                 }
             }
             StreamEvent::Closed | StreamEvent::ConnectFailed => {
-                out.extend(self.fail_all(addr));
+                self.fail_all(addr, out);
             }
             _ => {}
         }
-        out
     }
 
-    /// Fails every op associated with a dead connection.
-    fn fail_all(&mut self, addr: Addr) -> Vec<RmiClientEvent> {
+    /// Fails every op associated with a dead connection, appending the
+    /// failures to `out`.
+    fn fail_all(&mut self, addr: Addr, out: &mut Vec<RmiClientEvent>) {
         let Some(conn) = self.conns.remove(&addr) else {
-            return Vec::new();
+            return;
         };
         self.by_stream.remove(&conn.stream);
         // All outstanding ops fail: we cannot tell which belonged to this
         // connection without extra bookkeeping, so fail the queued ones
         // (the common case: the whole endpoint died).
-        let mut out = Vec::new();
         for f in &conn.queue {
             if let RmiFrame::Call { call_id, .. } | RmiFrame::Lookup { call_id, .. } = f {
                 self.ops.remove(call_id);
                 out.push(RmiClientEvent::Failed { call_id: *call_id });
             }
         }
-        out
     }
 }
 
@@ -529,14 +538,16 @@ mod tests {
             self.client.lookup(ctx, self.registry, "EchoService", 1);
         }
         fn on_stream(&mut self, ctx: &mut Ctx<'_>, s: StreamId, e: StreamEvent) {
-            for ev in self.client.handle_stream(ctx, s, e) {
+            let mut events = Vec::new();
+            self.client.handle_stream(ctx, s, e, &mut events);
+            for ev in events {
                 if let RmiClientEvent::Resolved { addr, .. } = &ev {
                     self.client.call(
                         ctx,
                         *addr,
                         "EchoService",
                         "echo",
-                        vec![JavaValue::Bytes(vec![9; 1400].into())],
+                        &[JavaValue::Bytes(vec![9; 1400].into())],
                         2,
                     );
                 }
@@ -601,9 +612,8 @@ mod tests {
                 self.client.lookup(ctx, self.registry, "Ghost", 7);
             }
             fn on_stream(&mut self, ctx: &mut Ctx<'_>, s: StreamId, e: StreamEvent) {
-                self.results
-                    .borrow_mut()
-                    .extend(self.client.handle_stream(ctx, s, e));
+                let mut results = self.results.borrow_mut();
+                self.client.handle_stream(ctx, s, e, &mut results);
             }
         }
         world.add_process(

@@ -33,6 +33,7 @@
 //! counted in `spans_lost` instead of silently vanishing.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::json::{Json, JsonError, Layout};
 use crate::time::SimTime;
@@ -203,7 +204,55 @@ pub struct AttributionPlane {
     samples: u64,
     spans_folded: u64,
     spans_lost: u64,
-    components: BTreeMap<String, ComponentTimes>,
+    components: Components,
+}
+
+/// The folded per-component accounts, keyed by what names each
+/// component rather than by its rendered name, so folding a span builds
+/// no string; [`Components::named`] renders the names for a report.
+#[derive(Debug, Default)]
+struct Components {
+    /// `process:{source}`, by span source.
+    process: BTreeMap<Arc<str>, ComponentTimes>,
+    /// `bridge:{platform}`, by platform.
+    bridge: BTreeMap<&'static str, ComponentTimes>,
+    /// `shard:s{id}`, by shard id.
+    shard: BTreeMap<u16, ComponentTimes>,
+}
+
+/// The component a span is attributed to.
+enum Component<'a> {
+    Process(&'a Arc<str>),
+    Bridge(&'static str),
+}
+
+impl Components {
+    /// The account of `component`, created empty the first time it is
+    /// seen.
+    fn account(&mut self, component: Component<'_>) -> &mut ComponentTimes {
+        match component {
+            Component::Process(source) => self.process.entry(Arc::clone(source)).or_default(),
+            Component::Bridge(platform) => self.bridge.entry(platform).or_default(),
+        }
+    }
+
+    /// Every account under its component name (`process:{source}`,
+    /// `bridge:{platform}`, `shard:s{id}`).
+    fn named(&self) -> BTreeMap<String, ComponentTimes> {
+        let process = self
+            .process
+            .iter()
+            .map(|(source, c)| (format!("process:{source}"), c.clone()));
+        let bridge = self
+            .bridge
+            .iter()
+            .map(|(platform, c)| (format!("bridge:{platform}"), c.clone()));
+        let shard = self
+            .shard
+            .iter()
+            .map(|(id, c)| (format!("shard:s{id}"), c.clone()));
+        process.chain(bridge).chain(shard).collect()
+    }
 }
 
 /// Maps a span to its attribution component and time category.
@@ -215,14 +264,14 @@ pub struct AttributionPlane {
 /// queueing), and `qos.drain-wait` (a blocked drain sleeping on its
 /// retry timer). Everything else is self time — bridge stages on the
 /// platform's `bridge:` component, the rest on the owning process.
-fn component_of(stage: &str, source: &str) -> (String, TimeKind) {
+fn component_of<'a>(stage: &'static str, source: &'a Arc<str>) -> (Component<'a>, TimeKind) {
     if stage == "queue.wait" || stage == "transport.send" || stage == "qos.drain-wait" {
-        (format!("process:{source}"), TimeKind::Queue)
+        (Component::Process(source), TimeKind::Queue)
     } else if let Some(rest) = stage.strip_prefix("bridge.") {
         let platform = rest.split('.').next().unwrap_or(rest);
-        (format!("bridge:{platform}"), TimeKind::SelfTime)
+        (Component::Bridge(platform), TimeKind::SelfTime)
     } else {
-        (format!("process:{source}"), TimeKind::SelfTime)
+        (Component::Process(source), TimeKind::SelfTime)
     }
 }
 
@@ -304,8 +353,8 @@ impl AttributionPlane {
                 .duration()
                 .map_or(0, |d| d.as_nanos())
                 .saturating_sub(self.child_ns.remove(&s.id.0).unwrap_or(0));
-            let (key, kind) = component_of(s.stage, &s.source);
-            let c = self.components.entry(key).or_default();
+            let (component, kind) = component_of(s.stage, &s.source);
+            let c = self.components.account(component);
             match kind {
                 TimeKind::SelfTime => c.self_ns = c.self_ns.saturating_add(own),
                 TimeKind::Queue => c.queue_ns = c.queue_ns.saturating_add(own),
@@ -324,10 +373,7 @@ impl AttributionPlane {
             let delta = total_ns.saturating_sub(self.barrier_folded_ns);
             if delta > 0 {
                 self.barrier_folded_ns = total_ns;
-                let c = self
-                    .components
-                    .entry(format!("shard:s{shard}"))
-                    .or_default();
+                let c = self.components.shard.entry(shard).or_default();
                 c.barrier_ns = c
                     .barrier_ns
                     .saturating_add(delta.min(u128::from(u64::MAX)) as u64);
@@ -342,7 +388,7 @@ impl AttributionPlane {
             samples: self.samples,
             spans_folded: self.spans_folded,
             spans_lost: self.spans_lost,
-            components: self.components.clone(),
+            components: self.components.named(),
         }
     }
 }
@@ -384,6 +430,53 @@ mod tests {
             500
         );
         assert_eq!(plane.report(SimTime::ZERO).spans_folded, 3);
+    }
+
+    #[test]
+    fn repeated_sources_and_platforms_land_on_their_named_components() {
+        let mut plane = AttributionPlane::new();
+        let mut t = Trace::default();
+        // Three folds over the same sources and platforms: the first
+        // sees each component new, the later ones find it again.
+        for round in 0..3u64 {
+            let base = round * 1_000;
+            let q = t.span_begin(1, ns(base), "rt-a", "queue.wait", "");
+            t.span_end(q, ns(base + 40));
+            let x = t.span_begin(1, ns(base + 40), "rt-a", "transport.send", "");
+            t.span_end(x, ns(base + 45));
+            let p = t.span_begin(2, ns(base), "rt-b", "deliver.local", "");
+            t.span_end(p, ns(base + 7));
+            let hop = t.span_begin(3, ns(base), "mb-mapper", "bridge.mediabroker.output", "");
+            t.span_end(hop, ns(base + 11));
+            let hop = t.span_begin(4, ns(base), "rmi-mapper", "bridge.rmi.input", "");
+            t.span_end(hop, ns(base + 13 + round));
+            plane.fold(&t, Some((2, u128::from(100 * (round + 1)))));
+        }
+        let r = plane.report(SimTime::ZERO);
+        let names: Vec<&str> = r.components.keys().map(String::as_str).collect();
+        assert_eq!(
+            names,
+            [
+                "bridge:mediabroker",
+                "bridge:rmi",
+                "process:rt-a",
+                "process:rt-b",
+                "shard:s2"
+            ]
+        );
+        let rt_a = &r.components["process:rt-a"];
+        assert_eq!((rt_a.self_ns, rt_a.queue_ns, rt_a.spans), (0, 135, 6));
+        let rt_b = &r.components["process:rt-b"];
+        assert_eq!((rt_b.self_ns, rt_b.queue_ns, rt_b.spans), (21, 0, 3));
+        let mb = &r.components["bridge:mediabroker"];
+        assert_eq!((mb.self_ns, mb.spans, mb.exemplar_corr), (33, 3, 3));
+        let rmi = &r.components["bridge:rmi"];
+        assert_eq!(
+            (rmi.self_ns, rmi.max_span_ns, rmi.exemplar_corr),
+            (42, 15, 4)
+        );
+        assert_eq!(r.components["shard:s2"].barrier_ns, 300);
+        assert_eq!(r.spans_folded, 15);
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub use attrib::{AttributionPlane, AttributionReport, ComponentTimes};
 pub use ctx::{Ctx, TimerHandle};
 pub use error::{SimError, SimResult};
 pub use export::{diff_attribution, folded_stacks, open_metrics, perfetto_trace_json};
-pub use hash::{IntHasher, IntMap};
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use health::{
     AlertState, AlertStatus, AlertTransition, BurnRateRule, HealthReport, Objective, SloEngine,
     SloKind, TelemetryConfig,

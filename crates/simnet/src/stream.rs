@@ -690,6 +690,12 @@ impl World {
         }
     }
 
+    /// Receives one data segment. An in-order segment is scheduled for
+    /// delivery directly, as a view of its wire frame (reassembly emits
+    /// one Data event per contiguous piece, never a concatenated copy);
+    /// segments it makes contiguous are then popped from the
+    /// out-of-order map one at a time. Nothing is collected, so the
+    /// common path allocates nothing. Every arrival sends one ACK.
     fn handle_data(&mut self, id: StreamId, from_initiator: bool, seq: u64, bytes: Payload) {
         let Some(st) = self.stream_state(id) else {
             return;
@@ -698,54 +704,62 @@ impl World {
             return;
         }
         let rx_initiator = !from_initiator;
+        let rx = st.side_mut(rx_initiator);
         let end = seq + bytes.len() as u64;
-        let mut deliveries: Vec<Payload> = Vec::new();
-        let mut rx_proc = None;
-        {
-            let rx = st.side_mut(rx_initiator);
-            if end > rx.recv_next {
-                if seq <= rx.recv_next {
-                    // In-order (possibly with an already-received prefix).
-                    // Each contiguous piece stays a view of its wire frame;
-                    // reassembly emits several Data events instead of one
-                    // concatenated copy.
-                    let skip = (rx.recv_next - seq) as usize;
-                    deliveries.push(bytes.slice(skip..bytes.len()));
-                    rx.recv_next = end;
-                    // Drain contiguous out-of-order segments.
-                    while let Some((&s, _)) = rx.ooo.iter().next() {
-                        if s > rx.recv_next {
-                            break;
-                        }
-                        let (s, chunk) = rx.ooo.pop_first().expect("peeked above");
-                        let chunk_end = s + chunk.len() as u64;
-                        if chunk_end > rx.recv_next {
-                            let skip = (rx.recv_next - s) as usize;
-                            deliveries.push(chunk.slice(skip..chunk.len()));
-                            rx.recv_next = chunk_end;
-                        }
-                    }
-                    rx_proc = rx.proc;
-                } else {
-                    rx.ooo.insert(seq, bytes);
-                    self.trace.bump(metric_id!("stream.out_of_order"), 1);
+        if end > rx.recv_next {
+            if seq <= rx.recv_next {
+                // In-order (possibly with an already-received prefix).
+                let skip = (rx.recv_next - seq) as usize;
+                rx.recv_next = end;
+                let rx_proc = rx.proc;
+                self.deliver_data(rx_proc, id, bytes.slice(skip..bytes.len()));
+                // Drain the out-of-order segments that are now contiguous.
+                while let Some(chunk) = self.pop_contiguous(id, rx_initiator) {
+                    self.deliver_data(rx_proc, id, chunk);
                 }
-            }
-        }
-        if let Some(p) = rx_proc {
-            for deliver in deliveries {
-                self.schedule_delivery(
-                    self.now(),
-                    p,
-                    Delivery::Stream {
-                        stream: id,
-                        event: StreamEvent::Data(deliver),
-                    },
-                );
+            } else {
+                rx.ooo.insert(seq, bytes);
+                self.trace.bump(metric_id!("stream.out_of_order"), 1);
             }
         }
         self.send_ack(id, rx_initiator);
         self.check_fin_delivery(id, rx_initiator);
+    }
+
+    /// Schedules a Data event for the receiving process, if it has one.
+    fn deliver_data(&mut self, proc: Option<ProcId>, id: StreamId, bytes: Payload) {
+        if let Some(p) = proc {
+            self.schedule_delivery(
+                self.now(),
+                p,
+                Delivery::Stream {
+                    stream: id,
+                    event: StreamEvent::Data(bytes),
+                },
+            );
+        }
+    }
+
+    /// Pops the receiving side's first out-of-order segment if it starts
+    /// at or before `recv_next`, advancing `recv_next` past it. Returns
+    /// the part not yet delivered; a segment wholly received already is
+    /// discarded and the next one examined.
+    fn pop_contiguous(&mut self, id: StreamId, rx_initiator: bool) -> Option<Payload> {
+        let rx = self.stream_state(id)?.side_mut(rx_initiator);
+        while let Some(entry) = rx.ooo.first_entry() {
+            let s = *entry.key();
+            if s > rx.recv_next {
+                return None;
+            }
+            let chunk = entry.remove();
+            let chunk_end = s + chunk.len() as u64;
+            if chunk_end > rx.recv_next {
+                let skip = (rx.recv_next - s) as usize;
+                rx.recv_next = chunk_end;
+                return Some(chunk.slice(skip..chunk.len()));
+            }
+        }
+        None
     }
 
     /// Sends a cumulative ACK from the given side, deferred past the
@@ -1174,6 +1188,96 @@ mod tests {
         w.remove_process(sink).unwrap();
         w.run_until(SimTime::from_secs(2));
         assert!(*closed.borrow());
+    }
+
+    /// Keeps every Data payload it receives, as delivered.
+    struct Collector {
+        stream: Rc<RefCell<Option<StreamId>>>,
+        chunks: Rc<RefCell<Vec<Payload>>>,
+    }
+    impl Process for Collector {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.listen(80).unwrap();
+        }
+        fn on_stream(&mut self, _ctx: &mut Ctx<'_>, s: StreamId, ev: StreamEvent) {
+            match ev {
+                StreamEvent::Accepted { .. } => *self.stream.borrow_mut() = Some(s),
+                StreamEvent::Data(d) => self.chunks.borrow_mut().push(d),
+                _ => {}
+            }
+        }
+    }
+
+    /// Opens a stream and sends nothing on it.
+    struct Opener {
+        target: Addr,
+    }
+    impl Process for Opener {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.connect(self.target).unwrap();
+        }
+    }
+
+    #[test]
+    fn handle_data_delivers_views_in_sequence_with_one_ack_each() {
+        let mut w = World::new(12);
+        let seg = w.add_segment(SegmentConfig::ethernet_10mbps_hub());
+        let a = w.add_node("a");
+        let b = w.add_node("b");
+        w.attach(a, seg).unwrap();
+        w.attach(b, seg).unwrap();
+        let stream = Rc::new(RefCell::new(None));
+        let chunks = Rc::new(RefCell::new(Vec::new()));
+        w.add_process(
+            b,
+            Box::new(Collector {
+                stream: Rc::clone(&stream),
+                chunks: Rc::clone(&chunks),
+            }),
+        );
+        w.add_process(
+            a,
+            Box::new(Opener {
+                target: Addr::new(b, 80),
+            }),
+        );
+        w.run_until(SimTime::from_secs(1));
+        let id = stream.borrow().expect("accepted");
+        let wire: Payload = (0..4000u32)
+            .map(|i| (i % 251) as u8)
+            .collect::<Vec<_>>()
+            .into();
+        let acks = |w: &World| w.trace().counter("stream.acks");
+
+        // In order: delivered as a view of the wire frame.
+        let before = acks(&w);
+        w.handle_data(id, true, 0, wire.slice(0..1000));
+        assert_eq!(acks(&w), before + 1, "one ACK per arrival");
+        w.run_until(SimTime::from_millis(1_100));
+        assert_eq!(chunks.borrow().len(), 1);
+        assert!(chunks.borrow()[0].shares_buffer(&wire), "no copy");
+        assert_eq!(chunks.borrow()[0], wire.slice(0..1000));
+
+        // Out of order: held until the gap fills, then delivered in
+        // sequence order; a segment overlapping received bytes yields
+        // only its new suffix.
+        for (seq, range) in [(3000, 3000..4000), (2000, 2000..3000), (1500, 1500..2500)] {
+            let before = acks(&w);
+            w.handle_data(id, true, seq, wire.slice(range));
+            assert_eq!(acks(&w), before + 1, "one ACK per arrival");
+        }
+        w.run_until(SimTime::from_millis(1_200));
+        assert_eq!(chunks.borrow().len(), 1, "nothing past the gap yet");
+        let before = acks(&w);
+        w.handle_data(id, true, 1000, wire.slice(1000..1600));
+        assert_eq!(acks(&w), before + 1, "one ACK per arrival");
+        w.run_until(SimTime::from_millis(1_300));
+        let got = chunks.borrow();
+        let lens: Vec<usize> = got.iter().map(Payload::len).collect();
+        assert_eq!(lens, [1000, 600, 900, 500, 1000]);
+        assert!(got.iter().all(|c| c.shares_buffer(&wire)), "no copy");
+        let joined: Vec<u8> = got.iter().flat_map(|c| c.iter().copied()).collect();
+        assert_eq!(joined, wire);
     }
 
     // Silence an unused-field warning path: Datagram isn't used here.

@@ -1,10 +1,11 @@
 //! The simulation world: nodes, segments, processes, and the deterministic
 //! event loop.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::ctx::Ctx;
 use crate::error::{SimError, SimResult};
+use crate::hash::{IntMap, IntSet};
 use crate::health::{AlertState, HealthReport, SegmentSample, SloEngine, TelemetryConfig};
 use crate::incident::{IncidentBundle, TopologyDigest, TriggerKind, MAX_BUNDLES, TRACE_WINDOW};
 use crate::journal::SpanSource;
@@ -103,7 +104,7 @@ struct ShardMembership {
     /// Local gateway node cross-shard arrivals appear to come from.
     gateway: NodeId,
     /// Inlet id → local delivery address.
-    inlets: HashMap<u16, Addr>,
+    inlets: IntMap<u16, Addr>,
     /// Outbound cross-shard messages accumulated this window; the
     /// conductor drains them at the barrier.
     outbox: Vec<CrossMessage>,
@@ -122,7 +123,7 @@ pub(crate) struct NodeState {
     pub(crate) name: String,
     pub(crate) segments: Vec<SegmentId>,
     /// Bound datagram/listener ports on this node.
-    pub(crate) ports: HashMap<u16, PortBinding>,
+    pub(crate) ports: IntMap<u16, PortBinding>,
     pub(crate) next_ephemeral: u16,
     pub(crate) alive: bool,
 }
@@ -148,7 +149,7 @@ pub(crate) struct SegmentState {
     pub(crate) nodes: Vec<NodeId>,
     pub(crate) busy_until: SimTime,
     /// Multicast group membership: group port -> member processes.
-    pub(crate) groups: HashMap<u16, Vec<ProcId>>,
+    pub(crate) groups: IntMap<u16, Vec<ProcId>>,
     pub(crate) stats: SegmentStats,
 }
 
@@ -351,7 +352,10 @@ pub struct World {
     pub(crate) trace: Trace,
     started: bool,
     next_timer_id: u64,
-    cancelled_timers: HashSet<u64>,
+    cancelled_timers: IntSet<u64>,
+    /// The live members of a multicast group, gathered per arriving
+    /// frame; one buffer reused for every frame.
+    group_members: Vec<ProcId>,
     /// Lazily created loopback segment for same-node traffic.
     loopback: Option<SegmentId>,
     /// Upper bound on bytes queued but unsent per stream direction.
@@ -423,7 +427,8 @@ impl World {
             trace: Trace::default(),
             started: false,
             next_timer_id: 0,
-            cancelled_timers: HashSet::new(),
+            cancelled_timers: IntSet::default(),
+            group_members: Vec::new(),
             loopback: None,
             stream_send_capacity: 256 * 1024,
             stream_window: 64 * 1024,
@@ -459,7 +464,7 @@ impl World {
             config,
             nodes: Vec::new(),
             busy_until: SimTime::ZERO,
-            groups: HashMap::new(),
+            groups: IntMap::default(),
             stats: SegmentStats::default(),
         });
         id
@@ -471,7 +476,7 @@ impl World {
         self.nodes.push(NodeState {
             name: name.into(),
             segments: Vec::new(),
-            ports: HashMap::new(),
+            ports: IntMap::default(),
             next_ephemeral: EPHEMERAL_BASE,
             alive: true,
         });
@@ -1047,7 +1052,7 @@ impl World {
         self.shard = Some(Box::new(ShardMembership {
             config,
             gateway,
-            inlets: HashMap::new(),
+            inlets: IntMap::default(),
             outbox: Vec::new(),
             next_seq: 0,
             external_pending: 0,
@@ -1815,27 +1820,22 @@ impl World {
                         FrameDst::Group(g) => g,
                         FrameDst::Unicast(_) => return,
                     };
-                    let members: Vec<ProcId> = self.segments[segment.index()]
-                        .groups
-                        .get(&group)
-                        .map(|m| {
-                            m.iter()
-                                .copied()
-                                .filter(|p| {
-                                    // A node does not hear its own multicast,
-                                    // and detached nodes hear nothing.
-                                    self.procs
-                                        .get(p.index())
-                                        .map(|s| {
-                                            s.alive
-                                                && s.node != frame.src_node
-                                                && self.on_segment(s.node, segment)
-                                        })
-                                        .unwrap_or(false)
+                    let mut members = std::mem::take(&mut self.group_members);
+                    members.clear();
+                    if let Some(m) = self.segments[segment.index()].groups.get(&group) {
+                        members.extend(m.iter().copied().filter(|p| {
+                            // A node does not hear its own multicast,
+                            // and detached nodes hear nothing.
+                            self.procs
+                                .get(p.index())
+                                .map(|s| {
+                                    s.alive
+                                        && s.node != frame.src_node
+                                        && self.on_segment(s.node, segment)
                                 })
-                                .collect()
-                        })
-                        .unwrap_or_default();
+                                .unwrap_or(false)
+                        }));
+                    }
                     // Fan-out: every member gets a view of the same backing
                     // buffer; `clone()` bumps a refcount, no bytes move.
                     if members.len() > 1 {
@@ -1844,7 +1844,7 @@ impl World {
                             (data.len() * (members.len() - 1)) as u64,
                         );
                     }
-                    for member in members {
+                    for &member in &members {
                         let d = Datagram {
                             src,
                             dst: Addr::new(self.procs[member.index()].node, group),
@@ -1853,6 +1853,7 @@ impl World {
                         };
                         self.schedule_delivery(self.now, member, Delivery::Datagram(d));
                     }
+                    self.group_members = members;
                 } else {
                     let Some(proc) = self.unicast_binding(dst) else {
                         return;

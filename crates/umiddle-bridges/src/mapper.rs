@@ -38,11 +38,11 @@
 //! formats no string.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::rc::Rc;
 
-use simnet::{metric_id, Ctx, DetailArg, MetricId, ProcId, SimDuration, SimTime, SpanDetail};
+use simnet::{
+    metric_id, Ctx, DetailArg, IntMap, MetricId, ProcId, SimDuration, SimTime, SpanDetail,
+};
 use umiddle_core::{ConnectionId, RuntimeClient, Symbol, TranslatorId};
 use umiddle_usdl::UsdlDocument;
 
@@ -88,8 +88,8 @@ pub(crate) struct MapperCore<K> {
     names: Names,
     /// Registration token → the entity it instantiates; `None` once the
     /// entity departed before its translator registered.
-    pending: HashMap<u64, Option<Pending<K>>>,
-    by_translator: HashMap<TranslatorId, K>,
+    pending: IntMap<u64, Option<Pending<K>>>,
+    by_translator: IntMap<TranslatorId, K>,
     pub(crate) stats: Rc<RefCell<MapperStats>>,
 }
 
@@ -126,15 +126,15 @@ impl Names {
     }
 }
 
-impl<K: Clone + Eq + Hash> MapperCore<K> {
+impl<K: Clone + Eq> MapperCore<K> {
     /// A core talking to `runtime`, labelling its metrics `platform`
     /// (`bridge.*`) and `prefix` (`mapper.*`).
     pub(crate) fn new(runtime: ProcId, platform: &'static str, prefix: &'static str) -> Self {
         MapperCore {
             client: RuntimeClient::new(runtime),
             names: Names::new(platform, prefix),
-            pending: HashMap::new(),
-            by_translator: HashMap::new(),
+            pending: IntMap::default(),
+            by_translator: IntMap::default(),
             stats: Rc::new(RefCell::new(MapperStats::default())),
         }
     }

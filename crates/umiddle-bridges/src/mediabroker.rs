@@ -9,11 +9,12 @@
 //! broker — the return path of the paper's RMI-MB bridged benchmark.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use platform_mediabroker::{MbAccumulator, MbFrame};
-use simnet::{Addr, Ctx, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId};
+use simnet::{
+    Addr, Ctx, IntMap, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId,
+};
 use umiddle_core::{
     ack_input_done, handle_input_done_echo, ConnectionId, MimeType, RuntimeEvent, Symbol,
     TranslatorId, UMessage,
@@ -54,9 +55,12 @@ pub struct MediaBrokerMapper {
     control: Option<StreamId>,
     control_acc: MbAccumulator,
     bridged: Vec<Bridged>,
-    /// Data streams: stream → bridged index.
-    data_streams: HashMap<StreamId, usize>,
-    data_accs: HashMap<StreamId, MbAccumulator>,
+    /// Data streams: stream → bridged index and the stream's framer.
+    data_streams: IntMap<StreamId, (usize, MbAccumulator)>,
+    /// The type and port of every message a source translator emits,
+    /// built once.
+    mime: MimeType,
+    media_out: Symbol,
 }
 
 impl std::fmt::Debug for MediaBrokerMapper {
@@ -85,8 +89,9 @@ impl MediaBrokerMapper {
             control: None,
             control_acc: MbAccumulator::new(),
             bridged: Vec::new(),
-            data_streams: HashMap::new(),
-            data_accs: HashMap::new(),
+            data_streams: IntMap::default(),
+            mime: "application/octet-stream".parse().expect("static"),
+            media_out: Symbol::new("media-out"),
         }
     }
 
@@ -141,8 +146,8 @@ impl MediaBrokerMapper {
         }
         if let Ok(stream) = ctx.connect(self.broker) {
             b.stream = Some(stream);
-            self.data_streams.insert(stream, idx);
-            self.data_accs.insert(stream, MbAccumulator::new());
+            self.data_streams
+                .insert(stream, (idx, MbAccumulator::new()));
         }
     }
 
@@ -181,10 +186,12 @@ impl MediaBrokerMapper {
                 ctx.busy(calib::MB_FRAME_TRANSLATION);
                 self.core.record_egress(ctx, calib::MB_FRAME_TRANSLATION);
                 self.core.stats.borrow_mut().events += 1;
-                let mime: MimeType = "application/octet-stream".parse().expect("static");
-                self.core
-                    .client
-                    .output(ctx, translator, "media-out", UMessage::new(mime, payload));
+                self.core.client.output(
+                    ctx,
+                    translator,
+                    self.media_out,
+                    UMessage::new(self.mime.clone(), payload),
+                );
             }
             _ => {}
         }
@@ -280,7 +287,7 @@ impl Process for MediaBrokerMapper {
                     let _ = ctx.stream_send(stream, MbFrame::ListChannels.encode_framed());
                 }
                 StreamEvent::Data(data) => {
-                    self.control_acc.push(&data);
+                    self.control_acc.push_payload(data);
                     loop {
                         match self.control_acc.next() {
                             Ok(Some(frame)) => self.handle_control_frame(ctx, frame),
@@ -299,7 +306,7 @@ impl Process for MediaBrokerMapper {
             }
             return;
         }
-        let Some(&idx) = self.data_streams.get(&stream) else {
+        let Some(&(idx, _)) = self.data_streams.get(&stream) else {
             return;
         };
         match event {
@@ -321,12 +328,12 @@ impl Process for MediaBrokerMapper {
                 let _ = ctx.stream_send(stream, frame.encode_framed());
             }
             StreamEvent::Data(data) => {
-                let Some(acc) = self.data_accs.get_mut(&stream) else {
+                let Some((_, acc)) = self.data_streams.get_mut(&stream) else {
                     return;
                 };
-                acc.push(&data);
+                acc.push_payload(data);
                 loop {
-                    let frame = match self.data_accs.get_mut(&stream).map(|a| a.next()) {
+                    let frame = match self.data_streams.get_mut(&stream).map(|(_, a)| a.next()) {
                         Some(Ok(Some(f))) => f,
                         Some(Ok(None)) | None => break,
                         Some(Err(_)) => {
@@ -339,7 +346,6 @@ impl Process for MediaBrokerMapper {
             }
             StreamEvent::Closed | StreamEvent::ConnectFailed => {
                 self.data_streams.remove(&stream);
-                self.data_accs.remove(&stream);
                 if let Some(b) = self.bridged.get_mut(idx) {
                     b.stream = None;
                     b.attached = false;

@@ -8,11 +8,12 @@
 //! the paper's Figure 11.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use platform_rmi::{JavaValue, RmiClient, RmiClientEvent};
-use simnet::{Addr, Ctx, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId};
+use simnet::{
+    Addr, Ctx, IntMap, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId,
+};
 use umiddle_core::{
     ack_input_done, handle_input_done_echo, ConnectionId, MimeType, RuntimeEvent, Symbol,
     TranslatorId, UMessage,
@@ -41,8 +42,13 @@ pub struct RmiMapper {
     rmi: RmiClient,
     objects: Vec<RmiObject>,
     /// rmi call id → purpose.
-    calls: HashMap<u64, RmiCall>,
+    calls: IntMap<u64, RmiCall>,
     next_call: u64,
+    /// Completed RMI operations of one stream event, reused per event.
+    events: Vec<RmiClientEvent>,
+    /// The type and port of every echoed response, built once.
+    mime: MimeType,
+    response: Symbol,
 }
 
 #[derive(Debug)]
@@ -80,8 +86,11 @@ impl RmiMapper {
             poll_interval: SimDuration::from_secs(5),
             rmi: RmiClient::new(),
             objects: Vec::new(),
-            calls: HashMap::new(),
+            calls: IntMap::default(),
             next_call: 1,
+            events: Vec::new(),
+            mime: "application/octet-stream".parse().expect("static"),
+            response: Symbol::new("response"),
         }
     }
 
@@ -140,13 +149,15 @@ impl RmiMapper {
                     JavaValue::Bytes(b) => b,
                     other => other.to_string().into_bytes().into(),
                 };
-                let mime: MimeType = "application/octet-stream".parse().expect("static");
                 ctx.busy(calib::STREAM_TRANSLATION);
                 self.core.record_egress(ctx, calib::STREAM_TRANSLATION);
                 self.core.stats.borrow_mut().actions += 1;
-                self.core
-                    .client
-                    .output(ctx, translator, "response", UMessage::new(mime, body));
+                self.core.client.output(
+                    ctx,
+                    translator,
+                    self.response,
+                    UMessage::new(self.mime.clone(), body),
+                );
                 ack_input_done(ctx, self.core.runtime(), connection, translator);
             }
             RmiClientEvent::Raised { call_id, message } => {
@@ -225,7 +236,7 @@ impl RmiMapper {
             addr,
             &obj.name,
             "echo",
-            vec![JavaValue::Bytes(msg.into_body())],
+            &[JavaValue::Bytes(msg.into_body())],
             call_id,
         );
     }
@@ -260,10 +271,12 @@ impl Process for RmiMapper {
     }
 
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, event: StreamEvent) {
-        let events = self.rmi.handle_stream(ctx, stream, event);
-        for ev in events {
+        let mut events = std::mem::take(&mut self.events);
+        self.rmi.handle_stream(ctx, stream, event, &mut events);
+        for ev in events.drain(..) {
             self.handle_rmi_event(ctx, ev);
         }
+        self.events = events;
     }
 
     fn on_local(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: LocalMessage) {

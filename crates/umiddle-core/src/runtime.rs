@@ -8,11 +8,11 @@
 //! datagrams) and the transport protocol (streams carrying path messages).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use simnet::{
-    metric_id, Addr, Ctx, Datagram, DetailArg, LocalMessage, MetricId, ProcId, Process,
+    metric_id, Addr, Ctx, Datagram, DetailArg, IntMap, LocalMessage, MetricId, ProcId, Process,
     SimDuration, SpanDetail, StreamEvent, StreamId,
 };
 
@@ -174,22 +174,26 @@ pub struct UmiddleRuntime {
     next_connection: u32,
     next_path_uid: u64,
     next_wire_token: u64,
-    local_translators: HashMap<TranslatorId, LocalTranslator>,
-    connections: HashMap<ConnectionId, Connection>,
+    local_translators: IntMap<TranslatorId, LocalTranslator>,
+    connections: IntMap<ConnectionId, Connection>,
     /// Source translator → source port → connections fanning out from
     /// that port. The outer level serves disappearance handling; the
     /// inner level is the per-output dispatch lookup.
-    src_index: HashMap<TranslatorId, HashMap<Symbol, Vec<ConnectionId>>>,
+    ///
+    /// Every table keyed by an id, address or stream is an `IntMap`;
+    /// the loops over them are order-free (removals, sums, invariant
+    /// checks) or sort first (`on_stop`).
+    src_index: IntMap<TranslatorId, IntMap<Symbol, Vec<ConnectionId>>>,
     /// Connections whose target is a query template (the late-binding
     /// candidates consulted on every appearance).
     query_conns: Vec<ConnectionId>,
     /// Destination translator → connections with a path to it.
-    dst_index: HashMap<TranslatorId, Vec<ConnectionId>>,
+    dst_index: IntMap<TranslatorId, Vec<ConnectionId>>,
     /// Remote home address → connections with a path via that peer
     /// (resumed when the peer stream connects or becomes writable).
-    home_index: HashMap<Addr, Vec<ConnectionId>>,
+    home_index: IntMap<Addr, Vec<ConnectionId>>,
     /// Path uid → owning connection, for QoS drain-retry timers.
-    path_by_uid: HashMap<u64, ConnectionId>,
+    path_by_uid: IntMap<u64, ConnectionId>,
     /// Running sum of `occupancy_bytes` over all live paths, updated by
     /// delta at every buffer offer/poll so the watermark is O(1).
     buffered_total: usize,
@@ -212,11 +216,11 @@ pub struct UmiddleRuntime {
     /// so a dead home's requests fail in a deterministic order.
     pending_connects: BTreeMap<u64, (ProcId, u64, RuntimeId)>,
     /// Outgoing links keyed by peer transport address.
-    peers: HashMap<Addr, PeerLink>,
+    peers: IntMap<Addr, PeerLink>,
     /// Reverse map from stream to peer address (outgoing links).
-    peer_by_stream: HashMap<StreamId, Addr>,
+    peer_by_stream: IntMap<StreamId, Addr>,
     /// Decoders for accepted (incoming) streams.
-    incoming: HashMap<StreamId, FrameDecoder>,
+    incoming: IntMap<StreamId, FrameDecoder>,
     stats: Rc<RefCell<RuntimeStats>>,
     /// Metric scope prefix, `rt{N}` (see [`simnet::Metrics::scoped`]).
     scope: String,
@@ -273,13 +277,13 @@ impl UmiddleRuntime {
             next_connection: 1,
             next_path_uid: 0,
             next_wire_token: 1,
-            local_translators: HashMap::new(),
-            connections: HashMap::new(),
-            src_index: HashMap::new(),
+            local_translators: IntMap::default(),
+            connections: IntMap::default(),
+            src_index: IntMap::default(),
             query_conns: Vec::new(),
-            dst_index: HashMap::new(),
-            home_index: HashMap::new(),
-            path_by_uid: HashMap::new(),
+            dst_index: IntMap::default(),
+            home_index: IntMap::default(),
+            path_by_uid: IntMap::default(),
             buffered_total: 0,
             dropped_total: 0,
             scratch: Vec::new(),
@@ -288,9 +292,9 @@ impl UmiddleRuntime {
             event_scratch: Vec::new(),
             listeners: Vec::new(),
             pending_connects: BTreeMap::new(),
-            peers: HashMap::new(),
-            peer_by_stream: HashMap::new(),
-            incoming: HashMap::new(),
+            peers: IntMap::default(),
+            peer_by_stream: IntMap::default(),
+            incoming: IntMap::default(),
             stats: Rc::new(RefCell::new(RuntimeStats::default())),
             scope,
             metrics,
