@@ -2,19 +2,19 @@
 //! payload work — bulk wire frame decoding, multicast fan-out and stream
 //! bulk transfer (see `bench::timing` for the measured kernels).
 //!
-//! `--check` runs a fast smoke pass plus two deterministic regressions
-//! (CI): decode linearity over the wire, JRMP and MediaBroker framers,
-//! and zero payload bytes copied per delivered message on the bridged
-//! Figure-11 RMI-MB path. `--json FILE` writes the measured
-//! numbers as deterministic-schema JSON (time values are wall-clock and
-//! machine-dependent; the schema and the payload copy counters are what
-//! golden files assert on). The full run also replays the E8
+//! `--check` runs a fast smoke pass plus deterministic regressions (CI):
+//! decode linearity over the wire, JRMP and MediaBroker framers, and,
+//! on the bridged Figure-11 RMI-MB path, zero payload bytes copied and
+//! a bound on scheduler pops per delivered message. `--json FILE`
+//! writes the measured numbers as deterministic-schema JSON (time
+//! values are wall-clock and machine-dependent; the schema and the
+//! payload copy counters are what golden files assert on). The full run also replays the E8
 //! observability federation and reports its end-to-end path-latency
 //! histogram next to the payload copy counters.
 
 use bench::experiments::e8_observability;
 use bench::timing::{
-    assert_decode_copies_linear, bridged_copies, decode_bulk, multicast_fanout,
+    assert_decode_copies_linear, bridged_window, decode_bulk, multicast_fanout,
     stream_bulk_transfer, Framer,
 };
 use simnet::{Json, Layout};
@@ -29,6 +29,14 @@ pub const COMMAND: Command = Command {
     usage: "perf-payload [--check] [--json FILE]",
     run,
 };
+
+/// Bound on scheduler pops (`World::events_processed`) per delivered
+/// message over the bridged RMI-MB window of `--check`. The window pops
+/// 15,986 entries for 478 messages (33.444 per message) with one queued
+/// retransmission timer per stream side; with one queued entry per
+/// timer arm it popped 18,527 (38.759). Deterministic, so the bound is
+/// the measured count, rounded up.
+const BRIDGED_POPS_PER_MESSAGE: f64 = 33.45;
 
 /// The E8 payload counters reported next to the benches.
 const PAYLOAD_COUNTERS: [&str; 3] = [
@@ -49,15 +57,24 @@ fn run(args: &Args) {
         assert!(fanout.shared_bytes > 0, "fan-out must share buffers");
         let per_kib = stream_bulk_transfer(64 * 1024, 0.0);
         assert!(per_kib > 0.0);
-        let (copied, delivered) = bridged_copies();
+        let bridged = bridged_window();
+        let (copied, delivered) = (bridged.bytes_copied, bridged.delivered);
         assert!(delivered > 0, "the bridged RMI-MB path delivered nothing");
         assert_eq!(
             copied, 0,
             "the bridged RMI-MB path copied {copied} B over {delivered} delivered messages (bound 0)"
         );
+        let pops = bridged.events as f64 / delivered as f64;
+        assert!(
+            pops <= BRIDGED_POPS_PER_MESSAGE,
+            "the bridged RMI-MB path popped {} scheduler entries over {delivered} delivered \
+             messages, {pops:.3} per message (bound {BRIDGED_POPS_PER_MESSAGE})",
+            bridged.events
+        );
         println!(
             "bench perf-payload --check: ok (decode copies {linear:?} B, linear; \
-             bridged RMI-MB copies 0 B/message over {delivered} messages, bound 0)"
+             bridged RMI-MB copies 0 B/message over {delivered} messages, bound 0; \
+             bridged RMI-MB scheduler pops {pops:.3}/message, bound {BRIDGED_POPS_PER_MESSAGE})"
         );
         return;
     }

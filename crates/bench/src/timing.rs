@@ -237,19 +237,32 @@ pub fn assert_decode_copies_linear(frames: usize) -> [(Framer, u64, u64); 3] {
     })
 }
 
-/// Payload bytes copied and messages delivered on the bridged Figure-11
-/// path (the E3 RMI-MB world, [`crate::experiments::rmi_mb_world`])
-/// over the 2 virtual seconds after a 30 s warm-up. Deterministic: the
-/// copy counter is the kernel's `payload.bytes_copied`, not a clock.
-pub fn bridged_copies() -> (u64, u64) {
+/// What the bridged Figure-11 path did over one measured window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BridgedWindow {
+    /// Payload bytes copied (the kernel's `payload.bytes_copied`).
+    pub bytes_copied: u64,
+    /// Messages delivered at the meter.
+    pub delivered: u64,
+    /// Scheduler entries popped ([`World::events_processed`]).
+    pub events: u64,
+}
+
+/// Runs the bridged Figure-11 path (the E3 RMI-MB world,
+/// [`crate::experiments::rmi_mb_world`]) for 2 virtual seconds after a
+/// 30 s warm-up and counts what that window cost. Deterministic: every
+/// count is a kernel counter, not a clock.
+pub fn bridged_window() -> BridgedWindow {
     let (mut world, meter) = crate::experiments::rmi_mb_world(34);
     world.run_until(SimTime::from_secs(30));
-    let (copied, delivered) = (world.trace().counter("payload.bytes_copied"), meter.count());
+    let copied = world.trace().counter("payload.bytes_copied");
+    let (delivered, events) = (meter.count(), world.events_processed());
     world.run_until(SimTime::from_secs(32));
-    (
-        world.trace().counter("payload.bytes_copied") - copied,
-        (meter.count() - delivered) as u64,
-    )
+    BridgedWindow {
+        bytes_copied: world.trace().counter("payload.bytes_copied") - copied,
+        delivered: (meter.count() - delivered) as u64,
+        events: world.events_processed() - events,
+    }
 }
 
 struct FanoutReceiver {
@@ -468,6 +481,20 @@ impl ReferenceHeap {
     }
 }
 
+#[cfg(test)]
+impl ReferenceHeap {
+    /// Draws the next sequence number without pushing anything.
+    fn reserve_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Schedules `item` at `time` under a reserved sequence number.
+    fn push_reserved(&mut self, time: SimTime, seq: u64, item: u32) {
+        self.heap.push(Reverse((time.as_nanos(), seq, item)));
+    }
+}
+
 /// Result of one [`sched_kernel`] run.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedKernelRun {
@@ -611,9 +638,27 @@ mod tests {
             // set of dead ids filtered at delivery, identically on
             // both structures.
             let mut cancelled = std::collections::HashSet::new();
+            // Reserved-but-unpushed entries, as a stream's lazily armed
+            // retransmission timer holds them: `(time, wheel seq,
+            // reference seq, id)`. Each is pushed later while its time
+            // is still ahead of `now`, or abandoned like a disarmed timer.
+            let mut reserved: Vec<(u64, u64, u64, u32)> = Vec::new();
             let ops = rng.gen_range(50..400usize);
             for _ in 0..ops {
-                if rng.gen_bool(0.55) || wheel.is_empty() {
+                let roll = rng.gen_range(0..100u32);
+                if roll < 12 {
+                    let t = now + random_offset(rng);
+                    let (ws, rs) = (wheel.reserve_seq(), reference.reserve_seq());
+                    reserved.push((t, ws, rs, next_id));
+                    next_id += 1;
+                } else if roll < 24 && !reserved.is_empty() {
+                    let i = rng.gen_range(0..reserved.len());
+                    let (t, ws, rs, id) = reserved.swap_remove(i);
+                    if t > now && rng.gen_bool(0.8) {
+                        wheel.push_reserved(SimTime::from_nanos(t), ws, id);
+                        reference.push_reserved(SimTime::from_nanos(t), rs, id);
+                    }
+                } else if roll < 67 || wheel.is_empty() {
                     // Push a burst (bursts create same-tick ties).
                     let burst = rng.gen_range(1..4u32);
                     let t = now + random_offset(rng);
@@ -636,6 +681,13 @@ mod tests {
                         // Delivery-time cancellation check, as in World.
                         let _ = cancelled.remove(&id);
                     }
+                }
+                assert_eq!(wheel.len(), reference.heap.len());
+            }
+            for (t, ws, rs, id) in reserved {
+                if t > now {
+                    wheel.push_reserved(SimTime::from_nanos(t), ws, id);
+                    reference.push_reserved(SimTime::from_nanos(t), rs, id);
                 }
             }
             // Drain both completely; tails must agree too.

@@ -203,7 +203,15 @@ impl HttpAccumulator {
             .and_then(|v| v.parse().ok())
             .unwrap_or(0);
         let body_start = header_end + 4;
-        let total = body_start + content_length;
+        // A length no buffer can hold (past `isize::MAX`, a `Vec`'s limit,
+        // or past `usize` itself) can never complete: reject it now.
+        let Some(total) = body_start
+            .checked_add(content_length)
+            .filter(|&total| total <= isize::MAX as usize)
+        else {
+            self.buf.clear();
+            return Some(Err(format!("impossible content-length {content_length}")));
+        };
         if self.buf.len() < total {
             return None;
         }
@@ -325,6 +333,23 @@ mod tests {
         let mut acc = HttpAccumulator::new();
         acc.push(b"HTTP/1.0\r\ncontent-length: 0\r\n\r\n");
         assert!(acc.take_message().unwrap().is_err());
+    }
+
+    #[test]
+    fn impossible_content_length_is_an_error_not_a_panic() {
+        // usize::MAX overflows `body_start + len`; isize::MAX does not,
+        // but no Vec can hold that many bytes.
+        for len in ["18446744073709551615", "9223372036854775807"] {
+            let mut acc = HttpAccumulator::new();
+            acc.push(format!("HTTP/1.1 200 OK\r\ncontent-length: {len}\r\n\r\nbody").as_bytes());
+            assert!(acc.take_message().unwrap().is_err(), "content-length {len}");
+            assert!(acc.take_message().is_none(), "the bad message was consumed");
+            acc.push(&HttpRequest::new("GET", "/next").to_bytes());
+            assert!(matches!(
+                acc.take_message(),
+                Some(Ok(HttpMessage::Request(r))) if r.path == "/next"
+            ));
+        }
     }
 
     /// Any request with arbitrary body round-trips.

@@ -10,7 +10,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use platform_upnp::{HttpAccumulator, HttpMessage, HttpRequest, HttpResponse};
 use simnet::{Addr, Ctx, Payload, Process, SimDuration, StreamEvent, StreamId};
@@ -18,6 +18,9 @@ use umiddle_usdl::Element;
 
 /// Host-side XML processing cost per call or response.
 pub const WS_XML_COST: SimDuration = SimDuration::from_millis(8);
+
+/// Entries a [`WsServer::logger`] returns from `tail`, and all it keeps.
+pub const LOG_TAIL: usize = 10;
 
 /// An XML-RPC-style method call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,17 +207,22 @@ impl WsServer {
     }
 
     /// A log service matching the bundled `logger` USDL document:
-    /// `append(entry)` and `tail()`.
+    /// `append(entry)` and `tail()`, which returns the last
+    /// [`LOG_TAIL`] entries. Older entries are dropped, so the log stays
+    /// bounded however long the service runs.
     pub fn logger(name: &str, port: u16) -> WsServer {
-        let log: std::rc::Rc<std::cell::RefCell<Vec<String>>> =
-            std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let log = std::rc::Rc::new(std::cell::RefCell::new(VecDeque::with_capacity(LOG_TAIL)));
         let log2 = std::rc::Rc::clone(&log);
         WsServer::new(name, "logger", port)
             .with_operation(
                 "append",
                 Box::new(move |params| {
                     let entry = params.first().cloned().unwrap_or_default();
-                    log.borrow_mut().push(entry);
+                    let mut log = log.borrow_mut();
+                    if log.len() == LOG_TAIL {
+                        log.pop_front();
+                    }
+                    log.push_back(entry);
                     Ok("ok".to_owned())
                 }),
             )
@@ -224,10 +232,7 @@ impl WsServer {
                     let entries = log2.borrow();
                     Ok(entries
                         .iter()
-                        .rev()
-                        .take(10)
-                        .rev()
-                        .cloned()
+                        .map(String::as_str)
                         .collect::<Vec<_>>()
                         .join("\n"))
                 }),
@@ -577,6 +582,18 @@ mod tests {
             }) => assert_eq!(v, "entry one"),
             other => panic!("expected tail result, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn logger_tail_returns_the_last_ten_entries() {
+        let mut server = WsServer::logger("Event Log", 8080);
+        for i in 1..=25 {
+            let append = server.operations.get_mut("append").unwrap();
+            assert_eq!(append(&[format!("entry {i}")]).unwrap(), "ok");
+        }
+        let tail = server.operations.get_mut("tail").unwrap()(&[]).unwrap();
+        let want: Vec<String> = (16..=25).map(|i| format!("entry {i}")).collect();
+        assert_eq!(tail, want.join("\n"));
     }
 
     #[test]

@@ -10,6 +10,23 @@
 //!
 //! The implementation lives centrally in the [`World`] rather than in
 //! per-node processes: it models the OS kernels of the simulated hosts.
+//!
+//! # The retransmission timer
+//!
+//! A side arms its RTO when it sends data or a FIN with none armed, on
+//! every ACK that leaves bytes outstanding, and on each go-back-N
+//! retransmission; an ACK that covers everything disarms it. Almost every
+//! deadline is superseded by the next ACK before it is due, so the timer
+//! is re-armed lazily: each side keeps its deadline (time plus scheduler
+//! sequence number) and at most one queued `StreamRto` entry. Arming
+//! reserves the deadline's sequence number exactly where a `schedule`
+//! call would have drawn it, so every other event keeps its number, but
+//! it queues an entry only when none is queued or the queued one is due
+//! later (the RTO shrank). When the queued entry pops it retransmits if
+//! it is the deadline, re-queues itself at a later deadline under that
+//! deadline's reserved number, or lapses if the timer was disarmed. Each
+//! live retransmission therefore fires at the same `(time, seq)` as with
+//! one entry per arm, and only the stale pops are gone.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -19,7 +36,7 @@ use crate::metric_id;
 use crate::payload::Payload;
 use crate::process::{Addr, NodeId, ProcId, SegmentId, StreamEvent, StreamId};
 use crate::time::SimDuration;
-use crate::world::{Delivery, EventKind, Frame, FrameDst, FramePayload, World};
+use crate::world::{Delivery, EventKind, Frame, FrameDst, FramePayload, TimerKey, World};
 
 /// Initial retransmission timeout.
 const RTO_INITIAL: SimDuration = SimDuration::from_millis(100);
@@ -106,8 +123,11 @@ pub(crate) struct Side {
     base_seq: u64,
     next_seq: u64,
     rto: SimDuration,
-    rto_epoch: u64,
-    rto_armed: bool,
+    /// When the retransmission timer is due, if armed.
+    rto_deadline: Option<TimerKey>,
+    /// The side's one `StreamRto` entry in the scheduler, if queued. It
+    /// is the deadline itself or an earlier key, never a later one.
+    rto_queued: Option<TimerKey>,
     fin_queued: bool,
     fin_sent: bool,
     fin_acked: bool,
@@ -129,8 +149,8 @@ impl Side {
             base_seq: 0,
             next_seq: 0,
             rto: RTO_INITIAL,
-            rto_epoch: 0,
-            rto_armed: false,
+            rto_deadline: None,
+            rto_queued: None,
             fin_queued: false,
             fin_sent: false,
             fin_acked: false,
@@ -435,12 +455,7 @@ impl World {
                 if side.fin_queued && !side.fin_sent && side.send_buf.is_empty() {
                     side.fin_sent = true;
                     let seq = side.next_seq;
-                    let need_rto = !side.rto_armed;
-                    if need_rto {
-                        side.rto_armed = true;
-                        side.rto_epoch += 1;
-                    }
-                    let (epoch, rto) = (side.rto_epoch, side.rto);
+                    let need_rto = side.rto_deadline.is_none();
                     self.transmit_stream_frame(
                         segment,
                         src_node,
@@ -453,15 +468,7 @@ impl World {
                         0,
                     );
                     if need_rto {
-                        let at = self.now() + rto;
-                        self.schedule(
-                            at,
-                            EventKind::StreamRto {
-                                stream: id,
-                                from_initiator: initiator,
-                                epoch,
-                            },
-                        );
+                        self.arm_rto(id, initiator);
                     }
                 }
                 return;
@@ -474,12 +481,7 @@ impl World {
             debug_assert!(chunk_len > 0, "pump with unsent bytes yields a chunk");
             let seq = side.next_seq;
             side.next_seq += chunk_len as u64;
-            let need_rto = !side.rto_armed;
-            if need_rto {
-                side.rto_armed = true;
-                side.rto_epoch += 1;
-            }
-            let (epoch, rto) = (side.rto_epoch, side.rto);
+            let need_rto = side.rto_deadline.is_none();
             self.transmit_stream_frame(
                 segment,
                 src_node,
@@ -492,20 +494,52 @@ impl World {
                 chunk_len,
             );
             if need_rto {
-                let at = self.now() + rto;
-                self.schedule(
-                    at,
-                    EventKind::StreamRto {
-                        stream: id,
-                        from_initiator: initiator,
-                        epoch,
-                    },
-                );
+                self.arm_rto(id, initiator);
             }
         }
     }
 
-    pub(crate) fn stream_rto_fired(&mut self, id: StreamId, initiator: bool, epoch: u64) {
+    /// Arms a side's retransmission timer one RTO from now. The deadline
+    /// takes its scheduler place here, where a per-arm `schedule` call
+    /// would, but an entry is queued only if none is, or if the queued
+    /// one is due later; otherwise the queued entry moves on to the
+    /// deadline when it pops (see [`World::stream_rto_fired`]).
+    fn arm_rto(&mut self, id: StreamId, initiator: bool) {
+        let now = self.now();
+        let Some(st) = self.stream_state(id) else {
+            return;
+        };
+        let at = now + st.side(initiator).rto;
+        let deadline = self.reserve_timer(at);
+        let side = self
+            .stream_state(id)
+            .expect("stream checked above")
+            .side_mut(initiator);
+        side.rto_deadline = Some(deadline);
+        if side.rto_queued.is_some_and(|q| q.at < at) {
+            return;
+        }
+        side.rto_queued = Some(deadline);
+        self.schedule_rto(id, initiator, deadline);
+    }
+
+    fn schedule_rto(&mut self, id: StreamId, initiator: bool, key: TimerKey) {
+        self.schedule_timer(
+            key,
+            EventKind::StreamRto {
+                stream: id,
+                from_initiator: initiator,
+                key,
+            },
+        );
+    }
+
+    /// Handles a popped `StreamRto` entry. Only the side's queued entry
+    /// counts; one it superseded (queued before an earlier deadline
+    /// was) is ignored. The queued entry retransmits if it is the
+    /// deadline, moves on to the deadline if that is later, and lapses
+    /// if the timer was disarmed.
+    pub(crate) fn stream_rto_fired(&mut self, id: StreamId, initiator: bool, key: TimerKey) {
         let Some(st) = self.stream_state(id) else {
             return;
         };
@@ -513,30 +547,31 @@ impl World {
             return;
         }
         let side = st.side_mut(initiator);
-        if !side.rto_armed || side.rto_epoch != epoch {
+        if side.rto_queued != Some(key) {
             return;
+        }
+        side.rto_queued = None;
+        match side.rto_deadline {
+            None => return,
+            Some(deadline) if deadline != key => {
+                debug_assert!(deadline.at > key.at, "the queued entry is never late");
+                side.rto_queued = Some(deadline);
+                self.schedule_rto(id, initiator, deadline);
+                return;
+            }
+            Some(_) => {}
         }
         let has_outstanding = side.in_flight() > 0 || (side.fin_sent && !side.fin_acked);
         if !has_outstanding {
-            side.rto_armed = false;
+            side.rto_deadline = None;
             return;
         }
         // Go-back-N: rewind to the first unacked byte and re-send.
         side.next_seq = side.base_seq;
         side.fin_sent = false;
         side.rto = (side.rto * 2).min(RTO_MAX);
-        side.rto_epoch += 1;
-        let (new_epoch, rto) = (side.rto_epoch, side.rto);
         self.trace.bump("stream.rto", 1);
-        let at = self.now() + rto;
-        self.schedule(
-            at,
-            EventKind::StreamRto {
-                stream: id,
-                from_initiator: initiator,
-                epoch: new_epoch,
-            },
-        );
+        self.arm_rto(id, initiator);
         self.pump(id, initiator);
     }
 
@@ -834,28 +869,17 @@ impl World {
         if tx.fin_sent && ack > tx.next_seq {
             tx.fin_acked = true;
         }
-        // Re-arm or disarm the retransmission timer.
-        tx.rto_epoch += 1;
         let outstanding = tx.in_flight() > 0 || (tx.fin_sent && !tx.fin_acked);
         let emit_writable = tx.was_full && tx.send_buf.len() <= capacity / 2;
         if emit_writable {
             tx.was_full = false;
         }
         let proc = tx.proc;
+        // Re-arm or disarm the retransmission timer.
         if outstanding {
-            tx.rto_armed = true;
-            let (epoch, rto) = (tx.rto_epoch, tx.rto);
-            let at = self.now() + rto;
-            self.schedule(
-                at,
-                EventKind::StreamRto {
-                    stream: id,
-                    from_initiator: tx_initiator,
-                    epoch,
-                },
-            );
+            self.arm_rto(id, tx_initiator);
         } else {
-            tx.rto_armed = false;
+            tx.rto_deadline = None;
         }
         if emit_writable {
             if let Some(p) = proc {
@@ -987,7 +1011,8 @@ mod tests {
     #[derive(Default)]
     struct Sink {
         received: Rc<RefCell<Vec<u8>>>,
-        closed: Rc<RefCell<bool>>,
+        /// When the sink saw `Closed`, if it did.
+        closed: Rc<RefCell<Option<SimTime>>>,
     }
     impl Process for Sink {
         fn name(&self) -> &str {
@@ -996,10 +1021,10 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             ctx.listen(80).unwrap();
         }
-        fn on_stream(&mut self, _ctx: &mut Ctx<'_>, _s: StreamId, ev: StreamEvent) {
+        fn on_stream(&mut self, ctx: &mut Ctx<'_>, _s: StreamId, ev: StreamEvent) {
             match ev {
                 StreamEvent::Data(d) => self.received.borrow_mut().extend(d),
-                StreamEvent::Closed => *self.closed.borrow_mut() = true,
+                StreamEvent::Closed => *self.closed.borrow_mut() = Some(ctx.now()),
                 _ => {}
             }
         }
@@ -1043,7 +1068,9 @@ mod tests {
         }
     }
 
-    fn bulk_world(loss: f64, total: usize) -> (Vec<u8>, bool, SimTime, World) {
+    /// Runs a one-way bulk transfer for 120 virtual s and returns the
+    /// bytes received, when the receiver saw `Closed`, and the world.
+    fn bulk_world(loss: f64, total: usize) -> (Vec<u8>, Option<SimTime>, World) {
         let mut w = World::new(99);
         let seg = w.add_segment(SegmentConfig::ethernet_10mbps_hub().with_loss(loss));
         let a = w.add_node("a");
@@ -1051,7 +1078,7 @@ mod tests {
         w.attach(a, seg).unwrap();
         w.attach(b, seg).unwrap();
         let received = Rc::new(RefCell::new(Vec::new()));
-        let closed = Rc::new(RefCell::new(false));
+        let closed = Rc::new(RefCell::new(None));
         w.add_process(
             b,
             Box::new(Sink {
@@ -1071,16 +1098,15 @@ mod tests {
         w.run_until(SimTime::from_secs(120));
         let r = received.borrow().clone();
         let c = *closed.borrow();
-        let now = w.now();
-        (r, c, now, w)
+        (r, c, w)
     }
 
     #[test]
     fn bulk_transfer_is_complete_and_ordered() {
         let total = 200_000;
-        let (received, closed, _, _) = bulk_world(0.0, total);
+        let (received, closed, _) = bulk_world(0.0, total);
         assert_eq!(received.len(), total);
-        assert!(closed, "receiver saw Closed after FIN");
+        assert!(closed.is_some(), "receiver saw Closed after FIN");
         for (i, byte) in received.iter().enumerate() {
             // Chunks of 8192 start at multiples of 8192 with value (start % 251).
             let expected = ((i / 8192) * 8192 % 251) as u8;
@@ -1091,9 +1117,9 @@ mod tests {
     #[test]
     fn bulk_transfer_survives_loss() {
         let total = 60_000;
-        let (received, closed, _, w) = bulk_world(0.05, total);
+        let (received, closed, w) = bulk_world(0.05, total);
         assert_eq!(received.len(), total);
-        assert!(closed);
+        assert!(closed.is_some());
         assert!(
             w.trace().counter("stream.rto") > 0,
             "loss should trigger RTOs"
@@ -1101,11 +1127,118 @@ mod tests {
     }
 
     #[test]
+    fn lossy_transfer_retransmits_on_the_recorded_schedule() {
+        // Golden numbers recorded while every arm point still queued its
+        // own `StreamRto` entry: the lazily re-armed timer must fire each
+        // live retransmission at the same instant, so the RTO count, the
+        // frames and ACKs, and the completion time stay exactly as here.
+        let golden = [
+            (0.05, (3, 534, 257, Some(1_169_348_165))),
+            (0.2, (7, 732, 318, Some(2_443_539_781))),
+        ];
+        for (loss, want) in golden {
+            let (received, closed, w) = bulk_world(loss, 200_000);
+            assert_eq!(received.len(), 200_000);
+            let c = |name| w.trace().counter(name);
+            let got = (
+                c("stream.rto"),
+                c("stream.frames"),
+                c("stream.acks"),
+                closed.map(SimTime::as_nanos),
+            );
+            assert_eq!(got, want, "loss {loss}: (rto, frames, acks, closed at)");
+        }
+    }
+
+    /// Sends `burst` 1400-byte messages every `every`, like a bridged
+    /// media producer.
+    struct PacedSender {
+        target: Addr,
+        every: SimDuration,
+        burst: usize,
+        stream: Option<StreamId>,
+    }
+    impl Process for PacedSender {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.stream = Some(ctx.connect(self.target).unwrap());
+        }
+        fn on_stream(&mut self, ctx: &mut Ctx<'_>, _s: StreamId, ev: StreamEvent) {
+            if matches!(ev, StreamEvent::Connected) {
+                ctx.set_timer(self.every, 0);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            let stream = self.stream.expect("connected");
+            for _ in 0..self.burst {
+                ctx.stream_send(stream, vec![7u8; 1400]).unwrap();
+            }
+            ctx.set_timer(self.every, 0);
+        }
+    }
+
+    #[test]
+    fn paced_stream_keeps_one_retransmission_entry_per_side() {
+        let mut w = World::new(21);
+        let seg = w.add_segment(SegmentConfig::ethernet_10mbps_hub());
+        let a = w.add_node("a");
+        let b = w.add_node("b");
+        w.attach(a, seg).unwrap();
+        w.attach(b, seg).unwrap();
+        let received = Rc::new(RefCell::new(Vec::new()));
+        w.add_process(
+            b,
+            Box::new(Sink {
+                received: Rc::clone(&received),
+                closed: Rc::default(),
+            }),
+        );
+        // Two messages every 3 ms: the first one's ACK finds the second
+        // outstanding and re-arms, the second one's ACK disarms.
+        w.add_process(
+            a,
+            Box::new(PacedSender {
+                target: Addr::new(b, 80),
+                every: SimDuration::from_millis(3),
+                burst: 2,
+                stream: None,
+            }),
+        );
+        let mut rto_pops = 0u64;
+        while w.now() < SimTime::from_secs(3) {
+            if matches!(w.peek_event(), Some(EventKind::StreamRto { .. })) {
+                rto_pops += 1;
+            }
+            assert!(w.step(), "the sender keeps the world busy");
+            // Without loss the RTO never backs off, so deadlines only move
+            // later and no queued entry is ever superseded.
+            let mut queued = [0u32; 2];
+            for kind in w.queued_events() {
+                if let EventKind::StreamRto { from_initiator, .. } = kind {
+                    queued[usize::from(*from_initiator)] += 1;
+                }
+            }
+            assert!(
+                queued.iter().all(|&n| n <= 1),
+                "queued RTO entries {queued:?}"
+            );
+        }
+        let messages = received.borrow().len() / 1400;
+        assert!(messages > 1_500, "delivered {messages} messages");
+        // An entry per arm point pops about once per message (0.97 here).
+        let per_message = rto_pops as f64 / messages as f64;
+        assert!(
+            per_message <= 0.2,
+            "{rto_pops} RTO pops for {messages} messages"
+        );
+        assert_eq!(w.trace().counter("stream.rto"), 0);
+    }
+
+    #[test]
     fn goodput_on_10mbps_hub_is_in_tcp_range() {
         // 1 MB one-way bulk transfer on the paper's hub: goodput should be
         // well below line rate (overhead + half-duplex acks) but above half.
         let total = 1_000_000;
-        let (received, _, _, w) = bulk_world(0.0, total);
+        let (received, _, w) = bulk_world(0.0, total);
         assert_eq!(received.len(), total);
         // Find completion time via segment busy stats instead: use now()
         // from a fresh run bounded by the transfer itself.
@@ -1216,6 +1349,85 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             ctx.connect(self.target).unwrap();
         }
+    }
+
+    #[test]
+    fn rearmed_deadlines_pop_at_their_reserved_places() {
+        let mut w = World::new(12);
+        let seg = w.add_segment(SegmentConfig::ethernet_10mbps_hub());
+        let a = w.add_node("a");
+        let b = w.add_node("b");
+        w.attach(a, seg).unwrap();
+        w.attach(b, seg).unwrap();
+        let stream = Rc::new(RefCell::new(None));
+        w.add_process(
+            b,
+            Box::new(Collector {
+                stream: Rc::clone(&stream),
+                chunks: Rc::default(),
+            }),
+        );
+        w.add_process(
+            a,
+            Box::new(Opener {
+                target: Addr::new(b, 80),
+            }),
+        );
+        w.run_until(SimTime::from_secs(1));
+        let id = stream.borrow().expect("accepted");
+        let ms = SimTime::from_millis;
+        // A marker event scheduled right after an arm: a per-arm
+        // `schedule` call would have given the deadline the lower seq.
+        let marker = |w: &mut World, at| {
+            let stream = StreamId(u32::MAX);
+            w.schedule(at, EventKind::SynRetry { stream, attempt: 0 });
+        };
+        let drain = |w: &mut World, until| {
+            let mut popped = Vec::new();
+            while let Some(t) = w.next_event_time().filter(|&t| t <= until) {
+                let kind = match w.peek_event() {
+                    Some(EventKind::StreamRto { .. }) => "rto",
+                    Some(EventKind::SynRetry { .. }) => "marker",
+                    _ => "other",
+                };
+                popped.push((t.as_millis(), kind));
+                w.step();
+            }
+            w.run_until(until);
+            popped
+        };
+        fn side(w: &mut World, id: StreamId) -> &mut Side {
+            w.stream_state(id).expect("open").side_mut(true)
+        }
+
+        // Moved later: the queued entry pops at 1.1 s and re-queues
+        // itself at the 1.15 s deadline, ahead of the later marker.
+        w.arm_rto(id, true);
+        w.run_until(ms(1_050));
+        w.arm_rto(id, true);
+        marker(&mut w, ms(1_150));
+        let popped = drain(&mut w, ms(1_300));
+        assert_eq!(popped, [(1_100, "rto"), (1_150, "rto"), (1_150, "marker")]);
+        assert_eq!(side(&mut w, id).rto_deadline, None);
+        assert_eq!(side(&mut w, id).rto_queued, None);
+
+        // Moved earlier (the RTO shrank): the new deadline is queued at
+        // once and the entry it supersedes pops as a no-op.
+        side(&mut w, id).rto = SimDuration::from_millis(200);
+        w.arm_rto(id, true);
+        w.run_until(ms(1_350));
+        side(&mut w, id).rto = RTO_INITIAL;
+        w.arm_rto(id, true);
+        marker(&mut w, ms(1_450));
+        let popped = drain(&mut w, ms(1_600));
+        assert_eq!(popped, [(1_450, "rto"), (1_450, "marker"), (1_500, "rto")]);
+        assert_eq!(side(&mut w, id).rto_deadline, None);
+        assert_eq!(side(&mut w, id).rto_queued, None);
+        assert_eq!(
+            w.trace().counter("stream.rto"),
+            0,
+            "nothing was outstanding"
+        );
     }
 
     #[test]

@@ -39,6 +39,12 @@
 //!    [`TimerWheel::pop`] has cascaded (lowest level, lowest slot
 //!    first), and ties on `time` are all in the near heap together,
 //!    where the heap order on `(time, seq)` resolves them FIFO.
+//!
+//! The argument uses only the `(time, seq)` keys, never the order of the
+//! pushes. So a sequence number reserved ahead of its push
+//! ([`TimerWheel::reserve_seq`]) pops exactly where a push made at
+//! reservation time would have, provided nothing that sorts after it
+//! has been popped by the time it is pushed.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -181,8 +187,29 @@ impl<T> TimerWheel<T> {
     /// time) are filed into the near heap, which yields them on the next
     /// pop — the same behavior a plain min-heap would exhibit.
     pub fn push(&mut self, time: SimTime, item: T) {
+        let seq = self.reserve_seq();
+        self.push_reserved(time, seq, item);
+    }
+
+    /// Draws the next sequence number without pushing anything, exactly
+    /// as [`TimerWheel::push`] would have drawn it. A caller that may
+    /// never need the entry (a timer that is usually cancelled) reserves
+    /// its place in the `(time, seq)` order now and pushes it later with
+    /// [`TimerWheel::push_reserved`], or never; every other entry keeps
+    /// the sequence number it would have had.
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
+        seq
+    }
+
+    /// Schedules `item` at `time` under a sequence number drawn earlier
+    /// by [`TimerWheel::reserve_seq`]. Pop order stays exact ascending
+    /// `(time, seq)` provided no entry that sorts after `(time, seq)` has
+    /// been popped yet (see the module docs). Each reserved number is
+    /// pushed at most once.
+    pub fn push_reserved(&mut self, time: SimTime, seq: u64, item: T) {
+        debug_assert!(seq < self.seq, "sequence number was never reserved");
         self.len += 1;
         let slot = match self.free.pop() {
             Some(s) => {
@@ -199,6 +226,12 @@ impl<T> TimerWheel<T> {
             seq,
             slot,
         });
+    }
+
+    /// Every pending entry, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slab.iter().flatten()
     }
 
     /// Reclaims a key's payload from the slab, recycling its slot.
@@ -254,6 +287,19 @@ impl<T> TimerWheel<T> {
         self.near
             .peek()
             .map(|Reverse(k)| SimTime::from_nanos(k.time))
+    }
+
+    /// The entry the next [`TimerWheel::pop`] returns, left in place.
+    #[cfg(test)]
+    pub(crate) fn peek(&mut self) -> Option<(SimTime, &T)> {
+        if !self.ensure_near() {
+            return None;
+        }
+        let Reverse(k) = self.near.peek()?;
+        let item = self.slab[k.slot as usize]
+            .as_ref()
+            .expect("key references a live slab slot");
+        Some((SimTime::from_nanos(k.time), item))
     }
 
     /// Files a key relative to the current horizon: near heap, a wheel
@@ -411,10 +457,31 @@ mod tests {
         wheel.push(SimTime::from_secs(1), "far");
         wheel.push(SimTime::from_nanos(10), "soon");
         assert_eq!(wheel.peek_time(), Some(SimTime::from_nanos(10)));
+        assert_eq!(wheel.peek(), Some((SimTime::from_nanos(10), &"soon")));
         assert_eq!(wheel.pop(), Some((SimTime::from_nanos(10), "soon")));
         assert_eq!(wheel.peek_time(), Some(SimTime::from_secs(1)));
         assert_eq!(wheel.pop(), Some((SimTime::from_secs(1), "far")));
         assert_eq!(wheel.peek_time(), None);
+    }
+
+    #[test]
+    fn reserved_entries_pop_at_their_reserved_place() {
+        let mut wheel = TimerWheel::new();
+        let t = SimTime::from_millis(100);
+        let early = wheel.reserve_seq();
+        let _never_pushed = wheel.reserve_seq();
+        wheel.push(t, "pushed after the reservation");
+        wheel.push(SimTime::from_millis(50), "before");
+        assert_eq!(wheel.pop(), Some((SimTime::from_millis(50), "before")));
+        // Pushed last, but its reserved number sorts it first at `t`.
+        wheel.push_reserved(t, early, "reserved first");
+        assert_eq!(wheel.len(), 2);
+        let mut pending: Vec<&str> = wheel.iter().copied().collect();
+        pending.sort_unstable();
+        assert_eq!(pending, ["pushed after the reservation", "reserved first"]);
+        assert_eq!(wheel.pop(), Some((t, "reserved first")));
+        assert_eq!(wheel.pop(), Some((t, "pushed after the reservation")));
+        assert_eq!(wheel.pop(), None);
     }
 
     #[test]

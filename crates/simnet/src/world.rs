@@ -230,6 +230,15 @@ impl std::fmt::Debug for ProcSlot {
     }
 }
 
+/// A timer's place in the scheduler's `(time, seq)` order, drawn by
+/// [`World::reserve_timer`] at the moment a `schedule` call would have
+/// drawn it, whether or not the entry is ever pushed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TimerKey {
+    pub(crate) at: SimTime,
+    pub(crate) seq: u64,
+}
+
 pub(crate) enum EventKind {
     Deliver {
         proc: ProcId,
@@ -245,10 +254,12 @@ pub(crate) enum EventKind {
         segment: SegmentId,
         frame: Frame,
     },
+    /// A stream side's queued retransmission-timer entry; `key` tells
+    /// it from the entries that superseded it (see `crate::stream`).
     StreamRto {
         stream: StreamId,
         from_initiator: bool,
-        epoch: u64,
+        key: TimerKey,
     },
     SynRetry {
         stream: StreamId,
@@ -1239,6 +1250,31 @@ impl World {
         self.queue.push(time, kind);
     }
 
+    /// Reserves the place in `(time, seq)` order that scheduling a timer
+    /// at `at` now would take, without queueing anything: the sampler
+    /// wakes and the sequence number is drawn exactly as in
+    /// [`World::schedule`], so every other event keeps its sequence
+    /// number whether or not the timer is queued later. `at` must be
+    /// strictly in the future, so the timer can never join the live tick.
+    pub(crate) fn reserve_timer(&mut self, at: SimTime) -> TimerKey {
+        debug_assert!(at > self.now, "a timer is due after the current tick");
+        if !self.sampler_armed && self.telemetry.is_some() {
+            self.arm_sampler();
+        }
+        TimerKey {
+            at,
+            seq: self.queue.reserve_seq(),
+        }
+    }
+
+    /// Queues `kind` at a reserved timer key. It pops exactly where a
+    /// `schedule` call at reservation time would have put it, provided
+    /// the key is still in the future (`key.at > now`).
+    pub(crate) fn schedule_timer(&mut self, key: TimerKey, kind: EventKind) {
+        debug_assert!(key.at > self.now, "a timer is queued before it is due");
+        self.queue.push_reserved(key.at, key.seq, kind);
+    }
+
     pub(crate) fn schedule_delivery(&mut self, time: SimTime, proc: ProcId, delivery: Delivery) {
         self.schedule(time, EventKind::Deliver { proc, delivery });
     }
@@ -1266,6 +1302,18 @@ impl World {
         self.events_processed += 1;
         self.dispatch(kind);
         true
+    }
+
+    /// The event the next [`World::step`] dispatches.
+    #[cfg(test)]
+    pub(crate) fn peek_event(&mut self) -> Option<&EventKind> {
+        self.queue.peek().map(|(_, kind)| kind)
+    }
+
+    /// Every event in the scheduler, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn queued_events(&self) -> impl Iterator<Item = &EventKind> {
+        self.queue.iter()
     }
 
     /// Total events dispatched so far (every popped scheduler entry:
@@ -1349,8 +1397,8 @@ impl World {
             EventKind::StreamRto {
                 stream,
                 from_initiator,
-                epoch,
-            } => self.stream_rto_fired(stream, from_initiator, epoch),
+                key,
+            } => self.stream_rto_fired(stream, from_initiator, key),
             EventKind::SynRetry { stream, attempt } => self.syn_retry(stream, attempt),
             EventKind::Emit { proc, action } => self.run_emit(proc, action),
             EventKind::TelemetrySample => self.telemetry_sample(),

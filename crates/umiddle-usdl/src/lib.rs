@@ -43,4 +43,4 @@ mod xml;
 
 pub use library::UsdlLibrary;
 pub use schema::{Binding, UsdlDocument, UsdlPort};
-pub use xml::{Element, Node, XmlError};
+pub use xml::{Element, Node, XmlError, XML_MAX_DEPTH};

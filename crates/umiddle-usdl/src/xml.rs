@@ -10,10 +10,19 @@
 //! name; [`Element::local_name`] strips them).
 //!
 //! The parser is total: any input either yields a document or an
-//! [`XmlError`] with a byte offset — it never panics.
+//! [`XmlError`] with a byte offset — it never panics. Elements nest at
+//! most [`XML_MAX_DEPTH`] deep, so hostile nesting cannot exhaust the stack
+//! of the recursive descent.
 
 use std::error::Error;
 use std::fmt;
+
+/// Deepest element nesting [`Element::parse`] accepts. Every bundled
+/// USDL, SOAP and description document nests under ten levels; the
+/// bound only stops input built to overflow the parser's stack (an
+/// unoptimized build spends about 4.5 KiB of stack per level, so 128
+/// levels fit a 2 MiB thread stack with room to spare).
+pub const XML_MAX_DEPTH: usize = 128;
 
 /// An XML element: name, attributes, and children (elements and text).
 ///
@@ -170,14 +179,15 @@ impl Element {
     /// # Errors
     ///
     /// Returns [`XmlError`] on malformed input (unterminated tags,
-    /// mismatched close tags, bad entities, trailing garbage).
+    /// mismatched close tags, bad entities, trailing garbage, elements
+    /// nested deeper than [`XML_MAX_DEPTH`]).
     pub fn parse(input: &str) -> Result<Element, XmlError> {
         let mut p = Parser {
             input: input.as_bytes(),
             pos: 0,
         };
         p.skip_prolog()?;
-        let root = p.parse_element()?;
+        let root = p.parse_element(1)?;
         p.skip_misc()?;
         if p.pos != p.input.len() {
             return Err(p.err("trailing content after document element"));
@@ -333,7 +343,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_element(&mut self) -> Result<Element, XmlError> {
+    /// Parses one element, `depth` levels below the document (the root
+    /// is at depth 1).
+    fn parse_element(&mut self, depth: usize) -> Result<Element, XmlError> {
+        if depth > XML_MAX_DEPTH {
+            return Err(self.err(format!("elements nest deeper than {XML_MAX_DEPTH}")));
+        }
         self.expect(b'<')?;
         let name = self.parse_name()?;
         let mut element = Element::new(name.clone());
@@ -400,7 +415,7 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<?") {
                 self.skip_until("?>")?;
             } else if self.peek() == Some(b'<') {
-                let child = self.parse_element()?;
+                let child = self.parse_element(depth + 1)?;
                 element.children.push(Node::Element(child));
             } else if self.peek().is_none() {
                 return Err(self.err(format!("eof inside <{name}>")));
@@ -630,6 +645,27 @@ mod tests {
             let parsed = Element::parse(&xml).unwrap();
             assert_eq!(e, parsed);
         });
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "<a>".repeat(depth) + &"</a>".repeat(depth);
+        let deepest = Element::parse(&nested(XML_MAX_DEPTH)).unwrap();
+        let mut levels = 1;
+        let mut e = &deepest;
+        while let Some(child) = e.child("a") {
+            levels += 1;
+            e = child;
+        }
+        assert_eq!(levels, XML_MAX_DEPTH);
+        let err = Element::parse(&nested(XML_MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.offset,
+            3 * XML_MAX_DEPTH,
+            "the error points at the first element too deep"
+        );
+        // Deep enough to overflow any thread's stack without the bound.
+        assert!(Element::parse(&nested(200_000)).is_err());
     }
 
     /// The parser never panics on arbitrary input.
