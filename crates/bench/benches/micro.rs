@@ -1,23 +1,47 @@
 //! Micro-benchmarks for the CPU-bound codecs, matchers and span journal
 //! the system is built from (real wall-clock time, not simulated time),
 //! on the in-tree `bench::timing` harness.
+//!
+//! `cargo bench --offline -p bench --bench micro` prints every row and
+//! rewrites `BENCH_micro.json` at the repository root with the XML and
+//! HTTP rows: `after` is this run, `before` the same rows measured on
+//! the DOM-based codecs the borrowing reader and writers replaced,
+//! frozen in [`BEFORE`].
 
 use std::hint::black_box;
 
-use bench::timing::bench_function;
+use bench::timing::{bench_function, Spread};
 use platform_bluetooth::{ObexPacket, SdpPdu, ServiceRecord};
 use platform_rmi::JavaValue;
-use platform_upnp::{DeviceDesc, DeviceLogic, LightLogic, SoapCall};
-use simnet::{DetailArg, SimTime, SpanDetail, Trace};
+use platform_upnp::{
+    DeviceDesc, DeviceLogic, HttpAccumulator, HttpRequest, LightLogic, SoapCall, SoapResult,
+};
+use platform_webservices::{MethodCall, MethodResponse};
+use simnet::{DetailArg, Json, Layout, SimTime, SpanDetail, Trace};
 use umiddle_core::{
     DeltaOp, Direction, PerceptionType, PortKind, Query, RuntimeId, Shape, TranslatorId,
     TranslatorProfile, UMessage, WireMessage,
 };
 use umiddle_usdl::{Element, UsdlDocument, UsdlLibrary};
 
-fn bench_usdl() {
+/// The XML and HTTP rows measured on the DOM-based codecs (an owned
+/// `Element` tree per message, `BTreeMap` HTTP heads), on the same
+/// harness and host as the first `after` record: `(row, median, p10,
+/// p90)` in ns per call.
+const BEFORE: [(&str, f64, f64, f64); 8] = [
+    ("usdl_parse_clock", 26932.1, 25918.5, 38308.0),
+    ("upnp_description_parse", 8774.5, 8369.6, 9379.6),
+    ("upnp_description_serialize", 3671.0, 3416.0, 4391.6),
+    ("soap_round_trip", 1393.1, 1346.5, 1481.7),
+    ("soap_result_round_trip", 2000.1, 1947.1, 2539.6),
+    ("xmlrpc_round_trip", 3797.7, 3208.4, 5141.2),
+    ("http_request_round_trip", 2610.6, 1922.5, 2749.8),
+    ("xml_parse_generic", 9790.4, 9298.1, 10610.8),
+];
+
+fn bench_usdl() -> Spread {
     let clock_xml = umiddle_usdl::builtin::UPNP_CLOCK;
-    bench_function("usdl_parse_clock", || {
+    let parse = bench_function("usdl_parse_clock", || {
         UsdlDocument::parse(black_box(clock_xml)).unwrap()
     });
     let doc = UsdlDocument::parse(clock_xml).unwrap();
@@ -25,23 +49,97 @@ fn bench_usdl() {
         doc.profile(Some(black_box("Kitchen Clock")))
     });
     bench_function("usdl_library_bundled", UsdlLibrary::bundled);
+    parse
 }
 
-fn bench_xml() {
+/// The XML and HTTP rows, in [`BEFORE`]'s order after `usdl_parse_clock`.
+fn bench_xml() -> Vec<Spread> {
     let desc = LightLogic::new("Bench Light", "uuid:b").description();
     let xml = desc.to_xml();
-    bench_function("upnp_description_parse", || {
-        DeviceDesc::parse(black_box(&xml)).unwrap()
-    });
-    bench_function("upnp_description_serialize", || desc.to_xml());
+    let mut rows = vec![
+        bench_function("upnp_description_parse", || {
+            DeviceDesc::parse(black_box(&xml)).unwrap()
+        }),
+        bench_function("upnp_description_serialize", || desc.to_xml()),
+    ];
     let soap = SoapCall::new("SwitchPower", "SetPower").with_arg("Power", "1");
     let soap_xml = soap.to_xml();
-    bench_function("soap_round_trip", || {
+    rows.push(bench_function("soap_round_trip", || {
         SoapCall::parse(black_box(&soap_xml)).unwrap()
-    });
-    bench_function("xml_parse_generic", || {
+    }));
+    let result = SoapResult::Ok {
+        action: "GetTime".to_owned(),
+        args: vec![("CurrentTime".to_owned(), "12:34:56".to_owned())],
+    };
+    rows.push(bench_function("soap_result_round_trip", || {
+        SoapResult::parse(&black_box(&result).to_xml()).unwrap()
+    }));
+    let call = MethodCall::new("append", vec!["entry 42".to_owned()]);
+    let response = MethodResponse::Value("ok".to_owned());
+    rows.push(bench_function("xmlrpc_round_trip", || {
+        let call = MethodCall::parse(&black_box(&call).to_xml()).unwrap();
+        let response = MethodResponse::parse(&black_box(&response).to_xml()).unwrap();
+        (call, response)
+    }));
+    rows.push(bench_function("http_request_round_trip", || {
+        let bytes = HttpRequest::new("POST", "/control")
+            .with_header("soapaction", soap.soap_action_header())
+            .with_body(black_box(&soap_xml).as_bytes().to_vec())
+            .to_bytes();
+        let mut acc = HttpAccumulator::new();
+        acc.push(&bytes);
+        acc.take_message().unwrap().unwrap()
+    }));
+    rows.push(bench_function("xml_parse_generic", || {
         Element::parse(black_box(&xml)).unwrap()
-    });
+    }));
+    rows
+}
+
+fn spread_json(median: f64, p10: f64, p90: f64) -> Json {
+    Json::inline()
+        .with("median_ns", Json::fixed(median, 1))
+        .with("p10_ns", Json::fixed(p10, 1))
+        .with("p90_ns", Json::fixed(p90, 1))
+}
+
+/// Rewrites `BENCH_micro.json` with `after` as this run's XML/HTTP rows.
+fn record(after: &[Spread]) {
+    let before = Json::object(
+        Layout::Block,
+        BEFORE
+            .iter()
+            .map(|&(row, median, p10, p90)| (row, spread_json(median, p10, p90))),
+    );
+    let after = Json::object(
+        Layout::Block,
+        BEFORE
+            .iter()
+            .zip(after)
+            .map(|(&(row, ..), s)| (row, spread_json(s.median_ns, s.p10_ns, s.p90_ns))),
+    );
+    let doc = Json::block()
+        .with("name", "micro")
+        .with(
+            "units",
+            "median_ns/p10_ns/p90_ns: wall-clock nanoseconds per call, the median and 10th/90th \
+             percentiles of the harness's batches (machine-dependent)",
+        )
+        .with(
+            "description",
+            "XML and HTTP codec rows of `cargo bench --offline -p bench --bench micro`. 'before' \
+             is the DOM-based layer (an owned Element tree per message, writers that build one, \
+             BTreeMap HTTP heads), measured once and frozen in benches/micro.rs; 'after' is the \
+             pull reader, typed SOAP/XML-RPC readers, direct writers and in-place HTTP heads. \
+             The round-trip rows serialize and parse (http_request_round_trip: build, write, \
+             accumulate and read one SOAP POST); soap_round_trip parses a SetPower call.",
+        )
+        .with("command", "cargo bench --offline -p bench --bench micro")
+        .with("before", before)
+        .with("after", after);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_micro.json");
+    std::fs::write(path, doc.document()).expect("BENCH_micro.json is writable");
+    println!("wrote {path}");
 }
 
 fn bench_wire() {
@@ -191,10 +289,11 @@ fn bench_trace() {
 
 fn main() {
     println!("uMiddle micro-benchmarks (wall clock, in-tree harness)");
-    bench_usdl();
-    bench_xml();
+    let mut recorded = vec![bench_usdl()];
+    recorded.extend(bench_xml());
     bench_wire();
     bench_matching();
     bench_binary_codecs();
     bench_trace();
+    record(&recorded);
 }

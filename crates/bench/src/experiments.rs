@@ -209,7 +209,7 @@ pub fn e2_device_level() -> DeviceLevelResults {
     );
     world.add_process(h1, Box::new(wirer));
     world.run_until(SimTime::from_secs(120));
-    let upnp_latencies = upnp_stats.borrow().action_latencies.clone();
+    let upnp_latencies = upnp_stats.borrow().action_latencies;
 
     // --- Bluetooth mouse: 100 signals ---
     let mut world = World::new(8);
@@ -233,13 +233,13 @@ pub fn e2_device_level() -> DeviceLevelResults {
     let bt_stats = mapper.stats_handle();
     world.add_process(h1, Box::new(mapper));
     world.run_until(SimTime::from_secs(60));
-    let mouse_latencies = bt_stats.borrow().translation_latencies.clone();
+    let mouse_latencies = bt_stats.borrow().translation_latencies;
 
     DeviceLevelResults {
-        upnp_total: mean(&upnp_latencies),
+        upnp_total: upnp_latencies.mean(),
         upnp_umiddle_share: umiddle_bridges::calib::CONTROL_TRANSLATION,
         upnp_samples: upnp_latencies.len(),
-        mouse_translation: mean(&mouse_latencies),
+        mouse_translation: mouse_latencies.mean(),
         mouse_samples: mouse_latencies.len(),
     }
 }
@@ -1031,8 +1031,8 @@ pub fn e7_ablation_scatter() -> ScatterResults {
             )),
         );
         world.run_until(SimTime::from_secs(130));
-        let latencies = stats.borrow().action_latencies.clone();
-        (mean(&latencies), latencies.len())
+        let latencies = stats.borrow().action_latencies;
+        (latencies.mean(), latencies.len())
     };
 
     // --- scattered: a native UPnP control point via the exporter ---
@@ -1139,8 +1139,8 @@ pub fn e7_ablation_scatter() -> ScatterResults {
         );
         world.run_until(SimTime::from_secs(180));
         let soap_rts = latencies.borrow().clone();
-        let captures = mapper_stats.borrow().action_latencies.clone();
-        (mean(&captures), mean(&soap_rts), captures.len())
+        let captures = mapper_stats.borrow().action_latencies;
+        (captures.mean(), mean(&soap_rts), captures.len())
     };
 
     ScatterResults {

@@ -3,9 +3,10 @@
 //!
 //! Each benchmark is warmed up, then run in adaptively sized batches
 //! until a fixed measurement budget elapses; the report prints the
-//! best, median, and mean batch cost per iteration. Wall-clock numbers
-//! are inherently noisy — the point is order-of-magnitude tracking of
-//! the CPU-bound codecs, not statistical rigor.
+//! median batch cost per iteration with its 10th and 90th percentiles,
+//! and returns them as a [`Spread`] for the caller to record.
+//! Wall-clock numbers are inherently noisy — the point is tracking the
+//! CPU-bound codecs with their spread, not statistical rigor.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -41,8 +42,22 @@ impl Sample {
     }
 }
 
-/// Times `f` and prints a one-line report: `name  best/median/mean ns`.
-pub fn bench_function<R, F: FnMut() -> R>(name: &str, mut f: F) {
+/// Cost per iteration over a benchmark's batches, in nanoseconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// The median batch.
+    pub median_ns: f64,
+    /// The 10th-percentile batch.
+    pub p10_ns: f64,
+    /// The 90th-percentile batch.
+    pub p90_ns: f64,
+    /// Batches measured.
+    pub samples: usize,
+}
+
+/// Times `f`, prints a one-line report (`name  median (p10 … p90)`) and
+/// returns the spread.
+pub fn bench_function<R, F: FnMut() -> R>(name: &str, mut f: F) -> Spread {
     // Warm-up: run until the warm-up budget elapses, sizing the batch.
     let mut batch: u64 = 1;
     let warm_start = Instant::now();
@@ -79,16 +94,21 @@ pub fn bench_function<R, F: FnMut() -> R>(name: &str, mut f: F) {
 
     let mut per_iter: Vec<f64> = samples.iter().map(Sample::ns_per_iter).collect();
     per_iter.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-    let best = per_iter.first().copied().unwrap_or(f64::NAN);
-    let median = per_iter[per_iter.len() / 2];
-    let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
+    let at = |q: usize| per_iter[(per_iter.len() - 1) * q / 100];
+    let spread = Spread {
+        median_ns: at(50),
+        p10_ns: at(10),
+        p90_ns: at(90),
+        samples: per_iter.len(),
+    };
     println!(
-        "{name:<32} best {:>12}  median {:>12}  mean {:>12}  ({} samples x {batch} iters)",
-        fmt_ns(best),
-        fmt_ns(median),
-        fmt_ns(mean),
-        samples.len(),
+        "{name:<32} median {:>12}  (p10 {:>12}  p90 {:>12})  ({} samples x {batch} iters)",
+        fmt_ns(spread.median_ns),
+        fmt_ns(spread.p10_ns),
+        fmt_ns(spread.p90_ns),
+        spread.samples,
     );
+    spread
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -587,8 +607,10 @@ mod tests {
 
     #[test]
     fn bench_function_runs() {
-        // Smoke: the harness terminates and doesn't panic on a fast fn.
-        super::bench_function("noop_add", || 1u64.wrapping_add(2));
+        // Smoke: the harness terminates and reports an ordered spread.
+        let spread = super::bench_function("noop_add", || 1u64.wrapping_add(2));
+        assert!(spread.samples > 0);
+        assert!(spread.p10_ns <= spread.median_ns && spread.median_ns <= spread.p90_ns);
     }
 
     #[test]

@@ -328,11 +328,11 @@ impl ControlPoint {
         ctx: &mut Ctx<'_>,
         pending: Pending,
         msg: Result<HttpMessage, String>,
-    ) -> Vec<CpEvent> {
+    ) -> Option<CpEvent> {
         let Ok(HttpMessage::Response(resp)) = msg else {
-            return vec![CpEvent::Failed {
+            return Some(CpEvent::Failed {
                 context: context_of(&pending),
-            }];
+            });
         };
         match pending {
             Pending::Description { location, .. } => {
@@ -341,14 +341,14 @@ impl ControlPoint {
                     .ok()
                     .and_then(DeviceDesc::parse)
                 {
-                    Some(desc) => vec![CpEvent::Description {
+                    Some(desc) => Some(CpEvent::Description {
                         location,
                         desc,
                         raw_len: resp.body.len(),
-                    }],
-                    None => vec![CpEvent::Failed {
+                    }),
+                    None => Some(CpEvent::Failed {
                         context: format!("description from {location}"),
-                    }],
+                    }),
                 }
             }
             Pending::Action { call_id, .. } => {
@@ -357,24 +357,24 @@ impl ControlPoint {
                     .ok()
                     .and_then(SoapResult::parse)
                 {
-                    Some(result) => vec![CpEvent::ActionResult { call_id, result }],
-                    None => vec![CpEvent::Failed {
+                    Some(result) => Some(CpEvent::ActionResult { call_id, result }),
+                    None => Some(CpEvent::Failed {
                         context: format!("action {call_id}"),
-                    }],
+                    }),
                 }
             }
             Pending::Subscribe {
                 service, location, ..
             } => {
                 if resp.status == 200 {
-                    vec![CpEvent::Subscribed { service, location }]
+                    Some(CpEvent::Subscribed { service, location })
                 } else {
-                    vec![CpEvent::Failed {
+                    Some(CpEvent::Failed {
                         context: format!("subscribe {service}"),
-                    }]
+                    })
                 }
             }
-            Pending::Inbound { .. } => Vec::new(),
+            Pending::Inbound { .. } => None,
         }
     }
 }

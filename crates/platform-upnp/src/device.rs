@@ -36,13 +36,21 @@ impl StateTable {
         self.vars.get(name).map(String::as_str)
     }
 
-    /// Writes a state variable, recording the change for eventing.
-    pub fn set(&mut self, name: &str, value: impl Into<String>) {
-        let value = value.into();
-        let prev = self.vars.insert(name.to_owned(), value.clone());
-        if prev.as_deref() != Some(&value) {
-            self.changed.push((name.to_owned(), value));
+    /// Writes a state variable, recording the change for eventing. An
+    /// unchanged value is neither stored again nor recorded.
+    pub fn set(&mut self, name: &str, value: impl AsRef<str>) {
+        let value = value.as_ref();
+        match self.vars.get_mut(name) {
+            Some(current) if current == value => return,
+            Some(current) => {
+                current.clear();
+                current.push_str(value);
+            }
+            None => {
+                self.vars.insert(name.to_owned(), value.to_owned());
+            }
         }
+        self.changed.push((name.to_owned(), value.to_owned()));
     }
 
     /// Takes the accumulated changes.
@@ -171,7 +179,7 @@ impl UpnpDevice {
     }
 
     fn handle_request(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, req: HttpRequest) {
-        let response = match (req.method.as_str(), req.path.as_str()) {
+        let response = match (req.method(), req.path()) {
             ("GET", "/description.xml") => {
                 ctx.busy(calib::xml_codec_cost(self.desc_xml.len()));
                 HttpResponse::xml(self.desc_xml.clone())

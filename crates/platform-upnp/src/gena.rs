@@ -6,7 +6,7 @@
 //! a callback address, notify with `(name, value)` pairs, sequence keys.
 
 use simnet::{Addr, NodeId};
-use umiddle_usdl::Element;
+use umiddle_usdl::{XmlReader, XmlWriter};
 
 use crate::http::{HttpRequest, HttpResponse};
 
@@ -22,7 +22,7 @@ pub struct Subscribe {
 impl Subscribe {
     /// Builds the HTTP request.
     pub fn to_request(&self) -> HttpRequest {
-        HttpRequest::new("SUBSCRIBE", &format!("/event/{}", self.service)).with_header(
+        HttpRequest::new("SUBSCRIBE", format!("/event/{}", self.service)).with_header(
             "callback",
             format!("{}/{}", self.callback.node.index(), self.callback.port),
         )
@@ -30,7 +30,7 @@ impl Subscribe {
 
     /// Parses a SUBSCRIBE request.
     pub fn from_request(req: &HttpRequest) -> Option<Subscribe> {
-        let service = req.path.strip_prefix("/event/")?.to_owned();
+        let service = req.path().strip_prefix("/event/")?.to_owned();
         let cb = req.header("callback")?;
         let (node, port) = cb.split_once('/')?;
         Some(Subscribe {
@@ -59,35 +59,56 @@ pub struct Notify {
 }
 
 impl Notify {
-    /// Builds the HTTP NOTIFY request with a property-set body.
+    /// Builds the HTTP NOTIFY request with a property-set body, written
+    /// field by field into one buffer (the bytes an `Element` tree of
+    /// it would write).
     pub fn to_request(&self) -> HttpRequest {
-        let mut propset =
-            Element::new("e:propertyset").with_attr("xmlns:e", "urn:schemas-upnp-org:event-1-0");
-        for (k, v) in &self.changes {
-            propset = propset.with_child(
-                Element::new("e:property").with_child(Element::new(k.clone()).with_text(v.clone())),
-            );
+        let changes: usize = self
+            .changes
+            .iter()
+            .map(|(k, v)| 2 * k.len() + v.len() + 30)
+            .sum();
+        let mut w = XmlWriter::document(PROPSET_OPEN.len() + 20 + changes);
+        w.markup(PROPSET_OPEN);
+        if self.changes.is_empty() {
+            w.markup("/>");
+        } else {
+            w.markup(">");
+            for (k, v) in &self.changes {
+                w.markup("<e:property>").leaf(k, v).markup("</e:property>");
+            }
+            w.markup("</e:propertyset>");
         }
-        HttpRequest::new("NOTIFY", &format!("/notify/{}", self.service))
+        HttpRequest::new("NOTIFY", format!("/notify/{}", self.service))
             .with_header("nts", "upnp:propchange")
             .with_header("seq", self.seq.to_string())
             .with_header("x-device", self.device.clone())
-            .with_body(propset.to_document().into_bytes())
+            .with_body(w.finish().into_bytes())
     }
 
-    /// Parses a NOTIFY request.
+    /// Parses a NOTIFY request, reading the property set in place: each
+    /// child element of each `property` child of the root is one change
+    /// (local name, direct text trimmed). The whole body must be
+    /// well-formed.
     pub fn from_request(req: &HttpRequest) -> Option<Notify> {
-        let service = req.path.strip_prefix("/notify/")?.to_owned();
+        let service = req.path().strip_prefix("/notify/")?.to_owned();
         let seq = req.header("seq")?.parse().ok()?;
         let device = req.header("x-device")?.to_owned();
         let body = std::str::from_utf8(&req.body).ok()?;
-        let root = Element::parse(body).ok()?;
+        let mut r = XmlReader::new(body);
+        r.root().ok()?;
         let mut changes = Vec::new();
-        for prop in root.children_named("property") {
-            for var in prop.children() {
-                changes.push((var.local_name().to_owned(), var.text()));
+        r.read_children(|r, property| {
+            if property.local_name() != "property" {
+                return Ok(false);
             }
-        }
+            r.read_children(|r, var| {
+                changes.push((var.local_name().to_owned(), r.read_text()?));
+                Ok(true)
+            })?;
+            Ok(true)
+        })
+        .ok()?;
         Some(Notify {
             device,
             service,
@@ -96,6 +117,9 @@ impl Notify {
         })
     }
 }
+
+/// A property set's start tag, up to where it closes or self-closes.
+const PROPSET_OPEN: &str = "<e:propertyset xmlns:e=\"urn:schemas-upnp-org:event-1-0\"";
 
 #[cfg(test)]
 mod tests {
@@ -108,7 +132,7 @@ mod tests {
             callback: Addr::new(NodeId::from_index(2), 7070),
         };
         let req = sub.to_request();
-        assert_eq!(req.method, "SUBSCRIBE");
+        assert_eq!(req.method(), "SUBSCRIBE");
         assert_eq!(Subscribe::from_request(&req), Some(sub));
         assert_eq!(Subscribe::accept(7).header("sid"), Some("uuid:sub-7"));
     }
@@ -122,7 +146,7 @@ mod tests {
             changes: vec![("Power".to_owned(), "1".to_owned())],
         };
         let req = n.to_request();
-        assert_eq!(req.method, "NOTIFY");
+        assert_eq!(req.method(), "NOTIFY");
         assert_eq!(Notify::from_request(&req), Some(n));
     }
 

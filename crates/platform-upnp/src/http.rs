@@ -6,21 +6,230 @@
 //! chunking, and serializers. One request per connection (HTTP/1.0
 //! semantics, `Connection: close`), which matches the era of the paper's
 //! CyberLink stack.
+//!
+//! A received head is read in place: the method, path, reason and header
+//! values of a parsed message are spans of the received bytes, resolved
+//! on access, and header lookup scans the head's lines. A built message
+//! holds constants and owned values, and [`HttpRequest::to_bytes`] /
+//! [`HttpResponse::to_bytes`] write head and body into one buffer of the
+//! exact size.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
 use simnet::Payload;
 
+/// Text in a message head.
+#[derive(Debug, Clone)]
+enum Text {
+    /// Set by a constructor or builder.
+    Fixed(Cow<'static, str>),
+    /// Bytes `start..end` of the received message, whose head was
+    /// checked as UTF-8 when it was read.
+    Span(usize, usize),
+}
+
+/// The header block of a message.
+#[derive(Debug, Clone)]
+enum Headers {
+    /// Set by `with_header`: lowercase keys, sorted and unique.
+    Built(Vec<(Cow<'static, str>, Cow<'static, str>)>),
+    /// The lines after a received start line, looked up in place.
+    Received(Text),
+}
+
+/// What a message's head texts resolve against, and its headers.
+#[derive(Debug, Clone)]
+struct Head {
+    /// The received message that [`Text::Span`]s index; `None` when built.
+    message: Option<Payload>,
+    headers: Headers,
+}
+
+impl Head {
+    fn built() -> Head {
+        Head {
+            message: None,
+            headers: Headers::Built(Vec::new()),
+        }
+    }
+
+    fn text<'s>(&'s self, text: &'s Text) -> &'s str {
+        match text {
+            Text::Fixed(s) => s,
+            Text::Span(start, end) => self
+                .message
+                .as_ref()
+                .and_then(|m| m.get(*start..*end))
+                .and_then(|b| std::str::from_utf8(b).ok())
+                .unwrap_or_default(),
+        }
+    }
+
+    fn with_header(&mut self, key: &'static str, value: Cow<'static, str>) {
+        let key = if key.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(key.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(key)
+        };
+        if let Headers::Received(_) = self.headers {
+            let entries = self.entries();
+            self.headers = Headers::Built(
+                entries
+                    .into_iter()
+                    .map(|(k, v)| (Cow::Owned(k), Cow::Owned(v)))
+                    .collect(),
+            );
+        }
+        if let Headers::Built(entries) = &mut self.headers {
+            match entries.binary_search_by(|(k, _)| k.as_ref().cmp(key.as_ref())) {
+                Ok(i) => entries[i].1 = value,
+                Err(i) => entries.insert(i, (key, value)),
+            }
+        }
+    }
+
+    fn header(&self, key: &str) -> Option<&str> {
+        match &self.headers {
+            Headers::Built(entries) => entries
+                .iter()
+                .find(|(k, _)| k.eq_ignore_ascii_case(key))
+                .map(|(_, v)| v.as_ref()),
+            Headers::Received(lines) => header_line(self.text(lines), key),
+        }
+    }
+
+    /// Calls `f` with each header as `to_bytes` writes it: lowercase
+    /// keys in sorted order, the last value of a repeated key.
+    fn for_each_header(&self, mut f: impl FnMut(&str, &str)) {
+        match &self.headers {
+            Headers::Built(entries) => {
+                for (k, v) in entries {
+                    f(k, v);
+                }
+            }
+            Headers::Received(lines) => {
+                let mut sorted = BTreeMap::new();
+                for (k, v) in crlf_lines(self.text(lines)).filter_map(|l| l.split_once(':')) {
+                    sorted.insert(k.trim().to_ascii_lowercase(), v.trim());
+                }
+                for (k, v) in &sorted {
+                    f(k, v);
+                }
+            }
+        }
+    }
+
+    /// The headers as `(key, value)` pairs in `to_bytes` order.
+    fn entries(&self) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        self.for_each_header(|k, v| out.push((k.to_owned(), v.to_owned())));
+        out
+    }
+
+    /// Serializes `start` (the start line's pieces), the headers, the
+    /// derived `content-length` and `body` into one exact-size buffer.
+    fn write(&self, start: &[&str], body: &[u8]) -> Payload {
+        let mut len = start.iter().map(|s| s.len()).sum::<usize>() + 2;
+        self.for_each_header(|k, v| len += k.len() + v.len() + 4);
+        let mut digits = [0; 20];
+        let length = decimal(body.len() as u64, &mut digits);
+        len += CONTENT_LENGTH.len() + 2 + length.len() + 4 + body.len();
+        let mut out = Vec::with_capacity(len);
+        for piece in start {
+            out.extend_from_slice(piece.as_bytes());
+        }
+        out.extend_from_slice(b"\r\n");
+        self.for_each_header(|k, v| {
+            out.extend_from_slice(k.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(v.as_bytes());
+            out.extend_from_slice(b"\r\n");
+        });
+        out.extend_from_slice(CONTENT_LENGTH.as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(length.as_bytes());
+        out.extend_from_slice(b"\r\n\r\n");
+        out.extend_from_slice(body);
+        Payload::from_vec(out)
+    }
+}
+
+const CONTENT_LENGTH: &str = "content-length";
+
+/// `n` in decimal, written into the end of `buf`.
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).unwrap_or_default()
+}
+
+/// The offset of the first CRLF in `text`.
+fn find_crlf(text: &[u8]) -> Option<usize> {
+    let mut from = 0;
+    while let Some(i) = text.get(from..)?.iter().position(|&b| b == b'\n') {
+        let at = from + i;
+        if at > 0 && text[at - 1] == b'\r' {
+            return Some(at - 1);
+        }
+        from = at + 1;
+    }
+    None
+}
+
+/// `text` split at each CRLF, as `str::split("\r\n")` splits it.
+fn crlf_lines(mut text: &str) -> impl Iterator<Item = &str> {
+    let mut done = false;
+    std::iter::from_fn(move || {
+        if done {
+            return None;
+        }
+        match find_crlf(text.as_bytes()) {
+            Some(at) => {
+                let line = &text[..at];
+                text = &text[at + 2..];
+                Some(line)
+            }
+            None => {
+                done = true;
+                Some(text)
+            }
+        }
+    })
+}
+
+/// Splits a head into its start line and the header lines after it.
+pub(crate) fn split_start_line(head: &str) -> (&str, &str) {
+    match find_crlf(head.as_bytes()) {
+        Some(at) => (&head[..at], &head[at + 2..]),
+        None => (head, &head[head.len()..]),
+    }
+}
+
+/// The value, trimmed, of the last of `lines` whose key (before the
+/// first `:`, trimmed) is `key` in any ASCII case.
+pub(crate) fn header_line<'h>(lines: &'h str, key: &str) -> Option<&'h str> {
+    crlf_lines(lines)
+        .filter_map(|line| line.split_once(':'))
+        .filter(|(k, _)| k.trim().eq_ignore_ascii_case(key))
+        .last()
+        .map(|(_, v)| v.trim())
+}
+
 /// An HTTP request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct HttpRequest {
-    /// Method: `GET`, `POST`, `SUBSCRIBE`, `NOTIFY`, …
-    pub method: String,
-    /// Request path (`/description.xml`).
-    pub path: String,
-    /// Headers with case-insensitive keys (stored lowercase).
-    pub headers: BTreeMap<String, String>,
+    method: Text,
+    path: Text,
+    head: Head,
     /// Body bytes (`Content-Length` is derived automatically). A shared
     /// [`Payload`], so a SOAP/GENA body can carry a `UMessage` payload
     /// without copying.
@@ -29,18 +238,33 @@ pub struct HttpRequest {
 
 impl HttpRequest {
     /// Creates a request with no headers or body.
-    pub fn new(method: &str, path: &str) -> HttpRequest {
+    pub fn new(method: &'static str, path: impl Into<Cow<'static, str>>) -> HttpRequest {
         HttpRequest {
-            method: method.to_owned(),
-            path: path.to_owned(),
-            headers: BTreeMap::new(),
+            method: Text::Fixed(Cow::Borrowed(method)),
+            path: Text::Fixed(path.into()),
+            head: Head::built(),
             body: Payload::new(),
         }
     }
 
-    /// Adds a header (builder style). Keys are lowercased.
-    pub fn with_header(mut self, key: &str, value: impl Into<String>) -> HttpRequest {
-        self.headers.insert(key.to_ascii_lowercase(), value.into());
+    /// Method: `GET`, `POST`, `SUBSCRIBE`, `NOTIFY`, …
+    pub fn method(&self) -> &str {
+        self.head.text(&self.method)
+    }
+
+    /// Request path (`/description.xml`).
+    pub fn path(&self) -> &str {
+        self.head.text(&self.path)
+    }
+
+    /// Adds a header (builder style). Keys are lowercased; a repeated
+    /// key keeps its last value.
+    pub fn with_header(
+        mut self,
+        key: &'static str,
+        value: impl Into<Cow<'static, str>>,
+    ) -> HttpRequest {
+        self.head.with_header(key, value.into());
         self
     }
 
@@ -53,39 +277,59 @@ impl HttpRequest {
 
     /// Looks up a header by case-insensitive name.
     pub fn header(&self, key: &str) -> Option<&str> {
-        self.headers
-            .get(&key.to_ascii_lowercase())
-            .map(String::as_str)
+        self.head.header(key)
     }
 
     /// Serializes to wire bytes as a shared [`Payload`] (freeze, not a
-    /// copy), so a queued or retried request clones in O(1).
+    /// copy), so a queued or retried request clones in O(1). Headers
+    /// are written lowercased in sorted order, then `content-length`.
     pub fn to_bytes(&self) -> Payload {
-        let mut out = format!("{} {} HTTP/1.0\r\n", self.method, self.path).into_bytes();
-        for (k, v) in &self.headers {
-            out.extend_from_slice(format!("{k}: {v}\r\n").as_bytes());
-        }
-        out.extend_from_slice(format!("content-length: {}\r\n\r\n", self.body.len()).as_bytes());
-        out.extend_from_slice(&self.body);
-        Payload::from_vec(out)
+        self.head
+            .write(&[self.method(), " ", self.path(), " HTTP/1.0"], &self.body)
+    }
+}
+
+impl PartialEq for HttpRequest {
+    fn eq(&self, other: &HttpRequest) -> bool {
+        self.method() == other.method()
+            && self.path() == other.path()
+            && self.body == other.body
+            && self.head.entries() == other.head.entries()
+    }
+}
+
+impl Eq for HttpRequest {}
+
+impl fmt::Debug for HttpRequest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HttpRequest")
+            .field("method", &self.method())
+            .field("path", &self.path())
+            .field("headers", &self.head.entries())
+            .field("body", &self.body)
+            .finish()
     }
 }
 
 impl fmt::Display for HttpRequest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} ({}B)", self.method, self.path, self.body.len())
+        write!(
+            f,
+            "{} {} ({}B)",
+            self.method(),
+            self.path(),
+            self.body.len()
+        )
     }
 }
 
 /// An HTTP response.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct HttpResponse {
     /// Status code (200, 404, 500, …).
     pub status: u16,
-    /// Reason phrase.
-    pub reason: String,
-    /// Headers with lowercase keys.
-    pub headers: BTreeMap<String, String>,
+    reason: Text,
+    head: Head,
     /// Body bytes, as a shared [`Payload`].
     pub body: Payload,
 }
@@ -103,8 +347,8 @@ impl HttpResponse {
         };
         HttpResponse {
             status,
-            reason: reason.to_owned(),
-            headers: BTreeMap::new(),
+            reason: Text::Fixed(Cow::Borrowed(reason)),
+            head: Head::built(),
             body: Payload::new(),
         }
     }
@@ -116,9 +360,19 @@ impl HttpResponse {
             .with_body(body.into_bytes())
     }
 
-    /// Adds a header (builder style). Keys are lowercased.
-    pub fn with_header(mut self, key: &str, value: impl Into<String>) -> HttpResponse {
-        self.headers.insert(key.to_ascii_lowercase(), value.into());
+    /// Reason phrase.
+    pub fn reason(&self) -> &str {
+        self.head.text(&self.reason)
+    }
+
+    /// Adds a header (builder style). Keys are lowercased; a repeated
+    /// key keeps its last value.
+    pub fn with_header(
+        mut self,
+        key: &'static str,
+        value: impl Into<Cow<'static, str>>,
+    ) -> HttpResponse {
+        self.head.with_header(key, value.into());
         self
     }
 
@@ -131,20 +385,37 @@ impl HttpResponse {
 
     /// Looks up a header by case-insensitive name.
     pub fn header(&self, key: &str) -> Option<&str> {
-        self.headers
-            .get(&key.to_ascii_lowercase())
-            .map(String::as_str)
+        self.head.header(key)
     }
 
     /// Serializes to wire bytes as a shared [`Payload`].
     pub fn to_bytes(&self) -> Payload {
-        let mut out = format!("HTTP/1.0 {} {}\r\n", self.status, self.reason).into_bytes();
-        for (k, v) in &self.headers {
-            out.extend_from_slice(format!("{k}: {v}\r\n").as_bytes());
-        }
-        out.extend_from_slice(format!("content-length: {}\r\n\r\n", self.body.len()).as_bytes());
-        out.extend_from_slice(&self.body);
-        Payload::from_vec(out)
+        let mut digits = [0; 20];
+        let status = decimal(u64::from(self.status), &mut digits);
+        self.head
+            .write(&["HTTP/1.0 ", status, " ", self.reason()], &self.body)
+    }
+}
+
+impl PartialEq for HttpResponse {
+    fn eq(&self, other: &HttpResponse) -> bool {
+        self.status == other.status
+            && self.reason() == other.reason()
+            && self.body == other.body
+            && self.head.entries() == other.head.entries()
+    }
+}
+
+impl Eq for HttpResponse {}
+
+impl fmt::Debug for HttpResponse {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HttpResponse")
+            .field("status", &self.status)
+            .field("reason", &self.reason())
+            .field("headers", &self.head.entries())
+            .field("body", &self.body)
+            .finish()
     }
 }
 
@@ -185,23 +456,16 @@ impl HttpAccumulator {
     /// Attempts to extract one complete message. Returns `None` until the
     /// headers and full body (per `Content-Length`) have arrived. Messages
     /// that fail to parse return `Some(Err(reason))` and consume the
-    /// buffered bytes.
+    /// buffered bytes. The head is read in place: a head that is not
+    /// UTF-8 is read as its lossy decoding.
     #[allow(clippy::type_complexity)]
     pub fn take_message(&mut self) -> Option<Result<HttpMessage, String>> {
-        let header_end = find_subsequence(&self.buf, b"\r\n\r\n")?;
-        let header_text = String::from_utf8_lossy(&self.buf[..header_end]).into_owned();
-        let mut lines = header_text.split("\r\n");
-        let first = lines.next().unwrap_or_default().to_owned();
-        let mut headers = BTreeMap::new();
-        for line in lines {
-            if let Some((k, v)) = line.split_once(':') {
-                headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_owned());
-            }
-        }
-        let content_length: usize = headers
-            .get("content-length")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
+        let header_end = find_head_end(&self.buf)?;
+        let head = &self.buf[..header_end];
+        let content_length: usize = match std::str::from_utf8(head) {
+            Ok(text) => content_length(text),
+            Err(_) => content_length(&String::from_utf8_lossy(head)),
+        };
         let body_start = header_end + 4;
         // A length no buffer can hold (past `isize::MAX`, a `Vec`'s limit,
         // or past `usize` itself) can never complete: reject it now.
@@ -221,40 +485,114 @@ impl HttpAccumulator {
         let rest = self.buf.split_off(total);
         let message = Payload::from_vec(std::mem::replace(&mut self.buf, rest));
         let body = message.slice(body_start..total);
+        let parts = match std::str::from_utf8(&message[..header_end]) {
+            Ok(text) => read_head(text, |part| {
+                // Every part is a subslice of `text`, which starts the
+                // message.
+                let start = part.as_ptr() as usize - text.as_ptr() as usize;
+                Text::Span(start, start + part.len())
+            }),
+            Err(_) => read_head(&String::from_utf8_lossy(&message[..header_end]), |part| {
+                Text::Fixed(Cow::Owned(part.to_owned()))
+            }),
+        };
+        Some(parts.map(|parts| parts.into_message(message, body)))
+    }
+}
 
-        let parts: Vec<&str> = first.splitn(3, ' ').collect();
-        if first.starts_with("HTTP/") {
-            if parts.len() < 2 {
-                return Some(Err(format!("bad status line {first:?}")));
-            }
-            let status: u16 = match parts[1].parse() {
-                Ok(s) => s,
-                Err(_) => return Some(Err(format!("bad status code in {first:?}"))),
-            };
-            Some(Ok(HttpMessage::Response(HttpResponse {
+/// The `Content-Length` of a head, 0 when absent or malformed.
+fn content_length(head: &str) -> usize {
+    header_line(split_start_line(head).1, CONTENT_LENGTH)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0)
+}
+
+/// A received head's start-line fields and header block.
+enum HeadParts {
+    Request {
+        method: Text,
+        path: Text,
+        lines: Text,
+    },
+    Response {
+        status: u16,
+        reason: Text,
+        lines: Text,
+    },
+}
+
+impl HeadParts {
+    fn into_message(self, message: Payload, body: Payload) -> HttpMessage {
+        let head = |lines| Head {
+            message: Some(message),
+            headers: Headers::Received(lines),
+        };
+        match self {
+            HeadParts::Request {
+                method,
+                path,
+                lines,
+            } => HttpMessage::Request(HttpRequest {
+                method,
+                path,
+                head: head(lines),
+                body,
+            }),
+            HeadParts::Response {
                 status,
-                reason: parts.get(2).unwrap_or(&"").to_string(),
-                headers,
+                reason,
+                lines,
+            } => HttpMessage::Response(HttpResponse {
+                status,
+                reason,
+                head: head(lines),
                 body,
-            })))
-        } else {
-            if parts.len() < 3 {
-                return Some(Err(format!("bad request line {first:?}")));
-            }
-            Some(Ok(HttpMessage::Request(HttpRequest {
-                method: parts[0].to_owned(),
-                path: parts[1].to_owned(),
-                headers,
-                body,
-            })))
+            }),
         }
     }
 }
 
-fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack
-        .windows(needle.len())
-        .position(|window| window == needle)
+/// Reads a head's start line; `text` makes each part (a subslice of
+/// `head`) a [`Text`].
+fn read_head(head: &str, text: impl Fn(&str) -> Text) -> Result<HeadParts, String> {
+    let (first, lines) = split_start_line(head);
+    let mut parts = first.splitn(3, ' ');
+    let (p0, p1, p2) = (parts.next(), parts.next(), parts.next());
+    let lines = text(lines);
+    if first.starts_with("HTTP/") {
+        let Some(code) = p1 else {
+            return Err(format!("bad status line {first:?}"));
+        };
+        let Ok(status) = code.parse() else {
+            return Err(format!("bad status code in {first:?}"));
+        };
+        Ok(HeadParts::Response {
+            status,
+            reason: text(p2.unwrap_or(&first[first.len()..])),
+            lines,
+        })
+    } else {
+        let (Some(method), Some(path), Some(_)) = (p0, p1, p2) else {
+            return Err(format!("bad request line {first:?}"));
+        };
+        Ok(HeadParts::Request {
+            method: text(method),
+            path: text(path),
+            lines,
+        })
+    }
+}
+
+/// The offset of the blank line (`\r\n\r\n`) that ends a head.
+fn find_head_end(bytes: &[u8]) -> Option<usize> {
+    let mut from = 0;
+    loop {
+        let at = from + find_crlf(bytes.get(from..)?)?;
+        if bytes[at + 2..].starts_with(b"\r\n") {
+            return Some(at);
+        }
+        from = at + 2;
+    }
 }
 
 #[cfg(test)]
@@ -270,8 +608,8 @@ mod tests {
         acc.push(&req.to_bytes());
         match acc.take_message().unwrap().unwrap() {
             HttpMessage::Request(r) => {
-                assert_eq!(r.method, "POST");
-                assert_eq!(r.path, "/control");
+                assert_eq!(r.method(), "POST");
+                assert_eq!(r.path(), "/control");
                 assert_eq!(r.header("soapaction"), Some("\"urn:svc#SetPower\""));
                 assert_eq!(r.body, b"<xml/>");
             }
@@ -310,8 +648,8 @@ mod tests {
         assert!(acc.take_message().is_none());
         match (m1, m2) {
             (HttpMessage::Request(r1), HttpMessage::Request(r2)) => {
-                assert_eq!(r1.path, "/a");
-                assert_eq!(r2.path, "/b");
+                assert_eq!(r1.path(), "/a");
+                assert_eq!(r2.path(), "/b");
             }
             other => panic!("{other:?}"),
         }
@@ -347,7 +685,7 @@ mod tests {
             acc.push(&HttpRequest::new("GET", "/next").to_bytes());
             assert!(matches!(
                 acc.take_message(),
-                Some(Ok(HttpMessage::Request(r))) if r.path == "/next"
+                Some(Ok(HttpMessage::Request(r))) if r.path() == "/next"
             ));
         }
     }

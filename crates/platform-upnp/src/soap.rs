@@ -6,9 +6,13 @@
 //! here is exactly the cost the paper measures in §5.2 (150 ms "consumed
 //! in the UPnP domain (marshaling/unmarshaling XML messages...)").
 
-use umiddle_usdl::Element;
+use umiddle_usdl::{Element, StartTag, XmlError, XmlReader, XmlWriter};
 
-const ENVELOPE_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
+/// Everything an envelope writes before its body's first element.
+const ENVELOPE_OPEN: &str =
+    "<s:Envelope xmlns:s=\"http://schemas.xmlsoap.org/soap/envelope/\"><s:Body>";
+/// Everything an envelope writes after its body's element.
+const ENVELOPE_CLOSE: &str = "</s:Body></s:Envelope>";
 
 /// A SOAP action call: service type, action name, in-arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,43 +41,50 @@ impl SoapCall {
         self
     }
 
-    /// Serializes the request envelope.
+    /// Serializes the request envelope, written field by field into one
+    /// buffer (the bytes an `Element` tree of it would write).
     pub fn to_xml(&self) -> String {
-        let mut action = Element::new(format!("u:{}", self.action))
-            .with_attr("xmlns:u", format!("urn:umiddle:service:{}:1", self.service));
-        for (k, v) in &self.args {
-            action = action.with_child(Element::new(k.clone()).with_text(v.clone()));
+        let args: usize = self
+            .args
+            .iter()
+            .map(|(k, v)| 2 * k.len() + v.len() + 5)
+            .sum();
+        let mut w = XmlWriter::document(
+            ENVELOPE_OPEN.len() + ENVELOPE_CLOSE.len() + 2 * self.action.len() + 64 + args,
+        );
+        w.markup(ENVELOPE_OPEN).markup("<u:").markup(&self.action);
+        w.attr_parts("xmlns:u", &["urn:umiddle:service:", &self.service, ":1"]);
+        if self.args.is_empty() {
+            w.markup("/>");
+        } else {
+            w.markup(">");
+            for (k, v) in &self.args {
+                w.leaf(k, v);
+            }
+            w.markup("</u:").markup(&self.action).markup(">");
         }
-        Element::new("s:Envelope")
-            .with_attr("xmlns:s", ENVELOPE_NS)
-            .with_child(Element::new("s:Body").with_child(action))
-            .to_document()
+        w.markup(ENVELOPE_CLOSE);
+        w.finish()
     }
 
-    /// Parses a request envelope.
+    /// Parses a request envelope, reading the fields in place: the
+    /// action is the first element in the first `Body` of an
+    /// `Envelope`, its service comes from its first `xmlns*` attribute,
+    /// and each of its child elements is one argument (full name, direct
+    /// text trimmed). The whole document must be well-formed.
     pub fn parse(xml: &str) -> Option<SoapCall> {
-        let root = Element::parse(xml).ok()?;
-        if root.local_name() != "Envelope" {
-            return None;
-        }
-        let body = root.child("Body")?;
-        let action_el = body.children().next()?;
-        let action = action_el.local_name().to_owned();
-        let ns = action_el
-            .attrs()
-            .find(|(k, _)| k.starts_with("xmlns"))
-            .map(|(_, v)| v)
-            .unwrap_or_default();
-        // urn:umiddle:service:<Service>:1
-        let service = ns.split(':').nth(3).unwrap_or_default().to_owned();
-        let args = action_el
-            .children()
-            .map(|c| (c.name().to_owned(), c.text()))
-            .collect();
-        Some(SoapCall {
-            service,
-            action,
-            args,
+        read_envelope(xml, true, |r, action| {
+            // urn:umiddle:service:<Service>:1
+            let service = action
+                .attrs()
+                .find(|(k, _)| k.starts_with("xmlns"))
+                .and_then(|(_, ns)| ns.split(':').nth(3).map(str::to_owned))
+                .unwrap_or_default();
+            Ok(SoapCall {
+                service,
+                action: action.local_name().to_owned(),
+                args: read_args(r)?,
+            })
         })
     }
 
@@ -103,60 +114,123 @@ pub enum SoapResult {
 }
 
 impl SoapResult {
-    /// Serializes the response envelope.
+    /// Serializes the response envelope, written field by field into one
+    /// buffer (the bytes an `Element` tree of it would write).
     pub fn to_xml(&self) -> String {
-        let body = match self {
+        match self {
             SoapResult::Ok { action, args } => {
-                let mut resp = Element::new(format!("u:{action}Response"));
-                for (k, v) in args {
-                    resp = resp.with_child(Element::new(k.clone()).with_text(v.clone()));
+                let args_len: usize = args.iter().map(|(k, v)| 2 * k.len() + v.len() + 5).sum();
+                let mut w = XmlWriter::document(
+                    ENVELOPE_OPEN.len() + ENVELOPE_CLOSE.len() + 2 * action.len() + 24 + args_len,
+                );
+                w.markup(ENVELOPE_OPEN)
+                    .markup("<u:")
+                    .markup(action)
+                    .markup("Response");
+                if args.is_empty() {
+                    w.markup("/>");
+                } else {
+                    w.markup(">");
+                    for (k, v) in args {
+                        w.leaf(k, v);
+                    }
+                    w.markup("</u:").markup(action).markup("Response>");
                 }
-                resp
+                w.markup(ENVELOPE_CLOSE);
+                w.finish()
             }
-            SoapResult::Fault { code, description } => Element::new("s:Fault")
-                .with_child(Element::new("faultcode").with_text("s:Client"))
-                .with_child(Element::new("faultstring").with_text("UPnPError"))
-                .with_child(
-                    Element::new("detail").with_child(
-                        Element::new("UPnPError")
-                            .with_child(Element::new("errorCode").with_text(code.to_string()))
-                            .with_child(
-                                Element::new("errorDescription").with_text(description.clone()),
-                            ),
-                    ),
-                ),
-        };
-        Element::new("s:Envelope")
-            .with_attr("xmlns:s", ENVELOPE_NS)
-            .with_child(Element::new("s:Body").with_child(body))
-            .to_document()
+            SoapResult::Fault { code, description } => {
+                let mut w = XmlWriter::document(
+                    ENVELOPE_OPEN.len() + ENVELOPE_CLOSE.len() + 200 + description.len(),
+                );
+                w.markup(ENVELOPE_OPEN)
+                    .markup("<s:Fault>")
+                    .leaf("faultcode", "s:Client")
+                    .leaf("faultstring", "UPnPError")
+                    .markup("<detail><UPnPError>")
+                    .leaf("errorCode", &code.to_string())
+                    .leaf("errorDescription", description)
+                    .markup("</UPnPError></detail></s:Fault>")
+                    .markup(ENVELOPE_CLOSE);
+                w.finish()
+            }
+        }
     }
 
-    /// Parses a response envelope.
+    /// Parses a response envelope, reading the fields in place: the first
+    /// element in the first `Body` is the `<action>Response` whose child
+    /// elements are the out-arguments. A `Fault` there is rare and is
+    /// read from the DOM.
     pub fn parse(xml: &str) -> Option<SoapResult> {
+        let result = read_envelope(xml, false, |r, first| {
+            if first.local_name() == "Fault" {
+                r.skip_element()?;
+                return Ok(None);
+            }
+            let name = first.local_name();
+            Ok(Some(SoapResult::Ok {
+                action: name.strip_suffix("Response").unwrap_or(name).to_owned(),
+                args: read_args(r)?,
+            }))
+        })?;
+        result.or_else(|| Self::parse_fault(xml))
+    }
+
+    /// Reads a fault envelope through the DOM.
+    fn parse_fault(xml: &str) -> Option<SoapResult> {
         let root = Element::parse(xml).ok()?;
-        let body = root.child("Body")?;
-        let first = body.children().next()?;
-        if first.local_name() == "Fault" {
-            let err = first.find("UPnPError")?;
-            return Some(SoapResult::Fault {
-                code: err.child("errorCode")?.text().parse().ok()?,
-                description: err.child("errorDescription")?.text(),
-            });
-        }
-        let action = first
-            .local_name()
-            .strip_suffix("Response")
-            .unwrap_or(first.local_name())
-            .to_owned();
-        Some(SoapResult::Ok {
-            action,
-            args: first
-                .children()
-                .map(|c| (c.name().to_owned(), c.text()))
-                .collect(),
+        let fault = root.child("Body")?.children().next()?;
+        let err = fault.find("UPnPError")?;
+        Some(SoapResult::Fault {
+            code: err.child("errorCode")?.text().parse().ok()?,
+            description: err.child("errorDescription")?.text(),
         })
     }
+}
+
+/// Reads a whole envelope, handing the first element of its first
+/// `Body` to `first`, which reads that element through its end tag.
+/// `None` when the document is malformed, holds no such element, or
+/// (with `envelope_root`) its root is not an `Envelope`.
+fn read_envelope<'a, T>(
+    xml: &'a str,
+    envelope_root: bool,
+    first: impl FnOnce(&mut XmlReader<'a>, StartTag<'a>) -> Result<T, XmlError>,
+) -> Option<T> {
+    let mut r = XmlReader::new(xml);
+    if r.root().ok()?.local_name() != "Envelope" && envelope_root {
+        return None;
+    }
+    let mut first = Some(first);
+    let mut body_seen = false;
+    let mut out = None;
+    r.read_children(|r, tag| {
+        if tag.local_name() != "Body" || body_seen {
+            return Ok(false);
+        }
+        body_seen = true;
+        r.read_children(|r, tag| match first.take() {
+            Some(read) => {
+                out = Some(read(r, tag)?);
+                Ok(true)
+            }
+            None => Ok(false),
+        })?;
+        Ok(true)
+    })
+    .ok()?;
+    out
+}
+
+/// Right after an action's start tag: each child element as `(full
+/// name, direct text trimmed)`, reading through the action's end tag.
+fn read_args(r: &mut XmlReader<'_>) -> Result<Vec<(String, String)>, XmlError> {
+    let mut args = Vec::new();
+    r.read_children(|r, tag| {
+        args.push((tag.name().to_owned(), r.read_text()?));
+        Ok(true)
+    })?;
+    Ok(args)
 }
 
 #[cfg(test)]

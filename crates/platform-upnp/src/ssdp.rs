@@ -5,9 +5,9 @@
 //! `M-SEARCH` queries with unicast responses. Messages are HTTP-like
 //! header blocks over UDP; this module provides the codec.
 
-use std::collections::BTreeMap;
-
 use simnet::{Addr, NodeId};
+
+use crate::http::{header_line, split_start_line};
 
 /// The SSDP multicast group port used in the simulation (stands in for
 /// 239.255.255.250:1900).
@@ -118,53 +118,49 @@ impl SsdpMessage {
     /// recognizable SSDP message (robustness against stray traffic).
     pub fn parse(bytes: &[u8]) -> Option<SsdpMessage> {
         let text = std::str::from_utf8(bytes).ok()?;
-        let mut lines = text.split("\r\n");
-        let first = lines.next()?;
-        let mut headers: BTreeMap<String, String> = BTreeMap::new();
-        for line in lines {
-            if let Some((k, v)) = line.split_once(':') {
-                headers.insert(k.trim().to_ascii_uppercase(), v.trim().to_owned());
-            }
-        }
-        let parse_addr = |s: &str| -> Option<Addr> {
-            let (node, port) = s.split_once('/')?;
+        // Every line after the start line is a candidate header; the
+        // last of a repeated key wins.
+        let (first, lines) = split_start_line(text);
+        let header = |key: &str| header_line(lines, key);
+        let owned = |key: &str| header(key).map(str::to_owned);
+        let parse_addr = |key: &str| -> Option<Addr> {
+            let (node, port) = header(key)?.split_once('/')?;
             Some(Addr::new(
                 NodeId::from_index(node.parse().ok()?),
                 port.parse().ok()?,
             ))
         };
-        let max_age = |headers: &BTreeMap<String, String>| -> u32 {
-            headers
-                .get("CACHE-CONTROL")
+        let max_age = || -> u32 {
+            header("CACHE-CONTROL")
                 .and_then(|v| v.strip_prefix("max-age="))
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(1800)
         };
         if first.starts_with("NOTIFY") {
-            match headers.get("NTS").map(String::as_str) {
+            match header("NTS") {
                 Some("ssdp:alive") => Some(SsdpMessage::Alive {
-                    usn: headers.get("USN")?.clone(),
-                    device_type: headers.get("NT")?.clone(),
-                    location: parse_addr(headers.get("LOCATION")?)?,
-                    max_age: max_age(&headers),
+                    usn: owned("USN")?,
+                    device_type: owned("NT")?,
+                    location: parse_addr("LOCATION")?,
+                    max_age: max_age(),
                 }),
                 Some("ssdp:byebye") => Some(SsdpMessage::ByeBye {
-                    usn: headers.get("USN")?.clone(),
-                    device_type: headers.get("NT")?.clone(),
+                    usn: owned("USN")?,
+                    device_type: owned("NT")?,
                 }),
                 _ => None,
             }
         } else if first.starts_with("M-SEARCH") {
             Some(SsdpMessage::MSearch {
-                st: headers.get("ST")?.clone(),
-                reply_to: parse_addr(headers.get("REPLY-TO")?)?,
+                st: owned("ST")?,
+                reply_to: parse_addr("REPLY-TO")?,
             })
         } else if first.starts_with("HTTP/1.1 200") {
             Some(SsdpMessage::SearchResponse {
-                usn: headers.get("USN")?.clone(),
-                device_type: headers.get("ST")?.clone(),
-                location: parse_addr(headers.get("LOCATION")?)?,
-                max_age: max_age(&headers),
+                usn: owned("USN")?,
+                device_type: owned("ST")?,
+                location: parse_addr("LOCATION")?,
+                max_age: max_age(),
             })
         } else {
             None

@@ -14,7 +14,7 @@ use std::collections::{HashMap, VecDeque};
 
 use platform_upnp::{HttpAccumulator, HttpMessage, HttpRequest, HttpResponse};
 use simnet::{Addr, Ctx, Payload, Process, SimDuration, StreamEvent, StreamId};
-use umiddle_usdl::Element;
+use umiddle_usdl::{Element, XmlError, XmlReader, XmlWriter};
 
 /// Host-side XML processing cost per call or response.
 pub const WS_XML_COST: SimDuration = SimDuration::from_millis(8);
@@ -40,37 +40,74 @@ impl MethodCall {
         }
     }
 
-    /// Serializes to XML.
+    /// Serializes to XML, written field by field into one buffer (the
+    /// bytes an `Element` tree of it would write).
     pub fn to_xml(&self) -> String {
-        let mut root = Element::new("methodCall")
-            .with_child(Element::new("methodName").with_text(&self.method));
-        let mut params = Element::new("params");
-        for p in &self.params {
-            params = params.with_child(
-                Element::new("param").with_child(Element::new("value").with_text(p.clone())),
-            );
+        let params: usize = self.params.iter().map(|p| p.len() + 30).sum();
+        let mut w = XmlWriter::document(64 + self.method.len() + params);
+        w.markup("<methodCall>").leaf("methodName", &self.method);
+        if self.params.is_empty() {
+            w.markup("<params/>");
+        } else {
+            w.markup("<params>");
+            for p in &self.params {
+                w.markup("<param>").leaf("value", p).markup("</param>");
+            }
+            w.markup("</params>");
         }
-        root = root.with_child(params);
-        root.to_document()
+        w.markup("</methodCall>");
+        w.finish()
     }
 
-    /// Parses from XML.
+    /// Parses from XML, reading the fields in place: the first
+    /// `methodName` of a `methodCall` names the method, and each `param`
+    /// of its first `params` contributes its first `value`'s text. The
+    /// whole document must be well-formed.
     pub fn parse(xml: &str) -> Option<MethodCall> {
-        let root = Element::parse(xml).ok()?;
-        if root.local_name() != "methodCall" {
+        let mut r = XmlReader::new(xml);
+        if r.root().ok()?.local_name() != "methodCall" {
             return None;
         }
-        let method = root.child("methodName")?.text();
-        let params = root
-            .child("params")
-            .map(|ps| {
-                ps.children_named("param")
-                    .filter_map(|p| p.child("value").map(Element::text))
-                    .collect()
-            })
-            .unwrap_or_default();
-        Some(MethodCall { method, params })
+        let mut method = None;
+        let mut params = None;
+        r.read_children(|r, tag| {
+            match tag.local_name() {
+                "methodName" if method.is_none() => method = Some(r.read_text()?),
+                "params" if params.is_none() => {
+                    let mut values = Vec::new();
+                    r.read_children(|r, param| {
+                        if param.local_name() != "param" {
+                            return Ok(false);
+                        }
+                        values.extend(read_first_value(r)?);
+                        Ok(true)
+                    })?;
+                    params = Some(values);
+                }
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })
+        .ok()?;
+        Some(MethodCall {
+            method: method?,
+            params: params.unwrap_or_default(),
+        })
     }
+}
+
+/// Right after a `param` start tag: its first `value`'s text, reading
+/// through the end of `param`.
+fn read_first_value(r: &mut XmlReader<'_>) -> Result<Option<String>, XmlError> {
+    let mut value = None;
+    r.read_children(|r, tag| {
+        if tag.local_name() != "value" || value.is_some() {
+            return Ok(false);
+        }
+        value = Some(r.read_text()?);
+        Ok(true)
+    })?;
+    Ok(value)
 }
 
 /// The reply to a method call.
@@ -88,38 +125,75 @@ pub enum MethodResponse {
 }
 
 impl MethodResponse {
-    /// Serializes to XML.
+    /// Serializes to XML, written field by field into one buffer (the
+    /// bytes an `Element` tree of it would write).
     pub fn to_xml(&self) -> String {
-        let root = match self {
+        match self {
             MethodResponse::Value(v) => {
-                Element::new("methodResponse").with_child(Element::new("params").with_child(
-                    Element::new("param").with_child(Element::new("value").with_text(v.clone())),
-                ))
+                let mut w = XmlWriter::document(80 + v.len());
+                w.markup("<methodResponse><params><param>")
+                    .leaf("value", v)
+                    .markup("</param></params></methodResponse>");
+                w.finish()
             }
-            MethodResponse::Fault { code, message } => Element::new("methodResponse").with_child(
-                Element::new("fault")
-                    .with_child(Element::new("faultCode").with_text(code.to_string()))
-                    .with_child(Element::new("faultString").with_text(message.clone())),
-            ),
-        };
-        root.to_document()
+            MethodResponse::Fault { code, message } => {
+                let mut w = XmlWriter::document(100 + message.len());
+                w.markup("<methodResponse><fault>")
+                    .leaf("faultCode", &code.to_string())
+                    .leaf("faultString", message)
+                    .markup("</fault></methodResponse>");
+                w.finish()
+            }
+        }
     }
 
-    /// Parses from XML.
+    /// Parses from XML, reading the fields in place: the first `value`
+    /// of the first `param` of the first `params` of a `methodResponse`.
+    /// A `fault` there is rare and is read from the DOM. The whole
+    /// document must be well-formed.
     pub fn parse(xml: &str) -> Option<MethodResponse> {
-        let root = Element::parse(xml).ok()?;
-        if root.local_name() != "methodResponse" {
+        let mut r = XmlReader::new(xml);
+        if r.root().ok()?.local_name() != "methodResponse" {
             return None;
         }
-        if let Some(fault) = root.child("fault") {
-            return Some(MethodResponse::Fault {
-                code: fault.child("faultCode")?.text().parse().ok()?,
-                message: fault.child("faultString")?.text(),
-            });
+        let mut value = None;
+        let mut fault = false;
+        r.read_children(|r, tag| {
+            match tag.local_name() {
+                "fault" => fault = true,
+                "params" if value.is_none() => {
+                    let mut first = None;
+                    let mut param_seen = false;
+                    r.read_children(|r, param| {
+                        if param.local_name() != "param" || param_seen {
+                            return Ok(false);
+                        }
+                        param_seen = true;
+                        first = read_first_value(r)?;
+                        Ok(true)
+                    })?;
+                    value = Some(first);
+                    return Ok(true);
+                }
+                _ => {}
+            }
+            Ok(false)
+        })
+        .ok()?;
+        if fault {
+            return Self::parse_fault(xml);
         }
-        Some(MethodResponse::Value(
-            root.child("params")?.child("param")?.child("value")?.text(),
-        ))
+        value.flatten().map(MethodResponse::Value)
+    }
+
+    /// Reads a response carrying a `fault` through the DOM.
+    fn parse_fault(xml: &str) -> Option<MethodResponse> {
+        let root = Element::parse(xml).ok()?;
+        let fault = root.child("fault")?;
+        Some(MethodResponse::Fault {
+            code: fault.child("faultCode")?.text().parse().ok()?,
+            message: fault.child("faultString")?.text(),
+        })
     }
 }
 
@@ -136,15 +210,24 @@ pub struct ServiceDescription {
 }
 
 impl ServiceDescription {
-    /// Serializes to XML.
+    /// Serializes to XML, written field by field into one buffer (the
+    /// bytes an `Element` tree of it would write).
     pub fn to_xml(&self) -> String {
-        let mut root = Element::new("service")
-            .with_attr("name", &self.name)
-            .with_attr("kind", &self.kind);
-        for op in &self.operations {
-            root = root.with_child(Element::new("operation").with_attr("name", op));
+        let ops: usize = self.operations.iter().map(|op| op.len() + 20).sum();
+        let mut w = XmlWriter::document(40 + self.name.len() + self.kind.len() + ops);
+        w.markup("<service")
+            .attr("name", &self.name)
+            .attr("kind", &self.kind);
+        if self.operations.is_empty() {
+            w.markup("/>");
+        } else {
+            w.markup(">");
+            for op in &self.operations {
+                w.markup("<operation").attr("name", op).markup("/>");
+            }
+            w.markup("</service>");
         }
-        root.to_document()
+        w.finish()
     }
 
     /// Parses from XML.
@@ -217,12 +300,17 @@ impl WsServer {
             .with_operation(
                 "append",
                 Box::new(move |params| {
-                    let entry = params.first().cloned().unwrap_or_default();
+                    let entry = params.first().map_or("", String::as_str);
                     let mut log = log.borrow_mut();
-                    if log.len() == LOG_TAIL {
-                        log.pop_front();
-                    }
-                    log.push_back(entry);
+                    // A full log reuses its oldest entry's buffer.
+                    let mut slot = if log.len() == LOG_TAIL {
+                        log.pop_front().unwrap_or_default()
+                    } else {
+                        String::new()
+                    };
+                    slot.clear();
+                    slot.push_str(entry);
+                    log.push_back(slot);
                     Ok("ok".to_owned())
                 }),
             )
@@ -285,7 +373,7 @@ impl Process for WsServer {
                     return;
                 };
                 ctx.busy(WS_XML_COST);
-                let response = match (req.method.as_str(), req.path.as_str()) {
+                let response = match (req.method(), req.path()) {
                     ("GET", "/service.xml") => HttpResponse::xml(self.description.to_xml()),
                     ("POST", "/rpc") => {
                         let call = std::str::from_utf8(&req.body)

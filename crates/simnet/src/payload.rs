@@ -111,12 +111,14 @@ impl Clone for Payload {
 }
 
 impl Payload {
-    /// The empty payload. Does not allocate per call (a shared static
-    /// would need lazy init; an `Arc<Vec>` of capacity 0 is allocation
-    /// of the header only).
+    /// The empty payload. Does not allocate: every empty payload made
+    /// on a thread shares that thread's one empty buffer.
     pub fn new() -> Payload {
+        thread_local! {
+            static EMPTY: Arc<Vec<u8>> = Arc::new(Vec::new());
+        }
         Payload {
-            buf: Arc::new(Vec::new()),
+            buf: EMPTY.with(Arc::clone),
             off: 0,
             len: 0,
         }

@@ -40,7 +40,7 @@ mod upnp;
 mod webservices;
 
 pub use bluetooth::BluetoothMapper;
-pub use mapper::MapperStats;
+pub use mapper::{LatencyTally, MapperStats};
 pub use mediabroker::MediaBrokerMapper;
 pub use motes::MotesMapper;
 pub use native::{behaviors, NativeBehavior, NativeEnv, NativeService};

@@ -58,10 +58,44 @@ pub struct MapperStats {
     /// Events translated to the common space.
     pub events: u64,
     /// Per-action latency: common-space input → native completion.
-    pub action_latencies: Vec<SimDuration>,
+    pub action_latencies: LatencyTally,
     /// Per-signal translation latency: native event → common-space
     /// emission.
-    pub translation_latencies: Vec<SimDuration>,
+    pub translation_latencies: LatencyTally,
+}
+
+/// A running count and total of latencies: their mean and number,
+/// in constant space however long the mapper runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LatencyTally {
+    count: u64,
+    total_ns: u64,
+}
+
+impl LatencyTally {
+    /// Records one latency.
+    pub fn push(&mut self, latency: SimDuration) {
+        self.count += 1;
+        self.total_ns += latency.as_nanos();
+    }
+
+    /// Latencies recorded.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Returns `true` if none was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The mean, truncated to whole nanoseconds; zero when empty.
+    pub fn mean(&self) -> SimDuration {
+        match self.count {
+            0 => SimDuration::ZERO,
+            n => SimDuration::from_nanos(self.total_ns / n),
+        }
+    }
 }
 
 /// The native entity a translator is instantiated for: the key the

@@ -221,7 +221,7 @@ impl UpnpExporter {
         idx: usize,
         req: platform_upnp::HttpRequest,
     ) {
-        let response = match (req.method.as_str(), req.path.as_str()) {
+        let response = match (req.method(), req.path()) {
             ("GET", "/description.xml") => {
                 let e = &self.exports[idx];
                 HttpResponse::xml(e.desc_xml.clone())

@@ -187,10 +187,9 @@ impl UpnpMapper {
                 let Some(translator) = dev.translator else {
                     return;
                 };
-                let doc = dev.doc.clone();
-                for (var, value) in &notify.changes {
+                for (var, value) in notify.changes {
                     // Find the output port bound to this state variable.
-                    let port = doc.ports().iter().find(|p| {
+                    let port = dev.doc.ports().iter().find(|p| {
                         p.bindings.iter().any(|b| {
                             b.get("statevar") == Some(var.as_str())
                                 && b.get("service").is_none_or(|s| s == notify.service)
@@ -203,8 +202,8 @@ impl UpnpMapper {
                         self.core.client.output(
                             ctx,
                             translator,
-                            port.spec.name.clone(),
-                            UMessage::text(value.clone()),
+                            port.spec.name.as_str(),
+                            UMessage::text(value),
                         );
                     }
                 }
@@ -273,16 +272,16 @@ impl UpnpMapper {
             ack_input_done(ctx, self.core.runtime(), connection, translator);
             return;
         };
-        let service = binding.get("service").unwrap_or_default().to_owned();
-        let action = binding.get("action").expect("filtered").to_owned();
-        // Fixed value (e.g. SetPower=1) or the message body.
-        let value = binding
-            .get("value")
-            .map(str::to_owned)
-            .or_else(|| msg.body_text().map(str::to_owned))
-            .unwrap_or_default();
-        let mut call = SoapCall::new(&service, &action);
+        let mut call = SoapCall::new(
+            binding.get("service").unwrap_or_default(),
+            binding.get("action").expect("filtered"),
+        );
         if let Some(argument) = binding.get("argument") {
+            // Fixed value (e.g. SetPower=1) or the message body.
+            let value = binding
+                .get("value")
+                .or_else(|| msg.body_text())
+                .unwrap_or_default();
             call = call.with_arg(argument, value);
         }
         // The uMiddle share of the paper's 160 ms SetPower round
@@ -303,7 +302,7 @@ impl UpnpMapper {
             "bridge.upnp.native",
             SpanDetail::new(
                 &["action=", ""],
-                [DetailArg::Str(Symbol::new(&action).as_static())],
+                [DetailArg::Str(Symbol::new(&call.action).as_static())],
             ),
         );
         self.pending_calls

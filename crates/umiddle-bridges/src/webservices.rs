@@ -29,7 +29,7 @@ struct WsService {
     doc: Option<UsdlDocument>,
     translator: Option<TranslatorId>,
     /// Last emitted value per polled output port (dedup).
-    last_values: HashMap<String, String>,
+    last_values: HashMap<Symbol, String>,
 }
 
 #[derive(Debug)]
@@ -40,7 +40,7 @@ enum WsCall {
     },
     Poll {
         service_idx: usize,
-        port: String,
+        port: Symbol,
     },
 }
 
@@ -86,38 +86,34 @@ impl WsMapper {
     }
 
     fn poll_outputs(&mut self, ctx: &mut Ctx<'_>) {
-        let polls: Vec<(usize, Addr, String, String)> = self
-            .services
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, s)| {
-                let doc = s.doc.as_ref()?;
-                s.translator?;
-                Some((idx, s.location, doc.clone()))
-            })
-            .flat_map(|(idx, location, doc)| {
-                doc.ports()
-                    .iter()
-                    .filter(|p| p.spec.direction == umiddle_core::Direction::Output)
-                    .filter_map(|p| {
-                        let op = p.bindings.iter().find_map(|b| b.get("operation"))?;
-                        Some((idx, location, p.spec.name.clone(), op.to_owned()))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (idx, location, port, operation) in polls {
-            let call_id = self.next_call;
-            self.next_call += 1;
-            self.calls.insert(
-                call_id,
-                WsCall::Poll {
-                    service_idx: idx,
-                    port,
-                },
-            );
-            self.ws
-                .call(ctx, location, &MethodCall::new(&operation, vec![]), call_id);
+        for (idx, svc) in self.services.iter().enumerate() {
+            let (Some(doc), Some(_)) = (&svc.doc, svc.translator) else {
+                continue;
+            };
+            let outputs = doc
+                .ports()
+                .iter()
+                .filter(|p| p.spec.direction == umiddle_core::Direction::Output);
+            for port in outputs {
+                let Some(operation) = port.bindings.iter().find_map(|b| b.get("operation")) else {
+                    continue;
+                };
+                let call_id = self.next_call;
+                self.next_call += 1;
+                self.calls.insert(
+                    call_id,
+                    WsCall::Poll {
+                        service_idx: idx,
+                        port: Symbol::new(&port.spec.name),
+                    },
+                );
+                self.ws.call(
+                    ctx,
+                    svc.location,
+                    &MethodCall::new(operation, vec![]),
+                    call_id,
+                );
+            }
         }
     }
 
@@ -164,7 +160,7 @@ impl WsMapper {
                     if svc.last_values.get(&port) == Some(&value) || value.is_empty() {
                         return;
                     }
-                    svc.last_values.insert(port.clone(), value.clone());
+                    svc.last_values.insert(port, value.clone());
                     ctx.busy(calib::EVENT_TRANSLATION);
                     self.core.record_egress(ctx, calib::EVENT_TRANSLATION);
                     self.core.stats.borrow_mut().events += 1;
@@ -227,15 +223,13 @@ impl WsMapper {
             ack_input_done(ctx, self.core.runtime(), connection, translator);
             return;
         };
-        let Some(operation) = usdl_port
-            .bindings
-            .iter()
-            .find_map(|b| b.get("operation"))
-            .map(str::to_owned)
-        else {
+        let Some(operation) = usdl_port.bindings.iter().find_map(|b| b.get("operation")) else {
             ack_input_done(ctx, self.core.runtime(), connection, translator);
             return;
         };
+        let param = msg.body_text().unwrap_or_default().to_owned();
+        let call = MethodCall::new(operation, vec![param]);
+        let location = svc.location;
         ctx.busy(calib::CONTROL_TRANSLATION);
         self.core
             .record_hop(ctx, connection, port, calib::CONTROL_TRANSLATION);
@@ -248,14 +242,7 @@ impl WsMapper {
                 connection,
             },
         );
-        let param = msg.body_text().unwrap_or_default().to_owned();
-        let location = svc.location;
-        self.ws.call(
-            ctx,
-            location,
-            &MethodCall::new(&operation, vec![param]),
-            call_id,
-        );
+        self.ws.call(ctx, location, &call, call_id);
     }
 }
 

@@ -10,8 +10,12 @@
 //!
 //! This crate provides:
 //!
-//! * [`Element`]: a small, total XML subset parser/writer shared by USDL,
-//!   SOAP, UPnP device descriptions, GENA and the web-services platform.
+//! * The XML subset codec shared by USDL, SOAP, UPnP device
+//!   descriptions, GENA and the web-services platform: [`XmlReader`], a
+//!   total pull reader with borrowed names and on-demand entity
+//!   decoding, which message codecs read their fields from directly;
+//!   [`Element`], the owned DOM built from its events for documents
+//!   read as a whole; and [`XmlWriter`], which both write through.
 //! * [`UsdlDocument`]: the validated document model ([`UsdlPort`]s with
 //!   platform-specific [`Binding`]s).
 //! * [`UsdlLibrary`]: the registry mappers consult at discovery time,
@@ -43,4 +47,6 @@ mod xml;
 
 pub use library::UsdlLibrary;
 pub use schema::{Binding, UsdlDocument, UsdlPort};
-pub use xml::{Element, Node, XmlError, XML_MAX_DEPTH};
+pub use xml::{
+    Attrs, Element, Node, StartTag, XmlError, XmlEvent, XmlReader, XmlWriter, XML_MAX_DEPTH,
+};
