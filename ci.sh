@@ -39,12 +39,6 @@
 #                        artifacts/E13_attrib_baseline.json, so a
 #                        regression is reported by component; a
 #                        baseline that does not parse fails the gate.
-#   PERF_SHARD_SPEEDUP   --shard-speedup: E9c wall-time speedup floor,
-#                        1-shard over 4-shard wall seconds for the same
-#                        virtual span at N=10000 (default 1.5;
-#                        auto-skipped on hosts with fewer than 4 cores,
-#                        where a 4-way shard run physically cannot beat
-#                        single-threaded)
 #
 # Directory-federation knob, forwarded the same way to `bench perf-dir
 # --check` (see the flag docs in crates/bench/src/bin/bench/perf_dir.rs):
@@ -62,7 +56,6 @@ STAGE="${1:-all}"
 : "${PERF_FLOOR_EVPS:=50000}"
 : "${PERF_P99_BUDGET_US:=200}"
 : "${PERF_ATTRIB_OVERHEAD:=1.03}"
-: "${PERF_SHARD_SPEEDUP:=1.5}"
 : "${PERF_DIR_P99_US:=200}"
 
 # --- gate bookkeeping -------------------------------------------------
@@ -182,12 +175,12 @@ stage_determinism() {
     gate doctor-determinism pinned_gate doctor E10_ doctor \
         --doctor @OUT.doctor.json \
         --openmetrics @OUT.metrics.om
-    # E11 incident gate: the sharded fault run must snapshot a
-    # byte-identical incident bundle (and doctor report) across two
-    # runs — the trigger plane, the flight-recorder ring and the
-    # cross-shard trace hand-off all sit on the deterministic path,
-    # even with shards on real threads. Both must equal the checked-in
-    # artifacts/E11_*, so a moved topology digest fails here.
+    # E11 incident gate: the E13 fault run's trigger plane must
+    # snapshot a byte-identical incident bundle (and final doctor
+    # report) across two runs — the trigger plane and the
+    # flight-recorder ring sit on the deterministic path. Both must
+    # equal the checked-in artifacts/E11_*, so a moved topology digest
+    # fails here.
     gate incident-determinism pinned_gate incident E11_ incident \
         --bundle @OUT.incident.json \
         --doctor @OUT.doctor.json
@@ -217,15 +210,14 @@ stage_perf() {
     # Scheduler gates: timer-wheel kernel vs reference heap, E9
     # events/sec floor and near-linearity, p99 dispatch budget, E9b
     # scheduler pops per delivered datagram (flat from 100 to 1000
-    # devices), telemetry sampler and attribution overhead ceilings,
-    # the differential perf doctor against the checked-in attribution
-    # baseline, E9c shard-scaling floor on wall time (enforced only on
-    # >=4-core hosts). Knobs come from PERF_FLOOR_EVPS /
-    # PERF_P99_BUDGET_US / PERF_ATTRIB_OVERHEAD / PERF_SHARD_SPEEDUP.
+    # devices), telemetry sampler and attribution overhead ceilings
+    # (the attribution one on the span-heavy E9 federation), and the
+    # differential perf doctor against the checked-in attribution
+    # baseline. Knobs come from PERF_FLOOR_EVPS / PERF_P99_BUDGET_US /
+    # PERF_ATTRIB_OVERHEAD.
     gate perf-sched cargo run --offline --release -p bench -- perf-sched \
         --check --floor-evps "$PERF_FLOOR_EVPS" --p99-budget-us "$PERF_P99_BUDGET_US" \
-        --attrib-overhead "$PERF_ATTRIB_OVERHEAD" \
-        --shard-speedup "$PERF_SHARD_SPEEDUP"
+        --attrib-overhead "$PERF_ATTRIB_OVERHEAD"
     # Directory-federation gates: the E12 delta-gossip federation must
     # send exactly its pinned steady-state bytes with post-churn
     # convergence inside the anti-entropy bound, and the indexed

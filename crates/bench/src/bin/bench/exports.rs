@@ -1,12 +1,13 @@
 //! The deterministic exporters behind the `ci.sh` determinism gates:
-//! `trace` (E8), `doctor` (E10), `incident` (E11), `attrib` (E13) and
-//! `fidelity` (the paper pin). Each writes byte-identical files across
-//! runs. With none of its output flags given, an exporter writes its
-//! default set; with any, it writes only those.
+//! `trace` (E8), `doctor` (E10), `incident` (E11, read from the E13
+//! run), `attrib` (E13) and `fidelity` (the paper pin). Each writes
+//! byte-identical files across runs. With none of its output flags
+//! given, an exporter writes its default set; with any, it writes only
+//! those.
 
 use bench::experiments::{
-    e10_telemetry_faults, e11_sharded_incident, e13_attribution, e1_service_level, e2_device_level,
-    e3_transport_level, e5_ablation_qos, e8_observability,
+    e10_telemetry_faults, e13_attribution, e1_service_level, e2_device_level, e3_transport_level,
+    e5_ablation_qos, e8_observability,
 };
 use bench::report::write_artifact;
 use simnet::{Json, Layout};
@@ -122,9 +123,9 @@ pub const INCIDENT: Command = Command {
     run: incident,
 };
 
-/// E11: the first incident bundle the light shard's trigger plane
-/// captured and that shard's final doctor report, plus a journey and
-/// trigger summary.
+/// E11: the first incident bundle the E13 run's trigger plane captured
+/// and that run's final doctor report, plus a journey and trigger
+/// summary.
 fn incident(args: &Args) {
     let [bundle, doctor] = outputs(
         args,
@@ -133,30 +134,31 @@ fn incident(args: &Args) {
             ("--doctor", Some("artifacts/E11_doctor.json")),
         ],
     );
-    let r = e11_sharded_incident();
+    let r = e13_attribution();
     println!(
-        "E11 incident: {} xfer egress / {} ingress spans, {} orphans, \
-         journey coverage {:.1}%",
-        r.xfer_egress,
-        r.xfer_ingress,
-        r.orphan_xfer_hops,
+        "E11 incident: exemplar journey {} span(s), coverage {:.1}%",
+        r.exemplar_journey.len(),
         r.journey_coverage * 100.0
     );
     for b in &r.bundles {
-        println!(
-            "  bundle: {:?} on shard {:?} at {} ns",
-            b.kind,
-            b.shard,
-            b.at.as_nanos()
-        );
+        println!("  bundle: {:?} at {} ns", b.kind, b.at.as_nanos());
     }
     println!(
         "  top offender: {}",
-        r.top_offender.as_deref().unwrap_or("(none)")
+        r.report
+            .top_offenders
+            .first()
+            .map_or("(none)", |o| o.subject.as_str())
     );
+    let bundle_json = r
+        .bundles
+        .first()
+        .map(|b| b.to_json().document())
+        .unwrap_or_default();
+    let doctor_json = r.report.to_json().document();
     for (path, body, what) in [
-        (bundle, &r.bundle_json, "incident bundle"),
-        (doctor, &r.doctor_json, "doctor report"),
+        (bundle, &bundle_json, "incident bundle"),
+        (doctor, &doctor_json, "doctor report"),
     ] {
         if let Some(path) = path {
             write_artifact(&path, body, what);

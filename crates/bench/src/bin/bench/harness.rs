@@ -4,7 +4,7 @@
 //! `--json FILE` also writes the `BENCH_observability.json` record
 //! after E8: the frozen E11 trace-loss A/B and the E13
 //! attribution-overhead A/B as before/after, with the E8 metrics
-//! snapshot under `after`.
+//! snapshot under `after`. E11 and E13 render one shared E13 run.
 
 use bench::experiments::*;
 use bench::report::*;
@@ -33,6 +33,8 @@ fn run(args: &Args) {
         }
         render_e8(&r)
     };
+    let e13 = std::cell::OnceCell::new();
+    let e13 = || e13.get_or_init(e13_attribution);
     let experiments: [(&str, &dyn Fn() -> String); 11] = [
         ("e1", &|| render_e1(&e1_service_level(5))),
         ("e2", &|| render_e2(&e2_device_level())),
@@ -43,8 +45,8 @@ fn run(args: &Args) {
         ("e7", &|| render_e7(&e7_ablation_scatter())),
         ("e8", &e8),
         ("e10", &|| render_e10(&e10_telemetry_faults())),
-        ("e11", &|| render_e11(&e11_sharded_incident())),
-        ("e13", &|| render_e13(&e13_attribution())),
+        ("e11", &|| render_e11(e13())),
+        ("e13", &|| render_e13(e13())),
     ];
     println!("uMiddle evaluation harness (simulated testbed)");
     for (id, run) in experiments {
@@ -75,12 +77,13 @@ const FROZEN_TRACE_LOSS_ROWS: [&str; 2] = [
 /// The `BENCH_observability.json` record. It carries the `bench lint`
 /// key convention (name/before/after/units); the before/after
 /// comparison is the frozen trace-loss A/B ([`FROZEN_TRACE_LOSS_ROWS`])
-/// plus the attribution-overhead A/B on the E9b busy-sink fixture
-/// (telemetry alone vs telemetry + attribution fold).
+/// plus the attribution-overhead A/B on the E9 federation (telemetry
+/// alone vs telemetry + attribution fold).
 fn observability_record(r: &ObservabilityResults) -> Json {
     let [drop_side, ring_side] =
         FROZEN_TRACE_LOSS_ROWS.map(|row| Json::parse(row).expect("frozen row is JSON"));
-    let attrib_ratio = e13_attrib_overhead(1000, SimDuration::from_secs(2), 3);
+    let (window, slices) = OVERHEAD_WINDOW;
+    let attrib_ratio = e13_attrib_overhead(1000, window, slices);
     let attrib = |mode: &str, ratio: f64| {
         Json::inline()
             .with("mode", mode)

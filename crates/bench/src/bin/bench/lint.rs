@@ -27,8 +27,8 @@ pub const COMMAND: Command = Command {
 /// Keys every benchmark record must carry at the top level.
 const REQUIRED_KEYS: [&str; 4] = ["name", "before", "after", "units"];
 
-/// Numeric keys every row of a multi-row scaling curve
-/// (`e9c_shard_scale`) must carry.
+/// Numeric keys every row of a multi-row scaling curve must carry:
+/// `e9c_shard_scale`, the frozen E9c record in `BENCH_perf_sched.json`.
 const CURVE_ROW_KEYS: [&str; 5] = [
     "shards",
     "devices",

@@ -1,19 +1,16 @@
 //! `bench perf-sched`: scheduler benchmarks — the timer-wheel kernel
 //! A/B against the reference min-heap, the E9 six-bridge federation
 //! scaling sweep (events/sec, p99 dispatch latency, allocations/event),
-//! the E9b busy-deferral sweep (scheduler pops per delivered datagram
-//! under bursty fan-in into a busy sink), and the E9c sharded-execution
-//! scaling curve (events/sec, p99 dispatch, barrier stall per shard
-//! count).
+//! and the E9b busy-deferral sweep (scheduler pops per delivered
+//! datagram under bursty fan-in into a busy sink).
 //!
 //! `--check` is the CI scaling-regression gate: an events/sec floor at
 //! N = 1000, a near-linearity bound on the per-event wall cost from
 //! N = 100 to N = 1000, a p99 dispatch-latency budget, a bound on E9b
 //! scheduler pops per delivered datagram (flat in burst size), ceilings
 //! on the telemetry sampler's and the attribution plane's overhead at
-//! N = 1000, the differential perf doctor (the E13 attribution run
-//! diffed against its checked-in baseline), and a shard-scaling floor
-//! at 4 shards / N = 10 000.
+//! N = 1000, and the differential perf doctor (the E13 attribution run
+//! diffed against its checked-in baseline).
 //! `--json FILE` writes the sweep as deterministic-schema JSON (values
 //! are wall-clock and machine-dependent; the schema is what golden
 //! files assert on).
@@ -31,21 +28,12 @@
 //!   positive delta fails the check *naming the regressed component*;
 //!   regenerate the baseline with `bench attrib` when the change is
 //!   intentional.
-//! * `--shard-speedup X` — E9c 4-shard wall-time speedup floor: the
-//!   1-shard run's wall seconds over the 4-shard run's, for the same
-//!   virtual span (default 1.5). Automatically *not enforced* when the
-//!   host exposes fewer than 4 cores — a 4-way shard run cannot beat
-//!   single-threaded execution without 4 cores to run on (the sweep
-//!   still runs as a smoke test and its numbers are printed).
-//! * `--e9c-devices N` — E9c federation size in full (non-check) runs
-//!   (default 10000; 100000 reproduces the large point, at ~10x the
-//!   wall time).
 
 use bench::experiments::{
     e10_sampler_overhead, e13_attrib_overhead, e13_attribution, e9_sched_scale, e9b_deferral_sweep,
-    e9c_shard_scale,
+    OVERHEAD_WINDOW,
 };
-use bench::report::{render_e9, render_e9b, render_e9c};
+use bench::report::{render_e9, render_e9b};
 use bench::timing::sched_kernel;
 use simnet::{Json, Layout, SimDuration};
 
@@ -78,18 +66,17 @@ const CHECK_LINEARITY: f64 = 3.0;
 const CHECK_DEFERRAL_GROWTH: f64 = 1.2;
 
 /// `--check` ceiling on the telemetry sampler's wall-clock overhead at
-/// N = 1000 (ratio of best-of-passes measured windows, sampled vs
-/// plain). The 250 ms sampler walks the whole metrics registry a few
-/// dozen times per window — per-event cost is amortized to near zero,
-/// so the ceiling is headroom for measurement noise, not for the
-/// sampler: quiet-host runs land anywhere in 0.97–1.03. 5% still fails
-/// an order-of-magnitude sampler regression without flaking on a
-/// shared box.
+/// N = 1000 (median of the per-slice ratios over [`OVERHEAD_WINDOW`],
+/// sampled vs plain). The 250 ms sampler walks the whole metrics
+/// registry once per slice; on a shared 2-core VM the gate reads
+/// 1.02–1.03. 5% still fails an order-of-magnitude sampler regression
+/// without flaking on a shared box.
 const CHECK_SAMPLER_OVERHEAD: f64 = 1.05;
 
 /// `--check` ceiling on the attribution plane's wall-clock overhead at
-/// N = 1000 (min paired ratio over alternating passes, telemetry +
-/// attribution fold vs telemetry alone, on the E9b busy-sink fixture).
+/// N = 1000 (median of the per-slice ratios, telemetry + attribution
+/// fold vs telemetry alone, on the E9 federation, whose bridge hops
+/// begin and close spans: about 480k spans fold in the window).
 /// The fold is incremental — a cursor walk over spans begun or closed
 /// since the last sample — so its amortized cost is a few map updates
 /// per span; 3% is the budget for keeping the profiler on
@@ -100,17 +87,6 @@ const CHECK_ATTRIB_OVERHEAD: f64 = 1.03;
 /// snapshot the differential perf doctor diffs against.
 const DEFAULT_ATTRIB_BASELINE: &str = "artifacts/E13_attrib_baseline.json";
 
-/// Default `--shard-speedup`: E9c at 4 shards must simulate the same
-/// virtual span in at most 1/this of the 1-shard run's wall time, at
-/// N = 10 000. Linear
-/// scaling would be 4x; 1.5x is the regression line with generous room
-/// for barrier overhead and noisy multi-tenant hosts. Only enforced on
-/// hosts with at least 4 cores.
-const DEFAULT_SHARD_SPEEDUP: f64 = 1.5;
-
-/// Federation size of the `--check` E9c shard gate.
-const CHECK_SHARD_DEVICES: usize = 10_000;
-
 pub const COMMAND: Command = Command {
     name: "perf-sched",
     values: &[
@@ -119,14 +95,11 @@ pub const COMMAND: Command = Command {
         "--p99-budget-us",
         "--attrib-overhead",
         "--attrib-baseline",
-        "--shard-speedup",
-        "--e9c-devices",
     ],
     switches: &["--check"],
     takes_args: false,
     usage: "perf-sched [--check] [--json FILE] [--floor-evps N] [--p99-budget-us N] \
-            [--attrib-overhead X] [--attrib-baseline FILE] \
-            [--shard-speedup X] [--e9c-devices N]",
+            [--attrib-overhead X] [--attrib-baseline FILE]",
     run,
 };
 
@@ -134,12 +107,8 @@ fn run(args: &Args) {
     let floor_evps: f64 = args.get("--floor-evps", DEFAULT_FLOOR_EVENTS_PER_SEC);
     let p99_budget_us: u64 = args.get("--p99-budget-us", DEFAULT_P99_BUDGET_US);
     let p99_budget_ns = p99_budget_us * 1_000;
-    let shard_speedup: f64 = args.get("--shard-speedup", DEFAULT_SHARD_SPEEDUP);
     let attrib_ceiling: f64 = args.get("--attrib-overhead", CHECK_ATTRIB_OVERHEAD);
     let attrib_baseline = args.get("--attrib-baseline", DEFAULT_ATTRIB_BASELINE.to_owned());
-    let host_cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
 
     if args.switch("--check") {
         // Differential perf doctor, first so a behavioral regression is
@@ -229,11 +198,9 @@ fn run(args: &Args) {
         );
 
         // Telemetry plane: the in-run sampler must stay within its
-        // overhead budget on the same N = 1000 federation. Five
-        // alternating best-of passes: the timed window is short enough
-        // that one bad scheduling quantum can swing a single pass by
-        // >10% on a shared host.
-        let overhead = e10_sampler_overhead(1000, SimDuration::from_secs(5), 5);
+        // overhead budget on the same N = 1000 federation.
+        let (window, slices) = OVERHEAD_WINDOW;
+        let overhead = e10_sampler_overhead(1000, window, slices);
         assert!(
             overhead <= CHECK_SAMPLER_OVERHEAD,
             "telemetry sampler overhead x{overhead:.3} at N=1000 exceeds x{CHECK_SAMPLER_OVERHEAD}"
@@ -242,54 +209,17 @@ fn run(args: &Args) {
         // Attribution plane: the continuous time-decomposition fold
         // must stay within its overhead budget on the same fixture —
         // the profiler only earns always-on status if nobody is
-        // tempted to turn it off. Min paired ratio over alternating
-        // passes, same rationale as the sampler gate.
-        let attrib = e13_attrib_overhead(1000, SimDuration::from_secs(5), 5);
+        // tempted to turn it off. Same paired median as the sampler
+        // gate; the helper also fails if the window folded no span.
+        let attrib = e13_attrib_overhead(1000, window, slices);
         assert!(
             attrib <= attrib_ceiling,
             "attribution overhead x{attrib:.3} at N=1000 exceeds x{attrib_ceiling} \
              (override with --attrib-overhead on a noisy host)"
         );
 
-        // E9c: sharded execution must keep paying for itself — the
-        // 4-shard run of the N = 10k wing federation must finish the
-        // same virtual span faster than the 1-shard run by the
-        // configured floor. Wall time, not events/sec: the shard
-        // count changes how many scheduler pops the same work takes. On a host with fewer
-        // than 4 cores the floor is physically unreachable (threads
-        // time-slice one core and pay barrier cost on top), so the
-        // sweep runs as a smoke test and the floor is reported, not
-        // enforced.
-        let e9c = e9c_shard_scale(CHECK_SHARD_DEVICES, &[1, 4], SimDuration::from_secs(2));
-        let (one, four) = (&e9c[0], &e9c[1]);
-        assert!(
-            one.events > 0 && four.events > 0,
-            "E9c dispatched no events inside the measurement window"
-        );
-        assert!(
-            four.windows > 0,
-            "E9c 4-shard run executed no synchronized windows"
-        );
-        let sharded_speedup = one.wall_secs / four.wall_secs.max(1e-9);
-        if host_cores < 4 {
-            println!(
-                "bench perf-sched --check: shard-scaling floor x{shard_speedup:.2} not enforced — \
-                 host exposes {host_cores} core(s); measured x{sharded_speedup:.2} at 4 shards, \
-                 N={CHECK_SHARD_DEVICES} (stall {:.1} ms over {} windows)",
-                four.barrier_stall_ns as f64 / 1e6,
-                four.windows
-            );
-        } else {
-            assert!(
-                sharded_speedup >= shard_speedup,
-                "E9c shard scaling below floor: 4 shards gave x{sharded_speedup:.2} over 1 shard \
-                 at N={CHECK_SHARD_DEVICES} (floor x{shard_speedup:.2}; override with \
-                 --shard-speedup on a noisy host)"
-            );
-        }
-
         println!(
-            "bench perf-sched --check: ok (N=1000 {:.0} events/s, per-event cost x{:.2} over 10x devices, p99 {} ns <= {} ns, E9b pops/datagram {:.3} at N=100 and {:.3} at N=1000, sampler overhead x{:.3}, attribution overhead x{:.3}, shard speedup x{:.2} at 4 shards on {} core(s), wheel {:.0} ns/op vs heap {:.0} ns/op)",
+            "bench perf-sched --check: ok (N=1000 {:.0} events/s, per-event cost x{:.2} over 10x devices, p99 {} ns <= {} ns, E9b pops/datagram {:.3} at N=100 and {:.3} at N=1000, sampler overhead x{:.3}, attribution overhead x{:.3}, wheel {:.0} ns/op vs heap {:.0} ns/op)",
             large.events_per_sec,
             cost_large / cost_small,
             large.p99_dispatch_ns,
@@ -298,8 +228,6 @@ fn run(args: &Args) {
             big.pops_per_delivered,
             overhead,
             attrib,
-            sharded_speedup,
-            host_cores,
             k.wheel_ns_per_op,
             k.heap_ns_per_op
         );
@@ -325,12 +253,10 @@ fn run(args: &Args) {
     let e9b = e9b_deferral_sweep(&[100, 1000], SimDuration::from_millis(500));
     println!("{}", render_e9b(&e9b));
 
-    let e9c_devices: usize = args.get("--e9c-devices", CHECK_SHARD_DEVICES);
-    let e9c = e9c_shard_scale(e9c_devices, &[1, 2, 4, 8], SimDuration::from_secs(5));
-    println!("{}", render_e9c(&e9c));
-    println!("(host exposes {host_cores} core(s); shard counts above that time-slice)");
-
     if let Some(file) = args.opt("--json") {
+        let host_cores = std::thread::available_parallelism()
+            .map(|c| c.get())
+            .unwrap_or(1);
         let kernel = kernel_lines.iter().map(|k| {
             Json::inline()
                 .with("pending", k.pending)
@@ -354,24 +280,11 @@ fn run(args: &Args) {
                 .with("delivered_per_sec", Json::fixed(r.delivered_per_sec, 0))
                 .with("pops_per_delivered", Json::fixed(r.pops_per_delivered, 3))
         });
-        let e9c = e9c.iter().map(|r| {
-            Json::inline()
-                .with("shards", r.shards)
-                .with("devices", r.devices)
-                .with("wings", r.wings)
-                .with("events", r.events)
-                .with("wall_secs", Json::fixed(r.wall_secs, 3))
-                .with("events_per_sec", Json::fixed(r.events_per_sec, 0))
-                .with("p99_dispatch_ns", r.p99_dispatch_ns)
-                .with("barrier_stall_ns", r.barrier_stall_ns)
-                .with("windows", r.windows)
-        });
         let record = Json::block()
             .with("name", "perf_sched")
             .with("sched_kernel", Json::array(Layout::Block, kernel))
             .with("e9_sched_scale", Json::array(Layout::Block, e9))
             .with("e9b_deferral", Json::array(Layout::Block, e9b))
-            .with("e9c_shard_scale", Json::array(Layout::Block, e9c))
             .with("host_cores", host_cores);
         bench::report::write_artifact(&file, &record.document(), "scheduler sweep");
     }

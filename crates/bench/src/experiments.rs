@@ -4,10 +4,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use simnet::{
-    diff_attribution, merge_shard_spans, Addr, AlertState, AlertTransition, AttributionReport,
-    BurnRateRule, CriticalPath, Ctx, HealthReport, IncidentBundle, MetricsSnapshot, Objective,
-    ProcId, Process, SamplerConfig, SegmentConfig, SimDuration, SimTime, SloKind, SpanRecord,
-    StreamEvent, StreamId, TelemetryConfig, World,
+    diff_attribution, Addr, AlertState, AlertTransition, AttributionReport, BurnRateRule,
+    CriticalPath, Ctx, HealthReport, IncidentBundle, Objective, ProcId, Process, SamplerConfig,
+    SegmentConfig, SimDuration, SimTime, SloKind, SpanRecord, StreamEvent, StreamId,
+    TelemetryConfig, World,
 };
 use umiddle_apps::{WireRule, Wirer};
 use umiddle_bridges::{
@@ -1334,68 +1334,38 @@ pub struct SchedScaleRow {
 ///
 /// The same sizing discipline applies to the network: the backbone is
 /// a switched segment (per-sender capacity) rather than the paper's
-/// 10 Mbps hub, and the 38.4 kbps mote radio is sharded into channels
+/// 10 Mbps hub, and the 38.4 kbps mote radio is split into channels
 /// of at most 32 motes. A shared medium with aggregate load above
 /// line rate never reaches steady state — its busy horizon recedes
 /// and undelivered frames accumulate in the scheduler without bound —
 /// which would turn the sweep into a measurement of backlog churn.
 fn e9_world(n: usize) -> World {
-    let mut world = World::new(0xE9 + n as u64);
-    world.trace_mut().set_log_enabled(false);
-    e9_wing(&mut world, 0, 1, n);
-    world
-}
-
-/// Builds one E9 wing into `world`: a self-contained copy of the E9
-/// federation (own backbone segment, own runtime, own mappers and
-/// device populations), named so wing 0 is byte-identical to the
-/// original single-wing fixture. With `wings > 1` on a sharded world
-/// (E9c), each wing also joins the cross-shard temperature ring: its
-/// motes additionally fan into a [`ShardUplink`] whose hand-off frames
-/// arrive at the *next* wing's [`ShardIngress`] (inlet = destination
-/// wing id) and drain into that wing's Temp Sink — so shard boundaries
-/// carry real uMiddle traffic, not just independent per-shard load.
-///
-/// [`ShardUplink`]: umiddle_bridges::ShardUplink
-/// [`ShardIngress`]: umiddle_bridges::ShardIngress
-fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
     use platform_bluetooth::{HidpMouse, MouseConfig};
     use platform_motes::{BaseStation, Mote};
     use platform_rmi::{JavaValue, RmiObjectServer, RmiRegistry, REGISTRY_PORT};
     use platform_upnp::{LightLogic, UpnpDevice};
     use platform_webservices::WsServer;
-    use umiddle_bridges::{MotesMapper, ShardIngress, ShardUplink, WsMapper};
+    use umiddle_bridges::{MotesMapper, WsMapper};
 
-    // Display and node names get " w{wing}", machine names (uuids,
-    // channel ids) "-w{wing}"; both empty for wing 0 so the single-wing
-    // fixture stays byte-identical to the pre-sharding one.
-    let tag = if wing == 0 {
-        String::new()
-    } else {
-        format!(" w{wing}")
-    };
-    let utag = if wing == 0 {
-        String::new()
-    } else {
-        format!("-w{wing}")
-    };
+    let mut world = World::new(0xE9 + n as u64);
+    world.trace_mut().set_log_enabled(false);
 
     // Six near-equal groups, one per bridge platform.
     let group = |k: usize| n / 6 + usize::from(k < n % 6);
 
     let hub = world.add_segment(SegmentConfig::ethernet_100mbps_switch());
-    let (h1, rt) = runtime_node(world, &format!("h1{tag}"), wing as u32, &[hub]);
+    let (h1, rt) = runtime_node(&mut world, "h1", 0, &[hub]);
 
     // UPnP lights, toggled in fan-out by one native driver.
     for i in 0..group(0) {
-        let node = world.add_node(format!("light{i}{tag}"));
+        let node = world.add_node(format!("light{i}"));
         world.attach(node, hub).expect("attach");
         world.add_process(
             node,
             Box::new(UpnpDevice::new(
                 Box::new(LightLogic::new(
-                    &format!("E9 Light {i:04}{tag}"),
-                    &format!("uuid:e9l{i}{utag}"),
+                    &format!("E9 Light {i:04}"),
+                    &format!("uuid:e9l{i}"),
                 )),
                 5000,
             )),
@@ -1407,7 +1377,7 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
     );
 
     // Bluetooth mice, clicking forever. A piconet holds the master
-    // plus at most 7 slaves, so the population is sharded across
+    // plus at most 7 slaves, so the population is spread across
     // piconets with the host (and its mapper) joined to each.
     let mut pico = None;
     for i in 0..group(1) {
@@ -1416,14 +1386,14 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
             world.attach(h1, p).expect("attach");
             pico = Some(p);
         }
-        let node = world.add_node(format!("mouse{i}{tag}"));
+        let node = world.add_node(format!("mouse{i}"));
         world
             .attach(node, pico.expect("piconet created"))
             .expect("attach");
         world.add_process(
             node,
             Box::new(HidpMouse::new(MouseConfig {
-                name: format!("HIDP Mouse {i:04}{tag}"),
+                name: format!("HIDP Mouse {i:04}"),
                 click_interval: Some(SimDuration::from_secs(12)),
                 motion_interval: None,
                 click_limit: 0,
@@ -1435,7 +1405,7 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
         Box::new(BluetoothMapper::with_defaults(rt, UsdlLibrary::bundled())),
     );
 
-    // Motes reporting temperature on sensor radios, sharded into
+    // Motes reporting temperature on sensor radios, split into
     // channels of 32 so the 38.4 kbps medium stays below saturation.
     let mut radio = None;
     for i in 0..group(2) {
@@ -1444,7 +1414,7 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
             world.attach(h1, r).expect("attach");
             radio = Some(r);
         }
-        let node = world.add_node(format!("mote{i}{tag}"));
+        let node = world.add_node(format!("mote{i}"));
         world
             .attach(node, radio.expect("radio created above"))
             .expect("attach");
@@ -1461,16 +1431,16 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
 
     // RMI echo objects behind one registry; each name gets its own
     // templated USDL document (the paper's no-code extensibility path).
-    let reg_node = world.add_node(format!("rmi-registry{tag}"));
+    let reg_node = world.add_node("rmi-registry");
     world.attach(reg_node, hub).expect("attach");
     world.add_process(reg_node, Box::new(RmiRegistry::new()));
     let registry = Addr::new(reg_node, REGISTRY_PORT);
-    let srv_node = world.add_node(format!("rmi-objects{tag}"));
+    let srv_node = world.add_node("rmi-objects");
     world.attach(srv_node, hub).expect("attach");
     let mut rmi_lib = UsdlLibrary::bundled();
     let mut rmi_names = Vec::new();
     for i in 0..group(3) {
-        let name = format!("EchoSvc {i:04}{tag}");
+        let name = format!("EchoSvc {i:04}");
         rmi_lib
             .register_xml(&umiddle_usdl::builtin::RMI_ECHO.replace("EchoService", &name))
             .expect("templated RMI USDL is valid");
@@ -1497,7 +1467,7 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
     );
 
     // MediaBroker channels fed by paced producers.
-    let mb_node = world.add_node(format!("broker{tag}"));
+    let mb_node = world.add_node("broker");
     world.attach(mb_node, hub).expect("attach");
     world.add_process(mb_node, Box::new(platform_mediabroker::MediaBroker::new()));
     let broker_addr = Addr::new(mb_node, platform_mediabroker::BROKER_PORT);
@@ -1506,7 +1476,7 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
             mb_node,
             Box::new(MbSaturatingProducer::paced(
                 broker_addr,
-                &format!("e9chan{i:04}{utag}"),
+                &format!("e9chan{i:04}"),
                 256,
                 SimDuration::from_secs(1),
             )),
@@ -1523,14 +1493,14 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
     );
 
     // Web-service loggers, appended to in fan-out and tailed back out.
-    let ws_node = world.add_node(format!("ws{tag}"));
+    let ws_node = world.add_node("ws");
     world.attach(ws_node, hub).expect("attach");
     let mut endpoints = Vec::new();
     for i in 0..group(5) {
         let port = 8080 + i as u16;
         world.add_process(
             ws_node,
-            Box::new(WsServer::logger(&format!("E9 Log {i:04}{tag}"), port)),
+            Box::new(WsServer::logger(&format!("E9 Log {i:04}"), port)),
         );
         endpoints.push(Addr::new(ws_node, port));
     }
@@ -1555,7 +1525,7 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
     world.add_process(
         h1,
         Box::new(NativeService::new(
-            &format!("Toggle Driver{tag}"),
+            "Toggle Driver",
             out_shape("out", "text/plain"),
             rt,
             Box::new(behaviors::PeriodicSource::new(
@@ -1569,7 +1539,7 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
     world.add_process(
         h1,
         Box::new(NativeService::new(
-            &format!("Call Driver{tag}"),
+            "Call Driver",
             out_shape("out", "application/octet-stream"),
             rt,
             Box::new(behaviors::PeriodicSource::new(
@@ -1588,7 +1558,7 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
     world.add_process(
         h1,
         Box::new(NativeService::new(
-            &format!("Log Driver{tag}"),
+            "Log Driver",
             out_shape("out", "text/plain"),
             rt,
             Box::new(behaviors::PeriodicSource::new(
@@ -1609,7 +1579,7 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
         world.add_process(
             h1,
             Box::new(NativeService::new(
-                &format!("{name}{tag}"),
+                name,
                 in_shape(mime),
                 rt,
                 Box::new(behaviors::Recorder::new()),
@@ -1620,7 +1590,7 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
     // Prefix groups instead of per-device rules: each rule fans out
     // over a whole device population (the wirer connects the cross
     // product of its matches).
-    let mut rules = vec![
+    let rules = vec![
         WireRule::new("Toggle Driver", "out", "E9 Light", "switch-on"),
         WireRule::new("HIDP Mouse", "clicks", "Click Sink", "in"),
         WireRule::new("Mote ", "temperature", "Temp Sink", "in"),
@@ -1631,41 +1601,8 @@ fn e9_wing(world: &mut World, wing: usize, wings: usize, n: usize) {
         WireRule::new("E9 Log", "entries", "Log Sink", "in"),
     ];
 
-    // The cross-shard temperature ring. Only built when the world is a
-    // shard and there is more than one wing: this wing's motes also fan
-    // into an uplink whose hand-off frames arrive — one conservative
-    // lookahead later — at the next wing's ingress and drain into *its*
-    // Temp Sink. With one shard the ring still crosses the conductor's
-    // inter-shard plane (self-addressed), so shard counts 1..k run the
-    // same schedule and the sweep compares like with like.
-    if let Some(shard) = world.shard_config().filter(|_| wings > 1) {
-        let dst_wing = (wing + 1) % wings;
-        let dst_shard = (dst_wing % shard.shards as usize) as u16;
-        world.add_process(
-            h1,
-            Box::new(NativeService::new(
-                &format!("Shard Uplink{tag}"),
-                in_shape("text/plain"),
-                rt,
-                Box::new(ShardUplink::new(dst_shard, dst_wing as u16)),
-            )),
-        );
-        world.add_process(
-            h1,
-            Box::new(
-                NativeService::new(
-                    &format!("Shard Ingress{tag}"),
-                    out_shape("out", "text/plain"),
-                    rt,
-                    Box::new(ShardIngress::new("out")),
-                )
-                .with_shard_inlet(wing as u16, E9C_INLET_PORT),
-            ),
-        );
-        rules.push(WireRule::new("Mote ", "temperature", "Shard Uplink", "in"));
-        rules.push(WireRule::new("Shard Ingress", "out", "Temp Sink", "in"));
-    }
     world.add_process(h1, Box::new(Wirer::new(rt, rules)));
+    world
 }
 
 /// Virtual time allowed for discovery, mapping, and wiring before the
@@ -1731,123 +1668,6 @@ fn e9_one(n: usize, measure: SimDuration) -> SchedScaleRow {
 /// `measure`-long virtual window after a fixed warm-up.
 pub fn e9_sched_scale(sizes: &[usize], measure: SimDuration) -> Vec<SchedScaleRow> {
     sizes.iter().map(|&n| e9_one(n, measure)).collect()
-}
-
-// =====================================================================
-// E9c — sharded execution: per-core scaling of the wing federation
-// =====================================================================
-
-/// One row of the E9c shard-scaling sweep.
-#[derive(Debug, Clone)]
-pub struct ShardScaleRow {
-    /// Shard (worker thread) count.
-    pub shards: u16,
-    /// Total native devices across all wings.
-    pub devices: usize,
-    /// Wings the federation is partitioned into.
-    pub wings: usize,
-    /// Events dispatched inside the measurement window, all shards.
-    pub events: u64,
-    /// Wall-clock seconds of the measured phase (slowest shard —
-    /// barrier stalls included, this is real elapsed time).
-    pub wall_secs: f64,
-    /// Federation events per wall-clock second.
-    pub events_per_sec: f64,
-    /// p99 of the per-window mean dispatch cost, worst shard, in ns.
-    pub p99_dispatch_ns: u64,
-    /// Wall nanoseconds stalled at window barriers, summed over shards.
-    pub barrier_stall_ns: u64,
-    /// Synchronized windows executed (max over shards).
-    pub windows: u64,
-}
-
-/// Devices per E9c wing. Wings are the unit of shard placement (wing
-/// `w` runs on shard `w % shards`), so at N = 10 000 there are 16
-/// wings — enough to balance any shard count in the sweep.
-const E9C_WING: usize = 625;
-
-/// Virtual warm-up before the E9c measurement window opens. Shorter
-/// than `E9_SETUP` because each wing's UPnP mapper instantiates only
-/// its own ~n/6 lights (the serialized step that sizes the warm-up).
-const E9C_SETUP: u64 = 40;
-
-/// E9c conservative lookahead — and, in the tightest legal coupling,
-/// the modeled cross-shard link latency. 5 ms is far above every
-/// intra-wing latency, so windows stay coarse enough that barrier cost
-/// amortizes over thousands of events.
-const E9C_LOOKAHEAD: SimDuration = SimDuration::from_millis(5);
-
-/// Port each wing's shard-ingress service listens on for hand-off
-/// frames.
-const E9C_INLET_PORT: u16 = 47_500;
-
-/// p99 of a sample set; 0 when empty.
-fn p99_of(samples: &[u64]) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    sorted[(sorted.len() * 99 / 100).min(sorted.len() - 1)]
-}
-
-/// Runs one E9c point: the `n`-device wing federation under `shards`
-/// worker threads, measuring a `measure`-long virtual window after the
-/// warm-up.
-fn e9c_one(n: usize, shards: u16, measure: SimDuration) -> ShardScaleRow {
-    use simnet::{run_sharded, ShardPlan};
-
-    let wings = (n / E9C_WING).max(1);
-    let base = n / wings;
-    let extra = n % wings;
-    let setup = SimTime::from_secs(E9C_SETUP);
-    let plan = ShardPlan::new(shards, E9C_LOOKAHEAD).with_warmup(setup);
-    let report = run_sharded(
-        &plan,
-        0xE9C + n as u64,
-        setup + measure,
-        |world, info| {
-            world.trace_mut().set_log_enabled(false);
-            for w in (0..wings).filter(|w| w % info.shards as usize == info.shard as usize) {
-                e9_wing(world, w, wings, base + usize::from(w < extra));
-            }
-            Ok(())
-        },
-        |_, _| (),
-    )
-    .expect("E9c plan is valid and wings build cleanly");
-
-    ShardScaleRow {
-        shards,
-        devices: n,
-        wings,
-        events: report.shards.iter().map(|s| s.events_measured).sum(),
-        wall_secs: report
-            .shards
-            .iter()
-            .map(|s| s.measure_wall_ns)
-            .max()
-            .unwrap_or(0) as f64
-            / 1e9,
-        events_per_sec: report.events_per_sec(),
-        p99_dispatch_ns: report
-            .shards
-            .iter()
-            .map(|s| p99_of(&s.dispatch_ns_samples))
-            .max()
-            .unwrap_or(0),
-        barrier_stall_ns: report.barrier_stall_ns(),
-        windows: report.shards.iter().map(|s| s.windows).max().unwrap_or(0),
-    }
-}
-
-/// Runs the E9c sweep: the same `n`-device federation once per shard
-/// count, producing the per-core scaling curve.
-pub fn e9c_shard_scale(n: usize, shard_counts: &[u16], measure: SimDuration) -> Vec<ShardScaleRow> {
-    shard_counts
-        .iter()
-        .map(|&s| e9c_one(n, s, measure))
-        .collect()
 }
 
 // =====================================================================
@@ -2068,7 +1888,7 @@ pub struct TelemetryFaultResults {
     pub samples: u64,
 }
 
-/// Builds the unsharded E10 fault-injection world — the E8 federation
+/// Builds the E10 fault-injection world — the E8 federation
 /// (Bluetooth mouse on h1 bridged to a UPnP light on h2 over the
 /// 10 Mbps hub) with the 500 ms sampler and both burn-rate SLOs armed,
 /// and the hub flooder primed to fire at t = 30 s. Returns the world,
@@ -2160,8 +1980,7 @@ fn e10_world() -> (World, ProcId, SimTime) {
     // every interval — budget 10% silent intervals, firing at 5x burn.
     // Latency: at most 1% of bridged deliveries over 20 ms end to end;
     // on the saturated hub every delivery violates, pinning the burn
-    // rate at 100x budget. (Shared with E11, which re-runs this fault
-    // pair across a shard boundary.)
+    // rate at 100x budget.
     world.enable_telemetry(e10_objectives());
     (world, upnp_mapper, fault_at)
 }
@@ -2211,241 +2030,88 @@ pub fn e10_telemetry_faults() -> TelemetryFaultResults {
     }
 }
 
-/// Measures the sampler's overhead on the E9 federation: the same
-/// seeded world is run over the same virtual window with telemetry off
-/// and on (250 ms sampler, no objectives), `passes` times each, and the
-/// ratio of the best wall-clock times is returned. Used by
-/// `bench perf-sched --check` to hold the telemetry plane under its 2%
-/// overhead budget at n = 1000.
-pub fn e10_sampler_overhead(n: usize, measure: SimDuration, passes: usize) -> f64 {
-    let setup = SimTime::from_secs(E9_SETUP);
-    let run = |telemetry: bool| {
-        let mut world = e9_world(n);
-        if telemetry {
-            world.enable_telemetry(TelemetryConfig {
-                sampler: SamplerConfig {
-                    interval: SimDuration::from_millis(250),
-                    window: 64,
-                },
-                objectives: vec![],
-                liveness_timeout: SimDuration::from_secs(5),
-            });
-        }
-        world.run_until(setup);
+/// The telemetry plane both overhead gates run with: a 250 ms sampler
+/// and no objectives.
+fn overhead_telemetry() -> TelemetryConfig {
+    TelemetryConfig {
+        sampler: SamplerConfig {
+            interval: SimDuration::from_millis(250),
+            window: 64,
+        },
+        objectives: vec![],
+        liveness_timeout: SimDuration::from_secs(5),
+    }
+}
+
+/// The virtual window and slice count the overhead gates time: 200 s
+/// in 800 slices of 250 ms, one sampler tick each. 800 pairs put the
+/// median within about half a percent on a shared 2-core VM (an A/A
+/// run of two identical worlds reads 0.997–1.005).
+pub const OVERHEAD_WINDOW: (SimDuration, usize) = (SimDuration::from_secs(200), 800);
+
+/// The wall-clock overhead of one observability plane: `off` and `on`
+/// are the same seeded world, `on` with the plane enabled, both already
+/// run to the start of the window. The window is cut into `slices`
+/// equal virtual slices (at least 2), and the two worlds advance
+/// through them in lockstep, timed slice by slice, so a load spike on
+/// a shared host lands on both sides of a pair instead of on one whole
+/// pass. Which side runs first in a pair is drawn from a seeded coin:
+/// the side that runs second finds the caches cold, and a strict
+/// alternation would tie that penalty to the fixture's periodic load
+/// (at 250 ms slices, every whole-second burst falls on even slices).
+/// The result is the median of the per-pair `on / off` ratios.
+fn paired_overhead_ratio(
+    off: &mut World,
+    on: &mut World,
+    measure: SimDuration,
+    slices: usize,
+) -> f64 {
+    let slices = slices.max(2);
+    let from = off.now();
+    let timed = |world: &mut World, until: SimTime| {
         let t0 = std::time::Instant::now();
-        world.run_until(setup + measure);
+        world.run_until(until);
         t0.elapsed().as_secs_f64().max(1e-9)
     };
-    // Run plain and sampled back-to-back and keep the *minimum paired*
-    // ratio. Comparing global minima looked fairer but flaked on
-    // shared hosts: the two minima come from different load windows,
-    // so the ratio picked up whatever drift happened between them. A
-    // load spike contaminates one pair; a real sampler regression
-    // inflates every pair, so the paired minimum still catches it.
-    let mut best = f64::INFINITY;
-    for _ in 0..passes.max(2) {
-        let plain = run(false);
-        let sampled = run(true);
-        best = best.min(sampled / plain);
-    }
-    best
-}
-
-// =====================================================================
-// E11 — sharded incident: cross-shard journeys + incident bundles
-// =====================================================================
-
-/// Cross-shard inlet id carrying E11's bridged clicks.
-const E11_INLET: u16 = 0;
-/// Port the E11 ingress service binds for inlet delivery.
-const E11_INLET_PORT: u16 = 46_100;
-
-/// Removes a victim process at a fixed virtual time. In a sharded run
-/// nobody can pause the conductor between windows to edit a world from
-/// outside (the way [`e10_telemetry_faults`] does with
-/// `World::remove_process`), so the silence fault has to live *inside*
-/// the world as an event.
-struct FaultInjector {
-    victim: ProcId,
-    at: SimDuration,
-}
-
-impl Process for FaultInjector {
-    fn name(&self) -> &str {
-        "e11-fault-injector"
-    }
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let at = self.at;
-        ctx.set_timer(at, 0);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        ctx.remove_process(self.victim)
-            .expect("victim alive at fault time");
+    let mut coin = simnet::SimRng::seed_from_u64(0x0DE5);
+    let mut ratios: Vec<f64> = (1..=slices as u64)
+        .map(|i| {
+            let until = from + SimDuration::from_nanos(measure.as_nanos() * i / slices as u64);
+            let (off_secs, on_secs) = if coin.gen_bool(0.5) {
+                let off_secs = timed(off, until);
+                (off_secs, timed(on, until))
+            } else {
+                let on_secs = timed(on, until);
+                (timed(off, until), on_secs)
+            };
+            on_secs / off_secs
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let mid = slices / 2;
+    if slices.is_multiple_of(2) {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    } else {
+        ratios[mid]
     }
 }
 
-/// Everything one E11 shard sends home across the thread boundary.
-struct E11ShardObs {
-    shard: u16,
-    spans: Vec<SpanRecord>,
-    snapshot: MetricsSnapshot,
-    incidents: Vec<IncidentBundle>,
-    report: Option<HealthReport>,
+/// Measures the sampler's overhead on the E9 federation: the same
+/// seeded world over the same virtual window with telemetry off and on
+/// (250 ms sampler, no objectives), as a [`paired_overhead_ratio`] over
+/// `slices` slices. Used by `bench perf-sched --check` to hold the
+/// telemetry plane under its overhead ceiling at n = 1000.
+pub fn e10_sampler_overhead(n: usize, measure: SimDuration, slices: usize) -> f64 {
+    let setup = SimTime::from_secs(E9_SETUP);
+    let mut off = e9_world(n);
+    let mut on = e9_world(n);
+    on.enable_telemetry(overhead_telemetry());
+    off.run_until(setup);
+    on.run_until(setup);
+    paired_overhead_ratio(&mut off, &mut on, measure, slices)
 }
 
-/// Results of the sharded incident experiment.
-#[derive(Debug, Clone)]
-pub struct ShardedIncidentResults {
-    /// Per-shard traces merged into one federation-wide span set
-    /// (sources prefixed `s{shard}/`, ingress hops re-parented onto
-    /// their remote egress).
-    pub merged_spans: Vec<SpanRecord>,
-    /// `shard.xfer.egress` spans recorded on the mouse shard.
-    pub xfer_egress: u64,
-    /// `shard.xfer.ingress` spans recorded on the light shard.
-    pub xfer_ingress: u64,
-    /// Ingress hops whose remote parent did not resolve after merging.
-    pub orphan_xfer_hops: u64,
-    /// Critical-path coverage of the merged cross-shard journey.
-    pub journey_coverage: f64,
-    /// Incident bundles the light shard's trigger plane snapshotted.
-    pub bundles: Vec<IncidentBundle>,
-    /// Deterministic JSON of the first bundle (CI's byte-diff artifact).
-    pub bundle_json: String,
-    /// The light shard's final doctor report JSON.
-    pub doctor_json: String,
-    /// Subject of the doctor's top offender.
-    pub top_offender: Option<String>,
-}
-
-/// Builds the Bluetooth half on shard 0: the mouse, its mapper, and an
-/// uplink standing in for the remote light — clicks wired into it leave
-/// the shard as traced hand-off frames.
-fn e11_mouse_shard(world: &mut World) {
-    use platform_bluetooth::{HidpMouse, MouseConfig};
-    use umiddle_bridges::ShardUplink;
-
-    let pico = world.add_segment(SegmentConfig::bluetooth_piconet());
-    let (h1, rt) = runtime_node(world, "h1", 0, &[pico]);
-    let mouse_node = world.add_node("mouse");
-    world.attach(mouse_node, pico).unwrap();
-    world.add_process(
-        mouse_node,
-        Box::new(HidpMouse::new(MouseConfig {
-            name: "E11 Mouse".to_owned(),
-            click_interval: Some(SimDuration::from_millis(400)),
-            motion_interval: None,
-            click_limit: 0,
-        })),
-    );
-    world.add_process(
-        h1,
-        Box::new(BluetoothMapper::with_defaults(rt, UsdlLibrary::bundled())),
-    );
-    world.add_process(
-        h1,
-        Box::new(NativeService::new(
-            "E11 Uplink",
-            Shape::builder()
-                .digital("in", Direction::Input, "text/plain".parse().unwrap())
-                .build()
-                .unwrap(),
-            rt,
-            Box::new(ShardUplink::new(1, E11_INLET)),
-        )),
-    );
-    world.add_process(
-        h1,
-        Box::new(Wirer::new(
-            rt,
-            vec![WireRule::new("E11 Mouse", "clicks", "E11 Uplink", "in")],
-        )),
-    );
-}
-
-/// Builds the UPnP half on shard 1: the light, its mapper, the ingress
-/// re-emitting arriving clicks, the E10 fault pair (flood + mapper
-/// silence, both at t = 30 s), and the telemetry plane whose trigger
-/// rules snapshot the incident bundles.
-fn e11_light_shard(world: &mut World, fault_at: SimDuration) {
-    use platform_upnp::{LightLogic, UpnpDevice};
-    use umiddle_bridges::ShardIngress;
-
-    let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub()); // seg0
-    let (h2, rt) = runtime_node(world, "h2", 1, &[hub]);
-    let light_node = world.add_node("light");
-    world.attach(light_node, hub).unwrap();
-    world.add_process(
-        light_node,
-        Box::new(UpnpDevice::new(
-            Box::new(LightLogic::new("E11 Light", "uuid:e11-l")),
-            5000,
-        )),
-    );
-    let upnp_mapper = world.add_process(
-        h2,
-        Box::new(UpnpMapper::with_defaults(rt, UsdlLibrary::bundled())),
-    );
-    // The ingress lives on its own host and runtime so the re-emitted
-    // clicks cross the hub on their way to the light — the same
-    // transport leg the flood saturates (mirrors E10's rt0 → rt1 hop).
-    let (h3, rt3) = runtime_node(world, "h3", 2, &[hub]);
-    world.add_process(
-        h3,
-        Box::new(
-            NativeService::new(
-                "E11 Ingress",
-                Shape::builder()
-                    .digital("out", Direction::Output, "text/plain".parse().unwrap())
-                    .build()
-                    .unwrap(),
-                rt3,
-                Box::new(ShardIngress::new("out")),
-            )
-            .with_shard_inlet(E11_INLET, E11_INLET_PORT),
-        ),
-    );
-    world.add_process(
-        h3,
-        Box::new(Wirer::new(
-            rt3,
-            vec![WireRule::new(
-                "E11 Ingress",
-                "out",
-                "E11 Light",
-                "switch-on",
-            )],
-        )),
-    );
-
-    // The same fault pair as E10: a flood saturating the hub plus the
-    // mapper going silent, both at the fault instant.
-    let flood_dst = world.add_node("flood-dst");
-    world.attach(flood_dst, hub).unwrap();
-    world.add_process(flood_dst, Box::new(FloodSink));
-    let flood_src = world.add_node("flood-src");
-    world.attach(flood_src, hub).unwrap();
-    world.add_process(
-        flood_src,
-        Box::new(Flooder {
-            target: Addr::new(flood_dst, FLOOD_PORT),
-            start_after: fault_at,
-            period: SimDuration::from_micros(800),
-            size: 1000,
-        }),
-    );
-    world.add_process(
-        h2,
-        Box::new(FaultInjector {
-            victim: upnp_mapper,
-            at: fault_at,
-        }),
-    );
-
-    world.enable_telemetry(e10_objectives());
-}
-
-/// The E10/E11 telemetry configuration: 500 ms sampler, availability
+/// The E10/E13 telemetry configuration: 500 ms sampler, availability
 /// SLO on the UPnP bridge, latency SLO on the shared hub.
 fn e10_objectives() -> TelemetryConfig {
     TelemetryConfig {
@@ -2496,106 +2162,6 @@ fn e10_objectives() -> TelemetryConfig {
     }
 }
 
-/// Runs the sharded incident experiment: the E10 fault pair re-run with
-/// the federation split across a shard boundary — the Bluetooth mouse
-/// on shard 0, the UPnP light (and both faults) on shard 1, clicks
-/// crossing the conductor's inter-shard link as traced hand-off frames.
-/// Both shards run an always-on flight recorder; shard 1's trigger
-/// plane snapshots a deterministic incident bundle when the SLOs fire.
-///
-/// The experiment proves two things the unsharded E10 cannot:
-///
-/// 1. **Journey coverage across the boundary** — after
-///    [`merge_shard_spans`], every `shard.xfer.ingress` hop resolves
-///    its remote `shard.xfer.egress` parent (no orphans), and the
-///    merged critical path attributes the link crossing.
-/// 2. **Incident localization from inside one shard** — the bundle's
-///    doctor report ranks the saturated hub as top offender even
-///    though the traffic *source* (the mouse) lives on another shard.
-pub fn e11_sharded_incident() -> ShardedIncidentResults {
-    use simnet::shard::{run_sharded, ShardPlan};
-
-    let fault_at = SimDuration::from_secs(30);
-    let plan = ShardPlan::new(2, SimDuration::from_millis(5)).without_wall_health();
-    let report = run_sharded(
-        &plan,
-        0xE11,
-        SimTime::from_secs(60),
-        |world, info| {
-            world.trace_mut().set_log_enabled(false);
-            world.enable_flight_recorder();
-            if info.shard == 0 {
-                e11_mouse_shard(world);
-            } else {
-                e11_light_shard(world, fault_at);
-            }
-            Ok(())
-        },
-        |world, info| E11ShardObs {
-            shard: info.shard,
-            spans: world.trace().spans().collect(),
-            snapshot: world.trace().metrics().snapshot(),
-            incidents: world.incidents().to_vec(),
-            report: world.doctor(),
-        },
-    )
-    .expect("sharded incident run");
-
-    let obs: Vec<E11ShardObs> = report.shards.into_iter().map(|s| s.result).collect();
-    let per_shard: Vec<(u16, &[SpanRecord])> =
-        obs.iter().map(|o| (o.shard, o.spans.as_slice())).collect();
-    let merged = merge_shard_spans(&per_shard);
-
-    let egress: Vec<&SpanRecord> = merged
-        .iter()
-        .filter(|s| s.stage == "shard.xfer.egress")
-        .collect();
-    let ingress: Vec<&SpanRecord> = merged
-        .iter()
-        .filter(|s| s.stage == "shard.xfer.ingress")
-        .collect();
-    let orphans = ingress.iter().filter(|s| s.parent.is_none()).count() as u64;
-
-    // Coverage of the cross-shard journey: the corr minted on the mouse
-    // shard reaches from connection setup through the merged link hop.
-    let journey_coverage = ingress
-        .first()
-        .and_then(|s| CriticalPath::analyze(&merged, s.corr))
-        .map_or(0.0, |cp| cp.coverage());
-
-    let light = obs
-        .iter()
-        .find(|o| o.shard == 1)
-        .expect("light shard collected");
-    let doctor = light.report.as_ref().expect("telemetry on light shard");
-    let bundle_json = light
-        .incidents
-        .first()
-        .map(|b| b.to_json().document())
-        .unwrap_or_default();
-
-    // Cross-check the span census against the bridge counters.
-    let counter = |o: &E11ShardObs, k: &str| o.snapshot.counters.get(k).copied().unwrap_or(0);
-    let mouse = obs
-        .iter()
-        .find(|o| o.shard == 0)
-        .expect("mouse shard collected");
-    assert_eq!(egress.len() as u64, counter(mouse, "shard.xfer_egress"));
-    assert_eq!(ingress.len() as u64, counter(light, "shard.xfer_ingress"));
-
-    ShardedIncidentResults {
-        xfer_egress: egress.len() as u64,
-        xfer_ingress: ingress.len() as u64,
-        orphan_xfer_hops: orphans,
-        journey_coverage,
-        bundle_json,
-        doctor_json: doctor.to_json().document(),
-        top_offender: doctor.top_offenders.first().map(|o| o.subject.clone()),
-        bundles: light.incidents.clone(),
-        merged_spans: merged,
-    }
-}
-
 // =====================================================================
 // E13 — latency attribution: time decomposition + differential doctor
 // =====================================================================
@@ -2630,7 +2196,10 @@ pub struct AttributionResults {
     /// Spans of the exemplar's journey found inside the first captured
     /// incident bundle.
     pub exemplar_journey: Vec<SpanRecord>,
-    /// Incident bundles the trigger plane captured.
+    /// Critical-path coverage of the exemplar's bridged click journey,
+    /// as the bundle recorded it.
+    pub journey_coverage: f64,
+    /// Incident bundles the trigger plane captured (E11's evidence).
     pub bundles: Vec<IncidentBundle>,
     /// The doctor's final report, offenders annotated with dominant
     /// time components and exemplar corrs.
@@ -2642,6 +2211,10 @@ pub struct AttributionResults {
 /// attribution fold rides the 500 ms telemetry sampler; one snapshot is
 /// cut at the fault instant and one at the end, and the differential
 /// doctor diffs them.
+///
+/// The same run is E11, the incident experiment: its trigger plane
+/// snapshots the incident bundles, and its first bundle and final
+/// doctor report are E11's artifacts.
 ///
 /// The run proves the plane localizes the regression end to end:
 ///
@@ -2686,6 +2259,8 @@ pub fn e13_attribution() -> AttributionResults {
                 .collect()
         })
         .unwrap_or_default();
+    let journey_coverage =
+        CriticalPath::analyze(&exemplar_journey, exemplar_corr).map_or(0.0, |cp| cp.coverage());
 
     let report = world.doctor().expect("telemetry enabled");
 
@@ -2699,44 +2274,40 @@ pub fn e13_attribution() -> AttributionResults {
         diff,
         exemplar_corr,
         exemplar_journey,
+        journey_coverage,
         bundles,
         report,
     }
 }
 
-/// Measures the attribution plane's overhead on the E9b busy-sink fixture:
-/// the same seeded world over the same virtual window with a 250 ms
-/// telemetry sampler on both sides and the attribution fold only on the
-/// measure side, `passes` times, minimum *paired* ratio (same noise
-/// discipline as [`e10_sampler_overhead`]). `bench perf-sched --check` holds
-/// this under its 3% budget at n = 1000.
-pub fn e13_attrib_overhead(n: usize, measure: SimDuration, passes: usize) -> f64 {
-    let setup = SimTime::from_secs(E9B_SETUP);
-    let run = |attrib: bool| {
-        let (mut world, _count) = e9b_world(n);
-        world.enable_telemetry(TelemetryConfig {
-            sampler: SamplerConfig {
-                interval: SimDuration::from_millis(250),
-                window: 64,
-            },
-            objectives: vec![],
-            liveness_timeout: SimDuration::from_secs(5),
-        });
-        if attrib {
-            world.enable_attribution();
-        }
-        world.run_until(setup);
-        let t0 = std::time::Instant::now();
-        world.run_until(setup + measure);
-        t0.elapsed().as_secs_f64().max(1e-9)
-    };
-    let mut best = f64::INFINITY;
-    for _ in 0..passes.max(2) {
-        let plain = run(false);
-        let attributed = run(true);
-        best = best.min(attributed / plain);
-    }
-    best
+/// Measures the attribution plane's overhead on the E9 federation, the
+/// fixture [`e10_sampler_overhead`] uses: every bridge hop begins and
+/// closes spans there, so the fold has real work. Both sides run the
+/// 250 ms telemetry sampler and only the measured side folds, as a
+/// [`paired_overhead_ratio`] over `slices` slices. `bench perf-sched
+/// --check` holds this under its 3% budget at n = 1000.
+///
+/// # Panics
+///
+/// If the measured window folds no span: the ratio would time an empty
+/// fold.
+pub fn e13_attrib_overhead(n: usize, measure: SimDuration, slices: usize) -> f64 {
+    let setup = SimTime::from_secs(E9_SETUP);
+    let mut off = e9_world(n);
+    let mut on = e9_world(n);
+    off.enable_telemetry(overhead_telemetry());
+    on.enable_telemetry(overhead_telemetry());
+    on.enable_attribution();
+    off.run_until(setup);
+    on.run_until(setup);
+    let folded = |world: &mut World| world.attribution_report().map_or(0, |r| r.spans_folded);
+    let before = folded(&mut on);
+    let ratio = paired_overhead_ratio(&mut off, &mut on, measure, slices);
+    assert!(
+        folded(&mut on) > before,
+        "the attribution gate folded no span in its measured window"
+    );
+    ratio
 }
 
 // =====================================================================
@@ -3313,65 +2884,14 @@ mod tests {
         }
     }
 
-    /// The sharded incident run stitches a complete cross-shard journey
-    /// and localizes the fault from inside one shard: no orphan
-    /// `shard.xfer` hops after merging, the saturated hub as top
-    /// offender, and at least one deterministic incident bundle.
-    #[test]
-    fn e11_cross_shard_journeys_and_incident_bundle() {
-        let r = e11_sharded_incident();
-
-        // The click stream crossed the boundary and every ingress hop
-        // resolved its remote egress parent — 100% journey coverage at
-        // the `shard.xfer` hops.
-        assert!(r.xfer_ingress > 0, "no clicks crossed the shard boundary");
-        assert!(
-            r.xfer_egress >= r.xfer_ingress,
-            "more arrivals than departures: {} egress, {} ingress",
-            r.xfer_egress,
-            r.xfer_ingress
-        );
-        assert_eq!(r.orphan_xfer_hops, 0, "orphan spans at shard.xfer hops");
-        assert!(
-            r.journey_coverage >= 0.95,
-            "merged journey under-attributed: {:.3}",
-            r.journey_coverage
-        );
-
-        // Sources carry their shard prefix after the merge.
-        assert!(r.merged_spans.iter().any(|s| s.source.starts_with("s0/")));
-        assert!(r.merged_spans.iter().any(|s| s.source.starts_with("s1/")));
-
-        // The trigger plane snapshotted the incident, and the bundle
-        // localizes the saturated hub across the shard boundary. (The
-        // first bundle may be the offender-rank change that precedes
-        // the firing transition — both stem from the same fault pair.)
-        let first = r.bundles.first().expect("an incident bundle");
-        assert_eq!(first.shard, Some(1), "bundle names the capturing shard");
-        assert!(
-            r.bundles
-                .iter()
-                .any(|b| b.kind == simnet::TriggerKind::SloFiring),
-            "no slo-firing bundle: {:?}",
-            r.bundles.iter().map(|b| b.kind).collect::<Vec<_>>()
-        );
-        assert!(!r.bundle_json.is_empty());
-        assert!(r.bundle_json.contains("\"trigger\""));
-        assert_eq!(
-            r.top_offender.as_deref(),
-            Some("seg0:ethernet-10mbps-hub"),
-            "doctor did not localize the saturated hub"
-        );
-        assert!(r.doctor_json.contains("\"firing\""));
-    }
-
     /// The attribution plane must localize the E10 fault pair end to
     /// end: the differential doctor's top regression is queue-wait on
     /// the runtime component (the saturated hub's backlog), the
     /// latency exemplar resolves to a journey inside the captured
     /// incident bundle — including the `queue.wait` span that explains
     /// the latency — and the doctor's offenders carry attribution
-    /// annotations.
+    /// annotations. The same run is E11: its bundles and final doctor
+    /// report are the incident evidence.
     #[test]
     fn e13_attribution_localizes_queue_wait_regression() {
         let r = e13_attribution();
@@ -3435,6 +2955,31 @@ mod tests {
         assert_eq!(parsed.to_json().document(), r.before_json);
         assert!(r.attrib_json.contains("\"components\""));
         assert!(r.diff_json.contains("\"rows\""));
+
+        // E11: the trigger plane snapshotted the incident, the doctor
+        // localizes the saturated hub, and the bundled click journey is
+        // attributed end to end. (The first bundle may be the
+        // offender-rank change that precedes the firing transition —
+        // both stem from the same fault pair.)
+        assert!(
+            r.bundles
+                .iter()
+                .any(|b| b.kind == simnet::TriggerKind::SloFiring),
+            "no slo-firing bundle: {:?}",
+            r.bundles.iter().map(|b| b.kind).collect::<Vec<_>>()
+        );
+        assert!(r.bundles[0].to_json().document().contains("\"trigger\""));
+        assert_eq!(
+            r.report.top_offenders.first().map(|o| o.subject.as_str()),
+            Some("seg0:ethernet-10mbps-hub"),
+            "doctor did not localize the saturated hub"
+        );
+        assert!(r.report.to_json().document().contains("\"firing\""));
+        assert!(
+            r.journey_coverage >= 0.95,
+            "bridged click journey under-attributed: {:.3}",
+            r.journey_coverage
+        );
     }
 
     #[test]

@@ -283,41 +283,41 @@ pub fn render_e10(r: &TelemetryFaultResults) -> String {
     out
 }
 
-/// Renders the E11 sharded incident run: the E10 fault pair split
-/// across a shard boundary, with the merged journey and the trigger
-/// plane's incident bundles.
-pub fn render_e11(r: &ShardedIncidentResults) -> String {
-    let mut out = hr("E11 — cross-shard tracing: sharded fault pair + incident bundles");
-    out.push_str(&format!(
-        "shard hand-offs: {} egress spans (mouse shard) / {} ingress spans (light shard)\n",
-        r.xfer_egress, r.xfer_ingress
-    ));
-    out.push_str(&format!(
-        "merged journey: {} spans, {} orphan xfer hops, critical-path coverage {:.1}%\n",
-        r.merged_spans.len(),
-        r.orphan_xfer_hops,
-        r.journey_coverage * 100.0
-    ));
+/// Renders E11, the incident evidence of the E13 run: the trigger
+/// plane's incident bundles, the bundled click journey's coverage and
+/// the doctor's final verdict.
+pub fn render_e11(r: &AttributionResults) -> String {
+    let mut out = hr("E11 — incident bundles: the E13 fault run's flight recorder");
     out.push_str("incident bundles:\n");
     for b in &r.bundles {
         out.push_str(&format!(
-            "  #{} {:>12}  shard {:>4}  {:?}: {}\n",
+            "  #{} {:>12}  {:?}: {}\n",
             b.seq,
             b.at.to_string(),
-            b.shard.map_or("-".to_owned(), |s| format!("s{s}")),
             b.kind,
             b.detail
         ));
     }
     out.push_str(&format!(
+        "bundled click journey: corr {:#x}, {} span(s), critical-path coverage {:.1}%\n",
+        r.exemplar_corr,
+        r.exemplar_journey.len(),
+        r.journey_coverage * 100.0
+    ));
+    out.push_str(&format!(
         "doctor's top offender: {}\n",
-        r.top_offender.as_deref().unwrap_or("(none)")
+        r.report
+            .top_offenders
+            .first()
+            .map_or("(none)", |o| o.subject.as_str())
     ));
     out.push_str(&format!(
         "exports: incident bundle JSON {} B, doctor JSON {} B \
          (write them with `bench incident`)\n",
-        r.bundle_json.len(),
-        r.doctor_json.len()
+        r.bundles
+            .first()
+            .map_or(0, |b| b.to_json().document().len()),
+        r.report.to_json().document().len()
     ));
     out
 }
@@ -332,13 +332,13 @@ pub fn render_e13(r: &AttributionResults) -> String {
         r.before.at_ns, r.before.spans_folded, r.after.at_ns, r.after.spans_folded, r.after.spans_lost
     ));
     out.push_str(&format!(
-        "{:28} {:>16} {:>16} {:>16} {:>8}\n",
-        "component", "self ns", "queue ns", "barrier ns", "spans"
+        "{:28} {:>16} {:>16} {:>8}\n",
+        "component", "self ns", "queue ns", "spans"
     ));
     for (name, c) in &r.after.components {
         out.push_str(&format!(
-            "{:28} {:>16} {:>16} {:>16} {:>8}\n",
-            name, c.self_ns, c.queue_ns, c.barrier_ns, c.spans
+            "{:28} {:>16} {:>16} {:>8}\n",
+            name, c.self_ns, c.queue_ns, c.spans
         ));
     }
     out.push('\n');
@@ -390,38 +390,6 @@ pub fn render_e9(rows: &[SchedScaleRow]) -> String {
             r.events_per_sec,
             r.p99_dispatch_ns,
             r.allocs_per_event
-        ));
-    }
-    out
-}
-
-/// Renders the E9c shard-scaling curve.
-pub fn render_e9c(rows: &[ShardScaleRow]) -> String {
-    let mut out = hr("E9c — sharded execution: per-core scaling of the wing federation");
-    out.push_str(&format!(
-        "{:>7} {:>9} {:>6} {:>12} {:>9} {:>13} {:>13} {:>13} {:>9}\n",
-        "shards",
-        "devices",
-        "wings",
-        "events",
-        "wall s",
-        "events/s",
-        "p99 disp ns",
-        "stall ms",
-        "windows"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:>7} {:>9} {:>6} {:>12} {:>9.2} {:>13.0} {:>13} {:>13.1} {:>9}\n",
-            r.shards,
-            r.devices,
-            r.wings,
-            r.events,
-            r.wall_secs,
-            r.events_per_sec,
-            r.p99_dispatch_ns,
-            r.barrier_stall_ns as f64 / 1e6,
-            r.windows
         ));
     }
     out

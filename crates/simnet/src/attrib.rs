@@ -10,15 +10,11 @@
 //! * **queue wait** — time messages spent waiting rather than being
 //!   computed on: path buffers (`queue.wait`), the wire under
 //!   contention (`transport.send`, held open from serialize to decode),
-//!   and blocked QoS drains (`qos.drain-wait`), and
-//! * **barrier stall** — wall-clock time a shard spent waiting at
-//!   conductor barriers (from the `shard.barrier_stall_ns` histogram;
-//!   zero in unsharded or `without_wall_health` runs, which keeps the
-//!   byte-diffed artifacts deterministic).
+//!   and blocked QoS drains (`qos.drain-wait`).
 //!
 //! **Components** are coarse attribution scopes derived from span
-//! metadata: `bridge:{platform}` for `bridge.*` stages, `shard:s{id}`
-//! for barrier stalls, and `process:{source}` for everything else.
+//! metadata: `bridge:{platform}` for `bridge.*` stages and
+//! `process:{source}` for everything else.
 //!
 //! Each component also keeps an **exemplar**: the trace correlation id
 //! of the longest span folded into it, so an attribution row links
@@ -32,19 +28,14 @@
 //! JSON. Spans evicted by the flight-recorder ring while still open are
 //! counted in `spans_lost` instead of silently vanishing.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use crate::hash::IntMap;
+use crate::journal::SpanFacts;
 use crate::json::{Json, JsonError, Layout};
 use crate::time::SimTime;
-use crate::trace::{SpanId, SpanRecord, Trace};
-
-/// Which time category a folded span lands in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TimeKind {
-    SelfTime,
-    Queue,
-}
+use crate::trace::Trace;
 
 /// Accumulated virtual-time decomposition for one attribution
 /// component.
@@ -55,8 +46,6 @@ pub struct ComponentTimes {
     /// Queue wait (`queue.wait`, `transport.send` and `qos.drain-wait`
     /// spans), ns.
     pub queue_ns: u64,
-    /// Shard barrier stall (wall-clock, conductor-recorded), ns.
-    pub barrier_ns: u64,
     /// Spans folded into this component.
     pub spans: u64,
     /// Largest single span contribution folded so far, ns.
@@ -67,20 +56,18 @@ pub struct ComponentTimes {
 }
 
 impl ComponentTimes {
-    /// Total attributed time across all three categories.
+    /// Total attributed time across both categories.
     pub fn total_ns(&self) -> u128 {
-        u128::from(self.self_ns) + u128::from(self.queue_ns) + u128::from(self.barrier_ns)
+        u128::from(self.self_ns) + u128::from(self.queue_ns)
     }
 
-    /// The dominant time category (`"self"`, `"queue"`, or
-    /// `"barrier"`); ties break self > queue > barrier.
+    /// The dominant time category (`"self"` or `"queue"`); a tie
+    /// breaks toward self.
     pub fn dominant(&self) -> &'static str {
-        if self.self_ns >= self.queue_ns && self.self_ns >= self.barrier_ns {
+        if self.self_ns >= self.queue_ns {
             "self"
-        } else if self.queue_ns >= self.barrier_ns {
-            "queue"
         } else {
-            "barrier"
+            "queue"
         }
     }
 }
@@ -121,7 +108,6 @@ impl AttributionReport {
             let c = Json::inline()
                 .with("self_ns", c.self_ns)
                 .with("queue_ns", c.queue_ns)
-                .with("barrier_ns", c.barrier_ns)
                 .with("spans", c.spans)
                 .with("max_span_ns", c.max_span_ns)
                 .with("exemplar_corr", c.exemplar_corr);
@@ -159,11 +145,10 @@ impl AttributionReport {
             components: BTreeMap::new(),
         };
         for (name, c) in entries {
-            let [self_ns, queue_ns, barrier_ns, spans, max_span_ns, exemplar_corr] = c
+            let [self_ns, queue_ns, spans, max_span_ns, exemplar_corr] = c
                 .fields([
                     "self_ns",
                     "queue_ns",
-                    "barrier_ns",
                     "spans",
                     "max_span_ns",
                     "exemplar_corr",
@@ -172,7 +157,6 @@ impl AttributionReport {
             let times = ComponentTimes {
                 self_ns: self_ns.u64_of(name)?,
                 queue_ns: queue_ns.u64_of(name)?,
-                barrier_ns: barrier_ns.u64_of(name)?,
                 spans: spans.u64_of(name)?,
                 max_span_ns: max_span_ns.u64_of(name)?,
                 exemplar_corr: exemplar_corr.u64_of(name)?,
@@ -187,75 +171,59 @@ impl AttributionReport {
 
 /// The continuous profiler state: an incremental fold over the span
 /// journal plus the folded per-component aggregates. Owned by the
-/// world, advanced at every telemetry sample.
+/// world, advanced at every telemetry sample. A plane folds one trace:
+/// it caches what each of that trace's stages counts as.
 #[derive(Debug, Default)]
 pub struct AttributionPlane {
     /// Highest span id already examined; spans at or below it are
     /// folded, pending, or lost.
     cursor: u64,
-    /// Span ids seen but still open at the last fold.
-    pending: BTreeSet<u64>,
-    /// Child-span durations accumulated for parents not yet folded,
-    /// keyed by parent span id.
-    child_ns: BTreeMap<u64, u64>,
-    /// Barrier-stall nanoseconds already attributed (the
-    /// `barrier_stall` histogram is cumulative; the fold takes deltas).
-    barrier_folded_ns: u128,
+    /// Span ids seen but still open at the last fold, ascending.
+    pending: Vec<u64>,
+    /// Child-span durations accumulated for pending parents, keyed by
+    /// parent span id.
+    child_ns: IntMap<u64, u64>,
     samples: u64,
     spans_folded: u64,
     spans_lost: u64,
-    components: Components,
+    /// `process:{source}` accounts, indexed by span source and named
+    /// the first time the source is folded.
+    process: Vec<Option<(Arc<str>, ComponentTimes)>>,
+    /// `bridge:{platform}` accounts, in first-seen order.
+    bridge: Vec<(&'static str, ComponentTimes)>,
+    /// What each stage of the trace's string table counts as, resolved
+    /// the first time a span of that stage is folded.
+    stages: Vec<Option<StageClass>>,
+    /// Buffers reused by every fold.
+    scratch: FoldScratch,
 }
 
-/// The folded per-component accounts, keyed by what names each
-/// component rather than by its rendered name, so folding a span builds
-/// no string; [`Components::named`] renders the names for a report.
+/// The per-fold working sets, kept between folds for their capacity.
 #[derive(Debug, Default)]
-struct Components {
-    /// `process:{source}`, by span source.
-    process: BTreeMap<Arc<str>, ComponentTimes>,
-    /// `bridge:{platform}`, by platform.
-    bridge: BTreeMap<&'static str, ComponentTimes>,
-    /// `shard:s{id}`, by shard id.
-    shard: BTreeMap<u16, ComponentTimes>,
+struct FoldScratch {
+    /// Spans ready to fold, ascending by id.
+    ready: Vec<SpanFacts>,
+    /// The previously pending ids that are still retained, ascending.
+    live_pending: Vec<u64>,
+    /// The pending ids that closed since the last fold, ascending.
+    closed: Vec<u64>,
+    /// Child time of the spans first seen in this fold, by id offset
+    /// from the first of them.
+    fresh_child_ns: Vec<u64>,
 }
 
-/// The component a span is attributed to.
-enum Component<'a> {
-    Process(&'a Arc<str>),
-    Bridge(&'static str),
+/// What one stage's spans count as.
+#[derive(Debug, Clone, Copy)]
+enum StageClass {
+    /// Self time of the span's process.
+    SelfTime,
+    /// Queue wait of the span's process.
+    Queue,
+    /// Self time of the `bridge` account at this index.
+    Bridge(usize),
 }
 
-impl Components {
-    /// The account of `component`, created empty the first time it is
-    /// seen.
-    fn account(&mut self, component: Component<'_>) -> &mut ComponentTimes {
-        match component {
-            Component::Process(source) => self.process.entry(Arc::clone(source)).or_default(),
-            Component::Bridge(platform) => self.bridge.entry(platform).or_default(),
-        }
-    }
-
-    /// Every account under its component name (`process:{source}`,
-    /// `bridge:{platform}`, `shard:s{id}`).
-    fn named(&self) -> BTreeMap<String, ComponentTimes> {
-        let process = self
-            .process
-            .iter()
-            .map(|(source, c)| (format!("process:{source}"), c.clone()));
-        let bridge = self
-            .bridge
-            .iter()
-            .map(|(platform, c)| (format!("bridge:{platform}"), c.clone()));
-        let shard = self
-            .shard
-            .iter()
-            .map(|(id, c)| (format!("shard:s{id}"), c.clone()));
-        process.chain(bridge).chain(shard).collect()
-    }
-}
-
-/// Maps a span to its attribution component and time category.
+/// Classifies a stage, registering its bridge platform if it names one.
 ///
 /// Wait stages are everything a message spends *not being computed on*:
 /// `queue.wait` (sitting in a path buffer), `transport.send` (held open
@@ -264,14 +232,18 @@ impl Components {
 /// queueing), and `qos.drain-wait` (a blocked drain sleeping on its
 /// retry timer). Everything else is self time — bridge stages on the
 /// platform's `bridge:` component, the rest on the owning process.
-fn component_of<'a>(stage: &'static str, source: &'a Arc<str>) -> (Component<'a>, TimeKind) {
+fn classify(stage: &'static str, bridge: &mut Vec<(&'static str, ComponentTimes)>) -> StageClass {
     if stage == "queue.wait" || stage == "transport.send" || stage == "qos.drain-wait" {
-        (Component::Process(source), TimeKind::Queue)
+        StageClass::Queue
     } else if let Some(rest) = stage.strip_prefix("bridge.") {
         let platform = rest.split('.').next().unwrap_or(rest);
-        (Component::Bridge(platform), TimeKind::SelfTime)
+        let at = bridge.iter().position(|(p, _)| *p == platform);
+        StageClass::Bridge(at.unwrap_or_else(|| {
+            bridge.push((platform, ComponentTimes::default()));
+            bridge.len() - 1
+        }))
     } else {
-        (Component::Process(source), TimeKind::SelfTime)
+        StageClass::SelfTime
     }
 }
 
@@ -284,111 +256,153 @@ impl AttributionPlane {
     /// Folds everything that changed in the span journal since the last
     /// fold: newly begun spans are examined once, spans still open stay
     /// pending, and spans the journal evicted while open are counted as
-    /// lost. `barrier` carries this shard's id and the cumulative
-    /// barrier-stall total, attributed as a delta to `shard:s{id}`.
+    /// lost.
     ///
-    /// Only the spans after the cursor and the pending ids are read.
-    /// The cursor relies on two [`Trace`] invariants: ids strictly
-    /// increase, and eviction only ever removes the oldest spans.
-    pub fn fold(&mut self, trace: &Trace, barrier: Option<(u16, u128)>) {
+    /// Only the spans after the cursor and the pending spans that closed
+    /// are read, straight from the journal's slots: the journal logs
+    /// the closes of the spans the fold saw open. The cursor relies on
+    /// two [`Trace`] invariants: ids strictly increase, and eviction
+    /// only ever removes the oldest spans.
+    pub fn fold(&mut self, trace: &mut Trace) {
         self.samples = self.samples.saturating_add(1);
+        let journal = trace.journal_mut();
+        let FoldScratch {
+            ready,
+            live_pending,
+            closed,
+            fresh_child_ns,
+        } = &mut self.scratch;
+        ready.clear();
+        live_pending.clear();
+        closed.clear();
 
-        // Phase A: find what is newly ready. Pending opens from earlier
-        // folds are re-checked first; then the cursor advances over the
-        // newly begun spans.
-        let mut ready: Vec<SpanRecord> = Vec::new();
-        if !self.pending.is_empty() {
-            let mut resolved: Vec<u64> = Vec::new();
-            for &id in self.pending.iter() {
-                match trace.span_record(SpanId(id)) {
-                    Some(s) => {
-                        if s.end.is_some() {
-                            ready.push(s);
-                            resolved.push(id);
-                        }
-                    }
-                    None => {
-                        // Evicted by the ring while still open.
-                        self.spans_lost = self.spans_lost.saturating_add(1);
-                        self.child_ns.remove(&id);
-                        resolved.push(id);
-                    }
-                }
-            }
-            for id in resolved {
-                self.pending.remove(&id);
-            }
+        // Phase A: find what is newly ready. Pending spans the ring
+        // evicted are lost; the pending spans that closed since the last
+        // fold come first (they precede every new id, so `ready` stays
+        // in id order); then the cursor advances over the newly begun
+        // spans.
+        let lost = self.pending.partition_point(|&id| id < journal.first_id());
+        for id in self.pending.drain(..lost) {
+            self.spans_lost = self.spans_lost.saturating_add(1);
+            self.child_ns.remove(&id);
         }
-        for s in trace.spans_after(SpanId(self.cursor)) {
-            self.cursor = s.id.0;
-            if s.end.is_some() {
-                ready.push(s);
+        live_pending.extend_from_slice(&self.pending);
+        journal.take_closed(closed);
+        closed.sort_unstable();
+        closed.retain(|id| live_pending.binary_search(id).is_ok());
+        ready.extend(closed.iter().filter_map(|&id| journal.facts(id)));
+        // Both lists ascend and every closed id is pending: drop each.
+        let mut next_closed = closed.iter().copied().peekable();
+        self.pending
+            .retain(|&id| next_closed.next_if_eq(&id).is_none());
+        let fresh_from = self.pending.len();
+        let mut fresh_base = None;
+        for f in journal.facts_from(self.cursor.saturating_add(1)) {
+            fresh_base.get_or_insert(f.id);
+            self.cursor = f.id;
+            if f.duration_ns.is_some() {
+                ready.push(f);
             } else {
-                self.pending.insert(s.id.0);
+                self.pending.push(f.id);
             }
         }
-        // Fold in id order so the "longest span wins the exemplar" tie
-        // break is independent of how a span became ready.
-        ready.sort_by_key(|s| s.id.0);
+        journal.watch_closes(self.cursor);
+        let fresh_base = fresh_base.unwrap_or(u64::MAX);
+        fresh_child_ns.clear();
+        fresh_child_ns.resize((self.cursor + 1).saturating_sub(fresh_base) as usize, 0);
 
         // Phase B: accumulate child durations onto parents that have
-        // not been folded yet, so a parent folded later reports true
-        // self time. (A parent always has a smaller id than its child,
-        // so it is either in this batch, still pending, or was already
-        // folded with its full duration — in which case the child's
-        // time is intentionally not subtracted twice.)
-        let batch: BTreeSet<u64> = ready.iter().map(|s| s.id.0).collect();
-        for s in &ready {
-            if let Some(parent) = s.parent {
-                if batch.contains(&parent.0) || self.pending.contains(&parent.0) {
-                    let slot = self.child_ns.entry(parent.0).or_insert(0);
-                    *slot = slot.saturating_add(s.duration().map_or(0, |d| d.as_nanos()));
-                }
+        // not been folded yet — every span seen in this fold, and every
+        // earlier pending span still retained — so a parent folded now
+        // or later reports true self time. (A parent always has a
+        // smaller id than its child; one folded earlier already counted
+        // its full duration, and the child's time is intentionally not
+        // subtracted twice.)
+        for f in ready.iter() {
+            let duration = f.duration_ns.unwrap_or(0);
+            if f.parent >= fresh_base {
+                let slot = &mut fresh_child_ns[(f.parent - fresh_base) as usize];
+                *slot = slot.saturating_add(duration);
+            } else if f.parent != 0 && live_pending.binary_search(&f.parent).is_ok() {
+                let slot = self.child_ns.entry(f.parent).or_insert(0);
+                *slot = slot.saturating_add(duration);
             }
         }
 
-        // Phase C: attribute each ready span's own time.
-        for s in &ready {
-            let own = s
-                .duration()
-                .map_or(0, |d| d.as_nanos())
-                .saturating_sub(self.child_ns.remove(&s.id.0).unwrap_or(0));
-            let (component, kind) = component_of(s.stage, &s.source);
-            let c = self.components.account(component);
-            match kind {
-                TimeKind::SelfTime => c.self_ns = c.self_ns.saturating_add(own),
-                TimeKind::Queue => c.queue_ns = c.queue_ns.saturating_add(own),
+        // Phase C: attribute each ready span's own time, in id order so
+        // the "longest span wins the exemplar" tie break is independent
+        // of how a span became ready.
+        for f in ready.iter() {
+            let children = if f.id >= fresh_base {
+                fresh_child_ns[(f.id - fresh_base) as usize]
+            } else {
+                self.child_ns.remove(&f.id).unwrap_or(0)
+            };
+            let own = f.duration_ns.unwrap_or(0).saturating_sub(children);
+            let stage = f.stage as usize;
+            if stage >= self.stages.len() {
+                self.stages.resize(stage + 1, None);
+            }
+            let class = *self.stages[stage]
+                .get_or_insert_with(|| classify(journal.str_at(f.stage), &mut self.bridge));
+            let c = match class {
+                StageClass::Bridge(at) => &mut self.bridge[at].1,
+                StageClass::SelfTime | StageClass::Queue => {
+                    let source = f.source.index();
+                    if source >= self.process.len() {
+                        self.process.resize_with(source + 1, || None);
+                    }
+                    &mut self.process[source]
+                        .get_or_insert_with(|| {
+                            (
+                                Arc::clone(journal.source_name(f.source)),
+                                ComponentTimes::default(),
+                            )
+                        })
+                        .1
+                }
+            };
+            if let StageClass::Queue = class {
+                c.queue_ns = c.queue_ns.saturating_add(own);
+            } else {
+                c.self_ns = c.self_ns.saturating_add(own);
             }
             c.spans = c.spans.saturating_add(1);
             if own > c.max_span_ns {
                 c.max_span_ns = own;
-                c.exemplar_corr = s.corr;
+                c.exemplar_corr = f.corr;
             }
             self.spans_folded = self.spans_folded.saturating_add(1);
         }
 
-        // Barrier stall: cumulative histogram total, attributed as a
-        // delta. Empty in unsharded and `without_wall_health` runs.
-        if let Some((shard, total_ns)) = barrier {
-            let delta = total_ns.saturating_sub(self.barrier_folded_ns);
-            if delta > 0 {
-                self.barrier_folded_ns = total_ns;
-                let c = self.components.shard.entry(shard).or_default();
-                c.barrier_ns = c
-                    .barrier_ns
-                    .saturating_add(delta.min(u128::from(u64::MAX)) as u64);
+        // Fresh spans still open keep the child time gathered so far.
+        for &id in &self.pending[fresh_from..] {
+            let children = fresh_child_ns[(id - fresh_base) as usize];
+            if children > 0 {
+                self.child_ns.insert(id, children);
             }
         }
     }
 
-    /// Builds a snapshot of the folded aggregates as of `at`.
+    /// Builds a snapshot of the folded aggregates as of `at`, every
+    /// account under its component name (`process:{source}`,
+    /// `bridge:{platform}`).
     pub fn report(&self, at: SimTime) -> AttributionReport {
+        let process = self
+            .process
+            .iter()
+            .flatten()
+            .map(|(source, c)| (format!("process:{source}"), c.clone()));
+        let bridge = self
+            .bridge
+            .iter()
+            .map(|(platform, c)| (format!("bridge:{platform}"), c.clone()));
         AttributionReport {
             at_ns: at.as_nanos(),
             samples: self.samples,
             spans_folded: self.spans_folded,
             spans_lost: self.spans_lost,
-            components: self.components.named(),
+            components: process.chain(bridge).collect(),
         }
     }
 }
@@ -402,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_decomposes_self_queue_and_barrier() {
+    fn fold_decomposes_self_and_queue() {
         let mut plane = AttributionPlane::new();
         let mut t = Trace::default();
         let outer = t.span_begin(7, ns(0), "umiddle-runtime", "deliver.local", "");
@@ -411,25 +425,21 @@ mod tests {
         t.span_end(outer, ns(100));
         let hop = t.span_begin(7, ns(50), "mapper", "bridge.upnp.input", "");
         t.span_end(hop, ns(80));
-        plane.fold(&t, Some((1, 500)));
+        plane.fold(&mut t);
         let r = plane.report(SimTime::from_nanos(100));
         let rt = &r.components["process:umiddle-runtime"];
         assert_eq!(rt.self_ns, 70); // 100 minus the 30 ns child
         assert_eq!(rt.queue_ns, 30);
         assert_eq!(rt.exemplar_corr, 7);
         assert_eq!(r.components["bridge:upnp"].self_ns, 30);
-        assert_eq!(r.components["shard:s1"].barrier_ns, 500);
         assert_eq!(r.spans_folded, 3);
         assert_eq!(r.spans_lost, 0);
 
-        // Barrier total is cumulative: refolding with the same total
-        // attributes nothing new.
-        plane.fold(&t, Some((1, 500)));
-        assert_eq!(
-            plane.report(SimTime::ZERO).components["shard:s1"].barrier_ns,
-            500
-        );
-        assert_eq!(plane.report(SimTime::ZERO).spans_folded, 3);
+        // Refolding an unchanged journal attributes nothing new.
+        plane.fold(&mut t);
+        let again = plane.report(SimTime::from_nanos(100));
+        assert_eq!(again.components, r.components);
+        assert_eq!(again.spans_folded, 3);
     }
 
     #[test]
@@ -450,7 +460,7 @@ mod tests {
             t.span_end(hop, ns(base + 11));
             let hop = t.span_begin(4, ns(base), "rmi-mapper", "bridge.rmi.input", "");
             t.span_end(hop, ns(base + 13 + round));
-            plane.fold(&t, Some((2, u128::from(100 * (round + 1)))));
+            plane.fold(&mut t);
         }
         let r = plane.report(SimTime::ZERO);
         let names: Vec<&str> = r.components.keys().map(String::as_str).collect();
@@ -461,7 +471,6 @@ mod tests {
                 "bridge:rmi",
                 "process:rt-a",
                 "process:rt-b",
-                "shard:s2"
             ]
         );
         let rt_a = &r.components["process:rt-a"];
@@ -475,7 +484,6 @@ mod tests {
             (rmi.self_ns, rmi.max_span_ns, rmi.exemplar_corr),
             (42, 15, 4)
         );
-        assert_eq!(r.components["shard:s2"].barrier_ns, 300);
         assert_eq!(r.spans_folded, 15);
     }
 
@@ -487,13 +495,13 @@ mod tests {
         let outer = t.span_begin(9, ns(0), "umiddle-runtime", "deliver.local", "");
         let queue = t.span_begin(9, ns(0), "umiddle-runtime", "queue.wait", "");
         t.span_end(queue, ns(25));
-        plane.fold(&t, None);
+        plane.fold(&mut t);
         assert_eq!(plane.report(SimTime::ZERO).spans_folded, 1);
 
         // Second fold: the parent has closed; its self time excludes
         // the child folded a sample earlier.
         t.span_end(outer, ns(100));
-        plane.fold(&t, None);
+        plane.fold(&mut t);
         let r = plane.report(SimTime::ZERO);
         let rt = &r.components["process:umiddle-runtime"];
         assert_eq!(rt.self_ns, 75);
@@ -506,12 +514,12 @@ mod tests {
         let mut plane = AttributionPlane::new();
         let mut t = Trace::new(2);
         t.span_begin(3, ns(0), "p", "stage", "");
-        plane.fold(&t, None);
+        plane.fold(&mut t);
         // The ring evicts span 1 before it ever closed.
         t.span(4, ns(5), "p", "stage", "");
         t.span(4, ns(9), "p", "stage", "");
         assert_eq!(t.ring_overwrites(), 1);
-        plane.fold(&t, None);
+        plane.fold(&mut t);
         let r = plane.report(SimTime::ZERO);
         assert_eq!(r.spans_lost, 1);
         assert_eq!(r.spans_folded, 2);
@@ -525,11 +533,130 @@ mod tests {
         t.span_end(queue, ns(40));
         let hop = t.span_begin(0, ns(0), "mapper", "bridge.bt.output", "");
         t.span_end(hop, ns(10));
-        plane.fold(&t, Some((0, 123)));
+        plane.fold(&mut t);
         let report = plane.report(SimTime::from_nanos(99));
         let parsed = AttributionReport::from_json(&report.to_json().document()).expect("parses");
         assert_eq!(parsed, report);
         assert!(AttributionReport::from_json("{}").is_err());
+    }
+
+    /// The fold the plane replaced, kept as an oracle: it materializes
+    /// a record for every new span and re-reads every pending span at
+    /// every fold, keying its accounts by rendered name.
+    #[derive(Default)]
+    struct ReferenceFold {
+        cursor: u64,
+        pending: std::collections::BTreeSet<u64>,
+        child_ns: BTreeMap<u64, u64>,
+        folded: u64,
+        lost: u64,
+        components: BTreeMap<String, ComponentTimes>,
+    }
+
+    impl ReferenceFold {
+        fn fold(&mut self, trace: &Trace) {
+            use crate::trace::{SpanId, SpanRecord};
+            let mut ready: Vec<SpanRecord> = Vec::new();
+            for id in self.pending.clone() {
+                match trace.span_record(SpanId(id)) {
+                    Some(s) if s.end.is_some() => {
+                        ready.push(s);
+                        self.pending.remove(&id);
+                    }
+                    Some(_) => {}
+                    None => {
+                        self.lost += 1;
+                        self.child_ns.remove(&id);
+                        self.pending.remove(&id);
+                    }
+                }
+            }
+            for s in trace.spans_after(SpanId(self.cursor)) {
+                self.cursor = s.id.0;
+                if s.end.is_some() {
+                    ready.push(s);
+                } else {
+                    self.pending.insert(s.id.0);
+                }
+            }
+            ready.sort_by_key(|s| s.id.0);
+            let batch: std::collections::BTreeSet<u64> = ready.iter().map(|s| s.id.0).collect();
+            for s in &ready {
+                if let Some(parent) = s.parent {
+                    if batch.contains(&parent.0) || self.pending.contains(&parent.0) {
+                        *self.child_ns.entry(parent.0).or_insert(0) +=
+                            s.duration().map_or(0, |d| d.as_nanos());
+                    }
+                }
+            }
+            for s in &ready {
+                let own = s
+                    .duration()
+                    .map_or(0, |d| d.as_nanos())
+                    .saturating_sub(self.child_ns.remove(&s.id.0).unwrap_or(0));
+                let queue = matches!(s.stage, "queue.wait" | "transport.send" | "qos.drain-wait");
+                let name = match s.stage.strip_prefix("bridge.") {
+                    Some(rest) if !queue => format!("bridge:{}", rest.split('.').next().unwrap()),
+                    _ => format!("process:{}", s.source),
+                };
+                let c = self.components.entry(name).or_default();
+                if queue {
+                    c.queue_ns += own;
+                } else {
+                    c.self_ns += own;
+                }
+                c.spans += 1;
+                if own > c.max_span_ns {
+                    c.max_span_ns = own;
+                    c.exemplar_corr = s.corr;
+                }
+                self.folded += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn fold_matches_the_reference_fold_through_evictions_and_late_closes() {
+        const SOURCES: [&str; 3] = ["rt0", "rt1", "mapper"];
+        const STAGES: [&str; 6] = [
+            "deliver.local",
+            "queue.wait",
+            "transport.send",
+            "bridge.upnp.input",
+            "bridge.rmi.output",
+            "connect",
+        ];
+        crate::rng::check_cases("fold_matches_the_reference_fold", 64, |_, rng| {
+            let mut t = Trace::new(rng.gen_range(2usize..=48));
+            let mut plane = AttributionPlane::new();
+            let mut reference = ReferenceFold::default();
+            let mut open = Vec::new();
+            let mut now = 0;
+            for _ in 0..rng.gen_range(1usize..400) {
+                now += rng.gen_range(0u64..1_000);
+                let corr = rng.gen_range(1u64..4);
+                let source = SOURCES[rng.gen_range(0usize..SOURCES.len())];
+                let stage = STAGES[rng.gen_range(0usize..STAGES.len())];
+                match rng.gen_range(0u32..10) {
+                    0..=3 => open.push(t.span_begin(corr, ns(now), source, stage, "")),
+                    4..=5 => {
+                        t.span(corr, ns(now), source, stage, "");
+                    }
+                    6..=8 if !open.is_empty() => {
+                        let id = open.swap_remove(rng.gen_range(0..open.len()));
+                        t.span_end(id, ns(now));
+                    }
+                    _ => {
+                        plane.fold(&mut t);
+                        reference.fold(&t);
+                        let r = plane.report(ns(now));
+                        assert_eq!(r.components, reference.components);
+                        assert_eq!(r.spans_folded, reference.folded);
+                        assert_eq!(r.spans_lost, reference.lost);
+                    }
+                }
+            }
+        });
     }
 
     const BASELINE: &str = include_str!("../../../artifacts/E13_attrib_baseline.json");
@@ -565,9 +692,7 @@ mod tests {
         assert_eq!(c.dominant(), "self");
         c.queue_ns = 10;
         assert_eq!(c.dominant(), "queue");
-        c.barrier_ns = 11;
-        assert_eq!(c.dominant(), "barrier");
-        c.self_ns = 11;
+        c.self_ns = 10;
         assert_eq!(c.dominant(), "self");
 
         let mut report = AttributionReport::default();

@@ -47,9 +47,8 @@ impl<'w> Ctx<'w> {
 
     /// Removes a process from the world — in-world failure injection,
     /// the event-driven twin of [`crate::World::remove_process`]. Lets a
-    /// fault-injector process kill a victim mid-run, which is the only
-    /// way to schedule a failure inside a sharded run (the conductor
-    /// cannot pause sibling shards to edit a world between windows).
+    /// fault-injector process kill a victim mid-run from inside the
+    /// event loop, at a virtual instant of its choosing.
     /// Removing `me` is allowed; the dead slot is not resurrected.
     ///
     /// # Errors
@@ -337,53 +336,6 @@ impl<'w> Ctx<'w> {
     pub fn spawn_local(&mut self, process: Box<dyn Process>) -> ProcId {
         let node = self.node();
         self.world.add_process(node, process)
-    }
-
-    /// This world's shard identity in a sharded run, or `None` when the
-    /// world runs standalone. Fixture code branches on this to add
-    /// cross-shard wiring only when there is another shard to talk to.
-    pub fn shard(&self) -> Option<crate::ShardConfig> {
-        self.world.shard_config()
-    }
-
-    /// Sends `data` to inlet `inlet` on shard `dst_shard` over the
-    /// inter-shard link. The message leaves at this process's emit time
-    /// and arrives one link latency later, delivered as a datagram to
-    /// whatever address the receiving shard registered for the inlet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NotSharded`](crate::SimError::NotSharded)
-    /// outside a sharded run and
-    /// [`SimError::ShardUnknown`](crate::SimError::ShardUnknown) for an
-    /// out-of-range destination shard.
-    pub fn send_shard(
-        &mut self,
-        dst_shard: u16,
-        inlet: u16,
-        data: impl Into<crate::Payload>,
-    ) -> SimResult<()> {
-        self.world
-            .send_shard(self.me, dst_shard, inlet, data.into())
-    }
-
-    /// Binds `port` on this node and registers it as the local delivery
-    /// address for cross-shard inlet `inlet`: siblings' `send_shard`
-    /// traffic for that inlet arrives at this process as datagrams.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NotSharded`](crate::SimError::NotSharded)
-    /// outside a sharded run and
-    /// [`SimError::PortInUse`](crate::SimError::PortInUse) if another
-    /// live process holds the port.
-    pub fn register_shard_inlet(&mut self, inlet: u16, port: u16) -> SimResult<()> {
-        self.world
-            .shard_config()
-            .ok_or(crate::SimError::NotSharded)?;
-        self.bind(port)?;
-        let dst = Addr::new(self.node(), port);
-        self.world.register_shard_inlet(inlet, dst)
     }
 }
 

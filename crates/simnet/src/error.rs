@@ -50,29 +50,6 @@ pub enum SimError {
     StreamBufferFull(StreamId),
     /// The operation is invalid in the stream's current state.
     StreamClosed(StreamId),
-    /// A shard configuration's cross-shard link latency is below its
-    /// conservative lookahead (or the lookahead is zero). The lookahead
-    /// is how far a shard may run ahead of its siblings; a message that
-    /// could arrive sooner than that would land inside a window another
-    /// shard already executed, so the configuration is rejected at
-    /// `World` build time.
-    ShardLookahead {
-        /// The configured cross-shard link latency.
-        link_latency: crate::SimDuration,
-        /// The configured conservative lookahead bound.
-        lookahead: crate::SimDuration,
-    },
-    /// A shard id out of range for the configured shard count, or a
-    /// shard count of zero.
-    ShardUnknown {
-        /// The offending shard id.
-        shard: u16,
-        /// The configured shard count.
-        shards: u16,
-    },
-    /// A cross-shard operation on a world that was never configured as
-    /// a shard (see `World::configure_shard`).
-    NotSharded,
 }
 
 impl fmt::Display for SimError {
@@ -97,25 +74,6 @@ impl fmt::Display for SimError {
                 write!(f, "send buffer full on stream {id}")
             }
             SimError::StreamClosed(id) => write!(f, "stream {id} is closed"),
-            SimError::ShardLookahead {
-                link_latency,
-                lookahead,
-            } => write!(
-                f,
-                "cross-shard link latency {link_latency} is below the conservative \
-                 lookahead {lookahead}: a message could arrive inside a window a \
-                 sibling shard already executed (lookahead must be > 0 and <= the \
-                 minimum cross-shard link latency)"
-            ),
-            SimError::ShardUnknown { shard, shards } => {
-                write!(f, "shard {shard} out of range for {shards} shard(s)")
-            }
-            SimError::NotSharded => {
-                write!(
-                    f,
-                    "world is not configured as a shard (no World::configure_shard)"
-                )
-            }
         }
     }
 }

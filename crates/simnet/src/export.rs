@@ -30,33 +30,12 @@ fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-/// Splits a span source into its Perfetto process and thread: a source
-/// prefixed `s{N}/` (as written by
-/// [`crate::span::merge_shard_spans`]) lands on pid `N + 2` — one track
-/// group per shard — under its unprefixed name; everything else stays
-/// on pid 1, the unsharded federation track.
-fn shard_pid(source: &str) -> (u64, &str) {
-    if let Some(rest) = source.strip_prefix('s') {
-        if let Some((num, thread)) = rest.split_once('/') {
-            if !num.is_empty() && num.bytes().all(|b| b.is_ascii_digit()) {
-                if let Ok(n) = num.parse::<u64>() {
-                    return (n + 2, thread);
-                }
-            }
-        }
-    }
-    (1, source)
-}
-
 /// Exports spans as Chrome/Perfetto `trace_event` JSON.
 ///
 /// Every distinct span source (process name) becomes its own thread,
 /// tid assigned in sorted-name order; each span becomes a complete
-/// (`"ph": "X"`) event at its virtual start time. Sources carrying an
-/// `s{N}/` shard prefix (a merged sharded trace,
-/// [`crate::span::merge_shard_spans`]) are grouped into one Perfetto
-/// process per shard (`pid N + 2`, named `shard N`); unprefixed sources
-/// share pid 1. Spans that never closed are exported zero-length with
+/// (`"ph": "X"`) event at its virtual start time, all under one
+/// Perfetto process (pid 1). Spans that never closed are exported zero-length with
 /// `"unclosed": true` in `args`, so they remain visible rather than
 /// stretching to infinity.
 pub fn perfetto_trace_json(spans: &[SpanRecord]) -> Json {
@@ -68,34 +47,22 @@ pub fn perfetto_trace_json(spans: &[SpanRecord]) -> Json {
         .enumerate()
         .map(|(i, &s)| (s, i + 1))
         .collect();
-    let mut shard_pids: Vec<u64> = sources
-        .iter()
-        .map(|s| shard_pid(s).0)
-        .filter(|&p| p > 1)
-        .collect();
-    shard_pids.sort_unstable();
-    shard_pids.dedup();
 
-    let meta = |name: &str, pid: u64, tid: usize, arg: &str| {
+    let meta = |name: &str, tid: usize, arg: &str| {
         Json::inline()
             .with("ph", "M")
             .with("name", name)
-            .with("pid", pid)
+            .with("pid", 1u64)
             .with("tid", tid)
             .with("args", Json::inline().with("name", arg))
     };
-    let mut events = vec![meta("process_name", 1, 0, "simnet federation")];
-    for pid in shard_pids {
-        events.push(meta("process_name", pid, 0, &format!("shard {}", pid - 2)));
-    }
+    let mut events = vec![meta("process_name", 0, "simnet federation")];
     for (&source, &tid) in &tids {
-        let (pid, thread) = shard_pid(source);
-        events.push(meta("thread_name", pid, tid, thread));
+        events.push(meta("thread_name", tid, source));
     }
 
     for span in spans {
         let tid = tids[&*span.source];
-        let (pid, _) = shard_pid(&span.source);
         let start_ns = span.start.as_nanos();
         let dur_ns = span.duration().map(|d| d.as_nanos()).unwrap_or(0);
         let mut args = Json::inline()
@@ -118,7 +85,7 @@ pub fn perfetto_trace_json(spans: &[SpanRecord]) -> Json {
                 .with("cat", span.stage.split('.').next().unwrap_or("span"))
                 .with("ts", Json::Num(micros(start_ns)))
                 .with("dur", Json::Num(micros(dur_ns)))
-                .with("pid", pid)
+                .with("pid", 1u64)
                 .with("tid", tid)
                 .with("args", args),
         );
@@ -198,9 +165,9 @@ pub fn open_metrics(snapshot: &MetricsSnapshot) -> String {
 /// (component, time-kind) cell moved between two snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttributionDelta {
-    /// Attribution component key (`process:…`, `bridge:…`, `shard:…`).
+    /// Attribution component key (`process:…` or `bridge:…`).
     pub component: String,
-    /// Time category: `"self"`, `"queue"`, or `"barrier"`.
+    /// Time category: `"self"` or `"queue"`.
     pub kind: &'static str,
     /// Attributed nanoseconds in the baseline snapshot.
     pub before_ns: u64,
@@ -293,7 +260,6 @@ pub fn diff_attribution(
         for (kind, before_ns, after_ns) in [
             ("self", b.self_ns, a.self_ns),
             ("queue", b.queue_ns, a.queue_ns),
-            ("barrier", b.barrier_ns, a.barrier_ns),
         ] {
             if before_ns == after_ns {
                 continue;
@@ -389,27 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn perfetto_export_groups_merged_shards_into_tracks() {
-        let mut t = Trace::default();
-        t.span(7, ms(0), "uplink", "shard.xfer.egress", "dst=s1 inlet=0");
-        t.span(7, ms(2), "ingress", "shard.xfer.ingress", "src=s0 span=1");
-        let spans: Vec<SpanRecord> = t.spans().collect();
-        let merged = crate::span::merge_shard_spans(&[(0, &spans[..1]), (1, &spans[1..])]);
-        let out = perfetto_trace_json(&merged).to_string();
-        // One process per shard, plus the pid-1 federation meta.
-        assert!(out.contains("\"pid\": 2, \"tid\": 0, \"args\": {\"name\": \"shard 0\"}"));
-        assert!(out.contains("\"pid\": 3, \"tid\": 0, \"args\": {\"name\": \"shard 1\"}"));
-        // Thread names are the unprefixed process names.
-        assert!(out.contains("\"args\": {\"name\": \"uplink\"}"));
-        assert!(out.contains("\"args\": {\"name\": \"ingress\"}"));
-        assert!(!out.contains("s0/uplink"), "prefix stripped from threads");
-        // Events land on their shard's pid.
-        assert!(out.contains("\"name\": \"shard.xfer.egress\", \"cat\": \"shard\""));
-        let a = perfetto_trace_json(&merged).to_string();
-        assert_eq!(a, out, "deterministic");
-    }
-
-    #[test]
     fn folded_stacks_follow_tree_paths() {
         let t = demo_trace();
         let folded = folded_stacks(&t.spans().collect::<Vec<_>>());
@@ -501,11 +446,12 @@ mod tests {
                 ..ComponentTimes::default()
             },
         );
-        // bridge:upnp vanished → diffs against zero.
+        // bridge:upnp vanished and bridge:rmi appeared → each diffs
+        // against zero.
         after.components.insert(
-            "shard:s1".to_owned(),
+            "bridge:rmi".to_owned(),
             ComponentTimes {
-                barrier_ns: 7,
+                self_ns: 7,
                 ..ComponentTimes::default()
             },
         );
@@ -520,7 +466,7 @@ mod tests {
             cells,
             vec![
                 ("process:rt", "queue", 5_000),
-                ("shard:s1", "barrier", 7),
+                ("bridge:rmi", "self", 7),
                 ("bridge:upnp", "self", -30),
             ]
         );

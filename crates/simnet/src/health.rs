@@ -394,8 +394,7 @@ pub struct AlertReport {
 /// One ranked problem in the federation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Offender {
-    /// Problem class: `slo`, `bridge-silent`, `segment-hot` or
-    /// `shard-straggler`.
+    /// Problem class: `slo`, `bridge-silent` or `segment-hot`.
     pub kind: String,
     /// Objective name, bridge platform, or segment label.
     pub name: String,
@@ -446,9 +445,6 @@ pub struct HealthReport {
 /// and how hot (in milli) a segment must be to rank as an offender.
 const SEGMENT_TREND_INTERVALS: usize = 8;
 const SEGMENT_HOT_MILLI: u64 = 800;
-/// Exec share (milli, 1000 = balanced) at which a shard ranks as a
-/// `shard-straggler` offender: 1.5x its fair share of execution time.
-const SHARD_STRAGGLER_MILLI: u64 = 1_500;
 
 impl HealthReport {
     /// Builds the report from the live telemetry plane. Pure function
@@ -584,29 +580,6 @@ impl HealthReport {
                 });
             }
         }
-        // A straggler shard holds an outsized share of the fleet's
-        // execution time; its siblings' barrier stalls mirror it. The
-        // conductor plants `shard.s{N}.exec_share_milli` gauges (1000 =
-        // a perfectly balanced shard).
-        for (name, v) in metrics.gauges() {
-            let Some(rest) = name.strip_prefix("shard.s") else {
-                continue;
-            };
-            let Some(id) = rest.strip_suffix(".exec_share_milli") else {
-                continue;
-            };
-            let share = v.max(0) as u64;
-            if id.bytes().all(|b| b.is_ascii_digit()) && share >= SHARD_STRAGGLER_MILLI {
-                top_offenders.push(Offender {
-                    kind: "shard-straggler".to_owned(),
-                    name: format!("shard{id}"),
-                    subject: format!("shard:{id}"),
-                    severity_milli: share,
-                    dominant: String::new(),
-                    exemplar_corr: 0,
-                });
-            }
-        }
         top_offenders.sort_by(|a, b| {
             b.severity_milli
                 .cmp(&a.severity_milli)
@@ -618,7 +591,7 @@ impl HealthReport {
         // went. A latency SLO pulls an exemplar from its histogram's
         // slow tail (the first journey to cross a bucket above the
         // threshold). Subjects that map onto an attribution component
-        // (`bridge:X`, `shard:N`) read their own row; an unmapped
+        // (`bridge:X`) read their own row; an unmapped
         // subject — a shared segment, typically — is annotated with
         // the federation's hottest component, the doctor's best answer
         // to "whose time is it".
@@ -643,10 +616,6 @@ impl HealthReport {
             let mapped = if o.subject.starts_with("bridge:") {
                 attr.components
                     .get_key_value(o.subject.as_str())
-                    .map(|(k, v)| (k.as_str(), v))
-            } else if let Some(id) = o.subject.strip_prefix("shard:") {
-                attr.components
-                    .get_key_value(format!("shard:s{id}").as_str())
                     .map(|(k, v)| (k.as_str(), v))
             } else {
                 None
@@ -936,35 +905,6 @@ mod tests {
         assert!(json.ends_with("}\n"));
     }
 
-    #[test]
-    fn doctor_ranks_straggler_shard() {
-        let mut metrics = Metrics::default();
-        let t = Telemetry::new(sample_cfg(100));
-        // Shard 2 holds 2.1x its fair share of execution time; its three
-        // siblings idle at barriers. Shard 0 is busy but under the 1.5x
-        // threshold.
-        metrics.gauge_set("shard.s0.exec_share_milli", 1_200);
-        metrics.gauge_set("shard.s1.exec_share_milli", 350);
-        metrics.gauge_set("shard.s2.exec_share_milli", 2_100);
-        metrics.gauge_set("shard.s3.exec_share_milli", 350);
-        let engine = SloEngine::new(Vec::new());
-        let report = HealthReport::build(
-            SimTime::from_secs(1),
-            &t,
-            &engine,
-            &metrics,
-            &[],
-            0,
-            SimDuration::from_secs(5),
-            None,
-        );
-        assert_eq!(report.top_offenders.len(), 1);
-        assert_eq!(report.top_offenders[0].kind, "shard-straggler");
-        assert_eq!(report.top_offenders[0].name, "shard2");
-        assert_eq!(report.top_offenders[0].subject, "shard:2");
-        assert_eq!(report.top_offenders[0].severity_milli, 2_100);
-    }
-
     /// Equal-severity offenders rank on (kind, name), never on map
     /// iteration or insertion order: the incident trigger plane diffs
     /// consecutive rank lists, so a severity tie that re-shuffled the
@@ -978,17 +918,27 @@ mod tests {
             "bridge.upnp.last_traffic_ns",
             SimTime::from_millis(2_500).as_nanos() as i64,
         );
-        // Two straggler shards at exactly the same share: severity 1500.
-        metrics.gauge_set("shard.s3.exec_share_milli", 1_500);
-        metrics.gauge_set("shard.s1.exec_share_milli", 1_500);
-        // Two equally hot segments, busy 90 of every 100 ms: 900 each.
+        // A second bridge silent exactly as long: severity 1500 too.
+        metrics.gauge_set(
+            "bridge.bluetooth.last_traffic_ns",
+            SimTime::from_millis(2_500).as_nanos() as i64,
+        );
+        // Two equally hot segments, busy 90 of every 100 ms: 900 each,
+        // and a third whose gauge climbs 150 ms per 100 ms: 1500, tied
+        // with the silent bridges across offender kinds.
         for i in 0..=9i64 {
             metrics.gauge_set("segment.seg0.busy_ns", i * 90_000_000);
             metrics.gauge_set("segment.seg1.busy_ns", i * 90_000_000);
+            metrics.gauge_set("segment.seg2.busy_ns", i * 150_000_000);
             t.sample(SimTime::from_millis(100 * i as u64), &metrics);
         }
         let engine = SloEngine::new(Vec::new());
         let segs = vec![
+            SegmentSample {
+                key: "seg2".to_owned(),
+                label: "seg2:ethernet-100mbps-switch".to_owned(),
+                stats: SegmentStats::default(),
+            },
             SegmentSample {
                 key: "seg1".to_owned(),
                 label: "seg1:ethernet-100mbps-switch".to_owned(),
@@ -1018,9 +968,9 @@ mod tests {
         assert_eq!(
             ranked,
             vec![
+                ("bridge-silent", "bluetooth", 1_500),
                 ("bridge-silent", "upnp", 1_500),
-                ("shard-straggler", "shard1", 1_500),
-                ("shard-straggler", "shard3", 1_500),
+                ("segment-hot", "seg2:ethernet-100mbps-switch", 1_500),
                 ("segment-hot", "seg0:ethernet-100mbps-switch", 900),
                 ("segment-hot", "seg1:ethernet-100mbps-switch", 900),
             ]

@@ -8,9 +8,7 @@
 //! plane** watches every telemetry sample for:
 //!
 //! * a `BurnRateRule` ok→firing transition on any SLO objective,
-//! * a change in the doctor's ranked `top_offenders` list,
-//! * a shard panic (captured by the sharded conductor,
-//!   [`crate::shard::run_sharded`]).
+//! * a change in the doctor's ranked `top_offenders` list.
 //!
 //! Each trigger snapshots one [`IncidentBundle`]: the trace window
 //! around the trigger, the live telemetry window, the SLO state-machine
@@ -32,8 +30,6 @@ pub enum TriggerKind {
     SloFiring,
     /// The doctor's ranked offender list changed.
     OffenderRankChange,
-    /// A shard thread panicked mid-run.
-    ShardPanic,
 }
 
 impl TriggerKind {
@@ -42,7 +38,6 @@ impl TriggerKind {
         match self {
             TriggerKind::SloFiring => "slo-firing",
             TriggerKind::OffenderRankChange => "offender-rank-change",
-            TriggerKind::ShardPanic => "shard-panic",
         }
     }
 }
@@ -115,14 +110,12 @@ pub struct IncidentBundle {
     /// What tripped the trigger plane.
     pub kind: TriggerKind,
     /// Human-readable trigger description (objective name, offender
-    /// delta, panic message).
+    /// delta).
     pub detail: String,
     /// Virtual time of the trigger.
     pub at: SimTime,
     /// Bundle sequence number within its world, from 0.
     pub seq: u64,
-    /// The shard that captured the bundle, in a sharded run.
-    pub shard: Option<u16>,
     /// The trace window around the trigger (spans whose effective end
     /// falls within the 5 s trace window before the trigger).
     pub spans: Vec<SpanRecord>,
@@ -173,8 +166,7 @@ impl IncidentBundle {
                     .with("kind", self.kind.as_str())
                     .with("detail", &self.detail)
                     .with("at_ns", self.at.as_nanos())
-                    .with("seq", self.seq)
-                    .with("shard", self.shard),
+                    .with("seq", self.seq),
             )
             .with(
                 "topology",
@@ -209,7 +201,6 @@ mod tests {
             detail: "hub-latency: ok -> firing".into(),
             at: SimTime::from_millis(30_500),
             seq: 0,
-            shard: Some(1),
             spans: vec![SpanRecord {
                 id: SpanId(1),
                 parent: None,
@@ -244,7 +235,7 @@ mod tests {
         let j2 = b.clone().to_json().document();
         assert_eq!(j1, j2);
         assert!(j1.contains("\"kind\": \"slo-firing\""));
-        assert!(j1.contains("\"shard\": 1"));
+        assert!(j1.contains("\"seq\": 0"));
         assert!(j1.contains("\\\"clicks\\\""), "details are JSON-escaped");
         assert!(j1.contains("\"from\": \"ok\", \"to\": \"firing\""));
         assert!(j1.contains("\"ring_overwrites\": 7"));

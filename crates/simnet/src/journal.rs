@@ -86,6 +86,28 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Interner<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanSource(u32);
 
+impl SpanSource {
+    /// The source's dense index in its trace's source table.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The fields of a retained span that the attribution fold reads,
+/// copied out of its slot: no string, no reference count. The stage is
+/// its index in the journal's string table ([`SpanJournal::str_at`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SpanFacts {
+    pub(crate) id: u64,
+    /// Parent id; zero for none.
+    pub(crate) parent: u64,
+    pub(crate) corr: u64,
+    pub(crate) source: SpanSource,
+    pub(crate) stage: u32,
+    /// Closed duration in nanoseconds; `None` while the span is open.
+    pub(crate) duration_ns: Option<u64>,
+}
+
 /// How a slot's packed argument reads back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ArgKind {
@@ -148,6 +170,11 @@ pub(crate) struct SpanJournal {
     source_ids: HashMap<Arc<str>, SpanSource>,
     strs: Interner<str>,
     pieces: Interner<[&'static str]>,
+    /// Spans of ids up to this one log their close in `closed` (zero:
+    /// none do). The attribution fold watches the spans it saw open.
+    close_watch: u64,
+    /// Ids of watched spans closed since the last [`Self::take_closed`].
+    closed: Vec<u64>,
 }
 
 impl SpanJournal {
@@ -168,6 +195,8 @@ impl SpanJournal {
             source_ids: HashMap::new(),
             strs: Interner::new(),
             pieces: Interner::new(),
+            close_watch: 0,
+            closed: Vec::new(),
         }
     }
 
@@ -325,6 +354,9 @@ impl SpanJournal {
                 stack.remove(pos);
             }
         }
+        if id.0 <= self.close_watch {
+            self.closed.push(id.0);
+        }
         Some(SimDuration::from_nanos(end - start))
     }
 
@@ -356,6 +388,52 @@ impl SpanJournal {
             start: SimTime::from_nanos(s.start),
             end: (!s.open).then_some(SimTime::from_nanos(s.end)),
         }
+    }
+
+    /// The facts of a retained span.
+    fn facts_at(&self, id: u64) -> SpanFacts {
+        let s = &self.slots[self.slot_of(id)];
+        SpanFacts {
+            id,
+            parent: s.parent,
+            corr: s.corr,
+            source: s.source,
+            stage: s.stage,
+            duration_ns: (!s.open).then(|| s.end - s.start),
+        }
+    }
+
+    /// The facts of span `id`, if it is retained.
+    pub(crate) fn facts(&self, id: u64) -> Option<SpanFacts> {
+        (self.first..self.next)
+            .contains(&id)
+            .then(|| self.facts_at(id))
+    }
+
+    /// The facts of the retained spans of ids `from..`, in begin order.
+    pub(crate) fn facts_from(&self, from: u64) -> impl Iterator<Item = SpanFacts> + '_ {
+        (from.max(self.first)..self.next).map(move |id| self.facts_at(id))
+    }
+
+    /// The oldest retained id.
+    pub(crate) fn first_id(&self) -> u64 {
+        self.first
+    }
+
+    /// Logs the closes of spans with ids up to `id` from now on.
+    pub(crate) fn watch_closes(&mut self, id: u64) {
+        self.close_watch = id;
+    }
+
+    /// Moves the ids of the watched spans closed since the last call
+    /// into `into`, in close order.
+    pub(crate) fn take_closed(&mut self, into: &mut Vec<u64>) {
+        into.append(&mut self.closed);
+    }
+
+    /// A string-table entry: a stage named by [`SpanFacts::stage`].
+    pub(crate) fn str_at(&self, index: u32) -> &'static str {
+        self.strs.get(index)
     }
 
     /// The record of span `id`, if it is retained.
@@ -392,6 +470,8 @@ impl SpanJournal {
         self.open.clear();
         self.texts.clear();
         self.texts_base = 0;
+        self.close_watch = 0;
+        self.closed.clear();
     }
 }
 

@@ -77,7 +77,6 @@ mod medium;
 pub mod payload;
 mod process;
 pub mod rng;
-pub mod shard;
 pub mod span;
 mod stream;
 mod time;
@@ -104,10 +103,7 @@ pub use process::{
     Addr, Datagram, LocalMessage, NodeId, ProcId, Process, SegmentId, StreamEvent, StreamId,
 };
 pub use rng::{check_cases, check_mutations, SimRng};
-pub use shard::{run_sharded, ShardInfo, ShardPanicIncident, ShardPlan, ShardReport, ShardRun};
-pub use span::{
-    merge_shard_spans, CriticalPath, PathExpectation, SpanNode, SpanTree, StageCost, TraceAssert,
-};
+pub use span::{CriticalPath, PathExpectation, SpanNode, SpanTree, StageCost, TraceAssert};
 pub use time::{SimDuration, SimTime};
 pub use timeseries::{SamplerConfig, Telemetry, TelemetryWindow};
 pub use trace::{
@@ -115,4 +111,4 @@ pub use trace::{
     SpanId, SpanRecord, Trace, TraceEvent,
 };
 pub use wheel::TimerWheel;
-pub use world::{CrossMessage, ShardConfig, World};
+pub use world::World;

@@ -93,11 +93,10 @@ impl SimRng {
     /// this generator. Unlike [`SimRng::fork`] (which consumes a draw,
     /// so the result depends on how many values were drawn before it),
     /// `split` is a pure function of `(current state, stream)` — the
-    /// same parent seed and stream id always yield the same child. This
-    /// is what keeps sharded fixtures reproducible regardless of shard
-    /// count: a fixture keys each logical partition's stream by a
-    /// stable id (wing number, shard id), so an entity draws the same
-    /// randomness whether it shares a world with its siblings or not.
+    /// same parent seed and stream id always yield the same child. A
+    /// fixture keys each logical partition's stream by a stable id
+    /// (a wing or runtime number), so an entity draws the same
+    /// randomness however many siblings were built before it.
     pub fn split(&self, stream: u64) -> SimRng {
         // Two independent SplitMix64 finalizer passes, one over the
         // parent state and one over the stream id on a different

@@ -21,7 +21,6 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{SpanId, SpanRecord, Trace};
@@ -339,86 +338,6 @@ impl CriticalPath {
         }
         out
     }
-}
-
-/// Parses the cross-shard link reference out of a `shard.xfer.ingress`
-/// span detail (`src=s{shard} span={id} …`), as written by the shard
-/// ingress path when a hand-off frame carries trace context.
-fn parse_xfer_link(detail: &str) -> Option<(u16, u64)> {
-    let rest = detail.strip_prefix("src=s")?;
-    let (shard_str, rest) = rest.split_once(' ')?;
-    let shard: u16 = shard_str.parse().ok()?;
-    let rest = rest.strip_prefix("span=")?;
-    let id_str = rest.split(' ').next().unwrap_or(rest);
-    let id: u64 = id_str.parse().ok()?;
-    Some((shard, id))
-}
-
-/// Merges per-shard span logs into one coherent trace.
-///
-/// Each shard of a sharded run ([`crate::shard`]) records spans into its
-/// own `Trace` with its own id space. This function splices them into a
-/// single slice that [`SpanTree`], [`CriticalPath`], [`TraceAssert`],
-/// and the Perfetto exporter can analyze as one federation-wide journey:
-///
-/// - records are ordered by `(start, src_shard, id)` — the same total
-///   order the conductor uses for cross-shard message injection — and
-///   re-minted with sequential ids, so the `parent < id` tree invariant
-///   holds across shards (a `shard.xfer.egress` span always starts at
-///   least one link latency before its ingress twin);
-/// - intra-shard parent links are remapped into the new id space;
-/// - a `shard.xfer.ingress` span whose detail carries `src=s{N} span={M}`
-///   trace context is re-parented under shard `N`'s egress span `M`,
-///   stitching the cross-shard hop into one tree (if the egress span was
-///   overwritten by that shard's flight recorder, the ingress span stays
-///   a root and is counted as an orphan by [`SpanTree::build`]);
-/// - sources gain an `s{N}/` prefix, which the Perfetto exporter maps to
-///   one track group per shard.
-///
-/// Time spent between the egress and ingress spans (link latency plus
-/// any barrier-stall / horizon wait at the receiving shard) shows up in
-/// [`CriticalPath`] as the `shard.xfer.egress -> shard.xfer.ingress`
-/// edge, so cross-shard transfer cost is attributed, not lost.
-pub fn merge_shard_spans(per_shard: &[(u16, &[SpanRecord])]) -> Vec<SpanRecord> {
-    let mut refs: Vec<(u16, &SpanRecord)> = Vec::new();
-    for (shard, spans) in per_shard {
-        refs.extend(spans.iter().map(|s| (*shard, s)));
-    }
-    refs.sort_by_key(|(shard, s)| (s.start, *shard, s.id));
-    let remap: BTreeMap<(u16, u64), u64> = refs
-        .iter()
-        .enumerate()
-        .map(|(i, (shard, s))| ((*shard, s.id.0), i as u64 + 1))
-        .collect();
-    refs.iter()
-        .enumerate()
-        .map(|(i, (shard, s))| {
-            let id = SpanId(i as u64 + 1);
-            let mut parent = s
-                .parent
-                .and_then(|p| remap.get(&(*shard, p.0)).copied())
-                .map(SpanId);
-            if s.stage == "shard.xfer.ingress" {
-                if let Some((src, span)) = parse_xfer_link(&s.detail.to_string()) {
-                    if let Some(&egress) = remap.get(&(src, span)) {
-                        if egress < id.0 {
-                            parent = Some(SpanId(egress));
-                        }
-                    }
-                }
-            }
-            SpanRecord {
-                id,
-                parent,
-                corr: s.corr,
-                source: Arc::from(format!("s{shard}/{}", s.source)),
-                stage: s.stage,
-                detail: s.detail.clone(),
-                start: s.start,
-                end: s.end,
-            }
-        })
-        .collect()
 }
 
 /// Fluent assertions over a recorded trace, for integration tests:
@@ -786,75 +705,6 @@ mod tests {
     fn trace_assert_rejects_unknown_corr() {
         let t = demo_trace();
         TraceAssert::new(&t).expect_path(0xdead);
-    }
-
-    #[test]
-    fn merged_shard_spans_stitch_xfer_hops_into_one_journey() {
-        // Shard 0: a message queues and leaves over the shard link.
-        let mut a = Trace::default();
-        let q = a.span_begin(0x10, ms(0), "sender", "queue.wait", "");
-        a.span_end(q, ms(1));
-        let eg = a.span(0x10, ms(1), "uplink", "shard.xfer.egress", "dst=s1 inlet=0");
-        // Shard 1: the frame arrives two ms later and is consumed.
-        let mut b = Trace::default();
-        b.span(
-            0x10,
-            ms(3),
-            "ingress",
-            "shard.xfer.ingress",
-            format!("src=s0 span={}", eg.0),
-        );
-        let d = b.span_begin(0x10, ms(3), "sink", "deliver.local", "");
-        b.span_end(d, ms(4));
-
-        let merged = merge_shard_spans(&[(0, &records(&a)), (1, &records(&b))]);
-        assert_eq!(merged.len(), 4);
-        // Ids are re-minted sequentially in (start, shard, id) order.
-        for (i, s) in merged.iter().enumerate() {
-            assert_eq!(s.id.0, i as u64 + 1);
-        }
-        assert!(merged[0].source.starts_with("s0/"));
-        assert!(merged[3].source.starts_with("s1/"));
-        // The ingress span is re-parented under the remote egress span.
-        let ingress = merged
-            .iter()
-            .find(|s| s.stage == "shard.xfer.ingress")
-            .unwrap();
-        let egress = merged
-            .iter()
-            .find(|s| s.stage == "shard.xfer.egress")
-            .unwrap();
-        assert_eq!(ingress.parent, Some(egress.id));
-        let tree = SpanTree::build(&merged, 0x10);
-        assert_eq!(tree.orphans, 0, "no orphan spans at shard.xfer hops");
-        assert_eq!(tree.unclosed, 0);
-        // The shard link transfer (latency + any barrier wait) is
-        // attributed to the egress -> ingress edge, not lost.
-        let cp = CriticalPath::analyze(&merged, 0x10).unwrap();
-        assert!((cp.coverage() - 1.0).abs() < 1e-12);
-        let edge = cp
-            .stages
-            .iter()
-            .find(|s| s.name == "shard.xfer.egress -> shard.xfer.ingress")
-            .expect("xfer edge attributed");
-        assert_eq!(edge.total, SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn merged_ingress_without_resolvable_context_stays_a_root() {
-        let mut b = Trace::default();
-        // Egress span 999 was overwritten on the source shard.
-        b.span(
-            0x11,
-            ms(0),
-            "ingress",
-            "shard.xfer.ingress",
-            "src=s0 span=999",
-        );
-        let merged = merge_shard_spans(&[(1, &records(&b))]);
-        assert_eq!(merged[0].parent, None);
-        let tree = SpanTree::build(&merged, 0x11);
-        assert_eq!(tree.roots.len(), 1);
     }
 
     #[test]

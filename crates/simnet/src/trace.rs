@@ -465,8 +465,8 @@ impl Histogram {
 /// [`MetricId::new`] resolves a name once; every [`Metrics`] registry
 /// then updates the metric by indexing a `Vec` with the handle, where a
 /// name would walk a string-keyed map. A handle is valid in every
-/// registry of the process (sharded worlds on other threads included),
-/// so a process can resolve its handles when it is constructed, before
+/// registry of the process (worlds on other threads included, such as
+/// parallel test threads), so a process can resolve its handles when it is constructed, before
 /// it joins a world. Resolving the same name twice yields the same id.
 ///
 /// Names live in one process-wide table for the life of the process:
@@ -883,8 +883,8 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> Json {
         let histograms = self.histograms.iter().map(|(name, h)| {
             // Exemplars render sparse — [bucket index, corr] pairs —
-            // but the key is always present, so sharded-vs-single and
-            // exemplar-vs-none snapshots differ only in values.
+            // but the key is always present, so exemplar-vs-none
+            // snapshots differ only in values.
             let exemplars = h
                 .bucket_exemplars()
                 .iter()
@@ -1095,6 +1095,12 @@ impl Trace {
     /// The spans of one correlated path, in begin order.
     pub fn spans_for(&self, corr: u64) -> impl Iterator<Item = SpanRecord> + '_ {
         self.spans.iter_corr(corr)
+    }
+
+    /// The journal the span readers above materialize from; the
+    /// attribution fold reads its slots directly.
+    pub(crate) fn journal_mut(&mut self) -> &mut SpanJournal {
+        &mut self.spans
     }
 
     /// Number of spans still open (begun, never ended, not evicted).

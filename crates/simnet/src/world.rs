@@ -22,103 +22,6 @@ use crate::wheel::TimerWheel;
 /// First ephemeral port handed out by [`Ctx::ephemeral_port`].
 const EPHEMERAL_BASE: u16 = 49_152;
 
-/// Port base for the per-shard gateway node: a cross-shard message
-/// injected into this world arrives as a datagram whose source address
-/// is the gateway node at `SHARD_GW_PORT_BASE + src_shard`, so a
-/// receiver can tell shards apart without any cross-world id sharing.
-pub(crate) const SHARD_GW_PORT_BASE: u16 = 50_000;
-
-/// Identity and synchronization bounds of one shard in a sharded run
-/// (see [`crate::shard`] for the conductor that drives them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardConfig {
-    /// This shard's id, `0..shards`.
-    pub shard: u16,
-    /// Total shard count in the run.
-    pub shards: u16,
-    /// Conservative lookahead: the window length each shard executes
-    /// between barriers. Must be positive.
-    pub lookahead: SimDuration,
-    /// Modeled latency of the inter-shard link: every cross-shard
-    /// message arrives exactly this far after its emit time. Must be at
-    /// least `lookahead`, otherwise a message could land inside a
-    /// window a sibling shard has already executed.
-    pub link_latency: SimDuration,
-}
-
-impl ShardConfig {
-    /// Validates the invariants the conservative-lookahead protocol
-    /// rests on. Called by [`World::configure_shard`] and by the
-    /// conductor before any thread spawns, so a bad bound is a build
-    /// error with a clear message, never a silent causality violation.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::ShardUnknown`] for an out-of-range id or zero shard
-    /// count; [`SimError::ShardLookahead`] when the lookahead is zero
-    /// or exceeds the cross-shard link latency.
-    pub fn validate(&self) -> SimResult<()> {
-        if self.shards == 0 || self.shard >= self.shards {
-            return Err(SimError::ShardUnknown {
-                shard: self.shard,
-                shards: self.shards,
-            });
-        }
-        if self.lookahead.is_zero() || self.link_latency < self.lookahead {
-            return Err(SimError::ShardLookahead {
-                link_latency: self.link_latency,
-                lookahead: self.lookahead,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// A timestamped message crossing a shard boundary. `Payload` is
-/// `Arc`-backed, so the message is `Send` and moving it between shard
-/// threads shares the buffer without copying.
-#[derive(Debug)]
-pub struct CrossMessage {
-    /// Arrival instant at the receiving shard (emit time plus the
-    /// configured link latency — always at least one lookahead ahead).
-    pub arrival: SimTime,
-    /// The sending shard.
-    pub src_shard: u16,
-    /// Per-sender sequence number; `(arrival, src_shard, seq)` totally
-    /// orders all cross traffic, which is what makes the merge at
-    /// barriers deterministic regardless of thread interleaving.
-    pub seq: u64,
-    /// The destination shard.
-    pub dst_shard: u16,
-    /// The destination inlet (see [`World::register_shard_inlet`]).
-    pub inlet: u16,
-    /// The message bytes.
-    pub data: Payload,
-}
-
-/// Per-world state of a sharded run (boxed to keep `World` small for
-/// the common unsharded case; none of the unsharded hot paths touch
-/// it).
-struct ShardMembership {
-    config: ShardConfig,
-    /// Local gateway node cross-shard arrivals appear to come from.
-    gateway: NodeId,
-    /// Inlet id → local delivery address.
-    inlets: IntMap<u16, Addr>,
-    /// Outbound cross-shard messages accumulated this window; the
-    /// conductor drains them at the barrier.
-    outbox: Vec<CrossMessage>,
-    next_seq: u64,
-    /// Future cross-shard messages the conductor already holds for this
-    /// world — part of the merged pending-work horizon, so the sampler
-    /// and `sched.events_pending` see them even though they are not in
-    /// this wheel yet.
-    external_pending: u64,
-    /// Wall-clock barrier wait times, recorded by the conductor and
-    /// folded as `shard.barrier_stall_ns`.
-    barrier_stall: Histogram,
-}
-
 pub(crate) struct NodeState {
     pub(crate) name: String,
     pub(crate) segments: Vec<SegmentId>,
@@ -276,14 +179,6 @@ pub(crate) enum EventKind {
     /// work remains, and goes dormant when the queue drains so it never
     /// keeps [`World::run_until_idle`] alive on its own.
     TelemetrySample,
-    /// A cross-shard message landing at its safe horizon. The receiving
-    /// process is resolved at arrival time (like a frame arrival), so a
-    /// binding established after injection but before arrival works.
-    CrossArrival {
-        src: Addr,
-        dst: Addr,
-        data: Payload,
-    },
 }
 
 /// Deferred output actions (see [`EventKind::Emit`]).
@@ -380,8 +275,6 @@ pub struct World {
     /// Scheduler lag (pop time minus due time), recorded allocation-free
     /// per queue advance and folded into the registry as `sched.lag_ns`.
     sched_lag: Histogram,
-    /// Shard identity when this world is one shard of a sharded run.
-    shard: Option<Box<ShardMembership>>,
     /// The incident trigger plane, when the flight recorder is on.
     incident: Option<Box<IncidentPlane>>,
     /// The continuous latency-attribution profiler, when enabled.
@@ -446,7 +339,6 @@ impl World {
             telemetry: None,
             sampler_armed: false,
             sched_lag: Histogram::default(),
-            shard: None,
             incident: None,
             attrib: None,
         }
@@ -725,12 +617,11 @@ impl World {
     /// checks for incident triggers — a new ok→firing SLO transition or
     /// a change in the doctor's ranked offender list — snapshotting a
     /// deterministic [`IncidentBundle`] for each (see
-    /// [`crate::incident`]). Shard panics are captured by the sharded
-    /// conductor through the same plane.
+    /// [`crate::incident`]).
     ///
-    /// SLO/doctor triggers need [`World::enable_telemetry`] as well;
-    /// without it the plane still captures shard-panic bundles, but
-    /// nothing else trips.
+    /// The triggers need [`World::enable_telemetry`] as well; without
+    /// it nothing trips, though [`World::capture_incident`] still cuts
+    /// bundles on demand.
     pub fn enable_flight_recorder(&mut self) {
         self.incident = Some(Box::new(IncidentPlane {
             bundles: Vec::new(),
@@ -746,9 +637,9 @@ impl World {
 
     /// Turns on the continuous latency-attribution profiler
     /// ([`crate::attrib`]): every telemetry sample incrementally folds
-    /// the span journal into per-component self/queue/barrier time
-    /// totals, each with an exemplar corr linking back to a trace
-    /// journey. The continuous cadence needs
+    /// the span journal into per-component self/queue time totals, each
+    /// with an exemplar corr linking back to a trace journey. The
+    /// continuous cadence needs
     /// [`World::enable_telemetry`]; without it the fold only advances
     /// when [`World::attribution_report`] is called. Calling it again
     /// resets the profiler.
@@ -768,11 +659,7 @@ impl World {
         let Some(plane) = self.attrib.as_mut() else {
             return;
         };
-        let barrier = self
-            .shard
-            .as_ref()
-            .map(|m| (m.config.shard, m.barrier_stall.sum_ns()));
-        plane.fold(&self.trace, barrier);
+        plane.fold(&mut self.trace);
     }
 
     /// Catches the attribution fold up to right now and snapshots it.
@@ -836,7 +723,6 @@ impl World {
                 .map(|(i, s)| format!("seg{i}:{}", s.config.name))
                 .collect(),
         );
-        let shard = self.shard.as_ref().map(|m| m.config.shard);
         let ring_overwrites = self.trace.ring_overwrites();
         let inc = self.incident.as_mut().expect("checked above");
         inc.bundles.push(IncidentBundle {
@@ -844,7 +730,6 @@ impl World {
             detail,
             at: self.now,
             seq: inc.bundles.len() as u64,
-            shard,
             spans,
             ring_overwrites,
             telemetry,
@@ -963,33 +848,10 @@ impl World {
     /// `sched.events_pending`, the cumulative `sched.lag_ns` histogram,
     /// and per-segment `segment.segN.busy_ns` gauges the doctor trends.
     /// Called at every sample and at run-loop sync points.
-    ///
-    /// With multiple wheels (a sharded run), the pending gauge counts
-    /// the merged horizon — this wheel plus the future cross-shard
-    /// messages the conductor holds for it — and the same scheduler
-    /// state is re-published under a `shard.s{id}.` scope so per-shard
-    /// windows can be pulled out of the merged registry.
     fn fold_sched_metrics(&mut self) {
-        let pending = self.queue.len() as u64 + self.external_pending();
         let metrics = self.trace.metrics_mut();
-        metrics.gauge_set("sched.events_pending", pending as i64);
+        metrics.gauge_set("sched.events_pending", self.queue.len() as i64);
         metrics.histogram_set("sched.lag_ns", self.sched_lag.clone());
-        // `shard.barrier_stall_ns` is registered unconditionally — empty
-        // when unsharded, or sharded with wall-health folding off — so
-        // sharded and single-process exports carry the same metric set
-        // and diff only in values.
-        let stall = self
-            .shard
-            .as_ref()
-            .map(|m| m.barrier_stall.clone())
-            .unwrap_or_default();
-        metrics.histogram_set("shard.barrier_stall_ns", stall);
-        if let Some(m) = self.shard.as_ref() {
-            let id = m.config.shard;
-            let metrics = self.trace.metrics_mut();
-            metrics.gauge_set(&format!("shard.s{id}.sched.events_pending"), pending as i64);
-            metrics.histogram_set(&format!("shard.s{id}.sched.lag_ns"), self.sched_lag.clone());
-        }
         for (i, seg) in self.segments.iter().enumerate() {
             self.trace.metrics_mut().gauge_set(
                 &format!("segment.seg{i}.busy_ns"),
@@ -1012,11 +874,9 @@ impl World {
     }
 
     /// Handles a `TelemetrySample` event: folds scheduler metrics, takes
-    /// the sample, re-evaluates the SLOs, and re-arms only while work
-    /// remains on the merged horizon — this wheel, or cross-shard
-    /// messages the conductor still holds for it (the sampler must not
-    /// park just because one shard's local queue drained). A fully
-    /// drained horizon parks the sampler; `schedule` wakes it again.
+    /// the sample, re-evaluates the SLOs, and re-arms only while other
+    /// work remains queued. A drained queue parks the sampler;
+    /// `schedule` wakes it again.
     fn telemetry_sample(&mut self) {
         self.sampler_armed = false;
         if self.telemetry.is_none() {
@@ -1032,193 +892,16 @@ impl World {
         if self.incident.is_some() {
             self.detect_incident_triggers();
         }
-        if !self.queue.is_empty() || self.external_pending() > 0 {
+        if !self.queue.is_empty() {
             self.arm_sampler();
         }
     }
 
-    // ------------------------------------------------------------------
-    // Sharding (see `crate::shard` for the conductor)
-    // ------------------------------------------------------------------
-
-    /// Declares this world one shard of a sharded run: validates the
-    /// lookahead bounds, creates the local gateway node cross-shard
-    /// arrivals appear to come from, and re-seeds the world RNG onto a
-    /// per-shard stream ([`crate::rng::SimRng::split`]) so sibling
-    /// shards draw independent randomness from one parent seed.
-    ///
-    /// Must be called before any processes are added (the conductor
-    /// calls it before running the build closure).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ShardLookahead`] when the lookahead is zero
-    /// or the cross-shard link latency is below it, and
-    /// [`SimError::ShardUnknown`] for an invalid id/count pair — see
-    /// [`ShardConfig::validate`].
-    pub fn configure_shard(&mut self, config: ShardConfig) -> SimResult<()> {
-        config.validate()?;
-        let gateway = self.add_node(format!("shard{}-gw", config.shard));
-        self.rng = self.rng.split(u64::from(config.shard));
-        self.shard = Some(Box::new(ShardMembership {
-            config,
-            gateway,
-            inlets: IntMap::default(),
-            outbox: Vec::new(),
-            next_seq: 0,
-            external_pending: 0,
-            barrier_stall: Histogram::default(),
-        }));
-        Ok(())
-    }
-
-    /// This world's shard identity, when configured.
-    pub fn shard_config(&self) -> Option<ShardConfig> {
-        self.shard.as_ref().map(|m| m.config)
-    }
-
-    /// Registers a local delivery address for cross-shard inlet
-    /// `inlet`: messages other shards send to `(this shard, inlet)`
-    /// arrive as datagrams at `dst`. Re-registering an inlet replaces
-    /// the previous address (a restarted ingress process re-homes it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NotSharded`] when the world was never
-    /// configured as a shard.
-    pub fn register_shard_inlet(&mut self, inlet: u16, dst: Addr) -> SimResult<()> {
-        let m = self.shard.as_mut().ok_or(SimError::NotSharded)?;
-        m.inlets.insert(inlet, dst);
-        Ok(())
-    }
-
-    /// Sends `data` to inlet `inlet` on shard `dst_shard`. The message
-    /// leaves at the sending process's emit time (CPU cost is modeled
-    /// exactly like a datagram send) and arrives one link latency later
-    /// — by construction at least one lookahead ahead, so the conductor
-    /// can exchange it at the next barrier without violating the
-    /// receiving shard's already-executed horizon. Sending to the local
-    /// shard is allowed and takes the same path with the same timing,
-    /// which keeps fixture behavior identical across shard counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NotSharded`] when the world was never
-    /// configured as a shard and [`SimError::ShardUnknown`] for an
-    /// out-of-range destination.
-    pub fn send_shard(
-        &mut self,
-        from: ProcId,
-        dst_shard: u16,
-        inlet: u16,
-        data: Payload,
-    ) -> SimResult<()> {
-        let config = self.shard_config().ok_or(SimError::NotSharded)?;
-        if dst_shard >= config.shards {
-            return Err(SimError::ShardUnknown {
-                shard: dst_shard,
-                shards: config.shards,
-            });
-        }
-        let arrival = self.emit_time(from) + config.link_latency;
-        let m = self.shard.as_mut().expect("shard config checked above");
-        let seq = m.next_seq;
-        m.next_seq += 1;
-        m.outbox.push(CrossMessage {
-            arrival,
-            src_shard: config.shard,
-            seq,
-            dst_shard,
-            inlet,
-            data,
-        });
-        self.trace.bump(metric_id!("shard.cross_sent"), 1);
-        Ok(())
-    }
-
-    /// Drains the outbound cross-shard messages accumulated since the
-    /// last call (conductor-facing; empty and allocation-free when no
-    /// cross traffic happened).
-    pub fn take_cross_outbox(&mut self) -> Vec<CrossMessage> {
-        self.shard
-            .as_mut()
-            .map(|m| std::mem::take(&mut m.outbox))
-            .unwrap_or_default()
-    }
-
-    /// Injects a cross-shard message: schedules its arrival event at
-    /// `msg.arrival` (never in this world's past — the conductor only
-    /// injects messages due in the window about to run). A message for
-    /// an unregistered inlet is counted on `shard.cross_no_inlet` and
-    /// dropped, mirroring a datagram with no listener.
-    pub fn inject_cross(&mut self, msg: CrossMessage) {
-        let Some(m) = self.shard.as_ref() else {
-            return;
-        };
-        let Some(&dst) = m.inlets.get(&msg.inlet) else {
-            self.trace.bump(metric_id!("shard.cross_no_inlet"), 1);
-            return;
-        };
-        let src = Addr::new(m.gateway, SHARD_GW_PORT_BASE.saturating_add(msg.src_shard));
-        debug_assert!(msg.arrival >= self.now, "cross message in the past");
-        self.trace.bump(metric_id!("shard.cross_received"), 1);
-        self.schedule(
-            msg.arrival,
-            EventKind::CrossArrival {
-                src,
-                dst,
-                data: msg.data,
-            },
-        );
-    }
-
-    /// Records the count of future cross-shard messages the conductor
-    /// holds for this world. Folded into `sched.events_pending` and
-    /// consulted by the telemetry sampler's re-arm check, so the merged
-    /// pending-work horizon — not just this wheel — decides whether the
-    /// sampler parks.
-    pub fn note_external_pending(&mut self, n: u64) {
-        if let Some(m) = self.shard.as_mut() {
-            m.external_pending = n;
-        }
-    }
-
-    /// Records a wall-clock barrier wait (conductor-facing); folded as
-    /// the `shard.barrier_stall_ns` histogram. Wall-derived and thus
-    /// nondeterministic — the conductor skips it when a run needs
-    /// byte-identical metrics (see `ShardPlan::without_wall_health`).
-    pub fn record_barrier_stall(&mut self, wait: SimDuration) {
-        if let Some(m) = self.shard.as_mut() {
-            m.barrier_stall.record(wait);
-        }
-    }
-
-    /// Events currently in this world's wheel (the conductor's work
-    /// vote; includes an armed telemetry sample, which parks itself
-    /// once everything else drains).
+    /// Events currently in this world's wheel (includes an armed
+    /// telemetry sample, which parks itself once everything else
+    /// drains).
     pub fn events_pending(&self) -> u64 {
         self.queue.len() as u64
-    }
-
-    fn external_pending(&self) -> u64 {
-        self.shard.as_ref().map_or(0, |m| m.external_pending)
-    }
-
-    /// Runs every event strictly before `end`, leaving `now` at the
-    /// last executed instant. The bounded-window primitive of the
-    /// sharded conductor: unlike [`World::run_until`] it neither
-    /// advances time to the bound nor folds end-of-run metrics, so an
-    /// empty window costs nothing beyond the peek.
-    pub fn run_before(&mut self, end: SimTime) {
-        self.begin_run();
-        loop {
-            match self.queue.peek_time() {
-                Some(t) if t < end => {
-                    self.step_batch();
-                }
-                _ => break,
-            }
-        }
     }
 
     /// The earliest instant this world has work scheduled for, if any.
@@ -1402,28 +1085,7 @@ impl World {
             EventKind::SynRetry { stream, attempt } => self.syn_retry(stream, attempt),
             EventKind::Emit { proc, action } => self.run_emit(proc, action),
             EventKind::TelemetrySample => self.telemetry_sample(),
-            EventKind::CrossArrival { src, dst, data } => self.cross_arrival(src, dst, data),
         }
-    }
-
-    /// Delivers a cross-shard message: the destination is resolved at
-    /// arrival time (like a frame arrival — the ingress process may
-    /// have died since the sender emitted; `unicast_binding` counts the
-    /// undeliverable ones).
-    fn cross_arrival(&mut self, src: Addr, dst: Addr, data: Payload) {
-        let Some(proc) = self.unicast_binding(dst) else {
-            return;
-        };
-        self.schedule_delivery(
-            self.now,
-            proc,
-            Delivery::Datagram(Datagram {
-                src,
-                dst,
-                data,
-                multicast: false,
-            }),
-        );
     }
 
     /// Executes a deferred output action, if the emitting process is

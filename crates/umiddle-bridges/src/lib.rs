@@ -35,7 +35,6 @@ mod motes;
 mod native;
 mod rmi;
 pub mod scatter;
-pub mod shard;
 mod upnp;
 mod webservices;
 
@@ -46,6 +45,5 @@ pub use motes::MotesMapper;
 pub use native::{behaviors, NativeBehavior, NativeEnv, NativeService};
 pub use rmi::RmiMapper;
 pub use scatter::UpnpExporter;
-pub use shard::{ShardIngress, ShardUplink};
 pub use upnp::UpnpMapper;
 pub use webservices::WsMapper;

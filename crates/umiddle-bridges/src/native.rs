@@ -19,9 +19,6 @@ pub struct NativeEnv<'a, 'w> {
     ctx: &'a mut Ctx<'w>,
     client: &'a RuntimeClient,
     translator: Option<TranslatorId>,
-    /// Correlation id of the causal path the current callback is riding
-    /// (0 when the callback has no upstream cause, e.g. a timer).
-    corr: u64,
 }
 
 impl std::fmt::Debug for NativeEnv<'_, '_> {
@@ -61,53 +58,6 @@ impl NativeEnv<'_, '_> {
     pub fn translator(&self) -> Option<TranslatorId> {
         self.translator
     }
-
-    /// Sends a message to a cross-shard inlet over the inter-shard link
-    /// (see [`simnet::shard`]), encoded with the
-    /// [`umiddle_core::shardlink`] hand-off codec. Returns `false` —
-    /// counting the drop on `shard.uplink_drop` — when the world is not
-    /// sharded or the destination shard does not exist, so a behavior
-    /// wired unconditionally degrades to a no-op on standalone worlds.
-    ///
-    /// When the callback is riding a correlated path, the hand-off frame
-    /// carries the trace context: a `shard.xfer.egress` span is recorded
-    /// here and its id travels in the frame, so the receiving shard's
-    /// `shard.xfer.ingress` span names its remote parent and
-    /// [`simnet::merge_shard_spans`] can stitch the journey back
-    /// together.
-    pub fn send_shard(&mut self, dst_shard: u16, inlet: u16, msg: &UMessage) -> bool {
-        let corr = self.corr;
-        let trace = match self.ctx.shard() {
-            Some(cfg) if corr != 0 => {
-                let span = self.ctx.span(
-                    corr,
-                    "shard.xfer.egress",
-                    SpanDetail::new(
-                        &["dst=s", " inlet=", ""],
-                        [
-                            DetailArg::U64(dst_shard.into()),
-                            DetailArg::U64(inlet.into()),
-                        ],
-                    ),
-                );
-                self.ctx.bump("shard.xfer_egress", 1);
-                Some(umiddle_core::shardlink::HandoffTrace {
-                    corr,
-                    span,
-                    src_shard: cfg.shard,
-                })
-            }
-            _ => None,
-        };
-        let frame = umiddle_core::shardlink::encode_handoff(msg, trace);
-        match self.ctx.send_shard(dst_shard, inlet, frame) {
-            Ok(()) => true,
-            Err(_) => {
-                self.ctx.bump("shard.uplink_drop", 1);
-                false
-            }
-        }
-    }
 }
 
 /// Behaviour of a native uMiddle service.
@@ -126,13 +76,6 @@ pub trait NativeBehavior {
     fn on_timer(&mut self, env: &mut NativeEnv<'_, '_>, token: u64) {
         let _ = (env, token);
     }
-
-    /// Called for each message arriving on this service's cross-shard
-    /// inlet (see [`NativeService::with_shard_inlet`]), already decoded
-    /// from the hand-off frame.
-    fn on_cross(&mut self, env: &mut NativeEnv<'_, '_>, msg: UMessage) {
-        let _ = (env, msg);
-    }
 }
 
 /// A process hosting one native uMiddle service.
@@ -143,8 +86,6 @@ pub struct NativeService {
     behavior: Box<dyn NativeBehavior>,
     client: RuntimeClient,
     translator: Option<TranslatorId>,
-    /// `(inlet, local port)` to register for cross-shard ingress.
-    shard_inlet: Option<(u16, u16)>,
 }
 
 impl std::fmt::Debug for NativeService {
@@ -171,23 +112,12 @@ impl NativeService {
             behavior,
             client: RuntimeClient::new(runtime),
             translator: None,
-            shard_inlet: None,
         }
     }
 
     /// Adds a profile attribute (builder style).
     pub fn with_attr(mut self, key: &str, value: &str) -> NativeService {
         self.attrs.push((key.to_owned(), value.to_owned()));
-        self
-    }
-
-    /// Registers this service as the receiver for cross-shard inlet
-    /// `inlet`, bound at `port` on its node (builder style). Arriving
-    /// hand-off frames are decoded and delivered to
-    /// [`NativeBehavior::on_cross`]. Registration is skipped silently on
-    /// an unsharded world, so the same fixture code runs standalone.
-    pub fn with_shard_inlet(mut self, inlet: u16, port: u16) -> NativeService {
-        self.shard_inlet = Some((inlet, port));
         self
     }
 }
@@ -208,51 +138,6 @@ impl Process for NativeService {
         }
         let me = ctx.me();
         self.client.register(ctx, builder.build(), me);
-        if let Some((inlet, port)) = self.shard_inlet {
-            if ctx.shard().is_some() {
-                ctx.register_shard_inlet(inlet, port)
-                    .expect("shard inlet registration");
-            }
-        }
-    }
-
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, d: simnet::Datagram) {
-        // The only datagrams a native service receives are cross-shard
-        // hand-off frames addressed to its registered inlet.
-        if self.shard_inlet.is_none() {
-            return;
-        }
-        match umiddle_core::shardlink::decode_handoff(&d.data) {
-            Ok((msg, trace)) => {
-                ctx.bump("shard.handoff_in", 1);
-                let corr = match trace {
-                    Some(t) => {
-                        // Replay the carried context as the ingress half
-                        // of the cross-shard hop; merge_shard_spans
-                        // re-parents this span onto the remote egress.
-                        ctx.span(
-                            t.corr,
-                            "shard.xfer.ingress",
-                            SpanDetail::new(
-                                &["src=s", " span=", ""],
-                                [DetailArg::U64(t.src_shard.into()), DetailArg::U64(t.span.0)],
-                            ),
-                        );
-                        ctx.bump("shard.xfer_ingress", 1);
-                        t.corr
-                    }
-                    None => 0,
-                };
-                let mut env = NativeEnv {
-                    ctx,
-                    client: &self.client,
-                    translator: self.translator,
-                    corr,
-                };
-                self.behavior.on_cross(&mut env, msg);
-            }
-            Err(_) => ctx.bump("shard.handoff_decode_err", 1),
-        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -263,7 +148,6 @@ impl Process for NativeService {
             ctx,
             client: &self.client,
             translator: self.translator,
-            corr: 0,
         };
         self.behavior.on_timer(&mut env, token - 1);
     }
@@ -282,7 +166,6 @@ impl Process for NativeService {
                     ctx,
                     client: &self.client,
                     translator: self.translator,
-                    corr: 0,
                 };
                 self.behavior.on_registered(&mut env);
             }
@@ -320,7 +203,6 @@ impl NativeService {
             ctx,
             client: &self.client,
             translator: self.translator,
-            corr: connection.corr(),
         };
         self.behavior.on_input(&mut env, &port, msg);
         ctx.span_end(span);

@@ -70,7 +70,6 @@ mod query;
 mod replica;
 mod runtime;
 mod shape;
-pub mod shardlink;
 mod wire;
 
 pub use api::{

@@ -845,9 +845,9 @@ fn decode_qos(r: &mut ByteReader<'_>) -> CoreResult<QosPolicy> {
 
 /// Encodes a message: MIME type, body, then its metadata with the trace
 /// context merged in as decimal entries in key order (see
-/// [`UMessage::size`]). The shard hand-off codec ([`crate::shardlink`])
-/// writes its messages with this.
-pub(crate) fn encode_umessage(w: &mut PayloadBuilder, m: &UMessage) {
+/// [`UMessage::size`]). A path message carries its `UMessage` in this
+/// layout.
+fn encode_umessage(w: &mut PayloadBuilder, m: &UMessage) {
     let (ty, subtype) = m.mime().parts();
     w.u16_le((ty.len() + 1 + subtype.len()) as u16);
     w.extend_from_slice(ty.as_bytes());
@@ -867,7 +867,7 @@ pub(crate) fn encode_umessage(w: &mut PayloadBuilder, m: &UMessage) {
 
 /// Decodes a [`UMessage`] as [`encode_umessage`] writes it; the body is
 /// a zero-copy slice when `r` has a backing payload.
-pub(crate) fn decode_umessage(r: &mut ByteReader<'_>) -> CoreResult<UMessage> {
+fn decode_umessage(r: &mut ByteReader<'_>) -> CoreResult<UMessage> {
     let mime: MimeType = r.str16_le()?.parse()?;
     let len = r.u32_le()? as usize;
     let body = r.payload(len)?;
