@@ -1053,7 +1053,7 @@ pub fn e7_ablation_scatter() -> ScatterResults {
                 if let (Some(location), None) = (self.target, self.pending_start) {
                     self.pending_start = Some(ctx.now());
                     let call = SoapCall::new("Exported", "SetCapture").with_arg("Value", "snap");
-                    self.cp.invoke(ctx, location, &call, u64::from(self.shots));
+                    let _ = self.cp.invoke(ctx, location, &call, u64::from(self.shots));
                 }
             }
         }

@@ -6,14 +6,12 @@
 //! and event subscriptions. The host forwards its stream events and SSDP
 //! datagrams; the control point hands back typed [`CpEvent`]s.
 
-use std::collections::HashMap;
-
 use simnet::{Addr, Ctx, Datagram, Payload, StreamEvent, StreamId};
 
 use crate::calib;
 use crate::description::DeviceDesc;
 use crate::gena::{Notify, Subscribe};
-use crate::http::{HttpAccumulator, HttpMessage, HttpRequest, HttpResponse};
+use crate::http::{HttpConns, HttpEvent, HttpRequest, HttpResponse};
 use crate::soap::{SoapCall, SoapResult};
 use crate::ssdp::SsdpMessage;
 
@@ -59,36 +57,31 @@ pub enum CpEvent {
     },
     /// A GENA event arrived on our callback listener.
     Event(Notify),
-    /// A request failed (connection refused, peer died, parse error).
-    Failed {
-        /// What was being attempted.
-        context: String,
-    },
+    /// A request failed (connection refused, peer died, unreadable
+    /// response).
+    Failed(CpRequest),
 }
 
-#[derive(Debug)]
-enum Pending {
+/// A request the control point sends; each ends in one [`CpEvent`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CpRequest {
+    /// A description fetch from `location`.
     Description {
+        /// Where the description is fetched from.
         location: Addr,
-        acc: HttpAccumulator,
-        sent: bool,
-        request: Payload,
     },
+    /// An action invocation.
     Action {
+        /// Correlation id passed to [`ControlPoint::invoke`].
         call_id: u64,
-        acc: HttpAccumulator,
-        sent: bool,
-        request: Payload,
     },
+    /// A GENA subscription.
     Subscribe {
+        /// The service subscribed to.
         service: String,
+        /// Description location of the device.
         location: Addr,
-        acc: HttpAccumulator,
-        sent: bool,
-        request: Payload,
     },
-    /// An inbound connection on the GENA callback listener.
-    Inbound { acc: HttpAccumulator },
 }
 
 /// The client-side engine. Hosts must:
@@ -96,9 +89,13 @@ enum Pending {
 /// 1. call [`ControlPoint::listen_events`] once at start (for GENA),
 /// 2. forward all stream events to [`ControlPoint::handle_stream`],
 /// 3. forward SSDP datagrams to [`ControlPoint::handle_ssdp`].
+///
+/// A request method that returns `Err` sent nothing (no route, or no
+/// GENA listener); any other request ends in one event from
+/// [`ControlPoint::handle_stream`].
 #[derive(Debug, Default)]
 pub struct ControlPoint {
-    pending: HashMap<StreamId, Pending>,
+    http: HttpConns<CpRequest>,
     event_port: Option<u16>,
 }
 
@@ -161,54 +158,59 @@ impl ControlPoint {
     }
 
     /// Fetches a device description from `location`.
-    pub fn fetch_description(&mut self, ctx: &mut Ctx<'_>, location: Addr) {
+    ///
+    /// # Errors
+    ///
+    /// Returns the request when the connect fails at once.
+    pub fn fetch_description(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        location: Addr,
+    ) -> Result<(), CpRequest> {
         let request = HttpRequest::new("GET", "/description.xml").to_bytes();
-        match ctx.connect(location) {
-            Ok(stream) => {
-                self.pending.insert(
-                    stream,
-                    Pending::Description {
-                        location,
-                        acc: HttpAccumulator::new(),
-                        sent: false,
-                        request,
-                    },
-                );
-            }
-            Err(_) => ctx.bump("upnp.cp_connect_failed", 1),
-        }
+        self.exchange(ctx, location, request, CpRequest::Description { location })
     }
 
     /// Invokes a SOAP action on the device at `location`.
-    pub fn invoke(&mut self, ctx: &mut Ctx<'_>, location: Addr, call: &SoapCall, call_id: u64) {
+    ///
+    /// # Errors
+    ///
+    /// Returns the request when the connect fails at once.
+    pub fn invoke(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        location: Addr,
+        call: &SoapCall,
+        call_id: u64,
+    ) -> Result<(), CpRequest> {
         let xml = call.to_xml();
         ctx.busy(calib::xml_codec_cost(xml.len()));
         let request = HttpRequest::new("POST", "/control")
             .with_header("soapaction", call.soap_action_header())
             .with_body(xml.into_bytes())
             .to_bytes();
-        match ctx.connect(location) {
-            Ok(stream) => {
-                self.pending.insert(
-                    stream,
-                    Pending::Action {
-                        call_id,
-                        acc: HttpAccumulator::new(),
-                        sent: false,
-                        request,
-                    },
-                );
-            }
-            Err(_) => ctx.bump("upnp.cp_connect_failed", 1),
-        }
+        self.exchange(ctx, location, request, CpRequest::Action { call_id })
     }
 
-    /// Subscribes to a service's GENA events; [`ControlPoint::listen_events`]
-    /// must have been called first.
-    pub fn subscribe(&mut self, ctx: &mut Ctx<'_>, location: Addr, service: &str) {
+    /// Subscribes to a service's GENA events.
+    ///
+    /// # Errors
+    ///
+    /// Returns the request when [`ControlPoint::listen_events`] was not
+    /// called first or the connect fails at once.
+    pub fn subscribe(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        location: Addr,
+        service: &str,
+    ) -> Result<(), CpRequest> {
+        let tag = CpRequest::Subscribe {
+            service: service.to_owned(),
+            location,
+        };
         let Some(callback) = self.event_callback(ctx) else {
             ctx.bump("upnp.cp_subscribe_without_listener", 1);
-            return;
+            return Err(tag);
         };
         let request = Subscribe {
             service: service.to_owned(),
@@ -216,21 +218,19 @@ impl ControlPoint {
         }
         .to_request()
         .to_bytes();
-        match ctx.connect(location) {
-            Ok(stream) => {
-                self.pending.insert(
-                    stream,
-                    Pending::Subscribe {
-                        service: service.to_owned(),
-                        location,
-                        acc: HttpAccumulator::new(),
-                        sent: false,
-                        request,
-                    },
-                );
-            }
-            Err(_) => ctx.bump("upnp.cp_connect_failed", 1),
-        }
+        self.exchange(ctx, location, request, tag)
+    }
+
+    fn exchange(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        location: Addr,
+        request: Payload,
+        tag: CpRequest,
+    ) -> Result<(), CpRequest> {
+        self.http
+            .exchange(ctx, location, request, tag)
+            .inspect_err(|_| ctx.bump("upnp.cp_connect_failed", 1))
     }
 
     /// Processes a stream event; returns any completed [`CpEvent`]s.
@@ -241,150 +241,55 @@ impl ControlPoint {
         event: StreamEvent,
     ) -> Vec<CpEvent> {
         let mut out = Vec::new();
-        match event {
-            StreamEvent::Accepted { .. } => {
-                // Inbound GENA notify connection.
-                self.pending.insert(
-                    stream,
-                    Pending::Inbound {
-                        acc: HttpAccumulator::new(),
-                    },
-                );
-            }
-            StreamEvent::Connected => {
-                if let Some(p) = self.pending.get_mut(&stream) {
-                    let (sent, request) = match p {
-                        Pending::Description { sent, request, .. }
-                        | Pending::Action { sent, request, .. }
-                        | Pending::Subscribe { sent, request, .. } => (sent, request),
-                        Pending::Inbound { .. } => return out,
-                    };
-                    if !*sent {
-                        *sent = true;
-                        let bytes = std::mem::take(request);
-                        let _ = ctx.stream_send(stream, bytes);
+        for event in self.http.on_stream(ctx, stream, event) {
+            match event {
+                HttpEvent::Response(request, response) => {
+                    out.push(complete(ctx, request, response));
+                }
+                HttpEvent::Failed(request) => out.push(CpEvent::Failed(request)),
+                // An inbound GENA notify connection.
+                HttpEvent::Request { request, .. } => {
+                    if let Some(n) = Notify::from_request(&request) {
+                        ctx.busy(calib::xml_codec_cost(request.body.len()));
+                        out.push(CpEvent::Event(n));
                     }
+                    let _ = ctx.stream_send(stream, HttpResponse::new(200).to_bytes());
                 }
             }
-            StreamEvent::Data(data) => {
-                let Some(p) = self.pending.get_mut(&stream) else {
-                    return out;
-                };
-                match p {
-                    Pending::Inbound { acc } => {
-                        acc.push_payload(data);
-                        while let Some(msg) = acc.take_message() {
-                            if let Ok(HttpMessage::Request(req)) = msg {
-                                if let Some(n) = Notify::from_request(&req) {
-                                    ctx.busy(calib::xml_codec_cost(req.body.len()));
-                                    out.push(CpEvent::Event(n));
-                                }
-                                let _ = ctx.stream_send(stream, HttpResponse::new(200).to_bytes());
-                            }
-                        }
-                    }
-                    _ => {
-                        let acc = match p {
-                            Pending::Description { acc, .. }
-                            | Pending::Action { acc, .. }
-                            | Pending::Subscribe { acc, .. } => acc,
-                            Pending::Inbound { .. } => unreachable!("handled above"),
-                        };
-                        acc.push_payload(data);
-                        if let Some(msg) = acc.take_message() {
-                            let done = self.pending.remove(&stream).expect("present");
-                            ctx.stream_close(stream);
-                            out.extend(self.complete(ctx, done, msg));
-                        }
-                    }
-                }
-            }
-            StreamEvent::Closed => {
-                // Server closed; if a full message was already consumed
-                // the entry is gone. Otherwise it's a failure.
-                if let Some(p) = self.pending.remove(&stream) {
-                    if let Pending::Inbound { .. } = p {
-                        return out;
-                    }
-                    out.push(CpEvent::Failed {
-                        context: context_of(&p),
-                    });
-                }
-            }
-            StreamEvent::ConnectFailed => {
-                if let Some(p) = self.pending.remove(&stream) {
-                    out.push(CpEvent::Failed {
-                        context: context_of(&p),
-                    });
-                }
-            }
-            StreamEvent::Writable => {}
         }
         out
     }
-
-    fn complete(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        pending: Pending,
-        msg: Result<HttpMessage, String>,
-    ) -> Option<CpEvent> {
-        let Ok(HttpMessage::Response(resp)) = msg else {
-            return Some(CpEvent::Failed {
-                context: context_of(&pending),
-            });
-        };
-        match pending {
-            Pending::Description { location, .. } => {
-                ctx.busy(calib::xml_codec_cost(resp.body.len()));
-                match std::str::from_utf8(&resp.body)
-                    .ok()
-                    .and_then(DeviceDesc::parse)
-                {
-                    Some(desc) => Some(CpEvent::Description {
-                        location,
-                        desc,
-                        raw_len: resp.body.len(),
-                    }),
-                    None => Some(CpEvent::Failed {
-                        context: format!("description from {location}"),
-                    }),
-                }
-            }
-            Pending::Action { call_id, .. } => {
-                ctx.busy(calib::xml_codec_cost(resp.body.len()));
-                match std::str::from_utf8(&resp.body)
-                    .ok()
-                    .and_then(SoapResult::parse)
-                {
-                    Some(result) => Some(CpEvent::ActionResult { call_id, result }),
-                    None => Some(CpEvent::Failed {
-                        context: format!("action {call_id}"),
-                    }),
-                }
-            }
-            Pending::Subscribe {
-                service, location, ..
-            } => {
-                if resp.status == 200 {
-                    Some(CpEvent::Subscribed { service, location })
-                } else {
-                    Some(CpEvent::Failed {
-                        context: format!("subscribe {service}"),
-                    })
-                }
-            }
-            Pending::Inbound { .. } => None,
-        }
-    }
 }
 
-fn context_of(p: &Pending) -> String {
-    match p {
-        Pending::Description { location, .. } => format!("description from {location}"),
-        Pending::Action { call_id, .. } => format!("action {call_id}"),
-        Pending::Subscribe { service, .. } => format!("subscribe {service}"),
-        Pending::Inbound { .. } => "inbound".to_owned(),
+/// What a response to `request` means.
+fn complete(ctx: &mut Ctx<'_>, request: CpRequest, response: Option<HttpResponse>) -> CpEvent {
+    let Some(resp) = response else {
+        return CpEvent::Failed(request);
+    };
+    let text = std::str::from_utf8(&resp.body).ok();
+    match request {
+        CpRequest::Description { location } => {
+            ctx.busy(calib::xml_codec_cost(resp.body.len()));
+            match text.and_then(DeviceDesc::parse) {
+                Some(desc) => CpEvent::Description {
+                    location,
+                    desc,
+                    raw_len: resp.body.len(),
+                },
+                None => CpEvent::Failed(request),
+            }
+        }
+        CpRequest::Action { call_id } => {
+            ctx.busy(calib::xml_codec_cost(resp.body.len()));
+            match text.and_then(SoapResult::parse) {
+                Some(result) => CpEvent::ActionResult { call_id, result },
+                None => CpEvent::Failed(request),
+            }
+        }
+        CpRequest::Subscribe { service, location } if resp.status == 200 => {
+            CpEvent::Subscribed { service, location }
+        }
+        CpRequest::Subscribe { .. } => CpEvent::Failed(request),
     }
 }
 
@@ -418,7 +323,7 @@ mod tests {
         fn on_datagram(&mut self, ctx: &mut Ctx<'_>, d: Datagram) {
             if let Some(CpEvent::DeviceSeen { location, .. }) = self.cp.handle_ssdp(ctx, &d) {
                 self.log.borrow_mut().push("seen".to_owned());
-                self.cp.fetch_description(ctx, location);
+                let _ = self.cp.fetch_description(ctx, location);
             }
         }
         fn on_stream(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, event: StreamEvent) {
@@ -428,12 +333,12 @@ mod tests {
                         self.log
                             .borrow_mut()
                             .push(format!("desc:{}", desc.friendly_name));
-                        self.cp.subscribe(ctx, location, "SwitchPower");
+                        let _ = self.cp.subscribe(ctx, location, "SwitchPower");
                         if !self.invoked {
                             self.invoked = true;
                             let call =
                                 SoapCall::new("SwitchPower", "SetPower").with_arg("Power", "1");
-                            self.cp.invoke(ctx, location, &call, 1);
+                            let _ = self.cp.invoke(ctx, location, &call, 1);
                         }
                     }
                     CpEvent::ActionResult { result, .. } => {
@@ -447,8 +352,8 @@ mod tests {
                             self.log.borrow_mut().push(format!("event:{k}={v}"));
                         }
                     }
-                    CpEvent::Failed { context } => {
-                        self.log.borrow_mut().push(format!("failed:{context}"));
+                    CpEvent::Failed(request) => {
+                        self.log.borrow_mut().push(format!("failed:{request:?}"));
                     }
                     _ => {}
                 }
@@ -511,11 +416,11 @@ mod tests {
         impl Process for Failer {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 let call = SoapCall::new("S", "A");
-                self.cp.invoke(ctx, self.target, &call, 9);
+                assert_eq!(self.cp.invoke(ctx, self.target, &call, 9), Ok(()));
             }
             fn on_stream(&mut self, ctx: &mut Ctx<'_>, s: StreamId, e: StreamEvent) {
                 for ev in self.cp.handle_stream(ctx, s, e) {
-                    if matches!(ev, CpEvent::Failed { .. }) {
+                    if ev == CpEvent::Failed(CpRequest::Action { call_id: 9 }) {
                         *self.failed.borrow_mut() = true;
                     }
                 }

@@ -8,14 +8,15 @@
 //! module, reproducing the XML-marshaling-dominated profile the paper
 //! measured.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::convert::Infallible;
 
-use simnet::{Addr, Ctx, Datagram, Payload, Process, SimDuration, StreamEvent, StreamId};
+use simnet::{Addr, Ctx, Datagram, Process, SimDuration, StreamEvent, StreamId};
 
 use crate::calib;
 use crate::description::DeviceDesc;
 use crate::gena::{Notify, Subscribe};
-use crate::http::{HttpAccumulator, HttpMessage, HttpRequest, HttpResponse};
+use crate::http::{HttpConns, HttpEvent, HttpRequest, HttpResponse};
 use crate::soap::{SoapCall, SoapResult};
 use crate::ssdp::{SsdpMessage, SSDP_GROUP};
 
@@ -103,10 +104,9 @@ pub struct UpnpDevice {
     state: StateTable,
     subs: Vec<Subscription>,
     next_sid: u32,
-    /// Accumulators for inbound HTTP connections.
-    server_conns: HashMap<StreamId, HttpAccumulator>,
-    /// Outbound NOTIFY connections awaiting `Connected`.
-    notify_out: HashMap<StreamId, Payload>,
+    /// Accepted HTTP connections and one-way NOTIFYs: the device awaits
+    /// no response, so the table holds no exchange.
+    http: HttpConns<Infallible>,
 }
 
 #[derive(Debug)]
@@ -148,8 +148,7 @@ impl UpnpDevice {
             state,
             subs: Vec::new(),
             next_sid: 1,
-            server_conns: HashMap::new(),
-            notify_out: HashMap::new(),
+            http: HttpConns::new(),
         }
     }
 
@@ -312,8 +311,7 @@ impl UpnpDevice {
         let req = notify.to_request();
         let bytes = req.to_bytes();
         ctx.busy(calib::xml_codec_cost(bytes.len()));
-        if let Ok(stream) = ctx.connect(callback) {
-            self.notify_out.insert(stream, bytes);
+        if self.http.send(ctx, callback, bytes) {
             ctx.bump(simnet::metric_id!("upnp.notifies"), 1);
         }
     }
@@ -374,30 +372,9 @@ impl Process for UpnpDevice {
     }
 
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, event: StreamEvent) {
-        match event {
-            StreamEvent::Accepted { .. } => {
-                self.server_conns.insert(stream, HttpAccumulator::new());
-            }
-            StreamEvent::Connected => {
-                if let Some(bytes) = self.notify_out.remove(&stream) {
-                    let _ = ctx.stream_send(stream, bytes);
-                    ctx.stream_close(stream);
-                }
-            }
-            StreamEvent::Data(data) => {
-                let Some(acc) = self.server_conns.get_mut(&stream) else {
-                    return;
-                };
-                acc.push_payload(data);
-                if let Some(Ok(HttpMessage::Request(req))) = acc.take_message() {
-                    self.handle_request(ctx, stream, req);
-                }
-            }
-            StreamEvent::Closed | StreamEvent::ConnectFailed => {
-                self.server_conns.remove(&stream);
-                self.notify_out.remove(&stream);
-            }
-            StreamEvent::Writable => {}
+        for event in self.http.on_stream(ctx, stream, event) {
+            let HttpEvent::Request { request, .. } = event;
+            self.handle_request(ctx, stream, request);
         }
     }
 

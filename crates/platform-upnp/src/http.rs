@@ -13,12 +13,16 @@
 //! holds constants and owned values, and [`HttpRequest::to_bytes`] /
 //! [`HttpResponse::to_bytes`] write head and body into one buffer of the
 //! exact size.
+//!
+//! [`HttpConns`] is the one connection table every HTTP speaker keeps:
+//! outbound exchanges tagged with the caller's request, one-way sends and
+//! accepted connections, each with its [`HttpAccumulator`].
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use simnet::Payload;
+use simnet::{Addr, Ctx, IntMap, Payload, StreamEvent, StreamId};
 
 /// Text in a message head.
 #[derive(Debug, Clone)]
@@ -592,6 +596,174 @@ fn find_head_end(bytes: &[u8]) -> Option<usize> {
             return Some(at);
         }
         from = at + 2;
+    }
+}
+
+/// One connection of an [`HttpConns`] table.
+#[derive(Debug)]
+enum Conn<T> {
+    /// An outbound request, parked until `Connected` and sent once;
+    /// `acc` reads the response.
+    Exchange {
+        tag: T,
+        request: Option<Payload>,
+        acc: HttpAccumulator,
+    },
+    /// An outbound request that expects no response: sent on
+    /// `Connected`, then the stream is closed.
+    OneWay(Payload),
+    /// A connection accepted on local port `port`.
+    Inbound { port: u16, acc: HttpAccumulator },
+}
+
+/// What an [`HttpConns`] table hands its owner.
+#[derive(Debug)]
+pub enum HttpEvent<T> {
+    /// An exchange's first full message arrived: its entry is gone and
+    /// its stream closed. `None` when the message was malformed or not a
+    /// response.
+    Response(T, Option<HttpResponse>),
+    /// An exchange's connection closed or failed before a full message.
+    Failed(T),
+    /// A request on a connection accepted on local `port`, for the owner
+    /// to answer on the stream it arrived on.
+    Request {
+        /// The local port the connection was accepted on.
+        port: u16,
+        /// The request.
+        request: HttpRequest,
+    },
+}
+
+/// A process's HTTP connections, keyed by stream. Each outbound exchange
+/// carries the caller's tag `T` and ends in exactly one
+/// [`HttpEvent::Response`] or [`HttpEvent::Failed`] with it, or in `Err`
+/// from [`exchange`](Self::exchange) when the connect fails at once.
+#[derive(Debug)]
+pub struct HttpConns<T> {
+    conns: IntMap<StreamId, Conn<T>>,
+}
+
+impl<T> Default for HttpConns<T> {
+    fn default() -> Self {
+        HttpConns {
+            conns: IntMap::default(),
+        }
+    }
+}
+
+impl<T> HttpConns<T> {
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Connects to `to` and sends `request` once connected; the response
+    /// or failure comes back from [`on_stream`](Self::on_stream) with
+    /// `tag`.
+    ///
+    /// # Errors
+    ///
+    /// Returns `tag` when the connect fails at once (no route).
+    pub fn exchange(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        to: Addr,
+        request: Payload,
+        tag: T,
+    ) -> Result<(), T> {
+        let Ok(stream) = ctx.connect(to) else {
+            return Err(tag);
+        };
+        self.conns.insert(
+            stream,
+            Conn::Exchange {
+                tag,
+                request: Some(request),
+                acc: HttpAccumulator::new(),
+            },
+        );
+        Ok(())
+    }
+
+    /// Connects to `to`, sends `request` once connected and closes,
+    /// reading no response. Returns `false` when the connect fails at
+    /// once.
+    pub fn send(&mut self, ctx: &mut Ctx<'_>, to: Addr, request: Payload) -> bool {
+        let Ok(stream) = ctx.connect(to) else {
+            return false;
+        };
+        self.conns.insert(stream, Conn::OneWay(request));
+        true
+    }
+
+    /// Feeds one of the owner's stream events; returns what it completed.
+    pub fn on_stream(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        stream: StreamId,
+        event: StreamEvent,
+    ) -> Vec<HttpEvent<T>> {
+        let mut out = Vec::new();
+        match event {
+            StreamEvent::Accepted { local_port, .. } => {
+                self.conns.insert(
+                    stream,
+                    Conn::Inbound {
+                        port: local_port,
+                        acc: HttpAccumulator::new(),
+                    },
+                );
+            }
+            StreamEvent::Connected => match self.conns.get_mut(&stream) {
+                Some(Conn::Exchange { request, .. }) => {
+                    if let Some(request) = request.take() {
+                        let _ = ctx.stream_send(stream, request);
+                    }
+                }
+                Some(Conn::OneWay(_)) => {
+                    if let Some(Conn::OneWay(request)) = self.conns.remove(&stream) {
+                        let _ = ctx.stream_send(stream, request);
+                        ctx.stream_close(stream);
+                    }
+                }
+                _ => {}
+            },
+            StreamEvent::Data(data) => match self.conns.get_mut(&stream) {
+                Some(Conn::Exchange { acc, .. }) => {
+                    acc.push_payload(data);
+                    if let Some(message) = acc.take_message() {
+                        if let Some(Conn::Exchange { tag, .. }) = self.conns.remove(&stream) {
+                            ctx.stream_close(stream);
+                            let response = match message {
+                                Ok(HttpMessage::Response(response)) => Some(response),
+                                _ => None,
+                            };
+                            out.push(HttpEvent::Response(tag, response));
+                        }
+                    }
+                }
+                Some(Conn::Inbound { port, acc }) => {
+                    acc.push_payload(data);
+                    while let Some(message) = acc.take_message() {
+                        if let Ok(HttpMessage::Request(request)) = message {
+                            out.push(HttpEvent::Request {
+                                port: *port,
+                                request,
+                            });
+                        }
+                    }
+                }
+                _ => {}
+            },
+            StreamEvent::Closed | StreamEvent::ConnectFailed => {
+                if let Some(Conn::Exchange { tag, .. }) = self.conns.remove(&stream) {
+                    out.push(HttpEvent::Failed(tag));
+                }
+            }
+            StreamEvent::Writable => {}
+        }
+        out
     }
 }
 

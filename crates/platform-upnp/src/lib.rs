@@ -8,7 +8,10 @@
 //! * [`SsdpMessage`]: SSDP discovery over simulated UDP multicast
 //!   (alive / byebye / M-SEARCH / responses).
 //! * [`HttpRequest`]/[`HttpResponse`]/[`HttpAccumulator`]: HTTP/1.0 over
-//!   simulated TCP streams.
+//!   simulated TCP streams, and [`HttpConns`], the one connection table
+//!   every HTTP speaker here and in the web-services platform and the
+//!   scatter exporter keeps: outbound exchanges that end in exactly one
+//!   typed response or failure, one-way sends, accepted connections.
 //! * [`SoapCall`]/[`SoapResult`]: SOAP 1.1 action envelopes.
 //! * [`Subscribe`]/[`Notify`]: GENA eventing.
 //! * [`UpnpDevice`] + [`DeviceLogic`]: the generic emulated device engine
@@ -33,11 +36,11 @@ mod http;
 mod soap;
 mod ssdp;
 
-pub use client::{ControlPoint, CpEvent};
+pub use client::{ControlPoint, CpEvent, CpRequest};
 pub use description::{ActionArg, ActionDesc, ArgDirection, DeviceDesc, ServiceDesc, StateVarDesc};
 pub use device::{DeviceLogic, StateTable, UpnpDevice};
 pub use devices::{AirconLogic, ClockLogic, LightLogic, MediaRendererLogic};
 pub use gena::{Notify, Subscribe};
-pub use http::{HttpAccumulator, HttpMessage, HttpRequest, HttpResponse};
+pub use http::{HttpAccumulator, HttpConns, HttpEvent, HttpMessage, HttpRequest, HttpResponse};
 pub use soap::{SoapCall, SoapResult};
 pub use ssdp::{SsdpMessage, SSDP_GROUP};

@@ -11,9 +11,10 @@
 #![warn(missing_docs)]
 
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 
-use platform_upnp::{HttpAccumulator, HttpMessage, HttpRequest, HttpResponse};
-use simnet::{Addr, Ctx, Payload, Process, SimDuration, StreamEvent, StreamId};
+use platform_upnp::{HttpConns, HttpEvent, HttpRequest, HttpResponse};
+use simnet::{Addr, Ctx, Process, SimDuration, StreamEvent, StreamId};
 use umiddle_usdl::{Element, XmlError, XmlReader, XmlWriter};
 
 /// Host-side XML processing cost per call or response.
@@ -255,7 +256,8 @@ pub struct WsServer {
     description: ServiceDescription,
     port: u16,
     operations: HashMap<String, Operation>,
-    conns: HashMap<StreamId, HttpAccumulator>,
+    /// Accepted connections; the server sends no request of its own.
+    http: HttpConns<Infallible>,
 }
 
 impl std::fmt::Debug for WsServer {
@@ -278,7 +280,7 @@ impl WsServer {
             },
             port,
             operations: HashMap::new(),
-            conns: HashMap::new(),
+            http: HttpConns::new(),
         }
     }
 
@@ -360,56 +362,41 @@ impl Process for WsServer {
     }
 
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, event: StreamEvent) {
-        match event {
-            StreamEvent::Accepted { .. } => {
-                self.conns.insert(stream, HttpAccumulator::new());
-            }
-            StreamEvent::Data(data) => {
-                let Some(acc) = self.conns.get_mut(&stream) else {
-                    return;
-                };
-                acc.push_payload(data);
-                let Some(Ok(HttpMessage::Request(req))) = acc.take_message() else {
-                    return;
-                };
-                ctx.busy(WS_XML_COST);
-                let response = match (req.method(), req.path()) {
-                    ("GET", "/service.xml") => HttpResponse::xml(self.description.to_xml()),
-                    ("POST", "/rpc") => {
-                        let call = std::str::from_utf8(&req.body)
-                            .ok()
-                            .and_then(MethodCall::parse);
-                        let resp = match call {
-                            Some(call) => match self.operations.get_mut(&call.method) {
-                                Some(op) => match op(&call.params) {
-                                    Ok(v) => MethodResponse::Value(v),
-                                    Err(m) => MethodResponse::Fault {
-                                        code: 500,
-                                        message: m,
-                                    },
-                                },
-                                None => MethodResponse::Fault {
-                                    code: 404,
-                                    message: format!("no operation {}", call.method),
+        for event in self.http.on_stream(ctx, stream, event) {
+            let HttpEvent::Request { request, .. } = event;
+            ctx.busy(WS_XML_COST);
+            let response = match (request.method(), request.path()) {
+                ("GET", "/service.xml") => HttpResponse::xml(self.description.to_xml()),
+                ("POST", "/rpc") => {
+                    let call = std::str::from_utf8(&request.body)
+                        .ok()
+                        .and_then(MethodCall::parse);
+                    let resp = match call {
+                        Some(call) => match self.operations.get_mut(&call.method) {
+                            Some(op) => match op(&call.params) {
+                                Ok(v) => MethodResponse::Value(v),
+                                Err(m) => MethodResponse::Fault {
+                                    code: 500,
+                                    message: m,
                                 },
                             },
                             None => MethodResponse::Fault {
-                                code: 400,
-                                message: "malformed call".to_owned(),
+                                code: 404,
+                                message: format!("no operation {}", call.method),
                             },
-                        };
-                        ctx.bump(simnet::metric_id!("ws.calls"), 1);
-                        HttpResponse::xml(resp.to_xml())
-                    }
-                    _ => HttpResponse::new(404),
-                };
-                let _ = ctx.stream_send(stream, response.to_bytes());
-                ctx.stream_close(stream);
-            }
-            StreamEvent::Closed | StreamEvent::ConnectFailed => {
-                self.conns.remove(&stream);
-            }
-            _ => {}
+                        },
+                        None => MethodResponse::Fault {
+                            code: 400,
+                            message: "malformed call".to_owned(),
+                        },
+                    };
+                    ctx.bump(simnet::metric_id!("ws.calls"), 1);
+                    HttpResponse::xml(resp.to_xml())
+                }
+                _ => HttpResponse::new(404),
+            };
+            let _ = ctx.stream_send(stream, response.to_bytes());
+            ctx.stream_close(stream);
         }
     }
 }
@@ -431,31 +418,32 @@ pub enum WsEvent {
         /// The response.
         response: MethodResponse,
     },
-    /// A request failed at the transport level.
-    Failed {
-        /// Correlation id (0 for description fetches).
-        call_id: u64,
-    },
+    /// A request failed at the transport level or its response was
+    /// unreadable.
+    Failed(WsRequest),
 }
 
-#[derive(Debug)]
-enum WsPending {
+/// A request the client sends; each ends in one [`WsEvent`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WsRequest {
+    /// A description fetch from `location`.
     Describe {
+        /// Where the description is fetched from.
         location: Addr,
-        acc: HttpAccumulator,
-        request: Payload,
     },
+    /// A method call.
     Call {
+        /// Correlation id passed to [`WsClient::call`].
         call_id: u64,
-        acc: HttpAccumulator,
-        request: Payload,
     },
 }
 
-/// The client engine for host processes (the uMiddle mapper, tests).
+/// The client engine for host processes (the uMiddle mapper, tests). A
+/// request method that returns `Err` sent nothing (no route); any other
+/// request ends in one event from [`WsClient::handle_stream`].
 #[derive(Debug, Default)]
 pub struct WsClient {
-    pending: HashMap<StreamId, WsPending>,
+    http: HttpConns<WsRequest>,
 }
 
 impl WsClient {
@@ -465,36 +453,34 @@ impl WsClient {
     }
 
     /// Fetches `/service.xml` from a service.
-    pub fn describe(&mut self, ctx: &mut Ctx<'_>, location: Addr) {
+    ///
+    /// # Errors
+    ///
+    /// Returns the request when the connect fails at once.
+    pub fn describe(&mut self, ctx: &mut Ctx<'_>, location: Addr) -> Result<(), WsRequest> {
         let request = HttpRequest::new("GET", "/service.xml").to_bytes();
-        if let Ok(stream) = ctx.connect(location) {
-            self.pending.insert(
-                stream,
-                WsPending::Describe {
-                    location,
-                    acc: HttpAccumulator::new(),
-                    request,
-                },
-            );
-        }
+        self.http
+            .exchange(ctx, location, request, WsRequest::Describe { location })
     }
 
     /// Invokes an operation.
-    pub fn call(&mut self, ctx: &mut Ctx<'_>, location: Addr, call: &MethodCall, call_id: u64) {
+    ///
+    /// # Errors
+    ///
+    /// Returns the request when the connect fails at once.
+    pub fn call(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        location: Addr,
+        call: &MethodCall,
+        call_id: u64,
+    ) -> Result<(), WsRequest> {
         ctx.busy(WS_XML_COST);
         let request = HttpRequest::new("POST", "/rpc")
             .with_body(call.to_xml().into_bytes())
             .to_bytes();
-        if let Ok(stream) = ctx.connect(location) {
-            self.pending.insert(
-                stream,
-                WsPending::Call {
-                    call_id,
-                    acc: HttpAccumulator::new(),
-                    request,
-                },
-            );
-        }
+        self.http
+            .exchange(ctx, location, request, WsRequest::Call { call_id })
     }
 
     /// Feeds a stream event; returns completed operations.
@@ -505,67 +491,28 @@ impl WsClient {
         event: StreamEvent,
     ) -> Vec<WsEvent> {
         let mut out = Vec::new();
-        match event {
-            StreamEvent::Connected => {
-                if let Some(p) = self.pending.get_mut(&stream) {
-                    let request = match p {
-                        WsPending::Describe { request, .. } | WsPending::Call { request, .. } => {
-                            std::mem::take(request)
-                        }
-                    };
-                    let _ = ctx.stream_send(stream, request);
-                }
-            }
-            StreamEvent::Data(data) => {
-                let Some(p) = self.pending.get_mut(&stream) else {
-                    return out;
-                };
-                let acc = match p {
-                    WsPending::Describe { acc, .. } | WsPending::Call { acc, .. } => acc,
-                };
-                acc.push_payload(data);
-                if let Some(msg) = acc.take_message() {
-                    let p = self.pending.remove(&stream).expect("present");
-                    ctx.stream_close(stream);
+        for event in self.http.on_stream(ctx, stream, event) {
+            let event = match event {
+                HttpEvent::Response(request, response) => {
                     ctx.busy(WS_XML_COST);
-                    match (p, msg) {
-                        (WsPending::Describe { location, .. }, Ok(HttpMessage::Response(r))) => {
-                            match std::str::from_utf8(&r.body)
-                                .ok()
-                                .and_then(ServiceDescription::parse)
-                            {
-                                Some(desc) => out.push(WsEvent::Description { location, desc }),
-                                None => out.push(WsEvent::Failed { call_id: 0 }),
-                            }
-                        }
-                        (WsPending::Call { call_id, .. }, Ok(HttpMessage::Response(r))) => {
-                            match std::str::from_utf8(&r.body)
-                                .ok()
-                                .and_then(MethodResponse::parse)
-                            {
-                                Some(response) => {
-                                    out.push(WsEvent::CallResult { call_id, response })
-                                }
-                                None => out.push(WsEvent::Failed { call_id }),
-                            }
-                        }
-                        (WsPending::Describe { .. }, _) => out.push(WsEvent::Failed { call_id: 0 }),
-                        (WsPending::Call { call_id, .. }, _) => {
-                            out.push(WsEvent::Failed { call_id })
-                        }
-                    }
-                }
-            }
-            StreamEvent::Closed | StreamEvent::ConnectFailed => {
-                if let Some(p) = self.pending.remove(&stream) {
-                    let call_id = match p {
-                        WsPending::Describe { .. } => 0,
-                        WsPending::Call { call_id, .. } => call_id,
+                    let text = response
+                        .as_ref()
+                        .and_then(|r| std::str::from_utf8(&r.body).ok());
+                    let done = match request {
+                        WsRequest::Describe { location } => text
+                            .and_then(ServiceDescription::parse)
+                            .map(|desc| WsEvent::Description { location, desc }),
+                        WsRequest::Call { call_id } => text
+                            .and_then(MethodResponse::parse)
+                            .map(|response| WsEvent::CallResult { call_id, response }),
                     };
-                    out.push(WsEvent::Failed { call_id });
+                    done.unwrap_or(WsEvent::Failed(request))
                 }
-            }
-            _ => {}
+                HttpEvent::Failed(request) => WsEvent::Failed(request),
+                // The client accepts no connections.
+                HttpEvent::Request { .. } => continue,
+            };
+            out.push(event);
         }
         out
     }
@@ -611,7 +558,7 @@ mod tests {
     }
     impl Process for Driver {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.client.describe(ctx, self.target);
+            assert_eq!(self.client.describe(ctx, self.target), Ok(()));
         }
         fn on_stream(&mut self, ctx: &mut Ctx<'_>, s: StreamId, e: StreamEvent) {
             for ev in self.client.handle_stream(ctx, s, e) {
@@ -619,11 +566,11 @@ mod tests {
                     WsEvent::Description { location, .. } => {
                         self.step = 1;
                         let call = MethodCall::new("append", vec!["entry one".to_owned()]);
-                        self.client.call(ctx, *location, &call, 1);
+                        let _ = self.client.call(ctx, *location, &call, 1);
                     }
                     WsEvent::CallResult { call_id: 1, .. } => {
                         let call = MethodCall::new("tail", vec![]);
-                        self.client.call(ctx, self.target, &call, 2);
+                        let _ = self.client.call(ctx, self.target, &call, 2);
                     }
                     _ => {}
                 }
@@ -702,7 +649,7 @@ mod tests {
         impl Process for One {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 let call = MethodCall::new("explode", vec![]);
-                self.client.call(ctx, self.target, &call, 5);
+                assert_eq!(self.client.call(ctx, self.target, &call, 5), Ok(()));
             }
             fn on_stream(&mut self, ctx: &mut Ctx<'_>, s: StreamId, e: StreamEvent) {
                 self.results

@@ -8,10 +8,6 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{MetricRef, SpanDetail};
 use crate::world::{Delivery, World};
 
-/// A handle to a running timer, usable with [`Ctx::cancel_timer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerHandle(pub(crate) u64);
-
 /// Mutable access to the world, scoped to the process currently handling
 /// an event.
 ///
@@ -189,13 +185,8 @@ impl<'w> Ctx<'w> {
 
     /// Sets a one-shot timer; `token` is returned to
     /// [`Process::on_timer`](crate::Process::on_timer) when it fires.
-    pub fn set_timer(&mut self, after: SimDuration, token: u64) -> TimerHandle {
-        TimerHandle(self.world.set_timer(self.me, after, token))
-    }
-
-    /// Cancels a timer. Cancelling an already-fired timer is a no-op.
-    pub fn cancel_timer(&mut self, handle: TimerHandle) {
-        self.world.cancel_timer(handle.0);
+    pub fn set_timer(&mut self, after: SimDuration, token: u64) {
+        self.world.set_timer(self.me, after, token);
     }
 
     /// Binds a datagram port on this node.

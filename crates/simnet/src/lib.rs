@@ -86,7 +86,7 @@ pub mod wheel;
 mod world;
 
 pub use attrib::{AttributionPlane, AttributionReport, ComponentTimes};
-pub use ctx::{Ctx, TimerHandle};
+pub use ctx::Ctx;
 pub use error::{SimError, SimResult};
 pub use export::{diff_attribution, folded_stacks, open_metrics, perfetto_trace_json};
 pub use hash::{IntHasher, IntMap, IntSet};

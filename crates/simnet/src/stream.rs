@@ -46,6 +46,10 @@ const RTO_MAX: SimDuration = SimDuration::from_secs(2);
 const SYN_RETRY_AFTER: SimDuration = SimDuration::from_millis(500);
 /// SYN attempts before giving up with `ConnectFailed`.
 const SYN_MAX_ATTEMPTS: u32 = 4;
+/// Upper bound on bytes queued but unsent per stream direction.
+const SEND_CAPACITY: usize = 256 * 1024;
+/// Sender window: maximum unacknowledged bytes in flight.
+const WINDOW: u64 = 64 * 1024;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
@@ -342,7 +346,6 @@ impl World {
         id: StreamId,
         data: Payload,
     ) -> SimResult<()> {
-        let capacity = self.stream_send_capacity;
         let Some(st) = self.stream_state(id) else {
             return Err(SimError::UnknownStream(id));
         };
@@ -356,7 +359,7 @@ impl World {
         if side.fin_queued {
             return Err(SimError::StreamClosed(id));
         }
-        if side.send_buf.len() + data.len() > capacity {
+        if side.send_buf.len() + data.len() > SEND_CAPACITY {
             side.was_full = true;
             return Err(SimError::StreamBufferFull(id));
         }
@@ -402,8 +405,7 @@ impl World {
         let Some(initiator) = st.side_of(proc) else {
             return 0;
         };
-        self.stream_send_capacity
-            .saturating_sub(st.side(initiator).send_buf.len())
+        SEND_CAPACITY.saturating_sub(st.side(initiator).send_buf.len())
     }
 
     /// Requests an orderly close of `proc`'s direction (deferred past the
@@ -434,7 +436,6 @@ impl World {
     /// Transmits as much pending data as the window allows; sends a FIN
     /// once everything queued has been transmitted.
     fn pump(&mut self, id: StreamId, initiator: bool) {
-        let window = self.stream_window as u64;
         loop {
             let Some(st) = self.stream_state(id) else {
                 return;
@@ -449,7 +450,7 @@ impl World {
             let st = self.stream_state(id).expect("stream checked above");
             let (src_node, dst_node) = (st.side(initiator).node, st.side(!initiator).node);
             let side = st.side_mut(initiator);
-            let can_send = window.saturating_sub(side.in_flight()).min(side.unsent());
+            let can_send = WINDOW.saturating_sub(side.in_flight()).min(side.unsent());
             if can_send == 0 {
                 // Maybe send the FIN.
                 if side.fin_queued && !side.fin_sent && side.send_buf.is_empty() {
@@ -850,7 +851,6 @@ impl World {
     }
 
     fn handle_ack(&mut self, id: StreamId, from_initiator: bool, ack: u64) {
-        let capacity = self.stream_send_capacity;
         let Some(st) = self.stream_state(id) else {
             return;
         };
@@ -870,7 +870,7 @@ impl World {
             tx.fin_acked = true;
         }
         let outstanding = tx.in_flight() > 0 || (tx.fin_sent && !tx.fin_acked);
-        let emit_writable = tx.was_full && tx.send_buf.len() <= capacity / 2;
+        let emit_writable = tx.was_full && tx.send_buf.len() <= SEND_CAPACITY / 2;
         if emit_writable {
             tx.was_full = false;
         }

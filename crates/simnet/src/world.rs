@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 
 use crate::ctx::Ctx;
 use crate::error::{SimError, SimResult};
-use crate::hash::{IntMap, IntSet};
+use crate::hash::IntMap;
 use crate::health::{AlertState, HealthReport, SegmentSample, SloEngine, TelemetryConfig};
 use crate::incident::{IncidentBundle, TopologyDigest, TriggerKind, MAX_BUNDLES, TRACE_WINDOW};
 use crate::journal::SpanSource;
@@ -86,7 +86,6 @@ pub(crate) enum FramePayload {
 pub(crate) enum Delivery {
     Start,
     Timer {
-        timer_id: u64,
         token: u64,
     },
     Local {
@@ -257,17 +256,11 @@ pub struct World {
     pub(crate) rng: crate::rng::SimRng,
     pub(crate) trace: Trace,
     started: bool,
-    next_timer_id: u64,
-    cancelled_timers: IntSet<u64>,
     /// The live members of a multicast group, gathered per arriving
     /// frame; one buffer reused for every frame.
     group_members: Vec<ProcId>,
     /// Lazily created loopback segment for same-node traffic.
     loopback: Option<SegmentId>,
-    /// Upper bound on bytes queued but unsent per stream direction.
-    pub(crate) stream_send_capacity: usize,
-    /// Sender window: maximum unacknowledged bytes in flight.
-    pub(crate) stream_window: usize,
     /// Live telemetry plane, when enabled: windowed series + SLO engine.
     telemetry: Option<Box<TelemetryPlane>>,
     /// `true` while a `TelemetrySample` event is in the queue.
@@ -330,12 +323,8 @@ impl World {
             rng: crate::rng::SimRng::seed_from_u64(seed),
             trace: Trace::default(),
             started: false,
-            next_timer_id: 0,
-            cancelled_timers: IntSet::default(),
             group_members: Vec::new(),
             loopback: None,
-            stream_send_capacity: 256 * 1024,
-            stream_window: 64 * 1024,
             telemetry: None,
             sampler_armed: false,
             sched_lag: Histogram::default(),
@@ -580,11 +569,6 @@ impl World {
             .get_mut(segment.index())
             .map(|s| s.config.loss = loss)
             .ok_or(SimError::UnknownSegment(segment))
-    }
-
-    /// Sets the per-direction stream sender window (max unacked bytes).
-    pub fn set_stream_window(&mut self, bytes: usize) {
-        self.stream_window = bytes.max(1);
     }
 
     // ------------------------------------------------------------------
@@ -1218,14 +1202,9 @@ impl World {
 
     /// Runs one delivery on a live, idle process.
     fn deliver_one(&mut self, proc: ProcId, delivery: Delivery) {
-        if let Delivery::Timer { timer_id, .. } = delivery {
-            if self.cancelled_timers.remove(&timer_id) {
-                return;
-            }
-        }
         self.invoke(proc, move |p, ctx| match delivery {
             Delivery::Start => p.on_start(ctx),
-            Delivery::Timer { token, .. } => p.on_timer(ctx, token),
+            Delivery::Timer { token } => p.on_timer(ctx, token),
             Delivery::Local { from, msg } => p.on_local(ctx, from, msg),
             Delivery::Datagram(d) => p.on_datagram(ctx, d),
             Delivery::Stream { stream, event } => p.on_stream(ctx, stream, event),
@@ -1274,15 +1253,8 @@ impl World {
     // Timers (called via Ctx)
     // ------------------------------------------------------------------
 
-    pub(crate) fn set_timer(&mut self, proc: ProcId, after: SimDuration, token: u64) -> u64 {
-        let timer_id = self.next_timer_id;
-        self.next_timer_id += 1;
-        self.schedule_delivery(self.now + after, proc, Delivery::Timer { timer_id, token });
-        timer_id
-    }
-
-    pub(crate) fn cancel_timer(&mut self, timer_id: u64) {
-        self.cancelled_timers.insert(timer_id);
+    pub(crate) fn set_timer(&mut self, proc: ProcId, after: SimDuration, token: u64) {
+        self.schedule_delivery(self.now + after, proc, Delivery::Timer { token });
     }
 
     // ------------------------------------------------------------------
@@ -1693,10 +1665,8 @@ mod tests {
     }
     impl Process for TimerProc {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.set_timer(SimDuration::from_millis(10), 1);
-            let cancel = ctx.set_timer(SimDuration::from_millis(20), 2);
-            ctx.cancel_timer(cancel);
             ctx.set_timer(SimDuration::from_millis(30), 3);
+            ctx.set_timer(SimDuration::from_millis(10), 1);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
             self.fired.borrow_mut().push((token, ctx.now()));
@@ -1704,7 +1674,7 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_in_order_and_cancel() {
+    fn timers_fire_in_order() {
         let (mut w, a, _, _) = two_node_world();
         let fired = Rc::new(RefCell::new(Vec::new()));
         w.add_process(

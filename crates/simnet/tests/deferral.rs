@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use simnet::{
     check_cases, Addr, Ctx, Datagram, LocalMessage, ProcId, Process, SegmentConfig, SimDuration,
-    SimRng, SimTime, TimerHandle, World,
+    SimRng, SimTime, World,
 };
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,51 +292,4 @@ fn removed_process_drops_the_rest_of_its_backlog() {
     w.run_until_idle();
     assert_eq!(log.borrow().len(), 4, "a dead process gets nothing");
     assert_eq!(w.next_event_time(), None);
-}
-
-/// Fires four same-instant timers, each call busy for 1 ms; the first
-/// cancels the second while it waits in the backlog.
-struct Cancelling {
-    second: Option<TimerHandle>,
-    fired: Rc<RefCell<Vec<(u64, SimTime)>>>,
-}
-
-impl Process for Cancelling {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let at = SimDuration::from_millis(1);
-        ctx.set_timer(at, 1);
-        self.second = Some(ctx.set_timer(at, 2));
-        ctx.set_timer(at, 3);
-        ctx.set_timer(at, 4);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        self.fired.borrow_mut().push((token, ctx.now()));
-        if let Some(second) = self.second.take() {
-            ctx.cancel_timer(second);
-        }
-        ctx.busy(SimDuration::from_millis(1));
-    }
-}
-
-#[test]
-fn cancelled_timer_in_a_backlog_is_skipped() {
-    let mut w = World::new(1);
-    let host = w.add_node("host");
-    let fired = Rc::new(RefCell::new(Vec::new()));
-    w.add_process(
-        host,
-        Box::new(Cancelling {
-            second: None,
-            fired: Rc::clone(&fired),
-        }),
-    );
-    w.run_until_idle();
-    assert_eq!(
-        fired.borrow().as_slice(),
-        &[
-            (1, SimTime::from_millis(1)),
-            (3, SimTime::from_millis(2)),
-            (4, SimTime::from_millis(3)),
-        ]
-    );
 }

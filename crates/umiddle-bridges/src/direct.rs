@@ -104,7 +104,7 @@ impl DirectBipToRendererBridge {
             .with_arg("Media", format!("[{} bytes]", image.len()));
         let call_id = self.next_call;
         self.next_call += 1;
-        self.cp.invoke(ctx, renderer, &call, call_id);
+        let _ = self.cp.invoke(ctx, renderer, &call, call_id);
         self.delivered += 1;
         ctx.bump("direct_bridge.delivered", 1);
     }

@@ -15,9 +15,10 @@
 //! explosion in another guise.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 use platform_upnp::{
-    ActionArg, ActionDesc, ArgDirection, DeviceDesc, HttpAccumulator, HttpMessage, HttpResponse,
+    ActionArg, ActionDesc, ArgDirection, DeviceDesc, HttpConns, HttpEvent, HttpResponse,
     ServiceDesc, SoapCall, SoapResult, SsdpMessage, SSDP_GROUP,
 };
 use simnet::{Ctx, Datagram, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId};
@@ -71,9 +72,9 @@ pub struct UpnpExporter {
     client: RuntimeClient,
     exports: Vec<Exported>,
     pending_regs: HashMap<u64, usize>,
-    conns: HashMap<StreamId, (usize, HttpAccumulator)>,
-    /// Streams accepted before we know which export they belong to are
-    /// resolved by local port.
+    /// Accepted connections; each request goes to the export serving
+    /// the port it arrived on.
+    http: HttpConns<Infallible>,
     next_port_offset: u16,
 }
 
@@ -95,7 +96,7 @@ impl UpnpExporter {
             client: RuntimeClient::new(runtime),
             exports: Vec::new(),
             pending_regs: HashMap::new(),
-            conns: HashMap::new(),
+            http: HttpConns::new(),
             next_port_offset: 0,
         }
     }
@@ -317,26 +318,11 @@ impl Process for UpnpExporter {
     }
 
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, event: StreamEvent) {
-        match event {
-            StreamEvent::Accepted { local_port, .. } => {
-                if let Some(idx) = self.exports.iter().position(|e| e.http_port == local_port) {
-                    self.conns.insert(stream, (idx, HttpAccumulator::new()));
-                }
+        for event in self.http.on_stream(ctx, stream, event) {
+            let HttpEvent::Request { port, request } = event;
+            if let Some(idx) = self.exports.iter().position(|e| e.http_port == port) {
+                self.handle_http(ctx, stream, idx, request);
             }
-            StreamEvent::Data(data) => {
-                let Some((idx, acc)) = self.conns.get_mut(&stream) else {
-                    return;
-                };
-                let idx = *idx;
-                acc.push(&data);
-                if let Some(Ok(HttpMessage::Request(req))) = acc.take_message() {
-                    self.handle_http(ctx, stream, idx, req);
-                }
-            }
-            StreamEvent::Closed | StreamEvent::ConnectFailed => {
-                self.conns.remove(&stream);
-            }
-            _ => {}
         }
     }
 

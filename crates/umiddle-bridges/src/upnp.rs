@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use platform_upnp::{ControlPoint, CpEvent, SoapCall, SoapResult};
+use platform_upnp::{ControlPoint, CpEvent, CpRequest, SoapCall, SoapResult};
 use simnet::{
     Addr, Ctx, Datagram, DetailArg, LocalMessage, ProcId, Process, SimDuration, SimTime,
     SpanDetail, StreamEvent, StreamId,
@@ -117,7 +117,9 @@ impl UpnpMapper {
                         seen_at: ctx.now(),
                     },
                 );
-                self.cp.fetch_description(ctx, location);
+                if let Err(request) = self.cp.fetch_description(ctx, location) {
+                    self.handle_cp_event(ctx, CpEvent::Failed(request));
+                }
             }
             CpEvent::DeviceGone { usn } => {
                 if let Some(dev) = self.devices.remove(&usn) {
@@ -158,7 +160,9 @@ impl UpnpMapper {
                     }
                 }
                 for service in services {
-                    self.cp.subscribe(ctx, location, &service);
+                    if let Err(request) = self.cp.subscribe(ctx, location, &service) {
+                        self.handle_cp_event(ctx, CpEvent::Failed(request));
+                    }
                 }
             }
             CpEvent::ActionResult { call_id, result } => {
@@ -209,9 +213,19 @@ impl UpnpMapper {
                 }
             }
             CpEvent::Subscribed { .. } => {}
-            CpEvent::Failed { context } => {
+            CpEvent::Failed(request) => {
                 ctx.bump("mapper.upnp.failures", 1);
-                ctx.trace(format!("upnp mapper failure: {context}"));
+                // A failed action still answers its input, returning the
+                // delivery credit.
+                let CpRequest::Action { call_id } = request else {
+                    return;
+                };
+                if let Some((connection, translator, _, native_span)) =
+                    self.pending_calls.remove(&call_id)
+                {
+                    ctx.span_end(native_span);
+                    ack_input_done(ctx, self.core.runtime(), connection, translator);
+                }
             }
         }
     }
@@ -368,8 +382,12 @@ impl Process for UpnpMapper {
         }
         let msg = match msg.downcast::<PendingInvoke>() {
             Ok(pending) => {
-                self.cp
-                    .invoke(ctx, pending.location, &pending.call, pending.call_id);
+                if let Err(request) =
+                    self.cp
+                        .invoke(ctx, pending.location, &pending.call, pending.call_id)
+                {
+                    self.handle_cp_event(ctx, CpEvent::Failed(request));
+                }
                 return;
             }
             Err(original) => original,

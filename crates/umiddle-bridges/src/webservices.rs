@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use platform_webservices::{MethodCall, MethodResponse, WsClient, WsEvent};
+use platform_webservices::{MethodCall, MethodResponse, WsClient, WsEvent, WsRequest};
 use simnet::{Addr, Ctx, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId};
 use umiddle_core::{
     ack_input_done, handle_input_done_echo, ConnectionId, RuntimeEvent, Symbol, TranslatorId,
@@ -107,12 +107,10 @@ impl WsMapper {
                         port: Symbol::new(&port.spec.name),
                     },
                 );
-                self.ws.call(
-                    ctx,
-                    svc.location,
-                    &MethodCall::new(operation, vec![]),
-                    call_id,
-                );
+                let call = MethodCall::new(operation, vec![]);
+                if self.ws.call(ctx, svc.location, &call, call_id).is_err() {
+                    self.calls.remove(&call_id);
+                }
             }
         }
     }
@@ -170,7 +168,10 @@ impl WsMapper {
                 }
                 None => {}
             },
-            WsEvent::Failed { call_id } => {
+            WsEvent::Failed(request) => {
+                let WsRequest::Call { call_id } = request else {
+                    return;
+                };
                 if let Some(WsCall::Input {
                     translator,
                     connection,
@@ -242,7 +243,9 @@ impl WsMapper {
                 connection,
             },
         );
-        self.ws.call(ctx, location, &call, call_id);
+        if let Err(request) = self.ws.call(ctx, location, &call, call_id) {
+            self.handle_ws_event(ctx, WsEvent::Failed(request));
+        }
     }
 }
 
@@ -264,7 +267,8 @@ impl Process for WsMapper {
             })
             .collect();
         for location in self.endpoints.clone() {
-            self.ws.describe(ctx, location);
+            // An unreachable endpoint stays undescribed.
+            let _ = self.ws.describe(ctx, location);
         }
         let interval = self.poll_interval;
         ctx.set_timer(interval, TIMER_POLL);

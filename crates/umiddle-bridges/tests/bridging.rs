@@ -634,6 +634,121 @@ fn upnp_light_switch_through_umiddle() {
     );
 }
 
+/// Adds a switch on `node` that sends `pulses` "1"s, 20 s apart, into
+/// `target`'s `port`.
+fn add_pulser(world: &mut World, node: NodeId, rt: ProcId, pulses: u64, target: &str, port: &str) {
+    let switch_shape = Shape::builder()
+        .digital("toggle", Direction::Output, "text/plain".parse().unwrap())
+        .build()
+        .unwrap();
+    world.add_process(
+        node,
+        Box::new(NativeService::new(
+            "Wall Switch",
+            switch_shape,
+            rt,
+            Box::new(behaviors::PeriodicSource::new(
+                "toggle",
+                SimDuration::from_secs(20),
+                pulses,
+                |_| UMessage::text("1"),
+            )),
+        )),
+    );
+    world.add_process(
+        node,
+        Box::new(Wirer::new(
+            rt,
+            vec![WireRule::new("Wall Switch", "toggle", target, port)],
+        )),
+    );
+}
+
+/// The closed spans of `stage` and the count of all its spans.
+fn closed_spans(world: &World, stage: &str) -> (usize, usize) {
+    let spans: Vec<_> = world.trace().spans().filter(|s| s.stage == stage).collect();
+    let closed = spans.iter().filter(|s| s.end.is_some()).count();
+    (closed, spans.len())
+}
+
+/// A mapped UPnP light cut off from the network: every SetPower input
+/// still reaches the mapper and is answered (its action fails at once,
+/// with no route), so the path's delivery credit never runs out and every
+/// native-call span closes.
+#[test]
+fn upnp_actions_on_a_partitioned_light_are_answered() {
+    const PULSES: u64 = 8;
+    let mut world = World::new(108);
+    let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
+    let h1 = world.add_node("h1");
+    let light_node = world.add_node("light");
+    world.attach(h1, hub).unwrap();
+    world.attach(light_node, hub).unwrap();
+    let rt = add_runtime(&mut world, h1, 0);
+    world.add_process(
+        light_node,
+        Box::new(UpnpDevice::new(
+            Box::new(LightLogic::new("Hall Light", "uuid:hall")),
+            5000,
+        )),
+    );
+    world.add_process(
+        h1,
+        Box::new(UpnpMapper::with_defaults(rt, UsdlLibrary::bundled())),
+    );
+    add_pulser(&mut world, h1, rt, PULSES, "Hall Light", "switch-on");
+
+    // Map and wire the light, then cut it off before the first pulse.
+    world.run_until(SimTime::from_secs(15));
+    assert_eq!(world.trace().counter("mapper.upnp.mapped"), 1);
+    world.detach(light_node, hub).unwrap();
+    world.run_until(SimTime::from_secs(20 * (PULSES + 2)));
+
+    let pulses = PULSES as usize;
+    assert_eq!(closed_spans(&world, "bridge.upnp.input"), (pulses, pulses));
+    assert_eq!(closed_spans(&world, "bridge.upnp.native"), (pulses, pulses));
+    assert_eq!(world.trace().counter("mapper.upnp.failures"), PULSES);
+    assert_eq!(world.trace().counter("upnp.cp_connect_failed"), PULSES);
+    assert_eq!(world.trace().counter("upnp.actions"), 0);
+}
+
+/// The web-services twin: a mapped logger cut off from the network still
+/// answers every input through a failed call.
+#[test]
+fn ws_calls_to_a_partitioned_service_are_answered() {
+    const PULSES: u64 = 8;
+    let mut world = World::new(109);
+    let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
+    let h1 = world.add_node("h1");
+    let ws_node = world.add_node("ws");
+    world.attach(h1, hub).unwrap();
+    world.attach(ws_node, hub).unwrap();
+    let rt = add_runtime(&mut world, h1, 0);
+    world.add_process(ws_node, Box::new(WsServer::logger("Event Log", 8080)));
+    world.add_process(
+        h1,
+        Box::new(WsMapper::new(
+            rt,
+            UsdlLibrary::bundled(),
+            vec![Addr::new(ws_node, 8080)],
+        )),
+    );
+    add_pulser(&mut world, h1, rt, PULSES, "Event Log", "log-in");
+
+    world.run_until(SimTime::from_secs(15));
+    assert_eq!(world.trace().counter("mapper.ws.mapped"), 1);
+    let calls_served = world.trace().counter("ws.calls");
+    world.detach(ws_node, hub).unwrap();
+    world.run_until(SimTime::from_secs(20 * (PULSES + 2)));
+
+    let pulses = PULSES as usize;
+    assert_eq!(
+        closed_spans(&world, "bridge.webservices.input"),
+        (pulses, pulses)
+    );
+    assert_eq!(world.trace().counter("ws.calls"), calls_served);
+}
+
 /// A UPnP light that says `ssdp:byebye` while the mapper is still
 /// instantiating its translator leaves no orphan translator behind: the
 /// late registration is withdrawn as soon as it completes.
@@ -780,7 +895,7 @@ fn scattered_visibility_exports_camera_to_native_upnp() {
                 if *self.fired.borrow() == 0 {
                     *self.fired.borrow_mut() = 1;
                     let call = SoapCall::new("Exported", "SetCapture").with_arg("Value", "snap");
-                    self.cp.invoke(ctx, location, &call, 1);
+                    let _ = self.cp.invoke(ctx, location, &call, 1);
                 }
             }
         }
