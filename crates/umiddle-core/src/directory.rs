@@ -142,6 +142,9 @@ impl DirectoryTable {
             expires,
             local,
         };
+        if self.entries.len() == self.entries.capacity() {
+            self.rebuild_entries();
+        }
         match self.entries.entry(id) {
             Entry::Occupied(mut slot) => {
                 // A refresh may carry a changed shape; drop the stale
@@ -156,6 +159,23 @@ impl DirectoryTable {
                 UpsertEffect::Appeared
             }
         }
+    }
+
+    /// Moves the entries into a table sized for one more, before an
+    /// insert that would find the table full.
+    ///
+    /// Under churn the capacity is used up by the tombstones of removed
+    /// ids (each re-registration takes a fresh id), and the hash table
+    /// doubles when they run out if live entries fill more than half of
+    /// it: 1041 entries in 2048 buckets under the E12 churn, after about
+    /// 8000 virtual seconds. A replica's memory would then depend on how
+    /// long it had churned, not on how many entries it holds. The
+    /// rebuild drops the tombstones; when live entries really fill the
+    /// table it doubles it, as the hash table would.
+    fn rebuild_entries(&mut self) {
+        let fresh = IntMap::with_capacity_and_hasher(self.entries.len() + 1, Default::default());
+        let old = std::mem::replace(&mut self.entries, fresh);
+        self.entries.extend(old);
     }
 
     /// Removes an entry (an unregistration). Returns it if present.
@@ -451,6 +471,34 @@ mod tests {
             UpsertEffect::Refreshed
         );
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn churn_does_not_grow_the_table() {
+        // The E12 replica size: live entries stay at 1041 while every
+        // re-registration takes a fresh id.
+        const LIVE: u32 = 1041;
+        let mut t = DirectoryTable::new();
+        let mut live: Vec<u32> = (0..LIVE).collect();
+        for local in &live {
+            t.upsert(profile(*local, "svc"), addr(), SimTime::MAX, false);
+        }
+        let sized: IntMap<TranslatorId, DirectoryEntry> =
+            IntMap::with_capacity_and_hasher(LIVE as usize + 1, Default::default());
+        let mut rng: u64 = 1;
+        for fresh in LIVE..LIVE + 200_000 {
+            rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let k = (rng >> 33) as usize % live.len();
+            assert!(t.remove(TranslatorId::new(RuntimeId(0), live[k])).is_some());
+            live[k] = fresh;
+            t.upsert(profile(fresh, "svc"), addr(), SimTime::MAX, false);
+            assert!(
+                t.entries.capacity() <= sized.capacity(),
+                "grew at id {fresh}"
+            );
+        }
+        assert_eq!(t.len(), LIVE as usize);
+        t.check_invariants().unwrap();
     }
 
     #[test]
