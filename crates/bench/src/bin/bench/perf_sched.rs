@@ -1,5 +1,6 @@
 //! `bench perf-sched`: scheduler benchmarks — the timer-wheel kernel
-//! A/B against the reference min-heap, the E9 six-bridge federation
+//! A/B against the reference min-heap (a mixed schedule and a
+//! same-time burst schedule), the E9 six-bridge federation
 //! scaling sweep (events/sec, p99 dispatch latency, allocations/event),
 //! and the E9b busy-deferral sweep (scheduler pops per delivered
 //! datagram under bursty fan-in into a busy sink).
@@ -34,7 +35,7 @@ use bench::experiments::{
     OVERHEAD_WINDOW,
 };
 use bench::report::{render_e9, render_e9b};
-use bench::timing::sched_kernel;
+use bench::timing::{sched_kernel, SchedShape};
 use simnet::{Json, Layout, SimDuration};
 
 use crate::{Args, Command};
@@ -150,15 +151,21 @@ fn run(args: &Args) {
         }
 
         // Kernel smoke: both structures must run; the wheel must not be
-        // grossly slower than the heap it replaced on a mixed schedule.
-        let k = sched_kernel(10_000, 100_000);
-        assert!(k.wheel_ns_per_op > 0.0 && k.heap_ns_per_op > 0.0);
-        assert!(
-            k.wheel_ns_per_op <= k.heap_ns_per_op * 3.0,
-            "timer wheel regressed vs reference heap: {:.0} ns vs {:.0} ns",
-            k.wheel_ns_per_op,
-            k.heap_ns_per_op
-        );
+        // grossly slower than the heap it replaced, on a mixed schedule
+        // or on same-time bursts that reach the near window by cascade.
+        let kernel = [SchedShape::Mixed, SchedShape::Bursts].map(|shape| {
+            let k = sched_kernel(shape, 10_000, 100_000);
+            assert!(k.wheel_ns_per_op > 0.0 && k.heap_ns_per_op > 0.0);
+            assert!(
+                k.wheel_ns_per_op <= k.heap_ns_per_op * 3.0,
+                "timer wheel regressed vs reference heap on the {} schedule: \
+                 {:.0} ns vs {:.0} ns",
+                shape.name(),
+                k.wheel_ns_per_op,
+                k.heap_ns_per_op
+            );
+            k
+        });
 
         // E9 endpoints: floor at N = 1000, near-linearity 100 -> 1000,
         // p99 dispatch within budget.
@@ -219,7 +226,7 @@ fn run(args: &Args) {
         );
 
         println!(
-            "bench perf-sched --check: ok (N=1000 {:.0} events/s, per-event cost x{:.2} over 10x devices, p99 {} ns <= {} ns, E9b pops/datagram {:.3} at N=100 and {:.3} at N=1000, sampler overhead x{:.3}, attribution overhead x{:.3}, wheel {:.0} ns/op vs heap {:.0} ns/op)",
+            "bench perf-sched --check: ok (N=1000 {:.0} events/s, per-event cost x{:.2} over 10x devices, p99 {} ns <= {} ns, E9b pops/datagram {:.3} at N=100 and {:.3} at N=1000, sampler overhead x{:.3}, attribution overhead x{:.3}, wheel {:.0} ns/op vs heap {:.0} ns/op mixed, {:.0} vs {:.0} bursts)",
             large.events_per_sec,
             cost_large / cost_small,
             large.p99_dispatch_ns,
@@ -228,18 +235,25 @@ fn run(args: &Args) {
             big.pops_per_delivered,
             overhead,
             attrib,
-            k.wheel_ns_per_op,
-            k.heap_ns_per_op
+            kernel[0].wheel_ns_per_op,
+            kernel[0].heap_ns_per_op,
+            kernel[1].wheel_ns_per_op,
+            kernel[1].heap_ns_per_op
         );
         return;
     }
 
-    println!("scheduler kernel A/B (wall clock, pop+push cycles on a mixed schedule)");
+    println!("scheduler kernel A/B (wall clock, pop+push cycles)");
     let mut kernel_lines = Vec::new();
-    for pending in [1_000usize, 10_000, 100_000] {
-        let k = sched_kernel(pending, 200_000);
+    let rows = [1_000usize, 10_000, 100_000]
+        .map(|pending| (SchedShape::Mixed, pending))
+        .into_iter()
+        .chain([(SchedShape::Bursts, 10_000)]);
+    for (shape, pending) in rows {
+        let k = sched_kernel(shape, pending, 200_000);
         println!(
-            "sched_kernel {pending:>7} pending: wheel {:>7.1} ns/op, heap {:>7.1} ns/op ({:.2}x)",
+            "sched_kernel {:<6} {pending:>7} pending: wheel {:>7.1} ns/op, heap {:>7.1} ns/op ({:.2}x)",
+            shape.name(),
             k.wheel_ns_per_op,
             k.heap_ns_per_op,
             k.heap_ns_per_op / k.wheel_ns_per_op
@@ -259,6 +273,7 @@ fn run(args: &Args) {
             .unwrap_or(1);
         let kernel = kernel_lines.iter().map(|k| {
             Json::inline()
+                .with("shape", k.shape.name())
                 .with("pending", k.pending)
                 .with("ops", k.ops)
                 .with("wheel_ns_per_op", Json::fixed(k.wheel_ns_per_op, 1))

@@ -515,9 +515,34 @@ impl ReferenceHeap {
     }
 }
 
+/// The shape of a [`sched_kernel`] schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedShape {
+    /// A busy federation: mostly near-future events (frame arrivals,
+    /// drain timers within ~65 µs), a slice of mid-range timers, a tail
+    /// of 30-second directory TTL re-announcements, and same-tick ties.
+    Mixed,
+    /// Same-time groups of 64–1,024 entries filed 2^16–2^24 ns ahead, as
+    /// a discovery storm re-files its busy processes' backlogs: each
+    /// group reaches the near window by cascade, all at once.
+    Bursts,
+}
+
+impl SchedShape {
+    /// Lower-case name, as printed and written to JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            SchedShape::Mixed => "mixed",
+            SchedShape::Bursts => "bursts",
+        }
+    }
+}
+
 /// Result of one [`sched_kernel`] run.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedKernelRun {
+    /// The schedule replayed.
+    pub shape: SchedShape,
     /// Mean nanoseconds per pop+push cycle on the timer wheel.
     pub wheel_ns_per_op: f64,
     /// Mean nanoseconds per pop+push cycle on the reference min-heap.
@@ -528,28 +553,40 @@ pub struct SchedKernelRun {
     pub ops: usize,
 }
 
-/// Replays an identical synthetic simulator schedule through the
-/// [`simnet::TimerWheel`] and the `ReferenceHeap` it replaced, and
-/// reports the mean cost of one pop+push cycle.
+/// Replays an identical synthetic simulator schedule of the given
+/// `shape` through the [`simnet::TimerWheel`] and the `ReferenceHeap`
+/// it replaced, and reports the mean cost of one pop+push cycle.
 ///
-/// The schedule mimics a busy federation: mostly near-future events
-/// (frame arrivals, drain timers within ~65 µs), a slice of mid-range
-/// timers, a tail of 30-second directory TTL re-announcements, and
-/// same-tick bursts. Offsets are drawn once from a seeded RNG so both
-/// structures see byte-identical input.
-pub fn sched_kernel(pending: usize, ops: usize) -> SchedKernelRun {
+/// Each push lands at an offset from the time of the pop before it.
+/// Offsets are drawn once from a seeded RNG, and pop order is the same
+/// on both structures, so both see byte-identical input.
+pub fn sched_kernel(shape: SchedShape, pending: usize, ops: usize) -> SchedKernelRun {
     use simnet::{SimRng, TimerWheel};
+
+    /// Offset meaning "at the previous push's time" (never behind the
+    /// last pop): the rest of a same-time group.
+    const SAME: u64 = u64::MAX;
 
     let offsets: Vec<u64> = {
         let mut rng = SimRng::seed_from_u64(0x5eed_5c4e_d01e);
-        (0..pending + ops)
-            .map(|_| match rng.gen_range(0..10u32) {
-                0 => 0,                                // same-tick burst
-                1..=6 => rng.gen_range(1..1u64 << 16), // near window
-                7 | 8 => rng.gen_range(1..1u64 << 24), // mid-range timer
-                _ => 30_000_000_000,                   // directory TTL
-            })
-            .collect()
+        let mut offsets = Vec::with_capacity(pending + ops);
+        while offsets.len() < pending + ops {
+            match shape {
+                SchedShape::Mixed => offsets.push(match rng.gen_range(0..10u32) {
+                    0 => 0,                                // same-tick burst
+                    1..=6 => rng.gen_range(1..1u64 << 16), // near window
+                    7 | 8 => rng.gen_range(1..1u64 << 24), // mid-range timer
+                    _ => 30_000_000_000,                   // directory TTL
+                }),
+                SchedShape::Bursts => {
+                    offsets.push(rng.gen_range(1u64 << 16..1u64 << 24));
+                    let size = rng.gen_range(64..=1_024usize);
+                    offsets.extend(std::iter::repeat_n(SAME, size - 1));
+                }
+            }
+        }
+        offsets.truncate(pending + ops);
+        offsets
     };
 
     fn run<Q>(
@@ -561,15 +598,24 @@ pub fn sched_kernel(pending: usize, ops: usize) -> SchedKernelRun {
         q: &mut Q,
     ) -> f64 {
         let mut now = 0u64;
-        for (i, off) in offsets.iter().take(pending).enumerate() {
-            push(q, SimTime::from_nanos(now + off), i as u32);
+        let mut last = 0u64;
+        let mut at = |now: u64, off: u64| {
+            last = if off == SAME {
+                last.max(now)
+            } else {
+                now + off
+            };
+            SimTime::from_nanos(last)
+        };
+        for (i, &off) in offsets.iter().take(pending).enumerate() {
+            push(q, at(now, off), i as u32);
         }
         let start = Instant::now();
-        for (i, off) in offsets.iter().skip(pending).enumerate() {
+        for (i, &off) in offsets.iter().skip(pending).enumerate() {
             let (t, id) = pop(q).expect("queue stays non-empty");
             black_box(id);
             now = t.as_nanos();
-            push(q, SimTime::from_nanos(now + off), i as u32);
+            push(q, at(now, off), i as u32);
         }
         start.elapsed().as_nanos() as f64 / ops as f64
     }
@@ -593,6 +639,7 @@ pub fn sched_kernel(pending: usize, ops: usize) -> SchedKernelRun {
         &mut heap,
     );
     SchedKernelRun {
+        shape,
         wheel_ns_per_op: wheel_ns,
         heap_ns_per_op: heap_ns,
         pending,
@@ -649,6 +696,14 @@ mod tests {
         }
     }
 
+    /// A same-time burst of 64–2,000 entries filed 2^16–2^24 ns ahead of
+    /// `now`, so it reaches the near window by cascade: the shape of the
+    /// backlogs a busy horizon re-files in bulk.
+    fn burst(rng: &mut SimRng, now: u64) -> (u64, u32) {
+        let t = now + rng.gen_range(1u64 << 16..1u64 << 24);
+        (t, rng.gen_range(64..=2_000u32))
+    }
+
     #[test]
     fn wheel_matches_reference_heap() {
         check_cases("wheel_matches_reference_heap", 64, |_case, rng| {
@@ -660,10 +715,14 @@ mod tests {
             // set of dead ids filtered at delivery, identically on
             // both structures.
             let mut cancelled = std::collections::HashSet::new();
+            // Entries pushed behind the horizon, which pop before `now`.
+            let mut late = std::collections::HashSet::new();
             // Reserved-but-unpushed entries, as a stream's lazily armed
             // retransmission timer holds them: `(time, wheel seq,
             // reference seq, id)`. Each is pushed later while its time
-            // is still ahead of `now`, or abandoned like a disarmed timer.
+            // is still ahead of `now` (or re-aimed into the current,
+            // already cascaded window), or abandoned like a disarmed
+            // timer.
             let mut reserved: Vec<(u64, u64, u64, u32)> = Vec::new();
             let ops = rng.gen_range(50..400usize);
             for _ in 0..ops {
@@ -676,11 +735,29 @@ mod tests {
                 } else if roll < 24 && !reserved.is_empty() {
                     let i = rng.gen_range(0..reserved.len());
                     let (t, ws, rs, id) = reserved.swap_remove(i);
+                    let t = if rng.gen_bool(0.3) {
+                        now + rng.gen_range(1..1u64 << 12)
+                    } else {
+                        t
+                    };
                     if t > now && rng.gen_bool(0.8) {
                         wheel.push_reserved(SimTime::from_nanos(t), ws, id);
                         reference.push_reserved(SimTime::from_nanos(t), rs, id);
                     }
-                } else if roll < 67 || wheel.is_empty() {
+                } else if roll < 28 {
+                    let (t, size) = burst(rng, now);
+                    for _ in 0..size {
+                        wheel.push(SimTime::from_nanos(t), next_id);
+                        reference.push(SimTime::from_nanos(t), next_id);
+                        next_id += 1;
+                    }
+                } else if roll < 31 {
+                    let t = now.saturating_sub(rng.gen_range(1..1u64 << 20));
+                    wheel.push(SimTime::from_nanos(t), next_id);
+                    reference.push(SimTime::from_nanos(t), next_id);
+                    late.insert(next_id);
+                    next_id += 1;
+                } else if roll < 64 || wheel.is_empty() {
                     // Push a burst (bursts create same-tick ties).
                     let burst = rng.gen_range(1..4u32);
                     let t = now + random_offset(rng);
@@ -694,12 +771,17 @@ mod tests {
                         }
                     }
                 } else {
-                    let got = wheel.pop().map(|(t, id)| (t.as_nanos(), id));
-                    let want = reference.pop().map(|(t, id)| (t.as_nanos(), id));
-                    assert_eq!(got, want, "pop order diverged");
-                    if let Some((t, id)) = got {
-                        assert!(t >= now, "time went backwards");
-                        now = t;
+                    // Pop a few, so a cascaded burst is consumed in parts
+                    // with pushes landing between them.
+                    for _ in 0..rng.gen_range(1..200u32) {
+                        let got = wheel.pop().map(|(t, id)| (t.as_nanos(), id));
+                        let want = reference.pop().map(|(t, id)| (t.as_nanos(), id));
+                        assert_eq!(got, want, "pop order diverged");
+                        let Some((t, id)) = got else { break };
+                        if !late.remove(&id) {
+                            assert!(t >= now, "time went backwards");
+                            now = t;
+                        }
                         // Delivery-time cancellation check, as in World.
                         let _ = cancelled.remove(&id);
                     }
@@ -731,20 +813,75 @@ mod tests {
             let mut wheel = TimerWheel::new();
             let mut reference = ReferenceHeap::default();
             let mut now = 0u64;
+            let mut next_id = 0u32;
+            let mut push = |wheel: &mut TimerWheel<u32>, reference: &mut ReferenceHeap, t| {
+                wheel.push(SimTime::from_nanos(t), next_id);
+                reference.push(SimTime::from_nanos(t), next_id);
+                next_id += 1;
+            };
             for id in 0..200u32 {
                 let t = now.max(rng.gen_range(0..1u64 << 40));
                 // Cluster times so runs form.
                 let t = t & !0xFFF;
-                wheel.push(SimTime::from_nanos(t), id);
-                reference.push(SimTime::from_nanos(t), id);
+                push(&mut wheel, &mut reference, t);
                 if id % 16 == 0 {
                     now = t;
                 }
             }
+            for _ in 0..4 {
+                let (t, size) = burst(rng, now);
+                for _ in 0..size {
+                    push(&mut wheel, &mut reference, t);
+                }
+            }
+            let mut reserved = Vec::new();
+            // Reserved entries count their ids down from the top, apart
+            // from the ones `push` hands out.
+            let mut reserved_id = u32::MAX;
             let mut run = Vec::new();
+            let mut runs = 0;
             while let Some(t) = wheel.pop_run(&mut run) {
                 for id in run.drain(..) {
                     assert_eq!(reference.pop(), Some((t, id)));
+                }
+                // The run was whole: nothing else is pending at `t`.
+                assert_ne!(reference.heap.peek().map(|r| r.0 .0), Some(t.as_nanos()));
+                now = t.as_nanos();
+                runs += 1;
+                if runs > 400 {
+                    continue;
+                }
+                // Between runs: pushes into the current (cascaded) window,
+                // at its instant or just after, bursts that will cascade,
+                // pushes behind the horizon, and reserved numbers pushed
+                // into the window once it has cascaded.
+                match rng.gen_range(0..8u32) {
+                    0 => push(&mut wheel, &mut reference, now),
+                    1 => push(
+                        &mut wheel,
+                        &mut reference,
+                        now + rng.gen_range(1..1u64 << 12),
+                    ),
+                    2 => {
+                        let (t, size) = burst(rng, now);
+                        for _ in 0..size {
+                            push(&mut wheel, &mut reference, t);
+                        }
+                    }
+                    3 => {
+                        let t = now.saturating_sub(rng.gen_range(1..1u64 << 20));
+                        push(&mut wheel, &mut reference, t);
+                    }
+                    4 => reserved.push((wheel.reserve_seq(), reference.reserve_seq())),
+                    5 => {
+                        if let Some((ws, rs)) = reserved.pop() {
+                            let t = SimTime::from_nanos(now + rng.gen_range(1..1u64 << 12));
+                            wheel.push_reserved(t, ws, reserved_id);
+                            reference.push_reserved(t, rs, reserved_id);
+                            reserved_id -= 1;
+                        }
+                    }
+                    _ => {}
                 }
             }
             assert_eq!(reference.pop(), None);

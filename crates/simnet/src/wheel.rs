@@ -8,8 +8,11 @@
 //! timeline so the hot path only ever touches events that are about to
 //! fire:
 //!
-//! * a **near heap** holds events within the current 2^16 ns (~65 µs)
-//!   window, ordered by `(time, seq)`;
+//! * the **near window** holds events within the current 2^16 ns
+//!   (~65 µs) window, in two parts: a **sorted run** of the keys the
+//!   last cascade filed there (sorted once, consumed through a cursor)
+//!   and a **near heap** of the keys pushed straight into the window
+//!   since, late entries included;
 //! * six **wheel levels** of 64 slots each cover bits `[16, 52)` of the
 //!   event time; an event is filed at the level of the highest bit in
 //!   which it differs from the wheel horizon, so each level spans 64×
@@ -18,8 +21,11 @@
 //!   ahead.
 //!
 //! Far events cost `O(1)` to insert and at most [`LEVELS`] cascade hops
-//! over their whole lifetime; the near heap stays small, so popping is
-//! `O(log near)` rather than `O(log total)`.
+//! over their whole lifetime. A cascade can file tens of thousands of
+//! keys into the window at once (a discovery storm's interleaved
+//! backlogs all re-filed for the same busy horizon); they are sorted as
+//! one batch and popped in `O(1)` each, so only direct pushes pay
+//! `O(log heap)`.
 //!
 //! # Determinism
 //!
@@ -34,11 +40,17 @@
 //! 2. Every entry at level `l` is earlier than every entry at any
 //!    higher level (it matches the horizon in the higher level's bit
 //!    range, where the higher entry exceeds it), and later than
-//!    everything in the near heap; overflow entries are later still.
-//! 3. Therefore the global minimum is always in the near heap once
+//!    everything in the near window; overflow entries are later still.
+//! 3. Therefore the global minimum is always in the near window once
 //!    [`TimerWheel::pop`] has cascaded (lowest level, lowest slot
-//!    first), and ties on `time` are all in the near heap together,
-//!    where the heap order on `(time, seq)` resolves them FIFO.
+//!    first), and ties on `time` are all in the near window together.
+//! 4. The near window is the sorted run's unconsumed tail ∪ the near
+//!    heap. A cascade happens only when both are empty, so the run is
+//!    the exact set the cascade filed, sorted by `(time, seq)`; later
+//!    pushes into the window go to the heap. The smaller of the two
+//!    heads is therefore the window's minimum, and since `seq` is
+//!    unique the comparison never ties: same-time entries from both
+//!    parts interleave FIFO.
 //!
 //! The argument uses only the `(time, seq)` keys, never the order of the
 //! pushes. So a sequence number reserved ahead of its push
@@ -51,7 +63,7 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Bits of event time covered by the near heap (2^16 ns ≈ 65 µs).
+/// Bits of event time covered by the near window (2^16 ns ≈ 65 µs).
 const NEAR_BITS: u32 = 16;
 /// Bits per wheel level (64 slots).
 const LEVEL_BITS: u32 = 6;
@@ -63,12 +75,18 @@ const LEVELS: usize = 6;
 const TOP_BITS: u32 = NEAR_BITS + LEVELS as u32 * LEVEL_BITS;
 /// Key capacity a drained bucket always keeps.
 const BUCKET_KEEP: usize = 64;
-/// A drained bucket whose capacity exceeds this multiple of what its
-/// epoch filed is shrunk to twice that.
+/// Refills of the sorted run per capacity check. The run is refilled at
+/// every cascade, and on `federation` bursts of thousands of keys come
+/// between one-key refills, so checking each refill against the bucket
+/// rule reallocated it over and over; it is checked against the largest
+/// refill of each epoch instead.
+const RUN_EPOCH: usize = 4096;
+/// A drained bucket (or a refilled sorted run) whose capacity exceeds
+/// this multiple of what its epoch filed is shrunk to twice that.
 const BUCKET_SLACK: usize = 8;
 
-/// A scheduled entry's ordering key plus its slab slot. Heap sifts and
-/// cascade hops move these 24-byte keys, never the payload — event
+/// A scheduled entry's ordering key plus its slab slot. Heap sifts, run
+/// sorts and cascade hops move these 24-byte keys, never the payload — event
 /// payloads are ~80 bytes in the simulator, and copying them through
 /// every `O(log n)` sift dominated the scheduler's profile.
 #[derive(Clone, Copy)]
@@ -125,6 +143,14 @@ pub struct TimerWheel<T> {
     slab: Vec<Option<T>>,
     /// Vacated slab slots awaiting reuse.
     free: Vec<u32>,
+    /// Keys the last cascade filed into the near window, sorted by
+    /// `(time, seq)`; `run[run_pos..]` are still pending.
+    run: Vec<Key>,
+    run_pos: usize,
+    /// Refills of `run` in the current [`RUN_EPOCH`], and the largest.
+    run_refills: usize,
+    run_peak: usize,
+    /// Keys pushed straight into the current near window.
     near: BinaryHeap<Reverse<Key>>,
     /// `LEVELS × SLOTS` buckets, flattened; capacity is retained across
     /// cascades (bounded by recent use, see [`BUCKET_SLACK`]) so
@@ -147,6 +173,7 @@ impl<T> std::fmt::Debug for TimerWheel<T> {
         f.debug_struct("TimerWheel")
             .field("horizon", &self.horizon)
             .field("len", &self.len)
+            .field("run", &(self.run.len() - self.run_pos))
             .field("near", &self.near.len())
             .field("overflow", &self.overflow.len())
             .finish_non_exhaustive()
@@ -161,6 +188,10 @@ impl<T> TimerWheel<T> {
             seq: 0,
             slab: Vec::new(),
             free: Vec::new(),
+            run: Vec::new(),
+            run_pos: 0,
+            run_refills: 0,
+            run_peak: 0,
             near: BinaryHeap::new(),
             levels: std::iter::repeat_with(Vec::new)
                 .take(LEVELS * SLOTS)
@@ -221,11 +252,14 @@ impl<T> TimerWheel<T> {
                 (self.slab.len() - 1) as u32
             }
         };
-        self.file(Key {
+        let key = Key {
             time: time.as_nanos(),
             seq,
             slot,
-        });
+        };
+        if let Some(k) = self.file(key) {
+            self.near.push(Reverse(k));
+        }
     }
 
     /// Every pending entry, in no particular order.
@@ -243,13 +277,35 @@ impl<T> TimerWheel<T> {
         item
     }
 
+    /// The near window's earliest key: the smaller of the sorted run's
+    /// head and the near heap's.
+    fn near_first(&self) -> Option<Key> {
+        let run = self.run.get(self.run_pos).copied();
+        let heap = self.near.peek().map(|&Reverse(k)| k);
+        match (run, heap) {
+            (Some(r), Some(h)) => Some(r.min(h)),
+            (r, h) => r.or(h),
+        }
+    }
+
+    /// Removes `k`, the key [`TimerWheel::near_first`] returned, from
+    /// whichever part of the near window holds it.
+    fn consume(&mut self, k: Key) {
+        if self.run.get(self.run_pos) == Some(&k) {
+            self.run_pos += 1;
+        } else {
+            self.near.pop();
+        }
+        self.len -= 1;
+    }
+
     /// Removes and returns the earliest entry (FIFO among ties).
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         if !self.ensure_near() {
             return None;
         }
-        let Reverse(k) = self.near.pop().expect("ensure_near filled the heap");
-        self.len -= 1;
+        let k = self.near_first().expect("ensure_near filled the window");
+        self.consume(k);
         self.horizon = self.horizon.max(k.time);
         Some((SimTime::from_nanos(k.time), self.take(k)))
     }
@@ -262,17 +318,13 @@ impl<T> TimerWheel<T> {
     /// observationally identical to popping one entry at a time.
     ///
     /// One cascade serves the whole run: same-time entries are always
-    /// co-resident in the near heap (they share every bit, so they file
-    /// identically), so no wheel level is touched between pops.
+    /// co-resident in the near window (they share every bit, so they
+    /// file identically), so no wheel level is touched between pops.
     pub fn pop_run(&mut self, out: &mut impl Extend<T>) -> Option<SimTime> {
         let (time, item) = self.pop()?;
         out.extend(Some(item));
-        while let Some(Reverse(k)) = self.near.peek() {
-            if k.time != time.as_nanos() {
-                break;
-            }
-            let Reverse(k) = self.near.pop().expect("peeked entry exists");
-            self.len -= 1;
+        while let Some(k) = self.near_first().filter(|k| k.time == time.as_nanos()) {
+            self.consume(k);
             let item = self.take(k);
             out.extend(Some(item));
         }
@@ -284,9 +336,7 @@ impl<T> TimerWheel<T> {
         if !self.ensure_near() {
             return None;
         }
-        self.near
-            .peek()
-            .map(|Reverse(k)| SimTime::from_nanos(k.time))
+        self.near_first().map(|k| SimTime::from_nanos(k.time))
     }
 
     /// The entry the next [`TimerWheel::pop`] returns, left in place.
@@ -295,40 +345,56 @@ impl<T> TimerWheel<T> {
         if !self.ensure_near() {
             return None;
         }
-        let Reverse(k) = self.near.peek()?;
+        let k = self.near_first()?;
         let item = self.slab[k.slot as usize]
             .as_ref()
             .expect("key references a live slab slot");
         Some((SimTime::from_nanos(k.time), item))
     }
 
-    /// Files a key relative to the current horizon: near heap, a wheel
-    /// slot at the level of the highest differing bit, or overflow.
-    fn file(&mut self, k: Key) {
+    /// Files a key relative to the current horizon into a wheel slot at
+    /// the level of the highest differing bit, or into overflow; a key
+    /// that belongs in the near window is handed back to the caller.
+    fn file(&mut self, k: Key) -> Option<Key> {
         // A time at (or before) the horizon belongs in the near window.
         let t = k.time.max(self.horizon);
         let diff = t ^ self.horizon;
         if diff >> NEAR_BITS == 0 {
-            self.near.push(Reverse(k));
-            return;
+            return Some(k);
         }
         let top_bit = 63 - diff.leading_zeros();
         let level = ((top_bit - NEAR_BITS) / LEVEL_BITS) as usize;
         if level >= LEVELS {
             self.overflow.push(Reverse(k));
-            return;
+            return None;
         }
         let base = NEAR_BITS + LEVEL_BITS * level as u32;
         let slot = ((t >> base) & (SLOTS as u64 - 1)) as usize;
         self.occupied[level] |= 1 << slot;
         self.levels[level * SLOTS + slot].push(k);
+        None
     }
 
-    /// Refills the near heap from the wheel, advancing the horizon to
-    /// the next occupied bucket. Returns `false` when the wheel is
-    /// completely empty.
+    /// Files a cascaded key: into the sorted run if it lands in the
+    /// near window, else into the wheel.
+    fn refile(&mut self, k: Key) {
+        if let Some(k) = self.file(k) {
+            self.run.push(k);
+        }
+    }
+
+    /// Refills the near window from the wheel once both its parts are
+    /// empty, advancing the horizon to the next occupied bucket.
+    /// Returns `false` when the wheel is completely empty.
     fn ensure_near(&mut self) -> bool {
-        while self.near.is_empty() {
+        if self.run_pos < self.run.len() || !self.near.is_empty() {
+            return true;
+        }
+        self.run.clear();
+        self.run_pos = 0;
+        // Cascading pushes nothing into the near heap, so the window is
+        // empty until the run gets its first key.
+        while self.run.is_empty() {
             if let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) {
                 // Lowest occupied slot of the lowest occupied level is
                 // the earliest bucket (slots never wrap within an
@@ -347,21 +413,19 @@ impl<T> TimerWheel<T> {
                 // below `base`, so it re-files strictly lower — at most
                 // LEVELS hops per entry over its lifetime.
                 for k in keys.drain(..) {
-                    self.file(k);
+                    self.refile(k);
                 }
                 // Hand the (empty) buffer back so later epochs reuse its
                 // capacity, but not capacity far above what this epoch
                 // filed: one burst must not pin a slot's peak for the
                 // rest of the run. The hysteresis keeps releases rare —
                 // each follows growth that already reallocated.
-                if keys.capacity() > BUCKET_KEEP.max(filed * BUCKET_SLACK) {
-                    keys.shrink_to(BUCKET_KEEP.max(filed * 2));
-                }
+                release_slack(&mut keys, filed);
                 self.levels[idx] = keys;
             } else if let Some(Reverse(first)) = self.overflow.pop() {
                 debug_assert!(first.time >= self.horizon);
                 self.horizon = first.time;
-                self.file(first);
+                self.refile(first);
                 // Pull every overflow entry that now shares the top
                 // bits with the horizon into the wheel, so later pushes
                 // can never slip ahead of them via the levels.
@@ -370,13 +434,32 @@ impl<T> TimerWheel<T> {
                         break;
                     }
                     let Reverse(k) = self.overflow.pop().expect("peeked entry exists");
-                    self.file(k);
+                    self.refile(k);
                 }
             } else {
                 return false;
             }
         }
+        // `seq` is unique, so the unstable sort yields the one order.
+        self.run.sort_unstable();
+        // The run gives back burst capacity by the bucket rule, once per
+        // epoch, against the epoch's largest refill.
+        self.run_peak = self.run_peak.max(self.run.len());
+        self.run_refills += 1;
+        if self.run_refills == RUN_EPOCH {
+            release_slack(&mut self.run, self.run_peak);
+            self.run_refills = 0;
+            self.run_peak = 0;
+        }
         true
+    }
+}
+
+/// Shrinks `keys` to twice `filed` (at least [`BUCKET_KEEP`]) when its
+/// capacity exceeds [`BUCKET_SLACK`] times what its epoch filed.
+fn release_slack(keys: &mut Vec<Key>, filed: usize) {
+    if keys.capacity() > BUCKET_KEEP.max(filed * BUCKET_SLACK) {
+        keys.shrink_to(BUCKET_KEEP.max(filed * 2));
     }
 }
 
@@ -449,6 +532,61 @@ mod tests {
         }
         let kept = wheel.levels.iter().map(Vec::capacity).max().unwrap_or(0);
         assert!(kept <= BUCKET_KEEP, "a bucket kept {kept} keys of capacity");
+    }
+
+    #[test]
+    fn sorted_run_releases_burst_capacity() {
+        let mut wheel = TimerWheel::new();
+        // A burst filed past the near window reaches it by cascade, as
+        // one sorted run.
+        let t = 1u64 << 17;
+        for i in 0..10_000u64 {
+            wheel.push(SimTime::from_nanos(t), i);
+        }
+        assert_eq!(wheel.peek_time(), Some(SimTime::from_nanos(t)));
+        assert_eq!(wheel.run.len(), 10_000);
+        assert!(wheel.near.is_empty());
+        while wheel.pop().is_some() {}
+        assert!(wheel.run.capacity() >= 10_000);
+        // One-key cascades: the burst's epoch keeps its capacity, and
+        // the next epoch, which filed one key at a time, gives it back.
+        let mut now = t;
+        for i in 1..2 * RUN_EPOCH as u64 {
+            now += 1 << NEAR_BITS;
+            wheel.push(SimTime::from_nanos(now), i);
+            assert_eq!(wheel.pop(), Some((SimTime::from_nanos(now), i)));
+            if i + 1 < 2 * RUN_EPOCH as u64 {
+                assert!(wheel.run.capacity() >= 10_000);
+            }
+        }
+        let kept = wheel.run.capacity();
+        assert!(kept <= BUCKET_KEEP, "the run kept {kept} keys of capacity");
+    }
+
+    #[test]
+    fn cascaded_run_and_direct_pushes_interleave_by_seq() {
+        let mut wheel = TimerWheel::new();
+        let t = SimTime::from_nanos(1 << 17);
+        wheel.push(t, "cascaded 0");
+        wheel.push(SimTime::from_nanos((1 << 17) + 5), "cascaded later");
+        wheel.push(t, "cascaded 1");
+        assert_eq!(wheel.pop(), Some((t, "cascaded 0")));
+        // Same instant, pushed after the cascade: it goes to the near
+        // heap and pops after the run's older entry at `t`.
+        wheel.push(t, "direct");
+        wheel.push(SimTime::from_nanos((1 << 17) + 1), "direct later");
+        let mut run = Vec::new();
+        assert_eq!(wheel.pop_run(&mut run), Some(t));
+        assert_eq!(run, ["cascaded 1", "direct"]);
+        assert_eq!(
+            wheel.pop(),
+            Some((SimTime::from_nanos((1 << 17) + 1), "direct later"))
+        );
+        assert_eq!(
+            wheel.pop(),
+            Some((SimTime::from_nanos((1 << 17) + 5), "cascaded later"))
+        );
+        assert_eq!(wheel.pop(), None);
     }
 
     #[test]

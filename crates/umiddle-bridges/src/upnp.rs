@@ -215,16 +215,24 @@ impl UpnpMapper {
             CpEvent::Subscribed { .. } => {}
             CpEvent::Failed(request) => {
                 ctx.bump("mapper.upnp.failures", 1);
-                // A failed action still answers its input, returning the
-                // delivery credit.
-                let CpRequest::Action { call_id } = request else {
-                    return;
-                };
-                if let Some((connection, translator, _, native_span)) =
-                    self.pending_calls.remove(&call_id)
-                {
-                    ctx.span_end(native_span);
-                    ack_input_done(ctx, self.core.runtime(), connection, translator);
+                match request {
+                    // Forget a device whose description could not be
+                    // fetched, so its next `ssdp:alive` or search answer
+                    // starts over instead of being taken as known.
+                    CpRequest::Description { location } => self
+                        .devices
+                        .retain(|_, d| d.location != location || d.translator.is_some()),
+                    // A failed action still answers its input, returning
+                    // the delivery credit.
+                    CpRequest::Action { call_id } => {
+                        if let Some((connection, translator, _, native_span)) =
+                            self.pending_calls.remove(&call_id)
+                        {
+                            ctx.span_end(native_span);
+                            ack_input_done(ctx, self.core.runtime(), connection, translator);
+                        }
+                    }
+                    CpRequest::Subscribe { .. } => {}
                 }
             }
         }

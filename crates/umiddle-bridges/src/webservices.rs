@@ -2,9 +2,12 @@
 //!
 //! Web services have no multicast discovery; the mapper is configured
 //! with endpoint addresses to probe. Each description's `kind` selects a
-//! USDL document. Inputs invoke the bound operation; output ports with
-//! polling bindings (`tail`, `current`) are refreshed on a timer and
-//! emitted when their value changes.
+//! USDL document. An endpoint that has not answered a describe is
+//! described again on the poll timer, one describe in flight at a time,
+//! so a service that starts after the mapper is still mapped. Inputs
+//! invoke the bound operation; output ports with polling bindings
+//! (`tail`, `current`) are refreshed on a timer and emitted when their
+//! value changes.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -23,9 +26,20 @@ use crate::mapper::{Entity, MapperCore, MapperStats};
 
 const TIMER_POLL: u64 = 1;
 
+/// Where an endpoint's description fetch stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Describe {
+    /// Not answered and none in flight: the next poll describes it.
+    Due,
+    InFlight,
+    /// A description arrived (its kind known or not).
+    Answered,
+}
+
 #[derive(Debug)]
 struct WsService {
     location: Addr,
+    describe: Describe,
     doc: Option<UsdlDocument>,
     translator: Option<TranslatorId>,
     /// Last emitted value per polled output port (dedup).
@@ -85,6 +99,16 @@ impl WsMapper {
         Rc::clone(&self.core.stats)
     }
 
+    /// Describes every endpoint that is due, in endpoint order.
+    fn describe_due(&mut self, ctx: &mut Ctx<'_>) {
+        for svc in &mut self.services {
+            // An unreachable endpoint stays due.
+            if svc.describe == Describe::Due && self.ws.describe(ctx, svc.location).is_ok() {
+                svc.describe = Describe::InFlight;
+            }
+        }
+    }
+
     fn poll_outputs(&mut self, ctx: &mut Ctx<'_>) {
         for (idx, svc) in self.services.iter().enumerate() {
             let (Some(doc), Some(_)) = (&svc.doc, svc.translator) else {
@@ -121,10 +145,11 @@ impl WsMapper {
                 let Some(idx) = self
                     .services
                     .iter()
-                    .position(|s| s.location == location && s.doc.is_none())
+                    .position(|s| s.location == location && s.describe == Describe::InFlight)
                 else {
                     return;
                 };
+                self.services[idx].describe = Describe::Answered;
                 let Some(doc) = self.usdl.get("webservices", &desc.kind) else {
                     ctx.bump("mapper.ws.unknown_kind", 1);
                     return;
@@ -168,10 +193,14 @@ impl WsMapper {
                 }
                 None => {}
             },
-            WsEvent::Failed(request) => {
-                let WsRequest::Call { call_id } = request else {
-                    return;
-                };
+            WsEvent::Failed(WsRequest::Describe { location }) => {
+                for svc in &mut self.services {
+                    if svc.location == location && svc.describe == Describe::InFlight {
+                        svc.describe = Describe::Due;
+                    }
+                }
+            }
+            WsEvent::Failed(WsRequest::Call { call_id }) => {
                 if let Some(WsCall::Input {
                     translator,
                     connection,
@@ -261,21 +290,20 @@ impl Process for WsMapper {
             .iter()
             .map(|&location| WsService {
                 location,
+                describe: Describe::Due,
                 doc: None,
                 translator: None,
                 last_values: HashMap::new(),
             })
             .collect();
-        for location in self.endpoints.clone() {
-            // An unreachable endpoint stays undescribed.
-            let _ = self.ws.describe(ctx, location);
-        }
+        self.describe_due(ctx);
         let interval = self.poll_interval;
         ctx.set_timer(interval, TIMER_POLL);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == TIMER_POLL {
+            self.describe_due(ctx);
             self.poll_outputs(ctx);
             let interval = self.poll_interval;
             ctx.set_timer(interval, TIMER_POLL);

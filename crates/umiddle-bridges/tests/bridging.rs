@@ -749,6 +749,133 @@ fn ws_calls_to_a_partitioned_service_are_answered() {
     assert_eq!(world.trace().counter("ws.calls"), calls_served);
 }
 
+/// A UPnP light whose `ssdp:alive` reaches the mapper 4 s before its
+/// HTTP server listens: the failed description fetch is forgotten, and
+/// the alive the device multicasts when it starts gets it mapped.
+#[test]
+fn upnp_light_described_late_is_mapped() {
+    /// Multicasts the light's `ssdp:alive` once, 100 ms in.
+    struct EarlyAlive {
+        alive: platform_upnp::SsdpMessage,
+    }
+    impl Process for EarlyAlive {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::from_millis(100), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            let bytes = self.alive.to_bytes();
+            ctx.multicast(5000, platform_upnp::SSDP_GROUP, bytes)
+                .unwrap();
+        }
+    }
+    let mut world = World::new(110);
+    let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
+    let h1 = world.add_node("h1");
+    let light_node = world.add_node("light");
+    world.attach(h1, hub).unwrap();
+    world.attach(light_node, hub).unwrap();
+    let rt = add_runtime(&mut world, h1, 0);
+    let mapper = UpnpMapper::with_defaults(rt, UsdlLibrary::bundled());
+    let stats = mapper.stats_handle();
+    world.add_process(h1, Box::new(mapper));
+    let logic = LightLogic::new("Hall Light", "uuid:hall");
+    let desc = platform_upnp::DeviceLogic::description(&logic);
+    let alive = platform_upnp::SsdpMessage::Alive {
+        usn: desc.udn,
+        device_type: desc.device_type,
+        location: Addr::new(light_node, 5000),
+        max_age: 1800,
+    };
+    world.add_process(light_node, Box::new(EarlyAlive { alive }));
+
+    let server_start = SimTime::from_millis(4_100);
+    world.run_until(server_start);
+    assert_eq!(world.trace().counter("mapper.upnp.failures"), 1);
+    assert_eq!(world.trace().counter("mapper.upnp.mapped"), 0);
+    world.add_process(light_node, Box::new(UpnpDevice::new(Box::new(logic), 5000)));
+    // Mapped within 2 s of the server starting, not at the next
+    // re-search 30 s in (or never).
+    world.run_until(server_start + SimDuration::from_secs(2));
+    assert_eq!(world.trace().counter("mapper.upnp.mapped"), 1);
+    assert_mapped_counter(&world, "upnp", &stats);
+}
+
+/// A web service that starts 5 s after the mapper: the describe sent at
+/// start fails, and the next poll describes it again and maps it.
+#[test]
+fn ws_service_started_late_is_mapped() {
+    let mut world = World::new(111);
+    let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
+    let h1 = world.add_node("h1");
+    let ws_node = world.add_node("ws");
+    world.attach(h1, hub).unwrap();
+    world.attach(ws_node, hub).unwrap();
+    let rt = add_runtime(&mut world, h1, 0);
+    let mapper = WsMapper::new(rt, UsdlLibrary::bundled(), vec![Addr::new(ws_node, 8080)]);
+    let stats = mapper.stats_handle();
+    world.add_process(h1, Box::new(mapper));
+
+    world.run_until(SimTime::from_secs(5));
+    assert_eq!(world.trace().counter("mapper.ws.mapped"), 0);
+    world.add_process(ws_node, Box::new(WsServer::logger("Event Log", 8080)));
+    // The 10 s poll re-describes it; mapped well before the next one.
+    world.run_until(SimTime::from_secs(12));
+    assert_eq!(world.trace().counter("mapper.ws.mapped"), 1);
+    assert_mapped_counter(&world, "ws", &stats);
+}
+
+/// An endpoint that accepts and drops every connection is described
+/// once at start and once per 10 s poll, never faster.
+#[test]
+fn ws_describe_retries_follow_the_poll() {
+    /// Listens on 8080, counts each connection and closes it unanswered.
+    struct Mute {
+        accepted: Rc<RefCell<u64>>,
+    }
+    impl Process for Mute {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.listen(8080).unwrap();
+        }
+        fn on_stream(
+            &mut self,
+            ctx: &mut Ctx<'_>,
+            stream: simnet::StreamId,
+            event: simnet::StreamEvent,
+        ) {
+            if let simnet::StreamEvent::Accepted { .. } = event {
+                *self.accepted.borrow_mut() += 1;
+                ctx.stream_close(stream);
+            }
+        }
+    }
+    let mut world = World::new(112);
+    let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
+    let h1 = world.add_node("h1");
+    let ws_node = world.add_node("ws");
+    world.attach(h1, hub).unwrap();
+    world.attach(ws_node, hub).unwrap();
+    let rt = add_runtime(&mut world, h1, 0);
+    let accepted = Rc::new(RefCell::new(0));
+    world.add_process(
+        ws_node,
+        Box::new(Mute {
+            accepted: Rc::clone(&accepted),
+        }),
+    );
+    world.add_process(
+        h1,
+        Box::new(WsMapper::new(
+            rt,
+            UsdlLibrary::bundled(),
+            vec![Addr::new(ws_node, 8080)],
+        )),
+    );
+    world.run_until(SimTime::from_secs(65));
+    // At 0 s and at each poll, 10 s through 60 s.
+    assert_eq!(*accepted.borrow(), 7);
+    assert_eq!(world.trace().counter("mapper.ws.mapped"), 0);
+}
+
 /// A UPnP light that says `ssdp:byebye` while the mapper is still
 /// instantiating its translator leaves no orphan translator behind: the
 /// late registration is withdrawn as soon as it completes.
