@@ -6,9 +6,13 @@
 //! `units` — so a reader (or a future regression gate) can always tell
 //! what was measured, in what unit, and what it is being compared
 //! against. Every pin must parse, so a hand-edited or truncated pin
-//! fails here rather than in a determinism gate. Run by the CI lint
-//! stage (`./ci.sh lint`); exits 1 listing every malformed file.
+//! fails here rather than in a determinism gate. The observability
+//! record's `after.snapshot` must equal the E8 metrics pin row for row,
+//! so the record cannot drift from the artifact it was cut from. Run by
+//! the CI lint stage (`./ci.sh lint`); exits 1 listing every malformed
+//! file.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use simnet::Json;
@@ -23,6 +27,11 @@ pub const COMMAND: Command = Command {
     usage: "lint [ROOT]   (default: .)",
     run,
 };
+
+/// The record whose `after.snapshot` is the E8 metrics snapshot, and
+/// the pin it must equal.
+const OBSERVABILITY_RECORD: &str = "BENCH_observability.json";
+const E8_METRICS_PIN: &str = "artifacts/E8_metrics.json";
 
 /// Keys every benchmark record must carry at the top level.
 const REQUIRED_KEYS: [&str; 4] = ["name", "before", "after", "units"];
@@ -294,6 +303,13 @@ fn run(args: &Args) {
             failures += 1;
         }
     }
+    let record = root.join(OBSERVABILITY_RECORD);
+    let read = |path: &Path| std::fs::read_to_string(path).unwrap_or_default();
+    let problems = lint_snapshot_pin(&read(&record), &read(&root.join(E8_METRICS_PIN)));
+    for p in &problems {
+        eprintln!("bench lint: {}: {p}", record.display());
+    }
+    failures += usize::from(!problems.is_empty());
     let total = records.len() + pins.len();
     if failures > 0 {
         eprintln!("bench lint: {failures} of {total} file(s) malformed");
@@ -315,6 +331,56 @@ fn lint_pin(text: &str) -> Vec<String> {
     }
 }
 
+/// Compares the observability record's `after.snapshot` with the E8
+/// metrics pin: one problem per row (`section["name"]`) that differs or
+/// is on one side only. A record that is absent or does not parse
+/// yields none here (the per-file lint reports the latter).
+fn lint_snapshot_pin(record: &str, pin: &str) -> Vec<String> {
+    let Ok(record) = Json::parse(record) else {
+        return Vec::new();
+    };
+    let Ok(pin) = Json::parse(pin) else {
+        return vec![format!("{E8_METRICS_PIN} is missing or does not parse")];
+    };
+    let Some(snapshot) = record.get("after").and_then(|a| a.get("snapshot")) else {
+        return vec!["observability record: \"after\" must carry a \"snapshot\" object".to_owned()];
+    };
+    let (ours, pinned) = (snapshot_rows(snapshot), snapshot_rows(&pin));
+    let mut problems = Vec::new();
+    for (row, value) in &ours {
+        match pinned.get(row) {
+            None => problems.push(format!("after.snapshot {row} is not in {E8_METRICS_PIN}")),
+            Some(p) if p != value => problems.push(format!(
+                "after.snapshot {row} differs from {E8_METRICS_PIN}"
+            )),
+            Some(_) => {}
+        }
+    }
+    for row in pinned.keys().filter(|row| !ours.contains_key(*row)) {
+        problems.push(format!("after.snapshot lacks {row} of {E8_METRICS_PIN}"));
+    }
+    problems
+}
+
+/// A metrics snapshot's rows, keyed `section["name"]`; a section that
+/// is not an object (`bucket_bounds_ns`) is one row.
+fn snapshot_rows(snapshot: &Json) -> BTreeMap<String, &Json> {
+    let mut rows = BTreeMap::new();
+    for (section, value) in snapshot.as_object().unwrap_or_default() {
+        match value.as_object() {
+            Some(entries) => {
+                for (name, v) in entries {
+                    rows.insert(format!("{section}[{name:?}]"), v);
+                }
+            }
+            None => {
+                rows.insert(section.clone(), value);
+            }
+        }
+    }
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +391,31 @@ mod tests {
         assert!(lint_pin(pin).is_empty());
         let cut = &pin[..pin.len() / 2];
         assert_eq!(lint_pin(cut).len(), 1, "truncated pin must fail");
+    }
+
+    #[test]
+    fn lint_reports_a_snapshot_row_that_drifts_from_the_pin() {
+        let record = include_str!("../../../../../BENCH_observability.json");
+        let pin = include_str!("../../../../../artifacts/E8_metrics.json");
+        assert_eq!(lint_snapshot_pin(record, pin), Vec::<String>::new());
+        assert_eq!(lint_snapshot_pin(record, "").len(), 1);
+
+        let row = "\"rt0.outputs\": 100,";
+        assert_eq!(pin.matches(row).count(), 1);
+        let drifted = pin.replace(row, "\"rt0.outputs\": 101,");
+        assert_eq!(
+            lint_snapshot_pin(record, &drifted),
+            vec![format!(
+                "after.snapshot counters[\"rt0.outputs\"] differs from {E8_METRICS_PIN}"
+            )]
+        );
+        let dropped = pin.replace(row, "");
+        assert_eq!(
+            lint_snapshot_pin(record, &dropped),
+            vec![format!(
+                "after.snapshot counters[\"rt0.outputs\"] is not in {E8_METRICS_PIN}"
+            )]
+        );
     }
 
     #[test]

@@ -69,9 +69,10 @@ const CHECK_DEFERRAL_GROWTH: f64 = 1.2;
 /// `--check` ceiling on the telemetry sampler's wall-clock overhead at
 /// N = 1000 (median of the per-slice ratios over [`OVERHEAD_WINDOW`],
 /// sampled vs plain). The 250 ms sampler walks the whole metrics
-/// registry once per slice; on a shared 2-core VM the gate reads
-/// 1.02–1.03. 5% still fails an order-of-magnitude sampler regression
-/// without flaking on a shared box.
+/// registry by `MetricId` once per slice and reads no metric name; on a
+/// shared 2-core VM the gate reads 0.98–1.01 (1.01–1.03 while the rings
+/// were keyed by name). 5% still fails an order-of-magnitude sampler
+/// regression without flaking on a shared box.
 const CHECK_SAMPLER_OVERHEAD: f64 = 1.05;
 
 /// `--check` ceiling on the attribution plane's wall-clock overhead at

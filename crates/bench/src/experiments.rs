@@ -5,8 +5,8 @@ use std::rc::Rc;
 
 use simnet::{
     diff_attribution, Addr, AlertState, AlertTransition, AttributionReport, BurnRateRule,
-    CriticalPath, Ctx, HealthReport, IncidentBundle, Objective, ProcId, Process, SamplerConfig,
-    SegmentConfig, SimDuration, SimTime, SloKind, SpanRecord, StreamEvent, StreamId,
+    CriticalPath, Ctx, HealthReport, IncidentBundle, MetricId, Objective, ProcId, Process,
+    SamplerConfig, SegmentConfig, SimDuration, SimTime, SloKind, SpanRecord, StreamEvent, StreamId,
     TelemetryConfig, World,
 };
 use umiddle_apps::{WireRule, Wirer};
@@ -2124,7 +2124,7 @@ fn e10_objectives() -> TelemetryConfig {
                 name: "upnp-availability".to_owned(),
                 subject: "bridge:upnp".to_owned(),
                 kind: SloKind::Liveness {
-                    counter: "bridge.upnp.traffic".to_owned(),
+                    counter: MetricId::new("bridge.upnp.traffic"),
                     budget_ppm: 100_000,
                 },
                 warning: BurnRateRule {
@@ -2142,7 +2142,7 @@ fn e10_objectives() -> TelemetryConfig {
                 name: "hub-latency".to_owned(),
                 subject: "seg0:ethernet-10mbps-hub".to_owned(),
                 kind: SloKind::LatencyAbove {
-                    histogram: "umiddle.path_latency".to_owned(),
+                    histogram: MetricId::new("umiddle.path_latency"),
                     threshold_ns: 20_000_000,
                     budget_ppm: 10_000,
                 },

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use crate::json::{Json, Layout};
 use crate::time::{SimDuration, SimTime};
 use crate::timeseries::{SamplerConfig, Telemetry};
-use crate::trace::{Metrics, SegmentStats, Trace};
+use crate::trace::{MetricId, Metrics, SegmentStats, Trace};
 
 /// What an [`Objective`] measures, over the sampler's windowed series.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,8 +28,8 @@ pub enum SloKind {
     /// The threshold should sit on a histogram bucket bound (the 1–2–5
     /// series) for exact accounting; off-bound thresholds round down.
     LatencyAbove {
-        /// Histogram name, e.g. `rt0.transport_latency`.
-        histogram: String,
+        /// The histogram, e.g. `rt0.transport_latency`.
+        histogram: MetricId,
         /// Threshold in nanoseconds.
         threshold_ns: u64,
         /// Error budget: tolerated fraction above threshold, in ppm.
@@ -37,10 +37,10 @@ pub enum SloKind {
     },
     /// Ratio of an error counter to a total counter.
     ErrorRatio {
-        /// Error counter name.
-        errors: String,
-        /// Total counter name.
-        total: String,
+        /// Error counter.
+        errors: MetricId,
+        /// Total counter.
+        total: MetricId,
         /// Error budget in ppm.
         budget_ppm: u64,
     },
@@ -48,8 +48,8 @@ pub enum SloKind {
     /// delta is a *bad* interval. An absent series (nothing sampled
     /// yet) counts as healthy, so startup is graceful.
     Liveness {
-        /// Traffic counter name, e.g. `bridge.upnp.traffic`.
-        counter: String,
+        /// Traffic counter, e.g. `bridge.upnp.traffic`.
+        counter: MetricId,
         /// Error budget: tolerated fraction of silent intervals, ppm.
         budget_ppm: u64,
     },
@@ -64,7 +64,7 @@ impl SloKind {
                 threshold_ns,
                 ..
             } => {
-                let Some(series) = telemetry.histogram_series(histogram) else {
+                let Some(series) = telemetry.histogram_series(*histogram) else {
                     return 0;
                 };
                 let w = series.window(n);
@@ -75,11 +75,11 @@ impl SloKind {
             }
             SloKind::ErrorRatio { errors, total, .. } => {
                 let err = telemetry
-                    .counter_series(errors)
+                    .counter_series(*errors)
                     .map(|s| s.window_sum(n).0)
                     .unwrap_or(0);
                 let tot = telemetry
-                    .counter_series(total)
+                    .counter_series(*total)
                     .map(|s| s.window_sum(n).0)
                     .unwrap_or(0);
                 if tot == 0 {
@@ -88,7 +88,7 @@ impl SloKind {
                 err.saturating_mul(1_000_000) / tot
             }
             SloKind::Liveness { counter, .. } => {
-                let Some(series) = telemetry.counter_series(counter) else {
+                let Some(series) = telemetry.counter_series(*counter) else {
                     return 0;
                 };
                 let (_, intervals, zeros) = series.window_sum(n);
@@ -209,6 +209,8 @@ pub struct AlertTransition {
 pub struct SloEngine {
     objectives: Vec<Objective>,
     status: Vec<AlertStatus>,
+    /// Each objective's `slo.<name>.state` gauge.
+    state_gauges: Vec<MetricId>,
     transitions: Vec<AlertTransition>,
 }
 
@@ -224,9 +226,14 @@ impl SloEngine {
                 burn_short_milli: 0,
             })
             .collect();
+        let state_gauges = objectives
+            .iter()
+            .map(|o| MetricId::new(&format!("slo.{}.state", o.name)))
+            .collect();
         SloEngine {
             objectives,
             status,
+            state_gauges,
             transitions: Vec::new(),
         }
     }
@@ -254,7 +261,8 @@ impl SloEngine {
     /// `slo.firing` gauge are refreshed on every call.
     pub fn evaluate(&mut self, now: SimTime, telemetry: &Telemetry, trace: &mut Trace) {
         let mut firing = 0i64;
-        for (obj, status) in self.objectives.iter().zip(self.status.iter_mut()) {
+        let objectives = self.objectives.iter().zip(&self.state_gauges);
+        for ((obj, &state_gauge), status) in objectives.zip(self.status.iter_mut()) {
             let budget = obj.kind.budget_ppm();
             let burn = |intervals: usize| -> u64 {
                 obj.kind
@@ -302,9 +310,7 @@ impl SloEngine {
                 status.state = next;
                 status.since = now;
             }
-            trace
-                .metrics_mut()
-                .gauge_set(&format!("slo.{}.state", obj.name), next.as_gauge());
+            trace.metrics_mut().gauge_set(state_gauge, next.as_gauge());
             if next == AlertState::Firing {
                 firing += 1;
             }
@@ -339,8 +345,8 @@ impl Default for TelemetryConfig {
 /// One segment's identity and whole-run stats, as fed to the doctor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentSample {
-    /// Metric key, e.g. `seg0` — matches the `segment.seg0.*` gauges.
-    pub key: String,
+    /// The segment's `segment.segN.busy_ns` gauge.
+    pub busy_ns: MetricId,
     /// Human label, e.g. `seg0:ethernet-10mbps-hub`.
     pub label: String,
     /// Whole-run transmission stats.
@@ -486,18 +492,16 @@ impl HealthReport {
         let mut seg_health: Vec<SegmentHealth> = segments
             .iter()
             .map(|s| {
-                let trailing = telemetry
-                    .gauge_series(&format!("segment.{}.busy_ns", s.key))
-                    .and_then(|series| {
-                        let w = (series.len().saturating_sub(1)).min(SEGMENT_TREND_INTERVALS);
-                        if w == 0 {
-                            return None;
-                        }
-                        let newest = series.last_value()?;
-                        let oldest = series.value_back(w)?;
-                        let delta = (newest - oldest).max(0) as u64;
-                        Some(delta.saturating_mul(1_000) / (w as u64 * interval_ns).max(1))
-                    });
+                let trailing = telemetry.gauge_series(s.busy_ns).and_then(|series| {
+                    let w = (series.len().saturating_sub(1)).min(SEGMENT_TREND_INTERVALS);
+                    if w == 0 {
+                        return None;
+                    }
+                    let newest = series.last_value()?;
+                    let oldest = series.value_back(w)?;
+                    let delta = (newest - oldest).max(0) as u64;
+                    Some(delta.saturating_mul(1_000) / (w as u64 * interval_ns).max(1))
+                });
                 let utilization_milli = trailing.unwrap_or_else(|| {
                     s.stats.busy.as_nanos().saturating_mul(1_000) / now_ns.max(1)
                 });
@@ -516,11 +520,11 @@ impl HealthReport {
         });
 
         let events_pending_trend = telemetry
-            .gauge_series("sched.events_pending")
+            .gauge_series(crate::metric_id!("sched.events_pending"))
             .map(|s| s.values().collect())
             .unwrap_or_default();
         let (sched_lag_p99_ns, sched_lag_max_ns) = metrics
-            .histogram("sched.lag_ns")
+            .histogram(crate::metric_id!("sched.lag_ns"))
             .map(|h| {
                 (
                     h.quantile_bound_ns(0.99).unwrap_or(0),
@@ -604,7 +608,7 @@ impl HealthReport {
                         ..
                     } = &obj.kind
                     {
-                        if let Some(h) = metrics.histogram(histogram) {
+                        if let Some(h) = metrics.histogram(*histogram) {
                             o.exemplar_corr = h.exemplar_above_ns(*threshold_ns).unwrap_or(0);
                         }
                     }
@@ -727,7 +731,7 @@ mod tests {
             name: "live".to_owned(),
             subject: "bridge:test".to_owned(),
             kind: SloKind::Liveness {
-                counter: counter.to_owned(),
+                counter: MetricId::new(counter),
                 budget_ppm: 100_000,
             },
             warning: BurnRateRule {
@@ -789,6 +793,37 @@ mod tests {
             .any(|s| &*s.source == "slo-engine" && s.stage == "alert.firing"));
     }
 
+    /// An objective resolves its metric's id before the metric exists.
+    /// While nothing is written the absent series counts as healthy;
+    /// once the counter appears and then goes silent, the objective
+    /// fires off the same id.
+    #[test]
+    fn objective_on_a_metric_written_late_fires_once_it_burns() {
+        let mut metrics = Metrics::default();
+        let mut trace = Trace::default();
+        let mut t = Telemetry::new(sample_cfg(100));
+        let mut engine = SloEngine::new(vec![liveness_objective("late.traffic")]);
+        let mut fired_at = None;
+        for i in 0..=20u64 {
+            let now = SimTime::from_millis(100 * i);
+            if i == 10 {
+                metrics.counter_add("late.traffic", 1);
+            }
+            t.sample(now, &metrics);
+            engine.evaluate(now, &t, &mut trace);
+            if i < 10 {
+                assert_eq!(engine.status()[0].state, AlertState::Ok, "at {now}");
+            }
+            if fired_at.is_none() && engine.status()[0].state == AlertState::Firing {
+                fired_at = Some(now);
+            }
+        }
+        // The 1 s sighting is the baseline; the first silent interval
+        // after it is the whole window, so it burns at 10x and fires.
+        assert_eq!(fired_at, Some(SimTime::from_millis(1_100)));
+        assert_eq!(trace.metrics().gauge("slo.live.state"), 2);
+    }
+
     #[test]
     fn latency_objective_burns_proportionally_to_violations() {
         let mut metrics = Metrics::default();
@@ -798,7 +833,7 @@ mod tests {
             name: "lat".to_owned(),
             subject: "seg0".to_owned(),
             kind: SloKind::LatencyAbove {
-                histogram: "h".to_owned(),
+                histogram: MetricId::new("h"),
                 threshold_ns: 1_000_000,
                 budget_ppm: 100_000,
             },
@@ -855,12 +890,12 @@ mod tests {
         let engine = SloEngine::new(Vec::new());
         let segs = vec![
             SegmentSample {
-                key: "seg0".to_owned(),
+                busy_ns: MetricId::new("segment.seg0.busy_ns"),
                 label: "seg0:ethernet-10mbps-hub".to_owned(),
                 stats: SegmentStats::default(),
             },
             SegmentSample {
-                key: "seg1".to_owned(),
+                busy_ns: MetricId::new("segment.seg1.busy_ns"),
                 label: "seg1:bluetooth-piconet".to_owned(),
                 stats: SegmentStats::default(),
             },
@@ -935,17 +970,17 @@ mod tests {
         let engine = SloEngine::new(Vec::new());
         let segs = vec![
             SegmentSample {
-                key: "seg2".to_owned(),
+                busy_ns: MetricId::new("segment.seg2.busy_ns"),
                 label: "seg2:ethernet-100mbps-switch".to_owned(),
                 stats: SegmentStats::default(),
             },
             SegmentSample {
-                key: "seg1".to_owned(),
+                busy_ns: MetricId::new("segment.seg1.busy_ns"),
                 label: "seg1:ethernet-100mbps-switch".to_owned(),
                 stats: SegmentStats::default(),
             },
             SegmentSample {
-                key: "seg0".to_owned(),
+                busy_ns: MetricId::new("segment.seg0.busy_ns"),
                 label: "seg0:ethernet-100mbps-switch".to_owned(),
                 stats: SegmentStats::default(),
             },
@@ -1095,7 +1130,7 @@ mod tests {
             name: "lat".to_owned(),
             subject: "seg0:hub".to_owned(),
             kind: SloKind::LatencyAbove {
-                histogram: "h".to_owned(),
+                histogram: MetricId::new("h"),
                 threshold_ns: 1_000_000,
                 budget_ppm: 100_000,
             },

@@ -9,8 +9,12 @@
 //! rates, trends and high-watermarks are available while the federation
 //! is still running instead of only at exit.
 //!
-//! Everything is integer nanoseconds and ordered maps, so two seeded
-//! runs produce byte-identical windows ([`TelemetryWindow::to_json`]).
+//! Rings are addressed by [`MetricId`], the registry's own handle, so a
+//! sample reads no metric name. Names are resolved only when a
+//! [`TelemetryWindow`] is built, and the window orders metrics by name,
+//! never by id (ids are minted in whatever order threads first touch a
+//! name). Everything is integer nanoseconds, so two seeded runs produce
+//! byte-identical windows ([`TelemetryWindow::to_json`]).
 //!
 //! Baseline rule: the first time a metric is seen, the sampler records
 //! its current value as the baseline and pushes *no* delta — a counter
@@ -21,7 +25,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use crate::json::{Json, Layout};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Histogram, Metrics, LATENCY_BUCKET_BOUNDS_NS};
+use crate::trace::{Histogram, MetricId, Metrics, LATENCY_BUCKET_BOUNDS_NS};
 
 /// Number of histogram buckets (the 1–2–5 bounds plus overflow).
 pub const BUCKET_COUNT: usize = LATENCY_BUCKET_BOUNDS_NS.len() + 1;
@@ -308,15 +312,42 @@ impl WindowHistogram {
 /// Bounded ring-buffer time series over every metric in a registry.
 ///
 /// Owned by the world's telemetry plane; sampled on timer-wheel events.
+/// Each kind of ring lives in a `Vec` indexed by [`MetricId`]; `None`
+/// marks an id this store has not sighted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Telemetry {
     interval: SimDuration,
     window: usize,
     samples: u64,
     last_sample: SimTime,
-    counters: BTreeMap<String, CounterSeries>,
-    gauges: BTreeMap<String, GaugeSeries>,
-    histograms: BTreeMap<String, HistogramSeries>,
+    counters: Vec<Option<CounterSeries>>,
+    gauges: Vec<Option<GaugeSeries>>,
+    histograms: Vec<Option<HistogramSeries>>,
+}
+
+/// The ring of `id`, growing `rings` to reach it.
+fn ring<T>(rings: &mut Vec<Option<T>>, id: MetricId) -> &mut Option<T> {
+    let at = id.0 as usize;
+    if rings.len() <= at {
+        rings.resize_with(at + 1, || None);
+    }
+    &mut rings[at]
+}
+
+/// The ring of `id`, if it has been sighted.
+fn sighted<T>(rings: &[Option<T>], id: MetricId) -> Option<&T> {
+    rings.get(id.0 as usize)?.as_ref()
+}
+
+/// Every sighted ring with its metric's name, keeping those named
+/// `{prefix}*` (stripped). In id order: callers collect into a map
+/// sorted by name.
+fn named<'t, T>(rings: &'t [Option<T>], prefix: &'t str) -> impl Iterator<Item = (String, &'t T)> {
+    rings.iter().enumerate().filter_map(move |(i, ring)| {
+        let ring = ring.as_ref()?;
+        let name = MetricId(i as u32).name().strip_prefix(prefix)?;
+        Some((name.to_owned(), ring))
+    })
 }
 
 impl Telemetry {
@@ -333,20 +364,15 @@ impl Telemetry {
             window: config.window,
             samples: 0,
             last_sample: SimTime::ZERO,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            histograms: Vec::new(),
         }
     }
 
     /// The sampling interval.
     pub fn interval(&self) -> SimDuration {
         self.interval
-    }
-
-    /// Ring capacity in samples.
-    pub fn window_len(&self) -> usize {
-        self.window
     }
 
     /// Total samples taken (including the baseline pass at enable time).
@@ -363,31 +389,22 @@ impl Telemetry {
     /// values into the rings. Metrics seen for the first time record a
     /// baseline and push no delta (see the module docs).
     pub fn sample(&mut self, now: SimTime, metrics: &Metrics) {
-        for (name, v) in metrics.counters() {
-            match self.counters.get_mut(name) {
-                Some(series) => series.push(v, self.window),
-                None => {
-                    self.counters.insert(name.to_owned(), CounterSeries::new(v));
-                }
+        let window = self.window;
+        for (id, &v) in metrics.counters.by_id() {
+            match ring(&mut self.counters, id) {
+                Some(series) => series.push(v, window),
+                slot => *slot = Some(CounterSeries::new(v)),
             }
         }
-        for (name, v) in metrics.gauges() {
-            match self.gauges.get_mut(name) {
-                Some(series) => series.push(v, self.window),
-                None => {
-                    let mut series = GaugeSeries::new();
-                    series.push(v, self.window);
-                    self.gauges.insert(name.to_owned(), series);
-                }
-            }
+        for (id, &v) in metrics.gauges.by_id() {
+            ring(&mut self.gauges, id)
+                .get_or_insert_with(GaugeSeries::new)
+                .push(v, window);
         }
-        for (name, h) in metrics.histograms() {
-            match self.histograms.get_mut(name) {
-                Some(series) => series.push(h, self.window),
-                None => {
-                    self.histograms
-                        .insert(name.to_owned(), HistogramSeries::new(h));
-                }
+        for (id, h) in metrics.histograms.by_id() {
+            match ring(&mut self.histograms, id) {
+                Some(series) => series.push(h, window),
+                slot => *slot = Some(HistogramSeries::new(h)),
             }
         }
         self.samples += 1;
@@ -395,97 +412,60 @@ impl Telemetry {
     }
 
     /// Series of one counter, if it has been sampled.
-    pub fn counter_series(&self, name: &str) -> Option<&CounterSeries> {
-        self.counters.get(name)
+    pub fn counter_series(&self, id: MetricId) -> Option<&CounterSeries> {
+        sighted(&self.counters, id)
     }
 
     /// Series of one gauge, if it has been sampled.
-    pub fn gauge_series(&self, name: &str) -> Option<&GaugeSeries> {
-        self.gauges.get(name)
+    pub fn gauge_series(&self, id: MetricId) -> Option<&GaugeSeries> {
+        sighted(&self.gauges, id)
     }
 
     /// Series of one histogram, if it has been sampled.
-    pub fn histogram_series(&self, name: &str) -> Option<&HistogramSeries> {
-        self.histograms.get(name)
-    }
-
-    /// Counter rate over the last `n` intervals, in events per virtual
-    /// second (integer division; `None` before the first full interval).
-    pub fn counter_rate_per_sec(&self, name: &str, n: usize) -> Option<u64> {
-        let series = self.counters.get(name)?;
-        let (sum, intervals, _) = series.window_sum(n);
-        if intervals == 0 {
-            return None;
-        }
-        let window_ns = (intervals as u64).saturating_mul(self.interval.as_nanos());
-        if window_ns == 0 {
-            return None;
-        }
-        Some(
-            sum.saturating_mul(1_000_000_000)
-                .checked_div(window_ns)
-                .unwrap_or(0),
-        )
+    pub fn histogram_series(&self, id: MetricId) -> Option<&HistogramSeries> {
+        sighted(&self.histograms, id)
     }
 
     /// An owned window over the rings, optionally scoped: with
     /// `Some("rt0")`, only metrics named `rt0.*` are included, prefix
     /// stripped — the live-pull analogue of
-    /// [`Metrics::scoped`](crate::Metrics::scoped).
+    /// [`Metrics::scoped`](crate::Metrics::scoped). Metric names are
+    /// resolved here, and only here.
     pub fn window(&self, scope: Option<&str>) -> TelemetryWindow {
-        let prefix = scope.map(|s| format!("{s}."));
-        let keep = |name: &str| -> Option<String> {
-            match &prefix {
-                None => Some(name.to_owned()),
-                Some(p) => name.strip_prefix(p.as_str()).map(|n| n.to_owned()),
-            }
-        };
-        let mut out = TelemetryWindow {
+        let prefix = scope.map_or_else(String::new, |s| format!("{s}."));
+        let counters = named(&self.counters, &prefix).map(|(name, s)| {
+            let w = CounterWindow {
+                deltas: s.deltas().collect(),
+                total: s.last_value(),
+                high_watermark: s.high_watermark(),
+            };
+            (name, w)
+        });
+        let gauges = named(&self.gauges, &prefix).map(|(name, s)| {
+            let w = GaugeWindow {
+                values: s.values().collect(),
+                high_watermark: s.high_watermark(),
+                low_watermark: s.low_watermark(),
+            };
+            (name, w)
+        });
+        let histograms = named(&self.histograms, &prefix).map(|(name, s)| {
+            let all = s.window(s.len());
+            let w = HistogramWindow {
+                count_deltas: s.deltas().map(|d| d.count).collect(),
+                count: all.count,
+                sum_ns: all.sum_ns,
+            };
+            (name, w)
+        });
+        TelemetryWindow {
             interval_ns: self.interval.as_nanos(),
             samples: self.samples,
             last_sample_ns: self.last_sample.as_nanos(),
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-        };
-        for (name, s) in &self.counters {
-            if let Some(key) = keep(name) {
-                out.counters.insert(
-                    key,
-                    CounterWindow {
-                        deltas: s.deltas().collect(),
-                        total: s.last_value(),
-                        high_watermark: s.high_watermark(),
-                    },
-                );
-            }
+            counters: counters.collect(),
+            gauges: gauges.collect(),
+            histograms: histograms.collect(),
         }
-        for (name, s) in &self.gauges {
-            if let Some(key) = keep(name) {
-                out.gauges.insert(
-                    key,
-                    GaugeWindow {
-                        values: s.values().collect(),
-                        high_watermark: s.high_watermark(),
-                        low_watermark: s.low_watermark(),
-                    },
-                );
-            }
-        }
-        for (name, s) in &self.histograms {
-            if let Some(key) = keep(name) {
-                let all = s.window(s.len());
-                out.histograms.insert(
-                    key,
-                    HistogramWindow {
-                        count_deltas: s.deltas().map(|d| d.count).collect(),
-                        count: all.count,
-                        sum_ns: all.sum_ns,
-                    },
-                );
-            }
-        }
-        out
     }
 }
 
@@ -603,12 +583,12 @@ mod tests {
         m.counter_add("c", 1_000);
         let mut t = Telemetry::new(cfg(100, 8));
         t.sample(SimTime::from_millis(100), &m);
-        let s = t.counter_series("c").unwrap();
+        let s = t.counter_series(MetricId::new("c")).unwrap();
         assert_eq!(s.len(), 0, "baseline pass records no delta");
         assert_eq!(s.last_value(), 1_000);
         m.counter_add("c", 7);
         t.sample(SimTime::from_millis(200), &m);
-        let s = t.counter_series("c").unwrap();
+        let s = t.counter_series(MetricId::new("c")).unwrap();
         assert_eq!(s.deltas().collect::<Vec<_>>(), vec![7]);
         assert_eq!(s.high_watermark(), 7);
     }
@@ -623,7 +603,7 @@ mod tests {
             m.counter_add("c", i);
             t.sample(SimTime::from_millis(100 * i), &m);
         }
-        let s = t.counter_series("c").unwrap();
+        let s = t.counter_series(MetricId::new("c")).unwrap();
         assert_eq!(s.len(), 3);
         assert_eq!(s.deltas().collect::<Vec<_>>(), vec![8, 9, 10]);
         // The spike watermark outlives the ring.
@@ -640,7 +620,7 @@ mod tests {
             m.gauge_set("g", *v);
             t.sample(SimTime::from_millis(100 * (i as u64 + 1)), &m);
         }
-        let s = t.gauge_series("g").unwrap();
+        let s = t.gauge_series(MetricId::new("g")).unwrap();
         assert_eq!(s.values().collect::<Vec<_>>(), vec![5, -3, 12, 4]);
         assert_eq!(s.high_watermark(), 12);
         assert_eq!(s.low_watermark(), -3);
@@ -660,7 +640,7 @@ mod tests {
         t.sample(SimTime::from_millis(100), &m);
         m.observe("lat", SimDuration::from_millis(50));
         t.sample(SimTime::from_millis(200), &m);
-        let s = t.histogram_series("lat").unwrap();
+        let s = t.histogram_series(MetricId::new("lat")).unwrap();
         assert_eq!(s.len(), 2);
         let w = s.window(2);
         // The baseline observation is excluded; three live ones remain.
@@ -670,19 +650,6 @@ mod tests {
         assert_eq!(w.above_ns(50_000_000), 0);
         let w1 = s.window(1);
         assert_eq!(w1.count, 1);
-    }
-
-    #[test]
-    fn rates_are_integer_per_second() {
-        let mut m = Metrics::default();
-        m.counter_add("c", 0);
-        let mut t = Telemetry::new(cfg(500, 8));
-        t.sample(SimTime::ZERO, &m);
-        m.counter_add("c", 25);
-        t.sample(SimTime::from_millis(500), &m);
-        // 25 events over 0.5 s → 50/s.
-        assert_eq!(t.counter_rate_per_sec("c", 4), Some(50));
-        assert_eq!(t.counter_rate_per_sec("missing", 4), None);
     }
 
     #[test]
@@ -720,5 +687,206 @@ mod tests {
         assert_eq!(j1, j2);
         assert!(j1.find("\"a\"").unwrap() < j1.find("\"b\"").unwrap());
         assert!(j1.contains("\"interval_ns\": 100000000"));
+    }
+
+    /// The string-keyed store the id-keyed one replaced: every sample
+    /// looks each metric up by name. Kept as the oracle for
+    /// `dense_store_matches_string_keyed_reference`.
+    struct NamedStore {
+        interval: SimDuration,
+        window: usize,
+        samples: u64,
+        last_sample: SimTime,
+        counters: BTreeMap<String, CounterSeries>,
+        gauges: BTreeMap<String, GaugeSeries>,
+        histograms: BTreeMap<String, HistogramSeries>,
+    }
+
+    impl NamedStore {
+        fn new(config: SamplerConfig) -> NamedStore {
+            NamedStore {
+                interval: config.interval,
+                window: config.window,
+                samples: 0,
+                last_sample: SimTime::ZERO,
+                counters: BTreeMap::new(),
+                gauges: BTreeMap::new(),
+                histograms: BTreeMap::new(),
+            }
+        }
+
+        fn sample(&mut self, now: SimTime, metrics: &Metrics) {
+            for (name, v) in metrics.counters() {
+                match self.counters.get_mut(name) {
+                    Some(series) => series.push(v, self.window),
+                    None => {
+                        self.counters.insert(name.to_owned(), CounterSeries::new(v));
+                    }
+                }
+            }
+            for (name, v) in metrics.gauges() {
+                match self.gauges.get_mut(name) {
+                    Some(series) => series.push(v, self.window),
+                    None => {
+                        let mut series = GaugeSeries::new();
+                        series.push(v, self.window);
+                        self.gauges.insert(name.to_owned(), series);
+                    }
+                }
+            }
+            for (name, h) in metrics.histograms() {
+                match self.histograms.get_mut(name) {
+                    Some(series) => series.push(h, self.window),
+                    None => {
+                        self.histograms
+                            .insert(name.to_owned(), HistogramSeries::new(h));
+                    }
+                }
+            }
+            self.samples += 1;
+            self.last_sample = now;
+        }
+
+        fn window(&self, scope: Option<&str>) -> TelemetryWindow {
+            let prefix = scope.map(|s| format!("{s}."));
+            let keep = |name: &str| -> Option<String> {
+                match &prefix {
+                    None => Some(name.to_owned()),
+                    Some(p) => name.strip_prefix(p.as_str()).map(|n| n.to_owned()),
+                }
+            };
+            let mut out = TelemetryWindow {
+                interval_ns: self.interval.as_nanos(),
+                samples: self.samples,
+                last_sample_ns: self.last_sample.as_nanos(),
+                ..TelemetryWindow::default()
+            };
+            for (name, s) in &self.counters {
+                if let Some(key) = keep(name) {
+                    let w = CounterWindow {
+                        deltas: s.deltas().collect(),
+                        total: s.last_value(),
+                        high_watermark: s.high_watermark(),
+                    };
+                    out.counters.insert(key, w);
+                }
+            }
+            for (name, s) in &self.gauges {
+                if let Some(key) = keep(name) {
+                    let w = GaugeWindow {
+                        values: s.values().collect(),
+                        high_watermark: s.high_watermark(),
+                        low_watermark: s.low_watermark(),
+                    };
+                    out.gauges.insert(key, w);
+                }
+            }
+            for (name, s) in &self.histograms {
+                if let Some(key) = keep(name) {
+                    let all = s.window(s.len());
+                    let w = HistogramWindow {
+                        count_deltas: s.deltas().map(|d| d.count).collect(),
+                        count: all.count,
+                        sum_ns: all.sum_ns,
+                    };
+                    out.histograms.insert(key, w);
+                }
+            }
+            out
+        }
+    }
+
+    /// The id-keyed store and the string-keyed reference, driven by the
+    /// same seeded updates, agree on every window after every sample.
+    /// Metric names are drawn fresh per case, so ids are minted in an
+    /// order unrelated to name order; each metric is first written at a
+    /// random step, some before the first sample and some mid-run.
+    #[test]
+    fn dense_store_matches_string_keyed_reference() {
+        use crate::rng::{check_cases, SimRng};
+
+        const SCOPES: [&str; 4] = ["rt0", "rt1", "rt0x", ""];
+        const STEPS: u64 = 40;
+        let names = |rng: &mut SimRng, n: usize| -> Vec<(String, u64)> {
+            (0..n)
+                .map(|_| {
+                    let leaf = rng.gen_string("abcdefghij", 6);
+                    let scope = SCOPES[rng.gen_range(0..SCOPES.len())];
+                    let name = if scope.is_empty() {
+                        leaf
+                    } else {
+                        format!("{scope}.{leaf}")
+                    };
+                    (name, rng.gen_range(0..STEPS / 2))
+                })
+                .collect()
+        };
+        check_cases(
+            "dense_store_matches_string_keyed_reference",
+            24,
+            |case, rng| {
+                let config = cfg(100, case as usize % 8 + 1);
+                let counters = names(rng, 6);
+                let gauges = names(rng, 4);
+                let histograms = names(rng, 4);
+                let mut m = Metrics::default();
+                let mut dense = Telemetry::new(config.clone());
+                let mut reference = NamedStore::new(config);
+                for step in 0..STEPS {
+                    for _ in 0..rng.gen_range(0..12u32) {
+                        let live = |pool: &[(String, u64)], rng: &mut SimRng| {
+                            let (name, from) = &pool[rng.gen_range(0..pool.len())];
+                            (*from <= step).then(|| name.clone())
+                        };
+                        match rng.gen_range(0..4u32) {
+                            0 => {
+                                if let Some(name) = live(&counters, rng) {
+                                    m.counter_add(&name, rng.gen_range(0..1_000u64));
+                                }
+                            }
+                            1 => {
+                                if let Some(name) = live(&gauges, rng) {
+                                    m.gauge_set(&name, rng.gen_range(-1_000..1_000i64));
+                                }
+                            }
+                            2 => {
+                                if let Some(name) = live(&gauges, rng) {
+                                    m.gauge_add(&name, rng.gen_range(-50..50i64));
+                                }
+                            }
+                            _ => {
+                                if let Some(name) = live(&histograms, rng) {
+                                    let d = SimDuration::from_nanos(
+                                        rng.gen_range(0..10_000_000_000u64),
+                                    );
+                                    m.observe_corr(&name, d, rng.gen_range(0..4u64));
+                                }
+                            }
+                        }
+                    }
+                    let now = SimTime::from_millis(100 * step);
+                    dense.sample(now, &m);
+                    reference.sample(now, &m);
+                    for scope in [None, Some("rt0"), Some("rt1"), Some("absent")] {
+                        let got = dense.window(scope);
+                        let want = reference.window(scope);
+                        assert_eq!(got, want, "step {step}, scope {scope:?}");
+                        assert_eq!(got.to_json().document(), want.to_json().document());
+                    }
+                    for (name, _) in &counters {
+                        let id = MetricId::new(name);
+                        assert_eq!(dense.counter_series(id), reference.counters.get(name));
+                    }
+                    for (name, _) in &gauges {
+                        let id = MetricId::new(name);
+                        assert_eq!(dense.gauge_series(id), reference.gauges.get(name));
+                    }
+                    for (name, _) in &histograms {
+                        let id = MetricId::new(name);
+                        assert_eq!(dense.histogram_series(id), reference.histograms.get(name));
+                    }
+                }
+            },
+        );
     }
 }

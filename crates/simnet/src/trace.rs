@@ -475,7 +475,7 @@ impl Histogram {
 /// runtime. Ids are an internal detail; every read and export orders
 /// metrics by name, so output never depends on resolution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MetricId(u32);
+pub struct MetricId(pub(crate) u32);
 
 /// The process-wide name table behind [`MetricId`].
 struct NameTable {
@@ -561,9 +561,10 @@ impl From<MetricId> for MetricRef<'_> {
 
 /// One kind of metric (counters, gauges or histograms): values stored
 /// densely, reachable by [`MetricId`] through `slots` and by name
-/// through `by_name`, the sorted side table every read goes through.
+/// through `by_name`, the sorted side table every named read goes
+/// through.
 #[derive(Debug)]
-struct Column<V> {
+pub(crate) struct Column<V> {
     /// Written metrics by name → index into `values`.
     by_name: BTreeMap<&'static str, usize>,
     /// `MetricId` → index into `values` plus one; zero = never written.
@@ -625,6 +626,13 @@ impl<V> Column<V> {
         i
     }
 
+    /// Every written metric with its id, in id order: the sampler's
+    /// walk, which reads no name.
+    pub(crate) fn by_id(&self) -> impl Iterator<Item = (MetricId, &V)> {
+        let written = self.slots.iter().enumerate().filter(|(_, &slot)| slot != 0);
+        written.map(|(id, &slot)| (MetricId(id as u32), &self.values[slot - 1]))
+    }
+
     /// Every written metric, sorted by name.
     fn iter(&self) -> impl Iterator<Item = (&str, &V)> {
         self.by_name.iter().map(|(&k, &i)| (k, &self.values[i]))
@@ -664,9 +672,9 @@ impl<V> Column<V> {
 /// JSON output are deterministic.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    counters: Column<u64>,
-    gauges: Column<i64>,
-    histograms: Column<Histogram>,
+    pub(crate) counters: Column<u64>,
+    pub(crate) gauges: Column<i64>,
+    pub(crate) histograms: Column<Histogram>,
 }
 
 /// Counter bumped whenever counter/gauge arithmetic clamps at the
@@ -746,18 +754,13 @@ impl Metrics {
     }
 
     /// Reads a histogram, if it has ever been observed.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(MetricRef::Name(name))
+    pub fn histogram<'a>(&self, key: impl Into<MetricRef<'a>>) -> Option<&Histogram> {
+        self.histograms.get(key.into())
     }
 
-    /// Replaces the named histogram wholesale. Used by the world to fold
-    /// its allocation-free scheduler-lag histogram into the registry at
-    /// sample and sync points; the replacement is cumulative, so the
-    /// registry keeps Prometheus semantics.
-    pub(crate) fn histogram_set(&mut self, name: &str, h: Histogram) {
-        *self
-            .histograms
-            .entry(MetricRef::Name(name), Histogram::default) = h;
+    /// A histogram, created empty if it was never observed.
+    pub(crate) fn histogram_mut(&mut self, id: MetricId) -> &mut Histogram {
+        self.histograms.entry(MetricRef::Id(id), Histogram::default)
     }
 
     /// All counters, sorted by name.

@@ -3,6 +3,7 @@
 
 use std::collections::VecDeque;
 
+use crate::attrib::AttributionReport;
 use crate::ctx::Ctx;
 use crate::error::{SimError, SimResult};
 use crate::hash::IntMap;
@@ -16,7 +17,7 @@ use crate::process::{Addr, Datagram, LocalMessage, NodeId, ProcId, Process, Segm
 use crate::stream::{StreamFrame, StreamState};
 use crate::time::{SimDuration, SimTime};
 use crate::timeseries::{Telemetry, TelemetryWindow};
-use crate::trace::{Histogram, SegmentStats, Trace};
+use crate::trace::{MetricId, SegmentStats, Trace};
 use crate::wheel::TimerWheel;
 
 /// First ephemeral port handed out by [`Ctx::ephemeral_port`].
@@ -54,6 +55,8 @@ pub(crate) struct SegmentState {
     /// Multicast group membership: group port -> member processes.
     pub(crate) groups: IntMap<u16, Vec<ProcId>>,
     pub(crate) stats: SegmentStats,
+    /// The `segment.segN.busy_ns` gauge the sampler trends.
+    busy_ns: MetricId,
 }
 
 /// A frame in flight on a segment.
@@ -265,9 +268,6 @@ pub struct World {
     telemetry: Option<Box<TelemetryPlane>>,
     /// `true` while a `TelemetrySample` event is in the queue.
     sampler_armed: bool,
-    /// Scheduler lag (pop time minus due time), recorded allocation-free
-    /// per queue advance and folded into the registry as `sched.lag_ns`.
-    sched_lag: Histogram,
     /// The incident trigger plane, when the flight recorder is on.
     incident: Option<Box<IncidentPlane>>,
     /// The continuous latency-attribution profiler, when enabled.
@@ -327,7 +327,6 @@ impl World {
             loopback: None,
             telemetry: None,
             sampler_armed: false,
-            sched_lag: Histogram::default(),
             incident: None,
             attrib: None,
         }
@@ -358,6 +357,7 @@ impl World {
             busy_until: SimTime::ZERO,
             groups: IntMap::default(),
             stats: SegmentStats::default(),
+            busy_ns: MetricId::new(&format!("segment.seg{}.busy_ns", id.0)),
         });
         id
     }
@@ -750,8 +750,9 @@ impl World {
                 .collect();
             (transitions.len(), trig)
         };
+        // The rank is sorted before attribution annotates it.
         let rank: Vec<String> = self
-            .doctor()
+            .health_report(None)
             .map(|r| {
                 r.top_offenders
                     .iter()
@@ -804,18 +805,22 @@ impl World {
     /// utilization trends, scheduler health and SLO burn into one
     /// deterministic [`HealthReport`]. `None` when telemetry is off.
     pub fn doctor(&self) -> Option<HealthReport> {
+        self.health_report(self.attribution().as_ref())
+    }
+
+    /// The doctor's report, annotated from `attribution` when given.
+    fn health_report(&self, attribution: Option<&AttributionReport>) -> Option<HealthReport> {
         let plane = self.telemetry.as_ref()?;
         let segments: Vec<SegmentSample> = self
             .segments
             .iter()
             .enumerate()
             .map(|(i, s)| SegmentSample {
-                key: format!("seg{i}"),
+                busy_ns: s.busy_ns,
                 label: format!("seg{i}:{}", s.config.name),
                 stats: s.stats,
             })
             .collect();
-        let attribution = self.attribution();
         Some(HealthReport::build(
             self.now,
             &plane.store,
@@ -824,24 +829,32 @@ impl World {
             &segments,
             self.queue.len() as u64,
             plane.liveness_timeout,
-            attribution.as_ref(),
+            attribution,
         ))
     }
 
-    /// Folds scheduler and segment state into the metrics registry:
-    /// `sched.events_pending`, the cumulative `sched.lag_ns` histogram,
-    /// and per-segment `segment.segN.busy_ns` gauges the doctor trends.
-    /// Called at every sample and at run-loop sync points.
+    /// Folds `sched.events_pending` and the per-segment
+    /// `segment.segN.busy_ns` gauges into the registry, and creates
+    /// `sched.lag_ns` so the sampler's baseline sees it before the first
+    /// event. Called at every sample and at run-loop sync points.
     fn fold_sched_metrics(&mut self) {
         let metrics = self.trace.metrics_mut();
-        metrics.gauge_set("sched.events_pending", self.queue.len() as i64);
-        metrics.histogram_set("sched.lag_ns", self.sched_lag.clone());
-        for (i, seg) in self.segments.iter().enumerate() {
-            self.trace.metrics_mut().gauge_set(
-                &format!("segment.seg{i}.busy_ns"),
-                seg.stats.busy.as_nanos() as i64,
-            );
+        metrics.gauge_set(metric_id!("sched.events_pending"), self.queue.len() as i64);
+        metrics.histogram_mut(metric_id!("sched.lag_ns"));
+        for seg in &self.segments {
+            metrics.gauge_set(seg.busy_ns, seg.stats.busy.as_nanos() as i64);
         }
+    }
+
+    /// Moves the clock to a popped entry's due time, recording the
+    /// scheduler lag (pop time minus due time) into `sched.lag_ns`.
+    fn advance_to(&mut self, due: SimTime) {
+        debug_assert!(due >= self.now, "time went backwards");
+        let lag = self.now.saturating_since(due);
+        self.trace
+            .metrics_mut()
+            .observe(metric_id!("sched.lag_ns"), lag);
+        self.now = self.now.max(due);
     }
 
     /// Pushes the next grid-aligned `TelemetrySample` event. Direct
@@ -963,9 +976,7 @@ impl World {
         let Some((time, kind)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(time >= self.now, "time went backwards");
-        self.sched_lag.record(self.now.saturating_since(time));
-        self.now = self.now.max(time);
+        self.advance_to(time);
         self.events_processed += 1;
         self.dispatch(kind);
         true
@@ -1001,9 +1012,7 @@ impl World {
         let Some(time) = self.queue.pop_run(&mut self.batch) else {
             return false;
         };
-        debug_assert!(time >= self.now, "time went backwards");
-        self.sched_lag.record(self.now.saturating_since(time));
-        self.now = self.now.max(time);
+        self.advance_to(time);
         self.in_tick_drain = true;
         loop {
             self.events_processed += self.batch.len() as u64;
@@ -1864,5 +1873,64 @@ mod tests {
         );
         w.run_until(SimTime::from_secs(2));
         assert_eq!(got.borrow().as_slice(), b"ping");
+    }
+
+    /// Sends a 1000-byte datagram every 2 ms.
+    struct Ticker {
+        target: Addr,
+    }
+    impl Process for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.bind(7).unwrap();
+            ctx.set_timer(SimDuration::from_millis(2), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            ctx.send_to(7, self.target, vec![0u8; 1000]).unwrap();
+            ctx.set_timer(SimDuration::from_millis(2), 0);
+        }
+    }
+
+    /// A segment's busy gauge id is resolved when the segment is added,
+    /// so one added after the telemetry plane is enabled is still
+    /// sampled, and the doctor reads its trailing utilization from the
+    /// sampled series rather than falling back to the whole-run mean.
+    #[test]
+    fn segment_added_after_telemetry_is_sampled_and_diagnosed() {
+        let (mut w, _, _, _) = two_node_world();
+        w.enable_telemetry(TelemetryConfig {
+            sampler: crate::SamplerConfig {
+                interval: SimDuration::from_millis(100),
+                window: 64,
+            },
+            ..TelemetryConfig::default()
+        });
+        w.run_until(SimTime::from_secs(1));
+        let late = w.add_segment(SegmentConfig::ethernet_10mbps_hub());
+        let c = w.add_node("c");
+        let d = w.add_node("d");
+        w.attach(c, late).unwrap();
+        w.attach(d, late).unwrap();
+        w.add_process(d, Box::new(Echoer));
+        w.add_process(
+            c,
+            Box::new(Ticker {
+                target: Addr::new(d, 9),
+            }),
+        );
+        w.run_until(SimTime::from_secs(3));
+
+        let busy = MetricId::new(&format!("segment.seg{}.busy_ns", late.0));
+        let series = w.telemetry().unwrap().gauge_series(busy).unwrap();
+        assert!(series.len() > 8, "sampled {} times", series.len());
+        let moved = series.last_value().unwrap() - series.value_back(8).unwrap();
+        let trailing = moved as u64 * 1_000 / (8 * 100_000_000);
+        let report = w.doctor().unwrap();
+        let label = format!("seg{}:ethernet-10mbps-hub", late.0);
+        let health = report.segments.iter().find(|s| s.label == label).unwrap();
+        assert!(trailing > 0);
+        assert_eq!(health.utilization_milli, trailing);
+        let busy_ns = w.segments[late.0 as usize].stats.busy.as_nanos();
+        let whole_run = busy_ns * 1_000 / w.now().as_nanos();
+        assert!(whole_run < trailing, "{whole_run} vs {trailing}");
     }
 }
