@@ -4,8 +4,8 @@
 # Stages (each is one named job in .github/workflows/ci.yml, so a red
 # X pinpoints the broken gate without re-running the others):
 #
-#   lint          rustfmt, clippy -D warnings, BENCH_*.json record lint,
-#                 artifacts/*.json parse
+#   lint          rustfmt, clippy -D warnings, rustdoc -D warnings,
+#                 BENCH_*.json record lint, artifacts/*.json parse
 #   build-test    release build + full workspace test suite
 #   determinism   double-run byte-diff gates (E8 trace, E10 doctor,
 #                 E11 incident bundle, E13 attribution, paper fidelity);
@@ -146,6 +146,9 @@ pinned_gate() {
 stage_lint() {
     gate fmt cargo fmt --all --check
     gate clippy cargo clippy --offline --workspace --all-targets -- -D warnings
+    # Every intra-doc link must resolve and point at something the
+    # rendered docs show, so docs that name deleted or private items fail.
+    gate rustdoc env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
     # Committed BENCH_*.json records must parse and carry the
     # name/before/after/units convention, and every artifacts/*.json
     # pin must parse, so a hand-edited or truncated pin fails here.

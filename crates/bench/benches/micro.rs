@@ -128,11 +128,15 @@ fn record(after: &[Spread]) {
         .with(
             "description",
             "XML and HTTP codec rows of `cargo bench --offline -p bench --bench micro`. 'before' \
-             is the DOM-based layer (an owned Element tree per message, writers that build one, \
-             BTreeMap HTTP heads), measured once and frozen in benches/micro.rs; 'after' is the \
-             pull reader, typed SOAP/XML-RPC readers, direct writers and in-place HTTP heads. \
-             The round-trip rows serialize and parse (http_request_round_trip: build, write, \
-             accumulate and read one SOAP POST); soap_round_trip parses a SetPower call.",
+             is the DOM-based layer (an owned Element tree per message or document, writers \
+             that build one, BTreeMap HTTP heads), measured once and frozen in benches/micro.rs; \
+             'after' is the pull reader with typed readers for every message and document \
+             (SOAP, XML-RPC, USDL, UPnP descriptions), direct writers and in-place HTTP heads. \
+             usdl_parse_clock and upnp_description_parse time the typed document readers; \
+             xml_parse_generic times the reference DOM (Element::parse) on the same \
+             description. The round-trip rows serialize and parse (http_request_round_trip: \
+             build, write, accumulate and read one SOAP POST); soap_round_trip parses a \
+             SetPower call.",
         )
         .with("command", "cargo bench --offline -p bench --bench micro")
         .with("before", before)

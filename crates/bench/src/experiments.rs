@@ -1985,7 +1985,7 @@ fn e10_world() -> (World, ProcId, SimTime) {
     (world, upnp_mapper, fault_at)
 }
 
-/// Runs the telemetry-plane experiment: the [`e10_world`] federation,
+/// Runs the telemetry-plane experiment: the `e10_world` federation,
 /// hit with two concurrent faults at t = 30 s:
 ///
 /// - the UPnP mapper is removed (the bridge goes silent mid-run), and
@@ -2098,7 +2098,7 @@ fn paired_overhead_ratio(
 
 /// Measures the sampler's overhead on the E9 federation: the same
 /// seeded world over the same virtual window with telemetry off and on
-/// (250 ms sampler, no objectives), as a [`paired_overhead_ratio`] over
+/// (250 ms sampler, no objectives), as a `paired_overhead_ratio` over
 /// `slices` slices. Used by `bench perf-sched --check` to hold the
 /// telemetry plane under its overhead ceiling at n = 1000.
 pub fn e10_sampler_overhead(n: usize, measure: SimDuration, slices: usize) -> f64 {
@@ -2206,7 +2206,7 @@ pub struct AttributionResults {
     pub report: HealthReport,
 }
 
-/// Runs the attribution experiment: the [`e10_world`] fault pair with
+/// Runs the attribution experiment: the `e10_world` fault pair with
 /// the continuous profiler and the flight recorder both on. The
 /// attribution fold rides the 500 ms telemetry sampler; one snapshot is
 /// cut at the fault instant and one at the end, and the differential
@@ -2284,7 +2284,7 @@ pub fn e13_attribution() -> AttributionResults {
 /// fixture [`e10_sampler_overhead`] uses: every bridge hop begins and
 /// closes spans there, so the fold has real work. Both sides run the
 /// 250 ms telemetry sampler and only the measured side folds, as a
-/// [`paired_overhead_ratio`] over `slices` slices. `bench perf-sched
+/// `paired_overhead_ratio` over `slices` slices. `bench perf-sched
 /// --check` holds this under its 3% budget at n = 1000.
 ///
 /// # Panics

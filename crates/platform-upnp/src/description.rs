@@ -5,9 +5,11 @@
 //! description* (actions with arguments, evented state variables). This
 //! module models both and their XML forms; the emulated device serves
 //! them over HTTP, and the mapper fetches and parses them to build
-//! translators — the dominant cost in the paper's Figure 10.
+//! translators — the dominant cost in the paper's Figure 10. Both are
+//! read in place from one `XmlReader` pass and written field by field
+//! through one `XmlWriter`.
 
-use umiddle_usdl::Element;
+use umiddle_usdl::{StartTag, XmlError, XmlReader, XmlWriter};
 
 /// Direction of a SOAP action argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,79 +93,61 @@ impl ServiceDesc {
         self.actions.iter().find(|a| a.name == name)
     }
 
-    /// Serializes the SCPD XML.
-    pub fn to_xml(&self) -> Element {
-        let mut service = Element::new("service").with_attr("serviceType", &self.service_type);
-        let mut actions = Element::new("actionList");
-        for a in &self.actions {
-            let mut action =
-                Element::new("action").with_child(Element::new("name").with_text(&a.name));
-            let mut args = Element::new("argumentList");
-            for arg in &a.args {
-                args = args.with_child(
-                    Element::new("argument")
-                        .with_child(Element::new("name").with_text(&arg.name))
-                        .with_child(Element::new("direction").with_text(match arg.direction {
-                            ArgDirection::In => "in",
-                            ArgDirection::Out => "out",
-                        }))
-                        .with_child(
-                            Element::new("relatedStateVariable").with_text(&arg.related_statevar),
-                        ),
-                );
-            }
-            action = action.with_child(args);
-            actions = actions.with_child(action);
-        }
-        service = service.with_child(actions);
-        let mut vars = Element::new("serviceStateTable");
-        for v in &self.state_vars {
-            vars = vars.with_child(
-                Element::new("stateVariable")
-                    .with_attr("sendEvents", if v.send_events { "yes" } else { "no" })
-                    .with_child(Element::new("name").with_text(&v.name))
-                    .with_child(Element::new("defaultValue").with_text(&v.initial)),
-            );
-        }
-        service.with_child(vars)
+    /// Writes the `<service>` element (the inline SCPD).
+    fn write(&self, w: &mut XmlWriter) {
+        w.markup("<service")
+            .attr("serviceType", &self.service_type)
+            .markup(">");
+        write_list(w, "actionList", &self.actions, |w, a| {
+            w.markup("<action>").leaf("name", &a.name);
+            write_list(w, "argumentList", &a.args, |w, arg| {
+                let direction = match arg.direction {
+                    ArgDirection::In => "in",
+                    ArgDirection::Out => "out",
+                };
+                w.markup("<argument>")
+                    .leaf("name", &arg.name)
+                    .leaf("direction", direction)
+                    .leaf("relatedStateVariable", &arg.related_statevar)
+                    .markup("</argument>");
+            });
+            w.markup("</action>");
+        });
+        write_list(w, "serviceStateTable", &self.state_vars, |w, v| {
+            w.markup("<stateVariable")
+                .attr("sendEvents", if v.send_events { "yes" } else { "no" })
+                .markup(">")
+                .leaf("name", &v.name)
+                .leaf("defaultValue", &v.initial)
+                .markup("</stateVariable>");
+        });
+        w.markup("</service>");
     }
 
-    /// Parses a `<service>` element.
-    pub fn from_xml(e: &Element) -> Option<ServiceDesc> {
-        let service_type = e.attr("serviceType")?.to_owned();
-        let mut desc = ServiceDesc::new(&service_type);
-        if let Some(list) = e.child("actionList") {
-            for a in list.children_named("action") {
-                let name = a.child("name")?.text();
-                let mut args = Vec::new();
-                if let Some(arg_list) = a.child("argumentList") {
-                    for arg in arg_list.children_named("argument") {
-                        args.push(ActionArg {
-                            name: arg.child("name")?.text(),
-                            direction: match arg.child("direction")?.text().as_str() {
-                                "in" => ArgDirection::In,
-                                _ => ArgDirection::Out,
-                            },
-                            related_statevar: arg.child("relatedStateVariable")?.text(),
-                        });
-                    }
-                }
-                desc.actions.push(ActionDesc { name, args });
-            }
-        }
-        if let Some(table) = e.child("serviceStateTable") {
-            for v in table.children_named("stateVariable") {
-                desc.state_vars.push(StateVarDesc {
-                    name: v.child("name")?.text(),
-                    send_events: v.attr("sendEvents") == Some("yes"),
-                    initial: v
-                        .child("defaultValue")
-                        .map(Element::text)
-                        .unwrap_or_default(),
-                });
-            }
-        }
-        Some(desc)
+    /// Right after a `<service>` start tag: the service, read through
+    /// its end tag.
+    fn read(r: &mut XmlReader<'_>, tag: StartTag<'_>) -> Result<ServiceDesc, XmlError> {
+        let service_type = required(tag.attr("serviceType"))?.into_owned();
+        let (mut actions, mut vars) = (None, None);
+        r.read_children(|r, tag| match tag.local_name() {
+            "actionList" => r.read_first(&mut actions, |r| r.read_list("action", read_action)),
+            "serviceStateTable" => r.read_first(&mut vars, |r| {
+                r.read_list("stateVariable", |r, tag| {
+                    let [name, initial] = r.read_leaves(["name", "defaultValue"])?;
+                    Ok(StateVarDesc {
+                        name: required(name)?,
+                        send_events: tag.attr("sendEvents").is_some_and(|v| v == "yes"),
+                        initial: initial.unwrap_or_default(),
+                    })
+                })
+            }),
+            _ => Ok(false),
+        })?;
+        Ok(ServiceDesc {
+            service_type,
+            actions: actions.unwrap_or_default(),
+            state_vars: vars.unwrap_or_default(),
+        })
     }
 }
 
@@ -212,36 +196,97 @@ impl DeviceDesc {
     /// Serializes the full description document (device + inline SCPDs,
     /// like the single-fetch layout CyberLink's samples use).
     pub fn to_xml(&self) -> String {
-        let mut root = Element::new("root").with_attr("xmlns", "urn:schemas-upnp-org:device-1-0");
-        let mut device = Element::new("device")
-            .with_child(Element::new("deviceType").with_text(&self.device_type))
-            .with_child(Element::new("friendlyName").with_text(&self.friendly_name))
-            .with_child(Element::new("UDN").with_text(&self.udn));
-        let mut services = Element::new("serviceList");
-        for s in &self.services {
-            services = services.with_child(s.to_xml());
-        }
-        device = device.with_child(services);
-        root = root.with_child(device);
-        root.to_document()
+        let mut w = XmlWriter::document(1024 * (1 + self.services.len()));
+        w.markup("<root")
+            .attr("xmlns", "urn:schemas-upnp-org:device-1-0")
+            .markup("><device>")
+            .leaf("deviceType", &self.device_type)
+            .leaf("friendlyName", &self.friendly_name)
+            .leaf("UDN", &self.udn);
+        write_list(&mut w, "serviceList", &self.services, |w, s| s.write(w));
+        w.markup("</device></root>");
+        w.finish()
     }
 
-    /// Parses a description document.
+    /// Parses a description document in one pass: the first `device` in
+    /// document order, the root included. Each part is the first child
+    /// of its name; all but the lists are required.
     pub fn parse(xml: &str) -> Option<DeviceDesc> {
-        let root = Element::parse(xml).ok()?;
-        let device = root.find("device")?;
-        let mut desc = DeviceDesc::new(
-            &device.child("deviceType")?.text(),
-            &device.child("friendlyName")?.text(),
-            &device.child("UDN")?.text(),
-        );
-        if let Some(list) = device.child("serviceList") {
-            for s in list.children_named("service") {
-                desc.services.push(ServiceDesc::from_xml(s)?);
-            }
-        }
-        Some(desc)
+        XmlReader::new(xml)
+            .read_descendant("device", |r, _| read_device(r))
+            .ok()?
     }
+}
+
+/// Right after a `<device>` start tag: the device, read through its end
+/// tag.
+fn read_device(r: &mut XmlReader<'_>) -> Result<DeviceDesc, XmlError> {
+    let [mut device_type, mut friendly_name, mut udn] = [None, None, None];
+    let mut services = None;
+    r.read_children(|r, tag| match tag.local_name() {
+        "deviceType" => r.read_first(&mut device_type, XmlReader::read_text),
+        "friendlyName" => r.read_first(&mut friendly_name, XmlReader::read_text),
+        "UDN" => r.read_first(&mut udn, XmlReader::read_text),
+        "serviceList" => r.read_first(&mut services, |r| r.read_list("service", ServiceDesc::read)),
+        _ => Ok(false),
+    })?;
+    Ok(DeviceDesc {
+        device_type: required(device_type)?,
+        friendly_name: required(friendly_name)?,
+        udn: required(udn)?,
+        services: services.unwrap_or_default(),
+    })
+}
+
+/// Right after an `<action>` start tag: the action, read through its end
+/// tag.
+fn read_action(r: &mut XmlReader<'_>, _: StartTag<'_>) -> Result<ActionDesc, XmlError> {
+    let (mut name, mut args) = (None, None);
+    r.read_children(|r, tag| match tag.local_name() {
+        "name" => r.read_first(&mut name, XmlReader::read_text),
+        "argumentList" => r.read_first(&mut args, |r| {
+            r.read_list("argument", |r, _| {
+                let [name, direction, statevar] =
+                    r.read_leaves(["name", "direction", "relatedStateVariable"])?;
+                Ok(ActionArg {
+                    name: required(name)?,
+                    direction: match required(direction)?.as_str() {
+                        "in" => ArgDirection::In,
+                        _ => ArgDirection::Out,
+                    },
+                    related_statevar: required(statevar)?,
+                })
+            })
+        }),
+        _ => Ok(false),
+    })?;
+    Ok(ActionDesc {
+        name: required(name)?,
+        args: args.unwrap_or_default(),
+    })
+}
+
+/// A part the description must hold: without it, `parse` rejects it.
+fn required<T>(part: Option<T>) -> Result<T, XmlError> {
+    part.ok_or_else(|| XmlError {
+        offset: 0,
+        message: "description misses a required part".to_owned(),
+    })
+}
+
+/// Writes `<name>` with one child per item, or `<name/>` when there are
+/// none.
+fn write_list<T>(w: &mut XmlWriter, name: &str, items: &[T], item: impl Fn(&mut XmlWriter, &T)) {
+    w.markup("<").markup(name);
+    if items.is_empty() {
+        w.markup("/>");
+        return;
+    }
+    w.markup(">");
+    for i in items {
+        item(w, i);
+    }
+    w.markup("</").markup(name).markup(">");
 }
 
 #[cfg(test)]

@@ -60,8 +60,7 @@ pub struct Notify {
 
 impl Notify {
     /// Builds the HTTP NOTIFY request with a property-set body, written
-    /// field by field into one buffer (the bytes an `Element` tree of
-    /// it would write).
+    /// field by field into one buffer.
     pub fn to_request(&self) -> HttpRequest {
         let changes: usize = self
             .changes

@@ -6,7 +6,7 @@
 //! here is exactly the cost the paper measures in §5.2 (150 ms "consumed
 //! in the UPnP domain (marshaling/unmarshaling XML messages...)").
 
-use umiddle_usdl::{Element, StartTag, XmlError, XmlReader, XmlWriter};
+use umiddle_usdl::{StartTag, XmlError, XmlReader, XmlWriter};
 
 /// Everything an envelope writes before its body's first element.
 const ENVELOPE_OPEN: &str =
@@ -42,7 +42,7 @@ impl SoapCall {
     }
 
     /// Serializes the request envelope, written field by field into one
-    /// buffer (the bytes an `Element` tree of it would write).
+    /// buffer.
     pub fn to_xml(&self) -> String {
         let args: usize = self
             .args
@@ -115,7 +115,7 @@ pub enum SoapResult {
 
 impl SoapResult {
     /// Serializes the response envelope, written field by field into one
-    /// buffer (the bytes an `Element` tree of it would write).
+    /// buffer.
     pub fn to_xml(&self) -> String {
         match self {
             SoapResult::Ok { action, args } => {
@@ -158,33 +158,31 @@ impl SoapResult {
     }
 
     /// Parses a response envelope, reading the fields in place: the first
-    /// element in the first `Body` is the `<action>Response` whose child
-    /// elements are the out-arguments. A `Fault` there is rare and is
-    /// read from the DOM.
+    /// element in the first `Body` is either the `<action>Response` whose
+    /// child elements are the out-arguments, or a `Fault` whose first
+    /// `UPnPError` descendant holds the first `errorCode` and
+    /// `errorDescription`. The whole document must be well-formed.
     pub fn parse(xml: &str) -> Option<SoapResult> {
-        let result = read_envelope(xml, false, |r, first| {
-            if first.local_name() == "Fault" {
-                r.skip_element()?;
-                return Ok(None);
-            }
+        read_envelope(xml, false, |r, first| {
             let name = first.local_name();
+            if name == "Fault" {
+                let error = r.read_descendant("UPnPError", |r, _| {
+                    r.read_leaves(["errorCode", "errorDescription"])
+                })?;
+                return Ok(error.and_then(|[code, description]| {
+                    let code = code?.parse().ok()?;
+                    Some(SoapResult::Fault {
+                        code,
+                        description: description?,
+                    })
+                }));
+            }
             Ok(Some(SoapResult::Ok {
                 action: name.strip_suffix("Response").unwrap_or(name).to_owned(),
                 args: read_args(r)?,
             }))
-        })?;
-        result.or_else(|| Self::parse_fault(xml))
-    }
-
-    /// Reads a fault envelope through the DOM.
-    fn parse_fault(xml: &str) -> Option<SoapResult> {
-        let root = Element::parse(xml).ok()?;
-        let fault = root.child("Body")?.children().next()?;
-        let err = fault.find("UPnPError")?;
-        Some(SoapResult::Fault {
-            code: err.child("errorCode")?.text().parse().ok()?,
-            description: err.child("errorDescription")?.text(),
         })
+        .flatten()
     }
 }
 
@@ -195,28 +193,18 @@ impl SoapResult {
 fn read_envelope<'a, T>(
     xml: &'a str,
     envelope_root: bool,
-    first: impl FnOnce(&mut XmlReader<'a>, StartTag<'a>) -> Result<T, XmlError>,
+    mut first: impl FnMut(&mut XmlReader<'a>, StartTag<'a>) -> Result<T, XmlError>,
 ) -> Option<T> {
     let mut r = XmlReader::new(xml);
     if r.root().ok()?.local_name() != "Envelope" && envelope_root {
         return None;
     }
-    let mut first = Some(first);
-    let mut body_seen = false;
-    let mut out = None;
-    r.read_children(|r, tag| {
-        if tag.local_name() != "Body" || body_seen {
-            return Ok(false);
-        }
-        body_seen = true;
-        r.read_children(|r, tag| match first.take() {
-            Some(read) => {
-                out = Some(read(r, tag)?);
-                Ok(true)
-            }
-            None => Ok(false),
-        })?;
-        Ok(true)
+    let (mut body, mut out) = (None, None);
+    r.read_children(|r, tag| match tag.local_name() {
+        "Body" => r.read_first(&mut body, |r| {
+            r.read_children(|r, tag| r.read_first(&mut out, |r| first(r, tag)))
+        }),
+        _ => Ok(false),
     })
     .ok()?;
     out

@@ -1,19 +1,23 @@
-//! The typed SOAP, GENA, SSDP and HTTP readers against reference
-//! readers that answer the way these codecs did when they read through
-//! the `Element` DOM and a `BTreeMap` of headers.
+//! The typed SOAP, GENA, SSDP, HTTP and device-description readers
+//! against reference readers that answer the way these codecs did when
+//! they read through the `Element` DOM and a `BTreeMap` of headers.
 //!
 //! `typed_readers_match_the_dom` generates documents with comments,
 //! CDATA, processing instructions, entities, whitespace, prefixes, extra
-//! or repeated children and self-closing leaves. The mutation battery
-//! then feeds every decoder byte flips, truncations, random bytes,
-//! hostile `Content-Length` values and deep nesting: no decoder may
-//! panic, each must accept or reject exactly as its reference does, and
-//! what it decodes is never larger than its input.
+//! or repeated children, self-closing leaves, faults with repeated codes
+//! and descriptions with a decoy `device` nested before the real one or
+//! required children missing. The mutation battery then feeds every
+//! decoder byte flips, truncations, random bytes, hostile
+//! `Content-Length` values and deep nesting: no decoder may panic, each
+//! must accept or reject exactly as its reference does, and what it
+//! decodes is never larger than its input.
 
 use std::collections::BTreeMap;
 
 use platform_upnp::{
-    HttpAccumulator, HttpMessage, HttpRequest, Notify, SoapCall, SoapResult, SsdpMessage,
+    ActionArg, ActionDesc, ArgDirection, ClockLogic, DeviceDesc, DeviceLogic, HttpAccumulator,
+    HttpMessage, HttpRequest, LightLogic, Notify, ServiceDesc, SoapCall, SoapResult, SsdpMessage,
+    StateVarDesc,
 };
 use simnet::{Addr, NodeId, SimRng};
 use umiddle_usdl::Element;
@@ -60,6 +64,59 @@ fn dom_soap_result(xml: &str) -> Option<SoapResult> {
         action: name.strip_suffix("Response").unwrap_or(name).to_owned(),
         args: dom_args(first),
     })
+}
+
+fn dom_service_desc(e: &Element) -> Option<ServiceDesc> {
+    let service_type = e.attr("serviceType")?.to_owned();
+    let mut desc = ServiceDesc::new(&service_type);
+    if let Some(list) = e.child("actionList") {
+        for a in list.children_named("action") {
+            let name = a.child("name")?.text();
+            let mut args = Vec::new();
+            if let Some(arg_list) = a.child("argumentList") {
+                for arg in arg_list.children_named("argument") {
+                    args.push(ActionArg {
+                        name: arg.child("name")?.text(),
+                        direction: match arg.child("direction")?.text().as_str() {
+                            "in" => ArgDirection::In,
+                            _ => ArgDirection::Out,
+                        },
+                        related_statevar: arg.child("relatedStateVariable")?.text(),
+                    });
+                }
+            }
+            desc.actions.push(ActionDesc { name, args });
+        }
+    }
+    if let Some(table) = e.child("serviceStateTable") {
+        for v in table.children_named("stateVariable") {
+            desc.state_vars.push(StateVarDesc {
+                name: v.child("name")?.text(),
+                send_events: v.attr("sendEvents") == Some("yes"),
+                initial: v
+                    .child("defaultValue")
+                    .map(Element::text)
+                    .unwrap_or_default(),
+            });
+        }
+    }
+    Some(desc)
+}
+
+fn dom_device_desc(xml: &str) -> Option<DeviceDesc> {
+    let root = Element::parse(xml).ok()?;
+    let device = root.find("device")?;
+    let mut desc = DeviceDesc::new(
+        &device.child("deviceType")?.text(),
+        &device.child("friendlyName")?.text(),
+        &device.child("UDN")?.text(),
+    );
+    if let Some(list) = device.child("serviceList") {
+        for s in list.children_named("service") {
+            desc.services.push(dom_service_desc(s)?);
+        }
+    }
+    Some(desc)
 }
 
 fn dom_notify_changes(body: &str) -> Option<Vec<(String, String)>> {
@@ -366,6 +423,18 @@ fn soap_result_doc(rng: &mut SimRng) -> String {
             inner.push_str("</UPnPError></detail></s:Fault>");
         }
         1 => inner.push_str("<s:Fault><UPnPError><errorCode>x</errorCode></UPnPError></s:Fault>"),
+        2 => {
+            // Repeated codes and descriptions, and a second `UPnPError`
+            // after the first: the first of each counts.
+            inner.push_str("<s:Fault><detail><x:UPnPError>");
+            for code in ["401", "402"].iter().take(rng.gen_range(1..3)) {
+                inner.push_str(&format!("<errorCode>{code}</errorCode>"));
+                leaf(rng, "errorDescription", &mut inner);
+            }
+            inner.push_str("</x:UPnPError><UPnPError><errorCode>501</errorCode>");
+            inner.push_str("<errorDescription>late</errorDescription></UPnPError>");
+            inner.push_str("</detail></s:Fault>");
+        }
         _ => {
             let name = ["u:GetTimeResponse", "GetTime", "u:SetPowerResponse"][rng.gen_range(0..3)];
             inner.push_str(&format!("<{name}>"));
@@ -374,6 +443,117 @@ fn soap_result_doc(rng: &mut SimRng) -> String {
         }
     }
     envelope(rng, &inner)
+}
+
+/// A device description: a `device` (the root, or nested under it,
+/// sometimes after a decoy `device` deeper in the tree) whose leaves and
+/// lists are now and then missing, repeated, empty or invalid.
+fn description_doc(rng: &mut SimRng) -> String {
+    let mut out = String::new();
+    prolog(rng, &mut out);
+    let device_is_root = rng.gen_bool(0.1);
+    if !device_is_root {
+        out.push_str("<root xmlns=\"urn:schemas-upnp-org:device-1-0\">");
+        noise(rng, &mut out);
+        if rng.gen_bool(0.2) {
+            out.push_str("<specVersion><major>1</major></specVersion>");
+        }
+        if rng.gen_bool(0.15) {
+            // Before the real device in document order, so it is the one
+            // read.
+            out.push_str("<meta><u:device><deviceType>decoy</deviceType>");
+            out.push_str("<friendlyName>Decoy</friendlyName><UDN>uuid:decoy</UDN>");
+            out.push_str("</u:device></meta>");
+        }
+    }
+    let device = spelled(rng, "device");
+    out.push_str(&format!("<{device}>"));
+    for name in ["deviceType", "friendlyName", "UDN"] {
+        // Mostly once, now and then missing or repeated.
+        for _ in 0..[1, 1, 1, 1, 1, 1, 1, 0, 2][rng.gen_range(0..9)] {
+            leaf(rng, name, &mut out);
+            noise(rng, &mut out);
+        }
+    }
+    for _ in 0..[1, 1, 1, 0, 2][rng.gen_range(0..5)] {
+        out.push_str("<serviceList>");
+        for _ in 0..rng.gen_range(0usize..3) {
+            service(rng, &mut out);
+            noise(rng, &mut out);
+        }
+        out.push_str("</serviceList>");
+    }
+    out.push_str(&format!("</{device}>"));
+    if !device_is_root {
+        if rng.gen_bool(0.1) {
+            out.push_str("<device><deviceType>late</deviceType></device>");
+        }
+        out.push_str("</root>");
+    }
+    out
+}
+
+/// One `service`, its required parts now and then missing.
+fn service(rng: &mut SimRng, out: &mut String) {
+    let attrs = [
+        " serviceType=\"SwitchPower\"",
+        " serviceType='Clock&amp;1' serviceType='second'",
+        " serviceType=\"\"",
+        " serviceType=\"SwitchPower\"",
+        " id='no-type'",
+    ];
+    out.push_str(&format!(
+        "<service{}>",
+        attrs[rng.gen_range(0..attrs.len())]
+    ));
+    if rng.gen_bool(0.9) {
+        out.push_str("<actionList>");
+        for _ in 0..rng.gen_range(0usize..3) {
+            out.push_str("<action>");
+            if rng.gen_bool(0.95) {
+                leaf(rng, "name", out);
+            }
+            if rng.gen_bool(0.8) {
+                out.push_str("<argumentList>");
+                for _ in 0..rng.gen_range(0usize..3) {
+                    out.push_str("<argument>");
+                    for name in ["name", "direction", "relatedStateVariable"] {
+                        if rng.gen_bool(0.97) {
+                            leaf(rng, name, out);
+                        }
+                    }
+                    out.push_str("</argument>");
+                }
+                out.push_str("</argumentList>");
+            }
+            out.push_str("</action>");
+        }
+        out.push_str("</actionList>");
+    }
+    if rng.gen_bool(0.9) {
+        out.push_str("<serviceStateTable>");
+        for _ in 0..rng.gen_range(0usize..3) {
+            let events = [
+                " sendEvents=\"yes\"",
+                " sendEvents='no'",
+                "",
+                " sendEvents='yes' sendEvents='no'",
+            ];
+            out.push_str(&format!(
+                "<stateVariable{}>",
+                events[rng.gen_range(0..events.len())]
+            ));
+            if rng.gen_bool(0.95) {
+                leaf(rng, "name", out);
+            }
+            if rng.gen_bool(0.7) {
+                leaf(rng, "defaultValue", out);
+            }
+            out.push_str("</stateVariable>");
+        }
+        out.push_str("</serviceStateTable>");
+    }
+    out.push_str("</service>");
 }
 
 fn propset_doc(rng: &mut SimRng) -> String {
@@ -433,6 +613,15 @@ fn typed_readers_match_the_dom() {
             mutated(rng, doc)
         };
         assert_eq!(notify_codec(&props), dom_notify_changes(&props), "{props}");
+        let description = {
+            let doc = description_doc(rng);
+            mutated(rng, doc)
+        };
+        assert_eq!(
+            DeviceDesc::parse(&description),
+            dom_device_desc(&description),
+            "{description}"
+        );
     });
 }
 
@@ -442,14 +631,17 @@ fn generated_documents_are_mostly_accepted() {
     // documents that decode: keep the generators producing real
     // messages, not just rejects.
     let mut rng = SimRng::seed_from_u64(11);
-    let (mut calls, mut results) = (0, 0);
+    let (mut calls, mut results, mut faults, mut devices) = (0, 0, 0, 0);
     for _ in 0..400 {
         calls += usize::from(SoapCall::parse(&soap_call_doc(&mut rng)).is_some());
-        results += usize::from(SoapResult::parse(&soap_result_doc(&mut rng)).is_some());
+        let result = SoapResult::parse(&soap_result_doc(&mut rng));
+        results += usize::from(result.is_some());
+        faults += usize::from(matches!(result, Some(SoapResult::Fault { .. })));
+        devices += usize::from(DeviceDesc::parse(&description_doc(&mut rng)).is_some());
     }
     assert!(
-        calls > 200 && results > 200,
-        "{calls} calls, {results} results"
+        calls > 200 && results > 200 && faults > 40 && devices > 150,
+        "{calls} calls, {results} results, {faults} faults, {devices} descriptions"
     );
 }
 
@@ -540,6 +732,55 @@ fn soap_decoders_survive_mutations() {
         |b| text_of(b).and_then(SoapResult::parse),
         |b| text_of(b).and_then(dom_soap_result),
     );
+}
+
+#[test]
+fn description_decoder_survives_mutations() {
+    let corpus: Vec<Vec<u8>> = [
+        LightLogic::new("Hall <Light>", "uuid:42").description(),
+        DeviceDesc::new("urn:x:Odd:1", "Odd", "uuid:o").with_service(
+            ServiceDesc::new("S")
+                .with_action(ActionDesc {
+                    name: "Reset".to_owned(),
+                    args: Vec::new(),
+                })
+                .with_statevar("V", false, ""),
+        ),
+    ]
+    .iter()
+    .map(|d| d.to_xml().into_bytes())
+    .collect();
+    let size = |d: &DeviceDesc| {
+        let service = |s: &ServiceDesc| {
+            let arg = |a: &ActionArg| a.name.len() + a.related_statevar.len();
+            s.service_type.len()
+                + s.actions
+                    .iter()
+                    .map(|a| a.name.len() + a.args.iter().map(arg).sum::<usize>())
+                    .sum::<usize>()
+                + s.state_vars
+                    .iter()
+                    .map(|v| v.name.len() + v.initial.len())
+                    .sum::<usize>()
+        };
+        d.device_type.len()
+            + d.friendly_name.len()
+            + d.udn.len()
+            + d.services.iter().map(service).sum::<usize>()
+    };
+    battery(
+        "upnp_description_mutations",
+        &corpus,
+        |b| {
+            let desc = text_of(b).and_then(DeviceDesc::parse);
+            assert!(desc.as_ref().is_none_or(|d| size(d) <= b.len()));
+            desc
+        },
+        |b| text_of(b).and_then(dom_device_desc),
+    );
+    // A full description, too: the clock's two services.
+    let clock = ClockLogic::new("Clock", "uuid:c").description().to_xml();
+    assert_eq!(DeviceDesc::parse(&clock), dom_device_desc(&clock));
 }
 
 #[test]
@@ -660,6 +901,20 @@ fn deep_nesting_is_rejected_by_every_xml_reader() {
         assert_eq!(
             SoapResult::parse(&result),
             dom_soap_result(&result),
+            "depth {depth}"
+        );
+        let fault = format!(
+            "<s:Envelope><s:Body><s:Fault><UPnPError>{nested}</UPnPError></s:Fault></s:Body></s:Envelope>"
+        );
+        assert_eq!(
+            SoapResult::parse(&fault),
+            dom_soap_result(&fault),
+            "depth {depth}"
+        );
+        let description = format!("<root><device>{nested}</device></root>");
+        assert_eq!(
+            DeviceDesc::parse(&description),
+            dom_device_desc(&description),
             "depth {depth}"
         );
         let props = format!("<e:propertyset><e:property>{nested}</e:property></e:propertyset>");

@@ -1,12 +1,14 @@
 //! Golden wire bytes of every UPnP message kind: SOAP call and result,
-//! GENA subscribe/notify/accept, the four SSDP kinds, HTTP heads and a
-//! device description. The simulated codec cost is charged by message
-//! length, so any byte that moves here moves simulated time too.
-//! Each case also reads its golden bytes back.
+//! GENA subscribe/notify/accept, the four SSDP kinds, HTTP heads, the
+//! device descriptions of the four bundled devices and one hand-built
+//! description with escapes and empty lists. The simulated codec cost is
+//! charged by message length, so any byte that moves here moves
+//! simulated time too. Each case also reads its golden bytes back.
 
 use platform_upnp::{
-    DeviceLogic, HttpAccumulator, HttpMessage, HttpRequest, HttpResponse, LightLogic, Notify,
-    SoapCall, SoapResult, SsdpMessage, Subscribe,
+    ActionArg, ActionDesc, AirconLogic, ArgDirection, ClockLogic, DeviceDesc, DeviceLogic,
+    HttpAccumulator, HttpMessage, HttpRequest, HttpResponse, LightLogic, MediaRendererLogic,
+    Notify, ServiceDesc, SoapCall, SoapResult, SsdpMessage, Subscribe,
 };
 use simnet::{Addr, NodeId};
 
@@ -227,5 +229,60 @@ fn device_description_bytes() {
     let desc = LightLogic::new("Hall <Light> & \"x\"", "uuid:42").description();
     let golden = "<?xml version=\"1.0\" encoding=\"utf-8\"?><root xmlns=\"urn:schemas-upnp-org:device-1-0\"><device><deviceType>urn:umiddle:device:BinaryLight:1</deviceType><friendlyName>Hall &lt;Light&gt; &amp; \"x\"</friendlyName><UDN>uuid:42</UDN><serviceList><service serviceType=\"SwitchPower\"><actionList><action><name>SetPower</name><argumentList><argument><name>Power</name><direction>in</direction><relatedStateVariable>Power</relatedStateVariable></argument></argumentList></action><action><name>GetPower</name><argumentList><argument><name>Power</name><direction>out</direction><relatedStateVariable>Power</relatedStateVariable></argument></argumentList></action></actionList><serviceStateTable><stateVariable sendEvents=\"yes\"><name>Power</name><defaultValue>0</defaultValue></stateVariable></serviceStateTable></service></serviceList></device></root>";
     assert_eq!(desc.to_xml(), golden);
-    assert_eq!(platform_upnp::DeviceDesc::parse(golden), Some(desc));
+    assert_eq!(DeviceDesc::parse(golden), Some(desc));
+
+    let cases = [
+        (
+            ClockLogic::new("Kitchen Clock", "uuid:clock-1").description(),
+            "<?xml version=\"1.0\" encoding=\"utf-8\"?><root xmlns=\"urn:schemas-upnp-org:device-1-0\"><device><deviceType>urn:umiddle:device:Clock:1</deviceType><friendlyName>Kitchen Clock</friendlyName><UDN>uuid:clock-1</UDN><serviceList><service serviceType=\"TimeKeeping\"><actionList><action><name>SetTime</name><argumentList><argument><name>NewTime</name><direction>in</direction><relatedStateVariable>Time</relatedStateVariable></argument></argumentList></action><action><name>GetTime</name><argumentList><argument><name>CurrentTime</name><direction>out</direction><relatedStateVariable>Time</relatedStateVariable></argument></argumentList></action><action><name>SetDate</name><argumentList><argument><name>NewDate</name><direction>in</direction><relatedStateVariable>Date</relatedStateVariable></argument></argumentList></action><action><name>GetDate</name><argumentList><argument><name>CurrentDate</name><direction>out</direction><relatedStateVariable>Date</relatedStateVariable></argument></argumentList></action><action><name>SetTimeZone</name><argumentList><argument><name>NewTimeZone</name><direction>in</direction><relatedStateVariable>TimeZone</relatedStateVariable></argument></argumentList></action><action><name>SetFormat</name><argumentList><argument><name>Format</name><direction>in</direction><relatedStateVariable>Format</relatedStateVariable></argument></argumentList></action></actionList><serviceStateTable><stateVariable sendEvents=\"yes\"><name>Time</name><defaultValue>00:00:00</defaultValue></stateVariable><stateVariable sendEvents=\"yes\"><name>Date</name><defaultValue>2006-01-01</defaultValue></stateVariable><stateVariable sendEvents=\"no\"><name>TimeZone</name><defaultValue>UTC</defaultValue></stateVariable><stateVariable sendEvents=\"no\"><name>Format</name><defaultValue>24h</defaultValue></stateVariable><stateVariable sendEvents=\"yes\"><name>Tick</name><defaultValue>0</defaultValue></stateVariable></serviceStateTable></service><service serviceType=\"Alarm\"><actionList><action><name>SetAlarm</name><argumentList><argument><name>AlarmTime</name><direction>in</direction><relatedStateVariable>AlarmTime</relatedStateVariable></argument></argumentList></action><action><name>SetAlarmEnabled</name><argumentList><argument><name>Enabled</name><direction>in</direction><relatedStateVariable>AlarmEnabled</relatedStateVariable></argument></argumentList></action></actionList><serviceStateTable><stateVariable sendEvents=\"yes\"><name>AlarmTime</name><defaultValue></defaultValue></stateVariable><stateVariable sendEvents=\"no\"><name>AlarmEnabled</name><defaultValue>0</defaultValue></stateVariable></serviceStateTable></service></serviceList></device></root>",
+        ),
+        (
+            AirconLogic::new("Den AC", "uuid:ac-1").description(),
+            "<?xml version=\"1.0\" encoding=\"utf-8\"?><root xmlns=\"urn:schemas-upnp-org:device-1-0\"><device><deviceType>urn:umiddle:device:AirConditioner:1</deviceType><friendlyName>Den AC</friendlyName><UDN>uuid:ac-1</UDN><serviceList><service serviceType=\"Hvac\"><actionList><action><name>SetMode</name><argumentList><argument><name>Mode</name><direction>in</direction><relatedStateVariable>Mode</relatedStateVariable></argument></argumentList></action><action><name>SetTarget</name><argumentList><argument><name>Target</name><direction>in</direction><relatedStateVariable>Target</relatedStateVariable></argument></argumentList></action><action><name>GetTemperature</name><argumentList><argument><name>Temperature</name><direction>out</direction><relatedStateVariable>Temperature</relatedStateVariable></argument></argumentList></action></actionList><serviceStateTable><stateVariable sendEvents=\"yes\"><name>Mode</name><defaultValue>off</defaultValue></stateVariable><stateVariable sendEvents=\"no\"><name>Target</name><defaultValue>22</defaultValue></stateVariable><stateVariable sendEvents=\"yes\"><name>Temperature</name><defaultValue>25</defaultValue></stateVariable></serviceStateTable></service></serviceList></device></root>",
+        ),
+        (
+            MediaRendererLogic::new("Living Room TV", "uuid:tv-1").description(),
+            "<?xml version=\"1.0\" encoding=\"utf-8\"?><root xmlns=\"urn:schemas-upnp-org:device-1-0\"><device><deviceType>urn:umiddle:device:MediaRenderer:1</deviceType><friendlyName>Living Room TV</friendlyName><UDN>uuid:tv-1</UDN><serviceList><service serviceType=\"AVTransport\"><actionList><action><name>RenderMedia</name><argumentList><argument><name>Media</name><direction>in</direction><relatedStateVariable>FramesShown</relatedStateVariable></argument></argumentList></action><action><name>SetTransportState</name><argumentList><argument><name>State</name><direction>in</direction><relatedStateVariable>TransportState</relatedStateVariable></argument></argumentList></action></actionList><serviceStateTable><stateVariable sendEvents=\"yes\"><name>TransportState</name><defaultValue>STOPPED</defaultValue></stateVariable><stateVariable sendEvents=\"yes\"><name>FramesShown</name><defaultValue>0</defaultValue></stateVariable></serviceStateTable></service></serviceList></device></root>",
+        ),
+        (odd_description(), "<?xml version=\"1.0\" encoding=\"utf-8\"?><root xmlns=\"urn:schemas-upnp-org:device-1-0\"><device><deviceType>urn:x:&lt;Odd&gt;&amp;\"Device\":1</deviceType><friendlyName>Odd &amp; &lt;Co&gt; \"q\" 'a'</friendlyName><UDN>uuid:odd&amp;1</UDN><serviceList><service serviceType=\"Ctl&lt;&amp;&gt;&quot;\"><actionList><action><name>Reset</name><argumentList/></action><action><name>Set&lt;&amp;&gt;</name><argumentList><argument><name>A&amp;\"b\"</name><direction>in</direction><relatedStateVariable>V&lt;1&gt;</relatedStateVariable></argument><argument><name>Out</name><direction>out</direction><relatedStateVariable>V&lt;1&gt;</relatedStateVariable></argument></argumentList></action></actionList><serviceStateTable><stateVariable sendEvents=\"no\"><name>V&lt;1&gt;</name><defaultValue></defaultValue></stateVariable><stateVariable sendEvents=\"no\"><name>Quiet</name><defaultValue>a&amp;b</defaultValue></stateVariable><stateVariable sendEvents=\"yes\"><name>Loud</name><defaultValue>&lt;x&gt;</defaultValue></stateVariable></serviceStateTable></service><service serviceType=\"Idle\"><actionList/><serviceStateTable><stateVariable sendEvents=\"no\"><name>Only</name><defaultValue></defaultValue></stateVariable></serviceStateTable></service><service serviceType=\"Empty\"><actionList/><serviceStateTable/></service></serviceList></device></root>"),
+    ];
+    for (desc, golden) in cases {
+        assert_eq!(desc.to_xml(), golden);
+        assert_eq!(DeviceDesc::parse(golden), Some(desc));
+    }
+}
+
+/// Escapes in every name, an action with no arguments, services with no
+/// actions or no state variables, unevented variables and empty default
+/// values.
+fn odd_description() -> DeviceDesc {
+    let arg = |name: &str, direction| ActionArg {
+        name: name.to_owned(),
+        direction,
+        related_statevar: "V<1>".to_owned(),
+    };
+    DeviceDesc::new(
+        "urn:x:<Odd>&\"Device\":1",
+        "Odd & <Co> \"q\" 'a'",
+        "uuid:odd&1",
+    )
+    .with_service(
+        ServiceDesc::new("Ctl<&>\"")
+            .with_action(ActionDesc {
+                name: "Reset".to_owned(),
+                args: Vec::new(),
+            })
+            .with_action(ActionDesc {
+                name: "Set<&>".to_owned(),
+                args: vec![
+                    arg("A&\"b\"", ArgDirection::In),
+                    arg("Out", ArgDirection::Out),
+                ],
+            })
+            .with_statevar("V<1>", false, "")
+            .with_statevar("Quiet", false, "a&b")
+            .with_statevar("Loud", true, "<x>"),
+    )
+    .with_service(ServiceDesc::new("Idle").with_statevar("Only", false, ""))
+    .with_service(ServiceDesc::new("Empty"))
 }

@@ -10,12 +10,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::convert::Infallible;
 
 use platform_upnp::{HttpConns, HttpEvent, HttpRequest, HttpResponse};
 use simnet::{Addr, Ctx, Process, SimDuration, StreamEvent, StreamId};
-use umiddle_usdl::{Element, XmlError, XmlReader, XmlWriter};
+use umiddle_usdl::{XmlReader, XmlWriter};
 
 /// Host-side XML processing cost per call or response.
 pub const WS_XML_COST: SimDuration = SimDuration::from_millis(8);
@@ -41,8 +42,7 @@ impl MethodCall {
         }
     }
 
-    /// Serializes to XML, written field by field into one buffer (the
-    /// bytes an `Element` tree of it would write).
+    /// Serializes to XML, written field by field into one buffer.
     pub fn to_xml(&self) -> String {
         let params: usize = self.params.iter().map(|p| p.len() + 30).sum();
         let mut w = XmlWriter::document(64 + self.method.len() + params);
@@ -71,23 +71,20 @@ impl MethodCall {
         }
         let mut method = None;
         let mut params = None;
-        r.read_children(|r, tag| {
-            match tag.local_name() {
-                "methodName" if method.is_none() => method = Some(r.read_text()?),
-                "params" if params.is_none() => {
-                    let mut values = Vec::new();
-                    r.read_children(|r, param| {
-                        if param.local_name() != "param" {
-                            return Ok(false);
-                        }
-                        values.extend(read_first_value(r)?);
-                        Ok(true)
-                    })?;
-                    params = Some(values);
-                }
-                _ => return Ok(false),
-            }
-            Ok(true)
+        r.read_children(|r, tag| match tag.local_name() {
+            "methodName" => r.read_first(&mut method, XmlReader::read_text),
+            "params" => r.read_first(&mut params, |r| {
+                let mut values = Vec::new();
+                r.read_children(|r, param| {
+                    if param.local_name() == "param" {
+                        let [value] = r.read_leaves(["value"])?;
+                        values.extend(value);
+                    }
+                    Ok(param.local_name() == "param")
+                })?;
+                Ok(values)
+            }),
+            _ => Ok(false),
         })
         .ok()?;
         Some(MethodCall {
@@ -95,20 +92,6 @@ impl MethodCall {
             params: params.unwrap_or_default(),
         })
     }
-}
-
-/// Right after a `param` start tag: its first `value`'s text, reading
-/// through the end of `param`.
-fn read_first_value(r: &mut XmlReader<'_>) -> Result<Option<String>, XmlError> {
-    let mut value = None;
-    r.read_children(|r, tag| {
-        if tag.local_name() != "value" || value.is_some() {
-            return Ok(false);
-        }
-        value = Some(r.read_text()?);
-        Ok(true)
-    })?;
-    Ok(value)
 }
 
 /// The reply to a method call.
@@ -126,8 +109,7 @@ pub enum MethodResponse {
 }
 
 impl MethodResponse {
-    /// Serializes to XML, written field by field into one buffer (the
-    /// bytes an `Element` tree of it would write).
+    /// Serializes to XML, written field by field into one buffer.
     pub fn to_xml(&self) -> String {
         match self {
             MethodResponse::Value(v) => {
@@ -148,53 +130,41 @@ impl MethodResponse {
         }
     }
 
-    /// Parses from XML, reading the fields in place: the first `value`
-    /// of the first `param` of the first `params` of a `methodResponse`.
-    /// A `fault` there is rare and is read from the DOM. The whole
-    /// document must be well-formed.
+    /// Parses from XML, reading the fields in place in one pass: a
+    /// `methodResponse` holding a `fault` is that first `fault`'s first
+    /// `faultCode` and `faultString`, wherever it stands; otherwise the
+    /// first `value` of the first `param` of the first `params`. The
+    /// whole document must be well-formed.
     pub fn parse(xml: &str) -> Option<MethodResponse> {
         let mut r = XmlReader::new(xml);
         if r.root().ok()?.local_name() != "methodResponse" {
             return None;
         }
-        let mut value = None;
-        let mut fault = false;
-        r.read_children(|r, tag| {
-            match tag.local_name() {
-                "fault" => fault = true,
-                "params" if value.is_none() => {
-                    let mut first = None;
-                    let mut param_seen = false;
-                    r.read_children(|r, param| {
-                        if param.local_name() != "param" || param_seen {
-                            return Ok(false);
-                        }
-                        param_seen = true;
-                        first = read_first_value(r)?;
-                        Ok(true)
-                    })?;
-                    value = Some(first);
-                    return Ok(true);
-                }
-                _ => {}
-            }
-            Ok(false)
+        let mut values = None;
+        let mut fault = None;
+        r.read_children(|r, tag| match tag.local_name() {
+            "fault" => r.read_first(&mut fault, |r| r.read_leaves(["faultCode", "faultString"])),
+            "params" => r.read_first(&mut values, |r| {
+                let mut first = None;
+                r.read_children(|r, param| match param.local_name() {
+                    "param" => r.read_first(&mut first, |r| r.read_leaves(["value"])),
+                    _ => Ok(false),
+                })?;
+                Ok(first)
+            }),
+            _ => Ok(false),
         })
         .ok()?;
-        if fault {
-            return Self::parse_fault(xml);
+        match fault {
+            Some([code, message]) => Some(MethodResponse::Fault {
+                code: code?.parse().ok()?,
+                message: message?,
+            }),
+            None => {
+                let [value] = values.flatten()?;
+                value.map(MethodResponse::Value)
+            }
         }
-        value.flatten().map(MethodResponse::Value)
-    }
-
-    /// Reads a response carrying a `fault` through the DOM.
-    fn parse_fault(xml: &str) -> Option<MethodResponse> {
-        let root = Element::parse(xml).ok()?;
-        let fault = root.child("fault")?;
-        Some(MethodResponse::Fault {
-            code: fault.child("faultCode")?.text().parse().ok()?,
-            message: fault.child("faultString")?.text(),
-        })
     }
 }
 
@@ -211,8 +181,7 @@ pub struct ServiceDescription {
 }
 
 impl ServiceDescription {
-    /// Serializes to XML, written field by field into one buffer (the
-    /// bytes an `Element` tree of it would write).
+    /// Serializes to XML, written field by field into one buffer.
     pub fn to_xml(&self) -> String {
         let ops: usize = self.operations.iter().map(|op| op.len() + 20).sum();
         let mut w = XmlWriter::document(40 + self.name.len() + self.kind.len() + ops);
@@ -231,19 +200,25 @@ impl ServiceDescription {
         w.finish()
     }
 
-    /// Parses from XML.
+    /// Parses from XML, reading it in place: the root `service`'s first
+    /// `name` and `kind`, and the first `name` of each `operation` child
+    /// that has one. The whole document must be well-formed.
     pub fn parse(xml: &str) -> Option<ServiceDescription> {
-        let root = Element::parse(xml).ok()?;
+        let mut r = XmlReader::new(xml);
+        let root = r.root().ok()?;
         if root.local_name() != "service" {
             return None;
         }
+        let name = root.attr("name")?.into_owned();
+        let kind = root.attr("kind")?.into_owned();
+        let operations = r.read_list("operation", |r, tag| {
+            r.skip_element()?;
+            Ok(tag.attr("name").map(Cow::into_owned))
+        });
         Some(ServiceDescription {
-            name: root.attr("name")?.to_owned(),
-            kind: root.attr("kind")?.to_owned(),
-            operations: root
-                .children_named("operation")
-                .filter_map(|o| o.attr("name").map(str::to_owned))
-                .collect(),
+            name,
+            kind,
+            operations: operations.ok()?.into_iter().flatten().collect(),
         })
     }
 }

@@ -1,16 +1,16 @@
-//! The typed XML-RPC readers against reference readers that answer the
-//! way they did when they read through the `Element` DOM, on generated
-//! documents (comments, CDATA, processing instructions, entities,
-//! whitespace, prefixes, extra or repeated children, self-closing
-//! leaves) and on mutants of real messages: byte flips, truncations,
-//! random bytes and deep nesting. No reader may panic, each must accept
-//! or reject exactly as its reference does, and what it decodes is never
-//! larger than its input. The USDL decoder, which reads through the DOM,
-//! gets the same mutants and must not panic.
+//! The typed XML-RPC and service-description readers against reference
+//! readers written over the `Element` DOM, which answer the way these
+//! codecs did when they read through it, on generated documents
+//! (comments, CDATA, processing instructions, entities, whitespace,
+//! prefixes, extra or repeated children and attributes, self-closing
+//! leaves, a `fault` before or after `params`) and on mutants of real
+//! messages: byte flips, truncations, random bytes and deep nesting. No
+//! reader may panic, each must accept or reject exactly as its reference
+//! does, and what it decodes is never larger than its input.
 
-use platform_webservices::{MethodCall, MethodResponse};
+use platform_webservices::{MethodCall, MethodResponse, ServiceDescription};
 use simnet::SimRng;
-use umiddle_usdl::{Element, UsdlDocument};
+use umiddle_usdl::Element;
 
 fn dom_method_call(xml: &str) -> Option<MethodCall> {
     let root = Element::parse(xml).ok()?;
@@ -43,6 +43,21 @@ fn dom_method_response(xml: &str) -> Option<MethodResponse> {
     Some(MethodResponse::Value(
         root.child("params")?.child("param")?.child("value")?.text(),
     ))
+}
+
+fn dom_service_description(xml: &str) -> Option<ServiceDescription> {
+    let root = Element::parse(xml).ok()?;
+    if root.local_name() != "service" {
+        return None;
+    }
+    Some(ServiceDescription {
+        name: root.attr("name")?.to_owned(),
+        kind: root.attr("kind")?.to_owned(),
+        operations: root
+            .children_named("operation")
+            .filter_map(|o| o.attr("name").map(str::to_owned))
+            .collect(),
+    })
 }
 
 const TEXTS: &[&str] = &[
@@ -136,7 +151,13 @@ fn response_doc(rng: &mut SimRng) -> String {
             match rng.gen_range(0..4) {
                 0 => {
                     out.push_str("<fault>");
-                    leaf(rng, "faultCode", out);
+                    // Now and then a second code, which the reader skips.
+                    for code in ["404", "500"].iter().take(rng.gen_range(1..3)) {
+                        out.push_str(&format!("<faultCode>{code}</faultCode>"));
+                    }
+                    if rng.gen_bool(0.2) {
+                        leaf(rng, "faultCode", out);
+                    }
                     leaf(rng, "faultString", out);
                     out.push_str("</fault>");
                 }
@@ -144,6 +165,40 @@ fn response_doc(rng: &mut SimRng) -> String {
             }
         }
     })
+}
+
+/// A `service` description: its `name` and `kind` attributes, each
+/// now and then missing or repeated, and `operation` children with or
+/// without a name, some nested where they do not count.
+fn description_doc(rng: &mut SimRng) -> String {
+    let mut out = String::new();
+    if rng.gen_bool(0.7) {
+        out.push_str("<?xml version=\"1.0\"?>");
+    }
+    let root = ["service", "x:service", "service", "other"][rng.gen_range(0..4)];
+    out.push_str(&format!("<{root}"));
+    for (key, values) in [("name", ["Log", "a &amp; b"]), ("kind", ["logger", "w"])] {
+        // Mostly once, now and then missing or repeated.
+        let times = [1, 1, 1, 1, 0, 2][rng.gen_range(0..6)];
+        for value in &values[..times] {
+            out.push_str(&format!(" {key}='{value}'"));
+        }
+    }
+    out.push('>');
+    for _ in 0..rng.gen_range(0usize..5) {
+        noise(rng, &mut out);
+        match rng.gen_range(0..6) {
+            0 => out.push_str("<operation/>"),
+            1 => out.push_str("<extra><operation name='nested'/></extra>"),
+            2 => out.push_str("<x:operation name=\"tail\" name=\"again\"><!-- c --></x:operation>"),
+            _ => {
+                let op = ["append", "a&lt;b", "tail", ""][rng.gen_range(0..4)];
+                out.push_str(&format!("<operation name=\"{op}\"/>"));
+            }
+        }
+    }
+    out.push_str(&format!("</{root}>"));
+    out
 }
 
 fn mutated(rng: &mut SimRng, doc: String) -> String {
@@ -179,20 +234,33 @@ fn typed_readers_match_the_dom() {
             dom_method_response(&response),
             "{response}"
         );
+        let description = {
+            let doc = description_doc(rng);
+            mutated(rng, doc)
+        };
+        assert_eq!(
+            ServiceDescription::parse(&description),
+            dom_service_description(&description),
+            "{description}"
+        );
     });
 }
 
 #[test]
 fn generated_documents_are_mostly_accepted() {
     let mut rng = SimRng::seed_from_u64(5);
-    let (mut calls, mut responses) = (0, 0);
+    let (mut calls, mut responses, mut faults, mut descriptions) = (0, 0, 0, 0);
     for _ in 0..400 {
         calls += usize::from(MethodCall::parse(&call_doc(&mut rng)).is_some());
-        responses += usize::from(MethodResponse::parse(&response_doc(&mut rng)).is_some());
+        let response = MethodResponse::parse(&response_doc(&mut rng));
+        responses += usize::from(response.is_some());
+        faults += usize::from(matches!(response, Some(MethodResponse::Fault { .. })));
+        descriptions +=
+            usize::from(ServiceDescription::parse(&description_doc(&mut rng)).is_some());
     }
     assert!(
-        calls > 150 && responses > 150,
-        "{calls} calls, {responses} responses"
+        calls > 150 && responses > 150 && faults > 40 && descriptions > 150,
+        "{calls} calls, {responses} responses, {faults} faults, {descriptions} descriptions"
     );
 }
 
@@ -258,17 +326,33 @@ fn xmlrpc_decoders_survive_mutations() {
 }
 
 #[test]
-fn usdl_decoder_survives_mutations() {
-    let corpus = vec![
-        umiddle_usdl::builtin::WS_LOGGER.to_owned(),
-        umiddle_usdl::builtin::UPNP_LIGHT.to_owned(),
+fn description_decoder_survives_mutations() {
+    let descriptions = vec![
+        ServiceDescription {
+            name: "Event <Log>".to_owned(),
+            kind: "logger".to_owned(),
+            operations: vec!["append".to_owned(), "tail".to_owned()],
+        }
+        .to_xml(),
+        ServiceDescription {
+            name: "w".to_owned(),
+            kind: "weather".to_owned(),
+            operations: Vec::new(),
+        }
+        .to_xml(),
     ];
-    // USDL reads through the DOM: a document it accepts is well-formed.
+    let size = |d: &ServiceDescription| {
+        d.name.len() + d.kind.len() + d.operations.iter().map(String::len).sum::<usize>()
+    };
     battery(
-        "usdl_mutations",
-        &corpus,
-        |s| UsdlDocument::parse(s).is_ok() && Element::parse(s).is_err(),
-        |_| false,
+        "ws_description_mutations",
+        &descriptions,
+        |s| {
+            let desc = ServiceDescription::parse(s);
+            assert!(desc.as_ref().is_none_or(|d| size(d) <= s.len()));
+            desc
+        },
+        dom_service_description,
     );
 }
 
@@ -286,6 +370,18 @@ fn deep_nesting_is_rejected_by_every_xml_reader() {
         assert_eq!(
             MethodResponse::parse(&response),
             dom_method_response(&response),
+            "depth {depth}"
+        );
+        let fault = format!("<methodResponse><fault>{nested}</fault></methodResponse>");
+        assert_eq!(
+            MethodResponse::parse(&fault),
+            dom_method_response(&fault),
+            "depth {depth}"
+        );
+        let description = format!("<service name='s' kind='k'>{nested}</service>");
+        assert_eq!(
+            ServiceDescription::parse(&description),
+            dom_service_description(&description),
             "depth {depth}"
         );
     }
@@ -312,5 +408,14 @@ fn typed_messages_round_trip() {
             message: value(rng),
         };
         assert_eq!(MethodResponse::parse(&fault.to_xml()), Some(fault));
+        let description = ServiceDescription {
+            name: value(rng),
+            kind: value(rng),
+            operations: (0..rng.gen_range(0usize..3)).map(|_| value(rng)).collect(),
+        };
+        assert_eq!(
+            ServiceDescription::parse(&description.to_xml()),
+            Some(description)
+        );
     });
 }

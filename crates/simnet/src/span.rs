@@ -3,7 +3,7 @@
 //! integration tests.
 //!
 //! Input is always a flat `&[SpanRecord]` slice, read out of a
-//! [`Trace`](crate::Trace) with [`Trace::spans`] — analysis never
+//! [`Trace`] with [`Trace::spans`] — analysis never
 //! mutates the trace, so it can run repeatedly, mid-run, or over spans
 //! captured from another world.
 //!

@@ -286,7 +286,7 @@ pub const LATENCY_BUCKET_BOUNDS_NS: [u64; 25] = [
 
 /// A fixed-bucket latency histogram over virtual-time durations.
 ///
-/// Buckets are the global [`LATENCY_BUCKET_BOUNDS_NS`] 1–2–5 series plus
+/// Buckets are the global `LATENCY_BUCKET_BOUNDS_NS` 1–2–5 series plus
 /// an overflow bucket; a recorded value lands in the first bucket whose
 /// bound is ≥ the value (Prometheus `le` semantics). Deterministic: no
 /// floating point is involved in bucketing.

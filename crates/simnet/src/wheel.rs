@@ -20,7 +20,7 @@
 //! * an **overflow heap** catches events more than 2^52 ns (~52 days)
 //!   ahead.
 //!
-//! Far events cost `O(1)` to insert and at most [`LEVELS`] cascade hops
+//! Far events cost `O(1)` to insert and at most `LEVELS` cascade hops
 //! over their whole lifetime. A cascade can file tens of thousands of
 //! keys into the window at once (a discovery storm's interleaved
 //! backlogs all re-filed for the same busy horizon); they are sorted as

@@ -13,9 +13,9 @@
 //! * The XML subset codec shared by USDL, SOAP, UPnP device
 //!   descriptions, GENA and the web-services platform: [`XmlReader`], a
 //!   total pull reader with borrowed names and on-demand entity
-//!   decoding, which message codecs read their fields from directly;
-//!   [`Element`], the owned DOM built from its events for documents
-//!   read as a whole; and [`XmlWriter`], which both write through.
+//!   decoding, and [`XmlWriter`]: every codec reads and writes through
+//!   them. [`Element`] is the reference DOM built on the reader, public
+//!   for the oracle tests and benchmarks only.
 //! * [`UsdlDocument`]: the validated document model ([`UsdlPort`]s with
 //!   platform-specific [`Binding`]s).
 //! * [`UsdlLibrary`]: the registry mappers consult at discovery time,
@@ -47,6 +47,4 @@ mod xml;
 
 pub use library::UsdlLibrary;
 pub use schema::{Binding, UsdlDocument, UsdlPort};
-pub use xml::{
-    Attrs, Element, Node, StartTag, XmlError, XmlEvent, XmlReader, XmlWriter, XML_MAX_DEPTH,
-};
+pub use xml::{Attrs, Element, StartTag, XmlError, XmlEvent, XmlReader, XmlWriter, XML_MAX_DEPTH};

@@ -25,15 +25,16 @@
 //! maps — the schema does not interpret them; the platform's generic
 //! translator does.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
 use umiddle_core::{
-    CoreError, CoreResult, Direction, PerceptionType, PortKind, PortSpec, RuntimeId, Shape,
-    TranslatorId, TranslatorProfile,
+    CoreError, CoreResult, Direction, PortKind, PortSpec, RuntimeId, Shape, TranslatorId,
+    TranslatorProfile,
 };
 
-use crate::xml::Element;
+use crate::xml::{StartTag, XmlError, XmlReader, XmlWriter};
 
 /// One platform-specific port binding: an opaque attribute map consumed
 /// by the platform's generic translator.
@@ -93,58 +94,70 @@ pub struct UsdlDocument {
 }
 
 impl UsdlDocument {
-    /// Parses and validates a USDL document.
+    /// Parses and validates a USDL document, reading it in place in one
+    /// pass. Names match by local name; a repeated attribute gives its
+    /// first value, and the first `<translator>` counts.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Invalid`] on schema violations (missing
-    /// required attributes, bad kinds/directions/MIME types, duplicate
-    /// port names) and on XML syntax errors.
+    /// Returns [`CoreError::Invalid`] on XML syntax errors and on schema
+    /// violations (missing required attributes, bad kinds/directions/MIME
+    /// types, duplicate port names). A syntax error anywhere wins.
     pub fn parse(xml: &str) -> CoreResult<UsdlDocument> {
-        let root = Element::parse(xml).map_err(|e| CoreError::Invalid(e.to_string()))?;
-        UsdlDocument::from_element(&root)
-    }
-
-    /// Builds a document from an already-parsed element.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Invalid`] on schema violations.
-    pub fn from_element(root: &Element) -> CoreResult<UsdlDocument> {
+        let syntax = |e: XmlError| CoreError::Invalid(e.to_string());
+        let mut r = XmlReader::new(xml);
+        let root = r.root().map_err(syntax)?;
+        // Keep the start tags (they borrow `xml`) and check the schema
+        // once the whole document is read: a syntax error anywhere wins.
+        let (mut translator, mut attr_tags, mut port_tags) = (None, Vec::new(), Vec::new());
+        r.read_children(|r, tag| {
+            match tag.local_name() {
+                "translator" => translator = translator.or(Some(tag)),
+                "attr" => attr_tags.push(tag),
+                "port" => {
+                    let bindings = r.read_list("bind", |r, bind| {
+                        r.skip_element()?;
+                        Ok(Binding::from_pairs(bind.attrs()))
+                    })?;
+                    port_tags.push((tag, bindings));
+                    return Ok(true);
+                }
+                _ => {}
+            }
+            Ok(false)
+        })
+        .map_err(syntax)?;
         if root.local_name() != "usdl" {
-            return Err(CoreError::Invalid(format!(
+            return Err(invalid(format!(
                 "root element must be <usdl>, found <{}>",
                 root.name()
             )));
         }
         let required = |key: &str| -> CoreResult<String> {
             root.attr(key)
-                .map(str::to_owned)
-                .ok_or_else(|| CoreError::Invalid(format!("<usdl> missing {key:?} attribute")))
+                .map(Cow::into_owned)
+                .ok_or_else(|| invalid(format!("<usdl> missing {key:?} attribute")))
         };
         let device_type = required("device")?;
         let platform = required("platform")?;
         let name = required("name")?;
-        let generic = root
-            .child("translator")
+        let generic = translator
             .and_then(|t| t.attr("generic"))
-            .map(str::to_owned)
-            .unwrap_or_else(|| platform.clone());
+            .map_or_else(|| platform.clone(), Cow::into_owned);
 
         let mut attrs = BTreeMap::new();
-        for a in root.children_named("attr") {
-            let key = a
-                .attr("key")
-                .ok_or_else(|| CoreError::Invalid("<attr> missing key".to_owned()))?;
+        for a in attr_tags {
+            let key = a.attr("key").ok_or_else(|| invalid("<attr> missing key"))?;
             let value = a
                 .attr("value")
-                .ok_or_else(|| CoreError::Invalid("<attr> missing value".to_owned()))?;
-            attrs.insert(key.to_owned(), value.to_owned());
+                .ok_or_else(|| invalid("<attr> missing value"))?;
+            attrs.insert(key.into_owned(), value.into_owned());
         }
 
-        let mut ports = Vec::new();
-        for p in root.children_named("port") {
-            ports.push(parse_port(p)?);
+        let mut ports = Vec::with_capacity(port_tags.len());
+        for (tag, bindings) in port_tags {
+            let spec = port_spec(&tag)?;
+            ports.push(UsdlPort { spec, bindings });
         }
         // Validate uniqueness via shape construction.
         Shape::from_ports(ports.iter().map(|p| p.spec.clone()).collect())?;
@@ -220,51 +233,46 @@ impl UsdlDocument {
 
     /// Serializes back to USDL XML.
     pub fn to_xml(&self) -> String {
-        let mut root = Element::new("usdl")
-            .with_attr("device", &self.device_type)
-            .with_attr("platform", &self.platform)
-            .with_attr("name", &self.name);
-        root = root.with_child(Element::new("translator").with_attr("generic", &self.generic));
+        let mut w = XmlWriter::document(256 + 160 * self.ports.len());
+        w.markup("<usdl")
+            .attr("device", &self.device_type)
+            .attr("platform", &self.platform)
+            .attr("name", &self.name);
+        w.markup("><translator")
+            .attr("generic", &self.generic)
+            .markup("/>");
         for (k, v) in &self.attrs {
-            root = root.with_child(
-                Element::new("attr")
-                    .with_attr("key", k)
-                    .with_attr("value", v),
-            );
+            w.markup("<attr")
+                .attr("key", k)
+                .attr("value", v)
+                .markup("/>");
         }
         for p in &self.ports {
-            let mut e = Element::new("port")
-                .with_attr("name", &p.spec.name)
-                .with_attr(
-                    "direction",
-                    match p.spec.direction {
-                        Direction::Input => "input",
-                        Direction::Output => "output",
-                    },
-                );
-            match &p.spec.kind {
-                PortKind::Digital(m) => {
-                    e = e
-                        .with_attr("kind", "digital")
-                        .with_attr("mime", m.to_string());
-                }
-                PortKind::Physical { perception, media } => {
-                    e = e
-                        .with_attr("kind", "physical")
-                        .with_attr("perception", perception.to_string())
-                        .with_attr("media", media);
-                }
-            }
+            let spec = &p.spec;
+            w.markup("<port")
+                .attr("name", &spec.name)
+                .attr("direction", &spec.direction.to_string());
+            match &spec.kind {
+                PortKind::Digital(m) => w.attr("kind", "digital").attr("mime", &m.to_string()),
+                PortKind::Physical { perception, media } => w
+                    .attr("kind", "physical")
+                    .attr("perception", &perception.to_string())
+                    .attr("media", media),
+            };
+            w.markup(if p.bindings.is_empty() { "/>" } else { ">" });
             for b in &p.bindings {
-                let mut be = Element::new("bind");
+                w.markup("<bind");
                 for (k, v) in b.iter() {
-                    be = be.with_attr(k, v);
+                    w.attr(k, v);
                 }
-                e = e.with_child(be);
+                w.markup("/>");
             }
-            root = root.with_child(e);
+            if !p.bindings.is_empty() {
+                w.markup("</port>");
+            }
         }
-        root.to_document()
+        w.markup("</usdl>");
+        w.finish()
     }
 }
 
@@ -281,52 +289,31 @@ impl fmt::Display for UsdlDocument {
     }
 }
 
-fn parse_port(p: &Element) -> CoreResult<UsdlPort> {
+fn invalid(message: impl Into<String>) -> CoreError {
+    CoreError::Invalid(message.into())
+}
+
+fn port_spec(p: &StartTag<'_>) -> CoreResult<PortSpec> {
     let name = p
         .attr("name")
-        .ok_or_else(|| CoreError::Invalid("<port> missing name".to_owned()))?;
-    let direction: Direction = p
-        .attr("direction")
-        .ok_or_else(|| CoreError::Invalid(format!("port {name:?} missing direction")))?
-        .parse()?;
-    let kind = match p.attr("kind") {
-        Some("digital") => {
-            let mime = p
-                .attr("mime")
-                .ok_or_else(|| CoreError::Invalid(format!("digital port {name:?} missing mime")))?;
-            PortKind::Digital(mime.parse()?)
-        }
-        Some("physical") => {
-            let perception: PerceptionType = p
-                .attr("perception")
-                .ok_or_else(|| {
-                    CoreError::Invalid(format!("physical port {name:?} missing perception"))
-                })?
-                .parse()?;
-            let media = p.attr("media").ok_or_else(|| {
-                CoreError::Invalid(format!("physical port {name:?} missing media"))
-            })?;
-            PortKind::physical(perception, media)
-        }
-        other => {
-            return Err(CoreError::Invalid(format!(
-                "port {name:?} has invalid kind {other:?}"
-            )))
-        }
+        .ok_or_else(|| invalid("<port> missing name"))?;
+    let need = |kind: &str, key: &str| {
+        p.attr(key)
+            .ok_or_else(|| invalid(format!("{kind}port {name:?} missing {key}")))
     };
-    let mut bindings = Vec::new();
-    for b in p.children_named("bind") {
-        bindings.push(Binding::from_pairs(
-            b.attrs().map(|(k, v)| (k.to_owned(), v.to_owned())),
-        ));
-    }
-    Ok(UsdlPort {
-        spec: PortSpec {
-            name: name.to_owned(),
-            direction,
-            kind,
-        },
-        bindings,
+    let direction: Direction = need("", "direction")?.parse()?;
+    let kind = match p.attr("kind").as_deref() {
+        Some("digital") => PortKind::Digital(need("digital ", "mime")?.parse()?),
+        Some("physical") => PortKind::physical(
+            need("physical ", "perception")?.parse()?,
+            &need("physical ", "media")?,
+        ),
+        other => return Err(invalid(format!("port {name:?} has invalid kind {other:?}"))),
+    };
+    Ok(PortSpec {
+        name: name.into_owned(),
+        direction,
+        kind,
     })
 }
 

@@ -1,5 +1,5 @@
-//! A small, dependency-free XML subset codec: one pull reader, the DOM
-//! built on it, and one writer.
+//! A small, dependency-free XML subset codec: one pull reader, one
+//! writer, and the reference DOM built on the reader.
 //!
 //! uMiddle's ecosystem is XML-heavy: USDL documents, UPnP device
 //! descriptions, SOAP envelopes, GENA notifications and web-service
@@ -8,16 +8,13 @@
 //! instructions/XML declarations (skipped), and the five predefined
 //! entities (`&lt; &gt; &amp; &quot; &apos;`) plus decimal/hex character
 //! references. Namespaces are treated lexically (prefixes are part of the
-//! name; [`Element::local_name`] strips them).
+//! name; [`StartTag::local_name`] strips them).
 //!
 //! There is one tokenizer, [`XmlReader`]: a pull reader over `&str` whose
 //! names are borrowed and whose text and attribute values are decoded
-//! only when they hold an entity. Message codecs read their fields
-//! straight from its events; [`Element::parse`] builds the owned DOM
-//! from the same events, for documents read as a whole. Writers go
-//! through [`XmlWriter`], which [`Element`]'s serializer uses too, so a
-//! message written field by field and the same message built as an
-//! `Element` come out byte-identical.
+//! only when they hold an entity. Every codec reads its fields straight
+//! from its events and writes through [`XmlWriter`]. [`Element::parse`]
+//! builds the reference DOM from the same events.
 //!
 //! The reader is total: any input either yields a document or an
 //! [`XmlError`] with a byte offset — it never panics. Elements nest at
@@ -29,14 +26,16 @@ use std::fmt;
 
 /// Deepest element nesting the reader accepts. Every bundled USDL, SOAP
 /// and description document nests under ten levels; the bound keeps the
-/// reader's open-element stack fixed in size, and the DOM built from it
-/// shallow enough for any thread's stack (an unoptimized build spends
-/// about 4.5 KiB of stack per level in the recursive writer and
-/// comparisons, so 128 levels fit a 2 MiB thread stack with room to
-/// spare).
+/// reader's open-element stack fixed in size, and the reference DOM
+/// shallow enough that its derived comparisons, clones and drops, which
+/// recurse once per level, fit any thread's stack.
 pub const XML_MAX_DEPTH: usize = 128;
 
 /// An XML element: name, attributes, and children (elements and text).
+///
+/// The reference DOM: no codec uses it. It stays public for the codec
+/// oracles, which check the typed readers against readers written over
+/// it, and for the benchmarks that time a whole-document parse.
 ///
 /// # Examples
 ///
@@ -58,7 +57,7 @@ pub struct Element {
 
 /// A child node of an element.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Node {
+enum Node {
     /// A nested element.
     Element(Element),
     /// Text content (entity-decoded).
@@ -87,15 +86,6 @@ impl fmt::Display for XmlError {
 impl Error for XmlError {}
 
 impl Element {
-    /// Creates an element with no attributes or children.
-    pub fn new(name: impl Into<String>) -> Element {
-        Element {
-            name: name.into(),
-            attrs: Vec::new(),
-            children: Vec::new(),
-        }
-    }
-
     /// The element's full name, including any namespace prefix.
     pub fn name(&self) -> &str {
         &self.name
@@ -105,24 +95,6 @@ impl Element {
     /// `Envelope`).
     pub fn local_name(&self) -> &str {
         local_name(&self.name)
-    }
-
-    /// Adds an attribute (builder style).
-    pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Element {
-        self.attrs.push((key.into(), value.into()));
-        self
-    }
-
-    /// Adds a child element (builder style).
-    pub fn with_child(mut self, child: Element) -> Element {
-        self.children.push(Node::Element(child));
-        self
-    }
-
-    /// Adds text content (builder style).
-    pub fn with_text(mut self, text: impl Into<String>) -> Element {
-        self.children.push(Node::Text(text.into()));
-        self
     }
 
     /// Looks up an attribute value.
@@ -136,11 +108,6 @@ impl Element {
     /// All attributes in document order.
     pub fn attrs(&self) -> impl Iterator<Item = (&str, &str)> {
         self.attrs.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-
-    /// All child nodes.
-    pub fn nodes(&self) -> &[Node] {
-        &self.children
     }
 
     /// Child elements, in document order.
@@ -227,41 +194,6 @@ impl Element {
             }
         }
     }
-
-    /// Serializes to a compact XML string (no declaration).
-    pub fn to_xml(&self) -> String {
-        let mut w = XmlWriter::new(0);
-        self.write(&mut w);
-        w.finish()
-    }
-
-    /// Serializes with an XML declaration, as protocols like SOAP expect.
-    pub fn to_document(&self) -> String {
-        let mut w = XmlWriter::document(0);
-        self.write(&mut w);
-        w.finish()
-    }
-
-    fn write(&self, w: &mut XmlWriter) {
-        w.markup("<").markup(&self.name);
-        for (k, v) in &self.attrs {
-            w.attr(k, v);
-        }
-        if self.children.is_empty() {
-            w.markup("/>");
-            return;
-        }
-        w.markup(">");
-        for n in &self.children {
-            match n {
-                Node::Element(e) => e.write(w),
-                Node::Text(t) => {
-                    w.text(t);
-                }
-            }
-        }
-        w.markup("</").markup(&self.name).markup(">");
-    }
 }
 
 /// `name` with any namespace prefix stripped (`s:Envelope` → `Envelope`).
@@ -269,12 +201,11 @@ fn local_name(name: &str) -> &str {
     name.rsplit(':').next().unwrap_or(name)
 }
 
-/// Writes XML straight into one `String`, with the escaping
-/// [`Element`]'s serializer uses: names and markup go in as given, text
-/// escapes `<`, `>` and `&`, and attribute values also `"`.
+/// Writes XML straight into one `String`: names and markup go in as
+/// given, text escapes `<`, `>` and `&`, and attribute values also `"`.
 ///
-/// Message codecs write their fields through it without building an
-/// [`Element`] tree, into a buffer reserved once for the expected size.
+/// Every codec writes its fields through it, into a buffer reserved once
+/// for the expected size.
 ///
 /// # Examples
 ///
@@ -284,10 +215,12 @@ fn local_name(name: &str) -> &str {
 /// let mut w = XmlWriter::new(32);
 /// w.markup("<e").attr("k", "\"v\"").markup(">");
 /// w.leaf("x", "a<b").markup("</e>");
-/// let built = Element::new("e")
-///     .with_attr("k", "\"v\"")
-///     .with_child(Element::new("x").with_text("a<b"));
-/// assert_eq!(w.finish(), built.to_xml());
+/// let xml = w.finish();
+/// assert_eq!(xml, r#"<e k="&quot;v&quot;"><x>a&lt;b</x></e>"#);
+/// let e = Element::parse(&xml)?;
+/// assert_eq!(e.attr("k"), Some("\"v\""));
+/// assert_eq!(e.child("x").unwrap().text(), "a<b");
+/// # Ok::<(), umiddle_usdl::XmlError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct XmlWriter {
@@ -416,6 +349,12 @@ impl<'a> StartTag<'a> {
     pub fn attrs(&self) -> Attrs<'a> {
         Attrs { rest: self.attrs }
     }
+
+    /// The first value of the attribute `key`, entity-decoded (what
+    /// [`Element::attr`] gives).
+    pub fn attr(&self, key: &str) -> Option<Cow<'a, str>> {
+        self.attrs().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
 }
 
 /// The attributes of a [`StartTag`].
@@ -531,7 +470,7 @@ impl<'a> XmlReader<'a> {
     pub fn next(&mut self) -> Result<XmlEvent<'a>, XmlError> {
         let event = match self.state {
             ReadState::Prolog => {
-                self.skip_prolog()?;
+                self.skip_misc(true)?;
                 self.state = ReadState::Content;
                 self.start_tag()
             }
@@ -621,21 +560,104 @@ impl<'a> XmlReader<'a> {
         }
     }
 
+    /// Right after a child's `Start` in [`read_children`](Self::read_children):
+    /// reads the child into `slot` unless an earlier child filled it, and
+    /// says whether it did. So the first child of a name counts.
+    ///
+    /// # Errors
+    ///
+    /// The error `read` returns.
+    pub fn read_first<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        read: impl FnOnce(&mut XmlReader<'a>) -> Result<T, XmlError>,
+    ) -> Result<bool, XmlError> {
+        if slot.is_some() {
+            return Ok(false);
+        }
+        *slot = Some(read(self)?);
+        Ok(true)
+    }
+
+    /// Right after a `Start`: the text of the first child element named
+    /// each of `names`, reading through the element's `End`.
+    ///
+    /// # Errors
+    ///
+    /// As [`next`](Self::next).
+    pub fn read_leaves<const N: usize>(
+        &mut self,
+        names: [&str; N],
+    ) -> Result<[Option<String>; N], XmlError> {
+        let mut texts = [const { None }; N];
+        self.read_children(
+            |r, tag| match names.iter().position(|&n| n == tag.local_name()) {
+                Some(i) => r.read_first(&mut texts[i], XmlReader::read_text),
+                None => Ok(false),
+            },
+        )?;
+        Ok(texts)
+    }
+
+    /// Right after a `Start`: `read` applied to each child element named
+    /// `item` (reading it through its `End`), reading through the
+    /// element's `End`.
+    ///
+    /// # Errors
+    ///
+    /// As [`next`](Self::next), or the first error `read` returns.
+    pub fn read_list<T>(
+        &mut self,
+        item: &str,
+        mut read: impl FnMut(&mut XmlReader<'a>, StartTag<'a>) -> Result<T, XmlError>,
+    ) -> Result<Vec<T>, XmlError> {
+        let mut items = Vec::new();
+        self.read_children(|r, tag| {
+            if tag.local_name() == item {
+                items.push(read(r, tag)?);
+            }
+            Ok(tag.local_name() == item)
+        })?;
+        Ok(items)
+    }
+
+    /// Right after a `Start`: `read` applied to the first descendant
+    /// named `local_name` in document order (reading it through its
+    /// `End`), or `None`, reading through the element's `End`. Called
+    /// before [`root`](Self::root), it searches the whole document, the
+    /// root included, and reads to its end.
+    ///
+    /// # Errors
+    ///
+    /// As [`next`](Self::next), or the error `read` returns.
+    pub fn read_descendant<T>(
+        &mut self,
+        local_name: &str,
+        read: impl FnOnce(&mut XmlReader<'a>, StartTag<'a>) -> Result<T, XmlError>,
+    ) -> Result<Option<T>, XmlError> {
+        let mut read = Some(read);
+        let mut out = None;
+        let mut nested = 0usize;
+        loop {
+            match self.next()? {
+                XmlEvent::Start(tag) => match read.take_if(|_| tag.local_name() == local_name) {
+                    Some(read) => out = Some(read(self, tag)?),
+                    None => nested += 1,
+                },
+                XmlEvent::End(_) if nested > 0 => nested -= 1,
+                XmlEvent::End(_) | XmlEvent::Eof => return Ok(out),
+                XmlEvent::Text(_) => {}
+            }
+        }
+    }
+
     /// Right after a `Start`: reads through the element's `End`.
     ///
     /// # Errors
     ///
     /// As [`next`](Self::next).
     pub fn skip_element(&mut self) -> Result<(), XmlError> {
-        let mut nested = 0usize;
-        loop {
-            match self.next()? {
-                XmlEvent::Start(_) => nested += 1,
-                XmlEvent::End(_) if nested > 0 => nested -= 1,
-                XmlEvent::End(_) | XmlEvent::Eof => return Ok(()),
-                XmlEvent::Text(_) => {}
-            }
-        }
+        self.read_children(|_, _| Ok(false))
     }
 
     fn err(&self, message: impl Into<String>) -> XmlError {
@@ -663,32 +685,19 @@ impl<'a> XmlReader<'a> {
         }
     }
 
-    /// Skips the XML declaration, processing instructions, comments and
-    /// whitespace before the root element.
-    fn skip_prolog(&mut self) -> Result<(), XmlError> {
+    /// Skips whitespace, comments and processing instructions (the XML
+    /// declaration included) before or after the root element, and
+    /// before it (`prolog`) also a `<!DOCTYPE …>`.
+    fn skip_misc(&mut self, prolog: bool) -> Result<(), XmlError> {
         loop {
             self.skip_ws();
             if self.starts_with("<?") {
                 self.skip_until("?>")?;
             } else if self.starts_with("<!--") {
                 self.skip_until("-->")?;
-            } else if self.starts_with("<!DOCTYPE") {
+            } else if prolog && self.starts_with("<!DOCTYPE") {
                 // Skip to the matching '>' (no internal subset support).
                 self.skip_until(">")?;
-            } else {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Skips comments/PIs/whitespace after the root element.
-    fn skip_misc(&mut self) -> Result<(), XmlError> {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<?") {
-                self.skip_until("?>")?;
-            } else if self.starts_with("<!--") {
-                self.skip_until("-->")?;
             } else {
                 return Ok(());
             }
@@ -849,7 +858,7 @@ impl<'a> XmlReader<'a> {
         self.depth -= 1;
         let name = self.name_at(self.open[self.depth]);
         if self.depth == 0 {
-            self.skip_misc()?;
+            self.skip_misc(false)?;
             if self.pos != self.input.len() {
                 return Err(self.err("trailing content after document element"));
             }
@@ -859,18 +868,11 @@ impl<'a> XmlReader<'a> {
     }
 }
 
-/// The offset of the first `needle` (non-empty) in `haystack`.
+/// The offset of the first `needle` (non-empty) in `haystack`. Not
+/// `str::find`: its two-way searcher takes longer to set up than this
+/// scan takes to pass a document's XML declaration.
 fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    let (&first, rest) = needle.split_first()?;
-    let mut from = 0;
-    while let Some(i) = haystack.get(from..)?.iter().position(|&b| b == first) {
-        let at = from + i;
-        if haystack[at + 1..].starts_with(rest) {
-            return Some(at);
-        }
-        from = at + 1;
-    }
-    None
+    haystack.windows(needle.len()).position(|w| w == needle)
 }
 
 /// `s` trimmed, reusing its buffer when nothing is trimmed.
@@ -930,6 +932,45 @@ fn unescape(s: &str) -> Result<Cow<'_, str>, String> {
 mod tests {
     use super::*;
 
+    /// `e` written through an [`XmlWriter`]: an element with no children
+    /// self-closes, text is escaped.
+    fn to_xml(e: &Element) -> String {
+        fn write(e: &Element, w: &mut XmlWriter) {
+            w.markup("<").markup(&e.name);
+            for (k, v) in &e.attrs {
+                w.attr(k, v);
+            }
+            if e.children.is_empty() {
+                w.markup("/>");
+                return;
+            }
+            w.markup(">");
+            for n in &e.children {
+                match n {
+                    Node::Element(child) => write(child, w),
+                    Node::Text(t) => {
+                        w.text(t);
+                    }
+                }
+            }
+            w.markup("</").markup(&e.name).markup(">");
+        }
+        let mut w = XmlWriter::new(0);
+        write(e, &mut w);
+        w.finish()
+    }
+
+    fn element(name: &str, attrs: &[(&str, &str)], children: Vec<Node>) -> Element {
+        Element {
+            name: name.to_owned(),
+            attrs: attrs
+                .iter()
+                .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+                .collect(),
+            children,
+        }
+    }
+
     #[test]
     fn parses_nested_document_with_declaration() {
         let doc = Element::parse(
@@ -959,7 +1000,7 @@ mod tests {
         let doc = Element::parse(r#"<t a="&lt;&amp;&gt;">x &#60; y &#x26; z</t>"#).unwrap();
         assert_eq!(doc.attr("a"), Some("<&>"));
         assert_eq!(doc.text(), "x < y & z");
-        let round = Element::parse(&doc.to_xml()).unwrap();
+        let round = Element::parse(&to_xml(&doc)).unwrap();
         assert_eq!(doc, round);
     }
 
@@ -1048,7 +1089,7 @@ mod tests {
         ];
         for (input, want) in cases {
             let got = Element::parse(input)
-                .map(|e| e.to_xml())
+                .map(|e| to_xml(&e))
                 .map_err(|e| (e.offset, e.message));
             let want = want.map(str::to_owned).map_err(|(o, m)| (o, m.to_owned()));
             assert_eq!(got, want, "{input:?}");
@@ -1104,6 +1145,28 @@ mod tests {
     }
 
     #[test]
+    fn read_descendant_is_find() {
+        let doc = "<r><a><x:b>1</x:b></a><b>2</b><c><b>3</b></c></r>";
+        let dom = Element::parse(doc).unwrap();
+        let mut r = XmlReader::new(doc);
+        r.root().unwrap();
+        let b = r.read_descendant("b", |r, _| r.read_text()).unwrap();
+        assert_eq!(b, Some(dom.find("b").unwrap().text()));
+        assert_eq!(b.as_deref(), Some("1"));
+        assert_eq!(r.next(), Ok(XmlEvent::Eof));
+        // The element itself is not its own descendant, but before the
+        // root the whole document is searched.
+        let mut r = XmlReader::new(doc);
+        let root = r.read_descendant("r", |r, tag| r.read_leaves(["b"]).map(|b| (tag.name(), b)));
+        assert_eq!(root, Ok(Some(("r", [Some("2".to_owned())]))));
+        assert_eq!(r.next(), Ok(XmlEvent::Eof));
+        let mut r = XmlReader::new(doc);
+        r.root().unwrap();
+        assert_eq!(r.read_descendant("r", |r, _| r.skip_element()), Ok(None));
+        assert_eq!(r.next(), Ok(XmlEvent::Eof));
+    }
+
+    #[test]
     fn reader_fails_for_good_after_an_error() {
         let mut r = XmlReader::new("<a><b></a>");
         r.root().unwrap();
@@ -1123,19 +1186,31 @@ mod tests {
         let a = Element::parse("<x/>").unwrap();
         let b = Element::parse("<x></x>").unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.to_xml(), "<x/>");
+        assert_eq!(to_xml(&a), "<x/>");
     }
 
     #[test]
-    fn builder_round_trips() {
-        let e = Element::new("root")
-            .with_attr("id", "1")
-            .with_child(Element::new("leaf").with_text("value & more"))
-            .with_child(Element::new("empty"));
-        let parsed = Element::parse(&e.to_xml()).unwrap();
-        assert_eq!(e, parsed);
-        assert!(e.to_document().starts_with("<?xml"));
-        assert_eq!(Element::parse(&e.to_document()).unwrap(), e);
+    fn written_tree_round_trips() {
+        let e = element(
+            "root",
+            &[("id", "1")],
+            vec![
+                Node::Element(element(
+                    "leaf",
+                    &[],
+                    vec![Node::Text("value & more".to_owned())],
+                )),
+                Node::Element(element("empty", &[], Vec::new())),
+            ],
+        );
+        let xml = to_xml(&e);
+        assert_eq!(
+            xml,
+            "<root id=\"1\"><leaf>value &amp; more</leaf><empty/></root>"
+        );
+        assert_eq!(Element::parse(&xml).unwrap(), e);
+        let document = format!("{}{xml}", XmlWriter::DECLARATION);
+        assert_eq!(Element::parse(&document).unwrap(), e);
     }
 
     const NAME_HEAD: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
@@ -1155,31 +1230,29 @@ mod tests {
     }
 
     fn arb_element(rng: &mut simnet::SimRng, depth: u32) -> Element {
+        let mut e = element(&arb_name(rng), &[], Vec::new());
         if depth == 0 || rng.gen_bool(0.4) {
-            let mut e = Element::new(arb_name(rng));
             let n_attrs = rng.gen_range(0usize..3);
             for _ in 0..n_attrs {
                 let k = arb_name(rng);
                 // Attribute keys must be unique for equality after parse.
                 if e.attr(&k).is_none() {
                     let v = arb_text(rng);
-                    e = e.with_attr(k, v);
+                    e.attrs.push((k, v));
                 }
             }
             let text = arb_text(rng);
             if !text.trim().is_empty() {
-                e = e.with_text(text.trim().to_owned());
+                e.children.push(Node::Text(text.trim().to_owned()));
             }
-            e
         } else {
-            let mut e = Element::new(arb_name(rng));
             let n_kids = rng.gen_range(0usize..3);
             for _ in 0..n_kids {
                 let kid = arb_element(rng, depth - 1);
-                e = e.with_child(kid);
+                e.children.push(Node::Element(kid));
             }
-            e
         }
+        e
     }
 
     /// Any built element serializes and parses back to itself.
@@ -1187,7 +1260,7 @@ mod tests {
     fn write_parse_round_trip() {
         simnet::check_cases("xml_write_parse_round_trip", 256, |_, rng| {
             let e = arb_element(rng, 3);
-            let xml = e.to_xml();
+            let xml = to_xml(&e);
             let parsed = Element::parse(&xml).unwrap();
             assert_eq!(e, parsed);
         });

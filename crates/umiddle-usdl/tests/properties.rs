@@ -3,7 +3,7 @@
 
 use simnet::SimRng;
 use umiddle_core::{Direction, PortKind};
-use umiddle_usdl::{Element, UsdlDocument};
+use umiddle_usdl::{Element, UsdlDocument, XmlWriter};
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
 const LOWER_NUM_DASH: &str = "abcdefghijklmnopqrstuvwxyz0123456789-";
@@ -74,39 +74,42 @@ fn arb_port(rng: &mut SimRng, idx: usize) -> PortGen {
 }
 
 fn build_xml(device: &str, platform: &str, name: &str, ports: &[PortGen]) -> String {
-    let mut root = Element::new("usdl")
-        .with_attr("device", device)
-        .with_attr("platform", platform)
-        .with_attr("name", name);
+    let mut w = XmlWriter::document(0);
+    w.markup("<usdl")
+        .attr("device", device)
+        .attr("platform", platform)
+        .attr("name", name)
+        .markup(">");
     for p in ports {
-        let mut e = Element::new("port")
-            .with_attr("name", &p.name)
-            .with_attr("direction", p.direction);
+        w.markup("<port")
+            .attr("name", &p.name)
+            .attr("direction", p.direction);
         match &p.digital_mime {
             Some(m) => {
-                e = e.with_attr("kind", "digital").with_attr("mime", m);
+                w.attr("kind", "digital").attr("mime", m);
             }
             None => {
-                e = e
-                    .with_attr("kind", "physical")
-                    .with_attr("perception", p.perception)
-                    .with_attr("media", &p.media);
+                w.attr("kind", "physical")
+                    .attr("perception", p.perception)
+                    .attr("media", &p.media);
             }
         }
+        w.markup(">");
         for b in &p.bindings {
-            let mut be = Element::new("bind");
+            w.markup("<bind");
             // Deduplicate binding keys (attribute keys must be unique).
             let mut seen = std::collections::BTreeSet::new();
             for (k, v) in b {
                 if seen.insert(k.clone()) {
-                    be = be.with_attr(k, v);
+                    w.attr(k, v);
                 }
             }
-            e = e.with_child(be);
+            w.markup("/>");
         }
-        root = root.with_child(e);
+        w.markup("</port>");
     }
-    root.to_document()
+    w.markup("</usdl>");
+    w.finish()
 }
 
 /// Parse → serialize → parse is the identity on USDL documents.
