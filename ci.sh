@@ -6,7 +6,8 @@
 #
 #   lint          rustfmt, clippy -D warnings, rustdoc -D warnings,
 #                 BENCH_*.json record lint, artifacts/*.json parse
-#   build-test    release build + full workspace test suite
+#   build-test    release build + full workspace test suite + perfbench
+#                 build
 #   determinism   double-run byte-diff gates (E8 trace, E10 doctor,
 #                 E11 incident bundle, E13 attribution, paper fidelity);
 #                 the E8, E10, E11, E13 and fidelity outputs are also diffed
@@ -155,9 +156,23 @@ stage_lint() {
     gate bench-lint cargo run --offline --release -p bench -- lint .
 }
 
+# perfbench_build — build the benchmark harness, a workspace of its own
+# compiled against the crates' public API, so an API change that breaks
+# it fails here. The build rewrites perfbench/Cargo.lock; the committed
+# lockfile is restored afterwards, also when the build fails.
+perfbench_build() {
+    mkdir -p target
+    cp perfbench/Cargo.lock target/perfbench-Cargo.lock
+    local status=0
+    cargo build --offline --release --manifest-path perfbench/Cargo.toml || status=$?
+    cp target/perfbench-Cargo.lock perfbench/Cargo.lock
+    return "$status"
+}
+
 stage_build_test() {
     gate build cargo build --offline --release
     gate test cargo test --offline --workspace -q
+    gate perfbench-build perfbench_build
 }
 
 stage_determinism() {

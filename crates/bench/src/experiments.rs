@@ -75,7 +75,6 @@ pub fn e1_service_level(repetitions: usize) -> Vec<MappingRow> {
     fn mouse_once(seed: u64) -> SimDuration {
         use platform_bluetooth::{HidpMouse, MouseConfig};
         let mut world = World::new(seed);
-        world.trace_mut().set_log_enabled(false);
         let pico = world.add_segment(SegmentConfig::bluetooth_piconet());
         let (_h1, rt) = runtime_node(&mut world, "h1", 0, &[pico]);
         let m_node = world.add_node("mouse");
@@ -213,7 +212,6 @@ pub fn e2_device_level() -> DeviceLevelResults {
 
     // --- Bluetooth mouse: 100 signals ---
     let mut world = World::new(8);
-    world.trace_mut().set_log_enabled(false);
     let pico = world.add_segment(SegmentConfig::bluetooth_piconet());
     let (h1, rt) = runtime_node(&mut world, "h1", 0, &[pico]);
     let m_node = world.add_node("mouse");
@@ -1194,7 +1192,6 @@ pub fn e8_observability() -> ObservabilityResults {
     use platform_upnp::{LightLogic, UpnpDevice};
 
     let mut world = World::new(42);
-    world.trace_mut().set_log_enabled(false);
     let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
     let pico = world.add_segment(SegmentConfig::bluetooth_piconet());
 
@@ -1348,7 +1345,6 @@ fn e9_world(n: usize) -> World {
     use umiddle_bridges::{MotesMapper, WsMapper};
 
     let mut world = World::new(0xE9 + n as u64);
-    world.trace_mut().set_log_enabled(false);
 
     // Six near-equal groups, one per bridge platform.
     let group = |k: usize| n / 6 + usize::from(k < n % 6);
@@ -1770,7 +1766,6 @@ impl Process for BusyCollector {
 fn e9b_world(n: usize) -> (World, Rc<RefCell<u64>>) {
     let delivered = Rc::new(RefCell::new(0u64));
     let mut world = World::new(0x9B + n as u64);
-    world.trace_mut().set_log_enabled(false);
     let net = world.add_segment(SegmentConfig::ethernet_100mbps_switch());
     let sink_node = world.add_node("collector");
     world.attach(sink_node, net).expect("attach");
@@ -1900,7 +1895,6 @@ fn e10_world() -> (World, ProcId, SimTime) {
     use platform_upnp::{LightLogic, UpnpDevice};
 
     let mut world = World::new(0xE10);
-    world.trace_mut().set_log_enabled(false);
     let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub()); // seg0
     let pico = world.add_segment(SegmentConfig::bluetooth_piconet());
 

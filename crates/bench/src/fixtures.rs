@@ -217,7 +217,6 @@ impl umiddle_bridges::NativeBehavior for ByteMeter {
 /// Builds a standard 10 Mbps hub world.
 pub fn hub_world(seed: u64) -> (World, simnet::SegmentId) {
     let mut world = World::new(seed);
-    world.trace_mut().set_log_enabled(false);
     let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
     (world, hub)
 }

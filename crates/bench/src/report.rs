@@ -261,10 +261,8 @@ pub fn render_e10(r: &TelemetryFaultResults) -> String {
         ));
     }
     out.push_str(&format!(
-        "scheduler: {} events pending, lag p99 {}, max {}\n",
-        r.report.events_pending,
-        d(r.report.sched_lag_p99_ns),
-        d(r.report.sched_lag_max_ns)
+        "scheduler: {} events pending\n",
+        r.report.events_pending
     ));
 
     out.push_str("\ntop offenders (doctor's ranking):\n");

@@ -343,7 +343,6 @@ pub struct FanoutRun {
 /// to `receivers` group members.
 pub fn multicast_fanout(receivers: usize, sends: usize) -> FanoutRun {
     let mut w = World::new(7);
-    w.trace_mut().set_log_enabled(false);
     let seg = w.add_segment(SegmentConfig::ethernet_10mbps_hub());
     let bytes = Rc::new(RefCell::new(0u64));
     for i in 0..receivers {
@@ -443,7 +442,6 @@ impl Process for BulkTx {
 /// nanoseconds per transferred KiB.
 pub fn stream_bulk_transfer(total: usize, loss: f64) -> f64 {
     let mut w = World::new(99);
-    w.trace_mut().set_log_enabled(false);
     let seg = w.add_segment(SegmentConfig::ethernet_10mbps_hub().with_loss(loss));
     let a = w.add_node("a");
     let b = w.add_node("b");

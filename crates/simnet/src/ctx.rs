@@ -65,14 +65,6 @@ impl<'w> Ctx<'w> {
         &mut self.world.rng
     }
 
-    /// Logs a trace event attributed to this process.
-    pub fn trace(&mut self, message: impl Into<String>) {
-        let source = self.world.procs[self.me.index()].source;
-        let name = self.world.trace.source_name(source).to_owned();
-        let now = self.world.now();
-        self.world.trace.log(now, name, message);
-    }
-
     /// Adds `n` to a world counter, by name or by a [`MetricId`]
     /// resolved beforehand.
     ///

@@ -431,10 +431,6 @@ pub struct HealthReport {
     pub events_pending: u64,
     /// Sampled `sched.events_pending` trend, oldest first.
     pub events_pending_trend: Vec<i64>,
-    /// p99 scheduler lag (pop time minus due time), nanoseconds.
-    pub sched_lag_p99_ns: u64,
-    /// Maximum scheduler lag, nanoseconds.
-    pub sched_lag_max_ns: u64,
     /// Per-bridge liveness, sorted by platform.
     pub bridges: Vec<BridgeHealth>,
     /// Per-segment utilization, sorted busiest first.
@@ -523,15 +519,6 @@ impl HealthReport {
             .gauge_series(crate::metric_id!("sched.events_pending"))
             .map(|s| s.values().collect())
             .unwrap_or_default();
-        let (sched_lag_p99_ns, sched_lag_max_ns) = metrics
-            .histogram(crate::metric_id!("sched.lag_ns"))
-            .map(|h| {
-                (
-                    h.quantile_bound_ns(0.99).unwrap_or(0),
-                    h.quantile_bound_ns(1.0).unwrap_or(0),
-                )
-            })
-            .unwrap_or((0, 0));
 
         let alerts: Vec<AlertReport> = engine
             .objectives()
@@ -638,8 +625,6 @@ impl HealthReport {
             samples: telemetry.samples(),
             events_pending,
             events_pending_trend,
-            sched_lag_p99_ns,
-            sched_lag_max_ns,
             bridges,
             top_segment: seg_health.first().map(|s| s.label.clone()),
             segments: seg_health,
@@ -691,8 +676,6 @@ impl HealthReport {
                 "scheduler",
                 Json::inline()
                     .with("events_pending", self.events_pending)
-                    .with("lag_p99_ns", self.sched_lag_p99_ns)
-                    .with("lag_max_ns", self.sched_lag_max_ns)
                     .with(
                         "pending_trend",
                         Json::array(Layout::Inline, self.events_pending_trend.iter().copied()),

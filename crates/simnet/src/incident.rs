@@ -1,9 +1,9 @@
 //! Incident bundles: deterministic evidence snapshots cut by the
 //! trigger plane.
 //!
-//! The flight recorder (the [`Trace`](crate::Trace)'s ring journals,
-//! always on) keeps the most recent trace window at full fidelity; this
-//! module is the *consumer* of that window. When
+//! The flight recorder (the [`Trace`](crate::Trace)'s span ring
+//! journal, always on) keeps the most recent trace window at full
+//! fidelity; this module is the *consumer* of that window. When
 //! [`World::enable_flight_recorder`](crate::World) is on, a **trigger
 //! plane** watches every telemetry sample for:
 //!

@@ -43,7 +43,7 @@
 //!         ctx.send_to(9, self.target, b"hi".to_vec()).unwrap();
 //!     }
 //!     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, _d: Datagram) {
-//!         ctx.trace(format!("pong after {}", ctx.now()));
+//!         ctx.bump("pongs", 1);
 //!     }
 //! }
 //!
@@ -57,6 +57,7 @@
 //! world.add_process(b, Box::new(Echo));
 //! world.add_process(a, Box::new(Ping { target: Addr::new(b, 7) }));
 //! world.run_until(SimTime::from_secs(1));
+//! assert_eq!(world.trace().counter("pongs"), 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -108,7 +109,7 @@ pub use time::{SimDuration, SimTime};
 pub use timeseries::{SamplerConfig, Telemetry, TelemetryWindow};
 pub use trace::{
     DetailArg, Histogram, MetricId, MetricRef, Metrics, MetricsSnapshot, SegmentStats, SpanDetail,
-    SpanId, SpanRecord, Trace, TraceEvent,
+    SpanId, SpanRecord, Trace,
 };
 pub use wheel::TimerWheel;
 pub use world::World;

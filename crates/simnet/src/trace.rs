@@ -1,13 +1,12 @@
 //! Tracing and metrics for simulations.
 //!
-//! Every [`World`](crate::World) owns a [`Trace`]: a ring-journal event
-//! log, a ring-journal span log for causal path reconstruction (both keep
-//! the newest window when full), and a [`Metrics`]
-//! registry of typed counters, gauges, and fixed-bucket latency
-//! histograms. Protocol code records through [`Ctx`](crate::Ctx); benches
-//! and tests read the registry back to assert on behaviour (frames on a
-//! segment, bytes delivered, retransmissions, per-hop translation
-//! latency, …).
+//! Every [`World`](crate::World) owns a [`Trace`]: a ring-journal span
+//! log for causal path reconstruction (it keeps the newest window when
+//! full) and a [`Metrics`] registry of typed counters, gauges, and
+//! fixed-bucket latency histograms. Protocol code records through
+//! [`Ctx`](crate::Ctx); benches and tests read the registry back to
+//! assert on behaviour (frames on a segment, bytes delivered,
+//! retransmissions, per-hop translation latency, …).
 //!
 //! Spans are *structured*: each has a [`SpanId`], an optional parent, and
 //! an explicit begin and end, so every hop of a mediated path has a
@@ -27,23 +26,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use crate::journal::{SpanJournal, SpanSource};
 use crate::json::{Json, Layout};
 use crate::time::{SimDuration, SimTime};
-
-/// One recorded trace event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Virtual time the event was logged.
-    pub time: SimTime,
-    /// Short source tag (usually the process name).
-    pub source: String,
-    /// Free-form message.
-    pub message: String,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}: {}", self.time, self.source, self.message)
-    }
-}
 
 /// Identifier of a structured span, unique within one [`Trace`].
 ///
@@ -758,11 +740,6 @@ impl Metrics {
         self.histograms.get(key.into())
     }
 
-    /// A histogram, created empty if it was never observed.
-    pub(crate) fn histogram_mut(&mut self, id: MetricId) -> &mut Histogram {
-        self.histograms.entry(MetricRef::Id(id), Histogram::default)
-    }
-
     /// All counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k, *v))
@@ -924,14 +901,13 @@ impl MetricsSnapshot {
     }
 }
 
-/// Bounded event log, structured span log, and metrics registry.
+/// Bounded structured span log and metrics registry.
 ///
-/// Both logs are ring journals: a full log evicts its oldest half, so
-/// it always holds the most recent window at full fidelity. Every
-/// evicted record is counted in the cumulative `trace.ring_overwrites`
-/// (spans) and `trace.events_overwritten` (events) counters. Eviction
-/// happens in half-capacity chunks, so the amortized cost per record
-/// stays O(1).
+/// The span log is a ring journal: when full it evicts its oldest half,
+/// so it always holds the most recent window at full fidelity. Every
+/// evicted span is counted in the cumulative `trace.ring_overwrites`
+/// counter. Eviction happens in half-capacity chunks, so the amortized
+/// cost per record stays O(1).
 ///
 /// The span journal stores each span as an 88-byte `Copy` slot whose
 /// strings are indexes into per-trace tables, so recording a span
@@ -941,31 +917,19 @@ impl MetricsSnapshot {
 /// [`span_record`](Trace::span_record) looks one up by id.
 #[derive(Debug)]
 pub struct Trace {
-    log_enabled: bool,
-    /// Capacity of each journal (events and spans).
-    capacity: usize,
-    events: Vec<TraceEvent>,
     spans: SpanJournal,
     ring_overwrites_folded: u64,
-    /// Cumulative events evicted by the ring.
-    events_overwritten: u64,
-    events_overwritten_folded: u64,
     metrics: Metrics,
 }
 
 impl Trace {
-    /// Creates a trace with logging enabled whose event and span
-    /// journals each hold at most `capacity` records (at least 2). A
-    /// full journal keeps at least its newest `capacity / 2` records.
+    /// Creates a trace whose span journal holds at most `capacity`
+    /// records (at least 2). A full journal keeps at least its newest
+    /// `capacity / 2` records.
     pub fn new(capacity: usize) -> Trace {
         Trace {
-            log_enabled: true,
-            capacity: capacity.max(2),
-            events: Vec::new(),
             spans: SpanJournal::new(capacity),
             ring_overwrites_folded: 0,
-            events_overwritten: 0,
-            events_overwritten_folded: 0,
             metrics: Metrics::default(),
         }
     }
@@ -975,33 +939,10 @@ impl Trace {
         self.spans.overwrites()
     }
 
-    /// Cumulative events evicted by the ring.
-    pub fn events_overwritten(&self) -> u64 {
-        self.events_overwritten
-    }
-
-    /// Enables or disables event logging (counters always work).
-    pub fn set_log_enabled(&mut self, enabled: bool) {
-        self.log_enabled = enabled;
-    }
-
-    /// Records an event if logging is enabled, evicting the oldest half
-    /// of a full log first.
-    pub fn log(&mut self, time: SimTime, source: impl Into<String>, message: impl Into<String>) {
-        if !self.log_enabled {
-            return;
-        }
-        if self.events.len() >= self.capacity {
-            let evict = self.capacity / 2;
-            self.events.drain(..evict);
-            self.events_overwritten += evict as u64;
-        }
-        self.events.push(TraceEvent {
-            time,
-            source: source.into(),
-            message: message.into(),
-        });
-    }
+    /// Does nothing. A trace once kept a second, free-text event log
+    /// that this switched off; the log is gone, and the method stays
+    /// only because the `perfbench` workloads still call it.
+    pub fn set_log_enabled(&mut self, _enabled: bool) {}
 
     /// The span source of a process name, minted on first use. Spans
     /// recorded through it ([`Trace::span_from`],
@@ -1122,19 +1063,14 @@ impl Trace {
     }
 
     /// Folds the ring evictions into the metrics registry as the
-    /// cumulative `trace.ring_overwrites` and `trace.events_overwritten`
-    /// counters (adding the delta since the last fold, so repeated runs
-    /// never double-count). The keys are always written — every
-    /// exported snapshot records whether its journals wrapped, even
-    /// when the answer is zero.
+    /// cumulative `trace.ring_overwrites` counter (adding the delta
+    /// since the last fold, so repeated runs never double-count). The
+    /// key is always written — every exported snapshot records whether
+    /// its journal wrapped, even when the answer is zero.
     pub fn sync_ring_stats(&mut self) {
         let ring = self.spans.overwrites() - self.ring_overwrites_folded;
         self.metrics.counter_add("trace.ring_overwrites", ring);
         self.ring_overwrites_folded = self.spans.overwrites();
-        let ev_ring = self.events_overwritten - self.events_overwritten_folded;
-        self.metrics
-            .counter_add("trace.events_overwritten", ev_ring);
-        self.events_overwritten_folded = self.events_overwritten;
     }
 
     /// Folds the thread-local payload copy accounting into the metrics
@@ -1173,25 +1109,17 @@ impl Trace {
         self.metrics.counters()
     }
 
-    /// The recorded events, in order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Clears events, spans, and metrics.
+    /// Clears spans and metrics.
     pub fn clear(&mut self) {
-        self.events.clear();
         self.spans.clear();
         self.ring_overwrites_folded = 0;
-        self.events_overwritten = 0;
-        self.events_overwritten_folded = 0;
         self.metrics.clear();
     }
 }
 
 impl Default for Trace {
-    /// Journals of 50,000 records each: the window incident bundles are
-    /// cut from.
+    /// A journal of 50,000 spans: the window incident bundles are cut
+    /// from.
     fn default() -> Trace {
         Trace::new(50_000)
     }
@@ -1236,17 +1164,6 @@ mod tests {
     }
 
     #[test]
-    fn log_respects_capacity() {
-        let mut t = Trace::new(2);
-        for i in 0..4 {
-            t.log(SimTime::ZERO, "src", format!("event {i}"));
-        }
-        let kept: Vec<&str> = t.events().iter().map(|e| e.message.as_str()).collect();
-        assert_eq!(kept, ["event 2", "event 3"]);
-        assert_eq!(t.events_overwritten(), 2);
-    }
-
-    #[test]
     fn span_ring_keeps_the_tail_and_counts_overwrites() {
         // A full journal overwrites the OLDEST spans and counts them as
         // ring overwrites; the tail survives.
@@ -1273,18 +1190,6 @@ mod tests {
             ring.counter("trace.ring_overwrites"),
             ring.ring_overwrites()
         );
-    }
-
-    #[test]
-    fn event_ring_keeps_tail() {
-        let mut t = Trace::new(4);
-        for i in 0..10 {
-            t.log(SimTime::from_nanos(i), "src", format!("event {i}"));
-        }
-        assert!(t.events_overwritten() > 0);
-        assert!(t.events().iter().any(|e| e.message == "event 9"));
-        assert!(t.events().iter().all(|e| e.message != "event 0"));
-        assert_eq!(t.events_overwritten() + t.events().len() as u64, 10);
     }
 
     #[test]
@@ -1322,24 +1227,6 @@ mod tests {
             Some(SimDuration::from_millis(2))
         );
         assert_eq!(t.spans().last().unwrap().id, id);
-    }
-
-    #[test]
-    fn disabled_log_records_nothing() {
-        let mut t = Trace::default();
-        t.set_log_enabled(false);
-        t.log(SimTime::ZERO, "src", "hidden");
-        assert!(t.events().is_empty());
-    }
-
-    #[test]
-    fn event_display_is_readable() {
-        let ev = TraceEvent {
-            time: SimTime::from_millis(1),
-            source: "mapper".to_owned(),
-            message: "device found".to_owned(),
-        };
-        assert_eq!(ev.to_string(), "[1.000ms] mapper: device found");
     }
 
     #[test]
@@ -1657,20 +1544,17 @@ mod tests {
     fn ring_stats_fold_as_deltas_and_always_export() {
         let mut t = Trace::new(2);
         t.sync_ring_stats();
-        // Traces that never wrapped still export the keys, at zero.
-        assert_eq!(t.counter("trace.events_overwritten"), 0);
+        // Traces that never wrapped still export the key, at zero.
         assert_eq!(t.counter("trace.ring_overwrites"), 0);
         assert!(t
             .metrics()
             .snapshot()
             .counters
             .contains_key("trace.ring_overwrites"));
-        for i in 0..3 {
-            t.log(SimTime::ZERO, "src", format!("event {i}"));
+        for _ in 0..3 {
             t.span(1, SimTime::ZERO, "src", "stage", "");
         }
         t.sync_ring_stats();
-        assert_eq!(t.counter("trace.events_overwritten"), 1);
         assert_eq!(t.counter("trace.ring_overwrites"), 1);
         // A second fold with no new overwrites adds nothing.
         t.sync_ring_stats();

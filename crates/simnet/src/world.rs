@@ -337,13 +337,12 @@ impl World {
         self.now
     }
 
-    /// Read access to the trace (events and counters).
+    /// Read access to the trace (spans and metrics).
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Mutable access to the trace, e.g. to disable event logging for a
-    /// long benchmark run.
+    /// Mutable access to the trace.
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
     }
@@ -596,8 +595,8 @@ impl World {
         self.arm_sampler();
     }
 
-    /// Turns on the incident trigger plane over the trace's ring
-    /// journals (the flight recorder, always on): every telemetry sample
+    /// Turns on the incident trigger plane over the trace's span ring
+    /// journal (the flight recorder, always on): every telemetry sample
     /// checks for incident triggers — a new ok→firing SLO transition or
     /// a change in the doctor's ranked offender list — snapshotting a
     /// deterministic [`IncidentBundle`] for each (see
@@ -834,26 +833,19 @@ impl World {
     }
 
     /// Folds `sched.events_pending` and the per-segment
-    /// `segment.segN.busy_ns` gauges into the registry, and creates
-    /// `sched.lag_ns` so the sampler's baseline sees it before the first
-    /// event. Called at every sample and at run-loop sync points.
+    /// `segment.segN.busy_ns` gauges into the registry. Called at every
+    /// sample and at run-loop sync points.
     fn fold_sched_metrics(&mut self) {
         let metrics = self.trace.metrics_mut();
         metrics.gauge_set(metric_id!("sched.events_pending"), self.queue.len() as i64);
-        metrics.histogram_mut(metric_id!("sched.lag_ns"));
         for seg in &self.segments {
             metrics.gauge_set(seg.busy_ns, seg.stats.busy.as_nanos() as i64);
         }
     }
 
-    /// Moves the clock to a popped entry's due time, recording the
-    /// scheduler lag (pop time minus due time) into `sched.lag_ns`.
+    /// Moves the clock to a popped entry's due time.
     fn advance_to(&mut self, due: SimTime) {
         debug_assert!(due >= self.now, "time went backwards");
-        let lag = self.now.saturating_since(due);
-        self.trace
-            .metrics_mut()
-            .observe(metric_id!("sched.lag_ns"), lag);
         self.now = self.now.max(due);
     }
 
@@ -1802,26 +1794,62 @@ mod tests {
 
     #[test]
     fn determinism_same_seed_same_trace() {
-        fn run(seed: u64) -> Vec<SimTime> {
-            let mut w2 = World::new(seed);
-            let seg = w2.add_segment(SegmentConfig::ethernet_10mbps_hub().with_loss(0.3));
-            let a = w2.add_node("a");
-            let b = w2.add_node("b");
-            w2.attach(a, seg).unwrap();
-            w2.attach(b, seg).unwrap();
-            w2.add_process(b, Box::new(Echoer));
-            let got = Rc::new(RefCell::new(Vec::new()));
-            w2.add_process(
+        /// Arrival time and body of every reply, in arrival order.
+        type RoundTrips = Vec<(SimTime, Vec<u8>)>;
+        /// Pings the echoer every 10 ms and logs each reply's arrival.
+        struct PingSeries {
+            target: Addr,
+            sent: u8,
+            log: Rc<RefCell<RoundTrips>>,
+        }
+        impl Process for PingSeries {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.bind(7).unwrap();
+                ctx.set_timer(SimDuration::ZERO, 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+                ctx.send_to(7, self.target, vec![self.sent]).unwrap();
+                self.sent += 1;
+                if self.sent < 50 {
+                    ctx.set_timer(SimDuration::from_millis(10), 0);
+                }
+            }
+            fn on_datagram(&mut self, ctx: &mut Ctx<'_>, d: Datagram) {
+                self.log.borrow_mut().push((ctx.now(), d.data.to_vec()));
+            }
+        }
+        /// The metrics snapshot and the round-trip log of a 30%-loss run.
+        fn run(seed: u64) -> (String, RoundTrips) {
+            let mut w = World::new(seed);
+            let seg = w.add_segment(SegmentConfig::ethernet_10mbps_hub().with_loss(0.3));
+            let a = w.add_node("a");
+            let b = w.add_node("b");
+            w.attach(a, seg).unwrap();
+            w.attach(b, seg).unwrap();
+            w.add_process(b, Box::new(Echoer));
+            let log = Rc::new(RefCell::new(Vec::new()));
+            w.add_process(
                 a,
-                Box::new(Pinger {
-                    got: Rc::clone(&got),
+                Box::new(PingSeries {
                     target: Addr::new(b, 9),
+                    sent: 0,
+                    log: Rc::clone(&log),
                 }),
             );
-            w2.run_until(SimTime::from_secs(1));
-            w2.trace().events().iter().map(|e| e.time).collect()
+            w.run_until(SimTime::from_secs(1));
+            let snapshot = w.trace().metrics().snapshot().to_json().to_string();
+            (snapshot, log.take())
         }
-        assert_eq!(run(42), run(42));
+        let first = run(42);
+        assert!(
+            (1..50).contains(&first.1.len()),
+            "30% loss should drop some of the 50 round trips, not all: {}",
+            first.1.len()
+        );
+        assert_eq!(first, run(42));
+        let other = run(43);
+        assert_ne!(first.0, other.0, "another seed loses other frames");
+        assert_ne!(first.1, other.1);
     }
 
     // Stream smoke test lives in stream.rs; here we only check listener

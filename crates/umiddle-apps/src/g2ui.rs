@@ -277,10 +277,12 @@ impl G2Ui {
     fn handle_command(&mut self, ctx: &mut Ctx<'_>, cmd: G2Command) {
         match cmd {
             G2Command::Place { name, position } => {
+                // The lowest matching id, not the map's per-run first.
                 let profile = self
                     .known
                     .values()
-                    .find(|p| p.name().contains(&name))
+                    .filter(|p| p.name().contains(&name))
+                    .min_by_key(|p| p.id())
                     .cloned();
                 let Some(profile) = profile else {
                     self.atlas

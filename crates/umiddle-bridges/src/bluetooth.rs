@@ -150,12 +150,14 @@ impl BluetoothMapper {
     fn expire_devices(&mut self, ctx: &mut Ctx<'_>) {
         let deadline = self.inquiry_interval * 3;
         let now = ctx.now();
-        let dead: Vec<NodeId> = self
+        let mut dead: Vec<NodeId> = self
             .devices
             .iter()
             .filter(|(_, d)| now.saturating_since(d.last_seen) > deadline)
             .map(|(n, _)| *n)
             .collect();
+        // Depart in node order, not the map's per-run hash order.
+        dead.sort_unstable();
         for node in dead {
             if let Some(dev) = self.devices.remove(&node) {
                 for svc in dev.services {

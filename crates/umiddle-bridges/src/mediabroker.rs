@@ -169,8 +169,7 @@ impl MediaBrokerMapper {
                     b.attached = true;
                 }
             }
-            MbFrame::Nack { reason } => {
-                ctx.trace(format!("mb attach failed: {reason}"));
+            MbFrame::Nack { .. } => {
                 ctx.bump("mapper.mb.attach_failed", 1);
             }
             MbFrame::Data { payload } => {

@@ -169,12 +169,14 @@ impl Process for MotesMapper {
         if token == TIMER_EXPIRE {
             let now = ctx.now();
             let expiry = self.expiry;
-            let dead: Vec<u16> = self
+            let mut dead: Vec<u16> = self
                 .motes
                 .iter()
                 .filter(|(_, m)| now.saturating_since(m.last_seen) > expiry)
                 .map(|(id, _)| *id)
                 .collect();
+            // Depart in id order, not the map's per-run hash order.
+            dead.sort_unstable();
             for id in dead {
                 if let Some(m) = self.motes.remove(&id) {
                     self.core.depart(ctx, &id, m.translator);

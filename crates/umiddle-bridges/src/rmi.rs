@@ -160,8 +160,8 @@ impl RmiMapper {
                 );
                 ack_input_done(ctx, self.core.runtime(), connection, translator);
             }
-            RmiClientEvent::Raised { call_id, message } => {
-                ctx.trace(format!("rmi exception: {message}"));
+            RmiClientEvent::Raised { call_id, .. } => {
+                ctx.bump("mapper.rmi.exceptions", 1);
                 if let Some(RmiCall::Invoke {
                     translator,
                     connection,

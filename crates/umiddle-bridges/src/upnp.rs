@@ -36,7 +36,6 @@ struct MappedDevice {
     usn: String,
     location: Addr,
     doc: UsdlDocument,
-    friendly_name: String,
     translator: Option<TranslatorId>,
     seen_at: SimTime,
 }
@@ -112,7 +111,6 @@ impl UpnpMapper {
                         usn: usn.clone(),
                         location,
                         doc: doc.clone(),
-                        friendly_name: String::new(),
                         translator: None,
                         seen_at: ctx.now(),
                     },
@@ -134,7 +132,6 @@ impl UpnpMapper {
                 else {
                     return;
                 };
-                dev.friendly_name = desc.friendly_name.clone();
                 // The paper's dominant Figure-10 cost: instantiating the
                 // translator's ports and hierarchy entities.
                 let entity = Entity {
@@ -170,8 +167,7 @@ impl UpnpMapper {
                     self.pending_calls.remove(&call_id)
                 {
                     ctx.span_end(native_span);
-                    if let SoapResult::Fault { code, description } = &result {
-                        ctx.trace(format!("SOAP fault {code}: {description}"));
+                    if matches!(result, SoapResult::Fault { .. }) {
                         ctx.bump("mapper.upnp.soap_faults", 1);
                     }
                     let mut stats = self.core.stats.borrow_mut();
@@ -248,13 +244,6 @@ impl UpnpMapper {
                     return;
                 };
                 dev.translator = Some(translator);
-                let elapsed = ctx.now().saturating_since(dev.seen_at);
-                ctx.trace(format!(
-                    "mapped {} ({}) in {}",
-                    dev.friendly_name,
-                    dev.doc.device_type(),
-                    elapsed
-                ));
             }
             RuntimeEvent::Input {
                 translator,

@@ -2,6 +2,7 @@
 //! mapped into uMiddle and wired together across platform boundaries.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use platform_bluetooth::{BipCamera, HidpMouse, MouseConfig};
@@ -10,14 +11,17 @@ use platform_motes::{BaseStation, Mote};
 use platform_rmi::{RmiObjectServer, RmiRegistry, REGISTRY_PORT};
 use platform_upnp::{LightLogic, MediaRendererLogic, UpnpDevice};
 use platform_webservices::WsServer;
-use simnet::{Addr, Ctx, NodeId, ProcId, Process, SegmentConfig, SimDuration, SimTime, World};
+use simnet::{
+    Addr, Ctx, LocalMessage, NodeId, ProcId, Process, SegmentConfig, SimDuration, SimTime, World,
+};
 use umiddle_apps::{WireRule, Wirer};
 use umiddle_bridges::{
     behaviors, BluetoothMapper, MapperStats, MediaBrokerMapper, MotesMapper, NativeService,
     RmiMapper, UpnpMapper, WsMapper,
 };
 use umiddle_core::{
-    Direction, Query, RuntimeConfig, RuntimeId, RuntimeStats, Shape, UMessage, UmiddleRuntime,
+    Direction, DirectoryEvent, Query, RuntimeClient, RuntimeConfig, RuntimeEvent, RuntimeId,
+    RuntimeStats, Shape, UMessage, UmiddleRuntime,
 };
 use umiddle_usdl::UsdlLibrary;
 
@@ -213,11 +217,16 @@ fn mouse_clicks_reach_a_native_recorder() {
     assert!(world.trace().counter("mapper.bt.hid_translated") >= 6);
 }
 
-/// RMI echo through uMiddle: a native source feeds the RMI translator's
-/// request port; the echoed responses land in a recorder.
-#[test]
-fn rmi_echo_bridged() {
-    let mut world = World::new(103);
+/// An RMI world on one hub: on h1 the runtime, the RMI mapper of
+/// `EchoService` and a "Payload Source" of `count` 1400-byte messages,
+/// 10 s apart, wired into the object's `request` port; the registry and
+/// `server` (given its port and the registry) on nodes of their own.
+fn rmi_world(
+    seed: u64,
+    server: fn(u16, Addr) -> RmiObjectServer,
+    count: u64,
+) -> (World, NodeId, ProcId, Rc<RefCell<MapperStats>>) {
+    let mut world = World::new(seed);
     let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
     let h1 = world.add_node("h1");
     let reg_node = world.add_node("registry");
@@ -228,7 +237,7 @@ fn rmi_echo_bridged() {
     let rt = add_runtime(&mut world, h1, 0);
     world.add_process(reg_node, Box::new(RmiRegistry::new()));
     let registry = Addr::new(reg_node, REGISTRY_PORT);
-    world.add_process(srv_node, Box::new(RmiObjectServer::echo(2099, registry)));
+    world.add_process(srv_node, Box::new(server(2099, registry)));
     let rmi_mapper = RmiMapper::new(
         rt,
         UsdlLibrary::bundled(),
@@ -239,12 +248,11 @@ fn rmi_echo_bridged() {
     world.add_process(h1, Box::new(rmi_mapper));
 
     // Source: 1400-byte messages, like the paper's transport benchmark.
+    fn octets() -> umiddle_core::MimeType {
+        "application/octet-stream".parse().unwrap()
+    }
     let src_shape = Shape::builder()
-        .digital(
-            "out",
-            Direction::Output,
-            "application/octet-stream".parse().unwrap(),
-        )
+        .digital("out", Direction::Output, octets())
         .build()
         .unwrap();
     world.add_process(
@@ -256,16 +264,31 @@ fn rmi_echo_bridged() {
             Box::new(behaviors::PeriodicSource::new(
                 "out",
                 SimDuration::from_secs(10),
-                4,
-                |i| {
-                    UMessage::new(
-                        "application/octet-stream".parse().unwrap(),
-                        vec![i as u8; 1400],
-                    )
-                },
+                count,
+                |i| UMessage::new(octets(), vec![i as u8; 1400]),
             )),
         )),
     );
+    world.add_process(
+        h1,
+        Box::new(Wirer::new(
+            rt,
+            vec![WireRule::new(
+                "Payload Source",
+                "out",
+                "EchoService",
+                "request",
+            )],
+        )),
+    );
+    (world, h1, rt, rmi_stats)
+}
+
+/// RMI echo through uMiddle: a native source feeds the RMI translator's
+/// request port; the echoed responses land in a recorder.
+#[test]
+fn rmi_echo_bridged() {
+    let (mut world, h1, rt, rmi_stats) = rmi_world(103, RmiObjectServer::echo, 4);
     let recorder = behaviors::Recorder::new();
     let received = Rc::clone(&recorder.received);
     world.add_process(
@@ -281,10 +304,12 @@ fn rmi_echo_bridged() {
         h1,
         Box::new(Wirer::new(
             rt,
-            vec![
-                WireRule::new("Payload Source", "out", "EchoService", "request"),
-                WireRule::new("EchoService", "response", "Echo Recorder", "in"),
-            ],
+            vec![WireRule::new(
+                "EchoService",
+                "response",
+                "Echo Recorder",
+                "in",
+            )],
         )),
     );
 
@@ -298,6 +323,36 @@ fn rmi_echo_bridged() {
     assert!(received.iter().all(|(_, m)| m.body().len() == 1400));
     assert_eq!(rmi_stats.borrow().mappings.len(), 1, "echo object mapped");
     assert_mapped_counter(&world, "rmi", &rmi_stats);
+}
+
+/// An RMI object that raises on the mapper's `echo` call (a method it
+/// does not have) is counted, and the input is still acked: the delivery
+/// credit comes back, so more inputs than one path's credit get through.
+#[test]
+fn rmi_exceptions_are_counted_and_acked() {
+    let no_echo = |port, registry| {
+        RmiObjectServer::new(
+            "EchoService",
+            port,
+            registry,
+            Box::new(|method, _| Err(format!("java.rmi.ServerException: no method {method}"))),
+        )
+    };
+    let (mut world, ..) = rmi_world(110, no_echo, 12);
+    // (exceptions counted, inputs delivered to the mapper)
+    let counts = |world: &World| {
+        let exceptions = world.trace().counter("mapper.rmi.exceptions");
+        (exceptions, closed_spans(world, "bridge.rmi.input").1)
+    };
+    while counts(&world).1 == 0 {
+        world.run_until(world.now() + SimDuration::from_millis(100));
+    }
+    world.run_until(world.now() + SimDuration::from_secs(1));
+    assert_eq!(counts(&world), (1, 1), "the first input raised once");
+
+    world.run_until(SimTime::from_secs(150));
+    // Twelve inputs, three times one path's delivery credit of four.
+    assert_eq!(counts(&world), (12, 12), "every input arrived and raised");
 }
 
 /// A MediaBroker producer: registers a channel, then sends one
@@ -477,6 +532,79 @@ fn mote_readings_bridged() {
         "temperature readings recorded: {}",
         received.len()
     );
+}
+
+/// Records every directory event a `Query::All` listener receives.
+struct DirectoryWatcher {
+    runtime: ProcId,
+    events: Rc<RefCell<Vec<DirectoryEvent>>>,
+}
+
+impl Process for DirectoryWatcher {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        RuntimeClient::new(self.runtime).add_listener(ctx, Query::All);
+    }
+
+    fn on_local(&mut self, _ctx: &mut Ctx<'_>, _from: ProcId, msg: LocalMessage) {
+        if let Ok(event) = msg.downcast::<RuntimeEvent>() {
+            if let RuntimeEvent::Directory(e) = *event {
+                self.events.borrow_mut().push(e);
+            }
+        }
+    }
+}
+
+/// Motes that fall silent together are unregistered in mote-id order,
+/// the same on every run, not in the order of the mapper's hash map.
+#[test]
+fn silent_motes_expire_in_id_order() {
+    fn run() -> Vec<String> {
+        let mut world = World::new(105);
+        let radio = world.add_segment(SegmentConfig::mote_radio());
+        let h1 = world.add_node("h1");
+        world.attach(h1, radio).unwrap();
+        let rt = add_runtime(&mut world, h1, 0);
+        let motes: Vec<ProcId> = (1..=8)
+            .map(|id| {
+                let node = world.add_node(format!("mote{id}"));
+                world.attach(node, radio).unwrap();
+                world.add_process(node, Box::new(Mote::new(id, SimDuration::from_secs(2))))
+            })
+            .collect();
+        let mapper = world.add_process(
+            h1,
+            Box::new(MotesMapper::new(rt, UsdlLibrary::bundled(), None)),
+        );
+        world.add_process(h1, Box::new(BaseStation::new(Some(mapper))));
+        let events = Rc::new(RefCell::new(Vec::new()));
+        world.add_process(
+            h1,
+            Box::new(DirectoryWatcher {
+                runtime: rt,
+                events: Rc::clone(&events),
+            }),
+        );
+        world.run_until(SimTime::from_secs(20));
+        for mote in motes {
+            world.remove_process(mote).unwrap();
+        }
+        world.run_until(SimTime::from_secs(120));
+
+        let mut names = HashMap::new();
+        let mut gone = Vec::new();
+        for event in events.borrow().iter() {
+            match event {
+                DirectoryEvent::Appeared(p) => {
+                    names.insert(p.id(), p.name().to_owned());
+                }
+                DirectoryEvent::Disappeared(id) => gone.push(names[id].clone()),
+            }
+        }
+        gone
+    }
+    let expected: Vec<String> = (1..=8).map(|id| format!("Mote {id}")).collect();
+    assert_eq!(run(), expected);
+    assert_eq!(run(), expected);
 }
 
 /// MediaBroker channels and web services both appear as translators.

@@ -695,9 +695,8 @@ impl UmiddleRuntime {
     fn on_wire_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
         let msg = match WireMessage::decode(&dgram.data) {
             Ok(m) => m,
-            Err(e) => {
+            Err(_) => {
                 ctx.bump("umiddle.wire_decode_errors", 1);
-                ctx.trace(format!("bad wire datagram from {}: {e}", dgram.src));
                 return;
             }
         };
@@ -1724,10 +1723,7 @@ impl UmiddleRuntime {
                     self.remove_connection(ctx, connection)
                 }
                 Ok(_) => ctx.bump("umiddle.unexpected_stream_msg", 1),
-                Err(e) => {
-                    ctx.bump("umiddle.wire_decode_errors", 1);
-                    ctx.trace(format!("bad stream frame: {e}"));
-                }
+                Err(_) => ctx.bump("umiddle.wire_decode_errors", 1),
             }
         }
         self.decode_scratch = frames;

@@ -22,7 +22,6 @@ use std::rc::Rc;
 /// federation. Returns the world, run to completion.
 fn two_hop_world(seed: u64) -> World {
     let mut world = World::new(seed);
-    world.trace_mut().set_log_enabled(false);
     let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
     let pico = world.add_segment(SegmentConfig::bluetooth_piconet());
 
@@ -190,9 +189,8 @@ fn critical_path_attributes_bridged_latency() {
         cp.stages.iter().map(|s| &s.name).collect::<Vec<_>>()
     );
 
-    // Lossless run: the ring counters exist in the snapshot and are 0.
+    // Lossless run: the ring counter exists in the snapshot and is 0.
     let snap = trace.metrics().snapshot();
-    assert_eq!(snap.counters.get("trace.events_overwritten"), Some(&0));
     assert_eq!(snap.counters.get("trace.ring_overwrites"), Some(&0));
 }
 
@@ -245,7 +243,6 @@ fn runtime_serves_scoped_snapshot_over_local_api() {
     }
 
     let mut world = World::new(99);
-    world.trace_mut().set_log_enabled(false);
     let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
     let h1 = world.add_node("h1");
     world.attach(h1, hub).unwrap();
@@ -343,7 +340,6 @@ type PulledWindows = Rc<RefCell<Vec<(u64, umiddle::simnet::TelemetryWindow)>>>;
 fn runtimes_serve_interleaved_live_telemetry_windows() {
     fn run(seed: u64) -> (PulledWindows, PulledWindows) {
         let mut world = World::new(seed);
-        world.trace_mut().set_log_enabled(false);
         let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
         let pico = world.add_segment(SegmentConfig::bluetooth_piconet());
 
