@@ -58,7 +58,9 @@ const DESCRIPTION: &str =
     anti-entropy, origin-level liveness) plus the federation lookup microbenchmark at 1M \
     advertised ports. e12_replica_apply replays 2000 seeded churn deltas into 100 replicas \
     of the 100 x 10 federation and times each decode and apply at each of the 99 \
-    receivers; 'before' is the B-tree replica table (entries in a BTreeMap beside a list of \
+    receivers. Its decode row times a cold WireMessage::decode at every receiver, where the \
+    runtime decodes each directory multicast once per host thread and every receiver borrows \
+    that message; 'before' is the B-tree replica table (entries in a BTreeMap beside a list of \
     every entry with a digital port), frozen, 'after' the hashed table. Byte counts and \
     convergence are simulator-deterministic; steady_bytes_ratio divides the frozen \
     full-refresh steady_bytes by the fresh delta one; lookup and replica timings are \

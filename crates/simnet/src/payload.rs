@@ -215,6 +215,13 @@ impl Payload {
         Arc::ptr_eq(&self.buf, &other.buf)
     }
 
+    /// Returns `true` if both are the same view of the same buffer: one
+    /// backing allocation, one offset, one length. Equal bytes in
+    /// another buffer, or another slice of this one, do not count.
+    pub fn same_view(&self, other: &Payload) -> bool {
+        self.shares_buffer(other) && self.off == other.off && self.len == other.len
+    }
+
     /// Copies the viewed bytes into a fresh `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
@@ -912,6 +919,10 @@ mod tests {
         assert!(p.shares_buffer(&s));
         assert_eq!(&s[..], &[2, 3, 4, 5]);
         assert_eq!(c, p);
+        // A clone is the same view; a slice or a copy of the bytes is not.
+        assert!(p.same_view(&c));
+        assert!(!p.same_view(&s) && !s.same_view(&p.slice(2..5)));
+        assert!(!p.same_view(&Payload::copy_from_slice(&p)));
     }
 
     #[test]

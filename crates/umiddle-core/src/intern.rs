@@ -1,5 +1,5 @@
-//! Hash-consing tables for the hot paths: port-name [`Symbol`]s and
-//! decoded directory profiles.
+//! Per-thread sharing for the hot paths: port-name [`Symbol`]s, the
+//! last decoded directory multicast, and decoded directory profiles.
 //!
 //! Every message delivery used to clone the destination port name
 //! (`PortRef.port: String`) at least once — into the runtime request,
@@ -16,24 +16,39 @@
 //! are leaked: the vocabulary is bounded by the set of distinct port
 //! names in the federation, a few dozen short strings.
 //!
-//! The profile table does the same for [`TranslatorProfile`]s decoded
-//! off the wire. Every runtime keeps a full directory replica, so one
-//! gossiped delta is decoded by every runtime on the host; keyed by the
-//! profile's exact encoded bytes, the table lets the decoder hand all of
-//! them one shared, immutable description (see
-//! [`crate::wire`]). Unlike symbols, profiles come and go with device
-//! churn, so this table is bounded by the live set instead of leaked.
+//! Every runtime keeps a full directory replica, so one gossiped frame
+//! reaches every runtime on the host. The frame slot keeps the last
+//! directory multicast (`Probe`, `Delta` or `Digest`) received on this
+//! thread together with its decoded message, keyed by the exact view of
+//! the frame's shared buffer: the multicast fan-out hands every receiver
+//! a view of one buffer, so the frame is decoded by its first receiver
+//! and borrowed by the rest. Decoding is a pure function of the bytes,
+//! so a hit is indistinguishable from a fresh decode.
+//!
+//! The profile table hash-conses [`TranslatorProfile`]s decoded off the
+//! wire for the frames the slot does not share: unicast `Snapshot`s and
+//! the `Delta`s an origin replays at bootstrap and repair carry profiles
+//! that earlier deltas already carried. Keyed by the profile's exact
+//! encoded bytes, the table hands every such decode one shared,
+//! immutable description (see [`crate::wire`]). Unlike symbols, profiles
+//! come and go with device churn, so this table is bounded by the live
+//! set instead of leaked.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Deref;
+use std::rc::Rc;
+
+use simnet::Payload;
 
 use crate::profile::TranslatorProfile;
+use crate::wire::WireMessage;
 
 thread_local! {
     static INTERNER: RefCell<HashSet<&'static str>> = RefCell::new(HashSet::new());
     static PROFILES: RefCell<ProfileTable> = RefCell::new(ProfileTable::default());
+    static LAST_FRAME: RefCell<Option<(Payload, Rc<WireMessage>)>> = const { RefCell::new(None) };
 }
 
 /// An interned string: a `Copy` handle to a canonical, leaked `&str`.
@@ -208,6 +223,28 @@ pub(crate) fn store_profile(bytes: &[u8], profile: &TranslatorProfile) {
     })
 }
 
+/// The message stored for exactly this view of a received frame (same
+/// backing buffer, offset and length), if it is this thread's last one.
+pub(crate) fn shared_frame(frame: &Payload) -> Option<Rc<WireMessage>> {
+    LAST_FRAME.with(|slot| match &*slot.borrow() {
+        Some((key, msg)) if key.same_view(frame) => Some(Rc::clone(msg)),
+        _ => None,
+    })
+}
+
+/// Keeps `msg`, decoded successfully from `frame`, for the frame's next
+/// receiver. The slot owns `frame`, so its buffer cannot be freed and
+/// its address reused by another frame while the slot keys on it.
+pub(crate) fn store_frame(frame: Payload, msg: Rc<WireMessage>) {
+    LAST_FRAME.with(|slot| *slot.borrow_mut() = Some((frame, msg)));
+}
+
+/// Empties this thread's frame slot (for the cold-decode tests).
+#[cfg(test)]
+pub(crate) fn clear_frame() {
+    LAST_FRAME.with(|slot| *slot.borrow_mut() = None);
+}
+
 /// Entries in this thread's profile table (for the bound tests).
 #[cfg(test)]
 pub(crate) fn profile_table_len() -> usize {
@@ -267,6 +304,31 @@ mod tests {
             .join()
             .expect("intern thread panicked");
         assert_ne!(local, other);
+    }
+
+    #[test]
+    fn shared_frame_is_served_only_for_the_same_view() {
+        let msg = WireMessage::Probe {
+            reply_to: simnet::Addr::new(simnet::NodeId::from_index(1), 47_000),
+        };
+        let bytes = msg.encode();
+        // One buffer holding the frame twice: two views with equal bytes
+        // and equal lengths at different offsets.
+        let twice = Payload::from([bytes.as_slice(), bytes.as_slice()].concat());
+        let frame = twice.slice(0..bytes.len());
+        let later = twice.slice(bytes.len()..2 * bytes.len());
+        assert_eq!(frame, later);
+        store_frame(frame.clone(), Rc::new(msg.clone()));
+        assert_eq!(shared_frame(&frame).as_deref(), Some(&msg));
+        // Every receiver of a fan-out holds a clone of the sender's view.
+        assert_eq!(shared_frame(&frame.clone()).as_deref(), Some(&msg));
+        assert!(shared_frame(&later).is_none());
+        assert!(shared_frame(&twice.slice(0..bytes.len() - 1)).is_none());
+        assert!(shared_frame(&Payload::copy_from_slice(&bytes)).is_none());
+        // A new frame replaces the old one.
+        store_frame(later.clone(), Rc::new(msg.clone()));
+        assert!(shared_frame(&later).is_some());
+        assert!(shared_frame(&frame).is_none());
     }
 
     #[test]

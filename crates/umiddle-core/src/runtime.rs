@@ -21,7 +21,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::id::{
     ConnectionId, PortRef, RuntimeId, TranslatorId, DST_DETAIL, LATE_DST_DETAIL, SRC_DETAIL,
 };
-use crate::intern::Symbol;
+use crate::intern::{self, Symbol};
 use crate::message::UMessage;
 use crate::profile::TranslatorProfile;
 use crate::qos::{QosPolicy, TranslationBuffer};
@@ -693,6 +693,13 @@ impl UmiddleRuntime {
     }
 
     fn on_wire_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+        // Every runtime on this thread receives the same directory
+        // multicast as a view of one buffer: the first decodes it, the
+        // rest borrow that message (see `crate::intern`).
+        if let Some(msg) = intern::shared_frame(&dgram.data) {
+            self.on_gossip(ctx, &msg);
+            return;
+        }
         let msg = match WireMessage::decode(&dgram.data) {
             Ok(m) => m,
             Err(_) => {
@@ -701,84 +708,12 @@ impl UmiddleRuntime {
             }
         };
         match msg {
-            WireMessage::Probe { reply_to } => {
-                // Boot sync: the digest tells the prober our watermark;
-                // it requests the range it is missing (all of it) and we
-                // serve ops or a snapshot.
-                let digest = self.own_digest(ctx);
-                self.gossip_unicast(ctx, reply_to, &digest);
-            }
-            WireMessage::Delta {
-                origin,
-                home,
-                first,
-                ops,
-            } => {
-                if origin == self.cfg.id {
-                    return; // our own delta echoed back
-                }
-                let mut events = std::mem::take(&mut self.event_scratch);
-                events.clear();
-                let outcome =
-                    self.directory
-                        .apply_delta(origin, home, first, &ops, ctx.now(), &mut events);
-                match outcome {
-                    DeltaOutcome::Applied(n) => {
-                        if n > 0 {
-                            ctx.bump(metric_id!("directory.deltas_applied"), n);
-                        }
-                    }
-                    DeltaOutcome::Gap { from } => {
-                        // Missed earlier deltas: drop this one and pull
-                        // exactly the missing range from the origin.
-                        if self
-                            .directory
-                            .note_request(origin, ctx.now(), ADVERTISE_INTERVAL)
-                        {
-                            ctx.bump(metric_id!("directory.antientropy_repairs"), 1);
-                            let reply_to = self.directory_addr(ctx);
-                            let to = self.peer_directory(home);
-                            self.gossip_unicast(
-                                ctx,
-                                to,
-                                &WireMessage::DeltaRequest {
-                                    origin,
-                                    from,
-                                    reply_to,
-                                },
-                            );
-                        }
-                    }
-                    DeltaOutcome::Ignored => {}
-                }
-                self.process_directory_events(ctx, &mut events);
-                self.event_scratch = events;
-            }
-            WireMessage::Digest {
-                origin,
-                reply_to,
-                home: _,
-                vector,
-            } => {
-                if origin == self.cfg.id {
-                    return; // our own digest echoed back
-                }
-                if let Some(from) =
-                    self.directory
-                        .observe_digest(origin, &vector, ctx.now(), ADVERTISE_INTERVAL)
-                {
-                    ctx.bump(metric_id!("directory.antientropy_repairs"), 1);
-                    let my_reply = self.directory_addr(ctx);
-                    self.gossip_unicast(
-                        ctx,
-                        reply_to,
-                        &WireMessage::DeltaRequest {
-                            origin,
-                            from,
-                            reply_to: my_reply,
-                        },
-                    );
-                }
+            msg @ (WireMessage::Probe { .. }
+            | WireMessage::Delta { .. }
+            | WireMessage::Digest { .. }) => {
+                let msg = Rc::new(msg);
+                intern::store_frame(dgram.data, Rc::clone(&msg));
+                self.on_gossip(ctx, &msg);
             }
             WireMessage::DeltaRequest {
                 origin,
@@ -871,6 +806,93 @@ impl UmiddleRuntime {
             WireMessage::PathMessage { .. } => {
                 ctx.bump("umiddle.path_on_datagram", 1);
             }
+        }
+    }
+
+    /// Handles a directory-plane multicast kind, borrowed from the frame
+    /// slot the receivers of one frame share.
+    fn on_gossip(&mut self, ctx: &mut Ctx<'_>, msg: &WireMessage) {
+        match *msg {
+            WireMessage::Probe { reply_to } => {
+                // Boot sync: the digest tells the prober our watermark;
+                // it requests the range it is missing (all of it) and we
+                // serve ops or a snapshot.
+                let digest = self.own_digest(ctx);
+                self.gossip_unicast(ctx, reply_to, &digest);
+            }
+            WireMessage::Delta {
+                origin,
+                home,
+                first,
+                ref ops,
+            } => {
+                if origin == self.cfg.id {
+                    return; // our own delta echoed back
+                }
+                let mut events = std::mem::take(&mut self.event_scratch);
+                events.clear();
+                let outcome =
+                    self.directory
+                        .apply_delta(origin, home, first, ops, ctx.now(), &mut events);
+                match outcome {
+                    DeltaOutcome::Applied(n) => {
+                        if n > 0 {
+                            ctx.bump(metric_id!("directory.deltas_applied"), n);
+                        }
+                    }
+                    DeltaOutcome::Gap { from } => {
+                        // Missed earlier deltas: drop this one and pull
+                        // exactly the missing range from the origin.
+                        if self
+                            .directory
+                            .note_request(origin, ctx.now(), ADVERTISE_INTERVAL)
+                        {
+                            ctx.bump(metric_id!("directory.antientropy_repairs"), 1);
+                            let reply_to = self.directory_addr(ctx);
+                            let to = self.peer_directory(home);
+                            self.gossip_unicast(
+                                ctx,
+                                to,
+                                &WireMessage::DeltaRequest {
+                                    origin,
+                                    from,
+                                    reply_to,
+                                },
+                            );
+                        }
+                    }
+                    DeltaOutcome::Ignored => {}
+                }
+                self.process_directory_events(ctx, &mut events);
+                self.event_scratch = events;
+            }
+            WireMessage::Digest {
+                origin,
+                reply_to,
+                home: _,
+                ref vector,
+            } => {
+                if origin == self.cfg.id {
+                    return; // our own digest echoed back
+                }
+                if let Some(from) =
+                    self.directory
+                        .observe_digest(origin, vector, ctx.now(), ADVERTISE_INTERVAL)
+                {
+                    ctx.bump(metric_id!("directory.antientropy_repairs"), 1);
+                    let my_reply = self.directory_addr(ctx);
+                    self.gossip_unicast(
+                        ctx,
+                        reply_to,
+                        &WireMessage::DeltaRequest {
+                            origin,
+                            from,
+                            reply_to: my_reply,
+                        },
+                    );
+                }
+            }
+            _ => unreachable!("only Probe, Delta and Digest frames are shared"),
         }
     }
 
@@ -1127,10 +1149,11 @@ impl UmiddleRuntime {
                 .get(profile.id())
                 .map(|e| if e.local { None } else { Some(e.home) });
         let Some(home) = entry_home else { return };
-        // Only query-target connections can bind late; appearance events
-        // are rare, so a clone of the candidate list is fine here.
-        let candidates: Vec<ConnectionId> = self.query_conns.clone();
-        for cid in candidates {
+        // Only query-target connections can bind late. Binding touches
+        // the connection and path indexes, never `query_conns`, so walk
+        // it by index instead of cloning it.
+        for i in 0..self.query_conns.len() {
+            let cid = self.query_conns[i];
             let Some(conn) = self.connections.get(&cid) else {
                 continue;
             };
@@ -1956,7 +1979,9 @@ mod tests {
     use simnet::{NodeId, SegmentConfig, SimTime, World};
 
     /// Hosts a runtime the test can still inspect while the world runs.
-    struct Shared(Rc<RefCell<UmiddleRuntime>>);
+    /// A `cold` host empties the thread's frame slot before each
+    /// datagram, so its runtime decodes every frame itself.
+    struct Shared(Rc<RefCell<UmiddleRuntime>>, bool);
 
     impl Process for Shared {
         fn name(&self) -> &str {
@@ -1966,6 +1991,9 @@ mod tests {
             self.0.borrow_mut().on_start(ctx);
         }
         fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+            if self.1 {
+                intern::clear_frame();
+            }
             self.0.borrow_mut().on_datagram(ctx, dgram);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -2019,7 +2047,7 @@ mod tests {
         let observer = Rc::new(RefCell::new(UmiddleRuntime::new(RuntimeConfig::new(
             RuntimeId(0),
         ))));
-        world.add_process(nodes[0], Box::new(Shared(Rc::clone(&observer))));
+        world.add_process(nodes[0], Box::new(Shared(Rc::clone(&observer), false)));
         let peer_rt = world.add_process(
             nodes[1],
             Box::new(UmiddleRuntime::new(RuntimeConfig::new(RuntimeId(1)))),
@@ -2049,5 +2077,144 @@ mod tests {
         assert_eq!(world.trace().counter("umiddle.wire_decode_errors"), 2);
         assert_eq!(observer.borrow().directory.fingerprint(), before);
         assert_eq!(observer.borrow().directory.table().len(), 1);
+    }
+
+    /// Services each [`Churner`] keeps registered.
+    const CHURN_SERVICES: u32 = 3;
+
+    /// Registers [`CHURN_SERVICES`] services with its runtime at start;
+    /// at 2 s unregisters the first and registers one more.
+    struct Churner {
+        runtime: ProcId,
+        id: RuntimeId,
+    }
+
+    impl Churner {
+        fn register(&self, ctx: &mut Ctx<'_>, local: u32) {
+            let profile = TranslatorProfile::builder(
+                TranslatorId::new(self.id, local),
+                format!("svc-{}-{local}", self.id.0),
+            )
+            .build();
+            let me = ctx.me();
+            RuntimeClient::new(self.runtime).register(ctx, profile, me);
+        }
+    }
+
+    impl Process for Churner {
+        fn name(&self) -> &str {
+            "churner"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for local in 1..=CHURN_SERVICES {
+                self.register(ctx, local);
+            }
+            ctx.set_timer(SimDuration::from_secs(2), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            // Registrations take ids 1, 2, … in order.
+            RuntimeClient::new(self.runtime).unregister(ctx, TranslatorId::new(self.id, 1));
+            self.register(ctx, CHURN_SERVICES + 1);
+        }
+    }
+
+    /// At 3 s multicasts `frames` to the federation's directory group.
+    struct Multicaster {
+        frames: Vec<simnet::Payload>,
+    }
+
+    impl Process for Multicaster {
+        fn name(&self) -> &str {
+            "multicaster"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.bind(5_000).unwrap();
+            ctx.set_timer(SimDuration::from_secs(3), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            let group = RuntimeConfig::new(RuntimeId(0)).multicast_group;
+            for frame in &self.frames {
+                ctx.multicast(5_000, group, frame.clone()).unwrap();
+            }
+        }
+    }
+
+    /// A hub of `n` runtimes, each beside a [`Churner`], plus a node
+    /// that multicasts `frames`.
+    fn churn_world(
+        n: u32,
+        cold: bool,
+        frames: Vec<simnet::Payload>,
+    ) -> (World, Vec<Rc<RefCell<UmiddleRuntime>>>) {
+        let mut world = World::new(5);
+        let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
+        let runtimes = (0..n)
+            .map(|i| {
+                let node = world.add_node(format!("host{i}"));
+                world.attach(node, hub).unwrap();
+                let id = RuntimeId(i);
+                let rt = Rc::new(RefCell::new(UmiddleRuntime::new(RuntimeConfig::new(id))));
+                let runtime = world.add_process(node, Box::new(Shared(Rc::clone(&rt), cold)));
+                world.add_process(node, Box::new(Churner { runtime, id }));
+                rt
+            })
+            .collect();
+        let node = world.add_node("multicaster");
+        world.attach(node, hub).unwrap();
+        world.add_process(node, Box::new(Multicaster { frames }));
+        (world, runtimes)
+    }
+
+    #[test]
+    fn replicas_sharing_decoded_multicasts_match_cold_decodes() {
+        // Each runtime's fingerprint and the federation's apply and
+        // repair counts, at 4.5 s (before the first digest at 5 s could
+        // repair a replica that mishandled a delta) and at 20 s (past
+        // the origin TTL, which only digests refresh after 2 s).
+        let run = |cold: bool| {
+            let (mut world, runtimes) = churn_world(4, cold, Vec::new());
+            [4_500, 20_000].map(|ms| {
+                world.run_until(SimTime::from_millis(ms));
+                let fingerprints: Vec<u64> = runtimes
+                    .iter()
+                    .map(|rt| {
+                        let rt = rt.borrow();
+                        assert_eq!(rt.directory.table().len(), 4 * CHURN_SERVICES as usize);
+                        rt.directory.fingerprint()
+                    })
+                    .collect();
+                assert!(fingerprints.iter().all(|f| *f == fingerprints[0]));
+                let counter = |name| world.trace().counter(name);
+                (
+                    fingerprints,
+                    counter("directory.deltas_applied"),
+                    counter("directory.antientropy_repairs"),
+                )
+            })
+        };
+        let shared = run(false);
+        assert_eq!(shared, run(true));
+        assert!(shared[0].1 > 0);
+    }
+
+    #[test]
+    fn malformed_multicast_counts_a_decode_error_at_every_receiver() {
+        let delta = WireMessage::Delta {
+            origin: RuntimeId(9),
+            home: Addr::new(NodeId::from_index(9), 47_001),
+            first: 1,
+            ops: vec![DeltaOp::Remove(TranslatorId::new(RuntimeId(9), 1))],
+        }
+        .encode_payload();
+        let truncated = delta.slice(0..delta.len() - 1);
+        let unknown_tag = simnet::Payload::from(vec![0xEE]);
+        let frames = vec![truncated.clone(), unknown_tag.clone()];
+        let (mut world, _runtimes) = churn_world(4, false, frames);
+        world.run_until(SimTime::from_millis(3_500));
+        // Each of the 4 receivers decodes each bad frame itself.
+        assert_eq!(world.trace().counter("umiddle.wire_decode_errors"), 8);
+        // A failed decode is never stored for the next receiver.
+        assert!(intern::shared_frame(&truncated).is_none());
+        assert!(intern::shared_frame(&unknown_tag).is_none());
     }
 }

@@ -629,10 +629,11 @@ fn encode_profile(w: &mut PayloadBuilder, p: &TranslatorProfile) {
     }
 }
 
-/// Decodes one profile, hash-consed per thread: every runtime in a host
-/// process decodes the same gossiped bytes, so a profile whose exact
-/// encoding decoded successfully before on this thread is returned as a
-/// clone of that result (an `Arc` bump; see [`crate::intern`]). Profiles
+/// Decodes one profile, hash-consed per thread: snapshots and replayed
+/// deltas carry profiles earlier frames already carried, so a profile
+/// whose exact encoding decoded successfully before on this thread is
+/// returned as a clone of that result (an `Arc` bump; see
+/// [`crate::intern`]). Profiles
 /// are immutable and compare by value, so a hit is indistinguishable
 /// from a fresh decode; bytes never seen before — hostile ones included
 /// — go through the full validating decoder.
