@@ -9,9 +9,9 @@
 #   build-test    release build + full workspace test suite + perfbench
 #                 build
 #   determinism   double-run byte-diff gates (E8 trace, E10 doctor,
-#                 E11 incident bundle, E13 attribution, paper fidelity);
-#                 the E8, E10, E11, E13 and fidelity outputs are also diffed
-#                 against their checked-in pins under artifacts/
+#                 E11 incident bundle, E13 attribution, paper fidelity,
+#                 dispatch fingerprints); every output is also diffed
+#                 against its checked-in pin under artifacts/
 #   perf          `bench perf-payload`, `bench perf-sched` and
 #                 `bench perf-dir` regression checks
 #   all           every stage in order (the default; what `./ci.sh` runs)
@@ -218,6 +218,16 @@ stage_determinism() {
     # numbers unnoticed. `bench fidelity` itself fails when E3 leaves
     # ±10% of Figure 11 or E2's uMiddle share leaves 3%..7%.
     gate paper-fidelity pinned_gate fidelity "" fidelity --out @OUT.paper_fidelity.json
+    # Dispatch-order pin: the E9 federation at 1000 devices, the E12
+    # federation through one churn cycle and the Figure 11 RMI-MB path
+    # each hash every handler call (instant, process, callback kind,
+    # delivery identity) over a fixed virtual span. The hashes and call
+    # counts must come out byte-identical across two runs and equal to
+    # the checked-in artifacts/dispatch_fingerprints.json, so a kernel
+    # change that reorders, drops or adds a handler call fails here
+    # even where the smaller E8-E13 fixtures do not notice.
+    gate dispatch-fingerprint pinned_gate fingerprint "" fingerprint \
+        --out @OUT.dispatch_fingerprints.json
 }
 
 stage_perf() {

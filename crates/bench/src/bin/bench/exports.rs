@@ -1,13 +1,14 @@
 //! The deterministic exporters behind the `ci.sh` determinism gates:
 //! `trace` (E8), `doctor` (E10), `incident` (E11, read from the E13
-//! run), `attrib` (E13) and `fidelity` (the paper pin). Each writes
+//! run), `attrib` (E13), `fidelity` (the paper pin) and `fingerprint`
+//! (the kernel's dispatch order at scale). Each writes
 //! byte-identical files across runs. With none of its output flags
 //! given, an exporter writes its default set; with any, it writes only
 //! those.
 
 use bench::experiments::{
-    e10_telemetry_faults, e13_attribution, e1_service_level, e2_device_level, e3_transport_level,
-    e5_ablation_qos, e8_observability,
+    dispatch_fingerprints, e10_telemetry_faults, e13_attribution, e1_service_level,
+    e2_device_level, e3_transport_level, e5_ablation_qos, e8_observability,
 };
 use bench::report::write_artifact;
 use simnet::{Json, Layout};
@@ -345,4 +346,46 @@ fn fidelity(args: &Args) {
         std::process::exit(1);
     }
     println!("fidelity bands: ok");
+}
+
+pub const FINGERPRINT: Command = Command {
+    name: "fingerprint",
+    values: &["--out"],
+    switches: &[],
+    takes_args: false,
+    usage: "fingerprint [--out FILE]   (default: artifacts/dispatch_fingerprints.json)",
+    run: fingerprint,
+};
+
+/// Pins the kernel's dispatch order at scale: each fixture of
+/// [`dispatch_fingerprints`] (E9 at 1000 devices, E12 with churn, the
+/// Figure 11 RMI-MB path) with its fingerprint and handler-call count
+/// over a fixed virtual span. A kernel change may move event counts
+/// freely; one that moves a fingerprint changed which handler ran when.
+fn fingerprint(args: &Args) {
+    let out = args.get("--out", "artifacts/dispatch_fingerprints.json".to_owned());
+    let rows = dispatch_fingerprints();
+    for r in &rows {
+        println!(
+            "{:20} {:>4} virtual s  {:#018x}  {:>10} handler calls",
+            r.fixture, r.virtual_secs, r.fingerprint, r.handler_calls
+        );
+    }
+    let rows = rows.iter().map(|r| {
+        Json::inline()
+            .with("fixture", r.fixture)
+            .with("virtual_s", r.virtual_secs)
+            .with("fingerprint", format!("{:#018x}", r.fingerprint))
+            .with("handler_calls", r.handler_calls)
+    });
+    let pin = Json::block()
+        .with("name", "dispatch_fingerprints")
+        .with(
+            "units",
+            "virtual_s: simulated seconds run from t = 0; fingerprint: 64-bit hash of \
+             every handler call's (instant, process, callback kind, delivery identity) \
+             in dispatch order; handler_calls: count",
+        )
+        .with("rows", Json::array(Layout::Block, rows));
+    write_artifact(&out, &pin.document(), "dispatch fingerprint pin");
 }

@@ -6,8 +6,9 @@
 //!
 //! One subcommand per export or gate `ci.sh` runs: `experiments` (the
 //! paper-vs-measured tables), the deterministic exporters `trace`,
-//! `doctor`, `incident`, `attrib` and `fidelity`, the perf sweeps and
-//! gates `perf-payload`, `perf-sched` and `perf-dir`, and `lint`.
+//! `doctor`, `incident`, `attrib`, `fidelity` and `fingerprint`, the
+//! perf sweeps and gates `perf-payload`, `perf-sched` and `perf-dir`,
+//! and `lint`.
 //! `bench` alone prints every usage line. Each flag is `--name value`
 //! (or a bare `--switch`) with a typed default; an unknown flag, a
 //! missing or malformed value, or an argument a subcommand does not
@@ -41,6 +42,7 @@ const COMMANDS: &[Command] = &[
     exports::INCIDENT,
     exports::ATTRIB,
     exports::FIDELITY,
+    exports::FINGERPRINT,
     perf_payload::COMMAND,
     perf_sched::COMMAND,
     perf_dir::COMMAND,

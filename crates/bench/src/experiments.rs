@@ -2334,69 +2334,71 @@ pub struct DeltaGossipRow {
     pub final_entries: u64,
 }
 
-/// Runs the E12 federation fixture: `runtimes` runtimes each registering
-/// `per_runtime` services at boot, a 60 s steady-state window, then one
-/// join/leave churn cycle. Directory-plane bytes come from the
-/// `directory.bytes_gossiped` counter; convergence comes from each
-/// runtime's `last_directory_change_ns` stat.
-pub fn e12_delta_gossip(runtimes: usize, per_runtime: usize) -> DeltaGossipRow {
-    use umiddle_core::{RuntimeClient, RuntimeConfig, RuntimeEvent, RuntimeId, TranslatorId};
+/// E12 timeline, in virtual seconds: everyone boots and registers, a
+/// steady-state window follows, then one join/leave churn cycle.
+const E12_BOOT_SECS: u64 = 20;
+const E12_STEADY_SECS: u64 = 60;
+/// The churn join fires here.
+const E12_JOIN_AT: u64 = E12_BOOT_SECS + E12_STEADY_SECS + 1;
+/// The churn leave fires here.
+const E12_LEAVE_AT: u64 = E12_JOIN_AT + 14;
+const E12_END_SECS: u64 = E12_LEAVE_AT + 15;
 
-    const BOOT_SECS: u64 = 20;
-    const STEADY_SECS: u64 = 60;
-    const JOIN_AT: u64 = BOOT_SECS + STEADY_SECS + 1; // churn join fires here
-    const LEAVE_AT: u64 = JOIN_AT + 14; // churn leave fires here
-    const END_SECS: u64 = LEAVE_AT + 15;
+/// Registers one extra service at [`E12_JOIN_AT`] (join churn), then
+/// unregisters it again at [`E12_LEAVE_AT`] (leave churn).
+struct Churner {
+    runtime: simnet::ProcId,
+    client: Option<umiddle_core::RuntimeClient>,
+    registered: Option<umiddle_core::TranslatorId>,
+}
 
-    /// Registers one extra service mid-run (join churn), then
-    /// unregisters it again (leave churn).
-    struct Churner {
-        runtime: simnet::ProcId,
-        client: Option<RuntimeClient>,
-        registered: Option<TranslatorId>,
+impl Process for Churner {
+    fn name(&self) -> &str {
+        "e12-churner"
     }
-    impl Process for Churner {
-        fn name(&self) -> &str {
-            "e12-churner"
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.client = Some(umiddle_core::RuntimeClient::new(self.runtime));
+        // on_start runs at t=0, so relative delays are absolute times.
+        ctx.set_timer(SimDuration::from_secs(E12_JOIN_AT), 0);
+        ctx.set_timer(SimDuration::from_secs(E12_LEAVE_AT), 1);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        use umiddle_core::{RuntimeId, TranslatorId};
+        let client = self.client.as_mut().expect("started");
+        if token == 0 {
+            let shape = Shape::builder()
+                .digital("out", Direction::Output, "app/churn".parse().unwrap())
+                .build()
+                .unwrap();
+            let me = ctx.me();
+            let profile = umiddle_core::TranslatorProfile::builder(
+                TranslatorId::new(RuntimeId(0), 0),
+                "churn-joiner",
+            )
+            .shape(shape)
+            .build();
+            client.register(ctx, profile, me);
+        } else if let Some(id) = self.registered.take() {
+            client.unregister(ctx, id);
         }
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.client = Some(RuntimeClient::new(self.runtime));
-            // on_start runs at t=0, so relative delays are absolute times.
-            ctx.set_timer(SimDuration::from_secs(JOIN_AT), 0);
-            ctx.set_timer(SimDuration::from_secs(LEAVE_AT), 1);
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-            let client = self.client.as_mut().expect("started");
-            if token == 0 {
-                let shape = Shape::builder()
-                    .digital("out", Direction::Output, "app/churn".parse().unwrap())
-                    .build()
-                    .unwrap();
-                let me = ctx.me();
-                let profile = umiddle_core::TranslatorProfile::builder(
-                    TranslatorId::new(RuntimeId(0), 0),
-                    "churn-joiner",
-                )
-                .shape(shape)
-                .build();
-                client.register(ctx, profile, me);
-            } else if let Some(id) = self.registered.take() {
-                client.unregister(ctx, id);
-            }
-        }
-        fn on_local(
-            &mut self,
-            _ctx: &mut Ctx<'_>,
-            _from: simnet::ProcId,
-            msg: simnet::LocalMessage,
-        ) {
-            if let Ok(event) = msg.downcast::<RuntimeEvent>() {
-                if let RuntimeEvent::Registered { translator, .. } = *event {
-                    self.registered = Some(translator);
-                }
+    }
+    fn on_local(&mut self, _ctx: &mut Ctx<'_>, _from: simnet::ProcId, msg: simnet::LocalMessage) {
+        if let Ok(event) = msg.downcast::<umiddle_core::RuntimeEvent>() {
+            if let umiddle_core::RuntimeEvent::Registered { translator, .. } = *event {
+                self.registered = Some(translator);
             }
         }
     }
+}
+
+/// Builds the E12 federation: `runtimes` runtimes on one hub, each
+/// registering `per_runtime` services at boot, and runtime 0's churner.
+/// Returns the world (nothing has run yet) and every runtime's stats.
+fn e12_world(
+    runtimes: usize,
+    per_runtime: usize,
+) -> (World, Vec<Rc<RefCell<umiddle_core::RuntimeStats>>>) {
+    use umiddle_core::{RuntimeConfig, RuntimeId};
 
     let (mut world, hub) = hub_world(1200 + runtimes as u64);
     let mut stats = Vec::new();
@@ -2433,6 +2435,15 @@ pub fn e12_delta_gossip(runtimes: usize, per_runtime: usize) -> DeltaGossipRow {
             );
         }
     }
+    (world, stats)
+}
+
+/// Runs the E12 federation fixture (`e12_world`): a 60 s steady-state
+/// window after boot, then one join/leave churn cycle. Directory-plane
+/// bytes come from the `directory.bytes_gossiped` counter; convergence
+/// comes from each runtime's `last_directory_change_ns` stat.
+pub fn e12_delta_gossip(runtimes: usize, per_runtime: usize) -> DeltaGossipRow {
+    let (mut world, stats) = e12_world(runtimes, per_runtime);
 
     let max_change = |stats: &[Rc<RefCell<umiddle_core::RuntimeStats>>]| -> u64 {
         stats
@@ -2442,19 +2453,19 @@ pub fn e12_delta_gossip(runtimes: usize, per_runtime: usize) -> DeltaGossipRow {
             .unwrap_or(0)
     };
 
-    world.run_until(SimTime::from_secs(BOOT_SECS));
+    world.run_until(SimTime::from_secs(E12_BOOT_SECS));
     let bootstrap_bytes = world.trace().counter("directory.bytes_gossiped");
-    world.run_until(SimTime::from_secs(BOOT_SECS + STEADY_SECS));
+    world.run_until(SimTime::from_secs(E12_BOOT_SECS + E12_STEADY_SECS));
     let steady_bytes = world.trace().counter("directory.bytes_gossiped") - bootstrap_bytes;
 
     // Read join convergence strictly before the leave timer fires, so
     // the leave's own directory change cannot pollute the measurement.
-    world.run_until(SimTime::from_secs(LEAVE_AT - 1));
+    world.run_until(SimTime::from_secs(E12_LEAVE_AT - 1));
     let join_convergence_ms =
-        max_change(&stats).saturating_sub(JOIN_AT * 1_000_000_000) / 1_000_000;
-    world.run_until(SimTime::from_secs(END_SECS));
+        max_change(&stats).saturating_sub(E12_JOIN_AT * 1_000_000_000) / 1_000_000;
+    world.run_until(SimTime::from_secs(E12_END_SECS));
     let leave_convergence_ms =
-        max_change(&stats).saturating_sub(LEAVE_AT * 1_000_000_000) / 1_000_000;
+        max_change(&stats).saturating_sub(E12_LEAVE_AT * 1_000_000_000) / 1_000_000;
 
     let expected = (runtimes * per_runtime) as u64;
     for (i, st) in stats.iter().enumerate() {
@@ -2470,7 +2481,7 @@ pub fn e12_delta_gossip(runtimes: usize, per_runtime: usize) -> DeltaGossipRow {
         per_runtime,
         bootstrap_bytes,
         steady_bytes,
-        steady_secs: STEADY_SECS,
+        steady_secs: E12_STEADY_SECS,
         join_convergence_ms,
         leave_convergence_ms,
         deltas_applied: world.trace().counter("directory.deltas_applied"),
@@ -2741,6 +2752,48 @@ pub fn e12_replica_apply(runtimes: usize, per_runtime: usize, deltas: usize) -> 
         apply_ns: quantiles(apply_ns),
         decode_ns: quantiles(decode_ns),
     }
+}
+
+// =====================================================================
+// Dispatch fingerprints — the kernel's handler order on three fixtures
+// =====================================================================
+
+/// One fixture's [`World::dispatch_fingerprint`] over a fixed virtual
+/// span from t = 0.
+#[derive(Debug, Clone)]
+pub struct FingerprintRow {
+    /// The fixture.
+    pub fixture: &'static str,
+    /// Virtual seconds run.
+    pub virtual_secs: u64,
+    /// The dispatch fingerprint at the end of the span.
+    pub fingerprint: u64,
+    /// Handler invocations the fingerprint covers.
+    pub handler_calls: u64,
+}
+
+/// Runs three fixtures at scale for fixed virtual spans and returns
+/// each one's dispatch fingerprint: the E9 federation at 1000 devices
+/// through its setup window and 60 s of traffic, the E12 federation
+/// (100 runtimes x 10 services) through its steady state and one churn
+/// cycle, and the Figure 11 RMI-MB path through its warm-up and 2 s.
+/// A kernel change that keeps every handler call in order keeps all
+/// three; one that moves any of them changed the simulated model.
+pub fn dispatch_fingerprints() -> Vec<FingerprintRow> {
+    let run = |fixture, mut world: World, virtual_secs| {
+        world.run_until(SimTime::from_secs(virtual_secs));
+        FingerprintRow {
+            fixture,
+            virtual_secs,
+            fingerprint: world.dispatch_fingerprint(),
+            handler_calls: world.handler_calls(),
+        }
+    };
+    vec![
+        run("e9_federation_1000", e9_world(1000), E9_SETUP + 60),
+        run("e12_churn_100x10", e12_world(100, 10).0, E12_END_SECS),
+        run("e3_rmi_mb", rmi_mb_world(34).0, 32),
+    ]
 }
 
 #[cfg(test)]

@@ -27,9 +27,9 @@
 //! Run everything with `cargo bench -p bench` (the `figures` bench
 //! target) or `cargo run -p bench --release -- experiments`. The crate
 //! builds one binary, `bench`, whose subcommands (`experiments`,
-//! `trace`, `doctor`, `incident`, `attrib`, `fidelity`, `perf-payload`,
-//! `perf-sched`, `perf-dir`, `lint`) are every export and gate `ci.sh`
-//! runs; see `src/bin/bench/main.rs`.
+//! `trace`, `doctor`, `incident`, `attrib`, `fidelity`, `fingerprint`,
+//! `perf-payload`, `perf-sched`, `perf-dir`, `lint`) are every export
+//! and gate `ci.sh` runs; see `src/bin/bench/main.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
