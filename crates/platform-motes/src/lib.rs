@@ -179,10 +179,15 @@ impl Process for Mote {
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+        // The type byte leads the frame: a neighbour's reading (or any
+        // other type) is dropped before it is decoded.
+        if dgram.data.first() != Some(&AM_CONFIG) {
+            return;
+        }
         let Some(am) = ActiveMessage::decode_payload(&dgram.data) else {
             return;
         };
-        if am.am_type == AM_CONFIG && am.payload.len() == 2 {
+        if am.payload.len() == 2 {
             let ms = u16::from_le_bytes([am.payload[0], am.payload[1]]);
             self.interval = SimDuration::from_millis(u64::from(ms.max(50)));
             ctx.bump("motes.configs_applied", 1);
