@@ -96,8 +96,8 @@ impl fmt::Display for Addr {
 pub struct Datagram {
     /// Address the datagram was sent from.
     pub src: Addr,
-    /// Address the datagram was sent to. For multicast deliveries this is
-    /// the group address (the receiving node's own id is not substituted).
+    /// Address the datagram was sent to. For a multicast delivery this
+    /// is the receiving node's own id with the group as the port.
     pub dst: Addr,
     /// Payload bytes (shared, immutable).
     pub data: crate::Payload,
