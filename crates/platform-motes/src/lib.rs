@@ -235,11 +235,6 @@ impl BaseStation {
             last_seq: std::collections::HashMap::new(),
         }
     }
-
-    /// Points the base station at a (new) sink process.
-    pub fn set_sink(&mut self, sink: ProcId) {
-        self.sink = Some(sink);
-    }
 }
 
 impl Process for BaseStation {

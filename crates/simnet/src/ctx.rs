@@ -3,10 +3,10 @@
 use std::any::Any;
 
 use crate::error::SimResult;
-use crate::process::{Addr, LocalMessage, NodeId, ProcId, Process, StreamId};
+use crate::process::{Addr, LocalMessage, NodeId, ProcId, StreamId};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{MetricRef, SpanDetail};
-use crate::world::{Delivery, World};
+use crate::world::{Delivery, EmitAction, World};
 
 /// Mutable access to the world, scoped to the process currently handling
 /// an event.
@@ -289,7 +289,8 @@ impl<'w> Ctx<'w> {
     /// Closes our direction of the stream after queued data drains. The
     /// peer observes [`StreamEvent::Closed`](crate::StreamEvent::Closed).
     pub fn stream_close(&mut self, stream: StreamId) {
-        self.world.stream_close_deferred(self.me, stream);
+        let action = EmitAction::StreamClose { stream };
+        self.world.emit_or_defer(self.me, action);
     }
 
     /// Sends a local (same-node, zero-cost) message to another process.
@@ -305,27 +306,13 @@ impl<'w> Ctx<'w> {
             },
         );
     }
-
-    /// Sends an already-boxed local message (avoids double boxing when
-    /// forwarding).
-    pub fn send_local_boxed(&mut self, to: ProcId, msg: LocalMessage) {
-        let now = self.world.now();
-        self.world
-            .schedule_delivery(now, to, Delivery::Local { from: self.me, msg });
-    }
-
-    /// Spawns a new process on this node. Its `on_start` runs at the
-    /// current virtual time.
-    pub fn spawn_local(&mut self, process: Box<dyn Process>) -> ProcId {
-        let node = self.node();
-        self.world.add_process(node, process)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::medium::SegmentConfig;
+    use crate::process::Process;
     use std::cell::RefCell;
     use std::rc::Rc;
 

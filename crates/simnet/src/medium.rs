@@ -142,12 +142,6 @@ impl SegmentConfig {
         self
     }
 
-    /// Returns a copy with the given propagation latency.
-    pub fn with_latency(mut self, latency: SimDuration) -> SegmentConfig {
-        self.latency = latency;
-        self
-    }
-
     /// Serialization time for a frame carrying `payload_bytes` of payload
     /// (frame overhead added automatically).
     pub fn frame_time(&self, payload_bytes: usize) -> SimDuration {

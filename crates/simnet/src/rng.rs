@@ -36,11 +36,6 @@ impl SimRng {
         z ^ (z >> 31)
     }
 
-    /// Next raw 32-bit output (upper half of a 64-bit step).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform value in the given range (`a..b` or `a..=b`).
     ///
     /// Panics if the range is empty, matching `rand::Rng::gen_range`.

@@ -13,12 +13,10 @@
 //!   last cascade filed there (sorted once, consumed through a cursor)
 //!   and a **near heap** of the keys pushed straight into the window
 //!   since, late entries included;
-//! * six **wheel levels** of 64 slots each cover bits `[16, 52)` of the
-//!   event time; an event is filed at the level of the highest bit in
-//!   which it differs from the wheel horizon, so each level spans 64×
-//!   the range of the one below;
-//! * an **overflow heap** catches events more than 2^52 ns (~52 days)
-//!   ahead.
+//! * eight **wheel levels** of 64 slots each cover bits `[16, 64)` of
+//!   the event time, so every `u64` instant has a slot; an event is
+//!   filed at the level of the highest bit in which it differs from the
+//!   wheel horizon, so each level spans 64× the range of the one below.
 //!
 //! Far events cost `O(1)` to insert and at most `LEVELS` cascade hops
 //! over their whole lifetime. A cascade can file tens of thousands of
@@ -36,11 +34,12 @@
 //!
 //! 1. Entries at level `l` share all bits above `base(l) + 6` with the
 //!    horizon, so their slot index is strictly ahead of the horizon's
-//!    cursor at that level; slots never wrap within an epoch.
+//!    cursor at that level; slots never wrap, since the levels cover
+//!    all 64 bits of time.
 //! 2. Every entry at level `l` is earlier than every entry at any
 //!    higher level (it matches the horizon in the higher level's bit
 //!    range, where the higher entry exceeds it), and later than
-//!    everything in the near window; overflow entries are later still.
+//!    everything in the near window.
 //! 3. Therefore the global minimum is always in the near window once
 //!    [`TimerWheel::pop`] has cascaded (lowest level, lowest slot
 //!    first), and ties on `time` are all in the near window together.
@@ -69,10 +68,9 @@ const NEAR_BITS: u32 = 16;
 const LEVEL_BITS: u32 = 6;
 /// Slots per wheel level.
 const SLOTS: usize = 1 << LEVEL_BITS;
-/// Number of coarse levels above the near window.
-const LEVELS: usize = 6;
-/// First bit beyond the top level; times differing here go to overflow.
-const TOP_BITS: u32 = NEAR_BITS + LEVELS as u32 * LEVEL_BITS;
+/// Number of coarse levels above the near window: enough to cover every
+/// bit of a `u64` time.
+const LEVELS: usize = (u64::BITS - NEAR_BITS).div_ceil(LEVEL_BITS) as usize;
 /// Key capacity a drained bucket always keeps.
 const BUCKET_KEEP: usize = 64;
 /// Refills of the sorted run per capacity check. The run is refilled at
@@ -158,7 +156,6 @@ pub struct TimerWheel<T> {
     levels: Vec<Vec<Key>>,
     /// Per-level bitmask of occupied slots (bit `s` = slot `s`).
     occupied: [u64; LEVELS],
-    overflow: BinaryHeap<Reverse<Key>>,
     len: usize,
 }
 
@@ -175,7 +172,6 @@ impl<T> std::fmt::Debug for TimerWheel<T> {
             .field("len", &self.len)
             .field("run", &(self.run.len() - self.run_pos))
             .field("near", &self.near.len())
-            .field("overflow", &self.overflow.len())
             .finish_non_exhaustive()
     }
 }
@@ -197,7 +193,6 @@ impl<T> TimerWheel<T> {
                 .take(LEVELS * SLOTS)
                 .collect(),
             occupied: [0; LEVELS],
-            overflow: BinaryHeap::new(),
             len: 0,
         }
     }
@@ -353,8 +348,8 @@ impl<T> TimerWheel<T> {
     }
 
     /// Files a key relative to the current horizon into a wheel slot at
-    /// the level of the highest differing bit, or into overflow; a key
-    /// that belongs in the near window is handed back to the caller.
+    /// the level of the highest differing bit; a key that belongs in the
+    /// near window is handed back to the caller.
     fn file(&mut self, k: Key) -> Option<Key> {
         // A time at (or before) the horizon belongs in the near window.
         let t = k.time.max(self.horizon);
@@ -364,10 +359,6 @@ impl<T> TimerWheel<T> {
         }
         let top_bit = 63 - diff.leading_zeros();
         let level = ((top_bit - NEAR_BITS) / LEVEL_BITS) as usize;
-        if level >= LEVELS {
-            self.overflow.push(Reverse(k));
-            return None;
-        }
         let base = NEAR_BITS + LEVEL_BITS * level as u32;
         let slot = ((t >> base) & (SLOTS as u64 - 1)) as usize;
         self.occupied[level] |= 1 << slot;
@@ -395,50 +386,35 @@ impl<T> TimerWheel<T> {
         // Cascading pushes nothing into the near heap, so the window is
         // empty until the run gets its first key.
         while self.run.is_empty() {
-            if let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) {
-                // Lowest occupied slot of the lowest occupied level is
-                // the earliest bucket (slots never wrap within an
-                // epoch; see module docs).
-                let slot = self.occupied[level].trailing_zeros() as usize;
-                let base = NEAR_BITS + LEVEL_BITS * level as u32;
-                let above = base + LEVEL_BITS;
-                let bucket = ((self.horizon >> above) << above) | ((slot as u64) << base);
-                debug_assert!(bucket >= self.horizon, "cascade moved horizon backwards");
-                self.horizon = bucket;
-                self.occupied[level] &= !(1u64 << slot);
-                let idx = level * SLOTS + slot;
-                let mut keys = std::mem::take(&mut self.levels[idx]);
-                let filed = keys.len();
-                // Against the advanced horizon every entry differs only
-                // below `base`, so it re-files strictly lower — at most
-                // LEVELS hops per entry over its lifetime.
-                for k in keys.drain(..) {
-                    self.refile(k);
-                }
-                // Hand the (empty) buffer back so later epochs reuse its
-                // capacity, but not capacity far above what this epoch
-                // filed: one burst must not pin a slot's peak for the
-                // rest of the run. The hysteresis keeps releases rare —
-                // each follows growth that already reallocated.
-                release_slack(&mut keys, filed);
-                self.levels[idx] = keys;
-            } else if let Some(Reverse(first)) = self.overflow.pop() {
-                debug_assert!(first.time >= self.horizon);
-                self.horizon = first.time;
-                self.refile(first);
-                // Pull every overflow entry that now shares the top
-                // bits with the horizon into the wheel, so later pushes
-                // can never slip ahead of them via the levels.
-                while let Some(Reverse(k)) = self.overflow.peek() {
-                    if (k.time ^ self.horizon) >> TOP_BITS != 0 {
-                        break;
-                    }
-                    let Reverse(k) = self.overflow.pop().expect("peeked entry exists");
-                    self.refile(k);
-                }
-            } else {
+            let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
                 return false;
+            };
+            // Lowest occupied slot of the lowest occupied level is the
+            // earliest bucket (slots never wrap; see module docs).
+            let slot = self.occupied[level].trailing_zeros() as usize;
+            let base = NEAR_BITS + LEVEL_BITS * level as u32;
+            // The horizon's bits above this level (none above the top).
+            let above = u64::MAX.checked_shl(base + LEVEL_BITS).unwrap_or(0);
+            let bucket = (self.horizon & above) | ((slot as u64) << base);
+            debug_assert!(bucket >= self.horizon, "cascade moved horizon backwards");
+            self.horizon = bucket;
+            self.occupied[level] &= !(1u64 << slot);
+            let idx = level * SLOTS + slot;
+            let mut keys = std::mem::take(&mut self.levels[idx]);
+            let filed = keys.len();
+            // Against the advanced horizon every entry differs only
+            // below `base`, so it re-files strictly lower — at most
+            // LEVELS hops per entry over its lifetime.
+            for k in keys.drain(..) {
+                self.refile(k);
             }
+            // Hand the (empty) buffer back so later epochs reuse its
+            // capacity, but not capacity far above what this epoch
+            // filed: one burst must not pin a slot's peak for the
+            // rest of the run. The hysteresis keeps releases rare —
+            // each follows growth that already reallocated.
+            release_slack(&mut keys, filed);
+            self.levels[idx] = keys;
         }
         // `seq` is unique, so the unstable sort yields the one order.
         self.run.sort_unstable();
@@ -470,7 +446,7 @@ mod tests {
     #[test]
     fn pops_in_time_then_seq_order_across_levels() {
         let mut wheel = TimerWheel::new();
-        // One entry per storage tier: near, each level, overflow.
+        // One entry per storage tier: near and each level.
         let times: Vec<u64> = vec![
             3,                   // near
             1 << 17,             // level 0
@@ -479,8 +455,10 @@ mod tests {
             1 << 35,             // level 3
             1 << 41,             // level 4
             1 << 47,             // level 5
-            1 << 60,             // overflow
-            (1 << 60) + 500_000, // overflow, same epoch
+            1 << 53,             // level 6
+            1 << 60,             // level 7
+            (1 << 60) + 500_000, // level 7, cascaded with the one before
+            u64::MAX,            // level 7, top slot
         ];
         for (i, t) in times.iter().enumerate().rev() {
             wheel.push(SimTime::from_nanos(*t), i);

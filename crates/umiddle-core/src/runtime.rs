@@ -301,11 +301,6 @@ impl UmiddleRuntime {
         }
     }
 
-    /// The `rt{N}` metric scope this runtime records under.
-    pub fn metric_scope(&self) -> &str {
-        &self.scope
-    }
-
     /// This runtime's id.
     pub fn id(&self) -> RuntimeId {
         self.cfg.id
