@@ -2755,7 +2755,7 @@ pub fn e12_replica_apply(runtimes: usize, per_runtime: usize, deltas: usize) -> 
 }
 
 // =====================================================================
-// Dispatch fingerprints — the kernel's handler order on three fixtures
+// Dispatch fingerprints — the kernel's handler order on four fixtures
 // =====================================================================
 
 /// One fixture's [`World::dispatch_fingerprint`] over a fixed virtual
@@ -2772,13 +2772,16 @@ pub struct FingerprintRow {
     pub handler_calls: u64,
 }
 
-/// Runs three fixtures at scale for fixed virtual spans and returns
-/// each one's dispatch fingerprint: the E9 federation at 1000 devices
-/// through its setup window and 60 s of traffic, the E12 federation
-/// (100 runtimes x 10 services) through its steady state and one churn
-/// cycle, and the Figure 11 RMI-MB path through its warm-up and 2 s.
+/// Runs four fixtures for fixed virtual spans and returns each one's
+/// dispatch fingerprint: the E9 federation at 1000 devices through its
+/// setup window and 60 s of traffic, the E12 federation (100 runtimes x
+/// 10 services) through its steady state and one churn cycle, the
+/// Figure 11 RMI-MB path through its warm-up and 2 s, and the E10 world
+/// (E8's two-runtime topology) through 40 s, past its hub flood at
+/// 30 s. E10 is the one whose multicast frames reach a single member:
+/// each runtime's directory multicast has one other runtime to hear it.
 /// A kernel change that keeps every handler call in order keeps all
-/// three; one that moves any of them changed the simulated model.
+/// four; one that moves any of them changed the simulated model.
 pub fn dispatch_fingerprints() -> Vec<FingerprintRow> {
     let run = |fixture, mut world: World, virtual_secs| {
         world.run_until(SimTime::from_secs(virtual_secs));
@@ -2793,6 +2796,7 @@ pub fn dispatch_fingerprints() -> Vec<FingerprintRow> {
         run("e9_federation_1000", e9_world(1000), E9_SETUP + 60),
         run("e12_churn_100x10", e12_world(100, 10).0, E12_END_SECS),
         run("e3_rmi_mb", rmi_mb_world(34).0, 32),
+        run("e10_two_runtimes", e10_world().0, 40),
     ]
 }
 
