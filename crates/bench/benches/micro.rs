@@ -10,6 +10,7 @@
 
 use std::hint::black_box;
 
+use bench::outln;
 use bench::timing::{bench_function, Spread};
 use platform_bluetooth::{ObexPacket, SdpPdu, ServiceRecord};
 use platform_rmi::JavaValue;
@@ -143,7 +144,7 @@ fn record(after: &[Spread]) {
         .with("after", after);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_micro.json");
     std::fs::write(path, doc.document()).expect("BENCH_micro.json is writable");
-    println!("wrote {path}");
+    outln!("wrote {path}");
 }
 
 fn bench_wire() {
@@ -292,7 +293,7 @@ fn bench_trace() {
 }
 
 fn main() {
-    println!("uMiddle micro-benchmarks (wall clock, in-tree harness)");
+    outln!("uMiddle micro-benchmarks (wall clock, in-tree harness)");
     let mut recorded = vec![bench_usdl()];
     recorded.extend(bench_xml());
     bench_wire();

@@ -7,6 +7,7 @@
 //! snapshot under `after`. E11 and E13 render one shared E13 run.
 
 use bench::experiments::*;
+use bench::outln;
 use bench::report::*;
 use simnet::{Json, SimDuration};
 
@@ -48,17 +49,17 @@ fn run(args: &Args) {
         ("e11", &|| render_e11(e13())),
         ("e13", &|| render_e13(e13())),
     ];
-    println!("uMiddle evaluation harness (simulated testbed)");
+    outln!("uMiddle evaluation harness (simulated testbed)");
     for (id, run) in experiments {
         if want(id) {
-            println!("{}", run());
+            outln!("{}", run());
         }
     }
     // Only when named: a reduced version of the full `bench perf-sched
     // --json` sweep, which also covers N = 500 and N = 1000.
     if ids.iter().any(|a| a == "e9") {
         let rows = e9_sched_scale(&[100, 250], SimDuration::from_secs(10));
-        println!("{}", render_e9(&rows));
+        outln!("{}", render_e9(&rows));
     }
 }
 

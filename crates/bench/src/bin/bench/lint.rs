@@ -12,6 +12,7 @@
 //! the CI lint stage (`./ci.sh lint`); exits 1 listing every malformed
 //! file.
 
+use bench::outln;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -295,7 +296,7 @@ fn run(args: &Args) {
             Err(e) => vec![format!("unreadable ({e})")],
         };
         if problems.is_empty() {
-            println!("bench lint: {display}: ok");
+            outln!("bench lint: {display}: ok");
         } else {
             for p in &problems {
                 eprintln!("bench lint: {display}: {p}");
@@ -315,7 +316,7 @@ fn run(args: &Args) {
         eprintln!("bench lint: {failures} of {total} file(s) malformed");
         std::process::exit(1);
     }
-    println!(
+    outln!(
         "bench lint: {} record(s) and {} pin(s) ok",
         records.len(),
         pins.len()

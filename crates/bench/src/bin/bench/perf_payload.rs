@@ -13,6 +13,7 @@
 //! histogram next to the payload copy counters.
 
 use bench::experiments::e8_observability;
+use bench::outln;
 use bench::timing::{
     assert_decode_copies_linear, bridged_window, decode_bulk, multicast_fanout,
     stream_bulk_transfer, Framer,
@@ -71,7 +72,7 @@ fn run(args: &Args) {
              messages, {pops:.3} per message (bound {BRIDGED_POPS_PER_MESSAGE})",
             bridged.events
         );
-        println!(
+        outln!(
             "bench perf-payload --check: ok (decode copies {linear:?} B, linear; \
              bridged RMI-MB copies 0 B/message over {delivered} messages, bound 0; \
              bridged RMI-MB scheduler pops {pops:.3}/message, bound {BRIDGED_POPS_PER_MESSAGE})"
@@ -79,18 +80,22 @@ fn run(args: &Args) {
         return;
     }
 
-    println!("zero-copy payload path benches (wall clock)");
+    outln!("zero-copy payload path benches (wall clock)");
     let run_1k = decode_bulk(Framer::Wire, 1_000);
     let run_2k = decode_bulk(Framer::Wire, 2_000);
-    println!(
+    outln!(
         "wire_decode_bulk   1k frames: {:>10} ns total, {:>9.1} ns/frame, {} B copied",
-        run_1k.ns_total, run_1k.ns_per_frame, run_1k.payload.bytes_copied
+        run_1k.ns_total,
+        run_1k.ns_per_frame,
+        run_1k.payload.bytes_copied
     );
-    println!(
+    outln!(
         "wire_decode_bulk   2k frames: {:>10} ns total, {:>9.1} ns/frame, {} B copied",
-        run_2k.ns_total, run_2k.ns_per_frame, run_2k.payload.bytes_copied
+        run_2k.ns_total,
+        run_2k.ns_per_frame,
+        run_2k.payload.bytes_copied
     );
-    println!(
+    outln!(
         "wire_decode_bulk   per-frame ratio 2k/1k: {:.2} wall, {:.2} copied (linear ≈ 1.0)",
         run_2k.ns_per_frame / run_1k.ns_per_frame,
         run_2k.payload.bytes_copied as f64 / (2 * run_1k.payload.bytes_copied.max(1)) as f64
@@ -107,7 +112,7 @@ fn run(args: &Args) {
     let mut fanout_rows = Vec::new();
     for receivers in [8usize, 32, 128] {
         let run = multicast_fanout(receivers, 50);
-        println!(
+        outln!(
             "multicast_fanout   {receivers:>3} receivers: {:>10.0} ns/send, {} B delivered, {} B shared, {} B copied",
             run.ns_per_send, run.delivered_bytes, run.shared_bytes, run.payload.bytes_copied
         );
@@ -125,7 +130,7 @@ fn run(args: &Args) {
     let mut stream_rows = Vec::new();
     for (total, loss) in [(1_000_000usize, 0.0), (500_000, 0.02)] {
         let per_kib = stream_bulk_transfer(total, loss);
-        println!("stream_bulk        {total:>7} B loss {loss:>4}: {per_kib:>8.0} ns/KiB");
+        outln!("stream_bulk        {total:>7} B loss {loss:>4}: {per_kib:>8.0} ns/KiB");
         stream_rows.push(
             Json::inline()
                 .with("total_bytes", total)
@@ -139,7 +144,7 @@ fn run(args: &Args) {
     let e8 = e8_observability();
     let mut e8_path = Json::block();
     if let Some(h) = e8.snapshot.histograms.get("umiddle.path_latency") {
-        println!(
+        outln!(
             "e8 path_latency    count {} mean {} min {} max {}",
             h.count(),
             h.mean(),
@@ -157,7 +162,7 @@ fn run(args: &Args) {
     }
     let counter = |name: &str| e8.snapshot.counters.get(name).copied().unwrap_or(0);
     for name in PAYLOAD_COUNTERS {
-        println!("e8 {name:<24} {}", counter(name));
+        outln!("e8 {name:<24} {}", counter(name));
     }
     e8_path.push(
         "payload_counters",

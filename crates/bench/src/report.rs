@@ -3,6 +3,41 @@
 
 use crate::experiments::*;
 
+/// Writes formatted text to standard output: the one stdout writer of
+/// the `bench` binary and its library, used through [`out!`](crate::out)
+/// and [`outln!`](crate::outln). When the reader has gone away (`bench
+/// fingerprint | head -1`), the process exits with status 0, since
+/// nobody is left to read the rest; `println!` would panic there. Any
+/// other write error panics.
+pub fn out(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("cannot write to standard output: {e}"),
+    }
+}
+
+/// `print!` through [`report::out`](crate::report::out).
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::report::out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`report::out`](crate::report::out).
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::report::out(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::report::out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn hr(title: &str) -> String {
     format!("\n=== {title} ===\n")
 }
@@ -19,7 +54,7 @@ pub fn write_artifact(path: &str, body: &str, what: &str) {
         }
     }
     std::fs::write(path, body).expect("write artifact");
-    println!("wrote {path} ({} B) — {what}", body.len());
+    crate::outln!("wrote {path} ({} B) — {what}", body.len());
 }
 
 /// Renders the Figure-10 table.
