@@ -2501,7 +2501,8 @@ pub struct DirLookupRow {
     pub total_ports: usize,
     /// Distinct MIME types the ports spread over.
     pub distinct_mimes: usize,
-    /// Wall time to build the table (ms).
+    /// Wall time to build the table, with the first lookup that builds
+    /// its port index (ms).
     pub build_ms: f64,
     /// Lookups measured.
     pub lookups: usize,
@@ -2518,13 +2519,27 @@ pub struct DirLookupRow {
 }
 
 /// Builds a directory table with `profiles * ports_per_profile`
-/// advertised ports (the ~1M-port scale point of ISSUE 9) and measures
-/// indexed `lookup` latency over a concrete port-query mix, plus
-/// wildcard queries to pin the scan-free fallback paths.
+/// advertised ports (the ~1M-port scale point) and measures indexed
+/// `lookup` latency over a concrete port-query mix, plus wildcard
+/// queries to pin the scan-free fallback paths. The first lookup builds
+/// the table's port index, so the build time includes it.
 pub fn e12_lookup_scale(profiles: usize, ports_per_profile: usize) -> DirLookupRow {
     use umiddle_core::{DirectoryTable, MimeType, PortKind, Query, RuntimeId, TranslatorId};
 
     const DISTINCT_MIMES: usize = 512;
+
+    // The measured mix: concrete (direction, MIME) port queries — the
+    // federation hot path. Wildcards are exercised after, unmeasured,
+    // to pin scan-free behavior without letting their O(results) cost
+    // (they select everything) dominate the p99.
+    let queries: Vec<Query> = (0..DISTINCT_MIMES)
+        .map(|m| {
+            Query::has_port(
+                Direction::Output,
+                PortKind::Digital(format!("app/t{m}").parse().unwrap()),
+            )
+        })
+        .collect();
 
     let build_t0 = std::time::Instant::now();
     let mut table = DirectoryTable::new();
@@ -2550,20 +2565,9 @@ pub fn e12_lookup_scale(profiles: usize, ports_per_profile: usize) -> DirLookupR
         let home = Addr::new(simnet::NodeId::from_index(p / 10_000), 47_001);
         table.upsert(profile, home, SimTime::MAX, false);
     }
+    std::hint::black_box(table.lookup(&queries[0])); // builds the index
     let build_ms = build_t0.elapsed().as_secs_f64() * 1e3;
 
-    // The measured mix: concrete (direction, MIME) port queries — the
-    // federation hot path. Wildcards are exercised after, unmeasured,
-    // to pin scan-free behavior without letting their O(results) cost
-    // (they select everything) dominate the p99.
-    let queries: Vec<Query> = (0..DISTINCT_MIMES)
-        .map(|m| {
-            Query::has_port(
-                Direction::Output,
-                PortKind::Digital(format!("app/t{m}").parse().unwrap()),
-            )
-        })
-        .collect();
     for q in queries.iter().take(32) {
         std::hint::black_box(table.lookup(q)); // warm-up
     }
@@ -2618,8 +2622,13 @@ pub struct ReplicaApplyRow {
     pub deltas: usize,
     /// Timed decode + apply pairs: every delta at every receiver.
     pub applies: usize,
-    /// p10, median and p90 wall ns of one `DirectoryReplica::apply_delta`.
+    /// p10, median and p90 wall ns of one `DirectoryReplica::apply_delta`
+    /// at a replica that has served a lookup, so its port index is built
+    /// and every write maintains it.
     pub apply_ns: [u64; 3],
+    /// The same at a replica that has served no lookup, so it keeps no
+    /// port index.
+    pub unindexed_apply_ns: [u64; 3],
     /// p10, median and p90 wall ns of one `WireMessage::decode` of the
     /// delta's frame.
     pub decode_ns: [u64; 3],
@@ -2632,10 +2641,13 @@ pub struct ReplicaApplyRow {
 /// decoded and applied at every other replica in turn, as the multicast
 /// reaches every host, so one replica's cache lines are cold again by
 /// its next delta. Each decode and each apply is timed on its own.
+/// Even-numbered replicas serve one lookup before the churn, which
+/// builds their port index; the odd ones serve none, so their applies
+/// time a replica without postings.
 pub fn e12_replica_apply(runtimes: usize, per_runtime: usize, deltas: usize) -> ReplicaApplyRow {
     use umiddle_core::{
-        DeltaOp, DeltaOutcome, DirectoryReplica, MimeType, RuntimeId, TranslatorId,
-        TranslatorProfile, WireMessage,
+        DeltaOp, DeltaOutcome, DirectoryReplica, MimeType, PortKind, Query, RuntimeId,
+        TranslatorId, TranslatorProfile, WireMessage,
     };
 
     const CHURNER_STRIDE: usize = 10;
@@ -2679,13 +2691,22 @@ pub fn e12_replica_apply(runtimes: usize, per_runtime: usize, deltas: usize) -> 
         }
     }
 
+    let indexed = |r: usize| r.is_multiple_of(2);
+    let probe = Query::has_port(Direction::Input, PortKind::Digital(mime(0)));
+    for (r, replica) in replicas.iter().enumerate() {
+        if indexed(r) {
+            assert!(!replica.table().lookup(&probe).is_empty());
+        }
+    }
+
     let churners: Vec<usize> = (0..runtimes)
         .filter(|i| i % CHURNER_STRIDE == CHURNER_STRIDE / 2)
         .collect();
     let mut live = vec![[None::<TranslatorId>; SLOTS]; churners.len()];
     let mut next_local = vec![per_runtime as u32; churners.len()];
     let mut rng = simnet::SimRng::seed_from_u64(12);
-    let mut apply_ns = Vec::with_capacity(deltas * (runtimes - 1));
+    let mut apply_ns = Vec::with_capacity(deltas * runtimes / 2);
+    let mut unindexed_apply_ns = Vec::with_capacity(deltas * runtimes / 2);
     let mut decode_ns = Vec::with_capacity(deltas * (runtimes - 1));
     for _ in 0..deltas {
         let c = rng.gen_range(0..churners.len());
@@ -2737,7 +2758,12 @@ pub fn e12_replica_apply(runtimes: usize, per_runtime: usize, deltas: usize) -> 
             let t2 = std::time::Instant::now();
             assert_eq!(outcome, DeltaOutcome::Applied(1));
             decode_ns.push((t1 - t0).as_nanos() as u64);
-            apply_ns.push((t2 - t1).as_nanos() as u64);
+            let apply = if indexed(r) {
+                &mut apply_ns
+            } else {
+                &mut unindexed_apply_ns
+            };
+            apply.push((t2 - t1).as_nanos() as u64);
         }
     }
     let quantiles = |mut v: Vec<u64>| -> [u64; 3] {
@@ -2748,8 +2774,9 @@ pub fn e12_replica_apply(runtimes: usize, per_runtime: usize, deltas: usize) -> 
         runtimes,
         per_runtime,
         deltas,
-        applies: apply_ns.len(),
+        applies: decode_ns.len(),
         apply_ns: quantiles(apply_ns),
+        unindexed_apply_ns: quantiles(unindexed_apply_ns),
         decode_ns: quantiles(decode_ns),
     }
 }
@@ -3073,7 +3100,9 @@ mod tests {
         // and applies as `DeltaOutcome::Applied(1)`.
         let ra = e12_replica_apply(10, 3, 50);
         assert_eq!(ra.applies, 50 * (10 - 1));
-        assert!(ra.apply_ns[0] <= ra.apply_ns[1] && ra.apply_ns[1] <= ra.apply_ns[2]);
+        for apply in [ra.apply_ns, ra.unindexed_apply_ns] {
+            assert!(apply[0] <= apply[1] && apply[1] <= apply[2]);
+        }
         assert!(ra.decode_ns[0] <= ra.decode_ns[1] && ra.decode_ns[1] <= ra.decode_ns[2]);
     }
 }

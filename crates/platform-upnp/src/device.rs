@@ -177,6 +177,22 @@ impl UpnpDevice {
         let _ = ctx.multicast(self.http_port, SSDP_GROUP, msg.to_bytes());
     }
 
+    /// The time until the next re-announcement: a quarter of `max_age`
+    /// plus a per-device phase below another quarter, so devices that
+    /// start together do not re-announce together. UDA 1.0 §1.1.2 asks
+    /// for "a randomly-distributed interval of less than one-half of the
+    /// advertisement expiration time". The phase is the FNV-1a hash of
+    /// the UDN rather than a draw from the world's one random stream,
+    /// which would shift every later draw.
+    fn reannounce_delay(&self) -> SimDuration {
+        let quarter_ms = u64::from(self.max_age) * 1000 / 4;
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in self.desc.udn.bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+        SimDuration::from_millis(quarter_ms + h % quarter_ms)
+    }
+
     fn handle_request(&mut self, ctx: &mut Ctx<'_>, stream: StreamId, req: HttpRequest) {
         let response = match (req.method(), req.path()) {
             ("GET", "/description.xml") => {
@@ -328,8 +344,7 @@ impl Process for UpnpDevice {
         // port; unicast replies are sent with the HTTP port as source.
         let _ = ctx.join_group(SSDP_GROUP);
         self.announce(ctx);
-        let reannounce = SimDuration::from_secs(u64::from(self.max_age) / 2);
-        ctx.set_timer(reannounce, TIMER_ANNOUNCE);
+        ctx.set_timer(self.reannounce_delay(), TIMER_ANNOUNCE);
         if let Some(interval) = self.logic.tick_interval() {
             ctx.set_timer(interval, TIMER_TICK);
         }
@@ -339,8 +354,7 @@ impl Process for UpnpDevice {
         match token {
             TIMER_ANNOUNCE => {
                 self.announce(ctx);
-                let reannounce = SimDuration::from_secs(u64::from(self.max_age) / 2);
-                ctx.set_timer(reannounce, TIMER_ANNOUNCE);
+                ctx.set_timer(self.reannounce_delay(), TIMER_ANNOUNCE);
             }
             TIMER_TICK => {
                 self.logic.tick(&mut self.state);
@@ -391,6 +405,10 @@ impl Process for UpnpDevice {
 mod tests {
     use super::*;
     use crate::description::{ActionArg, ActionDesc, ArgDirection, ServiceDesc};
+    use crate::devices::LightLogic;
+    use simnet::{SegmentConfig, SimTime, World};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     struct NullLogic;
     impl DeviceLogic for NullLogic {
@@ -447,5 +465,65 @@ mod tests {
         let dev = UpnpDevice::new(Box::new(NullLogic), 5000);
         assert_eq!(dev.state.get("X"), Some("0"));
         assert_eq!(dev.description().friendly_name, "Null");
+    }
+
+    /// Records when each `ssdp:alive` reaches it.
+    struct AliveLog(Rc<RefCell<Vec<SimTime>>>);
+
+    impl Process for AliveLog {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let _ = ctx.join_group(SSDP_GROUP);
+        }
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+            if let Some(SsdpMessage::Alive { .. }) = SsdpMessage::parse(&dgram.data) {
+                self.0.borrow_mut().push(ctx.now());
+            }
+        }
+    }
+
+    /// `federation`'s 167 lights start together. Past their initial
+    /// announcements, no 1 s window of the next two re-announce periods
+    /// (up to 2,000 virtual s) holds more than `BURST` of their
+    /// re-announcements: each device's phase spreads them over
+    /// `[max_age / 4, max_age / 2)`.
+    #[test]
+    fn lights_started_together_reannounce_spread_out() {
+        const LIGHTS: usize = 167;
+        const BURST: usize = 4;
+        let mut world = World::new(1);
+        let hub = world.add_segment(SegmentConfig::ethernet_10mbps_hub());
+        for i in 0..LIGHTS {
+            let node = world.add_node(format!("light-{i}"));
+            world.attach(node, hub).unwrap();
+            let logic = LightLogic::new(&format!("E9 Light {i:04}"), &format!("uuid:e9l{i}"));
+            world.add_process(node, Box::new(UpnpDevice::new(Box::new(logic), 5000)));
+        }
+        let listener = world.add_node("listener");
+        world.attach(listener, hub).unwrap();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        world.add_process(listener, Box::new(AliveLog(Rc::clone(&seen))));
+        world.run_until(SimTime::from_secs(2_000));
+
+        let seen = seen.borrow();
+        let (initial, again): (Vec<SimTime>, Vec<SimTime>) =
+            seen.iter().partition(|t| **t < SimTime::from_secs(1));
+        assert_eq!(initial.len(), LIGHTS, "one initial announcement each");
+        assert!(
+            again.len() >= 2 * LIGHTS,
+            "{} re-announcements",
+            again.len()
+        );
+        let mut busiest = 0;
+        let mut start = 0;
+        for (end, t) in again.iter().enumerate() {
+            while *t - again[start] >= SimDuration::from_secs(1) {
+                start += 1;
+            }
+            busiest = busiest.max(end + 1 - start);
+        }
+        assert!(
+            busiest <= BURST,
+            "{busiest} re-announcements in one 1 s window (bound {BURST})"
+        );
     }
 }

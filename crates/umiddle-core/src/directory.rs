@@ -6,7 +6,7 @@
 //! delta-gossip plane (see [`crate::replica`]). The replica serves
 //! `lookup(Query)` locally and feeds directory listeners.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
@@ -56,6 +56,15 @@ struct PortIndex {
 }
 
 impl PortIndex {
+    /// The index that `entries` imply.
+    fn of(entries: &IntMap<TranslatorId, DirectoryEntry>) -> PortIndex {
+        let mut index = PortIndex::default();
+        for (id, e) in entries {
+            index.add(*id, &e.profile);
+        }
+        index
+    }
+
     fn add(&mut self, id: TranslatorId, profile: &TranslatorProfile) {
         for port in profile.shape().ports() {
             if let PortKind::Digital(mime) = &port.kind {
@@ -99,6 +108,13 @@ impl PortIndex {
 /// are sorted, whole-table walks sort on demand), so the hash map's
 /// iteration order never leaks out.
 ///
+/// The secondary indexes are built by the first lookup they serve and
+/// kept exact by every write after it. A replica that never serves such
+/// a lookup (under E12 churn, every host but the clients') keeps no
+/// postings, and a write there costs only the entry probe. Postings are
+/// sorted sets and unions sort, so no result depends on when the
+/// indexes were built.
+///
 /// Queries neither index can serve (name/attribute predicates, `Or`/`Not`
 /// roots) fall back to the full scan and bump [`Self::scan_fallbacks`];
 /// indexed candidates are re-checked with [`Query::matches`] — except
@@ -107,7 +123,8 @@ impl PortIndex {
 #[derive(Debug, Default)]
 pub struct DirectoryTable {
     entries: IntMap<TranslatorId, DirectoryEntry>,
-    index: PortIndex,
+    /// Built by the first index-served lookup, then kept exact.
+    index: OnceCell<PortIndex>,
     /// Expiry dirty-set: `(expires, id)` min-heap of remote entries with
     /// a finite TTL, checked lazily against the live table (a refresh
     /// leaves a stale heap entry behind). Entries with `expires == MAX`
@@ -145,17 +162,23 @@ impl DirectoryTable {
         if self.entries.len() == self.entries.capacity() {
             self.rebuild_entries();
         }
+        let index = self.index.get_mut();
         match self.entries.entry(id) {
             Entry::Occupied(mut slot) => {
                 // A refresh may carry a changed shape; drop the stale
                 // index entries before re-indexing.
                 let old = slot.insert(entry);
-                self.index.remove(id, &old.profile);
-                self.index.add(id, &slot.get().profile);
+                if let Some(index) = index {
+                    index.remove(id, &old.profile);
+                    index.add(id, &slot.get().profile);
+                }
                 UpsertEffect::Refreshed
             }
             Entry::Vacant(slot) => {
-                self.index.add(id, &slot.insert(entry).profile);
+                let new = slot.insert(entry);
+                if let Some(index) = index {
+                    index.add(id, &new.profile);
+                }
                 UpsertEffect::Appeared
             }
         }
@@ -181,7 +204,9 @@ impl DirectoryTable {
     /// Removes an entry (an unregistration). Returns it if present.
     pub fn remove(&mut self, id: TranslatorId) -> Option<DirectoryEntry> {
         let entry = self.entries.remove(&id)?;
-        self.index.remove(id, &entry.profile);
+        if let Some(index) = self.index.get_mut() {
+            index.remove(id, &entry.profile);
+        }
         Some(entry)
     }
 
@@ -263,17 +288,19 @@ impl DirectoryTable {
     /// digital port, only the index's candidates are visited — the
     /// `(direction, mime)` posting plus wildcard-typed ports for concrete
     /// types, every posting of the direction for patterns — and checked
-    /// against the full query, so the result equals a table scan.
+    /// against the full query, so the result equals a table scan. The
+    /// first such lookup builds the indexes.
     pub(crate) fn lookup_entries(&self, query: &Query) -> Vec<&DirectoryEntry> {
         let Some((direction, mime)) = Self::index_plan(query) else {
             self.scan_fallbacks.set(self.scan_fallbacks.get() + 1);
             return self.ordered(|_, e| query.matches(&e.profile)).collect();
         };
+        let index = self.index.get_or_init(|| PortIndex::of(&self.entries));
         let d = slot(direction);
         // Wildcard-typed ports match any query type.
-        let patterns = &self.index.patterns[d];
+        let patterns = &index.patterns[d];
         let Some(mime) = mime else {
-            let mut found = self.entries_of(union(self.index.mime[d].values().chain([patterns])));
+            let mut found = self.entries_of(union(index.mime[d].values().chain([patterns])));
             found.retain(|e| query.matches(&e.profile));
             return found;
         };
@@ -285,7 +312,7 @@ impl DirectoryTable {
         // walks every port of the profile, turning O(results) into
         // O(results * ports-per-profile).
         let bare = matches!(query, Query::HasPort { .. });
-        let exact = self.index.mime[d].get(mime);
+        let exact = index.mime[d].get(mime);
         if bare && patterns.is_empty() {
             return self.entries_of(exact.into_iter().flatten().copied());
         }
@@ -329,18 +356,17 @@ impl DirectoryTable {
         }
     }
 
-    /// Checks that the secondary indexes are exactly what the entries
+    /// Checks that built secondary indexes are exactly what the entries
     /// imply: every posting names a live entry with such a port, every
     /// such port is posted, no posting is empty, and the wildcard sets
     /// hold exactly the entries with a wildcard-typed port. Returns both
-    /// indexes otherwise.
+    /// indexes otherwise. Indexes no lookup has built yet pass in O(1).
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut expected = PortIndex::default();
-        for (id, e) in &self.entries {
-            expected.add(*id, &e.profile);
-        }
-        if self.index != expected {
-            let index = &self.index;
+        let Some(index) = self.index.get() else {
+            return Ok(());
+        };
+        let expected = PortIndex::of(&self.entries);
+        if *index != expected {
             return Err(format!("index {index:?}, entries imply {expected:?}"));
         }
         Ok(())
@@ -759,62 +785,97 @@ mod tests {
         assert_eq!(t.lookup(&any_in), scan(&t, &any_in));
     }
 
-    #[test]
-    fn random_churn_keeps_the_index_exact() {
-        const MIMES: [&str; 6] = [
-            "image/jpeg",
-            "image/png",
-            "audio/pcm",
-            "image/*",
-            "*/pcm",
-            "*/*",
-        ];
-        let concrete = |i: usize| MIMES[i % 3].parse::<MimeType>().expect("mime");
-        simnet::check_cases("directory_random_churn", 48, |_, rng| {
-            let mut t = DirectoryTable::new();
-            for _ in 0..64 {
-                let local = rng.gen_range(0u32..12);
-                if rng.gen_bool(0.35) {
-                    t.remove(TranslatorId::new(RuntimeId(0), local));
-                } else {
-                    let ports: Vec<(String, Direction, &str)> = (0..rng.gen_range(0usize..4))
-                        .map(|k| {
-                            let dir = if rng.gen_bool(0.5) {
-                                Direction::Input
-                            } else {
-                                Direction::Output
-                            };
-                            (format!("p{k}"), dir, MIMES[rng.gen_range(0..MIMES.len())])
-                        })
-                        .collect();
-                    let ports: Vec<(&str, Direction, &str)> =
-                        ports.iter().map(|(n, d, m)| (n.as_str(), *d, *m)).collect();
-                    let name = ["cam", "tv", "mic"][rng.gen_range(0usize..3)];
-                    t.upsert(
-                        shaped_profile(local, name, &ports),
-                        addr(),
-                        SimTime::MAX,
-                        false,
-                    );
-                }
+    const MIMES: [&str; 6] = [
+        "image/jpeg",
+        "image/png",
+        "audio/pcm",
+        "image/*",
+        "*/pcm",
+        "*/*",
+    ];
+
+    /// One random write over twelve ids: a removal, or an upsert (an
+    /// appearance or a refresh) of up to three random digital ports.
+    fn churn_step(t: &mut DirectoryTable, rng: &mut simnet::SimRng) {
+        let local = rng.gen_range(0u32..12);
+        if rng.gen_bool(0.35) {
+            t.remove(TranslatorId::new(RuntimeId(0), local));
+            return;
+        }
+        let ports: Vec<(String, Direction, &str)> = (0..rng.gen_range(0usize..4))
+            .map(|k| {
                 let dir = if rng.gen_bool(0.5) {
                     Direction::Input
                 } else {
                     Direction::Output
                 };
-                let exact = Query::has_port(dir, PortKind::Digital(concrete(rng.gen_range(0..3))));
-                let queries = [
-                    exact.clone(),
-                    Query::has_port(dir, PortKind::Digital(MimeType::any())),
-                    Query::has_port(dir, PortKind::Digital("image/*".parse().expect("mime"))),
-                    exact.and(Query::NameContains("c".to_owned())),
-                ];
-                for q in &queries {
-                    assert_eq!(t.lookup(q), scan(&t, q), "index/scan disagree on {q:?}");
-                }
+                (format!("p{k}"), dir, MIMES[rng.gen_range(0..MIMES.len())])
+            })
+            .collect();
+        let ports: Vec<(&str, Direction, &str)> =
+            ports.iter().map(|(n, d, m)| (n.as_str(), *d, *m)).collect();
+        let name = ["cam", "tv", "mic"][rng.gen_range(0usize..3)];
+        t.upsert(
+            shaped_profile(local, name, &ports),
+            addr(),
+            SimTime::MAX,
+            false,
+        );
+    }
+
+    /// Every index-served lookup shape, for a random direction and
+    /// concrete type, each checked against the scan.
+    fn lookups_agree_with_scan(t: &DirectoryTable, rng: &mut simnet::SimRng) {
+        let dir = if rng.gen_bool(0.5) {
+            Direction::Input
+        } else {
+            Direction::Output
+        };
+        let concrete = MIMES[rng.gen_range(0..3)].parse().expect("mime");
+        let exact = Query::has_port(dir, PortKind::Digital(concrete));
+        let queries = [
+            exact.clone(),
+            Query::has_port(dir, PortKind::Digital(MimeType::any())),
+            Query::has_port(dir, PortKind::Digital("image/*".parse().expect("mime"))),
+            exact.and(Query::NameContains("c".to_owned())),
+        ];
+        for q in &queries {
+            assert_eq!(t.lookup(q), scan(t, q), "index/scan disagree on {q:?}");
+        }
+    }
+
+    #[test]
+    fn random_churn_keeps_the_index_exact() {
+        simnet::check_cases("directory_random_churn", 48, |_, rng| {
+            let mut t = DirectoryTable::new();
+            for _ in 0..64 {
+                churn_step(&mut t, rng);
+                lookups_agree_with_scan(&t, rng);
                 t.check_invariants().expect("index exact");
             }
             assert_eq!(t.scan_fallbacks(), 0);
+        });
+    }
+
+    /// A replica that churns before its first lookup: writes alone build
+    /// no index, the first lookup builds it over the churned table, and
+    /// every write after that keeps it exact.
+    #[test]
+    fn index_built_mid_churn_stays_exact() {
+        simnet::check_cases("directory_lazy_index", 48, |_, rng| {
+            let mut t = DirectoryTable::new();
+            for _ in 0..rng.gen_range(1usize..64) {
+                churn_step(&mut t, rng);
+                t.check_invariants().expect("an unbuilt index passes");
+            }
+            assert!(t.index.get().is_none(), "writes built the index");
+            for _ in 0..64 {
+                lookups_agree_with_scan(&t, rng);
+                assert!(t.index.get().is_some(), "a port lookup builds the index");
+                t.check_invariants().expect("index exact");
+                churn_step(&mut t, rng);
+                t.check_invariants().expect("index exact");
+            }
         });
     }
 

@@ -318,15 +318,18 @@ impl UmiddleRuntime {
         *self.stats.borrow()
     }
 
-    /// Checks the runtime's indexes against each other: every entry of
-    /// the source, destination, home, query and path-uid indexes names a
-    /// live connection that belongs there, every live connection and
-    /// path is in each index it belongs to, the peer maps are mutual
-    /// inverses, and the running buffer totals equal the sums over live
-    /// paths. Returns the first violation found.
+    /// Checks the runtime's indexes against each other: the directory
+    /// replica's port index (once a lookup has built it) is exactly what
+    /// its entries imply, every entry of the source, destination, home,
+    /// query and path-uid indexes names a live connection that belongs
+    /// there, every live connection and path is in each index it belongs
+    /// to, the peer maps are mutual inverses, and the running buffer
+    /// totals equal the sums over live paths. Returns the first violation
+    /// found.
     ///
     /// Debug builds run it after every [`Process`] callback.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.directory.table().check_invariants()?;
         let live = |cid: &ConnectionId, index: &str| match self.connections.get(cid) {
             Some(conn) => Ok(conn),
             None => Err(format!("{index} names dead connection {cid}")),

@@ -40,12 +40,15 @@ fn random_profile(rng: &mut SimRng, id: TranslatorId) -> TranslatorProfile {
 
 /// After every step the indexes are exact, and `iter`, `local_entries`,
 /// `origin_entries`, the fingerprint and every lookup shape agree with
-/// the oracle. Fingerprints do not depend on insertion order.
+/// the oracle. Fingerprints do not depend on insertion order. Lookups
+/// begin at a random step, so the first one builds the indexes over a
+/// table that has already churned.
 #[test]
 fn random_steps_agree_with_an_ordered_oracle() {
     simnet::check_cases("directory_oracle", 48, |_, rng| {
         let mut t = DirectoryTable::new();
         let mut oracle: BTreeMap<TranslatorId, DirectoryEntry> = BTreeMap::new();
+        let first_lookup = rng.gen_range(0u64..64);
         for step in 0..64u64 {
             let now = SimTime::from_secs(step);
             let rt = rng.gen_range(0u32..4);
@@ -125,6 +128,9 @@ fn random_steps_agree_with_an_ordered_oracle() {
             }
             assert_eq!(t.fingerprint(), reversed.fingerprint());
 
+            if step < first_lookup {
+                continue;
+            }
             let dir = direction(rng);
             let concrete = Query::has_port(
                 dir,
@@ -147,7 +153,7 @@ fn random_steps_agree_with_an_ordered_oracle() {
                 assert_eq!(got, expect, "lookup {q:?}");
             }
         }
-        // Only the name query in each step scans.
-        assert_eq!(t.scan_fallbacks(), 64);
+        // Only the name query in each step that looks up scans.
+        assert_eq!(t.scan_fallbacks(), 64 - first_lookup);
     });
 }
