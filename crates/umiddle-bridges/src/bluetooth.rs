@@ -20,14 +20,11 @@ use simnet::{
     Addr, Ctx, Datagram, LocalMessage, NodeId, Payload, ProcId, Process, SimDuration, SimTime,
     StreamEvent, StreamId,
 };
-use umiddle_core::{
-    ack_input_done, handle_input_done_echo, ConnectionId, MimeType, RuntimeEvent, Symbol,
-    TranslatorId, UMessage,
-};
+use umiddle_core::{ack_input_done, ConnectionId, MimeType, Symbol, TranslatorId, UMessage};
 use umiddle_usdl::UsdlLibrary;
 
 use crate::calib;
-use crate::mapper::{Entity, MapperCore, MapperStats};
+use crate::mapper::{Entity, Input, MapperCore, MapperStats, Routed};
 
 const TIMER_INQUIRY: u64 = 1;
 
@@ -44,9 +41,9 @@ struct PendingEmit {
 /// A mapped Bluetooth service (one SDP record on one device).
 #[derive(Debug)]
 struct BtService {
-    profile: String,
+    /// Interned: profiles are drawn from the USDL library's few names.
+    profile: Symbol,
     psm: u16,
-    translator: Option<TranslatorId>,
 }
 
 #[derive(Debug)]
@@ -96,7 +93,7 @@ impl std::fmt::Debug for ObexOp {
 /// The Bluetooth mapper process.
 pub struct BluetoothMapper {
     /// Translators keyed by (node, profile).
-    core: MapperCore<(NodeId, String)>,
+    core: MapperCore<(NodeId, Symbol)>,
     usdl: UsdlLibrary,
     inquiry_port: u16,
     inquiry_interval: SimDuration,
@@ -161,7 +158,7 @@ impl BluetoothMapper {
         for node in dead {
             if let Some(dev) = self.devices.remove(&node) {
                 for svc in dev.services {
-                    self.core.depart(ctx, &(node, svc.profile), svc.translator);
+                    self.core.depart(ctx, &(node, svc.profile));
                 }
                 ctx.bump("mapper.bt.expired", 1);
             }
@@ -185,25 +182,25 @@ impl BluetoothMapper {
                 continue;
             };
             // Figure 10: per-port translator instantiation cost.
+            let profile = Symbol::new(&record.profile);
             let entity = Entity {
-                key: (node, record.profile.clone()),
+                key: (node, profile),
                 name: dev.name.clone(),
                 seen_at: dev.seen_at,
             };
             self.core.instantiate(ctx, doc, 0, &record.name, entity);
             dev.services.push(BtService {
-                profile: record.profile,
+                profile,
                 psm: record.psm,
-                translator: None,
             });
         }
     }
 
-    fn service_mut(&mut self, node: NodeId, profile: &str) -> Option<&mut BtService> {
+    fn service(&self, node: NodeId, profile: Symbol) -> Option<&BtService> {
         self.devices
-            .get_mut(&node)?
+            .get(&node)?
             .services
-            .iter_mut()
+            .iter()
             .find(|s| s.profile == profile)
     }
 
@@ -217,109 +214,79 @@ impl BluetoothMapper {
             .output(ctx, translator, "image-out", UMessage::new(mime, data));
     }
 
-    fn handle_runtime_event(&mut self, ctx: &mut Ctx<'_>, event: RuntimeEvent) {
-        match event {
-            RuntimeEvent::Registered { token, translator } => {
-                let Some((node, profile)) = self.core.registered(ctx, token, translator) else {
-                    return;
-                };
-                let psm = {
-                    let Some(svc) = self.service_mut(node, &profile) else {
-                        return;
-                    };
-                    svc.translator = Some(translator);
-                    svc.psm
-                };
-                // The mouse pushes reports: open the interrupt channel.
-                if profile == "hidp-mouse" {
-                    if let Ok(stream) = ctx.connect(Addr::new(node, PSM_HID.max(psm))) {
-                        self.hid_streams
-                            .insert(stream, (translator, ReportAccumulator::new()));
-                    }
-                }
-                // Cameras announce their newest stored image into the
-                // common space at mapping time, so freshly wired sinks
-                // have something to show.
-                if profile == "bip-camera" {
-                    if let Ok(stream) = ctx.connect(Addr::new(node, psm)) {
-                        self.obex_ops.insert(
-                            stream,
-                            ObexOp::Pull {
-                                translator,
-                                client: ObexGetClient::new(),
-                            },
-                        );
-                    }
-                }
+    /// Opens the channels a freshly registered translator needs.
+    fn handle_registered(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        key: (NodeId, Symbol),
+        translator: TranslatorId,
+    ) {
+        let (node, profile) = key;
+        let Some(psm) = self.service(node, profile).map(|s| s.psm) else {
+            return;
+        };
+        // The mouse pushes reports: open the interrupt channel.
+        if profile == "hidp-mouse" {
+            if let Ok(stream) = ctx.connect(Addr::new(node, PSM_HID.max(psm))) {
+                self.hid_streams
+                    .insert(stream, (translator, ReportAccumulator::new()));
             }
-            RuntimeEvent::Input {
-                translator,
-                port,
-                msg,
-                connection,
-            } => self.handle_input(ctx, translator, port, msg, connection),
-            _ => {}
+        }
+        // Cameras announce their newest stored image into the common
+        // space at mapping time, so freshly wired sinks have something
+        // to show.
+        if profile == "bip-camera" {
+            if let Ok(stream) = ctx.connect(Addr::new(node, psm)) {
+                let client = ObexGetClient::new();
+                self.obex_ops
+                    .insert(stream, ObexOp::Pull { translator, client });
+            }
         }
     }
 
-    /// Translates one delivered input into the matching OBEX operation —
-    /// called once per [`RuntimeEvent::Input`].
-    fn handle_input(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        translator: TranslatorId,
-        port: Symbol,
-        msg: UMessage,
-        connection: ConnectionId,
-    ) {
-        let Some((node, profile)) = self.core.key(translator).cloned() else {
-            return;
-        };
-        let Some(svc) = self
-            .devices
-            .get(&node)
-            .and_then(|d| d.services.iter().find(|s| s.profile == profile))
-        else {
+    /// Translates one delivered input into the matching OBEX operation.
+    /// An input whose device cannot be reached is answered at once.
+    fn handle_input(&mut self, ctx: &mut Ctx<'_>, input: Input<(NodeId, Symbol)>) {
+        let Input {
+            key: (node, profile),
+            translator,
+            port,
+            msg,
+            connection,
+        } = input;
+        let Some(psm) = self.service(node, profile).map(|s| s.psm) else {
             return;
         };
         ctx.busy(calib::CONTROL_TRANSLATION);
         self.core
             .record_hop(ctx, connection, port, calib::CONTROL_TRANSLATION);
-        match (profile.as_str(), port.as_str()) {
-            ("bip-camera", "capture") => {
-                if let Ok(stream) = ctx.connect(Addr::new(node, svc.psm)) {
-                    self.obex_ops.insert(
-                        stream,
-                        ObexOp::Shutter {
-                            translator,
-                            connection,
-                            acc: ObexAccumulator::new(),
-                            pulling: None,
-                            started: ctx.now(),
-                        },
-                    );
-                }
-            }
-            ("bip-printer", "image-in") => {
-                let packets: Vec<Payload> = image_push_packets("photo.jpg", msg.body_payload())
+        let op = match (profile.as_str(), port.as_str()) {
+            ("bip-camera", "capture") => ObexOp::Shutter {
+                translator,
+                connection,
+                acc: ObexAccumulator::new(),
+                pulling: None,
+                started: ctx.now(),
+            },
+            ("bip-printer", "image-in") => ObexOp::Push {
+                translator,
+                connection,
+                packets: image_push_packets("photo.jpg", msg.body_payload())
                     .iter()
                     .map(ObexPacket::encode)
-                    .collect();
-                if let Ok(stream) = ctx.connect(Addr::new(node, svc.psm)) {
-                    self.obex_ops.insert(
-                        stream,
-                        ObexOp::Push {
-                            translator,
-                            connection,
-                            packets,
-                            acc: ObexAccumulator::new(),
-                        },
-                    );
-                }
-            }
+                    .collect(),
+                acc: ObexAccumulator::new(),
+            },
             _ => {
                 ack_input_done(ctx, self.core.runtime(), connection, translator);
+                return;
             }
+        };
+        match ctx.connect(Addr::new(node, psm)) {
+            Ok(stream) => {
+                self.obex_ops.insert(stream, op);
+            }
+            Err(_) => ack_input_done(ctx, self.core.runtime(), connection, translator),
         }
     }
 
@@ -607,11 +574,13 @@ impl Process for BluetoothMapper {
     }
 
     fn on_local(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: LocalMessage) {
-        if handle_input_done_echo(ctx, &msg) {
-            return;
-        }
-        let msg = match msg.downcast::<PendingEmit>() {
-            Ok(pending) => {
+        match self.core.route(ctx, msg) {
+            Routed::Registered(key, translator) => self.handle_registered(ctx, key, translator),
+            Routed::Input(input) => self.handle_input(ctx, input),
+            Routed::Other(msg) => {
+                let Ok(pending) = msg.downcast::<PendingEmit>() else {
+                    return;
+                };
                 let mut stats = self.core.stats.borrow_mut();
                 stats.events += 1;
                 stats
@@ -622,12 +591,8 @@ impl Process for BluetoothMapper {
                 self.core
                     .client
                     .output(ctx, pending.translator, pending.port, pending.msg);
-                return;
             }
-            Err(original) => original,
-        };
-        if let Ok(event) = msg.downcast::<RuntimeEvent>() {
-            self.handle_runtime_event(ctx, *event);
+            Routed::Handled => {}
         }
     }
 }

@@ -3,18 +3,27 @@
 //! Each mapper holds one [`MapperCore`], keyed by whatever identifies a
 //! native entity on its platform (a UPnP USN, a Bluetooth node and
 //! profile, an index into a roster). The core owns the mapper's
-//! [`RuntimeClient`] and carries a translator from USDL instantiation
-//! through registration to departure; the mapper keeps only its
-//! discovery and protocol code.
+//! [`RuntimeClient`], the one table of which translator serves which
+//! entity, and carries a translator from USDL instantiation through
+//! registration to departure; the mapper keeps only its discovery and
+//! protocol code, and asks the core for an entity's translator
+//! ([`MapperCore::translator`]).
 //!
 //! Lifecycle: [`MapperCore::instantiate`] pays the Figure-10
-//! instantiation cost and registers the translator;
-//! [`MapperCore::registered`] files it under its entity's key, records
-//! the `MapperStats::mappings` row and bumps `mapper.{prefix}.mapped`;
-//! [`MapperCore::depart`] unregisters it when the native entity goes
-//! away. An entity that departs while its registration is still in
-//! flight leaves no orphan: the late translator is unregistered the
-//! moment it registers.
+//! instantiation cost and registers the translator; when the runtime
+//! answers, [`MapperCore::route`] files it under its entity's key,
+//! records the `MapperStats::mappings` row and bumps
+//! `mapper.{prefix}.mapped`; [`MapperCore::depart`] unregisters it when
+//! the native entity goes away. An entity that departs while its
+//! registration is still in flight leaves no orphan: the late
+//! translator is unregistered the moment it registers.
+//!
+//! Routing: every message a mapper's `on_local` receives goes through
+//! [`MapperCore::route`] first. It forwards `InputDone` echoes to the
+//! runtime, completes registrations, resolves each delivered input to
+//! the key of the entity its translator serves, and hands the mapper
+//! back only what is left for it: a [`Routed`] registration or input,
+//! or a message of the mapper's own.
 //!
 //! Observability: every hop records into the federation-wide
 //! `umiddle.translation_latency` histogram and a per-platform
@@ -38,12 +47,17 @@
 //! formats no string.
 
 use std::cell::RefCell;
+use std::hash::Hash;
 use std::rc::Rc;
 
 use simnet::{
-    metric_id, Ctx, DetailArg, IntMap, MetricId, ProcId, SimDuration, SimTime, SpanDetail,
+    metric_id, Ctx, DetailArg, IntMap, LocalMessage, MetricId, ProcId, SimDuration, SimTime,
+    SpanDetail,
 };
-use umiddle_core::{ConnectionId, RuntimeClient, Symbol, TranslatorId};
+use umiddle_core::{
+    handle_input_done_echo, ConnectionId, RuntimeClient, RuntimeEvent, Symbol, TranslatorId,
+    UMessage,
+};
 use umiddle_usdl::UsdlDocument;
 
 use crate::calib;
@@ -123,8 +137,35 @@ pub(crate) struct MapperCore<K> {
     /// Registration token → the entity it instantiates; `None` once the
     /// entity departed before its translator registered.
     pending: IntMap<u64, Option<Pending<K>>>,
+    /// Registered translators, both ways: translator → entity key and
+    /// entity key → translator.
     by_translator: IntMap<TranslatorId, K>,
+    by_key: IntMap<K, TranslatorId>,
     pub(crate) stats: Rc<RefCell<MapperStats>>,
+}
+
+/// What [`MapperCore::route`] leaves to the mapper.
+pub(crate) enum Routed<K> {
+    /// The core handled the message (an `InputDone` echo, a translator
+    /// registered for a departed entity, an input to a translator the
+    /// core no longer holds, or a runtime event mappers ignore).
+    Handled,
+    /// A translator registered for the entity `K`.
+    Registered(K, TranslatorId),
+    /// An input delivered to a registered translator.
+    Input(Input<K>),
+    /// Not a runtime message: one of the mapper's own.
+    Other(LocalMessage),
+}
+
+/// A delivered input, resolved to the entity its translator serves.
+/// The mapper answers it with [`umiddle_core::ack_input_done`].
+pub(crate) struct Input<K> {
+    pub(crate) key: K,
+    pub(crate) translator: TranslatorId,
+    pub(crate) port: Symbol,
+    pub(crate) msg: UMessage,
+    pub(crate) connection: ConnectionId,
 }
 
 /// A mapper's metric handles and span stages, built once from its
@@ -160,7 +201,7 @@ impl Names {
     }
 }
 
-impl<K: Clone + Eq> MapperCore<K> {
+impl<K: Clone + Eq + Hash> MapperCore<K> {
     /// A core talking to `runtime`, labelling its metrics `platform`
     /// (`bridge.*`) and `prefix` (`mapper.*`).
     pub(crate) fn new(runtime: ProcId, platform: &'static str, prefix: &'static str) -> Self {
@@ -169,6 +210,7 @@ impl<K: Clone + Eq> MapperCore<K> {
             names: Names::new(platform, prefix),
             pending: IntMap::default(),
             by_translator: IntMap::default(),
+            by_key: IntMap::default(),
             stats: Rc::new(RefCell::new(MapperStats::default())),
         }
     }
@@ -178,9 +220,9 @@ impl<K: Clone + Eq> MapperCore<K> {
         self.client.runtime()
     }
 
-    /// The key a registered translator is filed under.
-    pub(crate) fn key(&self, translator: TranslatorId) -> Option<&K> {
-        self.by_translator.get(&translator)
+    /// The registered translator serving the entity `key`, if any.
+    pub(crate) fn translator(&self, key: &K) -> Option<TranslatorId> {
+        self.by_key.get(key).copied()
     }
 
     /// Instantiates a translator from `doc` for `entity`: pays the
@@ -205,22 +247,58 @@ impl<K: Clone + Eq> MapperCore<K> {
         self.pending.insert(token, Some(pending));
     }
 
+    /// Routes one message of the mapper's `on_local`. An `InputDone`
+    /// echo is forwarded to the runtime; a registration is completed
+    /// (see [`MapperCore::registered`]) and its key handed back; an
+    /// input is resolved to the key of the entity its translator serves,
+    /// or dropped when the core holds no such translator; other runtime
+    /// events are dropped, and any other message is handed back.
+    pub(crate) fn route(&mut self, ctx: &mut Ctx<'_>, msg: LocalMessage) -> Routed<K> {
+        if handle_input_done_echo(ctx, &msg) {
+            return Routed::Handled;
+        }
+        let event = match msg.downcast::<RuntimeEvent>() {
+            Ok(event) => event,
+            Err(other) => return Routed::Other(other),
+        };
+        match *event {
+            RuntimeEvent::Registered { token, translator } => {
+                match self.registered(ctx, token, translator) {
+                    Some(key) => Routed::Registered(key, translator),
+                    None => Routed::Handled,
+                }
+            }
+            RuntimeEvent::Input {
+                translator,
+                port,
+                msg,
+                connection,
+            } => match self.by_translator.get(&translator) {
+                Some(key) => Routed::Input(Input {
+                    key: key.clone(),
+                    translator,
+                    port,
+                    msg,
+                    connection,
+                }),
+                None => Routed::Handled,
+            },
+            _ => Routed::Handled,
+        }
+    }
+
     /// Completes the registration `token`: files `translator` under its
     /// entity's key, records the mapping row, bumps
     /// `mapper.{prefix}.mapped` and returns the key. A translator whose
     /// entity has departed is unregistered at once and `None` returned.
-    pub(crate) fn registered(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        token: u64,
-        translator: TranslatorId,
-    ) -> Option<K> {
+    fn registered(&mut self, ctx: &mut Ctx<'_>, token: u64, translator: TranslatorId) -> Option<K> {
         let Some(pending) = self.pending.remove(&token)? else {
             self.client.unregister(ctx, translator);
             return None;
         };
         let Entity { key, name, seen_at } = pending.entity;
         self.by_translator.insert(translator, key.clone());
+        self.by_key.insert(key.clone(), translator);
         let elapsed = ctx.now().saturating_since(seen_at);
         self.stats
             .borrow_mut()
@@ -233,13 +311,13 @@ impl<K: Clone + Eq> MapperCore<K> {
     /// Forgets a departed entity: unregisters its translator, if it has
     /// one, and marks any registration still in flight for it, so that
     /// translator is unregistered the moment it registers.
-    pub(crate) fn depart(&mut self, ctx: &mut Ctx<'_>, key: &K, translator: Option<TranslatorId>) {
+    pub(crate) fn depart(&mut self, ctx: &mut Ctx<'_>, key: &K) {
         for slot in self.pending.values_mut() {
             if slot.as_ref().is_some_and(|p| p.entity.key == *key) {
                 *slot = None;
             }
         }
-        if let Some(t) = translator {
+        if let Some(t) = self.by_key.remove(key) {
             self.by_translator.remove(&t);
             self.client.unregister(ctx, t);
         }

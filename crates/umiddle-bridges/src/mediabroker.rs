@@ -15,14 +15,11 @@ use platform_mediabroker::{MbAccumulator, MbFrame};
 use simnet::{
     Addr, Ctx, IntMap, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId,
 };
-use umiddle_core::{
-    ack_input_done, handle_input_done_echo, ConnectionId, MimeType, RuntimeEvent, Symbol,
-    TranslatorId, UMessage,
-};
+use umiddle_core::{ack_input_done, MimeType, Symbol, UMessage};
 use umiddle_usdl::UsdlLibrary;
 
 use crate::calib;
-use crate::mapper::{Entity, MapperCore, MapperStats};
+use crate::mapper::{Entity, Input, MapperCore, MapperStats, Routed};
 
 const TIMER_POLL: u64 = 1;
 
@@ -38,7 +35,6 @@ enum Role {
 struct Bridged {
     channel: String,
     role: Role,
-    translator: Option<TranslatorId>,
     stream: Option<StreamId>,
     attached: bool,
 }
@@ -129,7 +125,6 @@ impl MediaBrokerMapper {
         self.bridged.push(Bridged {
             channel: channel.to_owned(),
             role,
-            translator: None,
             stream: None,
             attached: false,
         });
@@ -179,7 +174,7 @@ impl MediaBrokerMapper {
                 if b.role != Role::Source {
                     return;
                 }
-                let Some(translator) = b.translator else {
+                let Some(translator) = self.core.translator(&idx) else {
                     return;
                 };
                 ctx.busy(calib::MB_FRAME_TRANSLATION);
@@ -196,40 +191,15 @@ impl MediaBrokerMapper {
         }
     }
 
-    fn handle_runtime_event(&mut self, ctx: &mut Ctx<'_>, event: RuntimeEvent) {
-        match event {
-            RuntimeEvent::Registered { token, translator } => {
-                let Some(idx) = self.core.registered(ctx, token, translator) else {
-                    return;
-                };
-                if let Some(b) = self.bridged.get_mut(idx) {
-                    b.translator = Some(translator);
-                }
-                self.open_data_stream(ctx, idx);
-            }
-            RuntimeEvent::Input {
-                translator,
-                port,
-                msg,
-                connection,
-            } => self.handle_input(ctx, translator, port, msg, connection),
-            _ => {}
-        }
-    }
-
-    /// Translates one delivered input into a MediaBroker data frame —
-    /// called once per [`RuntimeEvent::Input`].
-    fn handle_input(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        translator: TranslatorId,
-        port: Symbol,
-        msg: UMessage,
-        connection: ConnectionId,
-    ) {
-        let Some(&idx) = self.core.key(translator) else {
-            return;
-        };
+    /// Translates one delivered input into a MediaBroker data frame.
+    fn handle_input(&mut self, ctx: &mut Ctx<'_>, input: Input<usize>) {
+        let Input {
+            key: idx,
+            translator,
+            port,
+            msg,
+            connection,
+        } = input;
         let Some(b) = self.bridged.get(idx) else {
             return;
         };
@@ -355,11 +325,10 @@ impl Process for MediaBrokerMapper {
     }
 
     fn on_local(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: LocalMessage) {
-        if handle_input_done_echo(ctx, &msg) {
-            return;
-        }
-        if let Ok(event) = msg.downcast::<RuntimeEvent>() {
-            self.handle_runtime_event(ctx, *event);
+        match self.core.route(ctx, msg) {
+            Routed::Registered(idx, _) => self.open_data_stream(ctx, idx),
+            Routed::Input(input) => self.handle_input(ctx, input),
+            Routed::Other(_) | Routed::Handled => {}
         }
     }
 }

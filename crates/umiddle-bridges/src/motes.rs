@@ -13,22 +13,13 @@ use std::rc::Rc;
 
 use platform_motes::{BaseStationCommand, BaseStationEvent};
 use simnet::{Ctx, LocalMessage, ProcId, Process, SimDuration, SimTime};
-use umiddle_core::{
-    ack_input_done, handle_input_done_echo, ConnectionId, RuntimeEvent, Symbol, TranslatorId,
-    UMessage,
-};
+use umiddle_core::{ack_input_done, UMessage};
 use umiddle_usdl::UsdlLibrary;
 
 use crate::calib;
-use crate::mapper::{Entity, MapperCore, MapperStats};
+use crate::mapper::{Entity, Input, MapperCore, MapperStats, Routed};
 
 const TIMER_EXPIRE: u64 = 1;
-
-#[derive(Debug)]
-struct MappedMote {
-    translator: Option<TranslatorId>,
-    last_seen: SimTime,
-}
 
 /// The motes mapper process. Wire the base station's sink to this
 /// process's id.
@@ -38,7 +29,8 @@ pub struct MotesMapper {
     usdl: UsdlLibrary,
     /// The base-station process (for sampling reconfiguration).
     base_station: Option<ProcId>,
-    motes: HashMap<u16, MappedMote>,
+    /// Mote id → when it was last heard.
+    motes: HashMap<u16, SimTime>,
     expiry: SimDuration,
 }
 
@@ -70,13 +62,7 @@ impl MotesMapper {
 
     fn handle_reading(&mut self, ctx: &mut Ctx<'_>, mote: u16, reading: platform_motes::Reading) {
         let now = ctx.now();
-        let known = self.motes.contains_key(&mote);
-        let entry = self.motes.entry(mote).or_insert_with(|| MappedMote {
-            translator: None,
-            last_seen: now,
-        });
-        entry.last_seen = now;
-        if !known {
+        if self.motes.insert(mote, now).is_none() {
             let Some(doc) = self.usdl.get("motes", "sensor-mote") else {
                 ctx.bump("mapper.motes.missing_usdl", 1);
                 return;
@@ -90,7 +76,7 @@ impl MotesMapper {
             self.core.instantiate(ctx, doc, 0, &name, entity);
             return; // this first reading is consumed by discovery
         }
-        let Some(translator) = entry.translator else {
+        let Some(translator) = self.core.translator(&mote) else {
             return;
         };
         ctx.busy(calib::EVENT_TRANSLATION);
@@ -108,36 +94,15 @@ impl MotesMapper {
         );
     }
 
-    fn handle_runtime_event(&mut self, ctx: &mut Ctx<'_>, event: RuntimeEvent) {
-        match event {
-            RuntimeEvent::Registered { token, translator } => {
-                let Some(mote) = self.core.registered(ctx, token, translator) else {
-                    return;
-                };
-                if let Some(entry) = self.motes.get_mut(&mote) {
-                    entry.translator = Some(translator);
-                }
-            }
-            RuntimeEvent::Input {
-                translator,
-                port,
-                msg,
-                connection,
-            } => self.handle_input(ctx, translator, port, msg, connection),
-            _ => {}
-        }
-    }
-
-    /// Translates one delivered input into a base-station command —
-    /// called once per [`RuntimeEvent::Input`].
-    fn handle_input(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        translator: TranslatorId,
-        port: Symbol,
-        msg: UMessage,
-        connection: ConnectionId,
-    ) {
+    /// Translates one delivered input into a base-station command.
+    fn handle_input(&mut self, ctx: &mut Ctx<'_>, input: Input<u16>) {
+        let Input {
+            translator,
+            port,
+            msg,
+            connection,
+            ..
+        } = input;
         if port == "sampling" {
             if let (Some(bs), Some(millis)) = (
                 self.base_station,
@@ -172,17 +137,17 @@ impl Process for MotesMapper {
             let mut dead: Vec<u16> = self
                 .motes
                 .iter()
-                .filter(|(_, m)| now.saturating_since(m.last_seen) > expiry)
+                .filter(|(_, &last_seen)| now.saturating_since(last_seen) > expiry)
                 .map(|(id, _)| *id)
                 .collect();
             // Depart in id order, not the map's per-run hash order.
             dead.sort_unstable();
             for id in dead {
-                if let Some(m) = self.motes.remove(&id) {
-                    self.core.depart(ctx, &id, m.translator);
-                    if m.translator.is_some() {
-                        ctx.bump("mapper.motes.expired", 1);
-                    }
+                self.motes.remove(&id);
+                let mapped = self.core.translator(&id).is_some();
+                self.core.depart(ctx, &id);
+                if mapped {
+                    ctx.bump("mapper.motes.expired", 1);
                 }
             }
             ctx.set_timer(expiry, TIMER_EXPIRE);
@@ -190,19 +155,15 @@ impl Process for MotesMapper {
     }
 
     fn on_local(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: LocalMessage) {
-        if handle_input_done_echo(ctx, &msg) {
-            return;
-        }
-        let msg = match msg.downcast::<RuntimeEvent>() {
-            Ok(event) => {
-                self.handle_runtime_event(ctx, *event);
-                return;
+        match self.core.route(ctx, msg) {
+            Routed::Input(input) => self.handle_input(ctx, input),
+            Routed::Other(msg) => {
+                if let Ok(ev) = msg.downcast::<BaseStationEvent>() {
+                    let BaseStationEvent::Reading { mote, reading } = *ev;
+                    self.handle_reading(ctx, mote, reading);
+                }
             }
-            Err(original) => original,
-        };
-        if let Ok(ev) = msg.downcast::<BaseStationEvent>() {
-            let BaseStationEvent::Reading { mote, reading } = *ev;
-            self.handle_reading(ctx, mote, reading);
+            Routed::Registered(..) | Routed::Handled => {}
         }
     }
 }

@@ -14,14 +14,11 @@ use platform_rmi::{JavaValue, RmiClient, RmiClientEvent};
 use simnet::{
     Addr, Ctx, IntMap, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId,
 };
-use umiddle_core::{
-    ack_input_done, handle_input_done_echo, ConnectionId, MimeType, RuntimeEvent, Symbol,
-    TranslatorId, UMessage,
-};
+use umiddle_core::{ack_input_done, ConnectionId, MimeType, Symbol, TranslatorId, UMessage};
 use umiddle_usdl::UsdlLibrary;
 
 use crate::calib;
-use crate::mapper::{Entity, MapperCore, MapperStats};
+use crate::mapper::{Entity, Input, MapperCore, MapperStats, Routed};
 
 const TIMER_POLL: u64 = 1;
 
@@ -180,38 +177,19 @@ impl RmiMapper {
         }
     }
 
-    fn handle_runtime_event(&mut self, ctx: &mut Ctx<'_>, event: RuntimeEvent) {
-        match event {
-            RuntimeEvent::Registered { token, translator } => {
-                self.core.registered(ctx, token, translator);
-            }
-            RuntimeEvent::Input {
-                translator,
-                port,
-                msg,
-                connection,
-            } => self.handle_input(ctx, translator, port, msg, connection),
-            _ => {}
-        }
-    }
-
-    /// Translates one delivered input into a remote `echo` invocation —
-    /// called once per [`RuntimeEvent::Input`].
-    fn handle_input(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        translator: TranslatorId,
-        port: Symbol,
-        msg: UMessage,
-        connection: ConnectionId,
-    ) {
+    /// Translates one delivered input into a remote `echo` invocation.
+    fn handle_input(&mut self, ctx: &mut Ctx<'_>, input: Input<usize>) {
+        let Input {
+            key: idx,
+            translator,
+            port,
+            msg,
+            connection,
+        } = input;
         if port != "request" {
             ack_input_done(ctx, self.core.runtime(), connection, translator);
             return;
         }
-        let Some(&idx) = self.core.key(translator) else {
-            return;
-        };
         let Some(obj) = self.objects.get(idx) else {
             return;
         };
@@ -280,11 +258,8 @@ impl Process for RmiMapper {
     }
 
     fn on_local(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: LocalMessage) {
-        if handle_input_done_echo(ctx, &msg) {
-            return;
-        }
-        if let Ok(event) = msg.downcast::<RuntimeEvent>() {
-            self.handle_runtime_event(ctx, *event);
+        if let Routed::Input(input) = self.core.route(ctx, msg) {
+            self.handle_input(ctx, input);
         }
     }
 }

@@ -18,14 +18,11 @@ use simnet::{
     Addr, Ctx, Datagram, DetailArg, LocalMessage, ProcId, Process, SimDuration, SimTime,
     SpanDetail, StreamEvent, StreamId,
 };
-use umiddle_core::{
-    ack_input_done, handle_input_done_echo, ConnectionId, RuntimeEvent, Symbol, TranslatorId,
-    UMessage,
-};
+use umiddle_core::{ack_input_done, ConnectionId, Symbol, TranslatorId, UMessage};
 use umiddle_usdl::{UsdlDocument, UsdlLibrary};
 
 use crate::calib;
-use crate::mapper::{Entity, MapperCore, MapperStats};
+use crate::mapper::{Entity, Input, MapperCore, MapperStats, Routed};
 
 const TIMER_SEARCH: u64 = 1;
 /// Periodic SSDP re-search interval.
@@ -33,10 +30,8 @@ const SEARCH_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
 #[derive(Debug)]
 struct MappedDevice {
-    usn: String,
     location: Addr,
     doc: UsdlDocument,
-    translator: Option<TranslatorId>,
     seen_at: SimTime,
 }
 
@@ -44,14 +39,15 @@ struct MappedDevice {
 /// [`UmiddleRuntime`](umiddle_core::UmiddleRuntime) on a node attached to
 /// the UPnP segment.
 pub struct UpnpMapper {
-    /// Translators keyed by usn.
-    core: MapperCore<String>,
+    /// Translators keyed by usn, shared with `devices` so that resolving
+    /// an input to its device copies no string.
+    core: MapperCore<Rc<str>>,
     usdl: UsdlLibrary,
     cp: ControlPoint,
     reply_port: u16,
     gena_port: u16,
     /// usn → device state.
-    devices: HashMap<String, MappedDevice>,
+    devices: HashMap<Rc<str>, MappedDevice>,
     /// SOAP call id → (connection, translator, input arrival time).
     pending_calls: HashMap<u64, (ConnectionId, TranslatorId, SimTime, simnet::SpanId)>,
     next_call: u64,
@@ -98,7 +94,7 @@ impl UpnpMapper {
                 device_type,
                 location,
             } => {
-                if self.devices.contains_key(&usn) {
+                if self.devices.contains_key(usn.as_str()) {
                     return;
                 }
                 let Some(doc) = self.usdl.get("upnp", &device_type) else {
@@ -106,12 +102,10 @@ impl UpnpMapper {
                     return;
                 };
                 self.devices.insert(
-                    usn.clone(),
+                    usn.into(),
                     MappedDevice {
-                        usn: usn.clone(),
                         location,
                         doc: doc.clone(),
-                        translator: None,
                         seen_at: ctx.now(),
                     },
                 );
@@ -120,22 +114,23 @@ impl UpnpMapper {
                 }
             }
             CpEvent::DeviceGone { usn } => {
-                if let Some(dev) = self.devices.remove(&usn) {
-                    self.core.depart(ctx, &usn, dev.translator);
+                if let Some((usn, _)) = self.devices.remove_entry(usn.as_str()) {
+                    self.core.depart(ctx, &usn);
                 }
             }
             CpEvent::Description { location, desc, .. } => {
-                let Some(dev) = self
+                let core = &self.core;
+                let Some((usn, dev)) = self
                     .devices
-                    .values_mut()
-                    .find(|d| d.location == location && d.translator.is_none())
+                    .iter()
+                    .find(|(usn, d)| d.location == location && core.translator(usn).is_none())
                 else {
                     return;
                 };
                 // The paper's dominant Figure-10 cost: instantiating the
                 // translator's ports and hierarchy entities.
                 let entity = Entity {
-                    key: dev.usn.clone(),
+                    key: Rc::clone(usn),
                     name: desc.friendly_name.clone(),
                     seen_at: dev.seen_at,
                 };
@@ -181,10 +176,10 @@ impl UpnpMapper {
                 }
             }
             CpEvent::Event(notify) => {
-                let Some(dev) = self.devices.get(&notify.device) else {
+                let Some((usn, dev)) = self.devices.get_key_value(notify.device.as_str()) else {
                     return;
                 };
-                let Some(translator) = dev.translator else {
+                let Some(translator) = self.core.translator(usn) else {
                     return;
                 };
                 for (var, value) in notify.changes {
@@ -215,9 +210,12 @@ impl UpnpMapper {
                     // Forget a device whose description could not be
                     // fetched, so its next `ssdp:alive` or search answer
                     // starts over instead of being taken as known.
-                    CpRequest::Description { location } => self
-                        .devices
-                        .retain(|_, d| d.location != location || d.translator.is_some()),
+                    CpRequest::Description { location } => {
+                        let core = &self.core;
+                        self.devices.retain(|usn, d| {
+                            d.location != location || core.translator(usn).is_some()
+                        });
+                    }
                     // A failed action still answers its input, returning
                     // the delivery credit.
                     CpRequest::Action { call_id } => {
@@ -234,41 +232,16 @@ impl UpnpMapper {
         }
     }
 
-    fn handle_runtime_event(&mut self, ctx: &mut Ctx<'_>, event: RuntimeEvent) {
-        match event {
-            RuntimeEvent::Registered { token, translator } => {
-                let Some(usn) = self.core.registered(ctx, token, translator) else {
-                    return;
-                };
-                let Some(dev) = self.devices.get_mut(&usn) else {
-                    return;
-                };
-                dev.translator = Some(translator);
-            }
-            RuntimeEvent::Input {
-                translator,
-                port,
-                msg,
-                connection,
-            } => self.handle_input(ctx, translator, port, msg, connection),
-            _ => {}
-        }
-    }
-
-    /// Translates one delivered input into a SOAP action invoke —
-    /// called once per [`RuntimeEvent::Input`].
-    fn handle_input(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        translator: TranslatorId,
-        port: Symbol,
-        msg: UMessage,
-        connection: ConnectionId,
-    ) {
-        let Some(usn) = self.core.key(translator) else {
-            return;
-        };
-        let Some(dev) = self.devices.get(usn) else {
+    /// Translates one delivered input into a SOAP action invoke.
+    fn handle_input(&mut self, ctx: &mut Ctx<'_>, input: Input<Rc<str>>) {
+        let Input {
+            key: usn,
+            translator,
+            port,
+            msg,
+            connection,
+        } = input;
+        let Some(dev) = self.devices.get(&usn) else {
             return;
         };
         let Some(usdl_port) = dev.doc.port(&port) else {
@@ -374,23 +347,20 @@ impl Process for UpnpMapper {
     }
 
     fn on_local(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: LocalMessage) {
-        if handle_input_done_echo(ctx, &msg) {
-            return;
-        }
-        let msg = match msg.downcast::<PendingInvoke>() {
-            Ok(pending) => {
+        match self.core.route(ctx, msg) {
+            Routed::Input(input) => self.handle_input(ctx, input),
+            Routed::Other(msg) => {
+                let Ok(pending) = msg.downcast::<PendingInvoke>() else {
+                    return;
+                };
                 if let Err(request) =
                     self.cp
                         .invoke(ctx, pending.location, &pending.call, pending.call_id)
                 {
                     self.handle_cp_event(ctx, CpEvent::Failed(request));
                 }
-                return;
             }
-            Err(original) => original,
-        };
-        if let Ok(event) = msg.downcast::<RuntimeEvent>() {
-            self.handle_runtime_event(ctx, *event);
+            Routed::Registered(..) | Routed::Handled => {}
         }
     }
 }

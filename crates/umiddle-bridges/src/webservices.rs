@@ -15,14 +15,11 @@ use std::rc::Rc;
 
 use platform_webservices::{MethodCall, MethodResponse, WsClient, WsEvent, WsRequest};
 use simnet::{Addr, Ctx, LocalMessage, ProcId, Process, SimDuration, StreamEvent, StreamId};
-use umiddle_core::{
-    ack_input_done, handle_input_done_echo, ConnectionId, RuntimeEvent, Symbol, TranslatorId,
-    UMessage,
-};
+use umiddle_core::{ack_input_done, ConnectionId, Symbol, TranslatorId, UMessage};
 use umiddle_usdl::{UsdlDocument, UsdlLibrary};
 
 use crate::calib;
-use crate::mapper::{Entity, MapperCore, MapperStats};
+use crate::mapper::{Entity, Input, MapperCore, MapperStats, Routed};
 
 const TIMER_POLL: u64 = 1;
 
@@ -41,7 +38,6 @@ struct WsService {
     location: Addr,
     describe: Describe,
     doc: Option<UsdlDocument>,
-    translator: Option<TranslatorId>,
     /// Last emitted value per polled output port (dedup).
     last_values: HashMap<Symbol, String>,
 }
@@ -111,7 +107,7 @@ impl WsMapper {
 
     fn poll_outputs(&mut self, ctx: &mut Ctx<'_>) {
         for (idx, svc) in self.services.iter().enumerate() {
-            let (Some(doc), Some(_)) = (&svc.doc, svc.translator) else {
+            let (Some(doc), Some(_)) = (&svc.doc, self.core.translator(&idx)) else {
                 continue;
             };
             let outputs = doc
@@ -177,7 +173,7 @@ impl WsMapper {
                     let Some(svc) = self.services.get_mut(service_idx) else {
                         return;
                     };
-                    let Some(translator) = svc.translator else {
+                    let Some(translator) = self.core.translator(&service_idx) else {
                         return;
                     };
                     if svc.last_values.get(&port) == Some(&value) || value.is_empty() {
@@ -212,39 +208,15 @@ impl WsMapper {
         }
     }
 
-    fn handle_runtime_event(&mut self, ctx: &mut Ctx<'_>, event: RuntimeEvent) {
-        match event {
-            RuntimeEvent::Registered { token, translator } => {
-                let Some(idx) = self.core.registered(ctx, token, translator) else {
-                    return;
-                };
-                if let Some(svc) = self.services.get_mut(idx) {
-                    svc.translator = Some(translator);
-                }
-            }
-            RuntimeEvent::Input {
-                translator,
-                port,
-                msg,
-                connection,
-            } => self.handle_input(ctx, translator, port, msg, connection),
-            _ => {}
-        }
-    }
-
-    /// Translates one delivered input into an XML-RPC method call —
-    /// called once per [`RuntimeEvent::Input`].
-    fn handle_input(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        translator: TranslatorId,
-        port: Symbol,
-        msg: UMessage,
-        connection: ConnectionId,
-    ) {
-        let Some(&idx) = self.core.key(translator) else {
-            return;
-        };
+    /// Translates one delivered input into an XML-RPC method call.
+    fn handle_input(&mut self, ctx: &mut Ctx<'_>, input: Input<usize>) {
+        let Input {
+            key: idx,
+            translator,
+            port,
+            msg,
+            connection,
+        } = input;
         let Some(svc) = self.services.get(idx) else {
             return;
         };
@@ -292,7 +264,6 @@ impl Process for WsMapper {
                 location,
                 describe: Describe::Due,
                 doc: None,
-                translator: None,
                 last_values: HashMap::new(),
             })
             .collect();
@@ -318,11 +289,8 @@ impl Process for WsMapper {
     }
 
     fn on_local(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: LocalMessage) {
-        if handle_input_done_echo(ctx, &msg) {
-            return;
-        }
-        if let Ok(event) = msg.downcast::<RuntimeEvent>() {
-            self.handle_runtime_event(ctx, *event);
+        if let Routed::Input(input) = self.core.route(ctx, msg) {
+            self.handle_input(ctx, input);
         }
     }
 }

@@ -762,9 +762,17 @@ fn upnp_light_switch_through_umiddle() {
     );
 }
 
-/// Adds a switch on `node` that sends `pulses` "1"s, 20 s apart, into
+/// Adds a switch on `node` that sends `pulses` "1"s, `period` apart, into
 /// `target`'s `port`.
-fn add_pulser(world: &mut World, node: NodeId, rt: ProcId, pulses: u64, target: &str, port: &str) {
+fn add_pulser(
+    world: &mut World,
+    node: NodeId,
+    rt: ProcId,
+    pulses: u64,
+    period: SimDuration,
+    target: &str,
+    port: &str,
+) {
     let switch_shape = Shape::builder()
         .digital("toggle", Direction::Output, "text/plain".parse().unwrap())
         .build()
@@ -777,7 +785,7 @@ fn add_pulser(world: &mut World, node: NodeId, rt: ProcId, pulses: u64, target: 
             rt,
             Box::new(behaviors::PeriodicSource::new(
                 "toggle",
-                SimDuration::from_secs(20),
+                period,
                 pulses,
                 |_| UMessage::text("1"),
             )),
@@ -824,7 +832,15 @@ fn upnp_actions_on_a_partitioned_light_are_answered() {
         h1,
         Box::new(UpnpMapper::with_defaults(rt, UsdlLibrary::bundled())),
     );
-    add_pulser(&mut world, h1, rt, PULSES, "Hall Light", "switch-on");
+    add_pulser(
+        &mut world,
+        h1,
+        rt,
+        PULSES,
+        SimDuration::from_secs(20),
+        "Hall Light",
+        "switch-on",
+    );
 
     // Map and wire the light, then cut it off before the first pulse.
     world.run_until(SimTime::from_secs(15));
@@ -861,7 +877,15 @@ fn ws_calls_to_a_partitioned_service_are_answered() {
             vec![Addr::new(ws_node, 8080)],
         )),
     );
-    add_pulser(&mut world, h1, rt, PULSES, "Event Log", "log-in");
+    add_pulser(
+        &mut world,
+        h1,
+        rt,
+        PULSES,
+        SimDuration::from_secs(20),
+        "Event Log",
+        "log-in",
+    );
 
     world.run_until(SimTime::from_secs(15));
     assert_eq!(world.trace().counter("mapper.ws.mapped"), 1);
@@ -875,6 +899,43 @@ fn ws_calls_to_a_partitioned_service_are_answered() {
         (pulses, pulses)
     );
     assert_eq!(world.trace().counter("ws.calls"), calls_served);
+}
+
+/// The Bluetooth twin: a mapped camera cut off from its piconet still
+/// answers every capture (its OBEX connect fails at once, with no
+/// route), so the path's delivery credit never runs out. The presses
+/// come 2 s apart, all inside the 30 s inquiry expiry, so the camera
+/// stays mapped while they arrive.
+#[test]
+fn bluetooth_inputs_to_a_partitioned_camera_are_answered() {
+    const PULSES: u64 = 8;
+    let mut world = World::new(111);
+    let pico = world.add_segment(SegmentConfig::bluetooth_piconet());
+    let h1 = world.add_node("h1");
+    let cam_node = world.add_node("camera");
+    world.attach(h1, pico).unwrap();
+    world.attach(cam_node, pico).unwrap();
+    let rt = add_runtime(&mut world, h1, 0);
+    world.add_process(cam_node, Box::new(BipCamera::new("Cam", 1, 8_000)));
+    world.add_process(
+        h1,
+        Box::new(BluetoothMapper::with_defaults(rt, UsdlLibrary::bundled())),
+    );
+
+    // Map the camera, cut it off, then start pressing.
+    world.run_until(SimTime::from_secs(12));
+    assert_eq!(world.trace().counter("mapper.bt.mapped"), 1);
+    world.detach(cam_node, pico).unwrap();
+    let every_2s = SimDuration::from_secs(2);
+    add_pulser(&mut world, h1, rt, PULSES, every_2s, "Cam", "capture");
+    world.run_until(SimTime::from_secs(12 + 2 * (PULSES + 3)));
+
+    let pulses = PULSES as usize;
+    assert_eq!(
+        closed_spans(&world, "bridge.bluetooth.input"),
+        (pulses, pulses)
+    );
+    assert_eq!(world.trace().counter("mapper.bt.expired"), 0);
 }
 
 /// A UPnP light whose `ssdp:alive` reaches the mapper 4 s before its
