@@ -28,20 +28,22 @@
 //! The profile table hash-conses [`TranslatorProfile`]s decoded off the
 //! wire for the frames the slot does not share: unicast `Snapshot`s and
 //! the `Delta`s an origin replays at bootstrap and repair carry profiles
-//! that earlier deltas already carried. Keyed by the profile's exact
-//! encoded bytes, the table hands every such decode one shared,
-//! immutable description (see [`crate::wire`]). Unlike symbols, profiles
-//! come and go with device churn, so this table is bounded by the live
-//! set instead of leaked.
+//! that earlier deltas already carried. Keyed by translator id, each
+//! entry keeps the last profile decoded under that id beside its exact
+//! encoding; a decode whose remaining frame starts with that encoding
+//! gets the one shared, immutable description (see [`crate::wire`]).
+//! Unlike symbols, profiles come and go with device churn, so this table
+//! is bounded by the live set instead of leaked.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use simnet::Payload;
+use simnet::{IntMap, Payload};
 
+use crate::id::TranslatorId;
 use crate::profile::TranslatorProfile;
 use crate::wire::WireMessage;
 
@@ -188,7 +190,8 @@ impl PartialEq<Symbol> for String {
 /// The smallest size the profile table purges at.
 const PROFILE_PURGE_MIN: usize = 1024;
 
-/// This thread's decoded profiles, keyed by their exact encoded bytes.
+/// This thread's decoded profiles, keyed by translator id, each beside
+/// the exact bytes it was decoded from.
 ///
 /// Bounded without a purge per insert: once the table holds more than
 /// `purge_at` entries, the entries no replica still holds (the table's
@@ -200,25 +203,34 @@ const PROFILE_PURGE_MIN: usize = 1024;
 /// the number of decoded profiles held elsewhere at the last purge.
 #[derive(Default)]
 struct ProfileTable {
-    by_bytes: HashMap<Box<[u8]>, TranslatorProfile>,
+    by_id: IntMap<TranslatorId, (Box<[u8]>, TranslatorProfile)>,
     purge_at: usize,
 }
 
-/// The profile previously decoded from exactly `bytes` on this thread,
-/// if the table still holds it.
-pub(crate) fn cached_profile(bytes: &[u8]) -> Option<TranslatorProfile> {
-    PROFILES.with(|t| t.borrow().by_bytes.get(bytes).cloned())
+/// The profile last decoded under `id` on this thread and the length of
+/// its encoding, if the table still holds it and `frame` starts with
+/// that encoding.
+pub(crate) fn cached_profile(id: TranslatorId, frame: &[u8]) -> Option<(TranslatorProfile, usize)> {
+    PROFILES.with(|t| {
+        let t = t.borrow();
+        let (bytes, profile) = t.by_id.get(&id)?;
+        frame
+            .starts_with(bytes)
+            .then(|| (profile.clone(), bytes.len()))
+    })
 }
 
-/// Records that `bytes` decoded successfully to `profile`. The caller
-/// guarantees `bytes` is exactly the extent the decode consumed.
+/// Records that `bytes` decoded successfully to `profile`, replacing
+/// whatever was last decoded under its id. The caller guarantees
+/// `bytes` is exactly the extent the decode consumed.
 pub(crate) fn store_profile(bytes: &[u8], profile: &TranslatorProfile) {
     PROFILES.with(|t| {
         let t = &mut *t.borrow_mut();
-        t.by_bytes.insert(bytes.into(), profile.clone());
-        if t.by_bytes.len() > t.purge_at.max(PROFILE_PURGE_MIN) {
-            t.by_bytes.retain(|_, p| p.is_shared());
-            t.purge_at = 2 * t.by_bytes.len();
+        t.by_id
+            .insert(profile.id(), (bytes.into(), profile.clone()));
+        if t.by_id.len() > t.purge_at.max(PROFILE_PURGE_MIN) {
+            t.by_id.retain(|_, (_, p)| p.is_shared());
+            t.purge_at = 2 * t.by_id.len();
         }
     })
 }
@@ -248,7 +260,7 @@ pub(crate) fn clear_frame() {
 /// Entries in this thread's profile table (for the bound tests).
 #[cfg(test)]
 pub(crate) fn profile_table_len() -> usize {
-    PROFILES.with(|t| t.borrow().by_bytes.len())
+    PROFILES.with(|t| t.borrow().by_id.len())
 }
 
 #[cfg(test)]

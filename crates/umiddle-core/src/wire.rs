@@ -7,7 +7,7 @@
 //! sequence either decodes to a message or yields a
 //! [`CoreError::Decode`](crate::CoreError::Decode); it never panics.
 
-use simnet::{Addr, ByteReader, ChunkQueue, DecodeError, NodeId, Payload, PayloadBuilder};
+use simnet::{Addr, ByteReader, ChunkQueue, NodeId, Payload, PayloadBuilder};
 
 use crate::error::{CoreError, CoreResult};
 use crate::id::{ConnectionId, PortRef, RuntimeId, TranslatorId};
@@ -630,61 +630,24 @@ fn encode_profile(w: &mut PayloadBuilder, p: &TranslatorProfile) {
 }
 
 /// Decodes one profile, hash-consed per thread: snapshots and replayed
-/// deltas carry profiles earlier frames already carried, so a profile
-/// whose exact encoding decoded successfully before on this thread is
-/// returned as a clone of that result (an `Arc` bump; see
-/// [`crate::intern`]). Profiles
-/// are immutable and compare by value, so a hit is indistinguishable
-/// from a fresh decode; bytes never seen before — hostile ones included
-/// — go through the full validating decoder.
+/// deltas carry profiles earlier frames already carried, so when the
+/// profile this thread last decoded under the same translator id has an
+/// encoding the remaining frame starts with, that result is returned as
+/// a clone (an `Arc` bump; see [`crate::intern`]). The encoding is
+/// self-delimiting, so a frame that starts with it decodes to exactly
+/// that profile, and profiles are immutable and compare by value: a hit
+/// is indistinguishable from a fresh decode. Anything else — hostile
+/// bytes included — goes through the full validating decoder.
 fn decode_profile(r: &mut ByteReader<'_>) -> CoreResult<TranslatorProfile> {
     let rest = r.rest();
-    let Ok(len) = profile_extent(rest) else {
-        // Truncated or malformed: the full decoder reports why.
-        return decode_profile_fields(r);
-    };
-    let key = &rest[..len];
-    if let Some(profile) = intern::cached_profile(key) {
+    let id = decode_translator_id(&mut ByteReader::new(rest))?;
+    if let Some((profile, len)) = intern::cached_profile(id, rest) {
         r.take(len)?;
         return Ok(profile);
     }
     let profile = decode_profile_fields(r)?;
-    if rest.len() - r.remaining() == len {
-        intern::store_profile(key, &profile);
-    }
+    intern::store_profile(&rest[..rest.len() - r.remaining()], &profile);
     Ok(profile)
-}
-
-/// Byte length of the profile encoded at the front of `buf`: walks the
-/// same fields as [`decode_profile_fields`], bounds-checked by
-/// [`ByteReader::take`], without decoding anything (and, on well-formed
-/// input, without allocating).
-fn profile_extent(buf: &[u8]) -> Result<usize, DecodeError> {
-    fn skip_str(r: &mut ByteReader<'_>) -> Result<(), DecodeError> {
-        let n = r.u16_le()?;
-        r.take(usize::from(n)).map(drop)
-    }
-    let mut r = ByteReader::new(buf);
-    r.take(8)?; // translator id
-    skip_str(&mut r)?; // name
-    skip_str(&mut r)?; // platform
-    for _ in 0..r.u16_le()? {
-        skip_str(&mut r)?; // port name
-        r.take(1)?; // direction
-        match r.u8()? {
-            KIND_DIGITAL => skip_str(&mut r)?,
-            KIND_PHYSICAL => {
-                skip_str(&mut r)?;
-                skip_str(&mut r)?;
-            }
-            _ => return Err(DecodeError::Malformed),
-        }
-    }
-    for _ in 0..r.u16_le()? {
-        skip_str(&mut r)?;
-        skip_str(&mut r)?;
-    }
-    Ok(buf.len() - r.remaining())
 }
 
 fn decode_profile_fields(r: &mut ByteReader<'_>) -> CoreResult<TranslatorProfile> {
