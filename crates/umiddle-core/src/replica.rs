@@ -158,6 +158,35 @@ impl DirectoryReplica {
         self.own_version
     }
 
+    /// Checks the table (see [`DirectoryTable::check_invariants`]) and
+    /// the own-op log against the watermark: the log ends at
+    /// `own_version`, holds consecutive versions, and keeps
+    /// `min(own_version, log_cap)` ops. The log checks are O(1). Returns
+    /// the first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.table.check_invariants()?;
+        let len = self.own_log.len() as u64;
+        let want = self.own_version.min(self.log_cap as u64);
+        if len != want {
+            return Err(format!(
+                "own log keeps {len} ops at version {} with cap {}, want {want}",
+                self.own_version, self.log_cap
+            ));
+        }
+        if let (Some(&(first, _)), Some(&(last, _))) = (self.own_log.front(), self.own_log.back()) {
+            if last != self.own_version {
+                return Err(format!(
+                    "own log ends at {last}, watermark is {}",
+                    self.own_version
+                ));
+            }
+            if last - first + 1 != len {
+                return Err(format!("own log spans {first}..={last} in {len} ops"));
+            }
+        }
+        Ok(())
+    }
+
     /// Highest version applied from `origin` (0 if never heard).
     pub fn applied(&self, origin: RuntimeId) -> u64 {
         self.origins.get(&origin).map_or(0, |st| st.applied)
@@ -829,8 +858,8 @@ mod tests {
                 );
             }
 
-            for r in [&obs_a, &obs_b, &boot] {
-                r.table().check_invariants().expect("index exact");
+            for r in origins.iter().chain([&obs_a, &obs_b, &boot]) {
+                r.check_invariants().expect("index exact, log at watermark");
             }
             let expect = boot.fingerprint();
             assert_eq!(

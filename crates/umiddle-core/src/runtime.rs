@@ -320,7 +320,8 @@ impl UmiddleRuntime {
 
     /// Checks the runtime's indexes against each other: the directory
     /// replica's port index (once a lookup has built it) is exactly what
-    /// its entries imply, every entry of the source, destination, home,
+    /// its entries imply and its own-op log agrees with its version
+    /// watermark (see [`DirectoryReplica::check_invariants`]), every entry of the source, destination, home,
     /// query and path-uid indexes names a live connection that belongs
     /// there, every live connection and path is in each index it belongs
     /// to, the peer maps are mutual inverses, and the running buffer
@@ -329,7 +330,7 @@ impl UmiddleRuntime {
     ///
     /// Debug builds run it after every [`Process`] callback.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.directory.table().check_invariants()?;
+        self.directory.check_invariants()?;
         let live = |cid: &ConnectionId, index: &str| match self.connections.get(cid) {
             Some(conn) => Ok(conn),
             None => Err(format!("{index} names dead connection {cid}")),
