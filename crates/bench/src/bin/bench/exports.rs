@@ -363,8 +363,10 @@ pub const FINGERPRINT: Command = Command {
 
 /// Pins the kernel's dispatch order at scale: each fixture of
 /// [`dispatch_fingerprints`] (E9 at 1000 devices, E12 with churn, the
-/// Figure 11 RMI-MB path, and the E10 world, whose multicast frames
-/// reach one member) with its fingerprint and handler-call count
+/// Figure 11 RMI-MB path, the E10 world, whose multicast frames reach
+/// one member, and E7's aggregated and scattered worlds, which drive
+/// the Bluetooth OBEX capture path and the scatter exporter) with its
+/// fingerprint and handler-call count
 /// over a fixed virtual span. A kernel change may move event counts
 /// freely; one that moves a fingerprint changed which handler ran when.
 fn fingerprint(args: &Args) {

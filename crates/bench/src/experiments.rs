@@ -11,7 +11,8 @@ use simnet::{
 };
 use umiddle_apps::{WireRule, Wirer};
 use umiddle_bridges::{
-    behaviors, direct, BluetoothMapper, MediaBrokerMapper, NativeService, RmiMapper, UpnpMapper,
+    behaviors, direct, BluetoothMapper, MapperStats, MediaBrokerMapper, NativeService, RmiMapper,
+    UpnpMapper,
 };
 use umiddle_core::{Direction, QosPolicy, Shape, UMessage};
 use umiddle_usdl::UsdlLibrary;
@@ -985,167 +986,189 @@ pub struct ScatterResults {
     pub samples: (usize, usize),
 }
 
+/// A record a world's processes fill while it runs, read after.
+type Shared<T> = Rc<RefCell<T>>;
+
+/// E7's aggregated world: a Bluetooth BIP camera on a piconet, mapped
+/// at runtime 0, whose shutter a native uMiddle trigger fires every
+/// 10 s (ten times) from inside the intermediary semantic space.
+/// Returns the world and the Bluetooth mapper's stats.
+fn e7_aggregated_world() -> (World, Shared<MapperStats>) {
+    use platform_bluetooth::BipCamera;
+
+    let (mut world, hub) = hub_world(71);
+    let pico = world.add_segment(SegmentConfig::bluetooth_piconet());
+    let (h1, rt) = runtime_node(&mut world, "h1", 0, &[hub, pico]);
+    let cam_node = world.add_node("camera");
+    world.attach(cam_node, pico).unwrap();
+    world.add_process(cam_node, Box::new(BipCamera::new("Cam", 1, 8_000)));
+    let mapper = BluetoothMapper::with_defaults(rt, UsdlLibrary::bundled());
+    let stats = mapper.stats_handle();
+    world.add_process(h1, Box::new(mapper));
+    let shape = Shape::builder()
+        .digital("press", Direction::Output, "text/plain".parse().unwrap())
+        .build()
+        .unwrap();
+    world.add_process(
+        h1,
+        Box::new(NativeService::new(
+            "Trigger",
+            shape,
+            rt,
+            Box::new(behaviors::PeriodicSource::new(
+                "press",
+                SimDuration::from_secs(10),
+                10,
+                |_| UMessage::text("snap"),
+            )),
+        )),
+    );
+    world.add_process(
+        h1,
+        Box::new(Wirer::new(
+            rt,
+            vec![WireRule::new("Trigger", "press", "Cam", "capture")],
+        )),
+    );
+    (world, stats)
+}
+
+/// E7's scattered world: the same camera, exported into UPnP by the
+/// scatter exporter and fired ten times, 10 s apart, by a native UPnP
+/// control point. Returns the world, the Bluetooth mapper's stats and
+/// the control point's SOAP round trips.
+fn e7_scattered_world() -> (World, Shared<MapperStats>, Shared<Vec<SimDuration>>) {
+    use platform_bluetooth::BipCamera;
+    use platform_upnp::ControlPoint;
+    use umiddle_bridges::UpnpExporter;
+
+    let (mut world, hub) = hub_world(72);
+    let pico = world.add_segment(SegmentConfig::bluetooth_piconet());
+    let (h1, rt) = runtime_node(&mut world, "h1", 0, &[hub, pico]);
+    let cam_node = world.add_node("camera");
+    world.attach(cam_node, pico).unwrap();
+    world.add_process(cam_node, Box::new(BipCamera::new("Cam", 1, 8_000)));
+    let mapper = BluetoothMapper::with_defaults(rt, UsdlLibrary::bundled());
+    let mapper_stats = mapper.stats_handle();
+    world.add_process(h1, Box::new(mapper));
+    world.add_process(
+        h1,
+        Box::new(UpnpExporter::new(
+            rt,
+            umiddle_core::Query::Platform("bluetooth".to_owned()),
+            6100,
+        )),
+    );
+    let cp_node = world.add_node("cp");
+    world.attach(cp_node, hub).unwrap();
+    let latencies = Rc::new(RefCell::new(Vec::new()));
+    world.add_process(
+        cp_node,
+        Box::new(NativeCp {
+            cp: ControlPoint::new(),
+            target: None,
+            pending_start: None,
+            latencies: Rc::clone(&latencies),
+            shots: 0,
+        }),
+    );
+    (world, mapper_stats, latencies)
+}
+
+/// E7's native UPnP control point: finds the exported camera and fires
+/// its shutter ten times, 10 s after each answer, timing each SOAP
+/// round trip.
+struct NativeCp {
+    cp: platform_upnp::ControlPoint,
+    target: Option<Addr>,
+    pending_start: Option<SimTime>,
+    latencies: Shared<Vec<SimDuration>>,
+    shots: u32,
+}
+
+impl NativeCp {
+    fn fire(&mut self, ctx: &mut Ctx<'_>) {
+        if let (Some(location), None) = (self.target, self.pending_start) {
+            self.pending_start = Some(ctx.now());
+            let call =
+                platform_upnp::SoapCall::new("Exported", "SetCapture").with_arg("Value", "snap");
+            let _ = self.cp.invoke(ctx, location, &call, u64::from(self.shots));
+        }
+    }
+}
+
+impl Process for NativeCp {
+    fn name(&self) -> &str {
+        "native-cp"
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.bind(7000).unwrap();
+        let _ = ctx.join_group(platform_upnp::SSDP_GROUP);
+        self.cp.listen_events(ctx, 7001);
+        ctx.set_timer(SimDuration::from_secs(5), 1);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        match token {
+            1 if self.target.is_none() => {
+                self.cp.search(ctx, "urn:umiddle:device:Exported:1", 7000);
+                ctx.set_timer(SimDuration::from_secs(5), 1);
+            }
+            2 => self.fire(ctx),
+            _ => {}
+        }
+    }
+    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, d: simnet::Datagram) {
+        if let Some(platform_upnp::CpEvent::DeviceSeen { location, .. }) =
+            self.cp.handle_ssdp(ctx, &d)
+        {
+            if self.target.is_none() {
+                self.target = Some(location);
+                ctx.set_timer(SimDuration::from_secs(5), 2);
+            }
+        }
+    }
+    fn on_stream(&mut self, ctx: &mut Ctx<'_>, s: StreamId, e: StreamEvent) {
+        for ev in self.cp.handle_stream(ctx, s, e) {
+            if matches!(ev, platform_upnp::CpEvent::ActionResult { .. }) {
+                if let Some(start) = self.pending_start.take() {
+                    self.latencies
+                        .borrow_mut()
+                        .push(ctx.now().saturating_since(start));
+                    self.shots += 1;
+                    if self.shots < 10 {
+                        ctx.set_timer(SimDuration::from_secs(10), 2);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Virtual seconds E7's aggregated world runs.
+const E7_AGGREGATED_SECS: u64 = 130;
+/// Virtual seconds E7's scattered world runs.
+const E7_SCATTERED_SECS: u64 = 180;
+
 /// Runs the scattered-visibility ablation: the identical Bluetooth
 /// camera capture, once commanded from inside the intermediary semantic
 /// space, once from a native UPnP control point through the exporter.
 pub fn e7_ablation_scatter() -> ScatterResults {
-    use platform_bluetooth::BipCamera;
-    use umiddle_bridges::UpnpExporter;
-
-    // --- aggregated: a native uMiddle trigger fires the shutter ---
     let aggregated = {
-        let (mut world, hub) = hub_world(71);
-        let pico = world.add_segment(SegmentConfig::bluetooth_piconet());
-        let (h1, rt) = runtime_node(&mut world, "h1", 0, &[hub, pico]);
-        let cam_node = world.add_node("camera");
-        world.attach(cam_node, pico).unwrap();
-        world.add_process(cam_node, Box::new(BipCamera::new("Cam", 1, 8_000)));
-        let mapper = BluetoothMapper::with_defaults(rt, UsdlLibrary::bundled());
-        let stats = mapper.stats_handle();
-        world.add_process(h1, Box::new(mapper));
-        let shape = Shape::builder()
-            .digital("press", Direction::Output, "text/plain".parse().unwrap())
-            .build()
-            .unwrap();
-        world.add_process(
-            h1,
-            Box::new(NativeService::new(
-                "Trigger",
-                shape,
-                rt,
-                Box::new(behaviors::PeriodicSource::new(
-                    "press",
-                    SimDuration::from_secs(10),
-                    10,
-                    |_| UMessage::text("snap"),
-                )),
-            )),
-        );
-        world.add_process(
-            h1,
-            Box::new(Wirer::new(
-                rt,
-                vec![WireRule::new("Trigger", "press", "Cam", "capture")],
-            )),
-        );
-        world.run_until(SimTime::from_secs(130));
-        let latencies = stats.borrow().action_latencies;
-        (latencies.mean(), latencies.len())
+        let (mut world, stats) = e7_aggregated_world();
+        world.run_until(SimTime::from_secs(E7_AGGREGATED_SECS));
+        stats.take().action_latencies
     };
-
-    // --- scattered: a native UPnP control point via the exporter ---
-    let scattered = {
-        use platform_upnp::{ControlPoint, CpEvent, SoapCall};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        struct NativeCp {
-            cp: ControlPoint,
-            target: Option<Addr>,
-            pending_start: Option<SimTime>,
-            latencies: Rc<RefCell<Vec<SimDuration>>>,
-            shots: u32,
-        }
-        impl NativeCp {
-            fn fire(&mut self, ctx: &mut Ctx<'_>) {
-                if let (Some(location), None) = (self.target, self.pending_start) {
-                    self.pending_start = Some(ctx.now());
-                    let call = SoapCall::new("Exported", "SetCapture").with_arg("Value", "snap");
-                    let _ = self.cp.invoke(ctx, location, &call, u64::from(self.shots));
-                }
-            }
-        }
-        impl Process for NativeCp {
-            fn name(&self) -> &str {
-                "native-cp"
-            }
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.bind(7000).unwrap();
-                let _ = ctx.join_group(platform_upnp::SSDP_GROUP);
-                self.cp.listen_events(ctx, 7001);
-                ctx.set_timer(SimDuration::from_secs(5), 1);
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-                match token {
-                    1 if self.target.is_none() => {
-                        self.cp.search(ctx, "urn:umiddle:device:Exported:1", 7000);
-                        ctx.set_timer(SimDuration::from_secs(5), 1);
-                    }
-                    2 => self.fire(ctx),
-                    _ => {}
-                }
-            }
-            fn on_datagram(&mut self, ctx: &mut Ctx<'_>, d: simnet::Datagram) {
-                if let Some(CpEvent::DeviceSeen { location, .. }) = self.cp.handle_ssdp(ctx, &d) {
-                    if self.target.is_none() {
-                        self.target = Some(location);
-                        ctx.set_timer(SimDuration::from_secs(5), 2);
-                    }
-                }
-            }
-            fn on_stream(
-                &mut self,
-                ctx: &mut Ctx<'_>,
-                s: simnet::StreamId,
-                e: simnet::StreamEvent,
-            ) {
-                for ev in self.cp.handle_stream(ctx, s, e) {
-                    if matches!(ev, CpEvent::ActionResult { .. }) {
-                        if let Some(start) = self.pending_start.take() {
-                            self.latencies
-                                .borrow_mut()
-                                .push(ctx.now().saturating_since(start));
-                            self.shots += 1;
-                            if self.shots < 10 {
-                                ctx.set_timer(SimDuration::from_secs(10), 2);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let (mut world, hub) = hub_world(72);
-        let pico = world.add_segment(SegmentConfig::bluetooth_piconet());
-        let (h1, rt) = runtime_node(&mut world, "h1", 0, &[hub, pico]);
-        let cam_node = world.add_node("camera");
-        world.attach(cam_node, pico).unwrap();
-        world.add_process(cam_node, Box::new(BipCamera::new("Cam", 1, 8_000)));
-        let mapper = BluetoothMapper::with_defaults(rt, UsdlLibrary::bundled());
-        let mapper_stats = mapper.stats_handle();
-        world.add_process(h1, Box::new(mapper));
-        world.add_process(
-            h1,
-            Box::new(UpnpExporter::new(
-                rt,
-                umiddle_core::Query::Platform("bluetooth".to_owned()),
-                6100,
-            )),
-        );
-        let cp_node = world.add_node("cp");
-        world.attach(cp_node, hub).unwrap();
-        let latencies = Rc::new(RefCell::new(Vec::new()));
-        world.add_process(
-            cp_node,
-            Box::new(NativeCp {
-                cp: ControlPoint::new(),
-                target: None,
-                pending_start: None,
-                latencies: Rc::clone(&latencies),
-                shots: 0,
-            }),
-        );
-        world.run_until(SimTime::from_secs(180));
-        let soap_rts = latencies.borrow().clone();
-        let captures = mapper_stats.borrow().action_latencies;
-        (captures.mean(), mean(&soap_rts), captures.len())
+    let (scattered, soap_rt) = {
+        let (mut world, stats, soap_rts) = e7_scattered_world();
+        world.run_until(SimTime::from_secs(E7_SCATTERED_SECS));
+        let soap_rt = mean(&soap_rts.borrow());
+        (stats.take().action_latencies, soap_rt)
     };
-
     ScatterResults {
-        aggregated_capture: aggregated.0,
-        scattered_capture: scattered.0,
-        scattered_command_rt: scattered.1,
-        samples: (aggregated.1, scattered.2),
+        aggregated_capture: aggregated.mean(),
+        scattered_capture: scattered.mean(),
+        scattered_command_rt: soap_rt,
+        samples: (aggregated.len(), scattered.len()),
     }
 }
 
@@ -2782,7 +2805,7 @@ pub fn e12_replica_apply(runtimes: usize, per_runtime: usize, deltas: usize) -> 
 }
 
 // =====================================================================
-// Dispatch fingerprints — the kernel's handler order on four fixtures
+// Dispatch fingerprints — the kernel's handler order on six fixtures
 // =====================================================================
 
 /// One fixture's [`World::dispatch_fingerprint`] over a fixed virtual
@@ -2799,16 +2822,19 @@ pub struct FingerprintRow {
     pub handler_calls: u64,
 }
 
-/// Runs four fixtures for fixed virtual spans and returns each one's
+/// Runs six fixtures for fixed virtual spans and returns each one's
 /// dispatch fingerprint: the E9 federation at 1000 devices through its
 /// setup window and 60 s of traffic, the E12 federation (100 runtimes x
 /// 10 services) through its steady state and one churn cycle, the
-/// Figure 11 RMI-MB path through its warm-up and 2 s, and the E10 world
+/// Figure 11 RMI-MB path through its warm-up and 2 s, the E10 world
 /// (E8's two-runtime topology) through 40 s, past its hub flood at
-/// 30 s. E10 is the one whose multicast frames reach a single member:
+/// 30 s, and E7's aggregated and scattered worlds through their full
+/// runs. E10 is the one whose multicast frames reach a single member:
 /// each runtime's directory multicast has one other runtime to hear it.
-/// A kernel change that keeps every handler call in order keeps all
-/// four; one that moves any of them changed the simulated model.
+/// E7 is the one that drives the Bluetooth mapper's OBEX capture path
+/// and the scatter exporter. A kernel change that keeps every handler
+/// call in order keeps all six; one that moves any of them changed the
+/// simulated model.
 pub fn dispatch_fingerprints() -> Vec<FingerprintRow> {
     let run = |fixture, mut world: World, virtual_secs| {
         world.run_until(SimTime::from_secs(virtual_secs));
@@ -2824,6 +2850,8 @@ pub fn dispatch_fingerprints() -> Vec<FingerprintRow> {
         run("e12_churn_100x10", e12_world(100, 10).0, E12_END_SECS),
         run("e3_rmi_mb", rmi_mb_world(34).0, 32),
         run("e10_two_runtimes", e10_world().0, 40),
+        run("e7_aggregated", e7_aggregated_world().0, E7_AGGREGATED_SECS),
+        run("e7_scattered", e7_scattered_world().0, E7_SCATTERED_SECS),
     ]
 }
 
